@@ -33,7 +33,7 @@ from .embed import (
     truncation_report,
 )
 from .evaluation import EvalReport, GoldSet, render_report, score
-from .index import FlatIndex, IndexConfig, IVFIndex, SearchHit, build_index, load_index, save_index
+from .index import FlatIndex, IndexConfig, IVFIndex, SearchHit, build_index, load_index
 from .normalize import (
     CanonicalText,
     ExactGroup,
@@ -93,7 +93,6 @@ __all__ = [
     "SearchHit",
     "build_index",
     "load_index",
-    "save_index",
     "CanonicalText",
     "ExactGroup",
     "NormalizeConfig",

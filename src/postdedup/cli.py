@@ -1,24 +1,20 @@
 """Command-line interface: stagewise and end-to-end pipeline runs.
 
 Exit codes: 0 success, 2 configuration error, 3 data/artifact error,
-4 backend error. All inter-stage data flows through files in the output
-directory, so stages can be run one at a time or all at once via `dedup`.
+4 backend error. Each stage command reads its inputs from, and writes its
+output to, the output directory; `dedup` runs every stage in one process
+and writes all of their artifacts. Flags are merged into the config
+document before it is read.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from .config import (
-    PipelineConfig,
-    apply_paper_strict,
-    config_from_dict,
-    load_config,
-)
+from .config import PipelineConfig, _read_document, _read_yaml, config_from_dict
 from .corpus import corpus_stats, save_postings
 from .embed import tokenize
 from .errors import BackendError, ConfigError, DataError, DedupError
@@ -63,63 +59,59 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ascii-only", action="store_true", default=None)
 
 
+# The strict preset as config keys; it is applied after, and so wins over,
+# the other flags.
+_PAPER_STRICT = {
+    "normalize.ascii_only": True,
+    "embed.max_tokens": 384,
+    "dedup.k": 100,
+    "dedup.base_theta": 0.25,
+}
+
+
+def _overlay(raw: dict, dotted: str, value) -> None:
+    *sections, key = dotted.split(".")
+    node = raw
+    for name in sections:
+        if node.get(name) is None:
+            node[name] = {}
+        node = node[name]
+        if not isinstance(node, dict):
+            raise ConfigError(f"config section {name!r} must be a mapping")
+    node[key] = value
+
+
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    config = load_config(args.config) if args.config else config_from_dict({})
-    if getattr(args, "mode", None):
-        config = dataclasses.replace(config, mode=args.mode)
-    if getattr(args, "seed", None) is not None:
-        config = dataclasses.replace(
-            config,
-            seed=args.seed,
-            index=dataclasses.replace(config.index, seed=args.seed),
-        )
-    if getattr(args, "threads", None) is not None:
-        config = dataclasses.replace(config, threads=args.threads)
-    if getattr(args, "k", None) is not None:
-        config = dataclasses.replace(config, dedup=dataclasses.replace(config.dedup, k=args.k))
-    if getattr(args, "theta", None) is not None:
-        config = dataclasses.replace(
-            config, dedup=dataclasses.replace(config.dedup, base_theta=args.theta)
-        )
-    if getattr(args, "ascii_only", None):
-        config = dataclasses.replace(
-            config, normalize=dataclasses.replace(config.normalize, ascii_only=True)
-        )
-    if getattr(args, "dictionary", None):
-        config = dataclasses.replace(
-            config,
-            translate=dataclasses.replace(
-                config.translate, kind="dictionary", dictionary_path=args.dictionary
-            ),
-        )
-    if getattr(args, "rules", None):
-        from .dedup import ExpertRule, example_ruleset
-
-        if args.rules == "example":
-            rules = tuple(example_ruleset(config.dedup.base_theta))
-        elif args.rules == "none":
-            rules = ()
-        else:
-            import yaml
-
-            try:
-                raw = yaml.safe_load(Path(args.rules).read_text(encoding="utf-8"))
-            except (OSError, yaml.YAMLError) as err:
-                raise ConfigError(f"cannot read rules file {args.rules}: {err}") from err
-            if not isinstance(raw, list):
-                raise ConfigError("rules file must contain a list of rule objects")
-            rules = tuple(ExpertRule.from_dict(entry) for entry in raw)
-        config = dataclasses.replace(config, dedup=dataclasses.replace(config.dedup, rules=rules))
+    """Merge the flags into the config document, then build the config once."""
+    raw = _read_document(args.config) if args.config else {}
+    flags = {
+        "mode": args.mode,
+        "seed": args.seed,
+        "index.seed": args.seed,
+        "threads": args.threads,
+        "dedup.k": args.k,
+        "dedup.base_theta": args.theta,
+        "normalize.ascii_only": args.ascii_only,
+    }
+    if args.dictionary:
+        flags["translate.kind"] = "dictionary"
+        flags["translate.dictionary_path"] = args.dictionary
+    if args.rules in ("example", "none"):
+        flags["dedup.rules"] = args.rules
+    elif args.rules:
+        rules = _read_yaml(args.rules, "rules file")
+        if not isinstance(rules, list):
+            raise ConfigError("rules file must contain a list of rule objects")
+        flags["dedup.rules"] = rules
     if getattr(args, "input", None):
-        config = dataclasses.replace(
-            config,
-            io=dataclasses.replace(
-                config.io, input_path=args.input, input_format=getattr(args, "format", "jsonl")
-            ),
-        )
+        flags["io.input_path"] = args.input
+        flags["io.input_format"] = args.format
     if args.paper_strict:
-        config = apply_paper_strict(config)
-    return config
+        flags.update(_PAPER_STRICT)
+    for dotted, value in flags.items():
+        if value is not None:
+            _overlay(raw, dotted, value)
+    return config_from_dict(raw)
 
 
 def _cmd_ingest(args) -> int:
@@ -149,8 +141,8 @@ def _cmd_translate(args) -> int:
 
 def _cmd_embed(args) -> int:
     config = _config_from_args(args)
-    dump = stage_embed(config, args.out)
-    print(f"embedded {len(dump) if dump is not None else 0} non-empty representatives")
+    id_vectors = stage_embed(config, args.out)
+    print(f"embedded {len(id_vectors)} non-empty representatives")
     return 0
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -185,30 +185,28 @@ def _config_from_dict(raw: dict) -> PipelineConfig:
     )
 
 
-def load_config(path: str | Path) -> PipelineConfig:
-    """Load a YAML (or JSON, a YAML subset) config document."""
+def _read_yaml(path: str | Path, what: str):
+    """Parse a YAML (or JSON, a YAML subset) file; failures are ConfigError."""
     try:
-        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        return yaml.safe_load(Path(path).read_text(encoding="utf-8"))
     except OSError as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from err
+        raise ConfigError(f"cannot read {what} {path}: {err}") from err
     except yaml.YAMLError as err:
-        raise ConfigError(f"cannot parse config {path}: {err}") from err
+        raise ConfigError(f"cannot parse {what} {path}: {err}") from err
+
+
+def _read_document(path: str | Path) -> dict:
+    raw = _read_yaml(path, "config")
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a mapping")
-    return config_from_dict(raw)
+    return raw
 
 
-def apply_paper_strict(config: PipelineConfig) -> PipelineConfig:
-    """One switch for the strict preset: ASCII-only cleaning, k=100,
-    threshold 0.25, 384-token limit."""
-    return replace(
-        config,
-        normalize=replace(config.normalize, ascii_only=True),
-        embed=replace(config.embed, max_tokens=384),
-        dedup=replace(config.dedup, k=100, base_theta=0.25),
-    )
+def load_config(path: str | Path) -> PipelineConfig:
+    """Load a YAML (or JSON, a YAML subset) config document."""
+    return config_from_dict(_read_document(path))
 
 
 __all__ = [
@@ -221,5 +219,4 @@ __all__ = [
     "PipelineConfig",
     "config_from_dict",
     "load_config",
-    "apply_paper_strict",
 ]

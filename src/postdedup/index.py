@@ -79,11 +79,14 @@ class SearchHit:
     distance: float  # true L2
 
 
-def _row_sq_dists(rows64: np.ndarray, query64: np.ndarray) -> np.ndarray:
+def _row_sq_dists(rows64: np.ndarray, query64: np.ndarray, buf: np.ndarray) -> np.ndarray:
     # The one distance expression used everywhere: per-row float64 reduction,
-    # independent of how many rows are in the batch.
-    diff = rows64 - query64
-    return np.square(diff).sum(axis=1)
+    # independent of how many rows are in the batch. `buf` is scratch space
+    # of rows64's shape (it may be rows64 itself), so no rows x dim array is
+    # allocated per call.
+    diff = np.subtract(rows64, query64, out=buf)
+    np.square(diff, out=diff)
+    return diff.sum(axis=1)
 
 
 def _as_query64(query: QueryVector, dim: int) -> np.ndarray:
@@ -109,6 +112,7 @@ class _BaseIndex:
         self._id_ranks = ranks
         self._comparisons = 0
         self._counter_lock = threading.Lock()
+        self._scratch = threading.local()
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -138,6 +142,13 @@ class _BaseIndex:
         with self._counter_lock:
             self._comparisons += n
 
+    def _buffer(self) -> np.ndarray:
+        """This thread's (count, dim) float64 scratch array for distances."""
+        buf = getattr(self._scratch, "buf", None)
+        if buf is None:
+            buf = self._scratch.buf = np.empty_like(self._vecs64)
+        return buf
+
     def _hits_from_rows(self, rows: np.ndarray, d2: np.ndarray, k: int) -> list[SearchHit]:
         m = d2.shape[0]
         if k < m:
@@ -159,11 +170,17 @@ class _BaseIndex:
     def search_batch(
         self, queries: Sequence[QueryVector], k: int, threads: int = 1
     ) -> list[list[SearchHit]]:
-        """Element-wise equal to calling `search` per query, in any thread count."""
-        if threads <= 1:
-            return [self.search(q, k) for q in queries]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda q: self.search(q, k), queries))
+        """Element-wise equal to calling `search` per query, in any thread count.
+
+        The distance buffers of the batch's threads are released at the end.
+        """
+        try:
+            if threads <= 1:
+                return [self.search(q, k) for q in queries]
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                return list(pool.map(lambda q: self.search(q, k), queries))
+        finally:
+            self._scratch = threading.local()
 
     def save(self, path: str | Path) -> None:
         Path(path).write_bytes(self.to_bytes())
@@ -181,7 +198,7 @@ class FlatIndex(_BaseIndex):
         if k < 1:
             raise ValueError("k must be positive")
         q64 = _as_query64(query, self.dim)
-        d2 = _row_sq_dists(self._vecs64, q64)
+        d2 = _row_sq_dists(self._vecs64, q64, self._buffer())
         self._count(len(self))
         return self._hits_from_rows(np.arange(len(self)), d2, k)
 
@@ -220,8 +237,8 @@ class IVFIndex(_BaseIndex):
     def list_sizes(self) -> list[int]:
         return [int(n) for n in np.diff(self._offsets.astype(np.int64))]
 
-    def _probe_rows(self, q64: np.ndarray, nprobe: int) -> np.ndarray:
-        dc2 = _row_sq_dists(self._cent64, q64)
+    def _probe_rows(self, q64: np.ndarray, nprobe: int, buf: np.ndarray) -> np.ndarray:
+        dc2 = _row_sq_dists(self._cent64, q64, buf[: self.nlist])
         probe = np.lexsort((np.arange(self.nlist), dc2))[:nprobe]
         spans = [
             np.arange(int(self._offsets[j]), int(self._offsets[j + 1]))
@@ -236,11 +253,14 @@ class IVFIndex(_BaseIndex):
         if not 1 <= nprobe <= self.nlist:
             raise ValueError(f"nprobe must be in [1, {self.nlist}]")
         q64 = _as_query64(query, self.dim)
-        rows = self._probe_rows(q64, nprobe)
+        buf = self._buffer()
+        rows = self._probe_rows(q64, nprobe, buf)
         self._count(int(rows.size))
         if rows.size == 0:
             return []
-        d2 = _row_sq_dists(self._vecs64[rows], q64)
+        # mode="clip" writes straight into `out`; "raise" would buffer a copy.
+        probed = np.take(self._vecs64, rows, axis=0, out=buf[: rows.size], mode="clip")
+        d2 = _row_sq_dists(probed, q64, probed)
         return self._hits_from_rows(rows, d2, k)
 
     def to_bytes(self) -> bytes:
@@ -277,7 +297,8 @@ def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     n = X.shape[0]
     centers = np.empty((k, X.shape[1]), dtype=np.float64)
     centers[0] = X[int(rng.integers(n))]
-    d2 = _row_sq_dists(X, centers[0])
+    buf = np.empty_like(X)
+    d2 = _row_sq_dists(X, centers[0], buf)
     for j in range(1, k):
         total = float(d2.sum())
         if total > 0.0:
@@ -285,14 +306,15 @@ def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         else:
             idx = int(rng.integers(n))
         centers[j] = X[idx]
-        d2 = np.minimum(d2, _row_sq_dists(X, centers[j]))
+        d2 = np.minimum(d2, _row_sq_dists(X, centers[j], buf))
     return centers
 
 
 def _assign(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     d2 = np.empty((centers.shape[0], X.shape[0]), dtype=np.float64)
+    buf = np.empty_like(X)
     for j in range(centers.shape[0]):
-        d2[j] = _row_sq_dists(X, centers[j])
+        d2[j] = _row_sq_dists(X, centers[j], buf)
     return d2.argmin(axis=0)
 
 
@@ -317,7 +339,8 @@ def _kmeans(
             if counts[big] <= 1:
                 continue
             members = np.nonzero(assign == big)[0]
-            far = members[int(np.argmax(_row_sq_dists(X[members], centers[big])))]
+            rows = X[members]
+            far = members[int(np.argmax(_row_sq_dists(rows, centers[big], rows)))]
             centers[int(j)] = X[far]
             assign[far] = j
             counts[big] -= 1
@@ -435,10 +458,6 @@ def index_from_bytes(data: bytes) -> VectorIndex:
     return IVFIndex(ids, vecs32.copy(), centroids32.copy(), offsets.copy(), nprobe=int(offsets.shape[0] - 1))
 
 
-def save_index(index: VectorIndex, path: str | Path) -> None:
-    index.save(path)
-
-
 __all__ = [
     "IndexConfig",
     "SearchHit",
@@ -446,7 +465,6 @@ __all__ = [
     "IVFIndex",
     "VectorIndex",
     "build_index",
-    "save_index",
     "load_index",
     "index_from_bytes",
 ]

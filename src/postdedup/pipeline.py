@@ -1,22 +1,24 @@
-"""End-to-end pipeline orchestration and stage artifact handling.
+"""The dedup pipeline: one chain of stages, run in memory or over files.
 
-The flow: canonicalize -> group exact duplicates (these already settle
-FULL/TEMPORAL for identical text) -> keep one representative per group ->
-optionally translate -> embed -> index -> k-NN candidate pairs -> expert
-rules -> classify -> expand group labels back to all members.
+The chain: canonicalize -> group exact duplicates (these already settle
+FULL/TEMPORAL for identical text) -> translate one representative per group
+(optional) -> embed -> index -> k-NN candidate pairs -> expert rules ->
+classify -> expand group labels back to all members -> run report.
 
-`run_pipeline` does this in memory. The `stage_*` functions do the same
-work one step at a time, reading and writing declared artifact files, and
-the CLI `dedup` command simply runs them in sequence; both paths produce
-byte-identical results because every artifact round-trips exactly
-(float32 vectors, UTF-8 text).
+`run_pipeline` runs the chain in memory; `run_staged` (the CLI `dedup`
+command) runs it from `postings.jsonl`, writing each artifact as it is
+produced and reading none back. Each `stage_*` function reads one stage's
+input artifacts, calls the same stage function and writes its output; all
+paths give byte-identical results because every artifact round-trips
+exactly (float32 vectors, UTF-8 text).
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import asdict, dataclass, field, replace
 from itertools import combinations, product
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -37,7 +39,7 @@ from .dedup import (
 from .embed import EmbeddingVector, HashedEmbedder, RemoteEmbedder, truncation_report
 from .errors import DataError
 from .evaluation import write_results_csv
-from .index import FlatIndex, IndexConfig, build_index, load_index
+from .index import IndexConfig, IVFIndex, build_index, load_index
 from .normalize import CanonicalText, ExactGroup, canonicalize, group_exact
 from .translate import TranslationCache, TranslationRequest, make_backend, translate_batch
 
@@ -71,21 +73,9 @@ class RunReport:
     sweep: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "k": self.k,
-            "base_theta": self.base_theta,
-            "n_postings": self.n_postings,
-            "n_groups": self.n_groups,
-            "n_representatives": self.n_representatives,
-            "n_zero_vectors": self.n_zero_vectors,
-            "counters": dict(self.counters),
-            "label_counts": dict(self.label_counts),
-            "stage_seconds": dict(self.stage_seconds),
-            "truncation": self.truncation,
-            "saturation": self.saturation,
-            "sweep": [list(row) for row in self.sweep],
-        }
+        raw = asdict(self)
+        raw["sweep"] = [list(row) for row in self.sweep]
+        return raw
 
 
 @dataclass
@@ -109,19 +99,33 @@ def make_embedder(config: PipelineConfig):
     return RemoteEmbedder(config.embed.endpoint, dim=config.embed.dim)
 
 
-def _representatives(
-    groups: Sequence[ExactGroup], canonical_by_id: Mapping[str, CanonicalText]
-) -> list[CanonicalText]:
-    return [canonical_by_id[g.representative_id] for g in groups]
+def _timed(timings: dict, name: str, fn, *args):
+    t0 = time.perf_counter()
+    out = fn(*args)
+    timings[name] = time.perf_counter() - t0
+    return out
 
 
-def _translate_reps(
-    reps: Sequence[CanonicalText],
-    postings_by_id: Mapping[str, Posting],
+def _normalize(postings: Sequence[Posting], config: PipelineConfig) -> list[CanonicalText]:
+    return [canonicalize(p, config.normalize) for p in postings]
+
+
+def _translate(
+    postings: Sequence[Posting],
+    canonicals: Sequence[CanonicalText],
+    groups: Sequence[ExactGroup],
     config: PipelineConfig,
-    translator,
-    cache: TranslationCache | None,
+    translator=None,
+    cache: TranslationCache | None = None,
 ) -> list[str]:
+    """The text to embed for each group's representative, in group order."""
+    if translator is None:
+        translator = make_translator(config)
+    if cache is None and config.translate.cache_path:
+        cache = TranslationCache(config.translate.cache_path)
+    canonical_by_id = {c.source_id: c for c in canonicals}
+    language_by_id = {p.id: p.language for p in postings}
+    reps = [canonical_by_id[g.representative_id] for g in groups]
     requests = []
     slots = []
     for i, rep in enumerate(reps):
@@ -131,7 +135,7 @@ def _translate_reps(
             TranslationRequest(
                 fingerprint=rep.fingerprint,
                 text=rep.text,
-                source_language=postings_by_id[rep.source_id].language,
+                source_language=language_by_id[rep.source_id],
             )
         )
         slots.append(i)
@@ -148,7 +152,26 @@ def _translate_reps(
     return texts
 
 
+def _embed(
+    rep_ids: Sequence[str], texts: Sequence[str], config: PipelineConfig, embedder=None
+) -> tuple[list[tuple[str, EmbeddingVector]], dict]:
+    """The non-zero embeddings as (id, vector) pairs, and their metadata."""
+    if embedder is None:
+        embedder = make_embedder(config)
+    vectors = embedder.embed_many(texts)
+    id_vectors = [(rid, vec) for rid, vec in zip(rep_ids, vectors) if not vec.is_zero]
+    meta = {
+        "dim": config.embed.dim,
+        "max_tokens": config.embed.max_tokens,
+        "zero_vector_ids": [rid for rid, vec in zip(rep_ids, vectors) if vec.is_zero],
+        "truncation": truncation_report(texts, config.embed.max_tokens).to_dict(),
+    }
+    return id_vectors, meta
+
+
 def _build_search_index(id_vectors, config: PipelineConfig):
+    if not id_vectors:
+        return None
     index_config = config.index
     if index_config.kind == "ivf":
         # Desk-scale corpora can undershoot the configured partition count.
@@ -188,38 +211,100 @@ def _expand_pairs(
     return pairs, n_exact
 
 
-def _classify_candidates(
-    report: RunReport,
+def _dedup(
+    postings: Sequence[Posting],
+    canonicals: Sequence[CanonicalText],
+    groups: Sequence[ExactGroup],
+    meta: dict,
+    queries: Sequence[tuple[str, EmbeddingVector]],
+    index,
     config: PipelineConfig,
-    hits,
-    comparisons: int,
-    n_queries: int,
-    postings_by_id,
-    fingerprints_by_id,
-    groups,
-) -> list[LabeledPair]:
-    """Shared tail of the pipeline: sweep, rules, classification, expansion."""
+    timings: dict,
+) -> PipelineResult:
+    """Candidates, rules, classification, expansion; assembles the run report."""
+    t0 = time.perf_counter()
+    if index is not None:
+        index.reset_comparison_count()
+        hits = collect_hits(index, queries, config.dedup.k, threads=config.threads)
+        comparisons = index.comparison_count
+    else:
+        hits, comparisons = {}, 0
+    timings["candidates"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    k, base_theta = config.dedup.k, config.dedup.base_theta
+    postings_by_id = {p.id: p for p in postings}
+    fingerprints_by_id = {c.source_id: c.fingerprint for c in canonicals}
     candidates = pairs_from_hits(hits)
-    report.sweep = threshold_sweep(candidates, list(config.dedup.sweep_thetas))
-    report.saturation = saturation_report(hits, config.dedup.base_theta, config.dedup.k).to_dict()
-
-    rules = list(config.dedup.rules) or [default_rule(config.dedup.base_theta)]
-    kept = apply_rules_detailed(candidates, postings_by_id, rules, config.dedup.base_theta)
+    rules = list(config.dedup.rules) or [default_rule(base_theta)]
+    kept = apply_rules_detailed(candidates, postings_by_id, rules, base_theta)
     pairs, n_exact = _expand_pairs(kept, rules, groups, postings_by_id, fingerprints_by_id)
+    sweep = threshold_sweep(candidates, list(config.dedup.sweep_thetas))
+    saturation = saturation_report(hits, base_theta, k).to_dict()
+    label_counts = Counter(pair.label.value for pair in pairs)
+    timings["classify"] = time.perf_counter() - t0
+    report = RunReport(
+        mode=config.mode,
+        k=k,
+        base_theta=base_theta,
+        n_postings=len(postings),
+        n_groups=len(groups),
+        n_representatives=len(groups),
+        n_zero_vectors=len(meta["zero_vector_ids"]),
+        counters={
+            # Ordered query x row evaluations, on the same basis as each other.
+            "index_comparisons": comparisons,
+            "brute_force_comparisons": len(hits) * (len(index) if index is not None else 0),
+            # Unordered pairs, on the same basis as candidate_pairs.
+            "brute_force_pairs": pair_count(len(hits)),
+            "candidate_pairs": len(candidates),
+            "kept_representative_pairs": len(kept),
+            "exact_group_pairs": n_exact,
+            "output_pairs": len(pairs),
+        },
+        label_counts=dict(sorted(label_counts.items())),
+        stage_seconds=dict(timings),
+        truncation=meta["truncation"],
+        saturation=saturation,
+        sweep=sweep,
+    )
+    return PipelineResult(pairs=pairs, report=report)
 
-    report.counters = {
-        "index_comparisons": comparisons,
-        "brute_force_pairs": pair_count(n_queries),
-        "candidate_pairs": len(candidates),
-        "kept_representative_pairs": len(kept),
-        "exact_group_pairs": n_exact,
-        "output_pairs": len(pairs),
-    }
-    label_counts: dict[str, int] = {}
-    for pair in pairs:
-        label_counts[pair.label.value] = label_counts.get(pair.label.value, 0) + 1
-    report.label_counts = dict(sorted(label_counts.items()))
-    return pairs
+
+def _run(
+    postings: Sequence[Posting],
+    config: PipelineConfig,
+    translator=None,
+    embedder=None,
+    cache: TranslationCache | None = None,
+    outdir: str | Path | None = None,
+) -> PipelineResult:
+    """The whole chain; with `outdir`, write each artifact as it is produced."""
+    timings: dict[str, float] = {}
+    canonicals = _timed(timings, "normalize", _normalize, postings, config)
+    groups = _timed(timings, "group_exact", group_exact, canonicals)
+    if outdir is not None:
+        write_canonical_file(canonicals, Path(outdir) / CANONICAL_FILE)
+
+    texts = _timed(
+        timings, "translate", _translate, postings, canonicals, groups, config, translator, cache
+    )
+    if outdir is not None:
+        _write_translated(groups, texts, outdir)
+
+    rep_ids = [g.representative_id for g in groups]
+    id_vectors, meta = _timed(timings, "embed", _embed, rep_ids, texts, config, embedder)
+    if outdir is not None:
+        _write_embedded(id_vectors, meta, outdir)
+
+    index = _timed(timings, "index", _build_search_index, id_vectors, config)
+    if outdir is not None and index is not None:
+        index.save(Path(outdir) / INDEX_FILE)
+
+    result = _dedup(postings, canonicals, groups, meta, id_vectors, index, config, timings)
+    if outdir is not None:
+        _write_result(result, outdir)
+    return result
 
 
 def run_pipeline(
@@ -230,66 +315,10 @@ def run_pipeline(
     cache: TranslationCache | None = None,
 ) -> PipelineResult:
     """Run the full dedup pipeline in memory over already-loaded postings."""
-    report = RunReport(mode=config.mode, k=config.dedup.k, base_theta=config.dedup.base_theta)
-    report.n_postings = len(postings)
-    postings_by_id = {p.id: p for p in postings}
-    timings = report.stage_seconds
-
-    t0 = time.perf_counter()
-    canonicals = [canonicalize(p, config.normalize) for p in postings]
-    canonical_by_id = {c.source_id: c for c in canonicals}
-    fingerprints_by_id = {c.source_id: c.fingerprint for c in canonicals}
-    timings["normalize"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    groups = group_exact(canonicals)
-    reps = _representatives(groups, canonical_by_id)
-    report.n_groups = len(groups)
-    report.n_representatives = len(reps)
-    timings["group_exact"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    if translator is None:
-        translator = make_translator(config)
-    if cache is None and config.translate.cache_path:
-        cache = TranslationCache(config.translate.cache_path)
-    texts = _translate_reps(reps, postings_by_id, config, translator, cache)
-    timings["translate"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    if embedder is None:
-        embedder = make_embedder(config)
-    vectors = embedder.embed_many(texts)
-    report.truncation = truncation_report(texts, config.embed.max_tokens).to_dict()
-    id_vectors = [
-        (rep.source_id, vec) for rep, vec in zip(reps, vectors) if not vec.is_zero
-    ]
-    report.n_zero_vectors = len(reps) - len(id_vectors)
-    timings["embed"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    index = _build_search_index(id_vectors, config) if id_vectors else None
-    timings["index"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    if index is not None:
-        index.reset_comparison_count()
-        hits = collect_hits(index, id_vectors, config.dedup.k, threads=config.threads)
-        comparisons = index.comparison_count
-    else:
-        hits, comparisons = {}, 0
-    timings["candidates"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    pairs = _classify_candidates(
-        report, config, hits, comparisons, len(id_vectors),
-        postings_by_id, fingerprints_by_id, groups,
-    )
-    timings["classify"] = time.perf_counter() - t0
-    return PipelineResult(pairs=pairs, report=report)
+    return _run(postings, config, translator, embedder, cache)
 
 
-# --- staged artifact runners -------------------------------------------------
+# --- artifact files and single-stage runners ---------------------------------
 
 def _artifact(outdir: str | Path, name: str) -> Path:
     path = Path(outdir) / name
@@ -298,28 +327,64 @@ def _artifact(outdir: str | Path, name: str) -> Path:
     return path
 
 
-def write_canonical_file(canonicals: Sequence[CanonicalText], path: str | Path) -> None:
+def _write_jsonl(records, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for c in canonicals:
-            record = {"id": c.source_id, "canonical_text": c.text, "fingerprint": c.fingerprint}
+        for record in records:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def read_canonical_file(path: str | Path) -> list[CanonicalText]:
-    out = []
+def _read_jsonl(path: str | Path) -> list[dict]:
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            out.append(
-                CanonicalText(
-                    text=record["canonical_text"],
-                    fingerprint=record["fingerprint"],
-                    source_id=record["id"],
-                )
-            )
-    return out
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def write_canonical_file(canonicals: Sequence[CanonicalText], path: str | Path) -> None:
+    _write_jsonl(
+        (
+            {"id": c.source_id, "canonical_text": c.text, "fingerprint": c.fingerprint}
+            for c in canonicals
+        ),
+        path,
+    )
+
+
+def read_canonical_file(path: str | Path) -> list[CanonicalText]:
+    return [
+        CanonicalText(text=r["canonical_text"], fingerprint=r["fingerprint"], source_id=r["id"])
+        for r in _read_jsonl(path)
+    ]
+
+
+def _write_translated(
+    groups: Sequence[ExactGroup], texts: Sequence[str], outdir: str | Path
+) -> None:
+    records = ({"id": g.representative_id, "text": text} for g, text in zip(groups, texts))
+    _write_jsonl(records, Path(outdir) / TRANSLATED_FILE)
+
+
+def read_translated_file(path: str | Path) -> list[tuple[str, str]]:
+    return [(r["id"], r["text"]) for r in _read_jsonl(path)]
+
+
+def _write_embedded(id_vectors, meta: dict, outdir: str | Path) -> None:
+    outdir = Path(outdir)
+    (outdir / EMBED_META_FILE).write_text(json.dumps(meta, indent=2), encoding="utf-8")
+    if id_vectors:
+        # The embeddings dump is a flat index file.
+        build_index(id_vectors, IndexConfig(kind="flat", dim=meta["dim"])).save(
+            outdir / EMBEDDINGS_FILE
+        )
+    else:
+        # drop stale artifacts so a re-run cannot mix corpora
+        for name in (EMBEDDINGS_FILE, INDEX_FILE):
+            (outdir / name).unlink(missing_ok=True)
+
+
+def _write_result(result: PipelineResult, outdir: str | Path) -> None:
+    write_results_csv(result.pairs, Path(outdir) / RESULTS_FILE)
+    (Path(outdir) / REPORT_FILE).write_text(
+        json.dumps(result.report.to_dict(), indent=2), encoding="utf-8"
+    )
 
 
 def stage_ingest(config: PipelineConfig, outdir: str | Path) -> list[Posting]:
@@ -332,8 +397,7 @@ def stage_ingest(config: PipelineConfig, outdir: str | Path) -> list[Posting]:
 
 
 def stage_normalize(config: PipelineConfig, outdir: str | Path) -> list[CanonicalText]:
-    postings = load_postings(_artifact(outdir, POSTINGS_FILE))
-    canonicals = [canonicalize(p, config.normalize) for p in postings]
+    canonicals = _normalize(load_postings(_artifact(outdir, POSTINGS_FILE)), config)
     write_canonical_file(canonicals, Path(outdir) / CANONICAL_FILE)
     return canonicals
 
@@ -341,137 +405,51 @@ def stage_normalize(config: PipelineConfig, outdir: str | Path) -> list[Canonica
 def stage_translate(config: PipelineConfig, outdir: str | Path, translator=None) -> list[str]:
     postings = load_postings(_artifact(outdir, POSTINGS_FILE))
     canonicals = read_canonical_file(_artifact(outdir, CANONICAL_FILE))
-    postings_by_id = {p.id: p for p in postings}
-    canonical_by_id = {c.source_id: c for c in canonicals}
     groups = group_exact(canonicals)
-    reps = _representatives(groups, canonical_by_id)
-    if translator is None:
-        translator = make_translator(config)
-    cache = TranslationCache(config.translate.cache_path) if config.translate.cache_path else None
-    texts = _translate_reps(reps, postings_by_id, config, translator, cache)
-    with open(Path(outdir) / TRANSLATED_FILE, "w", encoding="utf-8") as fh:
-        for rep, text in zip(reps, texts):
-            fh.write(json.dumps({"id": rep.source_id, "text": text}, ensure_ascii=False) + "\n")
+    texts = _translate(postings, canonicals, groups, config, translator)
+    _write_translated(groups, texts, outdir)
     return texts
 
 
-def read_translated_file(path: str | Path) -> list[tuple[str, str]]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                record = json.loads(line)
-                out.append((record["id"], record["text"]))
-    return out
-
-
-def stage_embed(config: PipelineConfig, outdir: str | Path, embedder=None) -> FlatIndex | None:
+def stage_embed(
+    config: PipelineConfig, outdir: str | Path, embedder=None
+) -> list[tuple[str, EmbeddingVector]]:
     translated = read_translated_file(_artifact(outdir, TRANSLATED_FILE))
-    if embedder is None:
-        embedder = make_embedder(config)
-    texts = [text for _, text in translated]
-    vectors = embedder.embed_many(texts)
-    id_vectors = [(rid, vec) for (rid, _), vec in zip(translated, vectors) if not vec.is_zero]
-    zero_ids = [rid for (rid, _), vec in zip(translated, vectors) if vec.is_zero]
-    meta = {
-        "dim": config.embed.dim,
-        "max_tokens": config.embed.max_tokens,
-        "zero_vector_ids": zero_ids,
-        "truncation": truncation_report(texts, config.embed.max_tokens).to_dict(),
-    }
-    (Path(outdir) / EMBED_META_FILE).write_text(json.dumps(meta, indent=2), encoding="utf-8")
-    dump = None
-    if id_vectors:
-        dump = build_index(id_vectors, IndexConfig(kind="flat", dim=config.embed.dim))
-        dump.save(Path(outdir) / EMBEDDINGS_FILE)
-    else:
-        # drop stale artifacts so a re-run cannot mix corpora
-        for name in (EMBEDDINGS_FILE, INDEX_FILE):
-            stale = Path(outdir) / name
-            if stale.exists():
-                stale.unlink()
-    return dump
-
-
-def vectors_from_flat(flat: FlatIndex) -> list[tuple[str, EmbeddingVector]]:
-    return flat.items()
+    rep_ids, texts = [rid for rid, _ in translated], [text for _, text in translated]
+    id_vectors, meta = _embed(rep_ids, texts, config, embedder)
+    _write_embedded(id_vectors, meta, outdir)
+    return id_vectors
 
 
 def stage_index(config: PipelineConfig, outdir: str | Path):
-    flat = load_index(_artifact(outdir, EMBEDDINGS_FILE))
-    id_vectors = vectors_from_flat(flat)
-    index = _build_search_index(id_vectors, config)
+    index = _build_search_index(load_index(_artifact(outdir, EMBEDDINGS_FILE)).items(), config)
     index.save(Path(outdir) / INDEX_FILE)
     return index
 
 
-def stage_dedup(
-    config: PipelineConfig, outdir: str | Path, stage_seconds: dict | None = None
-) -> PipelineResult:
-    """Final stage: candidates, rules, classification, expansion, reports.
-
-    `stage_seconds` carries upstream stage timings when the whole chain
-    runs under one command; this stage adds its own.
-    """
-    started = time.perf_counter()
+def stage_dedup(config: PipelineConfig, outdir: str | Path) -> PipelineResult:
+    """Final stage: candidates, rules, classification, expansion, reports."""
     postings = load_postings(_artifact(outdir, POSTINGS_FILE))
     canonicals = read_canonical_file(_artifact(outdir, CANONICAL_FILE))
-    postings_by_id = {p.id: p for p in postings}
-    fingerprints_by_id = {c.source_id: c.fingerprint for c in canonicals}
-    groups = group_exact(canonicals)
-
-    report = RunReport(mode=config.mode, k=config.dedup.k, base_theta=config.dedup.base_theta)
-    report.n_postings = len(postings)
-    report.n_groups = len(groups)
-    report.n_representatives = len(groups)
-
     meta = json.loads(_artifact(outdir, EMBED_META_FILE).read_text(encoding="utf-8"))
-    report.n_zero_vectors = len(meta["zero_vector_ids"])
-    report.truncation = meta["truncation"]
-
+    queries, index = [], None
     embeddings_path = Path(outdir) / EMBEDDINGS_FILE
     if embeddings_path.exists():
-        queries = vectors_from_flat(load_index(embeddings_path))
+        queries = load_index(embeddings_path).items()
         index = load_index(_artifact(outdir, INDEX_FILE))
-        if hasattr(index, "nprobe"):
+        if isinstance(index, IVFIndex):
             # nprobe is a search-time knob, not persisted in the file.
             index.nprobe = min(config.index.nprobe, index.nlist)
-        index.reset_comparison_count()
-        hits = collect_hits(index, queries, config.dedup.k, threads=config.threads)
-        comparisons = index.comparison_count
-    else:
-        queries, hits, comparisons = [], {}, 0
-
-    pairs = _classify_candidates(
-        report, config, hits, comparisons, len(queries),
-        postings_by_id, fingerprints_by_id, groups,
-    )
-    report.stage_seconds = dict(stage_seconds or {})
-    report.stage_seconds["dedup"] = time.perf_counter() - started
-
-    write_results_csv(pairs, Path(outdir) / RESULTS_FILE)
-    (Path(outdir) / REPORT_FILE).write_text(
-        json.dumps(report.to_dict(), indent=2), encoding="utf-8"
-    )
-    return PipelineResult(pairs=pairs, report=report)
+    groups = group_exact(canonicals)
+    result = _dedup(postings, canonicals, groups, meta, queries, index, config, {})
+    _write_result(result, outdir)
+    return result
 
 
 def run_staged(config: PipelineConfig, outdir: str | Path, translator=None, embedder=None) -> PipelineResult:
-    """The `dedup` command: run every stage in order against the artifact dir."""
-    timings: dict[str, float] = {}
-
-    def timed(name, fn, *args, **kwargs):
-        t0 = time.perf_counter()
-        out = fn(*args, **kwargs)
-        timings[name] = time.perf_counter() - t0
-        return out
-
-    timed("normalize", stage_normalize, config, outdir)
-    timed("translate", stage_translate, config, outdir, translator=translator)
-    timed("embed", stage_embed, config, outdir, embedder=embedder)
-    if (Path(outdir) / EMBEDDINGS_FILE).exists():
-        timed("index", stage_index, config, outdir)
-    return stage_dedup(config, outdir, stage_seconds=timings)
+    """The `dedup` command: load postings.jsonl, run the chain, write every artifact."""
+    postings = load_postings(_artifact(outdir, POSTINGS_FILE))
+    return _run(postings, config, translator, embedder, outdir=outdir)
 
 
 __all__ = [
@@ -498,7 +476,6 @@ __all__ = [
     "stage_embed",
     "stage_index",
     "stage_dedup",
-    "vectors_from_flat",
     "read_canonical_file",
     "write_canonical_file",
     "read_translated_file",

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional, Protocol, Sequence
 
 from .batching import RetryPolicy, map_batches
-from .errors import BackendUnavailable, ConfigError, InvalidLanguage, RateLimited
+from .errors import BackendUnavailable, ConfigError, DataError, InvalidLanguage, RateLimited
 
 _LANG_RE = re.compile(r"^[a-z]{2,3}$")
 
@@ -185,7 +185,9 @@ class TranslationCache:
 
     Re-runs must not re-bill an external API: hits are served from memory,
     new entries are appended under a lock, and the newest entry for a key
-    wins when loading.
+    wins when loading. A final line without its newline is an append cut
+    off by a crash: loading drops it and truncates the file back to the
+    last newline. Any other malformed line raises DataError.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
@@ -193,13 +195,22 @@ class TranslationCache:
         self._entries: dict[tuple[str, str, str], str] = {}
         self._lock = threading.Lock()
         if self._path is not None and self._path.exists():
-            with open(self._path, encoding="utf-8") as fh:
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    record = json.loads(line)
-                    key = (record["fingerprint"], record["target"], record["backend"])
-                    self._entries[key] = record["translated_text"]
+            self._load(self._path)
+
+    def _load(self, path: Path) -> None:
+        data = path.read_bytes()
+        complete = data.rfind(b"\n") + 1
+        for line_no, line in enumerate(data[:complete].split(b"\n"), 1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line.decode("utf-8"))
+                key = (record["fingerprint"], record["target"], record["backend"])
+                self._entries[key] = record["translated_text"]
+            except (ValueError, KeyError, TypeError) as err:
+                raise DataError(f"malformed translation cache record at {path}:{line_no}") from err
+        if complete < len(data):
+            os.truncate(path, complete)
 
     def __len__(self) -> int:
         return len(self._entries)

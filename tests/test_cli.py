@@ -4,7 +4,7 @@ import json
 
 import yaml
 
-from postdedup.cli import main
+from postdedup.cli import _config_from_args, build_parser, main
 from postdedup.pipeline import (
     DICTIONARY_FILE,
     EVAL_FILE,
@@ -189,3 +189,41 @@ def test_report_json_format(tmp_path, capsys):
     assert run_cli("report", "--out", outdir, "--format", "json") == 0
     document = json.loads(capsys.readouterr().out)
     assert document["run"]["k"] == 20
+
+
+def catch_all_thresholds(config):
+    return [rule.threshold for rule in config.dedup.rules if rule.is_catch_all]
+
+
+def test_theta_flag_reaches_example_rules_from_config_file(tmp_path):
+    config_path = tmp_path / "run.yaml"
+    config_path.write_text("dedup: {rules: example}\n", encoding="utf-8")
+    args = build_parser().parse_args(
+        ["dedup", "--out", str(tmp_path), "--config", str(config_path), "--theta", "0.35"]
+    )
+    config = _config_from_args(args)
+    assert config.dedup.base_theta == 0.35
+    assert catch_all_thresholds(config) == [0.35]
+
+
+def test_paper_strict_sets_theta_of_example_rules_too(tmp_path):
+    args = build_parser().parse_args(
+        ["dedup", "--out", str(tmp_path), "--rules", "example", "--theta", "0.35", "--paper-strict"]
+    )
+    config = _config_from_args(args)
+    assert (config.dedup.k, config.dedup.base_theta) == (100, 0.25)
+    assert catch_all_thresholds(config) == [0.25]
+
+
+def test_malformed_translation_cache_line_is_data_error(tmp_path):
+    outdir = tmp_path / "run"
+    assert run_cli(*synth_args(outdir, n_base=10)) == 0
+    cache_path = tmp_path / "cache.jsonl"
+    cache_path.write_text("not json\n{}\n", encoding="utf-8")
+    config_path = tmp_path / "run.yaml"
+    config_path.write_text(
+        yaml.safe_dump({"translate": {"cache_path": str(cache_path)}}), encoding="utf-8"
+    )
+    assert run_cli(
+        "dedup", "--out", outdir, "--dict", outdir / DICTIONARY_FILE, "--config", config_path
+    ) == 3

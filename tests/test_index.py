@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +20,7 @@ from postdedup.index import (
     FlatIndex,
     IndexConfig,
     IVFIndex,
+    _row_sq_dists,
     build_index,
     index_from_bytes,
     load_index,
@@ -261,6 +265,24 @@ class TestBatch:
         queries = [rng.normal(size=8).astype(np.float32) for _ in range(100)]
         assert index.search_batch(queries, 5, threads=4) == index.search_batch(queries, 5)
 
+    def test_threads_never_share_a_distance_buffer(self):
+        # More threads than cores and a tiny switch interval interleave the
+        # searches; a buffer shared between threads would corrupt distances.
+        vectors = unit_vectors(400, 16, seed=9)
+        rng = np.random.default_rng(11)
+        queries = [rng.normal(size=16).astype(np.float32) for _ in range(300)]
+        ivf = IndexConfig(kind="ivf", dim=16, nlist=8, nprobe=3, seed=1)
+        for config in (IndexConfig(dim=16), ivf):
+            index = build_index(vectors, config)
+            expected = [index.search(q, 7) for q in queries]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                got = index.search_batch(queries, 7, threads=8)
+            finally:
+                sys.setswitchinterval(interval)
+            assert got == expected, config.kind
+
 
 class TestPersistence:
     def test_flat_round_trip_preserves_search(self, tmp_path):
@@ -341,3 +363,49 @@ def test_distance_matches_high_precision_oracle():
             row = matrix[by_id[hit.id]].astype(np.float64)
             exact = float(np.sqrt(((row - q.astype(np.float64)) ** 2).sum()))
             assert hit.distance == pytest.approx(exact, rel=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2**31),
+    st.booleans(),
+)
+def test_buffered_distances_equal_plain_expression_bitwise(n, dim, seed, grid):
+    # Grid values make exact ties common; repeated rows make duplicates.
+    rng = np.random.default_rng(seed)
+    if grid:
+        rows32 = rng.integers(-2, 3, size=(n, dim)).astype(np.float32)
+    else:
+        rows32 = rng.normal(size=(n, dim)).astype(np.float32)
+    rows32 = np.concatenate([rows32, rows32[: max(1, n // 3)]])
+    rows64 = rows32.astype(np.float64)
+    q64 = rows64[int(rng.integers(len(rows64)))] + rng.normal(size=dim) * (not grid)
+    expected = np.square(rows64 - q64).sum(axis=1)
+    buf = np.full((len(rows64) + 3, dim), np.nan)  # larger and dirty, as reused
+    got = _row_sq_dists(rows64, q64, buf[: len(rows64)])
+    assert got.tobytes() == expected.tobytes()
+    gathered = np.take(rows64, np.arange(len(rows64))[::-1], axis=0)
+    in_place = _row_sq_dists(gathered, q64, gathered)
+    assert in_place.tobytes() == expected[::-1].tobytes()
+
+
+def test_repeated_searches_allocate_no_rows_by_dim_array():
+    n, dim = 2000, 256
+    vectors = unit_vectors(n, dim, seed=21)
+    limit = n * dim * 8  # one (n, dim) float64 array
+    flat = build_index(vectors, IndexConfig(kind="flat", dim=dim))
+    ivf = build_index(
+        vectors, IndexConfig(kind="ivf", dim=dim, nlist=16, nprobe=4, kmeans_iters=2, seed=3)
+    )
+    for index in (flat, ivf):
+        index.search(vectors[0][1], 10)  # warm-up: allocates this thread's buffer
+        tracemalloc.start()
+        try:
+            for i in range(50):
+                index.search(vectors[i][1], 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, (index.kind, peak, limit)

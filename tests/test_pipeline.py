@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from datetime import date
 
 import pytest
 
+from postdedup import pipeline
 from postdedup.config import config_from_dict
 from postdedup.corpus import save_postings
 from postdedup.dedup import DuplicateLabel
@@ -12,8 +14,12 @@ from postdedup.errors import DataError
 from postdedup.evaluation import score, write_results_csv
 from postdedup.pipeline import (
     CANONICAL_FILE,
+    EMBEDDINGS_FILE,
+    INDEX_FILE,
     POSTINGS_FILE,
+    REPORT_FILE,
     RESULTS_FILE,
+    TRANSLATED_FILE,
     run_pipeline,
     run_staged,
     stage_dedup,
@@ -289,3 +295,55 @@ def test_multilingual_mode_uses_identity_translation(tmp_path):
     f1_two = score(two_step.pairs, synth.gold).per_class["SEMANTIC"].f1
     f1_ml = score(multilingual.pairs, synth.gold).per_class["SEMANTIC"].f1
     assert f1_two > f1_ml  # cross-language pairs are invisible without translation
+
+
+def test_run_staged_reads_no_artifact_but_postings(tmp_path, monkeypatch):
+    synth, config = small_corpus_setup(tmp_path, n_base=40)
+    outdir = tmp_path / "staged"
+    outdir.mkdir()
+    save_postings(synth.postings, outdir / POSTINGS_FILE)
+    real_artifact = pipeline._artifact
+
+    def postings_only(out, name):
+        assert name == POSTINGS_FILE, f"run_staged read back {name}"
+        return real_artifact(out, name)
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("run_staged read back an artifact")
+
+    monkeypatch.setattr(pipeline, "_artifact", postings_only)
+    for reader in ("read_canonical_file", "read_translated_file", "load_index"):
+        monkeypatch.setattr(pipeline, reader, no_read)
+    staged = run_staged(config, outdir)
+    assert staged.pairs == run_pipeline(synth.postings, config).pairs
+    for name in (CANONICAL_FILE, TRANSLATED_FILE, EMBEDDINGS_FILE, INDEX_FILE, REPORT_FILE):
+        assert (outdir / name).exists()
+
+
+def test_stage_seconds_names_match_across_paths(tmp_path):
+    synth, config = small_corpus_setup(tmp_path, n_base=40)
+    outdir = tmp_path / "staged"
+    outdir.mkdir()
+    save_postings(synth.postings, outdir / POSTINGS_FILE)
+    run_staged(config, outdir)
+    on_disk = json.loads((outdir / REPORT_FILE).read_text(encoding="utf-8"))
+    in_memory = run_pipeline(synth.postings, config).report.stage_seconds
+    assert list(on_disk["stage_seconds"]) == list(in_memory) == [
+        "normalize", "group_exact", "translate", "embed", "index", "candidates", "classify",
+    ]
+
+
+def test_flat_index_comparisons_equal_brute_force_comparisons(tmp_path):
+    synth, config = small_corpus_setup(tmp_path, n_base=60)
+    report = run_pipeline(synth.postings, config).report
+    n = report.n_representatives - report.n_zero_vectors  # queries = indexed rows
+    assert n > 1
+    assert report.counters["index_comparisons"] == report.counters["brute_force_comparisons"] == n * n
+    assert report.counters["brute_force_pairs"] == n * (n - 1) // 2
+
+
+def test_partial_ivf_probe_compares_less_than_brute_force(tmp_path):
+    synth, flat = small_corpus_setup(tmp_path, n_base=60)
+    config = replace(flat, index=replace(flat.index, kind="ivf", nlist=8, nprobe=2))
+    counters = run_pipeline(synth.postings, config).report.counters
+    assert 0 < counters["index_comparisons"] < counters["brute_force_comparisons"]

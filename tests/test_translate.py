@@ -9,7 +9,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from postdedup.batching import RetryPolicy, map_batches
-from postdedup.errors import BackendUnavailable, ConfigError, InvalidLanguage
+from postdedup.errors import BackendUnavailable, ConfigError, DataError, InvalidLanguage
 from postdedup.translate import (
     DictionaryTranslator,
     IdentityTranslator,
@@ -164,6 +164,35 @@ def test_cache_keyed_by_backend_name(tmp_path):
     assert cache.get("fp", "en", "dictionary") == "dog"
     assert cache.get("fp", "en", "identity") is None
     assert cache.get("fp", "de", "dictionary") is None
+
+
+def test_cache_drops_torn_tail_and_appends_cleanly(tmp_path):
+    cache_path = tmp_path / "cache.jsonl"
+    cache = TranslationCache(cache_path)
+    cache.put("fp1", "en", "dictionary", "dog")
+    cache.put("fp2", "en", "dictionary", "cat")
+    intact = cache_path.read_bytes()
+    cache_path.write_bytes(intact + b'{"fingerprint": "fp3", "tar')  # crash mid-append
+
+    reloaded = TranslationCache(cache_path)
+    assert len(reloaded) == 2
+    assert cache_path.read_bytes() == intact
+    reloaded.put("fp3", "en", "dictionary", "cow")
+    again = TranslationCache(cache_path)
+    assert [again.get(fp, "en", "dictionary") for fp in ("fp1", "fp2", "fp3")] == [
+        "dog", "cat", "cow",
+    ]
+
+
+def test_cache_malformed_inner_line_raises_data_error(tmp_path):
+    cache_path = tmp_path / "cache.jsonl"
+    TranslationCache(cache_path).put("fp1", "en", "dictionary", "dog")
+    good = cache_path.read_bytes()
+    for bad in (b"{not json\n", b'{"fingerprint": "fp2"}\n', b"[1, 2]\n"):
+        cache_path.write_bytes(bad + good)
+        with pytest.raises(DataError):
+            TranslationCache(cache_path)
+        assert cache_path.read_bytes() == bad + good  # never rewritten
 
 
 def test_order_preserved_under_concurrency():

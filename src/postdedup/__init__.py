@@ -15,11 +15,9 @@ from .dedup import (
     ExpertRule,
     LabeledPair,
     apply_rules,
-    candidate_pairs,
     classify,
     example_ruleset,
     saturation_report,
-    threshold_filter,
     threshold_sweep,
 )
 from .embed import (
@@ -69,11 +67,9 @@ __all__ = [
     "ExpertRule",
     "LabeledPair",
     "apply_rules",
-    "candidate_pairs",
     "classify",
     "example_ruleset",
     "saturation_report",
-    "threshold_filter",
     "threshold_sweep",
     "EmbeddingVector",
     "HashedEmbedder",

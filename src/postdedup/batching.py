@@ -54,6 +54,51 @@ def call_with_retry(fn: Callable[[], R], policy: RetryPolicy) -> R:
     raise last_error
 
 
+def _retry_after(value: str | None) -> float | None:
+    # Only the delay-seconds form is honored; an HTTP date is ignored.
+    try:
+        return float(value) if value else None
+    except ValueError:
+        return None
+
+
+def post_json(
+    session, endpoint: str, body: dict, *, timeout: float, what: str, headers: dict | None = None
+) -> dict:
+    """POST `body` as JSON and return the JSON object the service answers with.
+
+    Every failure lands in the backend taxonomy so the retry policy can
+    engage: HTTP 429 is RateLimited with any Retry-After seconds; an
+    unreachable endpoint, any other non-200 status, or a body that is not
+    a JSON object is BackendUnavailable.
+    """
+    import requests
+
+    try:
+        response = session.post(endpoint, json=body, headers=headers or {}, timeout=timeout)
+    except requests.RequestException as err:
+        raise BackendUnavailable(f"{what} endpoint unreachable: {err}") from err
+    if response.status_code == 429:
+        raise RateLimited(_retry_after(response.headers.get("Retry-After")))
+    if response.status_code != 200:
+        raise BackendUnavailable(f"{what} endpoint returned HTTP {response.status_code}")
+    try:
+        payload = response.json()
+    except ValueError as err:
+        raise BackendUnavailable(f"{what} endpoint returned a body that is not JSON") from err
+    if not isinstance(payload, dict):
+        raise BackendUnavailable(f"{what} endpoint returned JSON that is not an object")
+    return payload
+
+
+def list_field(payload: dict, key: str, what: str) -> list:
+    """`payload[key]`, which must be a list, else BackendUnavailable."""
+    value = payload.get(key)
+    if not isinstance(value, list):
+        raise BackendUnavailable(f"{what} endpoint returned no {key!r} list")
+    return value
+
+
 def map_batches(
     items: Sequence[T],
     batch_fn: Callable[[list[T]], list[R]],
@@ -92,4 +137,4 @@ def map_batches(
     return [item for batch in results for item in batch]
 
 
-__all__ = ["RetryPolicy", "call_with_retry", "map_batches"]
+__all__ = ["RetryPolicy", "call_with_retry", "list_field", "map_batches", "post_json"]

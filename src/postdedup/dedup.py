@@ -8,14 +8,15 @@ full or semantic duplicate TEMPORAL.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .corpus import Posting
 from .errors import ConfigError, NoMatchingRule, UnknownId
-from .index import SearchHit, VectorIndex
+from .index import VectorIndex
 
 
 class DuplicateLabel(Enum):
@@ -159,45 +160,108 @@ def default_rule(base_theta: float) -> ExpertRule:
     return ExpertRule(action="threshold", threshold=base_theta)
 
 
+@dataclass(frozen=True, eq=False)
+class KnnHits:
+    """Each query's k nearest neighbors, its own id excluded, as arrays.
+
+    Row i belongs to `query_ids[i]`: `rows[i]` indexes `ids` (-1 where the
+    query has fewer than k hits) and `distances[i]` holds the true L2
+    distances (inf there), ascending with ties by id.
+    """
+
+    query_ids: list[str]
+    ids: Sequence[str]
+    rows: np.ndarray  # (n, k) int64
+    distances: np.ndarray  # (n, k) float64
+
+    def __len__(self) -> int:
+        return len(self.query_ids)
+
+    @classmethod
+    def empty(cls, k: int) -> "KnnHits":
+        return cls([], [], np.empty((0, k), dtype=np.int64), np.empty((0, k)))
+
+
 def collect_hits(
     index: VectorIndex, vectors: Sequence[tuple[str, object]], k: int = 100, threads: int = 1
-) -> dict[str, list[SearchHit]]:
-    """Per-query k-NN hit lists with the query's own id excluded.
+) -> KnnHits:
+    """Per-query k-NN hits with the query's own id excluded.
 
     Queries may fan out over threads; results are identical for any
     thread count.
     """
-    raw = index.search_batch([vec for _, vec in vectors], k + 1, threads=threads)
-    hits_by_id: dict[str, list[SearchHit]] = {}
-    for (query_id, _), hits in zip(vectors, raw):
-        hits_by_id[query_id] = [h for h in hits if h.id != query_id][:k]
-    return hits_by_id
+    query_ids = [vid for vid, _ in vectors]
+    rows, distances = index.search_arrays([vec for _, vec in vectors], k + 1, threads=threads)
+    row_of = {vid: i for i, vid in enumerate(index.ids)}
+    own = np.array([row_of.get(vid, -2) for vid in query_ids], dtype=np.int64)
+    # Move each query's own row (matched by id) behind its other hits, then
+    # keep k: the (k+1)-th hit drops where the query did not find itself.
+    keep = np.argsort(rows == own[:, None], axis=1, kind="stable")[:, :k]
+    return KnnHits(
+        query_ids,
+        index.ids,
+        np.take_along_axis(rows, keep, axis=1),
+        np.take_along_axis(distances, keep, axis=1),
+    )
 
 
-def pairs_from_hits(hits_by_id: Mapping[str, list[SearchHit]]) -> set[CandidatePair]:
-    """Union of per-query hits as unordered, deduplicated pairs."""
-    pairs: dict[tuple[str, str], float] = {}
-    for query_id, hits in hits_by_id.items():
-        for hit in hits:
-            if hit.id == query_id:
-                continue
-            key = (query_id, hit.id) if query_id < hit.id else (hit.id, query_id)
-            pairs.setdefault(key, hit.distance)
-    return {CandidatePair(a, b, d) for (a, b), d in pairs.items()}
+@dataclass(frozen=True, eq=False)
+class CandidatePairs:
+    """Unordered candidate pairs as arrays, sorted by (id_a, id_b).
+
+    Pair i is `(names[lo[i]], names[hi[i]])` at `distances[i]`; `names` is
+    sorted, so lo < hi means id_a < id_b. Iterating yields CandidatePair.
+    """
+
+    names: list[str]
+    lo: np.ndarray
+    hi: np.ndarray
+    distances: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.lo.size)
+
+    def __getitem__(self, i: int) -> CandidatePair:
+        return CandidatePair(
+            self.names[self.lo[i]], self.names[self.hi[i]], float(self.distances[i])
+        )
+
+    def __iter__(self) -> Iterator[CandidatePair]:
+        return (self[i] for i in range(len(self)))
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[CandidatePair]) -> "CandidatePairs":
+        if isinstance(pairs, CandidatePairs):
+            return pairs
+        pairs = list(pairs)
+        names = sorted({p.id_a for p in pairs} | {p.id_b for p in pairs})
+        rank = {name: i for i, name in enumerate(names)}
+        lo = np.array([rank[p.id_a] for p in pairs], dtype=np.int64)
+        hi = np.array([rank[p.id_b] for p in pairs], dtype=np.int64)
+        order = np.lexsort((hi, lo))
+        distances = np.array([p.distance for p in pairs], dtype=np.float64)
+        return cls(names, lo[order], hi[order], distances[order])
 
 
-def candidate_pairs(
-    index: VectorIndex, vectors: Sequence[tuple[str, object]], k: int = 100
-) -> set[CandidatePair]:
-    """Each vector's k nearest neighbors (self excluded), as unordered pairs."""
-    return pairs_from_hits(collect_hits(index, vectors, k))
+def pairs_from_hits(hits: KnnHits) -> CandidatePairs:
+    """Union of per-query hits as unordered, deduplicated pairs.
 
-
-def threshold_filter(pairs: Iterable[CandidatePair], theta: float) -> set[CandidatePair]:
-    """Keep pairs with distance strictly below theta."""
-    if theta < 0:
-        raise ValueError("theta must be non-negative")
-    return {p for p in pairs if p.distance < theta}
+    A pair found from both ends keeps the distance of its first hit in
+    query order (both ends compute the same bits).
+    """
+    names = sorted(set(hits.query_ids).union(hits.ids))
+    rank = {name: i for i, name in enumerate(names)}
+    query_rank = np.array([rank[vid] for vid in hits.query_ids], dtype=np.int64)
+    row_rank = np.array([rank[vid] for vid in hits.ids], dtype=np.int64)
+    found = hits.rows >= 0
+    a = np.broadcast_to(query_rank[:, None], hits.rows.shape)[found]
+    b = row_rank[hits.rows[found]]
+    distances = hits.distances[found]
+    distinct = a != b
+    a, b, distances = a[distinct], b[distinct], distances[distinct]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    codes, first = np.unique(lo * len(names) + hi, return_index=True)
+    return CandidatePairs(names, codes // len(names), codes % len(names), distances[first])
 
 
 def threshold_sweep(
@@ -206,13 +270,12 @@ def threshold_sweep(
     """Kept-pair counts and fractions for an ascending list of thresholds."""
     if list(thetas) != sorted(thetas):
         raise ValueError("thetas must be sorted ascending")
-    distances = sorted(p.distance for p in pairs)
-    total = len(distances)
-    rows = []
-    for theta in thetas:
-        kept = bisect.bisect_left(distances, theta)
-        rows.append((theta, kept, kept / total if total else 0.0))
-    return rows
+    distances = np.sort(CandidatePairs.from_pairs(pairs).distances)
+    total = distances.size
+    kept = np.searchsorted(distances, np.asarray(thetas, dtype=np.float64), side="left")
+    return [
+        (theta, int(n), int(n) / total if total else 0.0) for theta, n in zip(thetas, kept)
+    ]
 
 
 def choose_theta(sweep_rows: Sequence[tuple[float, int, float]]) -> float:
@@ -260,15 +323,31 @@ def apply_rules_detailed(
     rules: Sequence[ExpertRule] | None,
     base_theta: float,
 ) -> list[tuple[CandidatePair, int]]:
-    """Kept pairs with the index of the rule that kept each one.
+    """Kept pairs, in (id_a, id_b) order, with the index of the rule that kept each one.
 
     An empty ruleset degenerates to a single default rule at base_theta.
     A non-empty ruleset is expected to end with a catch-all; a pair that no
     rule matches raises NoMatchingRule.
     """
+    pairs = CandidatePairs.from_pairs(pairs)
     rules = list(rules) if rules else [default_rule(base_theta)]
+    if any(rule.is_catch_all for rule in rules):
+        # Every pair matches some rule, so a pair at or over the largest
+        # threshold is dropped whichever rule it matches: only the pairs
+        # under it need matching. Unknown ids still fail, as they would there.
+        used = np.zeros(len(pairs.names), dtype=bool)
+        used[pairs.lo] = True
+        used[pairs.hi] = True
+        for i in np.flatnonzero(used).tolist():
+            if pairs.names[i] not in postings_by_id:
+                raise UnknownId(pairs.names[i])
+        limit = max((r.threshold for r in rules if r.action == "threshold"), default=-np.inf)
+        candidates = np.flatnonzero(pairs.distances < limit).tolist()
+    else:
+        candidates = range(len(pairs))
     kept: list[tuple[CandidatePair, int]] = []
-    for pair in sorted(pairs, key=lambda p: p.key):
+    for i in candidates:
+        pair = pairs[i]
         rule_index, rule = match_rule(pair, postings_by_id, rules)
         if rule.action == "reject":
             continue
@@ -334,15 +413,13 @@ class SaturationReport:
         }
 
 
-def saturation_report(
-    hits_by_id: Mapping[str, list[SearchHit]], theta: float, k: int
-) -> SaturationReport:
+def saturation_report(hits: KnnHits, theta: float, k: int) -> SaturationReport:
     """A query is saturated iff it has exactly k hits and the k-th is under theta."""
-    saturated = [
-        query_id
-        for query_id, hits in hits_by_id.items()
-        if len(hits) == k and hits[k - 1].distance < theta
-    ]
+    if k > hits.rows.shape[1]:
+        return SaturationReport(k=k, theta=theta)
+    full = (hits.rows >= 0).sum(axis=1) == k
+    flags = full & (hits.distances[:, k - 1] < theta)
+    saturated = [vid for vid, flag in zip(hits.query_ids, flags.tolist()) if flag]
     return SaturationReport(k=k, theta=theta, saturated_ids=sorted(saturated))
 
 
@@ -353,10 +430,10 @@ __all__ = [
     "ExpertRule",
     "example_ruleset",
     "default_rule",
+    "KnnHits",
+    "CandidatePairs",
     "collect_hits",
     "pairs_from_hits",
-    "candidate_pairs",
-    "threshold_filter",
     "threshold_sweep",
     "choose_theta",
     "match_rule",

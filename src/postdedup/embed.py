@@ -173,7 +173,10 @@ class RemoteEmbedder:
     The response dimension must match the configured one (declared
     handshake); vectors are re-normalized locally so the unit-norm
     invariant holds regardless of the service. Requests run under the
-    same bounded in-flight contract as the translation client.
+    same bounded in-flight contract and failure mapping as the
+    translation client: HTTP 429 is RateLimited, and an unreachable
+    endpoint, an error status or a body without a "vectors" list is
+    BackendUnavailable.
     """
 
     def __init__(
@@ -206,24 +209,22 @@ class RemoteEmbedder:
         )
 
     def _embed_one_batch(self, texts: list[str]) -> list[EmbeddingVector]:
-        import requests
+        from .batching import list_field, post_json
 
-        try:
-            response = self._session.post(
-                self.endpoint, json={"texts": list(texts)}, timeout=self.timeout
-            )
-        except requests.RequestException as err:
-            raise BackendUnavailable(f"embed endpoint unreachable: {err}") from err
-        if response.status_code != 200:
-            raise BackendUnavailable(f"embed endpoint returned HTTP {response.status_code}")
-        payload = response.json()
-        if payload.get("dim") != self.dim:
-            raise DimensionMismatch(self.dim, int(payload.get("dim", -1)))
+        payload = post_json(
+            self._session, self.endpoint, {"texts": list(texts)}, timeout=self.timeout, what="embed"
+        )
+        dim = payload.get("dim")
+        if dim != self.dim:
+            raise DimensionMismatch(self.dim, dim if isinstance(dim, int) else -1)
         vectors = []
-        for row in payload["vectors"]:
-            values = np.asarray(row, dtype=np.float32)
+        for row in list_field(payload, "vectors", "embed"):
+            try:
+                values = np.asarray(row, dtype=np.float32)
+            except (TypeError, ValueError) as err:
+                raise BackendUnavailable("embed endpoint returned a non-numeric vector") from err
             if values.shape != (self.dim,):
-                raise DimensionMismatch(self.dim, int(values.shape[0]))
+                raise DimensionMismatch(self.dim, int(values.shape[0]) if values.ndim else 0)
             norm = float(np.sqrt(np.dot(values.astype(np.float64), values.astype(np.float64))))
             if norm == 0.0:
                 vectors.append(EmbeddingVector(np.zeros(self.dim, dtype=np.float32), "zero"))

@@ -27,6 +27,7 @@ from .config import PipelineConfig
 from .corpus import Posting, load_postings, pair_count, save_postings
 from .dedup import (
     CandidatePair,
+    KnnHits,
     LabeledPair,
     apply_rules_detailed,
     classify,
@@ -226,9 +227,9 @@ def _dedup(
     if index is not None:
         index.reset_comparison_count()
         hits = collect_hits(index, queries, config.dedup.k, threads=config.threads)
-        comparisons = index.comparison_count
+        comparisons, reranked = index.comparison_count, index.rerank_count
     else:
-        hits, comparisons = {}, 0
+        hits, comparisons, reranked = KnnHits.empty(config.dedup.k), 0, 0
     timings["candidates"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -243,6 +244,7 @@ def _dedup(
     saturation = saturation_report(hits, base_theta, k).to_dict()
     label_counts = Counter(pair.label.value for pair in pairs)
     timings["classify"] = time.perf_counter() - t0
+    brute_force_pairs = pair_count(len(hits))
     report = RunReport(
         mode=config.mode,
         k=k,
@@ -255,9 +257,13 @@ def _dedup(
             # Ordered query x row evaluations, on the same basis as each other.
             "index_comparisons": comparisons,
             "brute_force_comparisons": len(hits) * (len(index) if index is not None else 0),
-            # Unordered pairs, on the same basis as candidate_pairs.
-            "brute_force_pairs": pair_count(len(hits)),
+            "rerank_rows": reranked,
+            # Unordered pairs, on the same basis as each other.
+            "brute_force_pairs": brute_force_pairs,
             "candidate_pairs": len(candidates),
+            "candidate_reduction": (
+                1 - len(candidates) / brute_force_pairs if brute_force_pairs else 0.0
+            ),
             "kept_representative_pairs": len(kept),
             "exact_group_pairs": n_exact,
             "output_pairs": len(pairs),

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Protocol, Sequence
 
-from .batching import RetryPolicy, map_batches
-from .errors import BackendUnavailable, ConfigError, DataError, InvalidLanguage, RateLimited
+from .batching import RetryPolicy, list_field, map_batches, post_json
+from .errors import ConfigError, DataError, InvalidLanguage
 
 _LANG_RE = re.compile(r"^[a-z]{2,3}$")
 
@@ -110,8 +110,9 @@ class RemoteTranslator:
 
     POST {"texts": [...], "target": "en", "source": optional} and expects
     {"translations": [...]}. HTTP 429 surfaces as RateLimited with any
-    Retry-After hint; connection failures and other error statuses surface
-    as BackendUnavailable so the retry policy can engage.
+    Retry-After hint; connection failures, other error statuses and bodies
+    without a "translations" list surface as BackendUnavailable so the
+    retry policy can engage.
     """
 
     name = "remote"
@@ -133,30 +134,21 @@ class RemoteTranslator:
         self._session = session or requests.Session()
 
     def translate(self, texts: Sequence[str], source: Optional[str], target: str) -> list[str]:
-        import requests
-
         body: dict = {"texts": list(texts), "target": target}
         if source:
             body["source"] = source
         headers = {}
         if self._api_key:
             headers["Authorization"] = f"Bearer {self._api_key}"
-        try:
-            response = self._session.post(
-                self.endpoint, json=body, headers=headers, timeout=self.timeout
-            )
-        except requests.RequestException as err:
-            raise BackendUnavailable(f"translate endpoint unreachable: {err}") from err
-        if response.status_code == 429:
-            retry_after = response.headers.get("Retry-After")
-            raise RateLimited(float(retry_after) if retry_after else None)
-        if response.status_code != 200:
-            raise BackendUnavailable(f"translate endpoint returned HTTP {response.status_code}")
-        payload = response.json()
-        translations = payload.get("translations")
-        if not isinstance(translations, list):
-            raise BackendUnavailable("translate endpoint returned no 'translations' list")
-        return [str(t) for t in translations]
+        payload = post_json(
+            self._session,
+            self.endpoint,
+            body,
+            timeout=self.timeout,
+            what="translate",
+            headers=headers,
+        )
+        return [str(t) for t in list_field(payload, "translations", "translate")]
 
 
 def make_backend(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from datetime import date
 
@@ -43,6 +44,35 @@ def unit_vectors(n: int, dim: int, seed: int = 0) -> list[tuple[str, EmbeddingVe
     return [
         (f"v{i:06d}", EmbeddingVector(X[i].astype(np.float32), "unit")) for i in range(n)
     ]
+
+
+class FakeResponse:
+    """A canned HTTP answer: status, headers, and a body that may or may not be JSON."""
+
+    def __init__(self, status: int = 200, body: str = "", headers: dict | None = None):
+        self.status_code = status
+        self.headers = headers or {}
+        self.text = body
+
+    def json(self):
+        return json.loads(self.text)  # ValueError on a non-JSON body, as requests raises
+
+
+def answer(payload) -> FakeResponse:
+    return FakeResponse(200, json.dumps(payload))
+
+
+class FakeSession:
+    """Offline stand-in for requests.Session: POSTs get the scripted answers
+    in order, and the last one repeats."""
+
+    def __init__(self, *answers: FakeResponse):
+        self.answers = list(answers)
+        self.calls: list = []
+
+    def post(self, url, **kwargs):
+        self.calls.append(kwargs.get("json"))
+        return self.answers[min(len(self.calls), len(self.answers)) - 1]
 
 
 @pytest.fixture

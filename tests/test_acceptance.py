@@ -15,7 +15,7 @@ import pytest
 
 from postdedup.config import config_from_dict
 from postdedup.corpus import pair_count, save_postings
-from postdedup.dedup import candidate_pairs, choose_theta, saturation_report, threshold_sweep
+from postdedup.dedup import choose_theta, pairs_from_hits, saturation_report, threshold_sweep
 from postdedup.dedup import CandidatePair, collect_hits
 from postdedup.embed import EmbeddingVector, truncation_report
 from postdedup.errors import CorruptIndex
@@ -118,7 +118,7 @@ def test_criterion_3_comparison_reduction_arithmetic():
 
     vectors = unit_vectors(10_000, 16, seed=105)
     index = build_index(vectors, IndexConfig(kind="flat", dim=16))
-    pairs = candidate_pairs(index, vectors, k=100)
+    pairs = pairs_from_hits(collect_hits(index, vectors, k=100))
     brute = pair_count(10_000)
     assert brute == 49_995_000
     assert len(pairs) <= 1_000_000

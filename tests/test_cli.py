@@ -53,6 +53,31 @@ def test_golden_path_synth_dedup_eval(tmp_path, capsys):
     assert "macro F1" in out
 
 
+def test_malformed_embed_response_exits_backend_error(tmp_path, monkeypatch, capsys):
+    import requests
+
+    from conftest import FakeResponse, FakeSession
+
+    outdir = tmp_path / "run"
+    assert run_cli(*synth_args(outdir, n_base=20)) == 0
+    config = tmp_path / "remote.yaml"
+    config.write_text(
+        yaml.safe_dump({"embed": {"kind": "remote", "endpoint": "http://embed.invalid/e"}}),
+        encoding="utf-8",
+    )
+    session = FakeSession(FakeResponse(200, "<html>upstream busy</html>"))
+    monkeypatch.setattr(requests, "Session", lambda: session)
+    monkeypatch.setattr("postdedup.batching.time.sleep", lambda seconds: None)
+    capsys.readouterr()
+    code = run_cli(
+        "dedup", "--out", outdir, "--config", config, "--dict", outdir / DICTIONARY_FILE,
+    )
+    err = capsys.readouterr().err
+    assert code == 4, err
+    assert "backend error" in err
+    assert len(session.calls) == 5  # retried before giving up
+
+
 def test_dedup_without_ingest_artifact_is_data_error(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -12,14 +12,13 @@ from postdedup.dedup import (
     DuplicateLabel,
     ExpertRule,
     apply_rules,
-    candidate_pairs,
     choose_theta,
     classify,
     collect_hits,
     default_rule,
     example_ruleset,
+    pairs_from_hits,
     saturation_report,
-    threshold_filter,
     threshold_sweep,
 )
 from postdedup.embed import EmbeddingVector
@@ -37,24 +36,35 @@ def pair(a, b, d) -> CandidatePair:
     return CandidatePair(a, b, d)
 
 
+def kept_under(pairs, theta):
+    """The pairs a lone default rule at theta keeps (a strict distance comparison)."""
+    postings = {pid: make_posting(pid) for p in pairs for pid in p.key}
+    return apply_rules(pairs, postings, [default_rule(theta)], theta)
+
+
+def count_under(pairs, theta):
+    """The sweep's count at theta: pairs strictly under it."""
+    return threshold_sweep(pairs, [theta])[0][1]
+
+
 class TestCandidatePairs:
     def test_three_identical_vectors_complete_graph(self):
         vectors = [(f"v{i}", ev([1, 0])) for i in range(3)]
         index = build_index(vectors, IndexConfig(dim=2))
-        pairs = candidate_pairs(index, vectors, k=2)
+        pairs = pairs_from_hits(collect_hits(index, vectors, k=2))
         assert {p.key for p in pairs} == {("v0", "v1"), ("v0", "v2"), ("v1", "v2")}
         assert all(p.distance == 0.0 for p in pairs)
 
     def test_k_capped_by_index_size(self):
         vectors = [("a", ev([1, 0])), ("b", ev([0, 1]))]
         index = build_index(vectors, IndexConfig(dim=2))
-        pairs = candidate_pairs(index, vectors, k=100)
+        pairs = pairs_from_hits(collect_hits(index, vectors, k=100))
         assert {p.key for p in pairs} == {("a", "b")}
 
     def test_matches_exhaustive_knn_oracle(self):
         vectors = unit_vectors(500, 16, seed=77)
         index = build_index(vectors, IndexConfig(dim=16))
-        got = {p.key for p in candidate_pairs(index, vectors, k=10)}
+        got = {p.key for p in pairs_from_hits(collect_hits(index, vectors, k=10))}
 
         # oracle: full distance matrix in float64, take each row's true
         # 10 nearest (excluding self, ties by id), union as sorted pairs
@@ -72,7 +82,7 @@ class TestCandidatePairs:
     def test_canonical_form(self):
         vectors = unit_vectors(50, 8, seed=78)
         index = build_index(vectors, IndexConfig(dim=8))
-        pairs = candidate_pairs(index, vectors, k=5)
+        pairs = pairs_from_hits(collect_hits(index, vectors, k=5))
         for p in pairs:
             assert p.id_a < p.id_b
 
@@ -86,30 +96,34 @@ class TestCandidatePairs:
 class TestThreshold:
     def test_strictly_below(self):
         pairs = {pair("a", "b", 0.10), pair("a", "c", 0.30)}
-        assert {p.key for p in threshold_filter(pairs, 0.25)} == {("a", "b")}
+        assert {p.key for p in kept_under(pairs, 0.25)} == {("a", "b")}
+        assert count_under(pairs, 0.25) == 1
 
     def test_theta_zero_keeps_nothing(self):
-        assert threshold_filter({pair("a", "b", 0.0)}, 0.0) == set()
+        assert count_under({pair("a", "b", 0.0)}, 0.0) == 0
 
     def test_exactly_at_threshold_excluded(self):
-        assert threshold_filter({pair("a", "b", 0.25)}, 0.25) == set()
+        assert kept_under({pair("a", "b", 0.25)}, 0.25) == set()
+        assert count_under({pair("a", "b", 0.25)}, 0.25) == 0
 
     def test_matches_linear_scan_oracle(self):
         rng = random.Random(6)
         pairs = {pair(f"a{i:05d}", f"b{i:05d}", rng.uniform(0, 2)) for i in range(10_000)}
         theta = 0.8
-        got = threshold_filter(pairs, theta)
+        got = kept_under(pairs, theta)
         expected = {p for p in pairs if p.distance < theta}
         assert got == expected
+        assert count_under(pairs, theta) == len(expected)
 
     def test_monotone_in_theta(self):
         rng = random.Random(7)
         pairs = {pair(f"a{i}", f"b{i}", rng.uniform(0, 2)) for i in range(500)}
         previous = set()
-        for theta in (0.1, 0.5, 0.9, 1.5, 2.1):
-            kept = threshold_filter(pairs, theta)
+        for theta in (0.1, 0.5, 0.9, 1.5, 2.0):
+            kept = kept_under(pairs, theta)
             assert previous <= kept
             previous = kept
+        assert previous == {p for p in pairs if p.distance < 2.0}
 
 
 class TestSweep:
@@ -195,17 +209,16 @@ class TestRules:
         kept = apply_rules({pair("a", "c", 0.28)}, self.postings, rules, 0.25)
         assert kept == set()
 
-    def test_default_only_equals_threshold_filter(self):
+    def test_default_only_equals_distance_comparison(self):
         rng = random.Random(9)
         ids = list(self.postings)
         pairs = set()
         while len(pairs) < 40:
             x, y = rng.sample(ids, 2)
             pairs.add(pair(min(x, y), max(x, y), rng.uniform(0, 1)))
-        assert apply_rules(pairs, self.postings, [default_rule(0.25)], 0.25) == threshold_filter(
-            pairs, 0.25
-        )
-        assert apply_rules(pairs, self.postings, None, 0.25) == threshold_filter(pairs, 0.25)
+        under = {p for p in pairs if p.distance < 0.25}
+        assert apply_rules(pairs, self.postings, [default_rule(0.25)], 0.25) == under
+        assert apply_rules(pairs, self.postings, None, 0.25) == under
 
     def test_reject_action_drops_pair(self):
         rules = [
@@ -238,6 +251,15 @@ class TestRules:
     def test_unknown_id_raises(self):
         with pytest.raises(UnknownId):
             apply_rules({pair("a", "zz", 0.1)}, self.postings, [default_rule(0.25)], 0.25)
+
+    def test_prefilter_keeps_errors_of_pairs_over_every_threshold(self):
+        # The distance prefilter must not hide a pair that no rule matches,
+        # or a pair with an unknown id, because it is far apart.
+        no_default = [ExpertRule(company="same", action="threshold", threshold=0.3)]
+        with pytest.raises(NoMatchingRule):
+            apply_rules({pair("a", "d", 1.9)}, self.postings, no_default, 0.25)
+        with pytest.raises(UnknownId):
+            apply_rules({pair("a", "zz", 1.9)}, self.postings, [default_rule(0.25)], 0.25)
 
     def test_rule_validation(self):
         with pytest.raises(ConfigError):
@@ -359,11 +381,14 @@ class TestSaturation:
     ),
     st.floats(min_value=0, max_value=2),
 )
-def test_threshold_filter_is_strict_subset_property(raw, theta):
+def test_rule_threshold_keeps_strict_subset_property(raw, theta):
     pairs = {
         pair(f"n{min(a, b):02d}", f"n{max(a, b):02d}", d) for a, b, d in raw
     }
-    kept = threshold_filter(pairs, theta)
+    assert count_under(pairs, theta) == sum(p.distance < theta for p in pairs)
+    if theta == 0:
+        return  # a threshold rule needs theta > 0
+    kept = kept_under(pairs, theta)
     assert kept <= pairs
     assert all(p.distance < theta for p in kept)
     assert all(p.distance >= theta for p in pairs - kept)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from postdedup.config import config_from_dict
-from postdedup.dedup import candidate_pairs
+from postdedup.dedup import collect_hits, pairs_from_hits
 from postdedup.embed import EmbeddingVector
 from postdedup.errors import CorruptIndex
 from postdedup.index import IndexConfig, IVFIndex, build_index, index_from_bytes
@@ -59,7 +59,7 @@ class TestDegenerateIndexes:
     def test_candidate_pairs_on_two_point_index(self):
         vectors = [("a", ev([1.0, 0.0])), ("b", ev([0.0, 1.0]))]
         index = build_index(vectors, IndexConfig(dim=2))
-        assert {p.key for p in candidate_pairs(index, vectors, k=5)} == {("a", "b")}
+        assert {p.key for p in pairs_from_hits(collect_hits(index, vectors, k=5))} == {("a", "b")}
 
 
 class TestStructuralCorruption:

@@ -20,7 +20,9 @@ from postdedup.embed import (
     truncate_tokens,
     truncation_report,
 )
-from postdedup.errors import DimensionMismatch
+from postdedup.errors import BackendUnavailable, DimensionMismatch
+
+from conftest import FakeResponse, FakeSession, answer
 
 
 class TestTokenize:
@@ -252,3 +254,41 @@ def test_remote_embedder_bounded_batches(embed_server):
     out = backend.embed_many([f"text{i}" for i in range(5)])
     assert len(out) == 5
     assert _EmbedHandler.calls == 3  # ceil(5 / 2) batches
+
+
+# -- remote embedder against a scripted offline session -------------------------
+
+MALFORMED_VECTORS = [
+    "<html>upstream busy</html>",  # not JSON
+    json.dumps([[1.0, 0.0, 0.0, 0.0]]),  # JSON, but not an object
+    json.dumps({"dim": 4}),  # no vectors key
+    json.dumps({"dim": 4, "vectors": "1,0,0,0"}),  # not a list
+    json.dumps({"dim": 4, "vectors": [["a", "b", "c", "d"]]}),  # not numbers
+]
+
+
+@pytest.fixture
+def no_backoff(monkeypatch):
+    delays = []
+    monkeypatch.setattr("postdedup.batching.time.sleep", delays.append)
+    return delays
+
+
+@pytest.mark.parametrize("body", MALFORMED_VECTORS)
+def test_remote_embedder_malformed_body_is_retried_then_unavailable(body, no_backoff):
+    session = FakeSession(FakeResponse(200, body))
+    backend = RemoteEmbedder("http://embed.invalid/embed", dim=4, session=session)
+    with pytest.raises(BackendUnavailable):
+        backend.embed_many(["abc"])
+    assert len(session.calls) == 5  # every attempt of the default retry policy
+
+
+def test_remote_embedder_rate_limit_waits_retry_after(no_backoff):
+    session = FakeSession(
+        FakeResponse(429, "", {"Retry-After": "3"}),
+        answer({"dim": 4, "vectors": [[3.0, 4.0, 0.0, 0.0]]}),
+    )
+    backend = RemoteEmbedder("http://embed.invalid/embed", dim=4, session=session)
+    [vector] = backend.embed_many(["abc"])
+    assert vector.values.tolist() == pytest.approx([0.6, 0.8, 0.0, 0.0])
+    assert no_backoff and no_backoff[0] >= 3.0

@@ -20,6 +20,9 @@ from postdedup.index import (
     FlatIndex,
     IndexConfig,
     IVFIndex,
+    _assign,
+    _kmeans,
+    _kmeans_pp_init,
     _row_sq_dists,
     build_index,
     index_from_bytes,
@@ -409,3 +412,161 @@ def test_repeated_searches_allocate_no_rows_by_dim_array():
         finally:
             tracemalloc.stop()
         assert peak < limit, (index.kind, peak, limit)
+
+
+# -- blocked kernel against independent per-row oracles ------------------------
+
+def per_row_top_k(ids, rows32, query32, k):
+    """Per-row float64 loop: upcast, subtract, square, sum; sort by (d2, id)."""
+    q = np.asarray(query32, dtype=np.float32).astype(np.float64)
+    d2 = [float(np.square(rows32[i].astype(np.float64) - q).sum()) for i in range(len(ids))]
+    order = sorted(range(len(ids)), key=lambda i: (d2[i], ids[i]))[:k]
+    return [(ids[i], float(np.sqrt(d2[i]))) for i in order]
+
+
+def loop_assign(X, centers):
+    """The k-means assign step as a loop over centers, lowest index on ties."""
+    d2 = np.empty((centers.shape[0], X.shape[0]))
+    for j in range(centers.shape[0]):
+        d2[j] = np.square(X - centers[j]).sum(axis=1)
+    return d2.argmin(axis=0)
+
+
+def running_sum_kmeans(X, k, iters, rng):
+    """Lloyd's iterations with the loop assign and np.add.at running sums."""
+    centers = _kmeans_pp_init(X, k, rng)
+    for _ in range(iters):
+        assign = loop_assign(X, centers)
+        counts = np.bincount(assign, minlength=k)
+        sums = np.zeros((k, X.shape[1]))
+        np.add.at(sums, assign, X)
+        nonempty = counts > 0
+        centers[nonempty] = sums[nonempty] / counts[nonempty, None]
+        for j in np.nonzero(~nonempty)[0]:
+            big = int(np.argmax(counts))
+            if counts[big] <= 1:
+                continue
+            members = np.nonzero(assign == big)[0]
+            far = members[int(np.argmax(np.square(X[members] - centers[big]).sum(axis=1)))]
+            centers[int(j)] = X[far]
+            assign[far] = j
+            counts[big] -= 1
+            counts[int(j)] += 1
+    return centers, loop_assign(X, centers)
+
+
+def adversarial_rows(kind, n, dim, rng):
+    """float32 rows with exact ties, or ulp-scale near ties, or norms from
+    1e-3 to 1e3 (near ties at any of these norms), a third of them duplicated."""
+    if kind == "grid":
+        rows = rng.integers(-2, 3, size=(n, dim)).astype(np.float32)
+    elif kind == "ulp":
+        base = (rng.normal(size=dim) * 10.0 ** rng.uniform(-3, 3)).astype(np.float32)
+        steps = rng.integers(-3, 4, size=(n, dim)).astype(np.float32)
+        rows = (base + steps * np.spacing(base)).astype(np.float32)
+    else:
+        scale = 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+        rows = (rng.normal(size=(n, dim)) * scale).astype(np.float32)
+    rows = np.concatenate([rows, rows[: n // 3]])
+    rows[~rows.any(axis=1)] = 1.0  # an index holds no zero vector
+    return rows
+
+
+def adversarial_queries(kind, rows, rng):
+    picks = rows[rng.integers(len(rows), size=4)]
+    if kind == "grid":
+        fresh = rng.integers(-2, 3, size=(3, rows.shape[1])).astype(np.float32)
+    else:
+        fresh = (picks[:3] + np.spacing(picks[:3]) * rng.integers(-2, 3, size=picks[:3].shape))
+    return np.concatenate([picks, fresh.astype(np.float32)])
+
+
+ADVERSARIAL_DATA = dict(
+    kind=st.sampled_from(["grid", "ulp", "scaled"]),
+    n=st.integers(min_value=1, max_value=30),
+    dim=st.integers(min_value=1, max_value=9),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    **ADVERSARIAL_DATA,
+    k_extra=st.integers(min_value=-29, max_value=3),
+    threads=st.sampled_from([1, 4]),
+)
+def test_blocked_kernel_equals_per_row_oracle(kind, n, dim, seed, k_extra, threads):
+    rng = np.random.default_rng(seed)
+    rows = adversarial_rows(kind, n, dim, rng)
+    ids = [f"v{p:03d}" for p in rng.permutation(len(rows))]  # id order != row order
+    k = max(1, len(rows) + k_extra)  # k >= n included
+    queries = adversarial_queries(kind, rows, rng)
+    expected = [per_row_top_k(ids, rows, q, k) for q in queries]
+    vectors = [(vid, ev(row)) for vid, row in zip(ids, rows)]
+    nlist = int(rng.integers(1, min(4, len(rows)) + 1))
+    for config in (
+        IndexConfig(dim=dim),
+        IndexConfig(kind="ivf", dim=dim, nlist=nlist, nprobe=nlist, kmeans_iters=3, seed=seed % 97),
+    ):
+        index = build_index(vectors, config)
+        got = index.search_batch(queries, k, threads=threads)
+        assert [[(h.id, h.distance) for h in hits] for hits in got] == expected, config.kind
+
+
+@settings(max_examples=120, deadline=None)
+@given(**ADVERSARIAL_DATA)
+def test_assign_equals_loop_over_centers(kind, n, dim, seed):
+    rng = np.random.default_rng(seed)
+    X = adversarial_rows(kind, n, dim, rng).astype(np.float64)
+    n_centers = int(rng.integers(1, 9))
+    centers = X[rng.integers(len(X), size=n_centers)].copy()  # exact ties with rows
+    means = rng.integers(len(X), size=(n_centers, 3))
+    mixed = rng.random(n_centers) < 0.5
+    centers[mixed] = X[means[mixed]].mean(axis=1)  # centers off the float32 grid
+    centers[-1] = centers[0]  # duplicated center: ties go to the lower index
+    assert _assign(X, centers).tolist() == loop_assign(X, centers).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(**ADVERSARIAL_DATA)
+def test_kmeans_equals_running_sum_reference(kind, n, dim, seed):
+    X = adversarial_rows(kind, n, dim, np.random.default_rng(seed)).astype(np.float64)
+    X[::4, 0] = -0.0  # signed zeros must sum as a running sum from 0.0 does
+    k = int(np.random.default_rng(seed).integers(1, len(X) + 1))
+    centers, assign = _kmeans(X, k, 4, np.random.default_rng(seed))
+    ref_centers, ref_assign = running_sum_kmeans(X, k, 4, np.random.default_rng(seed))
+    assert centers.tobytes() == ref_centers.tobytes()
+    assert assign.tolist() == ref_assign.tolist()
+
+
+def test_search_arrays_are_the_search_hits_and_count_reranks():
+    vectors = unit_vectors(300, 16, seed=23)
+    index = build_index(vectors, IndexConfig(dim=16))
+    queries = as_matrix(vectors[:40])
+    index.reset_comparison_count()
+    rows, distances = index.search_arrays(queries, 12)
+    assert index.comparison_count == 40 * 300
+    assert 40 * 12 <= index.rerank_count <= 40 * 300
+    hits = index.search_batch(queries, 12)
+    assert [[index.ids[r] for r in row] for row in rows.tolist()] == [
+        [h.id for h in row] for row in hits
+    ]
+    assert distances.tolist() == [[h.distance for h in row] for row in hits]
+
+
+@pytest.mark.parametrize("distinct", [1, 50])
+def test_block_temporaries_stay_under_rows_by_dim(distinct):
+    # All rows equal (every row ties) or 40 copies of each of 50 vectors.
+    n, dim = 2000, 256
+    base = np.stack([vec.values for _, vec in unit_vectors(distinct, dim, seed=24)])
+    rows = np.repeat(base, n // distinct, axis=0)
+    index = FlatIndex([f"v{i:05d}" for i in range(n)], rows)
+    queries = rows[:: n // 64]
+    index.search_arrays(queries[:1], 101)  # warm-up
+    tracemalloc.start()
+    try:
+        index.search_arrays(queries, 101)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * dim * 8, peak

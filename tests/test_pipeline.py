@@ -4,14 +4,17 @@ import json
 from dataclasses import replace
 from datetime import date
 
+import numpy as np
 import pytest
 
+from postdedup import index as index_module
 from postdedup import pipeline
 from postdedup.config import config_from_dict
 from postdedup.corpus import save_postings
 from postdedup.dedup import DuplicateLabel
 from postdedup.errors import DataError
 from postdedup.evaluation import score, write_results_csv
+from postdedup.index import load_index
 from postdedup.pipeline import (
     CANONICAL_FILE,
     EMBEDDINGS_FILE,
@@ -347,3 +350,61 @@ def test_partial_ivf_probe_compares_less_than_brute_force(tmp_path):
     config = replace(flat, index=replace(flat.index, kind="ivf", nlist=8, nprobe=2))
     counters = run_pipeline(synth.postings, config).report.counters
     assert 0 < counters["index_comparisons"] < counters["brute_force_comparisons"]
+
+
+def test_candidate_reduction_matches_independent_pair_count(tmp_path):
+    synth, config = small_corpus_setup(tmp_path, n_base=60)
+    outdir = tmp_path / "staged"
+    outdir.mkdir()
+    save_postings(synth.postings, outdir / POSTINGS_FILE)
+    counters = run_staged(config, outdir).report.counters
+    # Independent: every representative's k nearest others by (d2, id) in
+    # a float64 scan of the written embeddings, as unordered pairs.
+    items = load_index(outdir / EMBEDDINGS_FILE).items()
+    ids = [vid for vid, _ in items]
+    X = np.stack([vec.values for _, vec in items]).astype(np.float64)
+    pairs = set()
+    for i, vid in enumerate(ids):
+        d2 = np.square(X - X[i]).sum(axis=1)
+        others = sorted((j for j in range(len(ids)) if j != i), key=lambda j: (d2[j], ids[j]))
+        pairs.update(tuple(sorted((vid, ids[j]))) for j in others[: config.dedup.k])
+    brute = len(ids) * (len(ids) - 1) // 2
+    assert counters["candidate_pairs"] == len(pairs)
+    assert counters["brute_force_pairs"] == brute
+    assert counters["candidate_reduction"] == 1 - len(pairs) / brute
+    assert 0 < counters["candidate_reduction"] < 1
+
+
+def test_rerank_rows_count_rows_through_the_exact_expression(tmp_path, monkeypatch):
+    synth, config = small_corpus_setup(tmp_path, n_base=60)
+    exact, rows_seen = index_module._row_sq_dists, []
+
+    def counted(rows, query, buf):
+        rows_seen.append(len(rows))
+        return exact(rows, query, buf)
+
+    monkeypatch.setattr(index_module, "_row_sq_dists", counted)
+    report = run_pipeline(synth.postings, config).report
+    n = report.n_representatives - report.n_zero_vectors
+    counters = report.counters
+    assert counters["rerank_rows"] == sum(rows_seen)
+    assert n * (config.dedup.k + 1) <= counters["rerank_rows"] <= counters["index_comparisons"]
+
+
+def test_ivf_rerank_rows_are_the_probed_rows(tmp_path):
+    synth, flat = small_corpus_setup(tmp_path, n_base=60)
+    config = replace(flat, index=replace(flat.index, kind="ivf", nlist=8, nprobe=2))
+    outdir = tmp_path / "staged"
+    outdir.mkdir()
+    save_postings(synth.postings, outdir / POSTINGS_FILE)
+    counters = run_staged(config, outdir).report.counters
+    # Independent: each query's 2 nearest centroids (ties by list number)
+    # and the sizes of their lists, read from the written index.
+    index = load_index(outdir / INDEX_FILE)
+    centroids = index._cent32.astype(np.float64)
+    sizes = np.array(index.list_sizes())
+    probed = 0
+    for _, vec in load_index(outdir / EMBEDDINGS_FILE).items():
+        d2 = np.square(centroids - vec.values.astype(np.float64)).sum(axis=1)
+        probed += int(sizes[np.lexsort((np.arange(len(d2)), d2))[:2]].sum())
+    assert counters["rerank_rows"] == counters["index_comparisons"] == probed

@@ -9,15 +9,24 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from postdedup.batching import RetryPolicy, map_batches
-from postdedup.errors import BackendUnavailable, ConfigError, DataError, InvalidLanguage
+from postdedup.errors import (
+    BackendUnavailable,
+    ConfigError,
+    DataError,
+    InvalidLanguage,
+    RateLimited,
+)
 from postdedup.translate import (
     DictionaryTranslator,
     IdentityTranslator,
+    RemoteTranslator,
     TranslationCache,
     TranslationRequest,
     make_backend,
     translate_batch,
 )
+
+from conftest import FakeResponse, FakeSession, answer
 
 FAST_RETRY = RetryPolicy(attempts=5, backoff_base=0.001, backoff_cap=0.002)
 
@@ -322,3 +331,37 @@ def test_remote_backend_server_error_surfaces(translate_server):
 def test_remote_malformed_endpoint_rejected():
     with pytest.raises(ConfigError):
         make_backend("remote", endpoint="not a url")
+
+
+# -- remote backend against a scripted offline session -------------------------
+
+MALFORMED_TRANSLATIONS = [
+    "<html>upstream busy</html>",  # not JSON
+    json.dumps(["HALLO"]),  # JSON, but not an object
+    json.dumps({"result": ["HALLO"]}),  # no translations key
+    json.dumps({"translations": "HALLO"}),  # not a list
+]
+
+
+@pytest.mark.parametrize("body", MALFORMED_TRANSLATIONS)
+def test_remote_malformed_body_is_backend_unavailable(body):
+    session = FakeSession(FakeResponse(200, body))
+    backend = RemoteTranslator("http://translate.invalid/t", session=session)
+    with pytest.raises(BackendUnavailable):
+        backend.translate(["hallo"], None, "en")
+
+
+def test_remote_malformed_body_is_retried():
+    session = FakeSession(FakeResponse(200, "not json"), answer({"translations": ["HALLO"]}))
+    backend = RemoteTranslator("http://translate.invalid/t", session=session)
+    assert translate_batch([req("hallo")], backend, retry=FAST_RETRY) == ["HALLO"]
+    assert len(session.calls) == 2
+
+
+def test_remote_rate_limit_reads_retry_after_seconds_only():
+    for header, expected in (("7", 7.0), ("Wed, 21 Oct 2015 07:28:00 GMT", None)):
+        session = FakeSession(FakeResponse(429, "", {"Retry-After": header}))
+        backend = RemoteTranslator("http://translate.invalid/t", session=session)
+        with pytest.raises(RateLimited) as info:
+            backend.translate(["hallo"], None, "en")
+        assert info.value.retry_after == expected

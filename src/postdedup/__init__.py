@@ -14,7 +14,6 @@ from .dedup import (
     DuplicateLabel,
     ExpertRule,
     LabeledPair,
-    apply_rules,
     classify,
     example_ruleset,
     saturation_report,
@@ -66,7 +65,6 @@ __all__ = [
     "DuplicateLabel",
     "ExpertRule",
     "LabeledPair",
-    "apply_rules",
     "classify",
     "example_ruleset",
     "saturation_report",

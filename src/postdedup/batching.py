@@ -110,7 +110,8 @@ def map_batches(
     """Apply `batch_fn` over fixed-size slices of `items`, order-preserving.
 
     At most `max_in_flight` calls run concurrently. Each batch is retried
-    per the policy; the first batch that exhausts its retries propagates.
+    per the policy, also when it returns a different number of results
+    than it was given; the first batch that exhausts its retries propagates.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
@@ -122,12 +123,15 @@ def map_batches(
         return []
 
     def run(batch: list[T]) -> list[R]:
-        out = call_with_retry(lambda: batch_fn(batch), retry)
-        if len(out) != len(batch):
-            raise BackendUnavailable(
-                f"backend returned {len(out)} results for a batch of {len(batch)}"
-            )
-        return out
+        def attempt() -> list[R]:
+            out = batch_fn(batch)
+            if len(out) != len(batch):
+                raise BackendUnavailable(
+                    f"backend returned {len(out)} results for a batch of {len(batch)}"
+                )
+            return out
+
+        return call_with_retry(attempt, retry)
 
     if max_in_flight == 1:
         results = [run(batch) for batch in batches]

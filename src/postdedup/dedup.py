@@ -357,16 +357,6 @@ def apply_rules_detailed(
     return kept
 
 
-def apply_rules(
-    pairs: Iterable[CandidatePair],
-    postings_by_id: Mapping[str, Posting],
-    rules: Sequence[ExpertRule] | None,
-    base_theta: float,
-) -> set[CandidatePair]:
-    """First matching rule decides: keep under its threshold, or reject."""
-    return {pair for pair, _ in apply_rules_detailed(pairs, postings_by_id, rules, base_theta)}
-
-
 def classify(
     id_a: str,
     id_b: str,
@@ -437,7 +427,6 @@ __all__ = [
     "threshold_sweep",
     "choose_theta",
     "match_rule",
-    "apply_rules",
     "apply_rules_detailed",
     "classify",
     "SaturationReport",

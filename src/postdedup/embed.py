@@ -2,14 +2,16 @@
 
 The default backend is a deterministic hashed bag-of-tokens embedder:
 each token is hashed to a bucket with a ±1 sign, bucket sums are
-accumulated as integers (so the result is exactly order-insensitive),
+small integers (so the result is exactly order-insensitive),
 and the vector is L2-normalized. Empty inputs produce a zero vector
 flagged `norm_flag="zero"`; zero vectors must never enter an index.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import re
 import statistics
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol, Sequence
@@ -61,22 +63,15 @@ class TruncationReport:
         }
 
 
+# A token runs from an alphanumeric character to the last alphanumeric one
+# of its whitespace chunk; any other non-space character is a token alone.
+# In `re`, [^\W_] is exactly str.isalnum() and \S exactly not str.isspace().
+_TOKEN_RE = re.compile(r"[^\W_](?:\S*[^\W_])?|\S")
+
+
 def tokenize(text: str) -> list[str]:
     """Split on whitespace, then peel leading/trailing punctuation into own tokens."""
-    tokens: list[str] = []
-    for chunk in text.split():
-        start, end = 0, len(chunk)
-        while start < end and not chunk[start].isalnum():
-            tokens.append(chunk[start])
-            start += 1
-        trailing: list[str] = []
-        while end > start and not chunk[end - 1].isalnum():
-            trailing.append(chunk[end - 1])
-            end -= 1
-        if end > start:
-            tokens.append(chunk[start:end])
-        tokens.extend(reversed(trailing))
-    return tokens
+    return _TOKEN_RE.findall(text)
 
 
 def truncate_tokens(tokens: Sequence[str], max_tokens: int = DEFAULT_MAX_TOKENS) -> tuple[list[str], int]:
@@ -122,24 +117,28 @@ def token_hash(token: str) -> int:
     return int.from_bytes(hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest(), "little")
 
 
+# Tokens repeat across texts, so each one is hashed once while it stays
+# among the most recently used.
+_cached_token_hash = functools.lru_cache(maxsize=1 << 15)(token_hash)
+
+
 def hashed_bow_embed(
     tokens: Sequence[str], dim: int, max_tokens: int = DEFAULT_MAX_TOKENS
 ) -> EmbeddingVector:
     """Signed hashed bag-of-tokens embedding.
 
-    Bucket sums are integers before normalization, so permuting the
-    tokens gives a bitwise-identical vector. The token limit applies
-    before hashing.
+    A token adds its sign (+1 if the top bit of its hash is set, else -1)
+    to bucket hash % dim. Bucket sums are small integers, which float64
+    adds exactly in any order, so permuting the tokens gives a
+    bitwise-identical vector. The token limit applies before hashing.
     """
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     kept, _ = truncate_tokens(tokens, max_tokens)
-    buckets = np.zeros(dim, dtype=np.int64)
-    for token in kept:
-        h = token_hash(token)
-        sign = 1 if h >> 63 else -1
-        buckets[h % dim] += sign
-    accum = buckets.astype(np.float64)
+    hashes = np.fromiter(map(_cached_token_hash, kept), dtype=np.uint64, count=len(kept))
+    buckets = (hashes % np.uint64(dim)).astype(np.intp)
+    signs = np.where(hashes >> np.uint64(63), 1.0, -1.0)
+    accum = np.bincount(buckets, weights=signs, minlength=dim)
     norm = float(np.sqrt(np.dot(accum, accum)))
     if norm == 0.0:
         return EmbeddingVector(np.zeros(dim, dtype=np.float32), "zero")
@@ -175,8 +174,8 @@ class RemoteEmbedder:
     invariant holds regardless of the service. Requests run under the
     same bounded in-flight contract and failure mapping as the
     translation client: HTTP 429 is RateLimited, and an unreachable
-    endpoint, an error status or a body without a "vectors" list is
-    BackendUnavailable.
+    endpoint, an error status, a body without a "vectors" list or one
+    with a vector count other than the batch size is BackendUnavailable.
     """
 
     def __init__(
@@ -232,8 +231,6 @@ class RemoteEmbedder:
                 vectors.append(
                     EmbeddingVector((values.astype(np.float64) / norm).astype(np.float32), "unit")
                 )
-        if len(vectors) != len(texts):
-            raise BackendUnavailable("embed endpoint returned wrong number of vectors")
         return vectors
 
 

@@ -10,12 +10,13 @@ one (e.g. filtering "&am™p;" down to "&amp;").
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import html.entities
 import re
 import unicodedata
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import FingerprintCollision
 
@@ -26,8 +27,10 @@ _MAX_PASSES = 32
 
 _TAG_RE = re.compile(r"<[^>]*>")
 _ENTITY_RE = re.compile(r"&(#[0-9]+|#[xX][0-9a-fA-F]+|[a-zA-Z][a-zA-Z0-9]*);")
-_PUNCT_RUN_RE = re.compile(r"(\S)\1+")
-_WS_RUN_RE = re.compile(r"\s+")
+# A run of one character that is neither whitespace nor alphanumeric: in
+# `re`, \w is exactly str.isalnum() plus "_" and \s exactly str.isspace(),
+# which is also what str.split() and str.strip() split and trim on.
+_PUNCT_RUN_RE = re.compile(r"([^\w\s]|_)\1+")
 
 
 @dataclass(frozen=True)
@@ -90,16 +93,59 @@ def decode_entities(text: str) -> str:
         text = decoded
 
 
+class _CodePointTable(dict):
+    """A `str.translate` table that fills itself: the first lookup of a code
+    point runs `rule` on its character and keeps the answer.
+
+    Every entry is the rule's own answer for that code point, so translating
+    through the table gives what a loop calling `rule` per character would.
+    """
+
+    def __init__(self, rule: Callable[[str], str | None]) -> None:
+        super().__init__()
+        self._rule = rule
+
+    def __missing__(self, code_point: int) -> str | None:
+        value = self[code_point] = self._rule(chr(code_point))
+        return value
+
+
+def _case_class(ch: str) -> str:
+    return "l" if ch.islower() else "u" if ch.isupper() else "."
+
+
+_CASE_CLASSES = _CodePointTable(_case_class)
+_LOWER_UPPER_RE = re.compile("lu")
+
+
 def split_camel_case(text: str) -> str:
-    """Insert a space between each lowercase letter followed by an uppercase one."""
-    if len(text) < 2:
+    """Insert a space between each lowercase letter followed by an uppercase one.
+
+    The text is mapped to one case class per character ("l", "u" or "."),
+    and every "lu" in that string is a cut point. Two "lu" cannot overlap,
+    so scanning for them finds every cut.
+    """
+    cuts = [m.start() + 1 for m in _LOWER_UPPER_RE.finditer(text.translate(_CASE_CLASSES))]
+    if not cuts:
         return text
-    out = [text[0]]
-    for prev, cur in zip(text, text[1:]):
-        if prev.islower() and cur.isupper():
-            out.append(" ")
-        out.append(cur)
-    return "".join(out)
+    bounds = [0, *cuts, len(text)]
+    return " ".join(text[a:b] for a, b in zip(bounds, bounds[1:]))
+
+
+@functools.lru_cache(maxsize=16)
+def _charset_table(ascii_only: bool, keep_punct: frozenset[str]) -> _CodePointTable:
+    def keep(ch: str) -> str | None:
+        if ch in keep_punct:
+            return ch
+        if ch.isspace():
+            return ch if not ascii_only or ch.isascii() else None
+        if ascii_only:
+            return ch if ch.isascii() and ch.isalnum() else None
+        if not unicodedata.category(ch).startswith("C") and (ch.isalpha() or ch.isdigit()):
+            return ch
+        return None
+
+    return _CodePointTable(keep)
 
 
 def filter_charset(
@@ -111,34 +157,19 @@ def filter_charset(
     Whitespace (including tabs and newlines) is kept in both modes and
     collapsed later; non-whitespace control and format characters are
     always removed. Removal deletes the character without inserting a
-    space.
+    space. One `str.translate` call does the work, through a table per
+    (ascii_only, keep_punct) that learns each code point's verdict on
+    first sight.
     """
     if not keep_punct:
         raise ValueError("keep_punct must not be empty")
-    out = []
-    for ch in text:
-        if ch in keep_punct:
-            out.append(ch)
-        elif ch.isspace():
-            if not ascii_only or ch.isascii():
-                out.append(ch)
-        elif ascii_only:
-            if ch.isascii() and ch.isalnum():
-                out.append(ch)
-        elif not unicodedata.category(ch).startswith("C") and (ch.isalpha() or ch.isdigit()):
-            out.append(ch)
-    return "".join(out)
+    return text.translate(_charset_table(ascii_only, frozenset(keep_punct)))
 
 
 def collapse_punct_and_ws(text: str) -> str:
     """Collapse runs of one punctuation character to one, whitespace to one space, trim."""
-
-    def shrink(match: re.Match) -> str:
-        ch = match.group(1)
-        return ch if not ch.isalnum() else match.group(0)
-
-    text = _PUNCT_RUN_RE.sub(shrink, text)
-    return _WS_RUN_RE.sub(" ", text).strip()
+    text = _PUNCT_RUN_RE.sub(r"\1", text)
+    return " ".join(text.split())
 
 
 def _pipeline_once(text: str, config: NormalizeConfig) -> str:

@@ -11,7 +11,7 @@ from postdedup.dedup import (
     CandidatePair,
     DuplicateLabel,
     ExpertRule,
-    apply_rules,
+    apply_rules_detailed,
     choose_theta,
     classify,
     collect_hits,
@@ -39,7 +39,7 @@ def pair(a, b, d) -> CandidatePair:
 def kept_under(pairs, theta):
     """The pairs a lone default rule at theta keeps (a strict distance comparison)."""
     postings = {pid: make_posting(pid) for p in pairs for pid in p.key}
-    return apply_rules(pairs, postings, [default_rule(theta)], theta)
+    return {p for p, _ in apply_rules_detailed(pairs, postings, [default_rule(theta)], theta)}
 
 
 def count_under(pairs, theta):
@@ -198,7 +198,8 @@ class TestRules:
             ExpertRule(company="same", location="same", action="threshold", threshold=0.30),
             default_rule(0.25),
         ]
-        kept = apply_rules({pair("a", "b", 0.28)}, self.postings, rules, 0.25)
+        detailed = apply_rules_detailed({pair("a", "b", 0.28)}, self.postings, rules, 0.25)
+        kept = {p for p, _ in detailed}
         assert {p.key for p in kept} == {("a", "b")}
 
     def test_different_company_falls_to_base(self):
@@ -206,7 +207,8 @@ class TestRules:
             ExpertRule(company="same", location="same", action="threshold", threshold=0.30),
             default_rule(0.25),
         ]
-        kept = apply_rules({pair("a", "c", 0.28)}, self.postings, rules, 0.25)
+        detailed = apply_rules_detailed({pair("a", "c", 0.28)}, self.postings, rules, 0.25)
+        kept = {p for p, _ in detailed}
         assert kept == set()
 
     def test_default_only_equals_distance_comparison(self):
@@ -217,15 +219,17 @@ class TestRules:
             x, y = rng.sample(ids, 2)
             pairs.add(pair(min(x, y), max(x, y), rng.uniform(0, 1)))
         under = {p for p in pairs if p.distance < 0.25}
-        assert apply_rules(pairs, self.postings, [default_rule(0.25)], 0.25) == under
-        assert apply_rules(pairs, self.postings, None, 0.25) == under
+        for rules in ([default_rule(0.25)], None):
+            detailed = apply_rules_detailed(pairs, self.postings, rules, 0.25)
+            assert {p for p, _ in detailed} == under
 
     def test_reject_action_drops_pair(self):
         rules = [
             ExpertRule(company="different", action="reject"),
             default_rule(0.5),
         ]
-        kept = apply_rules({pair("a", "c", 0.01)}, self.postings, rules, 0.5)
+        detailed = apply_rules_detailed({pair("a", "c", 0.01)}, self.postings, rules, 0.5)
+        kept = {p for p, _ in detailed}
         assert kept == set()
 
     def test_missing_value_matches_any_missing_only(self):
@@ -246,20 +250,20 @@ class TestRules:
     def test_no_matching_rule_raises(self):
         rules = [ExpertRule(company="same", action="threshold", threshold=0.3)]
         with pytest.raises(NoMatchingRule):
-            apply_rules({pair("a", "d", 0.1)}, self.postings, rules, 0.25)
+            apply_rules_detailed({pair("a", "d", 0.1)}, self.postings, rules, 0.25)
 
     def test_unknown_id_raises(self):
         with pytest.raises(UnknownId):
-            apply_rules({pair("a", "zz", 0.1)}, self.postings, [default_rule(0.25)], 0.25)
+            apply_rules_detailed({pair("a", "zz", 0.1)}, self.postings, [default_rule(0.25)], 0.25)
 
     def test_prefilter_keeps_errors_of_pairs_over_every_threshold(self):
         # The distance prefilter must not hide a pair that no rule matches,
         # or a pair with an unknown id, because it is far apart.
         no_default = [ExpertRule(company="same", action="threshold", threshold=0.3)]
         with pytest.raises(NoMatchingRule):
-            apply_rules({pair("a", "d", 1.9)}, self.postings, no_default, 0.25)
+            apply_rules_detailed({pair("a", "d", 1.9)}, self.postings, no_default, 0.25)
         with pytest.raises(UnknownId):
-            apply_rules({pair("a", "zz", 1.9)}, self.postings, [default_rule(0.25)], 0.25)
+            apply_rules_detailed({pair("a", "zz", 1.9)}, self.postings, [default_rule(0.25)], 0.25)
 
     def test_rule_validation(self):
         with pytest.raises(ConfigError):

@@ -184,6 +184,71 @@ def test_bag_property_random_permutations(tokens, pyrandom):
     assert a.values.tobytes() == b.values.tobytes()
 
 
+# -- regex tokenizer and bucket sums against the per-token loops --------------
+
+def tokenize_loop(text: str) -> list[str]:
+    tokens: list[str] = []
+    for chunk in text.split():
+        start, end = 0, len(chunk)
+        while start < end and not chunk[start].isalnum():
+            tokens.append(chunk[start])
+            start += 1
+        trailing: list[str] = []
+        while end > start and not chunk[end - 1].isalnum():
+            trailing.append(chunk[end - 1])
+            end -= 1
+        if end > start:
+            tokens.append(chunk[start:end])
+        tokens.extend(reversed(trailing))
+    return tokens
+
+
+def bow_loop(tokens, dim: int, max_tokens: int) -> np.ndarray:
+    buckets = np.zeros(dim, dtype=np.int64)
+    for token in list(tokens)[:max_tokens]:
+        h = token_hash(token)
+        buckets[h % dim] += 1 if h >> 63 else -1
+    accum = buckets.astype(np.float64)
+    norm = float(np.sqrt(np.dot(accum, accum)))
+    if norm == 0.0:
+        return np.zeros(dim, dtype=np.float32)
+    return (accum / norm).astype(np.float32)
+
+
+# Words drawn from a small vocabulary repeat across texts, so most hashes come
+# from the cache; punctuation around and inside them exercises the peeling.
+_WORD = st.one_of(
+    st.sampled_from(["nurse", "Nurse", "shift", "manager", "x", "a1", "_", "--", "(on-call)!"]),
+    st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=6),
+)
+_SEP = st.sampled_from([" ", "  ", "\t", "\n", "\u3000", ""])
+_TEXT = st.lists(st.tuples(_WORD, _SEP), max_size=40).map(
+    lambda parts: "".join(word + sep for word, sep in parts)
+)
+
+
+@settings(max_examples=300)
+@given(st.one_of(_TEXT, st.text(max_size=60)))
+def test_tokenize_equals_per_chunk_loop(text):
+    assert tokenize(text) == tokenize_loop(text)
+
+
+@settings(max_examples=200)
+@given(st.lists(_TEXT, max_size=6), st.sampled_from([1, 3, 384]))
+def test_hashed_embedding_equals_bucket_loop_bitwise(texts, max_tokens):
+    texts = texts + ["", "   ", "!!"]
+    for dim in (64, 257):  # two widths in one process: buckets depend on dim
+        embedder = HashedEmbedder(dim=dim, max_tokens=max_tokens)
+        batch = embedder.embed_many(texts)
+        for text, vec in zip(texts, batch):
+            expected = bow_loop(tokenize_loop(text), dim, max_tokens)
+            single = hashed_bow_embed(tokenize(text), dim, max_tokens)
+            assert vec.values.dtype == single.values.dtype == np.float32
+            assert np.array_equal(vec.values.view(np.uint32), expected.view(np.uint32))
+            assert np.array_equal(single.values.view(np.uint32), expected.view(np.uint32))
+            assert vec.norm_flag == ("unit" if expected.any() else "zero")
+
+
 def test_distance_cosine_link_at_threshold():
     # On unit vectors d^2 = 2(1 - cos); the 0.25 threshold is cos 0.96875.
     assert abs((1 - 0.25**2 / 2) - 0.96875) == 0.0
@@ -234,6 +299,7 @@ def embed_server():
     _EmbedHandler.calls = 0
     yield f"http://127.0.0.1:{server.server_port}/embed"
     server.shutdown()
+    server.server_close()
 
 
 def test_remote_embedder_handshake(embed_server):

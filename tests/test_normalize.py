@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import re
+import unicodedata
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from postdedup.errors import FingerprintCollision
 from postdedup.normalize import (
+    DEFAULT_KEEP_PUNCT,
     CanonicalText,
     NormalizeConfig,
     canonicalize,
@@ -164,6 +167,137 @@ def test_canonical_text_has_no_artifacts(text):
     assert "  " not in cleaned
     assert cleaned == cleaned.strip()
     assert "<br>" not in cleaned
+
+
+# -- table-driven steps against per-character loops ---------------------------
+#
+# The loops below are the reference versions of split_camel_case,
+# filter_charset and collapse_punct_and_ws; the library steps must give the
+# same strings on any input, including on a second call that reads the
+# tables' cached answers.
+
+def split_camel_case_loop(text: str) -> str:
+    if len(text) < 2:
+        return text
+    out = [text[0]]
+    for prev, cur in zip(text, text[1:]):
+        if prev.islower() and cur.isupper():
+            out.append(" ")
+        out.append(cur)
+    return "".join(out)
+
+
+def filter_charset_loop(text: str, ascii_only: bool, keep_punct: frozenset[str]) -> str:
+    out = []
+    for ch in text:
+        if ch in keep_punct:
+            out.append(ch)
+        elif ch.isspace():
+            if not ascii_only or ch.isascii():
+                out.append(ch)
+        elif ascii_only:
+            if ch.isascii() and ch.isalnum():
+                out.append(ch)
+        elif not unicodedata.category(ch).startswith("C") and (ch.isalpha() or ch.isdigit()):
+            out.append(ch)
+    return "".join(out)
+
+
+def collapse_loop(text: str) -> str:
+    def shrink(match: re.Match) -> str:
+        ch = match.group(1)
+        return ch if not ch.isalnum() else match.group(0)
+
+    text = re.sub(r"(\S)\1+", shrink, text)
+    return re.sub(r"\s+", " ", text).strip()
+
+
+# Characters where a per-character rule is easy to get subtly wrong:
+# control (Cc) and format (Cf) characters, non-BMP letters with case, lone
+# surrogates, letters whose case mapping changes length, titlecase and
+# numeric letters, circled letters (So with case), Unicode whitespace and
+# digits, and the underscore.
+_TRICKY = (
+    "\x00\x1f\x7f\x85\x9f"  # Cc
+    "\u00ad\u200b\u200e\u2066\ufeff"  # Cf
+    "\U0001d400\U0001d41a\U00010400\U00010428\U0001f600\U000e0001"  # non-BMP
+    "\ud800\udbff\udfff"  # lone surrogates
+    "\u0130\u0131\u1e9e\u00df\ufb01"  # İ ı ẞ ß ﬁ
+    "\u01c5\u01c8\u01f2\u1f88"  # titlecase
+    "\u2160\u2170\u2185"  # Ⅰ ⅰ ↅ
+    "\u24b6\u24d0\u24cf"  # Ⓐ ⓐ Ⓩ
+    "\u00aa\u00ba\u02b0"  # ª º ʰ
+    "\u00a0\u2028\u3000\u1680\t\n\x0b"  # whitespace
+    "\u00b2\u00bd\u0663\u09e6"  # digits and numerics
+    "_\u00b7\u2014\u2026!!&&"
+    "aAzZ09 .,"
+)
+_TRICKY_TEXT = st.text(
+    alphabet=st.one_of(st.characters(), st.sampled_from(_TRICKY)), max_size=60
+)
+_CUSTOM_KEEP_PUNCT = frozenset("\u00b7\u2014\u00df_\u00bf")  # · — ß _ ¿
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(max_size=60), _TRICKY_TEXT))
+def test_split_camel_case_equals_per_character_loop(text):
+    expected = split_camel_case_loop(text)
+    assert split_camel_case(text) == expected
+    assert split_camel_case(text) == expected  # every class now from the table
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(max_size=60), _TRICKY_TEXT))
+def test_filter_charset_equals_per_character_loop(text):
+    for ascii_only in (False, True):
+        for keep_punct in (DEFAULT_KEEP_PUNCT, _CUSTOM_KEEP_PUNCT):
+            expected = filter_charset_loop(text, ascii_only, keep_punct)
+            assert filter_charset(text, ascii_only, keep_punct) == expected
+            assert filter_charset(text, ascii_only, keep_punct) == expected
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(max_size=60), _TRICKY_TEXT))
+def test_collapse_equals_shrink_callback(text):
+    doubled = "".join(ch * 3 for ch in text)
+    assert collapse_punct_and_ws(text) == collapse_loop(text)
+    assert collapse_punct_and_ws(doubled) == collapse_loop(doubled)
+
+
+@pytest.mark.parametrize("ascii_only", [False, True])
+def test_clean_text_equals_loop_pipeline_on_fuzzed_strings(ascii_only):
+    config = NormalizeConfig(ascii_only=ascii_only)
+
+    def clean_loop(text):
+        for _ in range(32):
+            step = strip_html(text)
+            step = decode_entities(step)
+            step = split_camel_case_loop(step)
+            step = filter_charset_loop(step, ascii_only, DEFAULT_KEEP_PUNCT)
+            step = collapse_loop(step)
+            if step == text:
+                break
+            text = step
+        return text
+
+    rng = random.Random(4242 + ascii_only)
+    for _ in range(1_000):
+        text = fuzz_noisy_string(rng) + rng.choice(_TRICKY) + fuzz_noisy_string(rng)
+        assert clean_text(text, config) == clean_loop(text)
+
+
+def test_regex_classes_are_the_str_predicates_on_every_code_point():
+    # collapse_punct_and_ws and the tokenizer rely on re's \w and \s meaning
+    # str.isalnum() (plus "_") and str.isspace(), which str.split() also
+    # splits on.
+    alnum = re.compile(r"[^\W_]")
+    punct = re.compile(r"[^\w\s]|_")
+    space = re.compile(r"\s")
+    for code_point in range(0x110000):
+        ch = chr(code_point)
+        assert bool(space.match(ch)) == ch.isspace(), hex(code_point)
+        assert bool(alnum.match(ch)) == ch.isalnum(), hex(code_point)
+        assert bool(punct.match(ch)) == (not ch.isspace() and not ch.isalnum()), hex(code_point)
 
 
 # -- exact grouping -----------------------------------------------------------

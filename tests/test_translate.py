@@ -245,10 +245,29 @@ def test_retries_exhausted_raises_backend_unavailable():
 
 
 def test_map_batches_validates_result_length():
+    calls = []
+
+    def short(batch):
+        calls.append(batch)
+        return batch[:-1]
+
     with pytest.raises(BackendUnavailable):
-        map_batches(
-            [1, 2, 3], lambda batch: batch[:-1], batch_size=3, max_in_flight=1, retry=FAST_RETRY
-        )
+        map_batches([1, 2, 3], short, batch_size=3, max_in_flight=1, retry=FAST_RETRY)
+    assert len(calls) == FAST_RETRY.attempts
+
+
+def test_map_batches_retries_a_batch_that_came_back_short():
+    # A wrong result count is retried like any other backend failure, as the
+    # remote embedder's malformed bodies are.
+    calls = []
+
+    def short_once(batch):
+        calls.append(batch)
+        return batch[:-1] if len(calls) == 1 else [x * 10 for x in batch]
+
+    out = map_batches([1, 2, 3], short_once, batch_size=3, max_in_flight=1, retry=FAST_RETRY)
+    assert out == [10, 20, 30]
+    assert len(calls) == 2
 
 
 def test_grouped_by_language_pair():
@@ -303,6 +322,7 @@ def translate_server():
     _Handler.seen_auth = []
     yield f"http://127.0.0.1:{server.server_port}/translate"
     server.shutdown()
+    server.server_close()
 
 
 def test_remote_backend_round_trip(translate_server, monkeypatch):

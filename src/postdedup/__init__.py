@@ -20,17 +20,15 @@ from .dedup import (
     threshold_sweep,
 )
 from .embed import (
-    EmbeddingVector,
     HashedEmbedder,
     TruncationReport,
-    embed_batch,
     hashed_bow_embed,
     tokenize,
     truncate_tokens,
     truncation_report,
 )
 from .evaluation import EvalReport, GoldSet, render_report, score
-from .index import FlatIndex, IndexConfig, IVFIndex, SearchHit, build_index, load_index
+from .index import FlatIndex, IndexConfig, IVFIndex, build_index, load_index
 from .normalize import (
     CanonicalText,
     ExactGroup,
@@ -69,10 +67,8 @@ __all__ = [
     "example_ruleset",
     "saturation_report",
     "threshold_sweep",
-    "EmbeddingVector",
     "HashedEmbedder",
     "TruncationReport",
-    "embed_batch",
     "hashed_bow_embed",
     "tokenize",
     "truncate_tokens",
@@ -84,7 +80,6 @@ __all__ = [
     "FlatIndex",
     "IVFIndex",
     "IndexConfig",
-    "SearchHit",
     "build_index",
     "load_index",
     "CanonicalText",

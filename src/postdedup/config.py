@@ -73,7 +73,6 @@ class DedupConfig:
 class IOConfig:
     input_path: Optional[str] = None
     input_format: str = "jsonl"
-    output_dir: str = "dedup_out"
 
     def __post_init__(self) -> None:
         if self.input_format not in ("jsonl", "csv"):
@@ -169,7 +168,7 @@ def _config_from_dict(raw: dict) -> PipelineConfig:
     dedup = DedupConfig(rules=rules, **dedup_raw)
 
     io_raw = dict(raw.get("io") or {})
-    _check_keys(io_raw, ("input_path", "input_format", "output_dir"), "io")
+    _check_keys(io_raw, ("input_path", "input_format"), "io")
     io = IOConfig(**io_raw)
 
     return PipelineConfig(

@@ -10,6 +10,7 @@ from datetime import date, datetime
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
+from .atomic import atomic_write
 from .errors import DataError, DuplicateId, MalformedRecord, MissingRequiredField
 
 _OPTIONAL_FIELDS = ("company", "location", "country", "language")
@@ -170,11 +171,11 @@ def save_postings(postings: Iterable[Posting], path: str | Path, format: str = "
     """Write postings in a form that `load_postings` reads back identically."""
     path = Path(path)
     if format == "jsonl":
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, "w", encoding="utf-8") as fh:
             for posting in postings:
                 fh.write(json.dumps(posting.to_dict(), ensure_ascii=False) + "\n")
     elif format == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(_COLUMNS))
             writer.writeheader()
             for posting in postings:

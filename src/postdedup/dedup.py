@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import Posting
 from .errors import ConfigError, NoMatchingRule, UnknownId
-from .index import VectorIndex
+from .index import FlatIndex, VectorIndex
 
 
 class DuplicateLabel(Enum):
@@ -183,15 +183,15 @@ class KnnHits:
 
 
 def collect_hits(
-    index: VectorIndex, vectors: Sequence[tuple[str, object]], k: int = 100, threads: int = 1
+    index: VectorIndex, queries: FlatIndex, k: int = 100, threads: int = 1
 ) -> KnnHits:
-    """Per-query k-NN hits with the query's own id excluded.
+    """Per-query k-NN hits of every row of `queries`, the query's own id excluded.
 
     Queries may fan out over threads; results are identical for any
     thread count.
     """
-    query_ids = [vid for vid, _ in vectors]
-    rows, distances = index.search_arrays([vec for _, vec in vectors], k + 1, threads=threads)
+    query_ids = list(queries.ids)
+    rows, distances = index.search_arrays(queries.vectors, k + 1, threads=threads)
     row_of = {vid: i for i, vid in enumerate(index.ids)}
     own = np.array([row_of.get(vid, -2) for vid in query_ids], dtype=np.int64)
     # Move each query's own row (matched by id) behind its other hits, then

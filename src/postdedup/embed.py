@@ -3,8 +3,9 @@
 The default backend is a deterministic hashed bag-of-tokens embedder:
 each token is hashed to a bucket with a ±1 sign, bucket sums are
 small integers (so the result is exactly order-insensitive),
-and the vector is L2-normalized. Empty inputs produce a zero vector
-flagged `norm_flag="zero"`; zero vectors must never enter an index.
+and the vector is L2-normalized. Every embedder turns a batch of texts
+into one (n, dim) float32 matrix; an all-zero row marks a text with
+nothing to embed, and such rows must never enter an index.
 """
 
 from __future__ import annotations
@@ -21,20 +22,6 @@ import numpy as np
 from .errors import BackendUnavailable, DimensionMismatch
 
 DEFAULT_MAX_TOKENS = 384
-
-
-@dataclass(frozen=True)
-class EmbeddingVector:
-    values: np.ndarray  # float32, shape (dim,)
-    norm_flag: str  # "unit" | "zero"
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.shape[0])
-
-    @property
-    def is_zero(self) -> bool:
-        return self.norm_flag == "zero"
 
 
 @dataclass(frozen=True)
@@ -124,13 +111,14 @@ _cached_token_hash = functools.lru_cache(maxsize=1 << 15)(token_hash)
 
 def hashed_bow_embed(
     tokens: Sequence[str], dim: int, max_tokens: int = DEFAULT_MAX_TOKENS
-) -> EmbeddingVector:
-    """Signed hashed bag-of-tokens embedding.
+) -> np.ndarray:
+    """Signed hashed bag-of-tokens embedding, a (dim,) float32 unit vector or zeros.
 
     A token adds its sign (+1 if the top bit of its hash is set, else -1)
     to bucket hash % dim. Bucket sums are small integers, which float64
     adds exactly in any order, so permuting the tokens gives a
-    bitwise-identical vector. The token limit applies before hashing.
+    bitwise-identical vector. The token limit applies before hashing; no
+    tokens, or sums that cancel, give the zero vector.
     """
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
@@ -141,15 +129,16 @@ def hashed_bow_embed(
     accum = np.bincount(buckets, weights=signs, minlength=dim)
     norm = float(np.sqrt(np.dot(accum, accum)))
     if norm == 0.0:
-        return EmbeddingVector(np.zeros(dim, dtype=np.float32), "zero")
-    return EmbeddingVector((accum / norm).astype(np.float32), "unit")
+        return np.zeros(dim, dtype=np.float32)
+    return (accum / norm).astype(np.float32)
 
 
 class Embedder(Protocol):
     name: str
     dim: int
 
-    def embed_many(self, texts: Sequence[str]) -> list[EmbeddingVector]: ...
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        """One (len(texts), dim) float32 row per text; all zeros where it has nothing to embed."""
 
 
 class HashedEmbedder:
@@ -162,8 +151,13 @@ class HashedEmbedder:
         self.dim = dim
         self.max_tokens = max_tokens
 
-    def embed_many(self, texts: Sequence[str]) -> list[EmbeddingVector]:
-        return [hashed_bow_embed(tokenize(t), self.dim, self.max_tokens) for t in texts]
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        # Text by text: tokenizing the whole batch at once would hold every
+        # text's tokens in memory together.
+        out = np.empty((len(texts), self.dim), dtype=np.float32)
+        for row, text in zip(out, texts):
+            row[:] = hashed_bow_embed(tokenize(text), self.dim, self.max_tokens)
+        return out
 
 
 class RemoteEmbedder:
@@ -174,8 +168,9 @@ class RemoteEmbedder:
     invariant holds regardless of the service. Requests run under the
     same bounded in-flight contract and failure mapping as the
     translation client: HTTP 429 is RateLimited, and an unreachable
-    endpoint, an error status, a body without a "vectors" list or one
-    with a vector count other than the batch size is BackendUnavailable.
+    endpoint, an error status, a body without a "vectors" list, one with
+    a vector count other than the batch size, or a vector with a
+    non-numeric, NaN or infinite entry is BackendUnavailable.
     """
 
     def __init__(
@@ -197,17 +192,18 @@ class RemoteEmbedder:
         self.max_in_flight = max_in_flight
         self._session = session or requests.Session()
 
-    def embed_many(self, texts: Sequence[str]) -> list[EmbeddingVector]:
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         from .batching import map_batches
 
-        return map_batches(
+        rows = map_batches(
             list(texts),
             self._embed_one_batch,
             batch_size=self.batch_size,
             max_in_flight=self.max_in_flight,
         )
+        return np.array(rows, dtype=np.float32).reshape(len(rows), self.dim)
 
-    def _embed_one_batch(self, texts: list[str]) -> list[EmbeddingVector]:
+    def _embed_one_batch(self, texts: list[str]) -> np.ndarray:
         from .batching import list_field, post_json
 
         payload = post_json(
@@ -216,36 +212,26 @@ class RemoteEmbedder:
         dim = payload.get("dim")
         if dim != self.dim:
             raise DimensionMismatch(self.dim, dim if isinstance(dim, int) else -1)
-        vectors = []
-        for row in list_field(payload, "vectors", "embed"):
+        rows = list_field(payload, "vectors", "embed")
+        out = np.zeros((len(rows), self.dim), dtype=np.float32)
+        for vector, row in zip(out, rows):
             try:
                 values = np.asarray(row, dtype=np.float32)
             except (TypeError, ValueError) as err:
                 raise BackendUnavailable("embed endpoint returned a non-numeric vector") from err
             if values.shape != (self.dim,):
                 raise DimensionMismatch(self.dim, int(values.shape[0]) if values.ndim else 0)
-            norm = float(np.sqrt(np.dot(values.astype(np.float64), values.astype(np.float64))))
-            if norm == 0.0:
-                vectors.append(EmbeddingVector(np.zeros(self.dim, dtype=np.float32), "zero"))
-            else:
-                vectors.append(
-                    EmbeddingVector((values.astype(np.float64) / norm).astype(np.float32), "unit")
-                )
-        return vectors
-
-
-def embed_batch(texts: Sequence[str], backend: Embedder) -> list[EmbeddingVector]:
-    """Embed texts in order; raises DimensionMismatch on inconsistent output."""
-    vectors = backend.embed_many(texts)
-    for vector in vectors:
-        if vector.dim != backend.dim:
-            raise DimensionMismatch(backend.dim, vector.dim)
-    return vectors
+            if not np.isfinite(values).all():
+                raise BackendUnavailable("embed endpoint returned a NaN or infinite entry")
+            values = values.astype(np.float64)
+            norm = float(np.sqrt(np.dot(values, values)))
+            if norm != 0.0:
+                vector[:] = values / norm
+        return out
 
 
 __all__ = [
     "DEFAULT_MAX_TOKENS",
-    "EmbeddingVector",
     "TruncationReport",
     "tokenize",
     "truncate_tokens",
@@ -255,5 +241,4 @@ __all__ = [
     "Embedder",
     "HashedEmbedder",
     "RemoteEmbedder",
-    "embed_batch",
 ]

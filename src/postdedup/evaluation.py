@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
+from .atomic import atomic_write
 from .dedup import DuplicateLabel, LabeledPair
 from .errors import DataError, DuplicatePrediction
 
@@ -120,7 +121,7 @@ def score(predicted: Sequence[LabeledPair], gold: GoldSet) -> EvalReport:
 
 def write_results_csv(pairs: Iterable[LabeledPair], path: str | Path) -> None:
     """Results file: id1,id2,label,distance,reason sorted by (id1, id2)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id1", "id2", "label", "distance", "reason"])
         for pair in sorted(pairs, key=lambda p: p.key):

@@ -54,6 +54,7 @@ from __future__ import annotations
 import struct
 import threading
 import zlib
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,9 +62,10 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .embed import EmbeddingVector
+from .atomic import atomic_write
 from .errors import (
     CorruptIndex,
+    DataError,
     DimensionMismatch,
     DuplicateId,
     EmptyInput,
@@ -82,8 +84,6 @@ _KIND_IVF = 1
 # preselecting scan, two approximate distances and a mask flag.
 _BLOCK_BYTES = 1 << 20
 _CANDIDATE_BYTES = 40
-
-QueryVector = Union[EmbeddingVector, np.ndarray, Sequence[float]]
 
 
 @dataclass(frozen=True)
@@ -107,12 +107,6 @@ class IndexConfig:
                 raise ValueError(f"nprobe={self.nprobe} exceeds nlist={self.nlist}")
             if self.kmeans_iters < 1:
                 raise ValueError("kmeans_iters must be positive")
-
-
-@dataclass(frozen=True)
-class SearchHit:
-    id: str
-    distance: float  # true L2
 
 
 def _row_sq_dists(rows: np.ndarray, query: np.ndarray, buf: np.ndarray | None) -> np.ndarray:
@@ -282,22 +276,6 @@ def _spans(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.arange(total) + np.repeat(starts - (ends - sizes), sizes)
 
 
-def _as_queries(queries, dim: int) -> np.ndarray:
-    """Queries as one (m, dim) float32 array, rounded to float32 like stored rows."""
-    if not (isinstance(queries, np.ndarray) and queries.ndim == 2):
-        arrays = [
-            q.values if isinstance(q, EmbeddingVector) else np.asarray(q, dtype=np.float32)
-            for q in queries
-        ]
-        for values in arrays:
-            if values.ndim != 1 or values.shape[0] != dim:
-                raise DimensionMismatch(dim, int(values.shape[-1]) if values.ndim else 0)
-        queries = np.array(arrays, dtype=np.float32).reshape(len(arrays), dim)
-    if queries.shape[1] != dim:
-        raise DimensionMismatch(dim, int(queries.shape[1]))
-    return np.ascontiguousarray(queries, dtype=np.float32)
-
-
 class _BaseIndex:
     kind: str
 
@@ -319,12 +297,12 @@ class _BaseIndex:
     def dim(self) -> int:
         return int(self._vecs32.shape[1])
 
-    def items(self) -> list[tuple[str, EmbeddingVector]]:
-        """Stored (id, vector) pairs in storage order."""
-        return [
-            (vid, EmbeddingVector(self._vecs32[i].copy(), "unit"))
-            for i, vid in enumerate(self.ids)
-        ]
+    @property
+    def vectors(self) -> np.ndarray:
+        """The stored (n, dim) float32 rows in storage order, read-only; row i is `ids[i]`."""
+        view = self._vecs32.view()
+        view.flags.writeable = False
+        return view
 
     @property
     def comparison_count(self) -> int:
@@ -350,15 +328,13 @@ class _BaseIndex:
             self._reranked += reranked
 
     def _queries(self, queries, k: int) -> np.ndarray:
+        """Queries as one (m, dim) float32 array, rounded to float32 like stored rows."""
         if k < 1:
             raise ValueError("k must be positive")
-        return _as_queries(queries, self.dim)
-
-    def _hits(self, rows: np.ndarray, distances: np.ndarray) -> list[list[SearchHit]]:
-        return [
-            [SearchHit(self.ids[r], d) for r, d in zip(row, dist) if r >= 0]
-            for row, dist in zip(rows.tolist(), distances.tolist())
-        ]
+        queries = np.ascontiguousarray(queries, dtype=np.float32)
+        if queries.ndim != 2 or queries.shape[1] != self.dim:
+            raise DimensionMismatch(self.dim, int(queries.shape[-1]) if queries.ndim else 0)
+        return queries
 
     def search_arrays(self, queries, k: int, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """Top k per query as (m, k) arrays of stored row indices and true L2 distances.
@@ -368,30 +344,45 @@ class _BaseIndex:
         """
         raise NotImplementedError
 
-    def search(self, query: QueryVector, k: int) -> list[SearchHit]:
-        return self.search_batch([query], k)[0]
-
-    def search_batch(
-        self, queries: Sequence[QueryVector], k: int, threads: int = 1
-    ) -> list[list[SearchHit]]:
-        """Element-wise equal to calling `search` per query, in any thread count."""
-        return self._hits(*self.search_arrays(queries, k, threads=threads))
-
     def save(self, path: str | Path) -> None:
-        Path(path).write_bytes(self.to_bytes())
+        with atomic_write(path, "wb") as fh:
+            fh.write(self.to_bytes())
 
     def to_bytes(self) -> bytes:
         raise NotImplementedError
 
 
 class FlatIndex(_BaseIndex):
-    """Exhaustive exact L2 scan; the oracle-grade baseline."""
+    """Exhaustive exact L2 scan; the oracle-grade baseline.
+
+    It is also how a batch of embeddings travels: row i of `vectors` is
+    the embedding of `ids[i]`. The constructor rejects what no index may
+    hold: no rows (EmptyInput), a shape other than (len(ids), dim)
+    (DataError), an all-zero row (ZeroVector), a NaN or infinite
+    entry (DataError) and a repeated id (DuplicateId).
+    """
 
     kind = "flat"
 
-    def __init__(self, ids: list[str], vecs32: np.ndarray) -> None:
+    def __init__(self, ids: Sequence[str], vectors) -> None:
+        ids = list(ids)
+        if not ids:
+            raise EmptyInput("cannot build an index from zero vectors")
+        vecs32 = np.asarray(vectors, dtype=np.float32)
+        if vecs32.ndim != 2 or len(vecs32) != len(ids):
+            raise DataError(f"{len(ids)} ids need a ({len(ids)}, dim) matrix, got {vecs32.shape}")
         super().__init__(ids, vecs32)
         self._sq = _sq_norms(self._vecs32)
+        # The float64 square of a float32 entry is 0 or not finite only if
+        # the entry is, so the squared norms show both kinds of bad row.
+        zero, bad = self._sq == 0, ~np.isfinite(self._sq)
+        if zero.any():
+            raise ZeroVector(f"zero vector for id {ids[int(np.argmax(zero))]!r} cannot be indexed")
+        if bad.any():
+            vid = ids[int(np.argmax(bad))]
+            raise DataError(f"non-finite vector for id {vid!r} cannot be indexed")
+        if len(set(ids)) < len(ids):
+            raise DuplicateId(next(vid for vid, n in Counter(ids).items() if n > 1))
 
     def search_arrays(self, queries, k: int, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
         queries = self._queries(queries, k)
@@ -464,37 +455,11 @@ class IVFIndex(_BaseIndex):
         self._count(scanned, scanned)
         return rows, np.sqrt(d2)
 
-    def search(self, query: QueryVector, k: int, nprobe: int | None = None) -> list[SearchHit]:
-        return self._hits(*self.search_arrays([query], k, nprobe=nprobe))[0]
-
     def to_bytes(self) -> bytes:
         return _serialize(_KIND_IVF, self.dim, self.ids, self._vecs32, self._cent32, self._offsets)
 
 
 VectorIndex = Union[FlatIndex, IVFIndex]
-
-
-def _validate_vectors(
-    vectors: Sequence[tuple[str, EmbeddingVector]], dim: int
-) -> tuple[list[str], np.ndarray]:
-    if not vectors:
-        raise EmptyInput("cannot build an index from zero vectors")
-    ids: list[str] = []
-    seen: set[str] = set()
-    rows = np.empty((len(vectors), dim), dtype=np.float32)
-    for i, (vid, vec) in enumerate(vectors):
-        values = vec.values if isinstance(vec, EmbeddingVector) else np.asarray(vec, np.float32)
-        if values.shape != (dim,):
-            raise DimensionMismatch(dim, int(values.shape[-1]) if values.ndim else 0)
-        flagged_zero = isinstance(vec, EmbeddingVector) and vec.is_zero
-        if flagged_zero or not values.any():
-            raise ZeroVector(f"zero vector for id {vid!r} cannot be indexed")
-        if vid in seen:
-            raise DuplicateId(vid)
-        seen.add(vid)
-        ids.append(vid)
-        rows[i] = values
-    return ids, rows
 
 
 def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -555,21 +520,24 @@ def _kmeans(
     return centers, _assign(X, centers)
 
 
-def build_index(
-    vectors: Sequence[tuple[str, EmbeddingVector]], config: IndexConfig
-) -> VectorIndex:
-    """Build a flat or IVF index; deterministic given config.seed."""
-    ids, rows = _validate_vectors(vectors, config.dim)
+def build_index(flat: FlatIndex, config: IndexConfig) -> VectorIndex:
+    """The search index over `flat`'s rows: `flat` itself, or IVF trained on them.
+
+    Deterministic given config.seed.
+    """
+    if flat.dim != config.dim:
+        raise DimensionMismatch(config.dim, flat.dim)
     if config.kind == "flat":
-        return FlatIndex(ids, rows)
-    if config.nlist > len(ids):
-        raise NlistExceedsPoints(config.nlist, len(ids))
+        return flat
+    if config.nlist > len(flat):
+        raise NlistExceedsPoints(config.nlist, len(flat))
+    rows = flat.vectors
     rng = np.random.default_rng(config.seed)
     centers, assign = _kmeans(rows.astype(np.float64), config.nlist, config.kmeans_iters, rng)
     order = np.argsort(assign, kind="stable")
     counts = np.bincount(assign, minlength=config.nlist)
     offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.uint64)
-    grouped_ids = [ids[int(i)] for i in order]
+    grouped_ids = [flat.ids[int(i)] for i in order]
     return IVFIndex(
         grouped_ids,
         rows[order],
@@ -667,7 +635,6 @@ def index_from_bytes(data: bytes) -> VectorIndex:
 
 __all__ = [
     "IndexConfig",
-    "SearchHit",
     "FlatIndex",
     "IVFIndex",
     "VectorIndex",

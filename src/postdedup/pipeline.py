@@ -23,6 +23,7 @@ from itertools import combinations, product
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
+from .atomic import atomic_write
 from .config import PipelineConfig
 from .corpus import Posting, load_postings, pair_count, save_postings
 from .dedup import (
@@ -37,10 +38,10 @@ from .dedup import (
     saturation_report,
     threshold_sweep,
 )
-from .embed import EmbeddingVector, HashedEmbedder, RemoteEmbedder, truncation_report
+from .embed import HashedEmbedder, RemoteEmbedder, truncation_report
 from .errors import DataError
 from .evaluation import write_results_csv
-from .index import IndexConfig, IVFIndex, build_index, load_index
+from .index import FlatIndex, IVFIndex, build_index, load_index
 from .normalize import CanonicalText, ExactGroup, canonicalize, group_exact
 from .translate import TranslationCache, TranslationRequest, make_backend, translate_batch
 
@@ -155,30 +156,32 @@ def _translate(
 
 def _embed(
     rep_ids: Sequence[str], texts: Sequence[str], config: PipelineConfig, embedder=None
-) -> tuple[list[tuple[str, EmbeddingVector]], dict]:
-    """The non-zero embeddings as (id, vector) pairs, and their metadata."""
+) -> tuple[FlatIndex | None, dict]:
+    """The non-zero embeddings as a flat index (None if there are none), and their metadata."""
     if embedder is None:
         embedder = make_embedder(config)
     vectors = embedder.embed_many(texts)
-    id_vectors = [(rid, vec) for rid, vec in zip(rep_ids, vectors) if not vec.is_zero]
+    nonzero = vectors.any(axis=1)
+    flags = nonzero.tolist()
+    ids = [rid for rid, keep in zip(rep_ids, flags) if keep]
     meta = {
         "dim": config.embed.dim,
         "max_tokens": config.embed.max_tokens,
-        "zero_vector_ids": [rid for rid, vec in zip(rep_ids, vectors) if vec.is_zero],
+        "zero_vector_ids": [rid for rid, keep in zip(rep_ids, flags) if not keep],
         "truncation": truncation_report(texts, config.embed.max_tokens).to_dict(),
     }
-    return id_vectors, meta
+    return (FlatIndex(ids, vectors[nonzero]) if ids else None), meta
 
 
-def _build_search_index(id_vectors, config: PipelineConfig):
-    if not id_vectors:
+def _build_search_index(flat: FlatIndex | None, config: PipelineConfig):
+    if flat is None:
         return None
     index_config = config.index
     if index_config.kind == "ivf":
         # Desk-scale corpora can undershoot the configured partition count.
-        nlist = min(index_config.nlist, len(id_vectors))
+        nlist = min(index_config.nlist, len(flat))
         index_config = replace(index_config, nlist=nlist, nprobe=min(index_config.nprobe, nlist))
-    return build_index(id_vectors, index_config)
+    return build_index(flat, index_config)
 
 
 def _expand_pairs(
@@ -217,7 +220,7 @@ def _dedup(
     canonicals: Sequence[CanonicalText],
     groups: Sequence[ExactGroup],
     meta: dict,
-    queries: Sequence[tuple[str, EmbeddingVector]],
+    queries: FlatIndex | None,
     index,
     config: PipelineConfig,
     timings: dict,
@@ -299,15 +302,15 @@ def _run(
         _write_translated(groups, texts, outdir)
 
     rep_ids = [g.representative_id for g in groups]
-    id_vectors, meta = _timed(timings, "embed", _embed, rep_ids, texts, config, embedder)
+    embedded, meta = _timed(timings, "embed", _embed, rep_ids, texts, config, embedder)
     if outdir is not None:
-        _write_embedded(id_vectors, meta, outdir)
+        _write_embedded(embedded, meta, outdir)
 
-    index = _timed(timings, "index", _build_search_index, id_vectors, config)
+    index = _timed(timings, "index", _build_search_index, embedded, config)
     if outdir is not None and index is not None:
         index.save(Path(outdir) / INDEX_FILE)
 
-    result = _dedup(postings, canonicals, groups, meta, id_vectors, index, config, timings)
+    result = _dedup(postings, canonicals, groups, meta, embedded, index, config, timings)
     if outdir is not None:
         _write_result(result, outdir)
     return result
@@ -334,7 +337,7 @@ def _artifact(outdir: str | Path, name: str) -> Path:
 
 
 def _write_jsonl(records, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
@@ -372,14 +375,16 @@ def read_translated_file(path: str | Path) -> list[tuple[str, str]]:
     return [(r["id"], r["text"]) for r in _read_jsonl(path)]
 
 
-def _write_embedded(id_vectors, meta: dict, outdir: str | Path) -> None:
+def _write_json(document: dict, path: Path) -> None:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(document, indent=2))
+
+
+def _write_embedded(embedded: FlatIndex | None, meta: dict, outdir: str | Path) -> None:
     outdir = Path(outdir)
-    (outdir / EMBED_META_FILE).write_text(json.dumps(meta, indent=2), encoding="utf-8")
-    if id_vectors:
-        # The embeddings dump is a flat index file.
-        build_index(id_vectors, IndexConfig(kind="flat", dim=meta["dim"])).save(
-            outdir / EMBEDDINGS_FILE
-        )
+    _write_json(meta, outdir / EMBED_META_FILE)
+    if embedded is not None:
+        embedded.save(outdir / EMBEDDINGS_FILE)
     else:
         # drop stale artifacts so a re-run cannot mix corpora
         for name in (EMBEDDINGS_FILE, INDEX_FILE):
@@ -388,9 +393,7 @@ def _write_embedded(id_vectors, meta: dict, outdir: str | Path) -> None:
 
 def _write_result(result: PipelineResult, outdir: str | Path) -> None:
     write_results_csv(result.pairs, Path(outdir) / RESULTS_FILE)
-    (Path(outdir) / REPORT_FILE).write_text(
-        json.dumps(result.report.to_dict(), indent=2), encoding="utf-8"
-    )
+    _write_json(result.report.to_dict(), Path(outdir) / REPORT_FILE)
 
 
 def stage_ingest(config: PipelineConfig, outdir: str | Path) -> list[Posting]:
@@ -417,18 +420,16 @@ def stage_translate(config: PipelineConfig, outdir: str | Path, translator=None)
     return texts
 
 
-def stage_embed(
-    config: PipelineConfig, outdir: str | Path, embedder=None
-) -> list[tuple[str, EmbeddingVector]]:
+def stage_embed(config: PipelineConfig, outdir: str | Path, embedder=None) -> FlatIndex | None:
     translated = read_translated_file(_artifact(outdir, TRANSLATED_FILE))
     rep_ids, texts = [rid for rid, _ in translated], [text for _, text in translated]
-    id_vectors, meta = _embed(rep_ids, texts, config, embedder)
-    _write_embedded(id_vectors, meta, outdir)
-    return id_vectors
+    embedded, meta = _embed(rep_ids, texts, config, embedder)
+    _write_embedded(embedded, meta, outdir)
+    return embedded
 
 
 def stage_index(config: PipelineConfig, outdir: str | Path):
-    index = _build_search_index(load_index(_artifact(outdir, EMBEDDINGS_FILE)).items(), config)
+    index = _build_search_index(load_index(_artifact(outdir, EMBEDDINGS_FILE)), config)
     index.save(Path(outdir) / INDEX_FILE)
     return index
 
@@ -438,10 +439,10 @@ def stage_dedup(config: PipelineConfig, outdir: str | Path) -> PipelineResult:
     postings = load_postings(_artifact(outdir, POSTINGS_FILE))
     canonicals = read_canonical_file(_artifact(outdir, CANONICAL_FILE))
     meta = json.loads(_artifact(outdir, EMBED_META_FILE).read_text(encoding="utf-8"))
-    queries, index = [], None
+    queries = index = None
     embeddings_path = Path(outdir) / EMBEDDINGS_FILE
     if embeddings_path.exists():
-        queries = load_index(embeddings_path).items()
+        queries = load_index(embeddings_path)
         index = load_index(_artifact(outdir, INDEX_FILE))
         if isinstance(index, IVFIndex):
             # nprobe is a search-time knob, not persisted in the file.

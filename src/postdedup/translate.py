@@ -172,6 +172,9 @@ def make_backend(
     raise ConfigError(f"unknown translator kind {kind!r}")
 
 
+_CACHE_FIELDS = ("fingerprint", "target", "backend", "translated_text")
+
+
 class TranslationCache:
     """Append-only JSONL cache keyed by (fingerprint, target, backend).
 
@@ -179,7 +182,8 @@ class TranslationCache:
     new entries are appended under a lock, and the newest entry for a key
     wins when loading. A final line without its newline is an append cut
     off by a crash: loading drops it and truncates the file back to the
-    last newline. Any other malformed line raises DataError.
+    last newline. Any other malformed line, including one whose key fields
+    or translated text are not strings, raises DataError.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
@@ -197,8 +201,10 @@ class TranslationCache:
                 continue
             try:
                 record = json.loads(line.decode("utf-8"))
-                key = (record["fingerprint"], record["target"], record["backend"])
-                self._entries[key] = record["translated_text"]
+                fields = [record[name] for name in _CACHE_FIELDS]
+                if not all(isinstance(value, str) for value in fields):
+                    raise TypeError("cache record fields must be strings")
+                self._entries[tuple(fields[:3])] = fields[3]
             except (ValueError, KeyError, TypeError) as err:
                 raise DataError(f"malformed translation cache record at {path}:{line_no}") from err
         if complete < len(data):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from postdedup.corpus import Posting
-from postdedup.embed import EmbeddingVector
 
 
 def make_posting(pid: str, title: str = "chef", description: str = "", **kwargs) -> Posting:
@@ -37,13 +36,26 @@ def fuzz_noisy_string(rng: random.Random) -> str:
     return "".join(parts)
 
 
-def unit_vectors(n: int, dim: int, seed: int = 0) -> list[tuple[str, EmbeddingVector]]:
+def unit_vectors(n: int, dim: int, seed: int = 0) -> tuple[list[str], np.ndarray]:
+    """Ids v000000, v000001, ... and an (n, dim) float32 matrix of random unit rows."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, dim))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
+    return [f"v{i:06d}" for i in range(n)], X.astype(np.float32)
+
+
+def search_hits(index, queries, k: int, **kwargs) -> list[list[tuple[str, float]]]:
+    """Each query's hits from `search_arrays` as (id, distance) pairs, padding dropped."""
+    rows, distances = index.search_arrays(np.asarray(queries, dtype=np.float32), k, **kwargs)
     return [
-        (f"v{i:06d}", EmbeddingVector(X[i].astype(np.float32), "unit")) for i in range(n)
+        [(index.ids[r], d) for r, d in zip(row, dist) if r >= 0]
+        for row, dist in zip(rows.tolist(), distances.tolist())
     ]
+
+
+def search_one(index, query, k: int, **kwargs) -> list[tuple[str, float]]:
+    """One query's hits as (id, distance) pairs."""
+    return search_hits(index, [query], k, **kwargs)[0]
 
 
 class FakeResponse:

@@ -17,10 +17,10 @@ from postdedup.config import config_from_dict
 from postdedup.corpus import pair_count, save_postings
 from postdedup.dedup import choose_theta, pairs_from_hits, saturation_report, threshold_sweep
 from postdedup.dedup import CandidatePair, collect_hits
-from postdedup.embed import EmbeddingVector, truncation_report
+from postdedup.embed import truncation_report
 from postdedup.errors import CorruptIndex
 from postdedup.evaluation import score
-from postdedup.index import IndexConfig, build_index, index_from_bytes
+from postdedup.index import FlatIndex, IndexConfig, build_index, index_from_bytes
 from postdedup.normalize import NormalizeConfig, clean_text
 from postdedup.pipeline import (
     DICTIONARY_FILE,
@@ -33,7 +33,7 @@ from postdedup.pipeline import (
 from postdedup.synth import DupPlan, synth_corpus
 from postdedup.translate import TranslationRequest, translate_batch
 
-from conftest import fuzz_noisy_string, unit_vectors
+from conftest import fuzz_noisy_string, search_one, unit_vectors
 
 
 def _ok(criterion: str, detail: str) -> None:
@@ -51,10 +51,9 @@ def _oracle_top_k(ids, matrix64, query32, k):
 def test_criterion_1_flat_oracle_exactness():
     """Flat top-k equals the brute-force oracle, including tie order."""
     started = time.perf_counter()
-    vectors = unit_vectors(5_000, 64, seed=101)
-    index = build_index(vectors, IndexConfig(kind="flat", dim=64))
-    matrix = np.stack([vec.values for _, vec in vectors]).astype(np.float64)
-    ids = [vid for vid, _ in vectors]
+    ids, matrix = vectors = unit_vectors(5_000, 64, seed=101)
+    index = build_index(FlatIndex(*vectors), IndexConfig(kind="flat", dim=64))
+    matrix = matrix.astype(np.float64)
 
     rng = np.random.default_rng(102)
     queries = rng.normal(size=(500, 64))
@@ -63,9 +62,9 @@ def test_criterion_1_flat_oracle_exactness():
 
     for k in (1, 10, 100):
         for qi in range(500):
-            hits = index.search(queries[qi], k)
+            hits = search_one(index, queries[qi], k)
             oracle = _oracle_top_k(ids, matrix, queries[qi], k)
-            assert [(h.distance, h.id) for h in hits] == oracle, (k, qi)
+            assert [(d, vid) for vid, d in hits] == oracle, (k, qi)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
     _ok("1", f"5000 vectors, 500 queries, k in {{1,10,100}} exact in {elapsed:.1f}s")
@@ -73,7 +72,7 @@ def test_criterion_1_flat_oracle_exactness():
 
 def test_criterion_2_ivf_completeness_and_recall():
     """IVF probing all lists is exact; probing nlist/8 keeps recall@100 >= 0.95."""
-    vectors = unit_vectors(5_000, 64, seed=101)
+    vectors = FlatIndex(*unit_vectors(5_000, 64, seed=101))
     flat = build_index(vectors, IndexConfig(kind="flat", dim=64))
     ivf = build_index(
         vectors, IndexConfig(kind="ivf", dim=64, nlist=64, nprobe=64, kmeans_iters=20, seed=7)
@@ -81,18 +80,14 @@ def test_criterion_2_ivf_completeness_and_recall():
     rng = np.random.default_rng(103)
     for _ in range(100):
         q = rng.normal(size=64).astype(np.float32)
-        fhits = flat.search(q, 100)
-        ihits = ivf.search(q, 100)
-        assert [(h.id, h.distance) for h in fhits] == [(h.id, h.distance) for h in ihits]
+        assert search_one(flat, q, 100) == search_one(ivf, q, 100)
 
     # recall on a 16-component Gaussian mixture of 20,000 points
     rng = np.random.default_rng(104)
     centers = rng.normal(size=(16, 32)) * 10.0
     assignments = rng.integers(16, size=20_000)
     points = (centers[assignments] + rng.normal(size=(20_000, 32))).astype(np.float32)
-    gmm_vectors = [
-        (f"g{i:05d}", EmbeddingVector(points[i], "unit")) for i in range(20_000)
-    ]
+    gmm_vectors = FlatIndex([f"g{i:05d}" for i in range(20_000)], points)
     gmm_flat = build_index(gmm_vectors, IndexConfig(kind="flat", dim=32))
     gmm_ivf = build_index(
         gmm_vectors, IndexConfig(kind="ivf", dim=32, nlist=64, nprobe=8, kmeans_iters=20, seed=9)
@@ -101,8 +96,8 @@ def test_criterion_2_ivf_completeness_and_recall():
     queries = (centers[query_assign] + rng.normal(size=(200, 32))).astype(np.float32)
     recalls = []
     for i in range(200):
-        truth = {h.id for h in gmm_flat.search(queries[i], 100)}
-        approx = {h.id for h in gmm_ivf.search(queries[i], 100)}
+        truth = {vid for vid, _ in search_one(gmm_flat, queries[i], 100)}
+        approx = {vid for vid, _ in search_one(gmm_ivf, queries[i], 100)}
         recalls.append(len(truth & approx) / 100)
     mean_recall = float(np.mean(recalls))
     assert mean_recall >= 0.95
@@ -116,7 +111,7 @@ def test_criterion_3_comparison_reduction_arithmetic():
     reduction = 1 - pair_count(61_500) / pair_count(112_000)
     assert abs(reduction - 0.70) <= 0.002  # +/- 0.2 percentage points
 
-    vectors = unit_vectors(10_000, 16, seed=105)
+    vectors = FlatIndex(*unit_vectors(10_000, 16, seed=105))
     index = build_index(vectors, IndexConfig(kind="flat", dim=16))
     pairs = pairs_from_hits(collect_hits(index, vectors, k=100))
     brute = pair_count(10_000)
@@ -243,17 +238,18 @@ def test_criterion_7_diagnostics_correctness():
     rng = np.random.default_rng(701)
     anchor = rng.normal(size=dim)
     anchor /= np.linalg.norm(anchor)
-    clique = []
-    for i in range(k + 5):
-        noisy = anchor + rng.normal(size=dim) * 1e-3
-        noisy /= np.linalg.norm(noisy)
-        clique.append((f"c{i:02d}", EmbeddingVector(noisy.astype(np.float32), "unit")))
-    background = [(f"z{vid}", vec) for vid, vec in unit_vectors(200, dim, seed=702)]
-    vectors = clique + background
+    clique = anchor + rng.normal(size=(k + 5, dim)) * 1e-3
+    clique /= np.linalg.norm(clique, axis=1, keepdims=True)
+    clique_ids = [f"c{i:02d}" for i in range(k + 5)]
+    background_ids, background = unit_vectors(200, dim, seed=702)
+    vectors = FlatIndex(
+        clique_ids + [f"z{vid}" for vid in background_ids],
+        np.concatenate([clique.astype(np.float32), background]),
+    )
     index = build_index(vectors, IndexConfig(kind="flat", dim=dim))
     hits = collect_hits(index, vectors, k=k)
     sat = saturation_report(hits, theta=theta, k=k)
-    assert sat.saturated_ids == sorted(vid for vid, _ in clique)
+    assert sat.saturated_ids == sorted(clique_ids)
     assert sat.count == k + 5
     _ok("7", f"truncation stats exact; saturation flags exactly the {k + 5} clique members")
 

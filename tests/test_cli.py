@@ -53,10 +53,9 @@ def test_golden_path_synth_dedup_eval(tmp_path, capsys):
     assert "macro F1" in out
 
 
-def test_malformed_embed_response_exits_backend_error(tmp_path, monkeypatch, capsys):
+def dedup_with_embed_session(tmp_path, monkeypatch, capsys, session) -> tuple[int, str]:
+    """Run `dedup` with the remote embedder talking to `session`; return code and stderr."""
     import requests
-
-    from conftest import FakeResponse, FakeSession
 
     outdir = tmp_path / "run"
     assert run_cli(*synth_args(outdir, n_base=20)) == 0
@@ -65,17 +64,44 @@ def test_malformed_embed_response_exits_backend_error(tmp_path, monkeypatch, cap
         yaml.safe_dump({"embed": {"kind": "remote", "endpoint": "http://embed.invalid/e"}}),
         encoding="utf-8",
     )
-    session = FakeSession(FakeResponse(200, "<html>upstream busy</html>"))
     monkeypatch.setattr(requests, "Session", lambda: session)
     monkeypatch.setattr("postdedup.batching.time.sleep", lambda seconds: None)
     capsys.readouterr()
     code = run_cli(
         "dedup", "--out", outdir, "--config", config, "--dict", outdir / DICTIONARY_FILE,
     )
-    err = capsys.readouterr().err
+    return code, capsys.readouterr().err
+
+
+def test_malformed_embed_response_exits_backend_error(tmp_path, monkeypatch, capsys):
+    from conftest import FakeResponse, FakeSession
+
+    session = FakeSession(FakeResponse(200, "<html>upstream busy</html>"))
+    code, err = dedup_with_embed_session(tmp_path, monkeypatch, capsys, session)
     assert code == 4, err
     assert "backend error" in err
     assert len(session.calls) == 5  # retried before giving up
+
+
+def test_nan_in_embed_response_exits_backend_error(tmp_path, monkeypatch, capsys):
+    from conftest import FakeResponse
+
+    class NaNSession:
+        """Answers every batch with the right count and dimension, one entry NaN."""
+
+        calls = 0
+
+        def post(self, url, **kwargs):
+            self.calls += 1
+            vectors = [[1.0] * 256 for _ in kwargs["json"]["texts"]]
+            vectors[-1][0] = float("nan")
+            return FakeResponse(200, json.dumps({"dim": 256, "vectors": vectors}))
+
+    session = NaNSession()
+    code, err = dedup_with_embed_session(tmp_path, monkeypatch, capsys, session)
+    assert code == 4, err
+    assert "NaN or infinite" in err
+    assert session.calls == 5  # one batch, retried before giving up
 
 
 def test_dedup_without_ingest_artifact_is_data_error(tmp_path):
@@ -98,6 +124,15 @@ def test_unknown_config_key_is_config_error(tmp_path):
     config = tmp_path / "bad.yaml"
     config.write_text("dedupe: {}\n", encoding="utf-8")
     assert run_cli("dedup", "--out", tmp_path, "--config", config) == 2
+
+
+def test_removed_output_dir_key_is_config_error(tmp_path, capsys):
+    # `--out` alone picks the artifact directory; the old key must not be
+    # accepted and then ignored.
+    config = tmp_path / "old.yaml"
+    config.write_text("io: {output_dir: run}\n", encoding="utf-8")
+    assert run_cli("dedup", "--out", tmp_path, "--config", config) == 2
+    assert "output_dir" in capsys.readouterr().err
 
 
 def test_same_config_and_seed_byte_identical_results(tmp_path):
@@ -252,3 +287,21 @@ def test_malformed_translation_cache_line_is_data_error(tmp_path):
     assert run_cli(
         "dedup", "--out", outdir, "--dict", outdir / DICTIONARY_FILE, "--config", config_path
     ) == 3
+
+
+def test_non_string_translation_cache_text_is_data_error(tmp_path, capsys):
+    outdir = tmp_path / "run"
+    assert run_cli(*synth_args(outdir, n_base=10)) == 0
+    cache_path = tmp_path / "cache.jsonl"
+    config_path = tmp_path / "run.yaml"
+    config_path.write_text(
+        yaml.safe_dump({"translate": {"cache_path": str(cache_path)}}), encoding="utf-8"
+    )
+    args = ("dedup", "--out", outdir, "--dict", outdir / DICTIONARY_FILE, "--config", config_path)
+    assert run_cli(*args) == 0
+    records = [json.loads(line) for line in cache_path.read_text(encoding="utf-8").splitlines()]
+    records[0]["translated_text"] = 5  # a hit for the next run, but not text
+    cache_path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(*args) == 3
+    assert "malformed translation cache record" in capsys.readouterr().err

@@ -21,15 +21,10 @@ from postdedup.dedup import (
     saturation_report,
     threshold_sweep,
 )
-from postdedup.embed import EmbeddingVector
 from postdedup.errors import ConfigError, NoMatchingRule, UnknownId
-from postdedup.index import IndexConfig, build_index
+from postdedup.index import FlatIndex, IndexConfig, build_index
 
 from conftest import make_posting, unit_vectors
-
-
-def ev(values) -> EmbeddingVector:
-    return EmbeddingVector(np.asarray(values, dtype=np.float32), "unit")
 
 
 def pair(a, b, d) -> CandidatePair:
@@ -49,27 +44,26 @@ def count_under(pairs, theta):
 
 class TestCandidatePairs:
     def test_three_identical_vectors_complete_graph(self):
-        vectors = [(f"v{i}", ev([1, 0])) for i in range(3)]
+        vectors = FlatIndex([f"v{i}" for i in range(3)], [[1, 0]] * 3)
         index = build_index(vectors, IndexConfig(dim=2))
         pairs = pairs_from_hits(collect_hits(index, vectors, k=2))
         assert {p.key for p in pairs} == {("v0", "v1"), ("v0", "v2"), ("v1", "v2")}
         assert all(p.distance == 0.0 for p in pairs)
 
     def test_k_capped_by_index_size(self):
-        vectors = [("a", ev([1, 0])), ("b", ev([0, 1]))]
+        vectors = FlatIndex(["a", "b"], [[1, 0], [0, 1]])
         index = build_index(vectors, IndexConfig(dim=2))
         pairs = pairs_from_hits(collect_hits(index, vectors, k=100))
         assert {p.key for p in pairs} == {("a", "b")}
 
     def test_matches_exhaustive_knn_oracle(self):
-        vectors = unit_vectors(500, 16, seed=77)
-        index = build_index(vectors, IndexConfig(dim=16))
-        got = {p.key for p in pairs_from_hits(collect_hits(index, vectors, k=10))}
+        ids, matrix = vectors = unit_vectors(500, 16, seed=77)
+        index = build_index(FlatIndex(*vectors), IndexConfig(dim=16))
+        got = {p.key for p in pairs_from_hits(collect_hits(index, index, k=10))}
 
         # oracle: full distance matrix in float64, take each row's true
         # 10 nearest (excluding self, ties by id), union as sorted pairs
-        matrix = np.stack([v.values for _, v in vectors]).astype(np.float64)
-        ids = [vid for vid, _ in vectors]
+        matrix = matrix.astype(np.float64)
         expected = set()
         for i in range(len(ids)):
             d = np.sqrt(((matrix - matrix[i]) ** 2).sum(axis=1))
@@ -80,9 +74,8 @@ class TestCandidatePairs:
         assert got == expected
 
     def test_canonical_form(self):
-        vectors = unit_vectors(50, 8, seed=78)
-        index = build_index(vectors, IndexConfig(dim=8))
-        pairs = pairs_from_hits(collect_hits(index, vectors, k=5))
+        index = build_index(FlatIndex(*unit_vectors(50, 8, seed=78)), IndexConfig(dim=8))
+        pairs = pairs_from_hits(collect_hits(index, index, k=5))
         for p in pairs:
             assert p.id_a < p.id_b
 
@@ -330,14 +323,14 @@ class TestClassify:
 
 class TestSaturation:
     def test_all_hits_under_theta_saturated(self):
-        vectors = [("q", ev([1, 0])), ("n1", ev([1, 0.01])), ("n2", ev([1, 0.02]))]
+        vectors = FlatIndex(["q", "n1", "n2"], [[1, 0], [1, 0.01], [1, 0.02]])
         index = build_index(vectors, IndexConfig(dim=2))
         hits = collect_hits(index, vectors, k=2)
         report = saturation_report(hits, theta=0.25, k=2)
         assert "q" in report.saturated_ids
 
     def test_kth_hit_over_theta_not_saturated(self):
-        vectors = [("q", ev([1, 0])), ("n1", ev([1, 0.1])), ("far", ev([0, 1]))]
+        vectors = FlatIndex(["q", "n1", "far"], [[1, 0], [1, 0.1], [0, 1]])
         index = build_index(vectors, IndexConfig(dim=2))
         hits = collect_hits(index, vectors, k=2)
         report = saturation_report(hits, theta=0.25, k=2)
@@ -350,20 +343,17 @@ class TestSaturation:
         rng = np.random.default_rng(55)
         clique = rng.normal(size=dim)
         clique /= np.linalg.norm(clique)
-        vectors = []
-        for i in range(k + 5):
-            noisy = clique + rng.normal(size=dim) * 0.001
-            noisy /= np.linalg.norm(noisy)
-            vectors.append((f"c{i:02d}", ev(noisy)))
-        background = unit_vectors(100, dim, seed=56)
-        vectors += [(f"z{vid}", vec) for vid, vec in background]
+        noisy = clique + rng.normal(size=(k + 5, dim)) * 0.001
+        noisy /= np.linalg.norm(noisy, axis=1, keepdims=True)
+        background_ids, background = unit_vectors(100, dim, seed=56)
+        ids = [f"c{i:02d}" for i in range(k + 5)] + [f"z{vid}" for vid in background_ids]
+        matrix = np.concatenate([noisy.astype(np.float32), background])
 
-        index = build_index(vectors, IndexConfig(dim=dim))
-        hits = collect_hits(index, vectors, k=k)
+        index = build_index(FlatIndex(ids, matrix), IndexConfig(dim=dim))
+        hits = collect_hits(index, index, k=k)
         report = saturation_report(hits, theta=theta, k=k)
 
-        matrix = np.stack([v.values for _, v in vectors]).astype(np.float64)
-        ids = [vid for vid, _ in vectors]
+        matrix = matrix.astype(np.float64)
         expected = []
         for i, vid in enumerate(ids):
             d = np.sqrt(((matrix - matrix[i]) ** 2).sum(axis=1))

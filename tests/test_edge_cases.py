@@ -11,53 +11,48 @@ import pytest
 
 from postdedup.config import config_from_dict
 from postdedup.dedup import collect_hits, pairs_from_hits
-from postdedup.embed import EmbeddingVector
 from postdedup.errors import CorruptIndex
-from postdedup.index import IndexConfig, IVFIndex, build_index, index_from_bytes
+from postdedup.index import FlatIndex, IndexConfig, build_index, index_from_bytes
 from postdedup.normalize import clean_text, decode_entities
 from postdedup.pipeline import run_pipeline
 from postdedup.translate import TranslationCache
 
-from conftest import unit_vectors
+from conftest import search_one, unit_vectors
 
 
-def ev(values) -> EmbeddingVector:
-    return EmbeddingVector(np.asarray(values, dtype=np.float32), "unit")
+def one_point() -> FlatIndex:
+    return FlatIndex(["only"], [[1.0, 0.0]])
 
 
 class TestDegenerateIndexes:
     def test_ivf_with_duplicate_heavy_data_leaves_empty_lists(self):
         # only two distinct points: most clusters stay empty, search still exact
-        vectors = [(f"v{i:02d}", ev([1.0, 0.0])) for i in range(10)]
-        vectors += [(f"w{i:02d}", ev([0.0, 1.0])) for i in range(10)]
+        ids = [f"v{i:02d}" for i in range(10)] + [f"w{i:02d}" for i in range(10)]
+        vectors = FlatIndex(ids, [[1.0, 0.0]] * 10 + [[0.0, 1.0]] * 10)
         ivf = build_index(vectors, IndexConfig(kind="ivf", dim=2, nlist=8, nprobe=8, seed=0))
         assert sum(ivf.list_sizes()) == 20
-        hits = ivf.search(ev([1.0, 0.0]), 20)
-        assert [h.id for h in hits[:10]] == [f"v{i:02d}" for i in range(10)]
-        assert all(h.distance == 0.0 for h in hits[:10])
+        hits = search_one(ivf, [1.0, 0.0], 20)
+        assert hits[:10] == [(f"v{i:02d}", 0.0) for i in range(10)]
 
     def test_ivf_nlist_equal_to_point_count(self):
-        vectors = unit_vectors(12, 4, seed=31)
-        ivf = build_index(vectors, IndexConfig(kind="ivf", dim=4, nlist=12, nprobe=12, seed=2))
-        flat = build_index(vectors, IndexConfig(dim=4))
-        q = vectors[3][1]
-        assert [(h.id, h.distance) for h in ivf.search(q, 5)] == [
-            (h.id, h.distance) for h in flat.search(q, 5)
-        ]
+        _, matrix = vectors = unit_vectors(12, 4, seed=31)
+        flat = build_index(FlatIndex(*vectors), IndexConfig(dim=4))
+        ivf = build_index(flat, IndexConfig(kind="ivf", dim=4, nlist=12, nprobe=12, seed=2))
+        q = matrix[3]
+        assert search_one(ivf, q, 5) == search_one(flat, q, 5)
 
     def test_single_point_index(self):
-        index = build_index([("only", ev([1.0, 0.0]))], IndexConfig(dim=2))
-        hits = index.search(ev([0.0, 1.0]), 5)
-        assert len(hits) == 1
-        assert hits[0].id == "only"
+        index = build_index(one_point(), IndexConfig(dim=2))
+        hits = search_one(index, [0.0, 1.0], 5)
+        assert [vid for vid, _ in hits] == ["only"]
 
     def test_search_rejects_nonpositive_k(self):
-        index = build_index([("only", ev([1.0, 0.0]))], IndexConfig(dim=2))
+        index = build_index(one_point(), IndexConfig(dim=2))
         with pytest.raises(ValueError):
-            index.search(ev([1.0, 0.0]), 0)
+            index.search_arrays(np.array([[1.0, 0.0]], dtype=np.float32), 0)
 
     def test_candidate_pairs_on_two_point_index(self):
-        vectors = [("a", ev([1.0, 0.0])), ("b", ev([0.0, 1.0]))]
+        vectors = FlatIndex(["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
         index = build_index(vectors, IndexConfig(dim=2))
         assert {p.key for p in pairs_from_hits(collect_hits(index, vectors, k=5))} == {("a", "b")}
 
@@ -72,7 +67,7 @@ class TestStructuralCorruption:
         return bytes(payload) + struct.pack("<I", zlib.crc32(bytes(payload)))
 
     def test_unsupported_version(self):
-        raw = build_index([("a", ev([1.0, 0.0]))], IndexConfig(dim=2)).to_bytes()
+        raw = FlatIndex(["a"], [[1.0, 0.0]]).to_bytes()
 
         def bump_version(payload):
             payload[4:6] = struct.pack("<H", 99)
@@ -81,7 +76,7 @@ class TestStructuralCorruption:
             index_from_bytes(self._reseal(raw, bump_version))
 
     def test_unknown_kind(self):
-        raw = build_index([("a", ev([1.0, 0.0]))], IndexConfig(dim=2)).to_bytes()
+        raw = FlatIndex(["a"], [[1.0, 0.0]]).to_bytes()
 
         def set_kind(payload):
             payload[6] = 7
@@ -90,7 +85,7 @@ class TestStructuralCorruption:
             index_from_bytes(self._reseal(raw, set_kind))
 
     def test_inconsistent_ivf_offsets(self):
-        vectors = unit_vectors(16, 4, seed=33)
+        vectors = FlatIndex(*unit_vectors(16, 4, seed=33))
         ivf = build_index(vectors, IndexConfig(kind="ivf", dim=4, nlist=4, nprobe=2, seed=3))
         raw = ivf.to_bytes()
         header = 4 + struct.calcsize("<HBIQ") + 4  # magic+fields+nlist
@@ -103,7 +98,7 @@ class TestStructuralCorruption:
             index_from_bytes(self._reseal(raw, break_offsets))
 
     def test_trailing_garbage_rejected(self):
-        raw = build_index([("a", ev([1.0, 0.0]))], IndexConfig(dim=2)).to_bytes()
+        raw = FlatIndex(["a"], [[1.0, 0.0]]).to_bytes()
 
         def append_garbage(payload):
             payload.extend(b"XX")

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from postdedup.embed import (
     HashedEmbedder,
     RemoteEmbedder,
-    embed_batch,
     hashed_bow_embed,
     token_hash,
     tokenize,
@@ -109,24 +108,24 @@ class TestTruncationReport:
 class TestHashedEmbedding:
     def test_empty_tokens_zero_vector(self):
         vec = hashed_bow_embed([], 64)
-        assert vec.norm_flag == "zero"
-        assert not vec.values.any()
+        assert vec.shape == (64,) and vec.dtype == np.float32
+        assert not vec.any()
 
     def test_single_token_single_coordinate(self):
         vec = hashed_bow_embed(["nurse"], 64)
-        nonzero = np.nonzero(vec.values)[0]
+        nonzero = np.nonzero(vec)[0]
         assert len(nonzero) == 1
-        assert abs(abs(float(vec.values[nonzero[0]])) - 1.0) < 1e-7
+        assert abs(abs(float(vec[nonzero[0]])) - 1.0) < 1e-7
 
     def test_deterministic_bitwise(self):
         a = hashed_bow_embed(["a", "b", "c"], 128)
         b = hashed_bow_embed(["a", "b", "c"], 128)
-        assert a.values.tobytes() == b.values.tobytes()
+        assert a.tobytes() == b.tobytes()
 
     def test_equal_multisets_identical(self):
         a = hashed_bow_embed(["x", "y", "z", "x"], 128)
         b = hashed_bow_embed(["z", "x", "x", "y"], 128)
-        assert a.values.tobytes() == b.values.tobytes()
+        assert a.tobytes() == b.tobytes()
 
     def test_scaling_invariance_against_dot_oracle(self):
         rng = random.Random(17)
@@ -134,22 +133,20 @@ class TestHashedEmbedding:
             tokens = [f"tok{rng.randint(0, 400)}" for _ in range(rng.randint(1, 60))]
             a = hashed_bow_embed(tokens, 256)
             doubled = hashed_bow_embed(tokens + tokens, 256)
-            if a.norm_flag == "zero":
-                assert doubled.norm_flag == "zero"
+            if not a.any():
+                assert not doubled.any()
                 continue
             # doubling every count scales the pre-normalization vector by
             # exactly 2, so the normalized vectors are bitwise identical
-            assert a.values.tobytes() == doubled.values.tobytes()
-            cos = float(
-                np.dot(a.values.astype(np.float64), doubled.values.astype(np.float64))
-            )
+            assert a.tobytes() == doubled.tobytes()
+            cos = float(np.dot(a.astype(np.float64), doubled.astype(np.float64)))
             assert cos == pytest.approx(1.0, abs=1e-6)
 
     def test_truncation_applied_before_hashing(self):
         tokens = [f"t{i}" for i in range(500)]
         full = hashed_bow_embed(tokens, 128, max_tokens=384)
         head = hashed_bow_embed(tokens[:384], 128, max_tokens=384)
-        assert full.values.tobytes() == head.values.tobytes()
+        assert full.tobytes() == head.tobytes()
 
     def test_token_hash_is_stable(self):
         # Frozen 64-bit value of blake2b("nurse", digest_size=8), little-endian.
@@ -167,8 +164,8 @@ class TestHashedEmbedding:
 @given(st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=50))
 def test_unit_norm_invariant(tokens):
     vec = hashed_bow_embed(tokens, 64)
-    norm = float(np.linalg.norm(vec.values.astype(np.float64)))
-    if vec.norm_flag == "unit":
+    norm = float(np.linalg.norm(vec.astype(np.float64)))
+    if vec.any():
         assert abs(norm - 1.0) <= 1e-4
     else:
         assert norm == 0.0
@@ -181,7 +178,7 @@ def test_bag_property_random_permutations(tokens, pyrandom):
     pyrandom.shuffle(shuffled)
     a = hashed_bow_embed(tokens, 64)
     b = hashed_bow_embed(shuffled, 64)
-    assert a.values.tobytes() == b.values.tobytes()
+    assert a.tobytes() == b.tobytes()
 
 
 # -- regex tokenizer and bucket sums against the per-token loops --------------
@@ -233,20 +230,29 @@ def test_tokenize_equals_per_chunk_loop(text):
     assert tokenize(text) == tokenize_loop(text)
 
 
+# Empty, blank and punctuation-only texts.
+_EMPTYISH = st.sampled_from(["", "   ", "\t\n", "!!", "?", "-- ..", "! !", "!! !!"])
+
+
 @settings(max_examples=200)
-@given(st.lists(_TEXT, max_size=6), st.sampled_from([1, 3, 384]))
-def test_hashed_embedding_equals_bucket_loop_bitwise(texts, max_tokens):
-    texts = texts + ["", "   ", "!!"]
+@given(
+    st.lists(st.one_of(_TEXT, _EMPTYISH), max_size=10),
+    st.sampled_from([1, 3, 384]),
+    st.randoms(use_true_random=False),
+)
+def test_hashed_embedding_equals_bucket_loop_bitwise(texts, max_tokens, pyrandom):
+    texts = texts + ["", "   ", "!!", "nurse on call"]
+    pyrandom.shuffle(texts)  # empty, punctuation-only and normal texts interleaved
     for dim in (64, 257):  # two widths in one process: buckets depend on dim
         embedder = HashedEmbedder(dim=dim, max_tokens=max_tokens)
         batch = embedder.embed_many(texts)
+        assert batch.shape == (len(texts), dim) and batch.dtype == np.float32
         for text, vec in zip(texts, batch):
             expected = bow_loop(tokenize_loop(text), dim, max_tokens)
             single = hashed_bow_embed(tokenize(text), dim, max_tokens)
-            assert vec.values.dtype == single.values.dtype == np.float32
-            assert np.array_equal(vec.values.view(np.uint32), expected.view(np.uint32))
-            assert np.array_equal(single.values.view(np.uint32), expected.view(np.uint32))
-            assert vec.norm_flag == ("unit" if expected.any() else "zero")
+            assert single.dtype == np.float32
+            assert np.array_equal(vec.view(np.uint32), expected.view(np.uint32))
+            assert np.array_equal(single.view(np.uint32), expected.view(np.uint32))
 
 
 def test_distance_cosine_link_at_threshold():
@@ -266,9 +272,11 @@ def test_distance_cosine_link_at_threshold():
 
 def test_embed_batch_order_and_flags():
     backend = HashedEmbedder(dim=64)
-    vectors = embed_batch(["nurse on call", ""], backend)
-    assert vectors[0].norm_flag == "unit"
-    assert vectors[1].norm_flag == "zero"
+    vectors = backend.embed_many(["nurse on call", "", "nurse on call"])
+    assert vectors.shape == (3, 64) and vectors.dtype == np.float32
+    assert vectors[0].any() and not vectors[1].any()
+    assert vectors[2].tobytes() == vectors[0].tobytes()
+    assert backend.embed_many([]).shape == (0, 64)
 
 
 # -- remote embedder ------------------------------------------------------------
@@ -305,8 +313,8 @@ def embed_server():
 def test_remote_embedder_handshake(embed_server):
     backend = RemoteEmbedder(embed_server, dim=4)
     vectors = backend.embed_many(["abc", "defgh"])
-    assert all(v.norm_flag == "unit" for v in vectors)
-    assert all(abs(np.linalg.norm(v.values) - 1.0) < 1e-4 for v in vectors)
+    assert vectors.shape == (2, 4) and vectors.dtype == np.float32
+    assert all(abs(np.linalg.norm(v) - 1.0) < 1e-4 for v in vectors)
 
 
 def test_remote_embedder_dimension_mismatch(embed_server):
@@ -349,6 +357,17 @@ def test_remote_embedder_malformed_body_is_retried_then_unavailable(body, no_bac
     assert len(session.calls) == 5  # every attempt of the default retry policy
 
 
+def test_remote_embedder_non_finite_entry_is_retried_then_unavailable(no_backoff):
+    # Python's json reads the NaN and Infinity literals as floats.
+    body = '{"dim": 2, "vectors": [[NaN, 1.0], [Infinity, 0.0], [1.0, 0.0]]}'
+    for vectors in (body, body.replace("Infinity", "-Infinity").replace("NaN", "0.5")):
+        session = FakeSession(FakeResponse(200, vectors))
+        backend = RemoteEmbedder("http://embed.invalid/embed", dim=2, session=session)
+        with pytest.raises(BackendUnavailable, match="NaN or infinite"):
+            backend.embed_many(["a", "b", "c"])
+        assert len(session.calls) == 5
+
+
 def test_remote_embedder_rate_limit_waits_retry_after(no_backoff):
     session = FakeSession(
         FakeResponse(429, "", {"Retry-After": "3"}),
@@ -356,5 +375,5 @@ def test_remote_embedder_rate_limit_waits_retry_after(no_backoff):
     )
     backend = RemoteEmbedder("http://embed.invalid/embed", dim=4, session=session)
     [vector] = backend.embed_many(["abc"])
-    assert vector.values.tolist() == pytest.approx([0.6, 0.8, 0.0, 0.0])
+    assert vector.tolist() == pytest.approx([0.6, 0.8, 0.0, 0.0])
     assert no_backoff and no_backoff[0] >= 3.0

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from postdedup.embed import EmbeddingVector
 from postdedup.errors import (
     CorruptIndex,
+    DataError,
     DimensionMismatch,
     DuplicateId,
     EmptyInput,
@@ -29,7 +29,7 @@ from postdedup.index import (
     load_index,
 )
 
-from conftest import unit_vectors
+from conftest import search_hits, search_one, unit_vectors
 
 
 def brute_force_search(ids, matrix32, query32, k):
@@ -47,89 +47,104 @@ def brute_force_search(ids, matrix32, query32, k):
     return hits[:k]
 
 
-def as_matrix(vectors):
-    return np.stack([vec.values for _, vec in vectors])
-
-
-def ev(values) -> EmbeddingVector:
-    return EmbeddingVector(np.asarray(values, dtype=np.float32), "unit")
+def two_axes() -> FlatIndex:
+    return FlatIndex(["e1", "e2"], [[1, 0], [0, 1]])
 
 
 class TestFlatBasics:
     def test_two_vector_index(self):
-        index = build_index([("e1", ev([1, 0])), ("e2", ev([0, 1]))], IndexConfig(dim=2))
+        index = build_index(two_axes(), IndexConfig(dim=2))
         assert len(index) == 2
 
     def test_nearest_at_distance_zero(self):
-        index = build_index([("e1", ev([1, 0])), ("e2", ev([0, 1]))], IndexConfig(dim=2))
-        hits = index.search(ev([1, 0]), 1)
-        assert [(h.id, h.distance) for h in hits] == [("e1", 0.0)]
+        index = build_index(two_axes(), IndexConfig(dim=2))
+        assert search_one(index, [1, 0], 1) == [("e1", 0.0)]
 
     def test_second_hit_is_sqrt2(self):
-        index = build_index([("e1", ev([1, 0])), ("e2", ev([0, 1]))], IndexConfig(dim=2))
-        hits = index.search(ev([1, 0]), 2)
-        assert hits[0].id == "e1"
-        assert hits[1].id == "e2"
-        assert hits[1].distance == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        index = build_index(two_axes(), IndexConfig(dim=2))
+        hits = search_one(index, [1, 0], 2)
+        assert hits[0][0] == "e1"
+        assert hits[1][0] == "e2"
+        assert hits[1][1] == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
     def test_k_larger_than_index_returns_all(self):
-        index = build_index([("e1", ev([1, 0])), ("e2", ev([0, 1]))], IndexConfig(dim=2))
-        assert len(index.search(ev([1, 0]), 100)) == 2
+        index = build_index(two_axes(), IndexConfig(dim=2))
+        assert len(search_one(index, [1, 0], 100)) == 2
 
     def test_ties_break_by_ascending_id(self):
-        vectors = [("z", ev([1, 0])), ("a", ev([1, 0])), ("m", ev([1, 0]))]
-        index = build_index(vectors, IndexConfig(dim=2))
-        hits = index.search(ev([1, 0]), 3)
-        assert [h.id for h in hits] == ["a", "m", "z"]
+        index = build_index(FlatIndex(["z", "a", "m"], [[1, 0]] * 3), IndexConfig(dim=2))
+        assert [vid for vid, _ in search_one(index, [1, 0], 3)] == ["a", "m", "z"]
+
+    def test_flat_build_returns_the_flat_index(self):
+        flat = two_axes()
+        assert build_index(flat, IndexConfig(kind="flat", dim=2)) is flat
+
+    def test_vectors_are_the_stored_rows_read_only(self):
+        rows = np.array([[1, 0], [0.5, 0.5]], dtype=np.float32)
+        index = FlatIndex(["a", "b"], rows)
+        assert index.vectors.tobytes() == rows.tobytes()
+        with pytest.raises(ValueError):
+            index.vectors[0, 0] = 2.0
+        rows[0, 0] = 3.0  # the caller's array stays writable
+        assert rows.flags.writeable
 
 
 class TestBuildValidation:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            build_index([], IndexConfig(dim=2))
+            FlatIndex([], np.empty((0, 2), dtype=np.float32))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            build_index([("a", ev([1, 0, 0]))], IndexConfig(dim=2))
+            build_index(FlatIndex(["a"], [[1, 0, 0]]), IndexConfig(dim=2))
+
+    def test_shape_other_than_one_row_per_id_rejected(self):
+        for rows in ([[1, 0]], [1, 0], [[[1, 0]], [[0, 1]]]):
+            with pytest.raises(DataError):
+                FlatIndex(["a", "b"], rows)
 
     def test_zero_vector_rejected(self):
-        zero = EmbeddingVector(np.zeros(2, dtype=np.float32), "zero")
         with pytest.raises(ZeroVector):
-            build_index([("a", zero)], IndexConfig(dim=2))
+            FlatIndex(["a", "b"], [[1, 0], [0, -0.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        for row in ([bad, 1.0], [bad, 0.0]):
+            with pytest.raises(DataError, match="non-finite vector for id 'b'"):
+                FlatIndex(["a", "b"], [[1, 0], row])
 
     def test_duplicate_id_rejected(self):
         with pytest.raises(DuplicateId):
-            build_index([("a", ev([1, 0])), ("a", ev([0, 1]))], IndexConfig(dim=2))
+            FlatIndex(["a", "a"], [[1, 0], [0, 1]])
 
     def test_nlist_exceeds_points(self):
-        vectors = [(f"v{i}", ev([i, 1])) for i in range(4)]
+        flat = FlatIndex([f"v{i}" for i in range(4)], [[i, 1] for i in range(4)])
         with pytest.raises(NlistExceedsPoints):
-            build_index(vectors, IndexConfig(kind="ivf", dim=2, nlist=8, nprobe=1))
+            build_index(flat, IndexConfig(kind="ivf", dim=2, nlist=8, nprobe=1))
 
     def test_nprobe_exceeds_nlist_rejected(self):
         with pytest.raises(ValueError):
             IndexConfig(kind="ivf", dim=2, nlist=4, nprobe=8)
 
     def test_search_dimension_mismatch(self):
-        index = build_index([("a", ev([1, 0]))], IndexConfig(dim=2))
+        index = build_index(FlatIndex(["a"], [[1, 0]]), IndexConfig(dim=2))
         with pytest.raises(DimensionMismatch):
-            index.search(ev([1, 0, 0]), 1)
+            index.search_arrays(np.array([[1, 0, 0]], dtype=np.float32), 1)
 
 
 def test_flat_equals_brute_force_oracle_with_ties():
-    vectors = unit_vectors(1_000, 16, seed=3)
+    ids, matrix = unit_vectors(1_000, 16, seed=3)
     # plant exact duplicates to force distance ties
-    vectors += [("dup_" + vid, vec) for vid, vec in vectors[:20]]
-    index = build_index(vectors, IndexConfig(dim=16))
-    matrix = as_matrix(vectors)
-    ids = [vid for vid, _ in vectors]
+    ids += ["dup_" + vid for vid in ids[:20]]
+    matrix = np.concatenate([matrix, matrix[:20]])
+    index = build_index(FlatIndex(ids, matrix), IndexConfig(dim=16))
     rng = np.random.default_rng(9)
     for _ in range(25):
         q = rng.normal(size=16).astype(np.float32)
         for k in (1, 7, 100):
-            hits = index.search(q, k)
+            hits = search_one(index, q, k)
             oracle = brute_force_search(ids, matrix, q, k)
-            assert [(h.distance, h.id) for h in hits] == oracle
+            assert [(d, vid) for vid, d in hits] == oracle
 
 
 @settings(max_examples=40, deadline=None)
@@ -142,12 +157,11 @@ def test_flat_matches_oracle_property(n, k, seed):
     rng = np.random.default_rng(seed)
     matrix = rng.integers(-3, 4, size=(n, 3)).astype(np.float32)
     matrix[matrix.sum(axis=1) == 0] += 1.0  # avoid all-zero rows
-    vectors = [(f"v{i:03d}", ev(matrix[i])) for i in range(n)]
-    index = build_index(vectors, IndexConfig(dim=3))
+    ids = [f"v{i:03d}" for i in range(n)]
+    index = build_index(FlatIndex(ids, matrix), IndexConfig(dim=3))
     q = rng.integers(-3, 4, size=3).astype(np.float32)
-    hits = index.search(q, k)
-    oracle = brute_force_search([v for v, _ in vectors], as_matrix(vectors), q, k)
-    assert [(h.distance, h.id) for h in hits] == oracle
+    hits = search_one(index, q, k)
+    assert [(d, vid) for vid, d in hits] == brute_force_search(ids, matrix, q, k)
 
 
 @settings(max_examples=25, deadline=None)
@@ -159,16 +173,14 @@ def test_flat_matches_oracle_property(n, k, seed):
 def test_ivf_probe_all_equals_flat_property(n, nlist_div, seed):
     rng = np.random.default_rng(seed)
     matrix = rng.normal(size=(n, 4)).astype(np.float32)
-    vectors = [(f"v{i:03d}", ev(matrix[i])) for i in range(n)]
+    vectors = FlatIndex([f"v{i:03d}" for i in range(n)], matrix)
     nlist = max(1, n // (nlist_div * 2))
     flat = build_index(vectors, IndexConfig(dim=4))
     ivf = build_index(
         vectors, IndexConfig(kind="ivf", dim=4, nlist=nlist, nprobe=nlist, seed=seed % 1000)
     )
     q = rng.normal(size=4).astype(np.float32)
-    assert [(h.id, h.distance) for h in ivf.search(q, 7)] == [
-        (h.id, h.distance) for h in flat.search(q, 7)
-    ]
+    assert search_one(ivf, q, 7) == search_one(flat, q, 7)
 
 
 class TestIVF:
@@ -176,10 +188,10 @@ class TestIVF:
         rng = np.random.default_rng(0)
         a = rng.normal(size=(50, 8)) + 100.0
         b = rng.normal(size=(50, 8)) - 100.0
-        vectors = [(f"a{i:02d}", ev(a[i])) for i in range(50)]
-        vectors += [(f"b{i:02d}", ev(b[i])) for i in range(50)]
+        ids = [f"a{i:02d}" for i in range(50)] + [f"b{i:02d}" for i in range(50)]
         index = build_index(
-            vectors, IndexConfig(kind="ivf", dim=8, nlist=2, nprobe=1, seed=11)
+            FlatIndex(ids, np.concatenate([a, b])),
+            IndexConfig(kind="ivf", dim=8, nlist=2, nprobe=1, seed=11),
         )
         assert sorted(index.list_sizes()) == [50, 50]
         # each inverted list holds exactly one planted cluster
@@ -195,9 +207,9 @@ class TestIVF:
         a = rng.normal(size=(50, 4)) + 50.0
         b = rng.normal(size=(50, 4)) - 50.0
         X = np.concatenate([a, b]).astype(np.float32)
-        vectors = [(f"v{i:03d}", ev(X[i])) for i in range(100)]
         index = build_index(
-            vectors, IndexConfig(kind="ivf", dim=4, nlist=2, nprobe=2, seed=5)
+            FlatIndex([f"v{i:03d}" for i in range(100)], X),
+            IndexConfig(kind="ivf", dim=4, nlist=2, nprobe=2, seed=5),
         )
         # with fully separated clusters any Lloyd's run converges to the
         # same partition regardless of initialization
@@ -205,7 +217,7 @@ class TestIVF:
         assert sizes == [50, 50]
 
     def test_probe_all_equals_flat_exactly(self):
-        vectors = unit_vectors(400, 12, seed=21)
+        vectors = FlatIndex(*unit_vectors(400, 12, seed=21))
         flat = build_index(vectors, IndexConfig(dim=12))
         ivf = build_index(
             vectors, IndexConfig(kind="ivf", dim=12, nlist=16, nprobe=16, seed=2)
@@ -213,75 +225,71 @@ class TestIVF:
         rng = np.random.default_rng(3)
         for _ in range(40):
             q = rng.normal(size=12).astype(np.float32)
-            fhits = flat.search(q, 25)
-            ihits = ivf.search(q, 25)
-            assert [(h.id, h.distance) for h in fhits] == [(h.id, h.distance) for h in ihits]
+            assert search_one(flat, q, 25) == search_one(ivf, q, 25)
 
     def test_partial_probe_scans_only_probed_lists(self):
-        vectors = unit_vectors(300, 8, seed=1)
+        _, matrix = vectors = unit_vectors(300, 8, seed=1)
         ivf = build_index(
-            vectors, IndexConfig(kind="ivf", dim=8, nlist=10, nprobe=3, seed=7)
+            FlatIndex(*vectors), IndexConfig(kind="ivf", dim=8, nlist=10, nprobe=3, seed=7)
         )
         ivf.reset_comparison_count()
-        ivf.search(vectors[0][1], 5)
+        ivf.search_arrays(matrix[:1], 5)
         assert ivf.comparison_count < 300
         sizes = sorted(ivf.list_sizes(), reverse=True)
         assert ivf.comparison_count <= sum(sizes[:3])
 
     def test_flat_comparison_counter(self):
-        vectors = unit_vectors(50, 4, seed=2)
-        flat = build_index(vectors, IndexConfig(dim=4))
+        _, matrix = vectors = unit_vectors(50, 4, seed=2)
+        flat = build_index(FlatIndex(*vectors), IndexConfig(dim=4))
         flat.reset_comparison_count()
-        flat.search(vectors[0][1], 3)
-        flat.search(vectors[1][1], 3)
+        flat.search_arrays(matrix[0:1], 3)
+        flat.search_arrays(matrix[1:2], 3)
         assert flat.comparison_count == 100
 
 
 class TestBatch:
     def test_batch_of_one_equals_single(self):
-        vectors = unit_vectors(64, 8, seed=4)
-        index = build_index(vectors, IndexConfig(dim=8))
-        q = vectors[5][1]
-        assert index.search_batch([q], 3) == [index.search(q, 3)]
+        _, matrix = vectors = unit_vectors(64, 8, seed=4)
+        index = build_index(FlatIndex(*vectors), IndexConfig(dim=8))
+        alone = index.search_arrays(matrix[5:6], 3)
+        among_all = index.search_arrays(matrix, 3)
+        for got, batched in zip(alone, among_all):
+            assert got[0].tobytes() == batched[5].tobytes()
 
     def test_self_queries_hit_themselves(self):
-        vectors = unit_vectors(128, 8, seed=5)
-        index = build_index(vectors, IndexConfig(dim=8))
-        results = index.search_batch([vec for _, vec in vectors], 1)
-        for (vid, _), hits in zip(vectors, results):
-            assert hits[0].id == vid
-            assert hits[0].distance == 0.0
+        ids, matrix = vectors = unit_vectors(128, 8, seed=5)
+        index = build_index(FlatIndex(*vectors), IndexConfig(dim=8))
+        for vid, hits in zip(ids, search_hits(index, matrix, 1)):
+            assert hits == [(vid, 0.0)]
 
     def test_batch_equals_sequential_loop(self):
-        vectors = unit_vectors(128, 8, seed=6)
-        index = build_index(vectors, IndexConfig(dim=8))
+        index = build_index(FlatIndex(*unit_vectors(128, 8, seed=6)), IndexConfig(dim=8))
         rng = np.random.default_rng(8)
-        queries = [rng.normal(size=8).astype(np.float32) for _ in range(5_000)]
-        batched = index.search_batch(queries, 10)
-        sequential = [index.search(q, 10) for q in queries]
+        queries = rng.normal(size=(5_000, 8)).astype(np.float32)
+        batched = search_hits(index, queries, 10)
+        sequential = [search_one(index, q, 10) for q in queries]
         assert batched == sequential
 
     def test_threaded_batch_equals_sequential(self):
-        vectors = unit_vectors(200, 8, seed=7)
-        index = build_index(vectors, IndexConfig(dim=8))
+        index = build_index(FlatIndex(*unit_vectors(200, 8, seed=7)), IndexConfig(dim=8))
         rng = np.random.default_rng(10)
-        queries = [rng.normal(size=8).astype(np.float32) for _ in range(100)]
-        assert index.search_batch(queries, 5, threads=4) == index.search_batch(queries, 5)
+        queries = rng.normal(size=(100, 8)).astype(np.float32)
+        assert search_hits(index, queries, 5, threads=4) == search_hits(index, queries, 5)
 
     def test_threads_never_share_a_distance_buffer(self):
         # More threads than cores and a tiny switch interval interleave the
         # searches; a buffer shared between threads would corrupt distances.
-        vectors = unit_vectors(400, 16, seed=9)
+        vectors = FlatIndex(*unit_vectors(400, 16, seed=9))
         rng = np.random.default_rng(11)
-        queries = [rng.normal(size=16).astype(np.float32) for _ in range(300)]
+        queries = rng.normal(size=(300, 16)).astype(np.float32)
         ivf = IndexConfig(kind="ivf", dim=16, nlist=8, nprobe=3, seed=1)
         for config in (IndexConfig(dim=16), ivf):
             index = build_index(vectors, config)
-            expected = [index.search(q, 7) for q in queries]
+            expected = [search_one(index, q, 7) for q in queries]
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
-                got = index.search_batch(queries, 7, threads=8)
+                got = search_hits(index, queries, 7, threads=8)
             finally:
                 sys.setswitchinterval(interval)
             assert got == expected, config.kind
@@ -289,18 +297,17 @@ class TestBatch:
 
 class TestPersistence:
     def test_flat_round_trip_preserves_search(self, tmp_path):
-        vectors = unit_vectors(150, 8, seed=12)
-        index = build_index(vectors, IndexConfig(dim=8))
+        index = build_index(FlatIndex(*unit_vectors(150, 8, seed=12)), IndexConfig(dim=8))
         path = tmp_path / "flat.pdix"
         index.save(path)
         loaded = load_index(path)
         rng = np.random.default_rng(1)
         for _ in range(100):
             q = rng.normal(size=8).astype(np.float32)
-            assert index.search(q, 10) == loaded.search(q, 10)
+            assert search_one(index, q, 10) == search_one(loaded, q, 10)
 
     def test_round_trip_bytes_stable(self, tmp_path):
-        vectors = unit_vectors(80, 8, seed=13)
+        vectors = FlatIndex(*unit_vectors(80, 8, seed=13))
         for config in (
             IndexConfig(dim=8),
             IndexConfig(kind="ivf", dim=8, nlist=4, nprobe=2, seed=3),
@@ -310,41 +317,37 @@ class TestPersistence:
             assert index_from_bytes(raw).to_bytes() == raw
 
     def test_same_seed_builds_byte_identical_index(self):
-        vectors = unit_vectors(120, 8, seed=14)
+        vectors = FlatIndex(*unit_vectors(120, 8, seed=14))
         config = IndexConfig(kind="ivf", dim=8, nlist=8, nprobe=2, seed=42)
         assert build_index(vectors, config).to_bytes() == build_index(vectors, config).to_bytes()
 
     def test_truncated_file_rejected(self, tmp_path):
-        vectors = unit_vectors(20, 4, seed=15)
-        index = build_index(vectors, IndexConfig(dim=4))
+        index = build_index(FlatIndex(*unit_vectors(20, 4, seed=15)), IndexConfig(dim=4))
         raw = index.to_bytes()
         for cut in (3, len(raw) // 2, len(raw) - 1):
             with pytest.raises(CorruptIndex):
                 index_from_bytes(raw[:cut])
 
     def test_flipped_byte_rejected(self):
-        vectors = unit_vectors(20, 4, seed=16)
-        raw = bytearray(build_index(vectors, IndexConfig(dim=4)).to_bytes())
+        raw = bytearray(FlatIndex(*unit_vectors(20, 4, seed=16)).to_bytes())
         raw[10] ^= 0xFF
         with pytest.raises(CorruptIndex):
             index_from_bytes(bytes(raw))
 
     def test_bad_magic_rejected(self):
-        vectors = unit_vectors(5, 4, seed=17)
-        raw = bytearray(build_index(vectors, IndexConfig(dim=4)).to_bytes())
+        raw = bytearray(FlatIndex(*unit_vectors(5, 4, seed=17)).to_bytes())
         raw[0:4] = b"NOPE"
         with pytest.raises(CorruptIndex):
             index_from_bytes(bytes(raw))
 
     def test_unicode_ids_survive(self, tmp_path):
-        vectors = [("żółć-1", ev([1, 0])), ("日本-2", ev([0, 1]))]
-        index = build_index(vectors, IndexConfig(dim=2))
+        index = build_index(FlatIndex(["żółć-1", "日本-2"], [[1, 0], [0, 1]]), IndexConfig(dim=2))
         path = tmp_path / "uni.pdix"
         index.save(path)
         assert load_index(path).ids == ["żółć-1", "日本-2"]
 
     def test_loaded_ivf_defaults_to_exact_probing(self, tmp_path):
-        vectors = unit_vectors(64, 8, seed=18)
+        vectors = FlatIndex(*unit_vectors(64, 8, seed=18))
         ivf = build_index(vectors, IndexConfig(kind="ivf", dim=8, nlist=8, nprobe=2, seed=1))
         path = tmp_path / "ivf.pdix"
         ivf.save(path)
@@ -354,18 +357,16 @@ class TestPersistence:
 
 
 def test_distance_matches_high_precision_oracle():
-    vectors = unit_vectors(200, 32, seed=19)
-    index = build_index(vectors, IndexConfig(dim=32))
-    matrix = as_matrix(vectors)
+    ids, matrix = vectors = unit_vectors(200, 32, seed=19)
+    index = build_index(FlatIndex(*vectors), IndexConfig(dim=32))
+    by_id = {vid: i for i, vid in enumerate(ids)}
     rng = np.random.default_rng(20)
     for _ in range(20):
         q = rng.normal(size=32).astype(np.float32)
-        hits = index.search(q, 10)
-        by_id = {vid: i for i, (vid, _) in enumerate(vectors)}
-        for hit in hits:
-            row = matrix[by_id[hit.id]].astype(np.float64)
+        for vid, distance in search_one(index, q, 10):
+            row = matrix[by_id[vid]].astype(np.float64)
             exact = float(np.sqrt(((row - q.astype(np.float64)) ** 2).sum()))
-            assert hit.distance == pytest.approx(exact, rel=1e-6)
+            assert distance == pytest.approx(exact, rel=1e-6)
 
 
 @settings(max_examples=60, deadline=None)
@@ -396,18 +397,18 @@ def test_buffered_distances_equal_plain_expression_bitwise(n, dim, seed, grid):
 
 def test_repeated_searches_allocate_no_rows_by_dim_array():
     n, dim = 2000, 256
-    vectors = unit_vectors(n, dim, seed=21)
+    _, matrix = vectors = unit_vectors(n, dim, seed=21)
     limit = n * dim * 8  # one (n, dim) float64 array
-    flat = build_index(vectors, IndexConfig(kind="flat", dim=dim))
+    flat = build_index(FlatIndex(*vectors), IndexConfig(kind="flat", dim=dim))
     ivf = build_index(
-        vectors, IndexConfig(kind="ivf", dim=dim, nlist=16, nprobe=4, kmeans_iters=2, seed=3)
+        flat, IndexConfig(kind="ivf", dim=dim, nlist=16, nprobe=4, kmeans_iters=2, seed=3)
     )
     for index in (flat, ivf):
-        index.search(vectors[0][1], 10)  # warm-up: allocates this thread's buffer
+        index.search_arrays(matrix[:1], 10)  # warm-up
         tracemalloc.start()
         try:
             for i in range(50):
-                index.search(vectors[i][1], 10)
+                index.search_arrays(matrix[i : i + 1], 10)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -502,15 +503,14 @@ def test_blocked_kernel_equals_per_row_oracle(kind, n, dim, seed, k_extra, threa
     k = max(1, len(rows) + k_extra)  # k >= n included
     queries = adversarial_queries(kind, rows, rng)
     expected = [per_row_top_k(ids, rows, q, k) for q in queries]
-    vectors = [(vid, ev(row)) for vid, row in zip(ids, rows)]
+    vectors = FlatIndex(ids, rows)
     nlist = int(rng.integers(1, min(4, len(rows)) + 1))
     for config in (
         IndexConfig(dim=dim),
         IndexConfig(kind="ivf", dim=dim, nlist=nlist, nprobe=nlist, kmeans_iters=3, seed=seed % 97),
     ):
         index = build_index(vectors, config)
-        got = index.search_batch(queries, k, threads=threads)
-        assert [[(h.id, h.distance) for h in hits] for hits in got] == expected, config.kind
+        assert search_hits(index, queries, k, threads=threads) == expected, config.kind
 
 
 @settings(max_examples=120, deadline=None)
@@ -540,25 +540,25 @@ def test_kmeans_equals_running_sum_reference(kind, n, dim, seed):
 
 
 def test_search_arrays_are_the_search_hits_and_count_reranks():
-    vectors = unit_vectors(300, 16, seed=23)
-    index = build_index(vectors, IndexConfig(dim=16))
-    queries = as_matrix(vectors[:40])
+    ids, matrix = vectors = unit_vectors(300, 16, seed=23)
+    index = build_index(FlatIndex(*vectors), IndexConfig(dim=16))
+    queries = matrix[:40]
     index.reset_comparison_count()
     rows, distances = index.search_arrays(queries, 12)
     assert index.comparison_count == 40 * 300
     assert 40 * 12 <= index.rerank_count <= 40 * 300
-    hits = index.search_batch(queries, 12)
+    hits = [per_row_top_k(ids, matrix, q, 12) for q in queries]
     assert [[index.ids[r] for r in row] for row in rows.tolist()] == [
-        [h.id for h in row] for row in hits
+        [vid for vid, _ in row] for row in hits
     ]
-    assert distances.tolist() == [[h.distance for h in row] for row in hits]
+    assert distances.tolist() == [[d for _, d in row] for row in hits]
 
 
 @pytest.mark.parametrize("distinct", [1, 50])
 def test_block_temporaries_stay_under_rows_by_dim(distinct):
     # All rows equal (every row ties) or 40 copies of each of 50 vectors.
     n, dim = 2000, 256
-    base = np.stack([vec.values for _, vec in unit_vectors(distinct, dim, seed=24)])
+    _, base = unit_vectors(distinct, dim, seed=24)
     rows = np.repeat(base, n // distinct, axis=0)
     index = FlatIndex([f"v{i:05d}" for i in range(n)], rows)
     queries = rows[:: n // 64]

@@ -14,7 +14,9 @@ from postdedup.corpus import save_postings
 from postdedup.dedup import DuplicateLabel
 from postdedup.errors import DataError
 from postdedup.evaluation import score, write_results_csv
-from postdedup.index import load_index
+from postdedup.atomic import atomic_write
+from postdedup.index import FlatIndex, load_index
+from postdedup.normalize import canonicalize
 from postdedup.pipeline import (
     CANONICAL_FILE,
     EMBEDDINGS_FILE,
@@ -30,6 +32,7 @@ from postdedup.pipeline import (
     stage_index,
     stage_normalize,
     stage_translate,
+    write_canonical_file,
 )
 from postdedup.synth import DupPlan, synth_corpus
 
@@ -360,9 +363,8 @@ def test_candidate_reduction_matches_independent_pair_count(tmp_path):
     counters = run_staged(config, outdir).report.counters
     # Independent: every representative's k nearest others by (d2, id) in
     # a float64 scan of the written embeddings, as unordered pairs.
-    items = load_index(outdir / EMBEDDINGS_FILE).items()
-    ids = [vid for vid, _ in items]
-    X = np.stack([vec.values for _, vec in items]).astype(np.float64)
+    embedded = load_index(outdir / EMBEDDINGS_FILE)
+    ids, X = embedded.ids, embedded.vectors.astype(np.float64)
     pairs = set()
     for i, vid in enumerate(ids):
         d2 = np.square(X - X[i]).sum(axis=1)
@@ -404,7 +406,51 @@ def test_ivf_rerank_rows_are_the_probed_rows(tmp_path):
     centroids = index._cent32.astype(np.float64)
     sizes = np.array(index.list_sizes())
     probed = 0
-    for _, vec in load_index(outdir / EMBEDDINGS_FILE).items():
-        d2 = np.square(centroids - vec.values.astype(np.float64)).sum(axis=1)
+    for vec in load_index(outdir / EMBEDDINGS_FILE).vectors:
+        d2 = np.square(centroids - vec.astype(np.float64)).sum(axis=1)
         probed += int(sizes[np.lexsort((np.arange(len(d2)), d2))[:2]].sum())
     assert counters["rerank_rows"] == counters["index_comparisons"] == probed
+
+
+
+class WriteFailed(Exception):
+    pass
+
+
+def fail_after(items, n):
+    """Yield the first n items, then raise: a writer that fails partway."""
+    yield from items[:n]
+    raise WriteFailed
+
+
+@pytest.mark.parametrize("name", ["postings.jsonl", "postings.csv", CANONICAL_FILE, RESULTS_FILE])
+def test_failed_artifact_write_keeps_previous_file(tmp_path, name):
+    config = config_from_dict({})
+    postings = synth_corpus(20, DupPlan(0.2, 0.2, 0.1), seed=4).postings
+    canonicals = [canonicalize(p, config.normalize) for p in postings]
+    pairs = run_pipeline(postings, config).pairs
+    items, write = {
+        "postings.jsonl": (postings, save_postings),
+        "postings.csv": (postings, lambda items, path: save_postings(items, path, "csv")),
+        CANONICAL_FILE: (canonicals, write_canonical_file),
+        RESULTS_FILE: (pairs, write_results_csv),
+    }[name]
+    path = tmp_path / name
+    write(items, path)
+    before = path.read_bytes()
+    with pytest.raises(WriteFailed):
+        write(fail_after(items, 2), path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
+
+
+def test_atomic_write_failing_partway_keeps_previous_index(tmp_path):
+    path = tmp_path / INDEX_FILE
+    FlatIndex(["a", "b"], [[1, 0], [0, 1]]).save(path)
+    before = path.read_bytes()
+    with pytest.raises(WriteFailed):
+        with atomic_write(path, "wb") as fh:  # as `save` writes a .pdix
+            fh.write(before[:10])
+            raise WriteFailed
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]

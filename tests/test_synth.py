@@ -133,7 +133,7 @@ def test_generator_separation_margin_brute_force():
     embedder = HashedEmbedder(dim=256)
     reps = sorted(rep_text)
     vectors = embedder.embed_many(translator.translate([rep_text[r] for r in reps], None, "en"))
-    matrix = np.stack([v.values for v in vectors]).astype(np.float64)
+    matrix = vectors.astype(np.float64)
     index_of = {r: i for i, r in enumerate(reps)}
 
     gold_rep_pairs = set()

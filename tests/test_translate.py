@@ -204,6 +204,16 @@ def test_cache_malformed_inner_line_raises_data_error(tmp_path):
         assert cache_path.read_bytes() == bad + good  # never rewritten
 
 
+@pytest.mark.parametrize("field", ["fingerprint", "target", "backend", "translated_text"])
+def test_cache_record_with_a_non_string_field_raises_data_error(tmp_path, field):
+    record = dict(fingerprint="fp1", target="en", backend="dictionary", translated_text="dog")
+    cache_path = tmp_path / "cache.jsonl"
+    for value in (5, None, ["dog"]):
+        cache_path.write_text(json.dumps({**record, field: value}) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match="cache.jsonl:1"):
+            TranslationCache(cache_path)
+
+
 def test_order_preserved_under_concurrency():
     class JitterBackend:
         name = "jitter"

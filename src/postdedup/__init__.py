@@ -10,7 +10,6 @@ access.
 from .config import PipelineConfig, load_config
 from .corpus import CorpusStats, Posting, corpus_stats, load_postings, pair_count, save_postings
 from .dedup import (
-    CandidatePair,
     DuplicateLabel,
     ExpertRule,
     LabeledPair,
@@ -59,7 +58,6 @@ __all__ = [
     "load_postings",
     "save_postings",
     "pair_count",
-    "CandidatePair",
     "DuplicateLabel",
     "ExpertRule",
     "LabeledPair",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -25,4 +26,10 @@ def atomic_write(path: str | Path, mode: str = "w", **open_kwargs):
         tmp.unlink(missing_ok=True)
 
 
-__all__ = ["atomic_write"]
+def write_json(document, path: str | Path, indent: int = 2, **dump_kwargs) -> None:
+    """Write `document` as JSON through `atomic_write`, streamed as it is encoded."""
+    with atomic_write(path, "w", encoding="utf-8") as fh:
+        json.dump(document, fh, indent=indent, **dump_kwargs)
+
+
+__all__ = ["atomic_write", "write_json"]

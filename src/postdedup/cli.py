@@ -14,6 +14,7 @@ import json
 import sys
 from pathlib import Path
 
+from .atomic import write_json
 from .config import PipelineConfig, _read_document, _read_yaml, config_from_dict
 from .corpus import corpus_stats, save_postings
 from .embed import tokenize
@@ -118,9 +119,7 @@ def _cmd_ingest(args) -> int:
     config = _config_from_args(args)
     postings = stage_ingest(config, args.out)
     stats = corpus_stats(postings, tokenize)
-    (Path(args.out) / "corpus_stats.json").write_text(
-        json.dumps(stats.to_dict(), indent=2), encoding="utf-8"
-    )
+    write_json(stats.to_dict(), Path(args.out) / "corpus_stats.json")
     print(f"ingested {len(postings)} postings into {args.out}/{POSTINGS_FILE}")
     return 0
 
@@ -177,7 +176,7 @@ def _cmd_eval(args) -> int:
     report = score(predicted, gold)
     out_path = Path(args.out) / EVAL_FILE
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(report.to_dict(), indent=2), encoding="utf-8")
+    write_json(report.to_dict(), out_path)
     print(render_report(None, report, format="text"), end="")
     print(f"wrote {out_path}")
     return 0
@@ -198,9 +197,7 @@ def _cmd_synth(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     save_postings(result.postings, outdir / POSTINGS_FILE)
     result.gold.save_csv(outdir / GOLD_FILE)
-    (outdir / DICTIONARY_FILE).write_text(
-        json.dumps(result.translation_dict, indent=0, sort_keys=True), encoding="utf-8"
-    )
+    write_json(result.translation_dict, outdir / DICTIONARY_FILE, indent=0, sort_keys=True)
     print(
         f"synthesized {len(result.postings)} postings "
         f"({len(result.gold)} gold pairs) into {outdir}"

@@ -1,16 +1,18 @@
 """Candidate-pair generation, thresholding, expert rules, and classification.
 
-Pairs are always canonically ordered (id_a < id_b) and unordered-unique.
-Thresholds are strict: a pair at exactly the threshold is excluded. A pair
-receives exactly one label; differing retrieval dates make an otherwise
-full or semantic duplicate TEMPORAL.
+Candidate pairs travel as arrays (`CandidatePairs`), canonically ordered
+(id_a < id_b) and unordered-unique; expert rules are matched over them as
+one boolean mask per rule, never pair by pair. Thresholds are strict: a
+pair at exactly the threshold is excluded. A pair receives exactly one
+label; differing retrieval dates make an otherwise full or semantic
+duplicate TEMPORAL.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -24,21 +26,6 @@ class DuplicateLabel(Enum):
     SEMANTIC = "SEMANTIC"
     TEMPORAL = "TEMPORAL"
     NONE = "NONE"
-
-
-@dataclass(frozen=True)
-class CandidatePair:
-    id_a: str
-    id_b: str
-    distance: float
-
-    def __post_init__(self) -> None:
-        if self.id_a >= self.id_b:
-            raise ValueError(f"pair ids must satisfy id_a < id_b, got {self.id_a!r}, {self.id_b!r}")
-
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.id_a, self.id_b)
 
 
 @dataclass(frozen=True)
@@ -63,10 +50,12 @@ _ACTIONS = ("threshold", "reject")
 class ExpertRule:
     """Metadata-conditioned override of the distance threshold.
 
-    Rules are evaluated in order and the first match wins; a ruleset must
-    end with a catch-all default. Company and location comparisons treat a
-    missing value on either side as matching only `any_missing` (or `any`);
-    a missing language tag compares as the value "und".
+    Rules are evaluated in order and the first match wins; a pair that no
+    rule matches is an error, so a ruleset normally ends with a catch-all
+    default. Company and location comparisons treat a missing value on
+    either side as matching only `any_missing` (or `any`); an empty string
+    is a value like any other. A missing or empty language tag compares as
+    the value "und".
     """
 
     company: str = "any"
@@ -94,13 +83,6 @@ class ExpertRule:
     def is_catch_all(self) -> bool:
         return self.company == "any" and self.language == "any" and self.location == "any"
 
-    def matches(self, a: Posting, b: Posting) -> bool:
-        return (
-            _optional_match(self.company, a.company, b.company)
-            and _language_match(self.language, a.language, b.language)
-            and _optional_match(self.location, a.location, b.location)
-        )
-
     def to_dict(self) -> dict:
         out = {
             "company": self.company,
@@ -119,24 +101,6 @@ class ExpertRule:
         if unknown:
             raise ConfigError(f"unknown rule keys: {sorted(unknown)}")
         return cls(**raw)
-
-
-def _optional_match(mode: str, va: Optional[str], vb: Optional[str]) -> bool:
-    if mode == "any":
-        return True
-    missing = va is None or vb is None
-    if mode == "any_missing":
-        return missing
-    if missing:
-        return False
-    return (va == vb) if mode == "same" else (va != vb)
-
-
-def _language_match(mode: str, va: Optional[str], vb: Optional[str]) -> bool:
-    if mode == "any":
-        return True
-    la, lb = va or "und", vb or "und"
-    return (la == lb) if mode == "same" else (la != lb)
 
 
 def example_ruleset(base_theta: float) -> list[ExpertRule]:
@@ -210,37 +174,16 @@ class CandidatePairs:
     """Unordered candidate pairs as arrays, sorted by (id_a, id_b).
 
     Pair i is `(names[lo[i]], names[hi[i]])` at `distances[i]`; `names` is
-    sorted, so lo < hi means id_a < id_b. Iterating yields CandidatePair.
+    sorted, so lo < hi means id_a < id_b.
     """
 
     names: list[str]
-    lo: np.ndarray
-    hi: np.ndarray
-    distances: np.ndarray
+    lo: np.ndarray  # int64 indexes into names
+    hi: np.ndarray  # int64 indexes into names
+    distances: np.ndarray  # float64 true L2
 
     def __len__(self) -> int:
         return int(self.lo.size)
-
-    def __getitem__(self, i: int) -> CandidatePair:
-        return CandidatePair(
-            self.names[self.lo[i]], self.names[self.hi[i]], float(self.distances[i])
-        )
-
-    def __iter__(self) -> Iterator[CandidatePair]:
-        return (self[i] for i in range(len(self)))
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[CandidatePair]) -> "CandidatePairs":
-        if isinstance(pairs, CandidatePairs):
-            return pairs
-        pairs = list(pairs)
-        names = sorted({p.id_a for p in pairs} | {p.id_b for p in pairs})
-        rank = {name: i for i, name in enumerate(names)}
-        lo = np.array([rank[p.id_a] for p in pairs], dtype=np.int64)
-        hi = np.array([rank[p.id_b] for p in pairs], dtype=np.int64)
-        order = np.lexsort((hi, lo))
-        distances = np.array([p.distance for p in pairs], dtype=np.float64)
-        return cls(names, lo[order], hi[order], distances[order])
 
 
 def pairs_from_hits(hits: KnnHits) -> CandidatePairs:
@@ -265,12 +208,12 @@ def pairs_from_hits(hits: KnnHits) -> CandidatePairs:
 
 
 def threshold_sweep(
-    pairs: Iterable[CandidatePair], thetas: Sequence[float]
+    distances: np.ndarray, thetas: Sequence[float]
 ) -> list[tuple[float, int, float]]:
-    """Kept-pair counts and fractions for an ascending list of thresholds."""
+    """Counts and fractions of `distances` strictly under each of an ascending list of thresholds."""
     if list(thetas) != sorted(thetas):
         raise ValueError("thetas must be sorted ascending")
-    distances = np.sort(CandidatePairs.from_pairs(pairs).distances)
+    distances = np.sort(np.asarray(distances, dtype=np.float64))
     total = distances.size
     kept = np.searchsorted(distances, np.asarray(thetas, dtype=np.float64), side="left")
     return [
@@ -303,58 +246,81 @@ def choose_theta(sweep_rows: Sequence[tuple[float, int, float]]) -> float:
     return (best[0] + best[1]) / 2
 
 
-def match_rule(
-    pair: CandidatePair, postings_by_id: Mapping[str, Posting], rules: Sequence[ExpertRule]
-) -> tuple[int, ExpertRule]:
-    try:
-        a = postings_by_id[pair.id_a]
-        b = postings_by_id[pair.id_b]
-    except KeyError as err:
-        raise UnknownId(str(err.args[0])) from err
-    for rule_index, rule in enumerate(rules):
-        if rule.matches(a, b):
-            return rule_index, rule
-    raise NoMatchingRule(f"no rule matched pair {pair.key}; add a terminal default rule")
+@dataclass(frozen=True, eq=False)
+class KeptPairs:
+    """The candidate pairs the rules keep, and the index of the rule that kept each one."""
+
+    pairs: CandidatePairs
+    rule_indices: np.ndarray  # int64, aligned with pairs
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+
+def _codes(values: Sequence[Optional[str]]) -> np.ndarray:
+    """One int64 code per value, equal codes for equal values; None is -1."""
+    table: dict[str, int] = {}
+    return np.array(
+        [-1 if v is None else table.setdefault(v, len(table)) for v in values], dtype=np.int64
+    )
+
+
+def _field_mask(mode: str, codes: np.ndarray, pairs: CandidatePairs) -> np.ndarray:
+    """Which pairs a matcher mode accepts, from per-name codes (-1 missing)."""
+    a, b = codes[pairs.lo], codes[pairs.hi]
+    missing = (a < 0) | (b < 0)
+    if mode == "any_missing":
+        return missing
+    return ~missing & ((a == b) if mode == "same" else (a != b))
 
 
 def apply_rules_detailed(
-    pairs: Iterable[CandidatePair],
+    pairs: CandidatePairs,
     postings_by_id: Mapping[str, Posting],
     rules: Sequence[ExpertRule] | None,
     base_theta: float,
-) -> list[tuple[CandidatePair, int]]:
+) -> KeptPairs:
     """Kept pairs, in (id_a, id_b) order, with the index of the rule that kept each one.
 
     An empty ruleset degenerates to a single default rule at base_theta.
-    A non-empty ruleset is expected to end with a catch-all; a pair that no
-    rule matches raises NoMatchingRule.
+    Each pair is matched by the first rule whose matchers all accept it
+    and kept iff its distance is strictly under that rule's threshold
+    (never, for `reject`). A name of `pairs` that is not in
+    `postings_by_id` raises UnknownId, checked before any rule is
+    matched; then a pair that no rule matches raises NoMatchingRule,
+    naming the first such pair.
     """
-    pairs = CandidatePairs.from_pairs(pairs)
     rules = list(rules) if rules else [default_rule(base_theta)]
-    if any(rule.is_catch_all for rule in rules):
-        # Every pair matches some rule, so a pair at or over the largest
-        # threshold is dropped whichever rule it matches: only the pairs
-        # under it need matching. Unknown ids still fail, as they would there.
-        used = np.zeros(len(pairs.names), dtype=bool)
-        used[pairs.lo] = True
-        used[pairs.hi] = True
-        for i in np.flatnonzero(used).tolist():
-            if pairs.names[i] not in postings_by_id:
-                raise UnknownId(pairs.names[i])
-        limit = max((r.threshold for r in rules if r.action == "threshold"), default=-np.inf)
-        candidates = np.flatnonzero(pairs.distances < limit).tolist()
-    else:
-        candidates = range(len(pairs))
-    kept: list[tuple[CandidatePair, int]] = []
-    for i in candidates:
-        pair = pairs[i]
-        rule_index, rule = match_rule(pair, postings_by_id, rules)
-        if rule.action == "reject":
-            continue
-        assert rule.threshold is not None
-        if pair.distance < rule.threshold:
-            kept.append((pair, rule_index))
-    return kept
+    try:
+        postings = [postings_by_id[name] for name in pairs.names]
+    except KeyError as err:
+        raise UnknownId(str(err.args[0])) from err
+    fields = {
+        "company": _codes([p.company for p in postings]),
+        "location": _codes([p.location for p in postings]),
+        "language": _codes([p.language or "und" for p in postings]),
+    }
+    masks = np.ones((len(rules), len(pairs)), dtype=bool)
+    for mask, rule in zip(masks, rules):
+        for name, codes in fields.items():
+            mode = getattr(rule, name)
+            if mode != "any":
+                mask &= _field_mask(mode, codes, pairs)
+    unmatched = ~masks.any(axis=0)
+    if unmatched.any():
+        i = int(np.argmax(unmatched))
+        key = (pairs.names[pairs.lo[i]], pairs.names[pairs.hi[i]])
+        raise NoMatchingRule(f"no rule matched pair {key}; add a terminal default rule")
+    first = masks.argmax(axis=0)
+    thresholds = np.array(
+        [rule.threshold if rule.action == "threshold" else -np.inf for rule in rules],
+        dtype=np.float64,
+    )
+    kept = np.flatnonzero(pairs.distances < thresholds[first])
+    return KeptPairs(
+        CandidatePairs(pairs.names, pairs.lo[kept], pairs.hi[kept], pairs.distances[kept]),
+        first[kept],
+    )
 
 
 def classify(
@@ -415,18 +381,17 @@ def saturation_report(hits: KnnHits, theta: float, k: int) -> SaturationReport:
 
 __all__ = [
     "DuplicateLabel",
-    "CandidatePair",
     "LabeledPair",
     "ExpertRule",
     "example_ruleset",
     "default_rule",
     "KnnHits",
     "CandidatePairs",
+    "KeptPairs",
     "collect_hits",
     "pairs_from_hits",
     "threshold_sweep",
     "choose_theta",
-    "match_rule",
     "apply_rules_detailed",
     "classify",
     "SaturationReport",

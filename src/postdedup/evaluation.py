@@ -37,7 +37,7 @@ class GoldSet:
         return len(self.pairs)
 
     def save_csv(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["id1", "id2", "label"])
             for (id_a, id_b), label in sorted(self.pairs.items()):

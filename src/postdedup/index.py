@@ -277,11 +277,36 @@ def _spans(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 class _BaseIndex:
+    """Rows and ids every index holds, validated in one place.
+
+    The constructor rejects what no index may hold: no rows (EmptyInput),
+    a shape other than (len(ids), dim) (DataError), an all-zero row
+    (ZeroVector), a NaN or infinite entry (DataError) and a repeated id
+    (DuplicateId).
+    """
+
     kind: str
 
-    def __init__(self, ids: list[str], vecs32: np.ndarray) -> None:
+    def __init__(self, ids: Sequence[str], vectors) -> None:
+        ids = list(ids)
+        if not ids:
+            raise EmptyInput("cannot build an index from zero vectors")
+        vecs32 = np.ascontiguousarray(vectors, dtype=np.float32)
+        if vecs32.ndim != 2 or len(vecs32) != len(ids):
+            raise DataError(f"{len(ids)} ids need a ({len(ids)}, dim) matrix, got {vecs32.shape}")
+        self._sq = _sq_norms(vecs32)
+        # The float64 square of a float32 entry is 0 or not finite only if
+        # the entry is, so the squared norms show both kinds of bad row.
+        zero, bad = self._sq == 0, ~np.isfinite(self._sq)
+        if zero.any():
+            raise ZeroVector(f"zero vector for id {ids[int(np.argmax(zero))]!r} cannot be indexed")
+        if bad.any():
+            vid = ids[int(np.argmax(bad))]
+            raise DataError(f"non-finite vector for id {vid!r} cannot be indexed")
+        if len(set(ids)) < len(ids):
+            raise DuplicateId(next(vid for vid, n in Counter(ids).items() if n > 1))
         self.ids = ids
-        self._vecs32 = np.ascontiguousarray(vecs32, dtype=np.float32)
+        self._vecs32 = vecs32
         order = sorted(range(len(ids)), key=ids.__getitem__)
         ranks = np.empty(len(ids), dtype=np.int64)
         ranks[order] = np.arange(len(ids))
@@ -356,33 +381,10 @@ class FlatIndex(_BaseIndex):
     """Exhaustive exact L2 scan; the oracle-grade baseline.
 
     It is also how a batch of embeddings travels: row i of `vectors` is
-    the embedding of `ids[i]`. The constructor rejects what no index may
-    hold: no rows (EmptyInput), a shape other than (len(ids), dim)
-    (DataError), an all-zero row (ZeroVector), a NaN or infinite
-    entry (DataError) and a repeated id (DuplicateId).
+    the embedding of `ids[i]`.
     """
 
     kind = "flat"
-
-    def __init__(self, ids: Sequence[str], vectors) -> None:
-        ids = list(ids)
-        if not ids:
-            raise EmptyInput("cannot build an index from zero vectors")
-        vecs32 = np.asarray(vectors, dtype=np.float32)
-        if vecs32.ndim != 2 or len(vecs32) != len(ids):
-            raise DataError(f"{len(ids)} ids need a ({len(ids)}, dim) matrix, got {vecs32.shape}")
-        super().__init__(ids, vecs32)
-        self._sq = _sq_norms(self._vecs32)
-        # The float64 square of a float32 entry is 0 or not finite only if
-        # the entry is, so the squared norms show both kinds of bad row.
-        zero, bad = self._sq == 0, ~np.isfinite(self._sq)
-        if zero.any():
-            raise ZeroVector(f"zero vector for id {ids[int(np.argmax(zero))]!r} cannot be indexed")
-        if bad.any():
-            vid = ids[int(np.argmax(bad))]
-            raise DataError(f"non-finite vector for id {vid!r} cannot be indexed")
-        if len(set(ids)) < len(ids):
-            raise DuplicateId(next(vid for vid, n in Counter(ids).items() if n > 1))
 
     def search_arrays(self, queries, k: int, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
         queries = self._queries(queries, k)
@@ -399,7 +401,8 @@ class IVFIndex(_BaseIndex):
 
     Vectors are stored grouped by list; a query scans only the `nprobe`
     lists whose centroids are nearest. `nprobe` is a search-time knob and
-    is not part of the serialized file.
+    is not part of the serialized file. Besides the rows' checks, the
+    constructor rejects a NaN or infinite centroid (DataError).
     """
 
     kind = "ivf"
@@ -415,6 +418,9 @@ class IVFIndex(_BaseIndex):
         super().__init__(ids, vecs32)
         self._cent32 = np.ascontiguousarray(centroids32, dtype=np.float32)
         self._cent_sq = _sq_norms(self._cent32)
+        bad = ~np.isfinite(self._cent_sq)
+        if bad.any():
+            raise DataError(f"non-finite centroid {int(np.argmax(bad))} cannot be searched")
         self._offsets = np.asarray(offsets, dtype=np.uint64)
         bounds = self._offsets.astype(np.int64)
         self._list_starts, self._list_sizes = bounds[:-1], np.diff(bounds)

@@ -23,11 +23,11 @@ from itertools import combinations, product
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-from .atomic import atomic_write
+from .atomic import atomic_write, write_json
 from .config import PipelineConfig
 from .corpus import Posting, load_postings, pair_count, save_postings
 from .dedup import (
-    CandidatePair,
+    KeptPairs,
     KnnHits,
     LabeledPair,
     apply_rules_detailed,
@@ -41,7 +41,7 @@ from .dedup import (
 from .embed import HashedEmbedder, RemoteEmbedder, truncation_report
 from .errors import DataError
 from .evaluation import write_results_csv
-from .index import FlatIndex, IVFIndex, build_index, load_index
+from .index import FlatIndex, IVFIndex, build_index, index_from_bytes, load_index
 from .normalize import CanonicalText, ExactGroup, canonicalize, group_exact
 from .translate import TranslationCache, TranslationRequest, make_backend, translate_batch
 
@@ -185,7 +185,7 @@ def _build_search_index(flat: FlatIndex | None, config: PipelineConfig):
 
 
 def _expand_pairs(
-    kept: Sequence[tuple[CandidatePair, int]],
+    kept: KeptPairs,
     rules,
     groups: Sequence[ExactGroup],
     postings_by_id: Mapping[str, Posting],
@@ -200,16 +200,22 @@ def _expand_pairs(
             pairs.append(LabeledPair(id_a, id_b, label, 0.0, "exact_fingerprint"))
     n_exact = len(pairs)
 
-    for pair, rule_index in kept:
-        reason = (
-            "semantic_threshold" if rules[rule_index].is_catch_all else f"rule({rule_index})"
-        )
-        members_a = sorted(group_by_rep[pair.id_a].member_ids)
-        members_b = sorted(group_by_rep[pair.id_b].member_ids)
+    reasons = [
+        "semantic_threshold" if rule.is_catch_all else f"rule({i})" for i, rule in enumerate(rules)
+    ]
+    names = kept.pairs.names
+    for lo, hi, distance, rule_index in zip(
+        kept.pairs.lo.tolist(),
+        kept.pairs.hi.tolist(),
+        kept.pairs.distances.tolist(),
+        kept.rule_indices.tolist(),
+    ):
+        members_a = sorted(group_by_rep[names[lo]].member_ids)
+        members_b = sorted(group_by_rep[names[hi]].member_ids)
         for ma, mb in product(members_a, members_b):
             id_a, id_b = (ma, mb) if ma < mb else (mb, ma)
             label = classify(id_a, id_b, postings_by_id, fingerprints_by_id, semantic_pass=True)
-            pairs.append(LabeledPair(id_a, id_b, label, pair.distance, reason))
+            pairs.append(LabeledPair(id_a, id_b, label, distance, reasons[rule_index]))
 
     pairs.sort(key=lambda p: p.key)
     return pairs, n_exact
@@ -243,7 +249,7 @@ def _dedup(
     rules = list(config.dedup.rules) or [default_rule(base_theta)]
     kept = apply_rules_detailed(candidates, postings_by_id, rules, base_theta)
     pairs, n_exact = _expand_pairs(kept, rules, groups, postings_by_id, fingerprints_by_id)
-    sweep = threshold_sweep(candidates, list(config.dedup.sweep_thetas))
+    sweep = threshold_sweep(candidates.distances, list(config.dedup.sweep_thetas))
     saturation = saturation_report(hits, base_theta, k).to_dict()
     label_counts = Counter(pair.label.value for pair in pairs)
     timings["classify"] = time.perf_counter() - t0
@@ -375,14 +381,9 @@ def read_translated_file(path: str | Path) -> list[tuple[str, str]]:
     return [(r["id"], r["text"]) for r in _read_jsonl(path)]
 
 
-def _write_json(document: dict, path: Path) -> None:
-    with atomic_write(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(document, indent=2))
-
-
 def _write_embedded(embedded: FlatIndex | None, meta: dict, outdir: str | Path) -> None:
     outdir = Path(outdir)
-    _write_json(meta, outdir / EMBED_META_FILE)
+    write_json(meta, outdir / EMBED_META_FILE)
     if embedded is not None:
         embedded.save(outdir / EMBEDDINGS_FILE)
     else:
@@ -393,7 +394,7 @@ def _write_embedded(embedded: FlatIndex | None, meta: dict, outdir: str | Path) 
 
 def _write_result(result: PipelineResult, outdir: str | Path) -> None:
     write_results_csv(result.pairs, Path(outdir) / RESULTS_FILE)
-    _write_json(result.report.to_dict(), Path(outdir) / REPORT_FILE)
+    write_json(result.report.to_dict(), Path(outdir) / REPORT_FILE)
 
 
 def stage_ingest(config: PipelineConfig, outdir: str | Path) -> list[Posting]:
@@ -442,8 +443,11 @@ def stage_dedup(config: PipelineConfig, outdir: str | Path) -> PipelineResult:
     queries = index = None
     embeddings_path = Path(outdir) / EMBEDDINGS_FILE
     if embeddings_path.exists():
-        queries = load_index(embeddings_path)
-        index = load_index(_artifact(outdir, INDEX_FILE))
+        embedded = embeddings_path.read_bytes()
+        queries = index_from_bytes(embedded)
+        indexed = _artifact(outdir, INDEX_FILE).read_bytes()
+        # For `kind: flat` the index is the embeddings, byte for byte: parse them once.
+        index = queries if indexed == embedded else index_from_bytes(indexed)
         if isinstance(index, IVFIndex):
             # nprobe is a search-time knob, not persisted in the file.
             index.nprobe = min(config.index.nprobe, index.nlist)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from postdedup.corpus import Posting
+from postdedup.dedup import CandidatePairs
 
 
 def make_posting(pid: str, title: str = "chef", description: str = "", **kwargs) -> Posting:
@@ -42,6 +43,33 @@ def unit_vectors(n: int, dim: int, seed: int = 0) -> tuple[list[str], np.ndarray
     X = rng.normal(size=(n, dim))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     return [f"v{i:06d}" for i in range(n)], X.astype(np.float32)
+
+
+def candidate_pairs(triples) -> CandidatePairs:
+    """`CandidatePairs` of (id_a, id_b, distance) triples with id_a < id_b, sorted by (id_a, id_b)."""
+    triples = list(triples)
+    if any(a >= b for a, b, _ in triples):
+        raise ValueError("pair ids must satisfy id_a < id_b")
+    names = sorted({a for a, _, _ in triples} | {b for _, b, _ in triples})
+    rank = {name: i for i, name in enumerate(names)}
+    lo = np.array([rank[a] for a, _, _ in triples], dtype=np.int64)
+    hi = np.array([rank[b] for _, b, _ in triples], dtype=np.int64)
+    distances = np.array([d for _, _, d in triples], dtype=np.float64)
+    order = np.lexsort((hi, lo))
+    return CandidatePairs(names, lo[order], hi[order], distances[order])
+
+
+def pair_triples(pairs: CandidatePairs) -> list[tuple[str, str, float]]:
+    """The (id_a, id_b, distance) of each pair, in the pairs' order."""
+    names = pairs.names
+    return [
+        (names[lo], names[hi], d)
+        for lo, hi, d in zip(pairs.lo.tolist(), pairs.hi.tolist(), pairs.distances.tolist())
+    ]
+
+
+def pair_keys(pairs: CandidatePairs) -> set[tuple[str, str]]:
+    return {(a, b) for a, b, _ in pair_triples(pairs)}
 
 
 def search_hits(index, queries, k: int, **kwargs) -> list[list[tuple[str, float]]]:

@@ -16,7 +16,7 @@ import pytest
 from postdedup.config import config_from_dict
 from postdedup.corpus import pair_count, save_postings
 from postdedup.dedup import choose_theta, pairs_from_hits, saturation_report, threshold_sweep
-from postdedup.dedup import CandidatePair, collect_hits
+from postdedup.dedup import collect_hits
 from postdedup.embed import truncation_report
 from postdedup.errors import CorruptIndex
 from postdedup.evaluation import score
@@ -209,15 +209,11 @@ def test_criterion_6_threshold_geometry():
         worst = max(worst, abs(d2 - 2 * (1 - cos)))
     assert worst <= 1e-10
 
-    pairs = {
-        CandidatePair(f"a{i:05d}", f"b{i:05d}", float(d))
-        for i, d in enumerate(rng.uniform(0, 1.5, size=5_000))
-    }
+    distances = rng.uniform(0, 1.5, size=5_000)
     thetas = [0.1, 0.2, 0.25, 0.3, 0.45, 0.7, 1.0, 1.4]
-    rows = threshold_sweep(pairs, thetas)
+    rows = threshold_sweep(distances, thetas)
     counts = [count for _, count, _ in rows]
     assert counts == sorted(counts)
-    distances = np.array([p.distance for p in pairs])
     for theta, count, _ in rows:
         assert count == int((distances < theta).sum())
     _ok("6", f"max |d^2 - 2(1-cos)| = {worst:.2e} <= 1e-10; sweep matches histogram")

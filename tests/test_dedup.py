@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from postdedup.dedup import (
-    CandidatePair,
     DuplicateLabel,
     ExpertRule,
     apply_rules_detailed,
@@ -24,22 +23,27 @@ from postdedup.dedup import (
 from postdedup.errors import ConfigError, NoMatchingRule, UnknownId
 from postdedup.index import FlatIndex, IndexConfig, build_index
 
-from conftest import make_posting, unit_vectors
+from conftest import candidate_pairs, make_posting, pair_keys, pair_triples, unit_vectors
 
 
-def pair(a, b, d) -> CandidatePair:
-    return CandidatePair(a, b, d)
+def pair(a, b, d) -> tuple[str, str, float]:
+    return (a, b, d)
 
 
 def kept_under(pairs, theta):
     """The pairs a lone default rule at theta keeps (a strict distance comparison)."""
-    postings = {pid: make_posting(pid) for p in pairs for pid in p.key}
-    return {p for p, _ in apply_rules_detailed(pairs, postings, [default_rule(theta)], theta)}
+    postings = {pid: make_posting(pid) for a, b, _ in pairs for pid in (a, b)}
+    kept = apply_rules_detailed(candidate_pairs(pairs), postings, [default_rule(theta)], theta)
+    return set(pair_triples(kept.pairs))
+
+
+def distances_of(pairs) -> np.ndarray:
+    return np.array([d for _, _, d in pairs], dtype=np.float64)
 
 
 def count_under(pairs, theta):
     """The sweep's count at theta: pairs strictly under it."""
-    return threshold_sweep(pairs, [theta])[0][1]
+    return threshold_sweep(distances_of(pairs), [theta])[0][1]
 
 
 class TestCandidatePairs:
@@ -47,19 +51,19 @@ class TestCandidatePairs:
         vectors = FlatIndex([f"v{i}" for i in range(3)], [[1, 0]] * 3)
         index = build_index(vectors, IndexConfig(dim=2))
         pairs = pairs_from_hits(collect_hits(index, vectors, k=2))
-        assert {p.key for p in pairs} == {("v0", "v1"), ("v0", "v2"), ("v1", "v2")}
-        assert all(p.distance == 0.0 for p in pairs)
+        assert pair_keys(pairs) == {("v0", "v1"), ("v0", "v2"), ("v1", "v2")}
+        assert (pairs.distances == 0.0).all()
 
     def test_k_capped_by_index_size(self):
         vectors = FlatIndex(["a", "b"], [[1, 0], [0, 1]])
         index = build_index(vectors, IndexConfig(dim=2))
         pairs = pairs_from_hits(collect_hits(index, vectors, k=100))
-        assert {p.key for p in pairs} == {("a", "b")}
+        assert pair_keys(pairs) == {("a", "b")}
 
     def test_matches_exhaustive_knn_oracle(self):
         ids, matrix = vectors = unit_vectors(500, 16, seed=77)
         index = build_index(FlatIndex(*vectors), IndexConfig(dim=16))
-        got = {p.key for p in pairs_from_hits(collect_hits(index, index, k=10))}
+        got = pair_keys(pairs_from_hits(collect_hits(index, index, k=10)))
 
         # oracle: full distance matrix in float64, take each row's true
         # 10 nearest (excluding self, ties by id), union as sorted pairs
@@ -76,20 +80,16 @@ class TestCandidatePairs:
     def test_canonical_form(self):
         index = build_index(FlatIndex(*unit_vectors(50, 8, seed=78)), IndexConfig(dim=8))
         pairs = pairs_from_hits(collect_hits(index, index, k=5))
-        for p in pairs:
-            assert p.id_a < p.id_b
-
-    def test_pair_requires_ordered_ids(self):
-        with pytest.raises(ValueError):
-            CandidatePair("b", "a", 0.1)
-        with pytest.raises(ValueError):
-            CandidatePair("a", "a", 0.1)
+        assert pairs.names == sorted(pairs.names)
+        triples = pair_triples(pairs)
+        assert all(a < b for a, b, _ in triples)
+        assert [(a, b) for a, b, _ in triples] == sorted({(a, b) for a, b, _ in triples})
 
 
 class TestThreshold:
     def test_strictly_below(self):
         pairs = {pair("a", "b", 0.10), pair("a", "c", 0.30)}
-        assert {p.key for p in kept_under(pairs, 0.25)} == {("a", "b")}
+        assert {p[:2] for p in kept_under(pairs, 0.25)} == {("a", "b")}
         assert count_under(pairs, 0.25) == 1
 
     def test_theta_zero_keeps_nothing(self):
@@ -104,7 +104,7 @@ class TestThreshold:
         pairs = {pair(f"a{i:05d}", f"b{i:05d}", rng.uniform(0, 2)) for i in range(10_000)}
         theta = 0.8
         got = kept_under(pairs, theta)
-        expected = {p for p in pairs if p.distance < theta}
+        expected = {p for p in pairs if p[2] < theta}
         assert got == expected
         assert count_under(pairs, theta) == len(expected)
 
@@ -116,30 +116,30 @@ class TestThreshold:
             kept = kept_under(pairs, theta)
             assert previous <= kept
             previous = kept
-        assert previous == {p for p in pairs if p.distance < 2.0}
+        assert previous == {p for p in pairs if p[2] < 2.0}
 
 
 class TestSweep:
     def test_counts_at_thresholds(self):
         pairs = {pair("a", "b", 0.1), pair("a", "c", 0.2), pair("b", "c", 0.3)}
-        rows = threshold_sweep(pairs, [0.15, 0.25, 0.45])
+        rows = threshold_sweep(distances_of(pairs), [0.15, 0.25, 0.45])
         assert [(theta, count) for theta, count, _ in rows] == [(0.15, 1), (0.25, 2), (0.45, 3)]
         assert rows[-1][2] == pytest.approx(1.0)
 
     def test_empty_pairs(self):
-        rows = threshold_sweep(set(), [0.1, 0.2])
+        rows = threshold_sweep(np.array([]), [0.1, 0.2])
         assert [(c, f) for _, c, f in rows] == [(0, 0.0), (0, 0.0)]
 
     def test_unsorted_thetas_rejected(self):
         with pytest.raises(ValueError):
-            threshold_sweep(set(), [0.2, 0.1])
+            threshold_sweep(np.array([]), [0.2, 0.1])
 
     def test_matches_histogram_oracle(self):
         rng = random.Random(8)
         pairs = {pair(f"a{i:05d}", f"b{i:05d}", rng.uniform(0, 1.5)) for i in range(5_000)}
         thetas = [0.1, 0.25, 0.45, 0.8, 1.2, 1.6]
-        rows = threshold_sweep(pairs, thetas)
-        distances = [p.distance for p in pairs]
+        rows = threshold_sweep(distances_of(pairs), thetas)
+        distances = [d for _, _, d in pairs]
         for theta, count, fraction in rows:
             expected = sum(1 for d in distances if d < theta)
             assert count == expected
@@ -155,7 +155,7 @@ class TestSweep:
         distances = [rng.uniform(0.0, 0.25) for _ in range(600)]
         distances += [rng.uniform(0.5, 1.5) for _ in range(9_400)]
         pairs = {pair(f"a{i:05d}", f"b{i:05d}", d) for i, d in enumerate(distances)}
-        rows = threshold_sweep(pairs, [0.1, 0.25, 0.45])
+        rows = threshold_sweep(distances_of(pairs), [0.1, 0.25, 0.45])
         _, kept, fraction = rows[1]
         independent = sum(1 for d in distances if d < 0.25)
         assert kept == independent
@@ -167,7 +167,7 @@ class TestChooseTheta:
     def test_picks_midpoint_of_widest_kept_gap(self):
         pairs = {pair(f"a{i}", f"b{i}", d) for i, d in enumerate([0.1, 0.12, 0.15, 1.3, 1.35])}
         thetas = [round(0.05 * i, 2) for i in range(1, 30)]
-        rows = threshold_sweep(pairs, thetas)
+        rows = threshold_sweep(distances_of(pairs), thetas)
         theta = choose_theta(rows)
         assert 0.15 < theta < 1.3  # inside the duplicate/non-duplicate gap
 
@@ -184,25 +184,36 @@ class TestRules:
             "c": make_posting("c", company="other", location="riga", language="en"),
             "d": make_posting("d", company=None, location=None, language=None),
             "e": make_posting("e", company=None, location=None),
+            "f": make_posting("f", company="", location="", language=""),
         }
+
+    def apply(self, triples, rules, base_theta=0.25):
+        return apply_rules_detailed(candidate_pairs(triples), self.postings, rules, base_theta)
+
+    def first_rule(self, id_a, id_b, **matchers) -> int:
+        """The index of the rule that fires on (id_a, id_b): 0 if a rule with
+        these matchers accepts the pair, else 1 for the catch-all behind it."""
+        rules = [ExpertRule(action="threshold", threshold=1.0, **matchers), default_rule(1.0)]
+        kept = self.apply([pair(id_a, id_b, 0.1)], rules)
+        assert pair_keys(kept.pairs) == {(id_a, id_b)}
+        return int(kept.rule_indices[0])
 
     def test_override_keeps_pair_under_relaxed_threshold(self):
         rules = [
             ExpertRule(company="same", location="same", action="threshold", threshold=0.30),
             default_rule(0.25),
         ]
-        detailed = apply_rules_detailed({pair("a", "b", 0.28)}, self.postings, rules, 0.25)
-        kept = {p for p, _ in detailed}
-        assert {p.key for p in kept} == {("a", "b")}
+        kept = self.apply([pair("a", "b", 0.28)], rules)
+        assert pair_keys(kept.pairs) == {("a", "b")}
+        assert kept.rule_indices.tolist() == [0]
 
     def test_different_company_falls_to_base(self):
         rules = [
             ExpertRule(company="same", location="same", action="threshold", threshold=0.30),
             default_rule(0.25),
         ]
-        detailed = apply_rules_detailed({pair("a", "c", 0.28)}, self.postings, rules, 0.25)
-        kept = {p for p, _ in detailed}
-        assert kept == set()
+        assert len(self.apply([pair("a", "c", 0.28)], rules)) == 0
+        assert self.apply([pair("a", "c", 0.2)], rules).rule_indices.tolist() == [1]
 
     def test_default_only_equals_distance_comparison(self):
         rng = random.Random(9)
@@ -211,52 +222,50 @@ class TestRules:
         while len(pairs) < 40:
             x, y = rng.sample(ids, 2)
             pairs.add(pair(min(x, y), max(x, y), rng.uniform(0, 1)))
-        under = {p for p in pairs if p.distance < 0.25}
+        under = {p for p in pairs if p[2] < 0.25}
         for rules in ([default_rule(0.25)], None):
-            detailed = apply_rules_detailed(pairs, self.postings, rules, 0.25)
-            assert {p for p, _ in detailed} == under
+            kept = self.apply(pairs, rules)
+            assert set(pair_triples(kept.pairs)) == under
+            assert kept.rule_indices.tolist() == [0] * len(under)
 
     def test_reject_action_drops_pair(self):
         rules = [
             ExpertRule(company="different", action="reject"),
             default_rule(0.5),
         ]
-        detailed = apply_rules_detailed({pair("a", "c", 0.01)}, self.postings, rules, 0.5)
-        kept = {p for p, _ in detailed}
-        assert kept == set()
+        assert len(self.apply([pair("a", "c", 0.01)], rules, 0.5)) == 0
 
     def test_missing_value_matches_any_missing_only(self):
-        def rule(**kwargs):
-            return ExpertRule(action="reject", **kwargs)
-
-        assert rule(company="any_missing").matches(self.postings["a"], self.postings["d"])
-        assert not rule(company="same").matches(self.postings["a"], self.postings["d"])
-        assert not rule(company="different").matches(self.postings["a"], self.postings["d"])
+        assert self.first_rule("a", "d", company="any_missing") == 0
+        assert self.first_rule("a", "d", company="same") == 1
+        assert self.first_rule("a", "d", company="different") == 1
 
     def test_missing_language_compares_as_und(self):
-        def rule(**kwargs):
-            return ExpertRule(action="reject", **kwargs)
-
-        assert rule(language="same").matches(self.postings["d"], self.postings["e"])
-        assert rule(language="different").matches(self.postings["a"], self.postings["d"])
+        assert self.first_rule("d", "e", language="same") == 0
+        assert self.first_rule("a", "d", language="different") == 0
+        assert self.first_rule("d", "f", language="same") == 0  # None and "" alike
 
     def test_no_matching_rule_raises(self):
         rules = [ExpertRule(company="same", action="threshold", threshold=0.3)]
-        with pytest.raises(NoMatchingRule):
-            apply_rules_detailed({pair("a", "d", 0.1)}, self.postings, rules, 0.25)
+        with pytest.raises(NoMatchingRule, match="'a', 'd'"):
+            self.apply([pair("a", "b", 0.1), pair("a", "d", 0.1), pair("b", "d", 0.1)], rules)
 
     def test_unknown_id_raises(self):
         with pytest.raises(UnknownId):
-            apply_rules_detailed({pair("a", "zz", 0.1)}, self.postings, [default_rule(0.25)], 0.25)
+            self.apply([pair("a", "zz", 0.1)], [default_rule(0.25)])
+        # checked before any rule: an earlier pair that no rule matches does not mask it
+        no_default = [ExpertRule(company="same", action="threshold", threshold=0.3)]
+        with pytest.raises(UnknownId):
+            self.apply([pair("a", "d", 0.1), pair("b", "zz", 0.1)], no_default)
 
     def test_prefilter_keeps_errors_of_pairs_over_every_threshold(self):
-        # The distance prefilter must not hide a pair that no rule matches,
-        # or a pair with an unknown id, because it is far apart.
+        # A pair far over every threshold still raises when no rule matches
+        # it, or when one of its ids is unknown.
         no_default = [ExpertRule(company="same", action="threshold", threshold=0.3)]
         with pytest.raises(NoMatchingRule):
-            apply_rules_detailed({pair("a", "d", 1.9)}, self.postings, no_default, 0.25)
+            self.apply([pair("a", "d", 1.9)], no_default)
         with pytest.raises(UnknownId):
-            apply_rules_detailed({pair("a", "zz", 1.9)}, self.postings, [default_rule(0.25)], 0.25)
+            self.apply([pair("a", "zz", 1.9)], [default_rule(0.25)])
 
     def test_rule_validation(self):
         with pytest.raises(ConfigError):
@@ -379,10 +388,114 @@ def test_rule_threshold_keeps_strict_subset_property(raw, theta):
     pairs = {
         pair(f"n{min(a, b):02d}", f"n{max(a, b):02d}", d) for a, b, d in raw
     }
-    assert count_under(pairs, theta) == sum(p.distance < theta for p in pairs)
+    assert count_under(pairs, theta) == sum(p[2] < theta for p in pairs)
     if theta == 0:
         return  # a threshold rule needs theta > 0
     kept = kept_under(pairs, theta)
     assert kept <= pairs
-    assert all(p.distance < theta for p in kept)
-    assert all(p.distance >= theta for p in pairs - kept)
+    assert all(p[2] < theta for p in kept)
+    assert all(p[2] >= theta for p in pairs - kept)
+
+
+# --- the per-pair rule matcher, kept as the oracle of the array matcher ------
+
+def _optional_match(mode, va, vb) -> bool:
+    if mode == "any":
+        return True
+    missing = va is None or vb is None
+    if mode == "any_missing":
+        return missing
+    if missing:
+        return False
+    return (va == vb) if mode == "same" else (va != vb)
+
+
+def _language_match(mode, va, vb) -> bool:
+    if mode == "any":
+        return True
+    la, lb = va or "und", vb or "und"
+    return (la == lb) if mode == "same" else (la != lb)
+
+
+def per_pair_rules(triples, postings_by_id, rules):
+    """Kept (id_a, id_b, distance) triples and rule indices, one pair at a time.
+
+    Every id is checked first; then pairs go in (id_a, id_b) order, each
+    to the first rule that matches it, and are kept strictly under that
+    rule's threshold.
+    """
+    for pid in sorted({pid for a, b, _ in triples for pid in (a, b)}):
+        if pid not in postings_by_id:
+            raise UnknownId(pid)
+    kept = []
+    for a, b, d in sorted(triples):
+        pa, pb = postings_by_id[a], postings_by_id[b]
+        for index, rule in enumerate(rules):
+            if (
+                _optional_match(rule.company, pa.company, pb.company)
+                and _language_match(rule.language, pa.language, pb.language)
+                and _optional_match(rule.location, pa.location, pb.location)
+            ):
+                break
+        else:
+            raise NoMatchingRule(f"no rule matched pair {(a, b)}; add a terminal default rule")
+        if rule.action == "threshold" and d < rule.threshold:
+            kept.append(((a, b, d), index))
+    return kept
+
+
+_FIELD_VALUES = st.sampled_from([None, "", "x", "y"])
+_THRESHOLDS = [0.2, 0.25, 0.5, 1.0]
+
+
+@st.composite
+def rulesets(draw):
+    rules = []
+    for _ in range(draw(st.integers(1, 4))):
+        reject = draw(st.booleans())
+        rules.append(
+            ExpertRule(
+                company=draw(st.sampled_from(["same", "different", "any_missing", "any"])),
+                language=draw(st.sampled_from(["same", "different", "any"])),
+                location=draw(st.sampled_from(["same", "different", "any_missing", "any"])),
+                action="reject" if reject else "threshold",
+                threshold=None if reject else draw(st.sampled_from(_THRESHOLDS)),
+            )
+        )
+    if draw(st.sampled_from([True, True, False])):
+        rules.append(default_rule(draw(st.sampled_from(_THRESHOLDS))))
+    return rules
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    postings=st.lists(
+        st.tuples(_FIELD_VALUES, _FIELD_VALUES, _FIELD_VALUES), min_size=6, max_size=6
+    ),
+    unknown=st.integers(0, 20),  # the id left out of the postings, if under 6
+    raw_pairs=st.dictionaries(
+        st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda t: t[0] < t[1]),
+        st.one_of(st.sampled_from(_THRESHOLDS), st.floats(0, 1.2)),
+        min_size=1,
+        max_size=15,
+    ),
+    rules=rulesets(),
+)
+def test_array_rules_equal_per_pair_matcher(postings, unknown, raw_pairs, rules):
+    ids = [f"p{i}" for i in range(6)]
+    postings_by_id = {
+        pid: make_posting(pid, company=company, location=location, language=language)
+        for i, (pid, (company, location, language)) in enumerate(zip(ids, postings))
+        if i != unknown
+    }
+    triples = [(ids[a], ids[b], d) for (a, b), d in raw_pairs.items()]
+    try:
+        expected = per_pair_rules(triples, postings_by_id, rules)
+    except (UnknownId, NoMatchingRule) as err:
+        with pytest.raises(type(err)) as got:
+            apply_rules_detailed(candidate_pairs(triples), postings_by_id, rules, 0.25)
+        assert str(got.value) == str(err)
+        return
+    kept = apply_rules_detailed(candidate_pairs(triples), postings_by_id, rules, 0.25)
+    assert list(zip(pair_triples(kept.pairs), kept.rule_indices.tolist())) == expected
+    assert kept.rule_indices.dtype == np.int64

@@ -17,7 +17,7 @@ from postdedup.normalize import clean_text, decode_entities
 from postdedup.pipeline import run_pipeline
 from postdedup.translate import TranslationCache
 
-from conftest import search_one, unit_vectors
+from conftest import pair_keys, search_one, unit_vectors
 
 
 def one_point() -> FlatIndex:
@@ -54,7 +54,7 @@ class TestDegenerateIndexes:
     def test_candidate_pairs_on_two_point_index(self):
         vectors = FlatIndex(["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
         index = build_index(vectors, IndexConfig(dim=2))
-        assert {p.key for p in pairs_from_hits(collect_hits(index, vectors, k=5))} == {("a", "b")}
+        assert pair_keys(pairs_from_hits(collect_hits(index, vectors, k=5))) == {("a", "b")}
 
 
 class TestStructuralCorruption:

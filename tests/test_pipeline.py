@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import struct
+import zlib
 from dataclasses import replace
 from datetime import date
 
@@ -10,16 +12,20 @@ import pytest
 from postdedup import index as index_module
 from postdedup import pipeline
 from postdedup.config import config_from_dict
-from postdedup.corpus import save_postings
-from postdedup.dedup import DuplicateLabel
-from postdedup.errors import DataError
-from postdedup.evaluation import score, write_results_csv
-from postdedup.atomic import atomic_write
+from postdedup.corpus import corpus_stats, save_postings
+from postdedup.dedup import DuplicateLabel, example_ruleset
+from postdedup.errors import DataError, DuplicateId, ZeroVector
+from postdedup.embed import tokenize
+from postdedup.evaluation import GoldSet, score, write_results_csv
+from postdedup.atomic import atomic_write, write_json
 from postdedup.index import FlatIndex, load_index
-from postdedup.normalize import canonicalize
+from postdedup.normalize import canonicalize, group_exact
 from postdedup.pipeline import (
     CANONICAL_FILE,
+    DICTIONARY_FILE,
     EMBEDDINGS_FILE,
+    EVAL_FILE,
+    GOLD_FILE,
     INDEX_FILE,
     POSTINGS_FILE,
     REPORT_FILE,
@@ -423,23 +429,57 @@ def fail_after(items, n):
     raise WriteFailed
 
 
-@pytest.mark.parametrize("name", ["postings.jsonl", "postings.csv", CANONICAL_FILE, RESULTS_FILE])
+class FailingDocument(dict):
+    """A mapping whose entries fail partway through being read, as a writer reads them."""
+
+    def items(self):
+        return fail_after(list(super().items()), 2)
+
+
+def failing_gold(gold: GoldSet) -> GoldSet:
+    """`gold` with its pairs swapped, after validation, for a FailingDocument."""
+    failing = GoldSet(dict(gold.pairs))
+    object.__setattr__(failing, "pairs", FailingDocument(gold.pairs))
+    return failing
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "postings.jsonl", "postings.csv", CANONICAL_FILE, RESULTS_FILE,
+        "corpus_stats.json", EVAL_FILE, DICTIONARY_FILE, GOLD_FILE,
+    ],
+)
 def test_failed_artifact_write_keeps_previous_file(tmp_path, name):
     config = config_from_dict({})
-    postings = synth_corpus(20, DupPlan(0.2, 0.2, 0.1), seed=4).postings
+    synth = synth_corpus(20, DupPlan(0.2, 0.2, 0.1), seed=4)
+    postings = synth.postings
     canonicals = [canonicalize(p, config.normalize) for p in postings]
     pairs = run_pipeline(postings, config).pairs
-    items, write = {
-        "postings.jsonl": (postings, save_postings),
-        "postings.csv": (postings, lambda items, path: save_postings(items, path, "csv")),
-        CANONICAL_FILE: (canonicals, write_canonical_file),
-        RESULTS_FILE: (pairs, write_results_csv),
+    stats = corpus_stats(postings, tokenize).to_dict()
+    evaluation = score(pairs, synth.gold).to_dict()
+    # (what is written, the same failing partway, the writer the program uses)
+    items, failing, write = {
+        "postings.jsonl": (postings, fail_after(postings, 2), save_postings),
+        "postings.csv": (
+            postings, fail_after(postings, 2), lambda items, path: save_postings(items, path, "csv")
+        ),
+        CANONICAL_FILE: (canonicals, fail_after(canonicals, 2), write_canonical_file),
+        RESULTS_FILE: (pairs, fail_after(pairs, 2), write_results_csv),
+        "corpus_stats.json": (stats, FailingDocument(stats), write_json),
+        EVAL_FILE: (evaluation, FailingDocument(evaluation), write_json),
+        DICTIONARY_FILE: (
+            synth.translation_dict,
+            FailingDocument(synth.translation_dict),
+            lambda doc, path: write_json(doc, path, indent=0, sort_keys=True),
+        ),
+        GOLD_FILE: (synth.gold, failing_gold(synth.gold), lambda gold, path: gold.save_csv(path)),
     }[name]
     path = tmp_path / name
     write(items, path)
     before = path.read_bytes()
     with pytest.raises(WriteFailed):
-        write(fail_after(items, 2), path)
+        write(failing, path)
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
 
@@ -454,3 +494,97 @@ def test_atomic_write_failing_partway_keeps_previous_index(tmp_path):
             raise WriteFailed
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
+
+
+def staged_run(tmp_path, kind: str):
+    """A `dedup` run over a small corpus with a flat or IVF index: config, directory, result."""
+    synth, config = small_corpus_setup(tmp_path, n_base=60)
+    if kind == "ivf":
+        config = replace(config, index=replace(config.index, kind="ivf", nlist=8, nprobe=2))
+    outdir = tmp_path / "staged"
+    outdir.mkdir()
+    save_postings(synth.postings, outdir / POSTINGS_FILE)
+    return config, outdir, run_staged(config, outdir)
+
+
+def crafted_ivf(raw: bytes, corruption: str) -> bytes:
+    """A valid IVF `.pdix` file with one corruption, its CRC recomputed."""
+    index = index_module.index_from_bytes(raw)
+    dim, nlist, ids = index.dim, index.nlist, index.ids
+    payload = bytearray(raw[:-4])
+    centroids = 4 + struct.calcsize("<HBIQ") + 4  # magic, header fields, nlist
+    rows = centroids + 4 * nlist * dim + 8 * (nlist + 1)
+    table = rows + 4 * len(ids) * dim
+    nan = struct.pack("<f", float("nan"))
+    if corruption == "nan_row":
+        payload[rows + 4 * dim : rows + 4 * dim + 4] = nan  # second row, first entry
+    elif corruption == "zero_row":
+        payload[rows : rows + 4 * dim] = bytes(4 * dim)
+    elif corruption == "repeated_id":
+        repeated = [ids[0], ids[0], *ids[2:]]
+        payload[table:] = b"".join(
+            struct.pack("<I", len(vid.encode())) + vid.encode() for vid in repeated
+        )
+    elif corruption == "nan_centroid":
+        payload[centroids : centroids + 4] = nan
+    return bytes(payload) + struct.pack("<I", zlib.crc32(bytes(payload)))
+
+
+@pytest.mark.parametrize(
+    "corruption, error, match",
+    [
+        ("nan_row", DataError, "non-finite vector"),
+        ("zero_row", ZeroVector, "zero vector"),
+        ("repeated_id", DuplicateId, "duplicate"),
+        ("nan_centroid", DataError, "non-finite centroid"),
+    ],
+)
+def test_crafted_ivf_file_fails_load_and_stage_dedup(tmp_path, corruption, error, match):
+    config, outdir, _ = staged_run(tmp_path, "ivf")
+    path = outdir / INDEX_FILE
+    path.write_bytes(crafted_ivf(path.read_bytes(), corruption))
+    with pytest.raises(error, match=match):
+        load_index(path)
+    with pytest.raises(error, match=match):  # a DataError: exit 3 from the CLI
+        stage_dedup(config, outdir)
+
+
+@pytest.mark.parametrize("kind, parses", [("flat", 1), ("ivf", 2)])
+def test_stage_dedup_parses_identical_index_files_once(tmp_path, monkeypatch, kind, parses):
+    config, outdir, result = staged_run(tmp_path, kind)
+    same_bytes = (outdir / EMBEDDINGS_FILE).read_bytes() == (outdir / INDEX_FILE).read_bytes()
+    assert same_bytes == (kind == "flat")
+    parsed = []
+    real = pipeline.index_from_bytes
+    monkeypatch.setattr(pipeline, "index_from_bytes", lambda data: parsed.append(data) or real(data))
+    staged = stage_dedup(config, outdir)
+    assert len(parsed) == parses
+    assert staged.pairs == result.pairs
+    assert staged.report.counters == result.report.counters
+
+
+def test_expanded_pairs_carry_their_representatives_distance(tmp_path):
+    synth, config = small_corpus_setup(tmp_path, n_base=80, hard=0.3)
+    rules = tuple(example_ruleset(config.dedup.base_theta))
+    config = replace(config, dedup=replace(config.dedup, rules=rules))
+    outdir = tmp_path / "staged"
+    outdir.mkdir()
+    save_postings(synth.postings, outdir / POSTINGS_FILE)
+    result = run_staged(config, outdir)
+    # Independent: each member's representative from the written canonical
+    # file, and the L2 distance of the two representatives' stored vectors.
+    rep = {
+        member: group.representative_id
+        for group in group_exact(pipeline.read_canonical_file(outdir / CANONICAL_FILE))
+        for member in group.member_ids
+    }
+    embedded = load_index(outdir / EMBEDDINGS_FILE)
+    vectors = dict(zip(embedded.ids, embedded.vectors.astype(np.float64)))
+    thresholds = {f"rule({i})": rule.threshold for i, rule in enumerate(rules[:-1])}
+    thresholds["semantic_threshold"] = rules[-1].threshold
+    semantic = [p for p in result.pairs if p.reason != "exact_fingerprint"]
+    assert semantic
+    for p in semantic:
+        distance = float(np.sqrt(np.square(vectors[rep[p.id_a]] - vectors[rep[p.id_b]]).sum()))
+        assert p.distance == pytest.approx(distance, rel=1e-12, abs=1e-15)
+        assert p.distance < thresholds[p.reason]

@@ -1,10 +1,10 @@
 """Command-line interface: stagewise and end-to-end pipeline runs.
 
 Exit codes: 0 success, 2 configuration error, 3 data/artifact error,
-4 backend error. Each stage command reads its inputs from, and writes its
-output to, the output directory; `dedup` runs every stage in one process
-and writes all of their artifacts. Flags are merged into the config
-document before it is read.
+4 backend error. Each stage command reads the previous stage's artifact
+from the output directory and writes its own; `dedup` reads none of them:
+it reruns the whole chain from `postings.jsonl` and rewrites every
+artifact. Flags are merged into the config document before it is read.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .config import PipelineConfig, _read_document, _read_yaml, config_from_dict
 from .corpus import corpus_stats, save_postings
 from .embed import tokenize
 from .errors import BackendError, ConfigError, DataError, DedupError
-from .evaluation import GoldSet, read_results_csv, render_report, score
+from .evaluation import ClassMetrics, EvalReport, GoldSet, read_results_csv, render_report, score
 from .pipeline import (
     DICTIONARY_FILE,
     EVAL_FILE,
@@ -28,7 +28,6 @@ from .pipeline import (
     REPORT_FILE,
     RESULTS_FILE,
     run_staged,
-    stage_dedup,
     stage_embed,
     stage_index,
     stage_ingest,
@@ -140,15 +139,18 @@ def _cmd_translate(args) -> int:
 
 def _cmd_embed(args) -> int:
     config = _config_from_args(args)
-    id_vectors = stage_embed(config, args.out)
-    print(f"embedded {len(id_vectors)} non-empty representatives")
+    embedded = stage_embed(config, args.out)
+    print(f"embedded {len(embedded) if embedded is not None else 0} non-empty representatives")
     return 0
 
 
 def _cmd_index(args) -> int:
     config = _config_from_args(args)
     index = stage_index(config, args.out)
-    print(f"built {index.kind} index over {len(index)} vectors")
+    if index is None:
+        print("nothing to index: no representative has a non-empty embedding")
+    else:
+        print(f"built {index.kind} index over {len(index)} vectors")
     return 0
 
 
@@ -205,23 +207,31 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as err:  # JSONDecodeError, UnicodeDecodeError
+        raise DataError(f"malformed JSON file {path}: {err}") from err
+
+
 def _cmd_report(args) -> int:
     run_path = Path(args.run or Path(args.out) / REPORT_FILE)
     if not run_path.exists():
         raise DataError(f"missing run report {run_path}")
-    run = json.loads(run_path.read_text(encoding="utf-8"))
+    run = _read_json(run_path)
     eval_report = None
     eval_path = Path(args.eval or Path(args.out) / EVAL_FILE)
     if eval_path.exists():
-        from .evaluation import ClassMetrics, EvalReport
-
-        raw = json.loads(eval_path.read_text(encoding="utf-8"))
-        per_class = {
-            name: ClassMetrics(**metrics)
-            for name, metrics in raw.items()
-            if name != "macro_f1"
-        }
-        eval_report = EvalReport(per_class=per_class, macro_f1=raw["macro_f1"])
+        raw = _read_json(eval_path)
+        try:
+            per_class = {
+                name: ClassMetrics(**metrics)
+                for name, metrics in raw.items()
+                if name != "macro_f1"
+            }
+            eval_report = EvalReport(per_class=per_class, macro_f1=raw["macro_f1"])
+        except (AttributeError, KeyError, TypeError) as err:
+            raise DataError(f"malformed eval report {eval_path}: {err!r}") from err
     print(render_report(run, eval_report, format=args.format), end="")
     return 0
 
@@ -249,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common_flags(p)
         p.set_defaults(func=func)
 
-    p = sub.add_parser("dedup", help="run the full pipeline against the artifact directory")
+    p = sub.add_parser("dedup", help="rerun the whole chain from postings.jsonl")
     p.add_argument("--input", help="optionally ingest this corpus file first")
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     _add_common_flags(p)

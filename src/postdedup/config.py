@@ -203,11 +203,6 @@ def _read_document(path: str | Path) -> dict:
     return raw
 
 
-def load_config(path: str | Path) -> PipelineConfig:
-    """Load a YAML (or JSON, a YAML subset) config document."""
-    return config_from_dict(_read_document(path))
-
-
 __all__ = [
     "MODES",
     "DEFAULT_SWEEP_THETAS",
@@ -217,5 +212,4 @@ __all__ = [
     "IOConfig",
     "PipelineConfig",
     "config_from_dict",
-    "load_config",
 ]

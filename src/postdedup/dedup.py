@@ -83,17 +83,6 @@ class ExpertRule:
     def is_catch_all(self) -> bool:
         return self.company == "any" and self.language == "any" and self.location == "any"
 
-    def to_dict(self) -> dict:
-        out = {
-            "company": self.company,
-            "language": self.language,
-            "location": self.location,
-            "action": self.action,
-        }
-        if self.threshold is not None:
-            out["threshold"] = self.threshold
-        return out
-
     @classmethod
     def from_dict(cls, raw: dict) -> "ExpertRule":
         known = {"company", "language", "location", "action", "threshold"}

@@ -49,10 +49,15 @@ class GoldSet:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             for row in reader:
-                key = (row["id1"], row["id2"])
+                try:
+                    key = (row["id1"], row["id2"])
+                    label = DuplicateLabel(row["label"])
+                except (KeyError, ValueError) as err:
+                    where = f"{path}:{reader.line_num}"
+                    raise DataError(f"malformed gold row at {where}: {err!r}") from err
                 if key in pairs:
                     raise DataError(f"gold pair {key} listed twice")
-                pairs[key] = DuplicateLabel(row["label"])
+                pairs[key] = label
         return cls(pairs)
 
 
@@ -134,16 +139,13 @@ def read_results_csv(path: str | Path) -> list[LabeledPair]:
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
-            distance = float(row["distance"]) if row["distance"] else None
-            pairs.append(
-                LabeledPair(
-                    id_a=row["id1"],
-                    id_b=row["id2"],
-                    label=DuplicateLabel(row["label"]),
-                    distance=distance,
-                    reason=row["reason"],
-                )
-            )
+            try:
+                distance = float(row["distance"]) if row["distance"] else None
+                label = DuplicateLabel(row["label"])
+                pairs.append(LabeledPair(row["id1"], row["id2"], label, distance, row["reason"]))
+            except (KeyError, ValueError) as err:
+                where = f"{path}:{reader.line_num}"
+                raise DataError(f"malformed results row at {where}: {err!r}") from err
     return pairs
 
 

@@ -433,28 +433,23 @@ class IVFIndex(_BaseIndex):
     def list_sizes(self) -> list[int]:
         return self._list_sizes.tolist()
 
-    def _probe(self, queries: np.ndarray, nprobe: int) -> tuple[np.ndarray, np.ndarray]:
+    def _probe(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(query, row) pairs of every row in each query's nprobe nearest lists."""
         lists, _, _ = _nearest(
-            queries, self._cent32, self._cent_sq, nprobe, np.arange(self.nlist)
+            queries, self._cent32, self._cent_sq, self.nprobe, np.arange(self.nlist)
         )
         sizes = self._list_sizes[lists]
         rows = _spans(self._list_starts[lists].ravel(), sizes.ravel())
         return np.repeat(np.arange(len(queries)), sizes.sum(axis=1)), rows
 
-    def search_arrays(
-        self, queries, k: int, threads: int = 1, nprobe: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def search_arrays(self, queries, k: int, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
         queries = self._queries(queries, k)
-        nprobe = self.nprobe if nprobe is None else nprobe
-        if not 1 <= nprobe <= self.nlist:
-            raise ValueError(f"nprobe must be in [1, {self.nlist}]")
         rows, d2, scanned = _blocked_top_k(
             queries,
             self._vecs32,
             k,
             self._id_ranks,
-            lambda block: self._probe(block, nprobe),
+            self._probe,
             _CANDIDATE_BYTES,
             threads,
         )

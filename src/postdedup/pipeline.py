@@ -7,10 +7,12 @@ classify -> expand group labels back to all members -> run report.
 
 `run_pipeline` runs the chain in memory; `run_staged` (the CLI `dedup`
 command) runs it from `postings.jsonl`, writing each artifact as it is
-produced and reading none back. Each `stage_*` function reads one stage's
-input artifacts, calls the same stage function and writes its output; all
-paths give byte-identical results because every artifact round-trips
-exactly (float32 vectors, UTF-8 text).
+produced and reading none back. The `stage_*` functions (ingest through
+index, one per CLI stage command) each read the previous stage's artifact,
+call the same stage function and write its output, byte-identical to what
+`run_staged` writes because every artifact round-trips exactly (float32
+vectors, UTF-8 text). Candidates, rules and results run only inside the
+whole chain, so no code reads `index.pdix` back.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .dedup import (
 from .embed import HashedEmbedder, RemoteEmbedder, truncation_report
 from .errors import DataError
 from .evaluation import write_results_csv
-from .index import FlatIndex, IVFIndex, build_index, index_from_bytes, load_index
+from .index import FlatIndex, build_index, load_index
 from .normalize import CanonicalText, ExactGroup, canonicalize, group_exact
 from .translate import TranslationCache, TranslationRequest, make_backend, translate_batch
 
@@ -349,8 +351,15 @@ def _write_jsonl(records, path: str | Path) -> None:
 
 
 def _read_jsonl(path: str | Path) -> list[dict]:
+    records = []
     with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for line_no, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    records.append(json.loads(line))
+                except json.JSONDecodeError as err:
+                    raise DataError(f"malformed JSON line at {path}:{line_no}: {err.msg}") from err
+    return records
 
 
 def write_canonical_file(canonicals: Sequence[CanonicalText], path: str | Path) -> None:
@@ -430,31 +439,13 @@ def stage_embed(config: PipelineConfig, outdir: str | Path, embedder=None) -> Fl
 
 
 def stage_index(config: PipelineConfig, outdir: str | Path):
-    index = _build_search_index(load_index(_artifact(outdir, EMBEDDINGS_FILE)), config)
+    """The search index, saved; None when the embed stage had nothing to embed."""
+    _artifact(outdir, EMBED_META_FILE)
+    if not (Path(outdir) / EMBEDDINGS_FILE).exists():
+        return None
+    index = _build_search_index(load_index(Path(outdir) / EMBEDDINGS_FILE), config)
     index.save(Path(outdir) / INDEX_FILE)
     return index
-
-
-def stage_dedup(config: PipelineConfig, outdir: str | Path) -> PipelineResult:
-    """Final stage: candidates, rules, classification, expansion, reports."""
-    postings = load_postings(_artifact(outdir, POSTINGS_FILE))
-    canonicals = read_canonical_file(_artifact(outdir, CANONICAL_FILE))
-    meta = json.loads(_artifact(outdir, EMBED_META_FILE).read_text(encoding="utf-8"))
-    queries = index = None
-    embeddings_path = Path(outdir) / EMBEDDINGS_FILE
-    if embeddings_path.exists():
-        embedded = embeddings_path.read_bytes()
-        queries = index_from_bytes(embedded)
-        indexed = _artifact(outdir, INDEX_FILE).read_bytes()
-        # For `kind: flat` the index is the embeddings, byte for byte: parse them once.
-        index = queries if indexed == embedded else index_from_bytes(indexed)
-        if isinstance(index, IVFIndex):
-            # nprobe is a search-time knob, not persisted in the file.
-            index.nprobe = min(config.index.nprobe, index.nlist)
-    groups = group_exact(canonicals)
-    result = _dedup(postings, canonicals, groups, meta, queries, index, config, {})
-    _write_result(result, outdir)
-    return result
 
 
 def run_staged(config: PipelineConfig, outdir: str | Path, translator=None, embedder=None) -> PipelineResult:
@@ -486,7 +477,6 @@ __all__ = [
     "stage_translate",
     "stage_embed",
     "stage_index",
-    "stage_dedup",
     "read_canonical_file",
     "write_canonical_file",
     "read_translated_file",

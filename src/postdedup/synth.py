@@ -173,9 +173,6 @@ class _Generator:
         self.by_code = {lang.code: lang for lang in languages}
         self.rng = rng
 
-    def language_codes(self) -> list[str]:
-        return ["en"] + [lang.code for lang in self.languages]
-
     def pick_language(self) -> str:
         if self.languages and self.rng.random() < 0.4:
             return self.rng.choice([lang.code for lang in self.languages])
@@ -272,7 +269,6 @@ class _Generator:
 def synth_corpus(
     n_base: int,
     plan: DupPlan,
-    languages: list[PseudoLanguage] | None = None,
     seed: int = 0,
     embed_dim: int = 256,
 ) -> SynthResult:
@@ -286,13 +282,7 @@ def synth_corpus(
         raise ConfigError("n_base must be non-negative")
     rng = random.Random(seed)
     vocabulary = make_vocabulary(dim=embed_dim, seed=seed)
-    if languages is None:
-        languages = make_pseudo_languages(["qaa", "qab", "qac"], vocabulary)
-    else:
-        for lang in languages:
-            missing = [w for w in vocabulary if w not in lang.mapping]
-            if missing:
-                raise ConfigError(f"language {lang.code!r} does not cover the vocabulary")
+    languages = make_pseudo_languages(["qaa", "qab", "qac"], vocabulary)
     synonyms = _synonym_map(vocabulary)
     gen = _Generator(plan, languages, rng)
 

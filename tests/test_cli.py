@@ -1,17 +1,28 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 import yaml
 
+import postdedup
 from postdedup.cli import _config_from_args, build_parser, main
 from postdedup.pipeline import (
+    CANONICAL_FILE,
     DICTIONARY_FILE,
+    EMBED_META_FILE,
+    EMBEDDINGS_FILE,
     EVAL_FILE,
     GOLD_FILE,
+    INDEX_FILE,
     POSTINGS_FILE,
     REPORT_FILE,
     RESULTS_FILE,
+    TRANSLATED_FILE,
 )
 
 
@@ -168,21 +179,93 @@ def test_ingest_missing_input_is_data_error(tmp_path):
     assert run_cli("ingest", "--input", tmp_path / "nope.jsonl", "--out", tmp_path) == 3
 
 
-def test_stagewise_commands_match_dedup(tmp_path):
+@pytest.mark.parametrize("kind", ["flat", "ivf"])
+def test_stagewise_commands_match_dedup(tmp_path, kind):
+    index = {"kind": kind, "nlist": 8, "nprobe": 2} if kind == "ivf" else {"kind": kind}
+    config_path = tmp_path / "index.yaml"
+    config_path.write_text(yaml.safe_dump({"index": index}), encoding="utf-8")
     one = tmp_path / "one"
     two = tmp_path / "two"
     for outdir in (one, two):
         assert run_cli(*synth_args(outdir, seed=9)) == 0
 
-    common = ["--dict", one / DICTIONARY_FILE, "--k", 20, "--theta", 0.35, "--seed", 9]
-    assert run_cli("dedup", "--out", one, *common) == 0
+    def flags(outdir):
+        return [
+            "--out", outdir, "--dict", outdir / DICTIONARY_FILE, "--config", config_path,
+            "--k", 20, "--theta", 0.35, "--seed", 9,
+        ]
 
-    common_two = ["--dict", two / DICTIONARY_FILE, "--k", 20, "--theta", 0.35, "--seed", 9]
+    assert run_cli("dedup", *flags(one)) == 0
     for command in ("normalize", "translate", "embed", "index"):
-        assert run_cli(command, "--out", two, *common_two) == 0
-    assert run_cli("dedup", "--out", two, *common_two) == 0
+        assert run_cli(command, *flags(two)) == 0
+    # `dedup` rewrites every artifact, so compare the stage commands' own first.
+    for name in (CANONICAL_FILE, TRANSLATED_FILE, EMBED_META_FILE, EMBEDDINGS_FILE, INDEX_FILE):
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
+    assert run_cli("dedup", *flags(two)) == 0
 
     assert (one / RESULTS_FILE).read_bytes() == (two / RESULTS_FILE).read_bytes()
+
+
+def test_stage_commands_on_a_corpus_with_nothing_to_embed(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        "".join(
+            json.dumps({"id": pid, "title": title, "retrieval_date": "2024-03-01", "source": "s"})
+            + "\n"
+            for pid, title in (("a", "\U0001f642"), ("b", "\U0001f389\U0001f389"))
+        ),
+        encoding="utf-8",
+    )
+    outdir = tmp_path / "run"
+    assert run_cli("ingest", "--input", corpus, "--out", outdir) == 0
+    for command in ("normalize", "translate", "embed", "index"):
+        assert run_cli(command, "--out", outdir) == 0, command
+    out = capsys.readouterr().out
+    assert "embedded 0 non-empty representatives" in out
+    assert "nothing to index" in out
+    assert (outdir / EMBED_META_FILE).exists()
+    assert not (outdir / EMBEDDINGS_FILE).exists() and not (outdir / INDEX_FILE).exists()
+    assert run_cli("dedup", "--out", outdir) == 0
+
+
+_POSTING = {"id": "a", "title": "chef", "retrieval_date": "2024-03-01", "source": "s"}
+
+
+@pytest.mark.parametrize(
+    "command, files, named",
+    [
+        ("report", {REPORT_FILE: "not json"}, REPORT_FILE),
+        (
+            "report",
+            {REPORT_FILE: "{}", EVAL_FILE: '{"full": {"precision": 1.0}, "macro_f1": 1.0}'},
+            EVAL_FILE,
+        ),
+        (
+            "eval",
+            {RESULTS_FILE: "id1,id2,label,distance,reason\n", GOLD_FILE: "id1,id2,label\na,b,bogus\n"},
+            f"{GOLD_FILE}:2",
+        ),
+        (
+            "eval",
+            {RESULTS_FILE: "id1,id2,label,reason\na,b,full,x\n", GOLD_FILE: "id1,id2,label\n"},
+            f"{RESULTS_FILE}:2",
+        ),
+        (
+            "translate",
+            {POSTINGS_FILE: json.dumps(_POSTING) + "\n", CANONICAL_FILE: "not json\n"},
+            f"{CANONICAL_FILE}:1",
+        ),
+    ],
+    ids=[
+        "report-not-json", "eval-json-missing-fields", "gold-unknown-label",
+        "results-without-distance", "canonical-not-json",
+    ],
+)
+def test_malformed_input_file_is_data_error(tmp_path, capsys, command, files, named):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert run_cli(command, "--out", tmp_path) == 3
+    assert named in capsys.readouterr().err
 
 
 def test_config_file_drives_run(tmp_path):
@@ -305,3 +388,16 @@ def test_non_string_translation_cache_text_is_data_error(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(*args) == 3
     assert "malformed translation cache record" in capsys.readouterr().err
+
+
+def test_importing_the_package_loads_no_submodule_and_no_numpy():
+    src = str(Path(postdedup.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, postdedup; "
+        "print(sorted(m for m in sys.modules if m.startswith('postdedup.') or m == 'numpy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

@@ -280,10 +280,12 @@ class TestRules:
             ExpertRule.from_dict({"company": "same", "action": "reject", "bogus": 1})
 
     def test_rule_dict_round_trip(self):
-        rule = ExpertRule(company="same", location="same", action="threshold", threshold=0.3)
-        assert ExpertRule.from_dict(rule.to_dict()) == rule
-        reject = ExpertRule(company="different", action="reject")
-        assert ExpertRule.from_dict(reject.to_dict()) == reject
+        raw = {"company": "same", "location": "same", "action": "threshold", "threshold": 0.3}
+        assert ExpertRule.from_dict(raw) == ExpertRule(
+            company="same", location="same", action="threshold", threshold=0.3
+        )
+        reject = {"company": "different", "action": "reject"}
+        assert ExpertRule.from_dict(reject) == ExpertRule(company="different", action="reject")
 
     def test_example_ruleset_shape(self):
         rules = example_ruleset(0.25)

@@ -23,6 +23,7 @@ from postdedup.normalize import canonicalize, group_exact
 from postdedup.pipeline import (
     CANONICAL_FILE,
     DICTIONARY_FILE,
+    EMBED_META_FILE,
     EMBEDDINGS_FILE,
     EVAL_FILE,
     GOLD_FILE,
@@ -33,7 +34,6 @@ from postdedup.pipeline import (
     TRANSLATED_FILE,
     run_pipeline,
     run_staged,
-    stage_dedup,
     stage_embed,
     stage_index,
     stage_normalize,
@@ -197,9 +197,9 @@ def test_individual_stages_compose_byte_identically(tmp_path):
     stage_translate(config, two)
     stage_embed(config, two)
     stage_index(config, two)
-    stage_dedup(config, two)
 
-    assert (one / RESULTS_FILE).read_bytes() == (two / RESULTS_FILE).read_bytes()
+    for name in (CANONICAL_FILE, TRANSLATED_FILE, EMBED_META_FILE, EMBEDDINGS_FILE, INDEX_FILE):
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
 
 
 def test_stage_requires_previous_artifact(tmp_path):
@@ -496,15 +496,15 @@ def test_atomic_write_failing_partway_keeps_previous_index(tmp_path):
     assert list(tmp_path.iterdir()) == [path]
 
 
-def staged_run(tmp_path, kind: str):
-    """A `dedup` run over a small corpus with a flat or IVF index: config, directory, result."""
+def ivf_run_dir(tmp_path):
+    """The directory of a `dedup` run over a small corpus with an IVF index."""
     synth, config = small_corpus_setup(tmp_path, n_base=60)
-    if kind == "ivf":
-        config = replace(config, index=replace(config.index, kind="ivf", nlist=8, nprobe=2))
+    config = replace(config, index=replace(config.index, kind="ivf", nlist=8, nprobe=2))
     outdir = tmp_path / "staged"
     outdir.mkdir()
     save_postings(synth.postings, outdir / POSTINGS_FILE)
-    return config, outdir, run_staged(config, outdir)
+    run_staged(config, outdir)
+    return outdir
 
 
 def crafted_ivf(raw: bytes, corruption: str) -> bytes:
@@ -540,27 +540,10 @@ def crafted_ivf(raw: bytes, corruption: str) -> bytes:
     ],
 )
 def test_crafted_ivf_file_fails_load_and_stage_dedup(tmp_path, corruption, error, match):
-    config, outdir, _ = staged_run(tmp_path, "ivf")
-    path = outdir / INDEX_FILE
+    path = ivf_run_dir(tmp_path) / INDEX_FILE
     path.write_bytes(crafted_ivf(path.read_bytes(), corruption))
-    with pytest.raises(error, match=match):
+    with pytest.raises(error, match=match):  # each is a DataError (exit 3)
         load_index(path)
-    with pytest.raises(error, match=match):  # a DataError: exit 3 from the CLI
-        stage_dedup(config, outdir)
-
-
-@pytest.mark.parametrize("kind, parses", [("flat", 1), ("ivf", 2)])
-def test_stage_dedup_parses_identical_index_files_once(tmp_path, monkeypatch, kind, parses):
-    config, outdir, result = staged_run(tmp_path, kind)
-    same_bytes = (outdir / EMBEDDINGS_FILE).read_bytes() == (outdir / INDEX_FILE).read_bytes()
-    assert same_bytes == (kind == "flat")
-    parsed = []
-    real = pipeline.index_from_bytes
-    monkeypatch.setattr(pipeline, "index_from_bytes", lambda data: parsed.append(data) or real(data))
-    staged = stage_dedup(config, outdir)
-    assert len(parsed) == parses
-    assert staged.pairs == result.pairs
-    assert staged.report.counters == result.report.counters
 
 
 def test_expanded_pairs_carry_their_representatives_distance(tmp_path):

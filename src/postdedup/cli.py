@@ -157,9 +157,8 @@ def _cmd_index(args) -> int:
 def _cmd_dedup(args) -> int:
     config = _config_from_args(args)
     outdir = Path(args.out)
-    if args.input:
-        stage_ingest(config, outdir)
-    result = run_staged(config, outdir)
+    postings = stage_ingest(config, outdir) if args.input else None
+    result = run_staged(config, outdir, postings=postings)
     print(
         f"wrote {len(result.pairs)} labeled pairs to {outdir / RESULTS_FILE} "
         f"(labels: {result.report.label_counts})"
@@ -219,6 +218,8 @@ def _cmd_report(args) -> int:
     if not run_path.exists():
         raise DataError(f"missing run report {run_path}")
     run = _read_json(run_path)
+    if not isinstance(run, dict):
+        raise DataError(f"malformed run report {run_path}: expected a JSON object")
     eval_report = None
     eval_path = Path(args.eval or Path(args.out) / EVAL_FILE)
     if eval_path.exists():

@@ -23,6 +23,10 @@ from .errors import BackendUnavailable, DimensionMismatch
 
 DEFAULT_MAX_TOKENS = 384
 
+# Budget of one embedding chunk: its float64 bucket accumulator plus four
+# 8-byte values (hash, cell, sign, row) per kept token.
+_CHUNK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class TruncationReport:
@@ -78,12 +82,21 @@ def _loss_bucket(n_lost: int) -> str:
 
 def truncation_report(texts: Iterable[str], max_tokens: int = DEFAULT_MAX_TOKENS) -> TruncationReport:
     """Aggregate truncation losses over a corpus of (canonical) texts."""
+    return truncation_from_counts((len(tokenize(text)) for text in texts), max_tokens)
+
+
+def truncation_from_counts(
+    token_counts: Iterable[int], max_tokens: int = DEFAULT_MAX_TOKENS
+) -> TruncationReport:
+    """`truncation_report` of texts with these token counts."""
+    if max_tokens < 1:
+        raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
     losses: list[int] = []
     n_total = 0
     histogram: dict[str, int] = {}
-    for text in texts:
+    for count in token_counts:
         n_total += 1
-        _, n_lost = truncate_tokens(tokenize(text), max_tokens)
+        n_lost = count - max_tokens
         if n_lost > 0:
             losses.append(n_lost)
             bucket = _loss_bucket(n_lost)
@@ -123,22 +136,38 @@ def hashed_bow_embed(
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     kept, _ = truncate_tokens(tokens, max_tokens)
-    hashes = np.fromiter(map(_cached_token_hash, kept), dtype=np.uint64, count=len(kept))
-    buckets = (hashes % np.uint64(dim)).astype(np.intp)
+    return _bow_rows(kept, [len(kept)], dim)[0]
+
+
+def _bow_rows(tokens: Sequence[str], lengths: Sequence[int], dim: int) -> np.ndarray:
+    """`hashed_bow_embed` of consecutive runs of `tokens`, one row per run length.
+
+    One bincount fills every row's buckets. The sums and sums of squares
+    are small integers, exact in float64 in any order, so each row has the
+    bits a text embedded alone has.
+    """
+    hashes = np.fromiter(map(_cached_token_hash, tokens), dtype=np.uint64, count=len(tokens))
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    cells = rows * dim + (hashes % np.uint64(dim)).astype(np.intp)
     signs = np.where(hashes >> np.uint64(63), 1.0, -1.0)
-    accum = np.bincount(buckets, weights=signs, minlength=dim)
-    norm = float(np.sqrt(np.dot(accum, accum)))
-    if norm == 0.0:
-        return np.zeros(dim, dtype=np.float32)
-    return (accum / norm).astype(np.float32)
+    accum = np.bincount(cells, weights=signs, minlength=len(lengths) * dim)
+    accum = accum.reshape(len(lengths), dim)
+    norms = np.sqrt(np.einsum("ij,ij->i", accum, accum))[:, None]
+    unit = np.divide(accum, norms, out=np.zeros(accum.shape), where=norms != 0.0)
+    return unit.astype(np.float32)
 
 
 class Embedder(Protocol):
     name: str
     dim: int
 
-    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
-        """One (len(texts), dim) float32 row per text; all zeros where it has nothing to embed."""
+    def embed_many(
+        self, texts: Sequence[str], token_counts: list[int] | None = None
+    ) -> np.ndarray:
+        """One (len(texts), dim) float32 row per text; all zeros where it has nothing to embed.
+
+        Appends the number of `tokenize` tokens of each text to `token_counts`.
+        """
 
 
 class HashedEmbedder:
@@ -147,16 +176,32 @@ class HashedEmbedder:
     def __init__(self, dim: int = 256, max_tokens: int = DEFAULT_MAX_TOKENS) -> None:
         if dim < 2:
             raise ValueError(f"dim must be >= 2, got {dim}")
+        if max_tokens < 1:
+            raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
         self.name = "hashed"
         self.dim = dim
         self.max_tokens = max_tokens
 
-    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
-        # Text by text: tokenizing the whole batch at once would hold every
-        # text's tokens in memory together.
+    def embed_many(
+        self, texts: Sequence[str], token_counts: list[int] | None = None
+    ) -> np.ndarray:
+        # Texts are embedded in chunks whose accumulator and kept tokens fit
+        # _CHUNK_BYTES: the whole batch at once would hold every text's
+        # tokens in memory together.
         out = np.empty((len(texts), self.dim), dtype=np.float32)
-        for row, text in zip(out, texts):
-            row[:] = hashed_bow_embed(tokenize(text), self.dim, self.max_tokens)
+        chunk: list[str] = []
+        lengths: list[int] = []
+        start = 0
+        for end, text in enumerate(texts, 1):
+            tokens = tokenize(text)
+            if token_counts is not None:
+                token_counts.append(len(tokens))
+            kept = tokens[: self.max_tokens]
+            chunk += kept
+            lengths.append(len(kept))
+            if 8 * (len(lengths) * self.dim + 4 * len(chunk)) >= _CHUNK_BYTES or end == len(texts):
+                out[start:end] = _bow_rows(chunk, lengths, self.dim)
+                chunk, lengths, start = [], [], end
         return out
 
 
@@ -192,9 +237,13 @@ class RemoteEmbedder:
         self.max_in_flight = max_in_flight
         self._session = session or requests.Session()
 
-    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+    def embed_many(
+        self, texts: Sequence[str], token_counts: list[int] | None = None
+    ) -> np.ndarray:
         from .batching import map_batches
 
+        if token_counts is not None:
+            token_counts.extend(len(tokenize(text)) for text in texts)
         rows = map_batches(
             list(texts),
             self._embed_one_batch,
@@ -236,6 +285,7 @@ __all__ = [
     "tokenize",
     "truncate_tokens",
     "truncation_report",
+    "truncation_from_counts",
     "token_hash",
     "hashed_bow_embed",
     "Embedder",

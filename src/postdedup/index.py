@@ -489,15 +489,21 @@ def _assign(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
 def _kmeans(
     X: np.ndarray, k: int, iters: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lloyd's algorithm with k-means++ seeding and a fixed iteration count.
+    """Lloyd's algorithm with k-means++ seeding and at most `iters` iterations.
 
     Empty clusters are repaired by seeding them with the farthest point of
-    the currently largest cluster.
+    the currently largest cluster. An iteration is a deterministic function
+    of the centers, repair included, so once one leaves them bitwise
+    unchanged every later one would too, and the loop stops there; the
+    assignment to those centers is then the one that iteration computed.
     """
     centers = _kmeans_pp_init(X, k, rng)
     grouped = np.empty_like(X)
+    previous = np.empty_like(centers)
     for _ in range(iters):
-        assign = _assign(X, centers)
+        previous[:] = centers
+        nearest = _assign(X, centers)
+        assign = nearest.copy()  # the repair moves rows between clusters
         counts = np.bincount(assign, minlength=k)
         nonempty = counts > 0
         # Each cluster's rows, in ascending row order, summed one row after
@@ -518,6 +524,8 @@ def _kmeans(
             assign[far] = j
             counts[big] -= 1
             counts[int(j)] += 1
+        if np.array_equal(previous.view(np.uint64), centers.view(np.uint64)):
+            return centers, nearest
     return centers, _assign(X, centers)
 
 

@@ -40,7 +40,7 @@ from .dedup import (
     saturation_report,
     threshold_sweep,
 )
-from .embed import HashedEmbedder, RemoteEmbedder, truncation_report
+from .embed import HashedEmbedder, RemoteEmbedder, truncation_from_counts
 from .errors import DataError
 from .evaluation import write_results_csv
 from .index import FlatIndex, build_index, load_index
@@ -162,7 +162,8 @@ def _embed(
     """The non-zero embeddings as a flat index (None if there are none), and their metadata."""
     if embedder is None:
         embedder = make_embedder(config)
-    vectors = embedder.embed_many(texts)
+    token_counts: list[int] = []
+    vectors = embedder.embed_many(texts, token_counts)
     nonzero = vectors.any(axis=1)
     flags = nonzero.tolist()
     ids = [rid for rid, keep in zip(rep_ids, flags) if keep]
@@ -170,7 +171,7 @@ def _embed(
         "dim": config.embed.dim,
         "max_tokens": config.embed.max_tokens,
         "zero_vector_ids": [rid for rid, keep in zip(rep_ids, flags) if not keep],
-        "truncation": truncation_report(texts, config.embed.max_tokens).to_dict(),
+        "truncation": truncation_from_counts(token_counts, config.embed.max_tokens).to_dict(),
     }
     return (FlatIndex(ids, vectors[nonzero]) if ids else None), meta
 
@@ -350,15 +351,25 @@ def _write_jsonl(records, path: str | Path) -> None:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def _read_jsonl(path: str | Path) -> list[dict]:
+def _read_jsonl(path: str | Path, fields: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """The named fields of each record of a JSONL artifact; each must be a string."""
     records = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError as err:
-                    raise DataError(f"malformed JSON line at {path}:{line_no}: {err.msg}") from err
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise DataError(f"malformed JSON line at {path}:{line_no}: {err.msg}") from err
+            if not isinstance(record, dict) or not all(
+                isinstance(record.get(name), str) for name in fields
+            ):
+                raise DataError(
+                    f"malformed record at {path}:{line_no}: "
+                    f"expected an object with string fields {', '.join(fields)}"
+                )
+            records.append(tuple(record[name] for name in fields))
     return records
 
 
@@ -374,8 +385,10 @@ def write_canonical_file(canonicals: Sequence[CanonicalText], path: str | Path) 
 
 def read_canonical_file(path: str | Path) -> list[CanonicalText]:
     return [
-        CanonicalText(text=r["canonical_text"], fingerprint=r["fingerprint"], source_id=r["id"])
-        for r in _read_jsonl(path)
+        CanonicalText(text=text, fingerprint=fingerprint, source_id=source_id)
+        for source_id, text, fingerprint in _read_jsonl(
+            path, ("id", "canonical_text", "fingerprint")
+        )
     ]
 
 
@@ -387,7 +400,7 @@ def _write_translated(
 
 
 def read_translated_file(path: str | Path) -> list[tuple[str, str]]:
-    return [(r["id"], r["text"]) for r in _read_jsonl(path)]
+    return _read_jsonl(path, ("id", "text"))
 
 
 def _write_embedded(embedded: FlatIndex | None, meta: dict, outdir: str | Path) -> None:
@@ -448,9 +461,20 @@ def stage_index(config: PipelineConfig, outdir: str | Path):
     return index
 
 
-def run_staged(config: PipelineConfig, outdir: str | Path, translator=None, embedder=None) -> PipelineResult:
-    """The `dedup` command: load postings.jsonl, run the chain, write every artifact."""
-    postings = load_postings(_artifact(outdir, POSTINGS_FILE))
+def run_staged(
+    config: PipelineConfig,
+    outdir: str | Path,
+    translator=None,
+    embedder=None,
+    postings: Sequence[Posting] | None = None,
+) -> PipelineResult:
+    """The `dedup` command: run the chain over postings.jsonl, write every artifact.
+
+    `postings` are what `stage_ingest` just wrote there; passing them saves
+    parsing the file again, since it reads back identically.
+    """
+    if postings is None:
+        postings = load_postings(_artifact(outdir, POSTINGS_FILE))
     return _run(postings, config, translator, embedder, outdir=outdir)
 
 

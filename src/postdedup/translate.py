@@ -15,7 +15,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Protocol, Sequence
+from typing import Iterable, Optional, Protocol, Sequence
 
 from .batching import RetryPolicy, list_field, map_batches, post_json
 from .errors import ConfigError, DataError, InvalidLanguage
@@ -64,14 +64,23 @@ class DictionaryTranslator:
 
     Tokenization is whitespace-based; multiword keys are matched longest
     first; lookup is case-insensitive; unknown tokens pass through
-    unchanged.
+    unchanged. A word that starts no multiword key costs one dictionary
+    lookup.
     """
 
     name = "dictionary"
 
     def __init__(self, mapping: dict[str, str]) -> None:
         self._mapping = {k.lower(): v for k, v in mapping.items()}
-        self._max_key_tokens = max((len(k.split()) for k in self._mapping), default=1)
+        # The first word of each multiword key, mapped to the lengths in words
+        # of the keys it starts, longest first. Only a single-space-joined key
+        # can equal a span of lowercased tokens, so no other key is indexed.
+        starts: dict[str, set[int]] = {}
+        for key in self._mapping:
+            words = key.split(" ")
+            if len(words) > 1 and all(words):
+                starts.setdefault(words[0], set()).add(len(words))
+        self._starts = {word: sorted(spans, reverse=True) for word, spans in starts.items()}
 
     @classmethod
     def from_file(cls, path: str | Path) -> "DictionaryTranslator":
@@ -86,18 +95,24 @@ class DictionaryTranslator:
         return cls(mapping)
 
     def _translate_one(self, text: str) -> str:
+        # Lowercasing token by token equals lowercasing the joined key: a
+        # space ends the context of str.lower's only context rule (final sigma).
         tokens = text.split()
+        mapping = self._mapping
+        if not self._starts:
+            return " ".join([mapping.get(token.lower(), token) for token in tokens])
+        words = [token.lower() for token in tokens]
         out: list[str] = []
         i = 0
-        while i < len(tokens):
-            for span in range(min(self._max_key_tokens, len(tokens) - i), 0, -1):
-                key = " ".join(tokens[i : i + span]).lower()
-                if key in self._mapping:
-                    out.append(self._mapping[key])
+        while i < len(words):
+            for span in self._starts.get(words[i], ()):
+                key = " ".join(words[i : i + span])
+                if key in mapping:
+                    out.append(mapping[key])
                     i += span
                     break
             else:
-                out.append(tokens[i])
+                out.append(mapping.get(words[i], tokens[i]))
                 i += 1
         return " ".join(out)
 
@@ -216,22 +231,31 @@ class TranslationCache:
     def get(self, fingerprint: str, target: str, backend_name: str) -> Optional[str]:
         return self._entries.get((fingerprint, target, backend_name))
 
-    def put(self, fingerprint: str, target: str, backend_name: str, text: str) -> None:
-        key = (fingerprint, target, backend_name)
+    def put(self, entries: Iterable[tuple[str, str, str, str]]) -> None:
+        """Add (fingerprint, target, backend, translated text) entries.
+
+        Keys already cached keep their text. The new entries are appended to
+        the file in one write.
+        """
+        lines = []
+        timestamp = time.time()
         with self._lock:
-            if key in self._entries:
-                return
-            self._entries[key] = text
-            if self._path is not None:
-                record = {
-                    "fingerprint": fingerprint,
-                    "target": target,
-                    "backend": backend_name,
-                    "translated_text": text,
-                    "timestamp": time.time(),
-                }
+            for fingerprint, target, backend_name, text in entries:
+                key = (fingerprint, target, backend_name)
+                if key in self._entries:
+                    continue
+                self._entries[key] = text
+                if self._path is not None:
+                    record = dict(zip(_CACHE_FIELDS, (*key, text)), timestamp=timestamp)
+                    lines.append(json.dumps(record, ensure_ascii=False) + "\n")
+            if lines:
                 with open(self._path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+                    fh.write("".join(lines))
+
+
+# Deterministic and CPU-bound: they run inline, since threads would only
+# contend for the GIL, and have no transient failure to retry.
+_IN_PROCESS = (IdentityTranslator, DictionaryTranslator)
 
 
 def translate_batch(
@@ -244,9 +268,12 @@ def translate_batch(
 ) -> list[str]:
     """Translate requests, preserving order; cache hits bypass the backend.
 
-    Misses are grouped by (source, target) language pair, cut into batches
-    of `batch_size`, and dispatched with at most `max_in_flight` backend
-    calls outstanding. Failed batches are retried with exponential backoff.
+    Misses are grouped by (source, target) language pair. The in-process
+    backends translate each group in one call in the calling thread; any
+    other backend gets it cut into batches of `batch_size`, dispatched with
+    at most `max_in_flight` calls outstanding, each failed batch retried
+    with exponential backoff. Each group's translations reach the cache in
+    one `put`.
     """
     if max_in_flight < 1:
         raise ValueError("max_in_flight must be >= 1")
@@ -273,19 +300,26 @@ def translate_batch(
         by_language_pair.setdefault(pair, []).append(first)
 
     for (source, target), firsts in by_language_pair.items():
-        translated = map_batches(
-            [requests[i].text for i in firsts],
-            lambda texts, s=source, t=target: backend.translate(texts, s, t),
-            batch_size=batch_size,
-            max_in_flight=max_in_flight,
-            retry=retry,
-        )
-        for first, text in zip(firsts, translated):
-            request = requests[first]
-            for i in pending[(request.fingerprint, request.target_language)]:
+        texts = [requests[i].text for i in firsts]
+        if isinstance(backend, _IN_PROCESS):
+            translated = backend.translate(texts, source, target)
+        else:
+            translated = map_batches(
+                texts,
+                lambda batch, s=source, t=target: backend.translate(batch, s, t),
+                batch_size=batch_size,
+                max_in_flight=max_in_flight,
+                retry=retry,
+            )
+        fingerprints = [requests[i].fingerprint for i in firsts]
+        for fingerprint, text in zip(fingerprints, translated):
+            for i in pending[(fingerprint, target)]:
                 results[i] = text
-            if cache is not None:
-                cache.put(request.fingerprint, request.target_language, backend.name, text)
+        if cache is not None:
+            cache.put(
+                (fingerprint, target, backend.name, text)
+                for fingerprint, text in zip(fingerprints, translated)
+            )
 
     return [r if r is not None else "" for r in results]
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -175,6 +176,27 @@ def test_ingest_jsonl_and_csv(tmp_path):
     assert (ingest_dir / "corpus_stats.json").exists()
 
 
+def test_dedup_input_csv_equals_ingest_then_dedup(tmp_path):
+    # `dedup --input` runs the chain over the postings it ingested, without
+    # parsing postings.jsonl again; the results equal those of the two-step path.
+    synth_dir = tmp_path / "synth"
+    assert run_cli(*synth_args(synth_dir, n_base=40, seed=3)) == 0
+    from postdedup.corpus import load_postings, save_postings
+
+    postings = load_postings(synth_dir / POSTINGS_FILE)
+    postings[0] = replace(postings[0], company=None, location="Zürich \"Mitte\", CH")
+    csv_src = tmp_path / "corpus.csv"
+    save_postings(postings, csv_src, format="csv")
+    flags = ["--dict", synth_dir / DICTIONARY_FILE, "--k", 20, "--theta", 0.35, "--seed", 3]
+
+    one, two = tmp_path / "one", tmp_path / "two"
+    assert run_cli("dedup", "--input", csv_src, "--format", "csv", "--out", one, *flags) == 0
+    assert run_cli("ingest", "--input", csv_src, "--format", "csv", "--out", two) == 0
+    assert run_cli("dedup", "--out", two, *flags) == 0
+    for name in (POSTINGS_FILE, RESULTS_FILE):
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+
 def test_ingest_missing_input_is_data_error(tmp_path):
     assert run_cli("ingest", "--input", tmp_path / "nope.jsonl", "--out", tmp_path) == 3
 
@@ -229,6 +251,7 @@ def test_stage_commands_on_a_corpus_with_nothing_to_embed(tmp_path, capsys):
 
 
 _POSTING = {"id": "a", "title": "chef", "retrieval_date": "2024-03-01", "source": "s"}
+_CANONICAL_LINE = json.dumps({"id": "a", "canonical_text": "chef", "fingerprint": "f"}) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -255,10 +278,36 @@ _POSTING = {"id": "a", "title": "chef", "retrieval_date": "2024-03-01", "source"
             {POSTINGS_FILE: json.dumps(_POSTING) + "\n", CANONICAL_FILE: "not json\n"},
             f"{CANONICAL_FILE}:1",
         ),
+        ("report", {REPORT_FILE: "[1, 2]"}, REPORT_FILE),
+        (
+            "translate",
+            {POSTINGS_FILE: json.dumps(_POSTING) + "\n", CANONICAL_FILE: "[1, 2]\n"},
+            f"{CANONICAL_FILE}:1",
+        ),
+        (
+            "translate",
+            {
+                POSTINGS_FILE: json.dumps(_POSTING) + "\n",
+                CANONICAL_FILE: _CANONICAL_LINE + '{"id": "b"}\n',
+            },
+            f"{CANONICAL_FILE}:2",
+        ),
+        (
+            "translate",
+            {
+                POSTINGS_FILE: json.dumps(_POSTING) + "\n",
+                CANONICAL_FILE: '{"id": "a", "canonical_text": 5, "fingerprint": "f"}\n',
+            },
+            f"{CANONICAL_FILE}:1",
+        ),
+        ("embed", {TRANSLATED_FILE: '"x"\n'}, f"{TRANSLATED_FILE}:1"),
+        ("embed", {TRANSLATED_FILE: '{"id": "a", "text": "chef"}\n{"id": "b"}\n'}, f"{TRANSLATED_FILE}:2"),
     ],
     ids=[
         "report-not-json", "eval-json-missing-fields", "gold-unknown-label",
-        "results-without-distance", "canonical-not-json",
+        "results-without-distance", "canonical-not-json", "report-not-object",
+        "canonical-not-object", "canonical-missing-field", "canonical-non-string-field",
+        "translated-not-object", "translated-missing-field",
     ],
 )
 def test_malformed_input_file_is_data_error(tmp_path, capsys, command, files, named):

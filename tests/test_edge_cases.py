@@ -149,8 +149,8 @@ class TestTranslationCacheFile:
     def test_put_does_not_duplicate_existing_key(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = TranslationCache(path)
-        cache.put("f", "en", "dictionary", "dog")
-        cache.put("f", "en", "dictionary", "DOG")  # ignored: key exists
+        cache.put([("f", "en", "dictionary", "dog")])
+        cache.put([("f", "en", "dictionary", "DOG")])  # ignored: key exists
         assert cache.get("f", "en", "dictionary") == "dog"
         assert len(path.read_text().strip().splitlines()) == 1
 

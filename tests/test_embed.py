@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import postdedup.embed
 from postdedup.embed import (
     HashedEmbedder,
     RemoteEmbedder,
@@ -17,6 +18,7 @@ from postdedup.embed import (
     token_hash,
     tokenize,
     truncate_tokens,
+    truncation_from_counts,
     truncation_report,
 )
 from postdedup.errors import BackendUnavailable, DimensionMismatch
@@ -103,6 +105,46 @@ class TestTruncationReport:
         hi = truncation_report(texts, 384)
         assert hi.n_truncated <= lo.n_truncated
         assert hi.mean_tokens_lost <= lo.mean_tokens_lost
+
+
+def truncation_loop(texts, max_tokens):
+    """Oracle: tokenize and truncate text by text, as a second pass over the texts."""
+    losses = []
+    for text in texts:
+        _, n_lost = truncate_tokens(tokenize(text), max_tokens)
+        if n_lost:
+            losses.append(n_lost)
+    return losses
+
+
+@pytest.mark.parametrize("max_tokens", [1, 5, 384])
+def test_truncation_from_the_embedding_tokenization_equals_second_pass(max_tokens):
+    rng = random.Random(max_tokens)
+    texts = [_text_with_tokens(rng.choice([0, 1, 4, 5, 6, 383, 384, 385, 1500])) for _ in range(60)]
+    texts += ["(on-call)! nurse", "", "!!"]
+    counts = []
+    vectors = HashedEmbedder(dim=64, max_tokens=max_tokens).embed_many(texts, counts)
+    assert counts == [len(tokenize(text)) for text in texts]
+    report = truncation_from_counts(counts, max_tokens)
+    assert report == truncation_report(texts, max_tokens)
+
+    losses = truncation_loop(texts, max_tokens)
+    assert report.n_total == len(texts) and report.n_truncated == len(losses)
+    assert report.mean_tokens_lost == (float(np.mean(losses)) if losses else 0.0)
+    assert report.median_tokens_lost == (float(np.median(losses)) if losses else 0.0)
+    assert sum(report.histogram_over_limit.values()) == len(losses)
+    assert len(vectors) == len(texts)
+
+
+@pytest.mark.parametrize("budget", [1, 3000, 1 << 20])
+def test_embedding_chunks_of_any_size_give_the_same_rows(monkeypatch, budget):
+    # A budget of 1 byte makes every text its own chunk; 3000 a few texts each.
+    rng = random.Random(budget)
+    texts = [_text_with_tokens(rng.randint(0, 40)) + " nurse!" * rng.randint(0, 2) for _ in range(50)]
+    monkeypatch.setattr(postdedup.embed, "_CHUNK_BYTES", budget)
+    batch = HashedEmbedder(dim=64, max_tokens=20).embed_many(texts)
+    for text, row in zip(texts, batch):
+        assert row.tobytes() == bow_loop(tokenize_loop(text), 64, 20).tobytes()
 
 
 class TestHashedEmbedding:

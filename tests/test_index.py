@@ -539,6 +539,43 @@ def test_kmeans_equals_running_sum_reference(kind, n, dim, seed):
     assert assign.tolist() == ref_assign.tolist()
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    **{**ADVERSARIAL_DATA, "n": st.integers(min_value=1, max_value=150)},
+    iters=st.integers(min_value=1, max_value=25),
+)
+def test_kmeans_stopping_at_its_fixed_point_equals_running_every_iteration(
+    kind, n, dim, seed, iters
+):
+    X = adversarial_rows(kind, n, dim, np.random.default_rng(seed)).astype(np.float64)
+    # k up to the row count, with a third of the rows duplicated: k-means++
+    # then seeds duplicate centers, whose empty clusters the repair refills.
+    k = int(np.random.default_rng(seed).integers(1, len(X) + 1))
+    centers, assign = _kmeans(X, k, iters, np.random.default_rng(seed))
+    ref_centers, ref_assign = running_sum_kmeans(X, k, iters, np.random.default_rng(seed))
+    assert centers.tobytes() == ref_centers.tobytes()
+    assert assign.tolist() == ref_assign.tolist()
+
+
+def test_kmeans_stops_when_an_iteration_leaves_the_centers_unchanged(monkeypatch):
+    import postdedup.index
+
+    calls = []
+    assign = postdedup.index._assign
+    monkeypatch.setattr(postdedup.index, "_assign", lambda X, c: calls.append(1) or assign(X, c))
+    # Three distinct points, four centers: k-means++ seeds a duplicate center,
+    # whose cluster is empty in every iteration (ties go to the lower index)
+    # and is repaired to the same point each time. The first iteration moves
+    # that center, the second repeats itself, and the loop stops there with
+    # the second iteration's assignment.
+    X = np.array([[0, 0], [0, 0], [0, 0], [5, 5], [5, 5], [9, 0]], dtype=np.float64)
+    centers, assign = _kmeans(X, 4, 50, np.random.default_rng(1))
+    ref_centers, ref_assign = running_sum_kmeans(X, 4, 50, np.random.default_rng(1))
+    assert centers.tobytes() == ref_centers.tobytes()
+    assert assign.tolist() == ref_assign.tolist()
+    assert len(calls) == 2  # one assignment per iteration run
+
+
 def test_search_arrays_are_the_search_hits_and_count_reranks():
     ids, matrix = vectors = unit_vectors(300, 16, seed=23)
     index = build_index(FlatIndex(*vectors), IndexConfig(dim=16))

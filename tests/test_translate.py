@@ -7,7 +7,10 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import postdedup.batching
+import postdedup.translate
 from postdedup.batching import RetryPolicy, map_batches
 from postdedup.errors import (
     BackendUnavailable,
@@ -94,6 +97,104 @@ def test_dictionary_lookup_case_insensitive():
     assert backend.translate(["hund HUND"], None, "en") == ["dog dog"]
 
 
+def translate_loop(mapping: dict[str, str], text: str) -> str:
+    """Oracle: at each token, try every span up to the longest key, longest first."""
+    lowered = {k.lower(): v for k, v in mapping.items()}
+    max_key_tokens = max((len(k.split()) for k in lowered), default=1)
+    tokens = text.split()
+    out: list[str] = []
+    i = 0
+    while i < len(tokens):
+        for span in range(min(max_key_tokens, len(tokens) - i), 0, -1):
+            key = " ".join(tokens[i : i + span]).lower()
+            if key in lowered:
+                out.append(lowered[key])
+                i += span
+                break
+        else:
+            out.append(tokens[i])
+            i += 1
+    return " ".join(out)
+
+
+# Letters whose lowercase depends on context (final sigma), changes length
+# (İ), or is a titlecase or uppercase-only form, and a case-ignorable quote.
+_LETTERS = "aAbBΣσςİiẞßǅǆǈ'."
+_KEY_SEPARATORS = [" ", " ", " ", "  ", "\t", " \n"]
+_TEXT_SEPARATORS = [" ", "  ", "\t", "\n", "\u00a0", "\u3000"]
+
+
+@st.composite
+def dictionary_case(draw):
+    """A mapping and texts over one small vocabulary, so keys overlap and match."""
+    vocab = draw(st.lists(st.text(alphabet=_LETTERS, min_size=1, max_size=3), min_size=1, max_size=4))
+    word = st.sampled_from(vocab).flatmap(
+        lambda w: st.sampled_from([w, w.lower(), w.upper(), w.title(), w.casefold()])
+    )
+
+    def joined(separators, max_words):
+        parts = draw(st.lists(word, min_size=1, max_size=max_words))
+        out = parts[0]
+        for part in parts[1:]:
+            out += draw(st.sampled_from(separators)) + part
+        edges = st.sampled_from(["", "", "", " ", "\t"])
+        return draw(edges) + out + draw(edges)
+
+    mapping = {joined(_KEY_SEPARATORS, 3): draw(st.text(max_size=3)) for _ in range(draw(st.integers(0, 8)))}
+    texts = [joined(_TEXT_SEPARATORS, 12) for _ in range(draw(st.integers(0, 4)))]
+    return mapping, texts
+
+
+@settings(max_examples=500, deadline=None)
+@given(dictionary_case())
+def test_dictionary_equals_span_loop(case):
+    mapping, texts = case
+    backend = DictionaryTranslator(mapping)
+    assert backend.translate(texts, None, "en") == [translate_loop(mapping, t) for t in texts]
+
+
+def test_dictionary_overlapping_and_irregular_keys():
+    mapping = {
+        "a b": "AB", "b c": "BC", "a b c": "ABC", "c": "C",
+        "x  y": "never", "x\ty": "never", " x": "never", "y ": "never",
+    }
+    backend = DictionaryTranslator(mapping)
+    texts = ["a b b c a b c c x y", "ΑΣ b\tc", "x  y"]
+    assert backend.translate(texts, None, "en") == [translate_loop(mapping, t) for t in texts]
+    assert backend.translate(texts, None, "en")[0] == "AB BC ABC C x y"
+
+
+def test_in_process_backends_start_no_thread_pool(monkeypatch):
+    pools = []
+
+    class SpyPool(postdedup.batching.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(postdedup.batching, "ThreadPoolExecutor", SpyPool)
+    requests = [req(f"hund {i}", source=("de", "es")[i % 2]) for i in range(50)]
+    for backend in (IdentityTranslator(), DictionaryTranslator({"hund": "dog"})):
+        translate_batch(requests, backend, batch_size=4, max_in_flight=4)
+    assert pools == []
+    translate_batch(requests, CountingBackend(), batch_size=4, max_in_flight=4)
+    assert len(pools) == 2  # a backend of any other kind: one pool per language pair
+
+
+def test_dictionary_backend_is_called_once_per_language_pair():
+    calls = []
+
+    class Spy(DictionaryTranslator):
+        def translate(self, texts, source, target):
+            calls.append((source, len(texts)))
+            return super().translate(texts, source, target)
+
+    requests = [req(f"hund {i}", source=("de", "es")[i % 2]) for i in range(50)]
+    out = translate_batch(requests, Spy({"hund": "dog"}), batch_size=4)
+    assert out == [f"dog {i}" for i in range(50)]
+    assert calls == [("de", 25), ("es", 25)]
+
+
 def test_dictionary_from_file(tmp_path):
     path = tmp_path / "dict.json"
     path.write_text(json.dumps({"hund": "dog"}), encoding="utf-8")
@@ -169,7 +270,7 @@ def test_warm_cache_means_zero_backend_calls(tmp_path):
 
 def test_cache_keyed_by_backend_name(tmp_path):
     cache = TranslationCache(tmp_path / "cache.jsonl")
-    cache.put("fp", "en", "dictionary", "dog")
+    cache.put([("fp", "en", "dictionary", "dog")])
     assert cache.get("fp", "en", "dictionary") == "dog"
     assert cache.get("fp", "en", "identity") is None
     assert cache.get("fp", "de", "dictionary") is None
@@ -178,24 +279,57 @@ def test_cache_keyed_by_backend_name(tmp_path):
 def test_cache_drops_torn_tail_and_appends_cleanly(tmp_path):
     cache_path = tmp_path / "cache.jsonl"
     cache = TranslationCache(cache_path)
-    cache.put("fp1", "en", "dictionary", "dog")
-    cache.put("fp2", "en", "dictionary", "cat")
+    cache.put([("fp1", "en", "dictionary", "dog")])
+    cache.put([("fp2", "en", "dictionary", "cat")])
     intact = cache_path.read_bytes()
     cache_path.write_bytes(intact + b'{"fingerprint": "fp3", "tar')  # crash mid-append
 
     reloaded = TranslationCache(cache_path)
     assert len(reloaded) == 2
     assert cache_path.read_bytes() == intact
-    reloaded.put("fp3", "en", "dictionary", "cow")
+    reloaded.put([("fp3", "en", "dictionary", "cow")])
     again = TranslationCache(cache_path)
     assert [again.get(fp, "en", "dictionary") for fp in ("fp1", "fp2", "fp3")] == [
         "dog", "cat", "cow",
     ]
 
 
+def test_cache_appends_once_per_language_pair(tmp_path, monkeypatch):
+    cache_path = tmp_path / "cache.jsonl"
+    appends = []
+    real_open = open
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        if "a" in mode:
+            appends.append(file)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(postdedup.translate, "open", spy_open, raising=False)
+    requests = [req(f"text {i}", source=("de", "es")[i % 2]) for i in range(30)]
+    translate_batch(requests, CountingBackend(), cache=TranslationCache(cache_path), batch_size=4)
+    assert appends == [cache_path, cache_path]
+    assert len(cache_path.read_text(encoding="utf-8").splitlines()) == 30
+
+
+def test_batched_append_cut_off_mid_line_loses_only_the_torn_tail(tmp_path):
+    cache_path = tmp_path / "cache.jsonl"
+    TranslationCache(cache_path).put([("fp0", "en", "dictionary", "zero")])
+    TranslationCache(cache_path).put([(f"fp{i}", "en", "dictionary", f"t{i}") for i in (1, 2, 3)])
+    data = cache_path.read_bytes()
+    last = data.splitlines(keepends=True)[-1]
+    intact = data[: len(data) - len(last)]
+    cache_path.write_bytes(intact + last[: len(last) // 2])  # crash mid-write of the batch
+
+    reloaded = TranslationCache(cache_path)
+    assert [reloaded.get(f"fp{i}", "en", "dictionary") for i in range(4)] == [
+        "zero", "t1", "t2", None,
+    ]
+    assert cache_path.read_bytes() == intact
+
+
 def test_cache_malformed_inner_line_raises_data_error(tmp_path):
     cache_path = tmp_path / "cache.jsonl"
-    TranslationCache(cache_path).put("fp1", "en", "dictionary", "dog")
+    TranslationCache(cache_path).put([("fp1", "en", "dictionary", "dog")])
     good = cache_path.read_bytes()
     for bad in (b"{not json\n", b'{"fingerprint": "fp2"}\n', b"[1, 2]\n"):
         cache_path.write_bytes(bad + good)

@@ -80,15 +80,10 @@ def _loss_bucket(n_lost: int) -> str:
     return f"{lo}-{lo + 99}"
 
 
-def truncation_report(texts: Iterable[str], max_tokens: int = DEFAULT_MAX_TOKENS) -> TruncationReport:
-    """Aggregate truncation losses over a corpus of (canonical) texts."""
-    return truncation_from_counts((len(tokenize(text)) for text in texts), max_tokens)
-
-
-def truncation_from_counts(
+def truncation_report(
     token_counts: Iterable[int], max_tokens: int = DEFAULT_MAX_TOKENS
 ) -> TruncationReport:
-    """`truncation_report` of texts with these token counts."""
+    """Aggregate truncation losses over texts with these `tokenize` token counts."""
     if max_tokens < 1:
         raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
     losses: list[int] = []
@@ -122,29 +117,15 @@ def token_hash(token: str) -> int:
 _cached_token_hash = functools.lru_cache(maxsize=1 << 15)(token_hash)
 
 
-def hashed_bow_embed(
-    tokens: Sequence[str], dim: int, max_tokens: int = DEFAULT_MAX_TOKENS
-) -> np.ndarray:
-    """Signed hashed bag-of-tokens embedding, a (dim,) float32 unit vector or zeros.
-
-    A token adds its sign (+1 if the top bit of its hash is set, else -1)
-    to bucket hash % dim. Bucket sums are small integers, which float64
-    adds exactly in any order, so permuting the tokens gives a
-    bitwise-identical vector. The token limit applies before hashing; no
-    tokens, or sums that cancel, give the zero vector.
-    """
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    kept, _ = truncate_tokens(tokens, max_tokens)
-    return _bow_rows(kept, [len(kept)], dim)[0]
-
-
 def _bow_rows(tokens: Sequence[str], lengths: Sequence[int], dim: int) -> np.ndarray:
-    """`hashed_bow_embed` of consecutive runs of `tokens`, one row per run length.
+    """Signed hashed bag-of-tokens embeddings of consecutive runs of `tokens`.
 
-    One bincount fills every row's buckets. The sums and sums of squares
-    are small integers, exact in float64 in any order, so each row has the
-    bits a text embedded alone has.
+    One (dim,) float32 row per run length: a unit vector, or zeros where
+    the run is empty or its sums cancel. A token adds its sign (+1 if the
+    top bit of its hash is set, else -1) to bucket hash % dim of its row,
+    and one bincount fills every row. Bucket sums and their squares are
+    small integers, which float64 adds exactly in any order, so a row has
+    the bits of its run embedded alone, in any token order.
     """
     hashes = np.fromiter(map(_cached_token_hash, tokens), dtype=np.uint64, count=len(tokens))
     rows = np.repeat(np.arange(len(lengths)), lengths)
@@ -196,7 +177,7 @@ class HashedEmbedder:
             tokens = tokenize(text)
             if token_counts is not None:
                 token_counts.append(len(tokens))
-            kept = tokens[: self.max_tokens]
+            kept, _ = truncate_tokens(tokens, self.max_tokens)
             chunk += kept
             lengths.append(len(kept))
             if 8 * (len(lengths) * self.dim + 4 * len(chunk)) >= _CHUNK_BYTES or end == len(texts):
@@ -285,9 +266,7 @@ __all__ = [
     "tokenize",
     "truncate_tokens",
     "truncation_report",
-    "truncation_from_counts",
     "token_hash",
-    "hashed_bow_embed",
     "Embedder",
     "HashedEmbedder",
     "RemoteEmbedder",

@@ -40,7 +40,7 @@ from .dedup import (
     saturation_report,
     threshold_sweep,
 )
-from .embed import HashedEmbedder, RemoteEmbedder, truncation_from_counts
+from .embed import HashedEmbedder, RemoteEmbedder, truncation_report
 from .errors import DataError
 from .evaluation import write_results_csv
 from .index import FlatIndex, build_index, load_index
@@ -171,7 +171,7 @@ def _embed(
         "dim": config.embed.dim,
         "max_tokens": config.embed.max_tokens,
         "zero_vector_ids": [rid for rid, keep in zip(rep_ids, flags) if not keep],
-        "truncation": truncation_from_counts(token_counts, config.embed.max_tokens).to_dict(),
+        "truncation": truncation_report(token_counts, config.embed.max_tokens).to_dict(),
     }
     return (FlatIndex(ids, vectors[nonzero]) if ids else None), meta
 

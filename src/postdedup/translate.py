@@ -64,8 +64,9 @@ class DictionaryTranslator:
 
     Tokenization is whitespace-based; multiword keys are matched longest
     first; lookup is case-insensitive; unknown tokens pass through
-    unchanged. A word that starts no multiword key costs one dictionary
-    lookup.
+    unchanged. Only the key lengths that start with a word are tried
+    there, so a word that starts no multiword key costs one lookup in the
+    mapping.
     """
 
     name = "dictionary"
@@ -98,10 +99,8 @@ class DictionaryTranslator:
         # Lowercasing token by token equals lowercasing the joined key: a
         # space ends the context of str.lower's only context rule (final sigma).
         tokens = text.split()
-        mapping = self._mapping
-        if not self._starts:
-            return " ".join([mapping.get(token.lower(), token) for token in tokens])
         words = [token.lower() for token in tokens]
+        mapping = self._mapping
         out: list[str] = []
         i = 0
         while i < len(words):

@@ -17,7 +17,7 @@ from postdedup.config import config_from_dict
 from postdedup.corpus import pair_count, save_postings
 from postdedup.dedup import choose_theta, pairs_from_hits, saturation_report, threshold_sweep
 from postdedup.dedup import collect_hits
-from postdedup.embed import truncation_report
+from postdedup.embed import HashedEmbedder, truncation_report
 from postdedup.errors import CorruptIndex
 from postdedup.evaluation import score
 from postdedup.index import FlatIndex, IndexConfig, build_index, index_from_bytes
@@ -222,7 +222,9 @@ def test_criterion_6_threshold_geometry():
 def test_criterion_7_diagnostics_correctness():
     """Truncation stats match hand computation; saturation flags the clique."""
     texts = [" ".join(f"w{i}" for i in range(c)) for c in (100, 400, 500, 384, 385)]
-    report = truncation_report(texts, 384)
+    counts: list[int] = []
+    HashedEmbedder(dim=16, max_tokens=384).embed_many(texts, counts)
+    report = truncation_report(counts, 384)
     # losses: 16, 116, 1 -> over truncated records only
     assert report.n_total == 5
     assert report.n_truncated == 3

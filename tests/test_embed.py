@@ -14,11 +14,9 @@ import postdedup.embed
 from postdedup.embed import (
     HashedEmbedder,
     RemoteEmbedder,
-    hashed_bow_embed,
     token_hash,
     tokenize,
     truncate_tokens,
-    truncation_from_counts,
     truncation_report,
 )
 from postdedup.errors import BackendUnavailable, DimensionMismatch
@@ -71,7 +69,7 @@ def _text_with_tokens(n: int) -> str:
 
 class TestTruncationReport:
     def test_hand_computed_statistics(self):
-        report = truncation_report([_text_with_tokens(c) for c in (100, 400, 500)], 384)
+        report = truncation_report([100, 400, 500], 384)
         assert report.n_total == 3
         assert report.n_truncated == 2
         assert report.fraction_truncated == pytest.approx(2 / 3)
@@ -79,7 +77,7 @@ class TestTruncationReport:
         assert report.median_tokens_lost == 66.0
 
     def test_no_truncation(self):
-        report = truncation_report([_text_with_tokens(c) for c in (10, 384)], 384)
+        report = truncation_report([10, 384], 384)
         assert report.n_truncated == 0
         assert report.fraction_truncated == 0.0
         assert report.mean_tokens_lost == 0.0
@@ -89,7 +87,7 @@ class TestTruncationReport:
     def test_matches_second_pass_counting_oracle(self):
         rng = random.Random(31)
         counts = [rng.randint(0, 900) for _ in range(10_000)]
-        report = truncation_report((_text_with_tokens(c) for c in counts), 384)
+        report = truncation_report(iter(counts), 384)
 
         losses = [c - 384 for c in counts if c > 384]
         assert report.n_total == 10_000
@@ -100,9 +98,9 @@ class TestTruncationReport:
         assert sum(report.histogram_over_limit.values()) == len(losses)
 
     def test_monotone_in_limit(self):
-        texts = [_text_with_tokens(c) for c in (10, 200, 390, 500, 800)]
-        lo = truncation_report(texts, 256)
-        hi = truncation_report(texts, 384)
+        counts = [10, 200, 390, 500, 800]
+        lo = truncation_report(counts, 256)
+        hi = truncation_report(counts, 384)
         assert hi.n_truncated <= lo.n_truncated
         assert hi.mean_tokens_lost <= lo.mean_tokens_lost
 
@@ -111,25 +109,25 @@ def truncation_loop(texts, max_tokens):
     """Oracle: tokenize and truncate text by text, as a second pass over the texts."""
     losses = []
     for text in texts:
-        _, n_lost = truncate_tokens(tokenize(text), max_tokens)
+        _, n_lost = truncate_tokens(tokenize_loop(text), max_tokens)
         if n_lost:
             losses.append(n_lost)
     return losses
 
 
 @pytest.mark.parametrize("max_tokens", [1, 5, 384])
-def test_truncation_from_the_embedding_tokenization_equals_second_pass(max_tokens):
+def test_truncation_report_of_the_embedding_token_counts_equals_second_pass(max_tokens):
     rng = random.Random(max_tokens)
     texts = [_text_with_tokens(rng.choice([0, 1, 4, 5, 6, 383, 384, 385, 1500])) for _ in range(60)]
     texts += ["(on-call)! nurse", "", "!!"]
     counts = []
     vectors = HashedEmbedder(dim=64, max_tokens=max_tokens).embed_many(texts, counts)
-    assert counts == [len(tokenize(text)) for text in texts]
-    report = truncation_from_counts(counts, max_tokens)
-    assert report == truncation_report(texts, max_tokens)
+    assert counts == [len(tokenize_loop(text)) for text in texts]
+    report = truncation_report(counts, max_tokens)
 
     losses = truncation_loop(texts, max_tokens)
     assert report.n_total == len(texts) and report.n_truncated == len(losses)
+    assert report.fraction_truncated == len(losses) / len(texts)
     assert report.mean_tokens_lost == (float(np.mean(losses)) if losses else 0.0)
     assert report.median_tokens_lost == (float(np.median(losses)) if losses else 0.0)
     assert sum(report.histogram_over_limit.values()) == len(losses)
@@ -147,34 +145,39 @@ def test_embedding_chunks_of_any_size_give_the_same_rows(monkeypatch, budget):
         assert row.tobytes() == bow_loop(tokenize_loop(text), 64, 20).tobytes()
 
 
+def embed_text(text: str, dim: int, max_tokens: int = 384) -> np.ndarray:
+    """The embedding of one text, through the batch path the pipeline uses."""
+    return HashedEmbedder(dim=dim, max_tokens=max_tokens).embed_many([text])[0]
+
+
 class TestHashedEmbedding:
     def test_empty_tokens_zero_vector(self):
-        vec = hashed_bow_embed([], 64)
+        vec = embed_text("", 64)
         assert vec.shape == (64,) and vec.dtype == np.float32
         assert not vec.any()
 
     def test_single_token_single_coordinate(self):
-        vec = hashed_bow_embed(["nurse"], 64)
+        vec = embed_text("nurse", 64)
         nonzero = np.nonzero(vec)[0]
         assert len(nonzero) == 1
         assert abs(abs(float(vec[nonzero[0]])) - 1.0) < 1e-7
 
     def test_deterministic_bitwise(self):
-        a = hashed_bow_embed(["a", "b", "c"], 128)
-        b = hashed_bow_embed(["a", "b", "c"], 128)
+        a = embed_text("a b c", 128)
+        b = embed_text("a b c", 128)
         assert a.tobytes() == b.tobytes()
 
     def test_equal_multisets_identical(self):
-        a = hashed_bow_embed(["x", "y", "z", "x"], 128)
-        b = hashed_bow_embed(["z", "x", "x", "y"], 128)
+        a = embed_text("x y z x", 128)
+        b = embed_text("z x x y", 128)
         assert a.tobytes() == b.tobytes()
 
     def test_scaling_invariance_against_dot_oracle(self):
         rng = random.Random(17)
         for _ in range(50):
-            tokens = [f"tok{rng.randint(0, 400)}" for _ in range(rng.randint(1, 60))]
-            a = hashed_bow_embed(tokens, 256)
-            doubled = hashed_bow_embed(tokens + tokens, 256)
+            text = " ".join(f"tok{rng.randint(0, 400)}" for _ in range(rng.randint(1, 60)))
+            a = embed_text(text, 256)
+            doubled = embed_text(text + " " + text, 256)
             if not a.any():
                 assert not doubled.any()
                 continue
@@ -185,9 +188,9 @@ class TestHashedEmbedding:
             assert cos == pytest.approx(1.0, abs=1e-6)
 
     def test_truncation_applied_before_hashing(self):
-        tokens = [f"t{i}" for i in range(500)]
-        full = hashed_bow_embed(tokens, 128, max_tokens=384)
-        head = hashed_bow_embed(tokens[:384], 128, max_tokens=384)
+        words = [f"t{i}" for i in range(500)]
+        full = embed_text(" ".join(words), 128, max_tokens=384)
+        head = embed_text(" ".join(words[:384]), 128, max_tokens=384)
         assert full.tobytes() == head.tobytes()
 
     def test_token_hash_is_stable(self):
@@ -199,13 +202,13 @@ class TestHashedEmbedding:
 
     def test_min_dim(self):
         with pytest.raises(ValueError):
-            hashed_bow_embed(["a"], 1)
+            HashedEmbedder(dim=1)
 
 
 @settings(max_examples=100)
 @given(st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=50))
-def test_unit_norm_invariant(tokens):
-    vec = hashed_bow_embed(tokens, 64)
+def test_unit_norm_invariant(words):
+    vec = embed_text(" ".join(words), 64)
     norm = float(np.linalg.norm(vec.astype(np.float64)))
     if vec.any():
         assert abs(norm - 1.0) <= 1e-4
@@ -215,11 +218,12 @@ def test_unit_norm_invariant(tokens):
 
 @settings(max_examples=60)
 @given(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=30), st.randoms())
-def test_bag_property_random_permutations(tokens, pyrandom):
-    shuffled = list(tokens)
+def test_bag_property_random_permutations(words, pyrandom):
+    # Tokens never span whitespace, so shuffling the words shuffles the tokens.
+    shuffled = list(words)
     pyrandom.shuffle(shuffled)
-    a = hashed_bow_embed(tokens, 64)
-    b = hashed_bow_embed(shuffled, 64)
+    a = embed_text(" ".join(words), 64)
+    b = embed_text(" ".join(shuffled), 64)
     assert a.tobytes() == b.tobytes()
 
 
@@ -291,10 +295,7 @@ def test_hashed_embedding_equals_bucket_loop_bitwise(texts, max_tokens, pyrandom
         assert batch.shape == (len(texts), dim) and batch.dtype == np.float32
         for text, vec in zip(texts, batch):
             expected = bow_loop(tokenize_loop(text), dim, max_tokens)
-            single = hashed_bow_embed(tokenize(text), dim, max_tokens)
-            assert single.dtype == np.float32
             assert np.array_equal(vec.view(np.uint32), expected.view(np.uint32))
-            assert np.array_equal(single.view(np.uint32), expected.view(np.uint32))
 
 
 def test_distance_cosine_link_at_threshold():

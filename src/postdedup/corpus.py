@@ -158,13 +158,34 @@ def load_postings(path: str | Path, format: str = "jsonl") -> list[Posting]:
 
     postings: list[Posting] = []
     seen: set[str] = set()
-    for record, line_no in records:
-        posting = _posting_from_record(record, line_no)
-        if posting.id in seen:
-            raise DuplicateId(posting.id)
-        seen.add(posting.id)
-        postings.append(posting)
+    try:
+        for record, line_no in records:
+            posting = _posting_from_record(record, line_no)
+            if posting.id in seen:
+                raise DuplicateId(posting.id)
+            seen.add(posting.id)
+            postings.append(posting)
+    except UnicodeDecodeError as err:
+        raise not_utf8(path) from err
     return postings
+
+
+def not_utf8(path: str | Path) -> DataError:
+    """The error for a text file holding bytes that are not UTF-8.
+
+    It names the line of the first such byte, counting lines as the text
+    readers split them (at \\n, \\r\\n or \\r). A text reader decodes
+    in chunks, so where its UnicodeDecodeError is raised says nothing of
+    the line; the file is read again to find it.
+    """
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        head = data[: err.start].decode("utf-8")
+        line_no = head.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+        return DataError(f"byte {data[err.start]:#04x} is not UTF-8 at {path}:{line_no}")
+    return DataError(f"bytes that are not UTF-8 in {path}")  # changed since it was read
 
 
 def save_postings(postings: Iterable[Posting], path: str | Path, format: str = "jsonl") -> None:

@@ -27,7 +27,7 @@ from typing import Mapping, Optional, Sequence
 
 from .atomic import atomic_write, write_json
 from .config import PipelineConfig
-from .corpus import Posting, load_postings, pair_count, save_postings
+from .corpus import Posting, load_postings, not_utf8, pair_count, save_postings
 from .dedup import (
     KeptPairs,
     KnnHits,
@@ -355,21 +355,24 @@ def _read_jsonl(path: str | Path, fields: tuple[str, ...]) -> list[tuple[str, ..
     """The named fields of each record of a JSONL artifact; each must be a string."""
     records = []
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise DataError(f"malformed JSON line at {path}:{line_no}: {err.msg}") from err
-            if not isinstance(record, dict) or not all(
-                isinstance(record.get(name), str) for name in fields
-            ):
-                raise DataError(
-                    f"malformed record at {path}:{line_no}: "
-                    f"expected an object with string fields {', '.join(fields)}"
-                )
-            records.append(tuple(record[name] for name in fields))
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as err:
+                    raise DataError(f"malformed JSON line at {path}:{line_no}: {err.msg}") from err
+                if not isinstance(record, dict) or not all(
+                    isinstance(record.get(name), str) for name in fields
+                ):
+                    raise DataError(
+                        f"malformed record at {path}:{line_no}: "
+                        f"expected an object with string fields {', '.join(fields)}"
+                    )
+                records.append(tuple(record[name] for name in fields))
+        except UnicodeDecodeError as err:
+            raise not_utf8(path) from err
     return records
 
 

@@ -302,18 +302,48 @@ _CANONICAL_LINE = json.dumps({"id": "a", "canonical_text": "chef", "fingerprint"
         ),
         ("embed", {TRANSLATED_FILE: '"x"\n'}, f"{TRANSLATED_FILE}:1"),
         ("embed", {TRANSLATED_FILE: '{"id": "a", "text": "chef"}\n{"id": "b"}\n'}, f"{TRANSLATED_FILE}:2"),
+        # A byte that is not UTF-8, past the first chunk a text reader decodes.
+        (
+            "ingest --input corpus.jsonl",
+            {
+                "corpus.jsonl": "".join(
+                    json.dumps({**_POSTING, "id": f"p{i}"}) + "\n" for i in range(300)
+                ).encode()
+                + b'{"id": "b", "title": "k\xf6ch"}\n'
+            },
+            "corpus.jsonl:301",
+        ),
+        (
+            "ingest --input corpus.csv --format csv",
+            {
+                "corpus.csv": b"id,title,retrieval_date,source\r\n"
+                b"a,chef,2024-03-01,s\r\nb,k\xf6ch,2024-03-01,s\r\n"
+            },
+            "corpus.csv:3",
+        ),
+        (
+            "translate",
+            {
+                POSTINGS_FILE: json.dumps(_POSTING) + "\n",
+                CANONICAL_FILE: _CANONICAL_LINE.encode() + b"\xff\n",
+            },
+            f"{CANONICAL_FILE}:2",
+        ),
+        ("embed", {TRANSLATED_FILE: b'{"id": "a", "text": "\xc3"}\n'}, f"{TRANSLATED_FILE}:1"),
     ],
     ids=[
         "report-not-json", "eval-json-missing-fields", "gold-unknown-label",
         "results-without-distance", "canonical-not-json", "report-not-object",
         "canonical-not-object", "canonical-missing-field", "canonical-non-string-field",
-        "translated-not-object", "translated-missing-field",
+        "translated-not-object", "translated-missing-field", "corpus-jsonl-not-utf8",
+        "corpus-csv-not-utf8", "canonical-not-utf8", "translated-not-utf8",
     ],
 )
-def test_malformed_input_file_is_data_error(tmp_path, capsys, command, files, named):
+def test_malformed_input_file_is_data_error(tmp_path, monkeypatch, capsys, command, files, named):
+    monkeypatch.chdir(tmp_path)
     for name, text in files.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
-    assert run_cli(command, "--out", tmp_path) == 3
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    assert run_cli(*command.split(), "--out", tmp_path) == 3
     assert named in capsys.readouterr().err
 
 
@@ -450,3 +480,53 @@ def test_importing_the_package_loads_no_submodule_and_no_numpy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def _env_without_blas_threads(**extra) -> dict:
+    """This process's environment minus OPENBLAS_NUM_THREADS, with `src` importable."""
+    src = str(Path(postdedup.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return {**env, **extra}
+
+
+@pytest.mark.parametrize("preset, seen", [(None, "1"), ("2", "2")])
+def test_cli_loads_numpy_with_one_blas_thread_unless_set(preset, seen):
+    code = (
+        "import os, sys\n"
+        "seen = []\n"
+        "def hook(event, args):\n"
+        "    if event == 'import' and args[0] == 'numpy' and not seen:\n"
+        "        seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "sys.addaudithook(hook)\n"
+        "import postdedup.cli\n"
+        "print(seen)\n"
+    )
+    env = _env_without_blas_threads(**({"OPENBLAS_NUM_THREADS": preset} if preset else {}))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == repr([seen])
+
+
+@pytest.mark.parametrize("kind", ["flat", "ivf"])
+def test_dedup_outputs_do_not_depend_on_threads_with_one_blas_thread(tmp_path, kind):
+    index = {"kind": kind, "nlist": 8, "nprobe": 2} if kind == "ivf" else {"kind": kind}
+    config_path = tmp_path / "index.yaml"
+    config_path.write_text(yaml.safe_dump({"index": index}), encoding="utf-8")
+    outputs = []
+    for threads in (4, 1):
+        outdir = tmp_path / f"threads{threads}"
+        assert run_cli(*synth_args(outdir, n_base=300, seed=13)) == 0
+        subprocess.run(
+            [
+                sys.executable, "-m", "postdedup.cli", "dedup", "--out", str(outdir),
+                "--dict", str(outdir / DICTIONARY_FILE), "--config", str(config_path),
+                "--k", "20", "--theta", "0.35", "--seed", "13", "--threads", str(threads),
+            ],
+            env=_env_without_blas_threads(),
+            capture_output=True,
+            check=True,
+        )
+        outputs.append([(outdir / name).read_bytes() for name in (RESULTS_FILE, INDEX_FILE)])
+    assert outputs[0] == outputs[1]

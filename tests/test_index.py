@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import postdedup.index
 from postdedup.errors import (
     CorruptIndex,
     DataError,
@@ -523,6 +525,48 @@ def test_assign_equals_loop_over_centers(kind, n, dim, seed):
     means = rng.integers(len(X), size=(n_centers, 3))
     mixed = rng.random(n_centers) < 0.5
     centers[mixed] = X[means[mixed]].mean(axis=1)  # centers off the float32 grid
+    centers[-1] = centers[0]  # duplicated center: ties go to the lower index
+    assert _assign(X, centers).tolist() == loop_assign(X, centers).tolist()
+
+
+# The same rows at the sizes BLAS kernels block and tile: dimensions that
+# are and are not a multiple of the SIMD width, and enough rows that k < n,
+# so the preselect product runs (it is skipped when every row is in the top k).
+BLAS_SIZED_DATA = dict(
+    kind=st.sampled_from(["grid", "ulp", "scaled"]),
+    n=st.integers(min_value=20, max_value=200),
+    dim=st.sampled_from([64, 256, 300]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    **BLAS_SIZED_DATA,
+    k_pick=st.integers(min_value=0, max_value=2**16),
+    threads=st.sampled_from([1, 4]),
+)
+def test_blas_sized_search_equals_per_row_oracle(kind, n, dim, seed, k_pick, threads):
+    rng = np.random.default_rng(seed)
+    rows = adversarial_rows(kind, n, dim, rng)
+    ids = [f"v{p:03d}" for p in rng.permutation(len(rows))]
+    k = 1 + k_pick % (len(rows) - 1)  # k < n
+    queries = adversarial_queries(kind, rows, rng)
+    expected = [per_row_top_k(ids, rows, q, k) for q in queries]
+    # About two queries a block, so four threads have blocks to spread.
+    with mock.patch.object(postdedup.index, "_BLOCK_BYTES", 100 * len(rows)):
+        got = search_hits(FlatIndex(ids, rows), queries, k, threads=threads)
+    assert got == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(**BLAS_SIZED_DATA, n_centers=st.integers(min_value=2, max_value=70))
+def test_blas_sized_assign_equals_loop_over_centers(kind, n, dim, seed, n_centers):
+    rng = np.random.default_rng(seed)
+    X = adversarial_rows(kind, n, dim, rng).astype(np.float64)
+    centers = X[rng.integers(len(X), size=n_centers)].copy()  # exact ties with rows
+    mixed = rng.random(n_centers) < 0.5
+    centers[mixed] = X[rng.integers(len(X), size=(n_centers, 3))[mixed]].mean(axis=1)
     centers[-1] = centers[0]  # duplicated center: ties go to the lower index
     assert _assign(X, centers).tolist() == loop_assign(X, centers).tolist()
 

@@ -10,9 +10,9 @@ artifact. Flags are merged into the config document before it is read.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 # OpenBLAS reads this once, when numpy first loads it, so it is set before
@@ -26,7 +26,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .atomic import write_json
 from .config import PipelineConfig, _read_document, _read_yaml, config_from_dict
-from .corpus import corpus_stats, save_postings
+from .corpus import corpus_stats, read_json, save_postings
 from .embed import tokenize
 from .errors import BackendError, ConfigError, DataError, DedupError
 from .evaluation import ClassMetrics, EvalReport, GoldSet, read_results_csv, render_report, score
@@ -128,7 +128,7 @@ def _cmd_ingest(args) -> int:
     config = _config_from_args(args)
     postings = stage_ingest(config, args.out)
     stats = corpus_stats(postings, tokenize)
-    write_json(stats.to_dict(), Path(args.out) / "corpus_stats.json")
+    write_json(asdict(stats), Path(args.out) / "corpus_stats.json")
     print(f"ingested {len(postings)} postings into {args.out}/{POSTINGS_FILE}")
     return 0
 
@@ -179,9 +179,6 @@ def _cmd_dedup(args) -> int:
 def _cmd_eval(args) -> int:
     results_path = Path(args.results or Path(args.out) / RESULTS_FILE)
     gold_path = Path(args.gold or Path(args.out) / GOLD_FILE)
-    for path in (results_path, gold_path):
-        if not path.exists():
-            raise DataError(f"missing file {path}")
     predicted = read_results_csv(results_path)
     gold = GoldSet.load_csv(gold_path)
     report = score(predicted, gold)
@@ -216,24 +213,15 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _read_json(path: Path):
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as err:  # JSONDecodeError, UnicodeDecodeError
-        raise DataError(f"malformed JSON file {path}: {err}") from err
-
-
 def _cmd_report(args) -> int:
     run_path = Path(args.run or Path(args.out) / REPORT_FILE)
-    if not run_path.exists():
-        raise DataError(f"missing run report {run_path}")
-    run = _read_json(run_path)
+    run = read_json(run_path)
     if not isinstance(run, dict):
         raise DataError(f"malformed run report {run_path}: expected a JSON object")
     eval_report = None
     eval_path = Path(args.eval or Path(args.out) / EVAL_FILE)
     if eval_path.exists():
-        raw = _read_json(eval_path)
+        raw = read_json(eval_path)
         try:
             per_class = {
                 name: ClassMetrics(**metrics)

@@ -8,6 +8,7 @@ from typing import Optional, Sequence
 
 import yaml
 
+from .corpus import read_text
 from .dedup import ExpertRule, example_ruleset
 from .errors import ConfigError
 from .index import IndexConfig
@@ -186,10 +187,9 @@ def _config_from_dict(raw: dict) -> PipelineConfig:
 
 def _read_yaml(path: str | Path, what: str):
     """Parse a YAML (or JSON, a YAML subset) file; failures are ConfigError."""
+    text = read_text(path, ConfigError)
     try:
-        return yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-    except OSError as err:
-        raise ConfigError(f"cannot read {what} {path}: {err}") from err
+        return yaml.safe_load(text)
     except yaml.YAMLError as err:
         raise ConfigError(f"cannot parse {what} {path}: {err}") from err
 

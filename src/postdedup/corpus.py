@@ -1,17 +1,18 @@
-"""Corpus loading, validation, summary statistics, and pair-count arithmetic."""
+"""The reader of every input file; corpus loading, validation, statistics, pair counts."""
 
 from __future__ import annotations
 
 import csv
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .atomic import atomic_write
-from .errors import DataError, DuplicateId, MalformedRecord, MissingRequiredField
+from .errors import DataError, DedupError, DuplicateId, MalformedRecord, MissingRequiredField
 
 _OPTIONAL_FIELDS = ("company", "location", "country", "language")
 _COLUMNS = (
@@ -65,15 +66,6 @@ class CorpusStats:
     missing_company_fraction: float
     missing_location_fraction: float
 
-    def to_dict(self) -> dict:
-        return {
-            "n_postings": self.n_postings,
-            "language_histogram": dict(self.language_histogram),
-            "token_count_histogram": dict(self.token_count_histogram),
-            "missing_company_fraction": self.missing_company_fraction,
-            "missing_location_fraction": self.missing_location_fraction,
-        }
-
 
 def parse_date(value: str) -> date:
     """Parse an ISO-8601 date, truncating any time component to the day."""
@@ -88,18 +80,18 @@ def parse_date(value: str) -> date:
         raise ValueError(f"not an ISO-8601 date: {value!r}") from err
 
 
-def _posting_from_record(record: dict, line_no: int) -> Posting:
+def _posting_from_record(record: dict, path: str | Path, line_no: int) -> Posting:
     for field in ("id", "retrieval_date", "source"):
         if record.get(field) in (None, ""):
-            raise MissingRequiredField(field, line_no)
+            raise MissingRequiredField(field, path, line_no)
     title = record.get("title") or ""
     description = record.get("description") or ""
     if not title and not description:
-        raise MissingRequiredField("title/description", line_no)
+        raise MissingRequiredField("title/description", path, line_no)
     try:
         retrieval_date = parse_date(str(record["retrieval_date"]))
     except ValueError as err:
-        raise MalformedRecord(line_no, str(err)) from err
+        raise MalformedRecord(path, line_no, str(err)) from err
     optional = {k: (record.get(k) or None) for k in _OPTIONAL_FIELDS}
     return Posting(
         id=str(record["id"]),
@@ -111,81 +103,120 @@ def _posting_from_record(record: dict, line_no: int) -> Posting:
     )
 
 
-def _iter_jsonl_records(path: Path) -> Iterable[tuple[dict, int]]:
-    with open(path, encoding="utf-8") as fh:
+# --- the reader of every input file ------------------------------------------
+#
+# Every file the program reads as text is read by the functions below, and
+# every decision about bad input is made in them: a file that cannot be
+# opened, a byte that is not UTF-8, a line that is not JSON or not an object,
+# and the line each error names. Decoding with "surrogateescape" turns each
+# byte that is not UTF-8 into one of U+DC80..U+DCFF, which valid UTF-8 never
+# decodes to, so the first such character is the first bad byte of the file.
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
+
+
+def _lines(path: str | Path, error: type[DedupError]) -> Iterator[tuple[int, str]]:
+    """(line number, line) of a UTF-8 text file, lines split at \\n, \\r\\n or \\r.
+
+    A file that cannot be opened or a byte that is not UTF-8 raises `error`.
+    """
+    try:
+        fh = open(path, encoding="utf-8", errors="surrogateescape", newline="")
+    except OSError as err:
+        raise error(f"cannot read {path}: {err.strerror or err}") from err
+    with fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise MalformedRecord(line_no, err.msg) from err
-            if not isinstance(record, dict):
-                raise MalformedRecord(line_no, "expected a JSON object")
-            yield record, line_no
+            if not line.isascii() and (bad := _NOT_UTF8.search(line)):
+                byte = ord(bad.group()) - 0xDC00
+                raise error(f"byte {byte:#04x} is not UTF-8 at {path}:{line_no}")
+            yield line_no, line
 
 
-def _iter_csv_records(path: Path) -> Iterable[tuple[dict, int]]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+def read_text(path: str | Path, error: type[DedupError]) -> str:
+    """The whole text of a UTF-8 document (config, rules, dictionary, report).
+
+    The error class follows what the file is: ConfigError for a file the
+    configuration names, DataError for data and artifacts.
+    """
+    return "".join(line for _, line in _lines(path, error))
+
+
+def read_json(path: str | Path, error: type[DedupError] = DataError):
+    """The value of a JSON document; text that is not JSON raises `error` at `path:line`."""
+    text = read_text(path, error)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise error(f"malformed JSON at {path}:{err.lineno}: {err.msg}") from err
+
+
+def jsonl_records(path: str | Path) -> Iterator[tuple[dict, int]]:
+    """Each record of a JSONL file with its line number; blank lines are skipped.
+
+    A line that is not a JSON object is a MalformedRecord.
+    """
+    for line_no, line in _lines(path, DataError):
+        if line.isspace():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise MalformedRecord(path, line_no, err.msg) from err
+        if not isinstance(record, dict):
+            raise MalformedRecord(path, line_no, "expected a JSON object")
+        yield record, line_no
+
+
+def csv_records(
+    path: str | Path, columns: Sequence[str] | None = None
+) -> Iterator[tuple[dict, int]]:
+    """Each row of a CSV file as a dict keyed by the header, with the line it starts on.
+
+    Cells are comma-separated and double-quote escaped, and a quoted cell may
+    span lines; blank lines are skipped and a short row lacks the keys of its
+    missing cells. A header name outside `columns` (when given), a row with
+    more cells than the header or text the csv module rejects is a
+    MalformedRecord.
+    """
+    reader = csv.reader(line for _, line in _lines(path, DataError))
+    try:
+        header = next(reader, None)
+        if header is None:
             return
-        unknown = set(reader.fieldnames) - set(_COLUMNS)
-        if unknown:
-            raise MalformedRecord(1, f"unknown columns: {sorted(unknown)}")
-        for line_no, row in enumerate(reader, start=2):
-            if row.get(None):
-                raise MalformedRecord(line_no, "row has more cells than the header")
-            yield {k: v for k, v in row.items() if k is not None}, line_no
+        if columns is not None and (unknown := set(header) - set(columns)):
+            raise MalformedRecord(path, 1, f"unknown columns: {sorted(unknown)}")
+        end = reader.line_num
+        for row in reader:
+            start, end = end + 1, reader.line_num
+            if len(row) > len(header):
+                raise MalformedRecord(path, start, "row has more cells than the header")
+            if row:
+                yield dict(zip(header, row)), start
+    except csv.Error as err:
+        raise MalformedRecord(path, reader.line_num, str(err)) from err
 
 
 def load_postings(path: str | Path, format: str = "jsonl") -> list[Posting]:
     """Load and validate a corpus file; order is preserved.
 
     JSONL: one object per line; absent or null optional keys mean missing.
-    CSV: comma-separated, double-quote escaped, header row required; empty
-    cells mean missing.
+    CSV: header row required, empty cells mean missing (see `csv_records`).
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"corpus file not found: {path}")
     if format == "jsonl":
-        records = _iter_jsonl_records(path)
+        records = jsonl_records(path)
     elif format == "csv":
-        records = _iter_csv_records(path)
+        records = csv_records(path, _COLUMNS)
     else:
         raise DataError(f"unknown corpus format {format!r}")
 
     postings: list[Posting] = []
     seen: set[str] = set()
-    try:
-        for record, line_no in records:
-            posting = _posting_from_record(record, line_no)
-            if posting.id in seen:
-                raise DuplicateId(posting.id)
-            seen.add(posting.id)
-            postings.append(posting)
-    except UnicodeDecodeError as err:
-        raise not_utf8(path) from err
+    for record, line_no in records:
+        posting = _posting_from_record(record, path, line_no)
+        if posting.id in seen:
+            raise DuplicateId(posting.id)
+        seen.add(posting.id)
+        postings.append(posting)
     return postings
-
-
-def not_utf8(path: str | Path) -> DataError:
-    """The error for a text file holding bytes that are not UTF-8.
-
-    It names the line of the first such byte, counting lines as the text
-    readers split them (at \\n, \\r\\n or \\r). A text reader decodes
-    in chunks, so where its UnicodeDecodeError is raised says nothing of
-    the line; the file is read again to find it.
-    """
-    data = Path(path).read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as err:
-        head = data[: err.start].decode("utf-8")
-        line_no = head.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
-        return DataError(f"byte {data[err.start]:#04x} is not UTF-8 at {path}:{line_no}")
-    return DataError(f"bytes that are not UTF-8 in {path}")  # changed since it was read
 
 
 def save_postings(postings: Iterable[Posting], path: str | Path, format: str = "jsonl") -> None:
@@ -250,6 +281,10 @@ __all__ = [
     "Posting",
     "CorpusStats",
     "parse_date",
+    "read_text",
+    "read_json",
+    "jsonl_records",
+    "csv_records",
     "load_postings",
     "save_postings",
     "corpus_stats",

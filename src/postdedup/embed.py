@@ -43,16 +43,6 @@ class TruncationReport:
     median_tokens_lost: float
     histogram_over_limit: dict[str, int] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "n_total": self.n_total,
-            "n_truncated": self.n_truncated,
-            "fraction_truncated": self.fraction_truncated,
-            "mean_tokens_lost": self.mean_tokens_lost,
-            "median_tokens_lost": self.median_tokens_lost,
-            "histogram_over_limit": dict(self.histogram_over_limit),
-        }
-
 
 # A token runs from an alphanumeric character to the last alphanumeric one
 # of its whitespace chunk; any other non-space character is a token alone.

@@ -20,9 +20,9 @@ class DataError(DedupError):
 
 
 class MalformedRecord(DataError):
-    def __init__(self, line_no: int, detail: str = "") -> None:
+    def __init__(self, path, line_no: int, detail: str) -> None:
         self.line_no = line_no
-        super().__init__(f"malformed record at line {line_no}" + (f": {detail}" if detail else ""))
+        super().__init__(f"malformed record at {path}:{line_no}: {detail}")
 
 
 class DuplicateId(DataError):
@@ -31,12 +31,10 @@ class DuplicateId(DataError):
         super().__init__(f"duplicate posting id {posting_id!r}")
 
 
-class MissingRequiredField(DataError):
-    def __init__(self, field: str, line_no: int | None = None) -> None:
+class MissingRequiredField(MalformedRecord):
+    def __init__(self, field: str, path, line_no: int) -> None:
         self.field = field
-        self.line_no = line_no
-        at = f" at line {line_no}" if line_no is not None else ""
-        super().__init__(f"missing required field {field!r}{at}")
+        super().__init__(path, line_no, f"missing required field {field!r}")
 
 
 class FingerprintCollision(DataError):
@@ -106,9 +104,3 @@ class RateLimited(BackendError):
         super().__init__(
             "backend rate limited" + (f" (retry after {retry_after}s)" if retry_after else "")
         )
-
-
-class InvalidLanguage(ConfigError):
-    def __init__(self, code: str) -> None:
-        self.code = code
-        super().__init__(f"invalid language code {code!r}")

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .atomic import atomic_write
+from .corpus import csv_records
 from .dedup import DuplicateLabel, LabeledPair
-from .errors import DataError, DuplicatePrediction
+from .errors import DataError, DuplicatePrediction, MalformedRecord
 
 SCORED_CLASSES = (DuplicateLabel.FULL, DuplicateLabel.SEMANTIC, DuplicateLabel.TEMPORAL)
 
@@ -46,18 +47,15 @@ class GoldSet:
     @classmethod
     def load_csv(cls, path: str | Path) -> "GoldSet":
         pairs: dict[tuple[str, str], DuplicateLabel] = {}
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                try:
-                    key = (row["id1"], row["id2"])
-                    label = DuplicateLabel(row["label"])
-                except (KeyError, ValueError) as err:
-                    where = f"{path}:{reader.line_num}"
-                    raise DataError(f"malformed gold row at {where}: {err!r}") from err
-                if key in pairs:
-                    raise DataError(f"gold pair {key} listed twice")
-                pairs[key] = label
+        for row, line_no in csv_records(path):
+            try:
+                key = (row["id1"], row["id2"])
+                label = DuplicateLabel(row["label"])
+            except (KeyError, ValueError) as err:
+                raise MalformedRecord(path, line_no, f"gold row {err!r}") from err
+            if key in pairs:
+                raise MalformedRecord(path, line_no, f"gold pair {key} listed twice")
+            pairs[key] = label
         return cls(pairs)
 
 
@@ -70,16 +68,6 @@ class ClassMetrics:
     fp: int
     fn: int
 
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-        }
-
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -87,7 +75,7 @@ class EvalReport:
     macro_f1: float
 
     def to_dict(self) -> dict:
-        out: dict = {name: metrics.to_dict() for name, metrics in self.per_class.items()}
+        out: dict = {name: asdict(metrics) for name, metrics in self.per_class.items()}
         out["macro_f1"] = self.macro_f1
         return out
 
@@ -136,16 +124,13 @@ def write_results_csv(pairs: Iterable[LabeledPair], path: str | Path) -> None:
 
 def read_results_csv(path: str | Path) -> list[LabeledPair]:
     pairs = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            try:
-                distance = float(row["distance"]) if row["distance"] else None
-                label = DuplicateLabel(row["label"])
-                pairs.append(LabeledPair(row["id1"], row["id2"], label, distance, row["reason"]))
-            except (KeyError, ValueError) as err:
-                where = f"{path}:{reader.line_num}"
-                raise DataError(f"malformed results row at {where}: {err!r}") from err
+    for row, line_no in csv_records(path):
+        try:
+            distance = float(row["distance"]) if row["distance"] else None
+            label = DuplicateLabel(row["label"])
+            pairs.append(LabeledPair(row["id1"], row["id2"], label, distance, row["reason"]))
+        except (KeyError, ValueError) as err:
+            raise MalformedRecord(path, line_no, f"results row {err!r}") from err
     return pairs
 
 

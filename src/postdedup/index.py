@@ -51,7 +51,6 @@ byte for byte.
 from __future__ import annotations
 
 import struct
-import threading
 import zlib
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -310,9 +309,10 @@ class _BaseIndex:
         ranks = np.empty(len(ids), dtype=np.int64)
         ranks[order] = np.arange(len(ids))
         self._id_ranks = ranks
-        self._comparisons = 0
-        self._reranked = 0
-        self._counter_lock = threading.Lock()
+        # Stored vectors the last search compared, and re-ranked with the
+        # exact expression; each search sets both.
+        self.comparison_count = 0
+        self.rerank_count = 0
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -327,29 +327,6 @@ class _BaseIndex:
         view = self._vecs32.view()
         view.flags.writeable = False
         return view
-
-    @property
-    def comparison_count(self) -> int:
-        """Total stored vectors compared across all searches so far."""
-        with self._counter_lock:
-            return self._comparisons
-
-    @property
-    def rerank_count(self) -> int:
-        """Total stored vectors re-ranked with the exact expression so far."""
-        with self._counter_lock:
-            return self._reranked
-
-    def reset_comparison_count(self) -> None:
-        """Zero the comparison and re-rank counters."""
-        with self._counter_lock:
-            self._comparisons = 0
-            self._reranked = 0
-
-    def _count(self, compared: int, reranked: int) -> None:
-        with self._counter_lock:
-            self._comparisons += compared
-            self._reranked += reranked
 
     def _queries(self, queries, k: int) -> np.ndarray:
         """Queries as one (m, dim) float32 array, rounded to float32 like stored rows."""
@@ -388,7 +365,7 @@ class FlatIndex(_BaseIndex):
     def search_arrays(self, queries, k: int, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
         queries = self._queries(queries, k)
         rows, d2, reranked = _nearest(queries, self._vecs32, self._sq, k, self._id_ranks, threads)
-        self._count(len(queries) * len(self), reranked)
+        self.comparison_count, self.rerank_count = len(queries) * len(self), reranked
         return rows, np.sqrt(d2)
 
     def to_bytes(self) -> bytes:
@@ -452,7 +429,7 @@ class IVFIndex(_BaseIndex):
             _CANDIDATE_BYTES,
             threads,
         )
-        self._count(scanned, scanned)
+        self.comparison_count = self.rerank_count = scanned
         return rows, np.sqrt(d2)
 
     def to_bytes(self) -> bytes:

@@ -27,7 +27,7 @@ from typing import Mapping, Optional, Sequence
 
 from .atomic import atomic_write, write_json
 from .config import PipelineConfig
-from .corpus import Posting, load_postings, not_utf8, pair_count, save_postings
+from .corpus import Posting, jsonl_records, load_postings, pair_count, save_postings
 from .dedup import (
     KeptPairs,
     KnnHits,
@@ -41,7 +41,7 @@ from .dedup import (
     threshold_sweep,
 )
 from .embed import HashedEmbedder, RemoteEmbedder, truncation_report
-from .errors import DataError
+from .errors import DataError, MalformedRecord
 from .evaluation import write_results_csv
 from .index import FlatIndex, build_index, load_index
 from .normalize import CanonicalText, ExactGroup, canonicalize, group_exact
@@ -171,7 +171,7 @@ def _embed(
         "dim": config.embed.dim,
         "max_tokens": config.embed.max_tokens,
         "zero_vector_ids": [rid for rid, keep in zip(rep_ids, flags) if not keep],
-        "truncation": truncation_report(token_counts, config.embed.max_tokens).to_dict(),
+        "truncation": asdict(truncation_report(token_counts, config.embed.max_tokens)),
     }
     return (FlatIndex(ids, vectors[nonzero]) if ids else None), meta
 
@@ -237,7 +237,6 @@ def _dedup(
     """Candidates, rules, classification, expansion; assembles the run report."""
     t0 = time.perf_counter()
     if index is not None:
-        index.reset_comparison_count()
         hits = collect_hits(index, queries, config.dedup.k, threads=config.threads)
         comparisons, reranked = index.comparison_count, index.rerank_count
     else:
@@ -338,13 +337,6 @@ def run_pipeline(
 
 # --- artifact files and single-stage runners ---------------------------------
 
-def _artifact(outdir: str | Path, name: str) -> Path:
-    path = Path(outdir) / name
-    if not path.exists():
-        raise DataError(f"missing stage artifact {path}; run the producing stage first")
-    return path
-
-
 def _write_jsonl(records, path: str | Path) -> None:
     with atomic_write(path, "w", encoding="utf-8") as fh:
         for record in records:
@@ -354,25 +346,11 @@ def _write_jsonl(records, path: str | Path) -> None:
 def _read_jsonl(path: str | Path, fields: tuple[str, ...]) -> list[tuple[str, ...]]:
     """The named fields of each record of a JSONL artifact; each must be a string."""
     records = []
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as err:
-                    raise DataError(f"malformed JSON line at {path}:{line_no}: {err.msg}") from err
-                if not isinstance(record, dict) or not all(
-                    isinstance(record.get(name), str) for name in fields
-                ):
-                    raise DataError(
-                        f"malformed record at {path}:{line_no}: "
-                        f"expected an object with string fields {', '.join(fields)}"
-                    )
-                records.append(tuple(record[name] for name in fields))
-        except UnicodeDecodeError as err:
-            raise not_utf8(path) from err
+    for record, line_no in jsonl_records(path):
+        values = tuple(record.get(name) for name in fields)
+        if not all(isinstance(value, str) for value in values):
+            raise MalformedRecord(path, line_no, f"expected string fields {', '.join(fields)}")
+        records.append(values)
     return records
 
 
@@ -432,14 +410,14 @@ def stage_ingest(config: PipelineConfig, outdir: str | Path) -> list[Posting]:
 
 
 def stage_normalize(config: PipelineConfig, outdir: str | Path) -> list[CanonicalText]:
-    canonicals = _normalize(load_postings(_artifact(outdir, POSTINGS_FILE)), config)
+    canonicals = _normalize(load_postings(Path(outdir) / POSTINGS_FILE), config)
     write_canonical_file(canonicals, Path(outdir) / CANONICAL_FILE)
     return canonicals
 
 
 def stage_translate(config: PipelineConfig, outdir: str | Path, translator=None) -> list[str]:
-    postings = load_postings(_artifact(outdir, POSTINGS_FILE))
-    canonicals = read_canonical_file(_artifact(outdir, CANONICAL_FILE))
+    postings = load_postings(Path(outdir) / POSTINGS_FILE)
+    canonicals = read_canonical_file(Path(outdir) / CANONICAL_FILE)
     groups = group_exact(canonicals)
     texts = _translate(postings, canonicals, groups, config, translator)
     _write_translated(groups, texts, outdir)
@@ -447,7 +425,7 @@ def stage_translate(config: PipelineConfig, outdir: str | Path, translator=None)
 
 
 def stage_embed(config: PipelineConfig, outdir: str | Path, embedder=None) -> FlatIndex | None:
-    translated = read_translated_file(_artifact(outdir, TRANSLATED_FILE))
+    translated = read_translated_file(Path(outdir) / TRANSLATED_FILE)
     rep_ids, texts = [rid for rid, _ in translated], [text for _, text in translated]
     embedded, meta = _embed(rep_ids, texts, config, embedder)
     _write_embedded(embedded, meta, outdir)
@@ -456,7 +434,8 @@ def stage_embed(config: PipelineConfig, outdir: str | Path, embedder=None) -> Fl
 
 def stage_index(config: PipelineConfig, outdir: str | Path):
     """The search index, saved; None when the embed stage had nothing to embed."""
-    _artifact(outdir, EMBED_META_FILE)
+    if not (Path(outdir) / EMBED_META_FILE).exists():
+        raise DataError(f"missing {Path(outdir) / EMBED_META_FILE}; run the embed stage first")
     if not (Path(outdir) / EMBEDDINGS_FILE).exists():
         return None
     index = _build_search_index(load_index(Path(outdir) / EMBEDDINGS_FILE), config)
@@ -477,7 +456,7 @@ def run_staged(
     parsing the file again, since it reads back identically.
     """
     if postings is None:
-        postings = load_postings(_artifact(outdir, POSTINGS_FILE))
+        postings = load_postings(Path(outdir) / POSTINGS_FILE)
     return _run(postings, config, translator, embedder, outdir=outdir)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import threading
 import time
 from dataclasses import dataclass
@@ -18,15 +17,12 @@ from pathlib import Path
 from typing import Iterable, Optional, Protocol, Sequence
 
 from .batching import RetryPolicy, list_field, map_batches, post_json
-from .errors import ConfigError, DataError, InvalidLanguage
+from .corpus import read_json
+from .errors import ConfigError, DataError
 
-_LANG_RE = re.compile(r"^[a-z]{2,3}$")
-
-
-def validate_language(code: str) -> str:
-    if not _LANG_RE.match(code or ""):
-        raise InvalidLanguage(code)
-    return code
+# The two-step mode translates every text into English. The target is part
+# of each cache key and of each remote request body.
+TARGET_LANGUAGE = "en"
 
 
 @dataclass(frozen=True)
@@ -34,12 +30,10 @@ class TranslationRequest:
     fingerprint: str
     text: str
     source_language: Optional[str] = None
-    target_language: str = "en"
 
     def __post_init__(self) -> None:
         if not self.text:
             raise ValueError("translation request text must be non-empty")
-        validate_language(self.target_language)
 
 
 class Translator(Protocol):
@@ -85,10 +79,7 @@ class DictionaryTranslator:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "DictionaryTranslator":
-        try:
-            mapping = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as err:
-            raise ConfigError(f"cannot read dictionary file {path}: {err}") from err
+        mapping = read_json(path, ConfigError)
         if not isinstance(mapping, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in mapping.items()
         ):
@@ -267,56 +258,53 @@ def translate_batch(
 ) -> list[str]:
     """Translate requests, preserving order; cache hits bypass the backend.
 
-    Misses are grouped by (source, target) language pair. The in-process
-    backends translate each group in one call in the calling thread; any
-    other backend gets it cut into batches of `batch_size`, dispatched with
-    at most `max_in_flight` calls outstanding, each failed batch retried
-    with exponential backoff. Each group's translations reach the cache in
-    one `put`.
+    Misses are grouped by source language. The in-process backends
+    translate each group in one call in the calling thread; any other
+    backend gets it cut into batches of `batch_size`, dispatched with at
+    most `max_in_flight` calls outstanding, each failed batch retried with
+    exponential backoff. Each group's translations reach the cache in one
+    `put`.
     """
     if max_in_flight < 1:
         raise ValueError("max_in_flight must be >= 1")
     results: list[Optional[str]] = [None] * len(requests)
-    # Requests sharing (fingerprint, target) are translated once, whether the
-    # earlier copy came from the cache or from this same call.
-    pending: dict[tuple[str, str], list[int]] = {}
+    # Requests sharing a fingerprint are translated once, whether the earlier
+    # copy came from the cache or from this same call.
+    pending: dict[str, list[int]] = {}
     for i, request in enumerate(requests):
-        validate_language(request.target_language)
         cached = (
-            cache.get(request.fingerprint, request.target_language, backend.name)
+            cache.get(request.fingerprint, TARGET_LANGUAGE, backend.name)
             if cache is not None
             else None
         )
         if cached is not None:
             results[i] = cached
         else:
-            pending.setdefault((request.fingerprint, request.target_language), []).append(i)
+            pending.setdefault(request.fingerprint, []).append(i)
 
-    by_language_pair: dict[tuple[Optional[str], str], list[int]] = {}
+    by_source: dict[Optional[str], list[int]] = {}
     for indices in pending.values():
-        first = indices[0]
-        pair = (requests[first].source_language, requests[first].target_language)
-        by_language_pair.setdefault(pair, []).append(first)
+        by_source.setdefault(requests[indices[0]].source_language, []).append(indices[0])
 
-    for (source, target), firsts in by_language_pair.items():
+    for source, firsts in by_source.items():
         texts = [requests[i].text for i in firsts]
         if isinstance(backend, _IN_PROCESS):
-            translated = backend.translate(texts, source, target)
+            translated = backend.translate(texts, source, TARGET_LANGUAGE)
         else:
             translated = map_batches(
                 texts,
-                lambda batch, s=source, t=target: backend.translate(batch, s, t),
+                lambda batch, s=source: backend.translate(batch, s, TARGET_LANGUAGE),
                 batch_size=batch_size,
                 max_in_flight=max_in_flight,
                 retry=retry,
             )
         fingerprints = [requests[i].fingerprint for i in firsts]
         for fingerprint, text in zip(fingerprints, translated):
-            for i in pending[(fingerprint, target)]:
+            for i in pending[fingerprint]:
                 results[i] = text
         if cache is not None:
             cache.put(
-                (fingerprint, target, backend.name, text)
+                (fingerprint, TARGET_LANGUAGE, backend.name, text)
                 for fingerprint, text in zip(fingerprints, translated)
             )
 
@@ -332,5 +320,4 @@ __all__ = [
     "make_backend",
     "TranslationCache",
     "translate_batch",
-    "validate_language",
 ]

@@ -330,6 +330,54 @@ _CANONICAL_LINE = json.dumps({"id": "a", "canonical_text": "chef", "fingerprint"
             f"{CANONICAL_FILE}:2",
         ),
         ("embed", {TRANSLATED_FILE: b'{"id": "a", "text": "\xc3"}\n'}, f"{TRANSLATED_FILE}:1"),
+        (
+            "eval",
+            {
+                RESULTS_FILE: "id1,id2,label,distance,reason\n",
+                GOLD_FILE: b"id1,id2,label\r\na,b,FULL\r\nc,\xff,FULL\r\n",
+            },
+            f"{GOLD_FILE}:3",
+        ),
+        (
+            "eval",
+            {
+                RESULTS_FILE: b"id1,id2,label,distance,reason\na,b,FULL,0.1,caf\xe9\n",
+                GOLD_FILE: "id1,id2,label\n",
+            },
+            f"{RESULTS_FILE}:2",
+        ),
+        (
+            "normalize",
+            {POSTINGS_FILE: json.dumps(_POSTING) + "\n{not json\n"},
+            f"{POSTINGS_FILE}:2",
+        ),
+        # Records whose quoted cells span two lines are named by the line
+        # each record starts on, in the corpus and in the gold file alike.
+        (
+            "ingest --input corpus.csv --format csv",
+            {
+                "corpus.csv": "id,title,description,retrieval_date,source\r\n"
+                'a,chef,"one\r\ntwo",2024-03-01,s\r\n'
+                'b,cook,"three\r\nfour",2024-03-01,\r\n'
+            },
+            "corpus.csv:4",
+        ),
+        (
+            "eval",
+            {
+                RESULTS_FILE: "id1,id2,label,distance,reason\n",
+                GOLD_FILE: 'id1,id2,label\r\n"a\r\nb",c,FULL\r\n"d\r\ne",f,bogus\r\n',
+            },
+            f"{GOLD_FILE}:4",
+        ),
+        (
+            "ingest --input corpus.csv --format csv",
+            {
+                "corpus.csv": "id,title,description,retrieval_date,source\n"
+                f"a,chef,{'x' * 140_000},2024-03-01,s\n"  # over the csv module's cell limit
+            },
+            "corpus.csv:2",
+        ),
     ],
     ids=[
         "report-not-json", "eval-json-missing-fields", "gold-unknown-label",
@@ -337,6 +385,8 @@ _CANONICAL_LINE = json.dumps({"id": "a", "canonical_text": "chef", "fingerprint"
         "canonical-not-object", "canonical-missing-field", "canonical-non-string-field",
         "translated-not-object", "translated-missing-field", "corpus-jsonl-not-utf8",
         "corpus-csv-not-utf8", "canonical-not-utf8", "translated-not-utf8",
+        "gold-not-utf8", "results-not-utf8", "postings-not-json",
+        "corpus-csv-multiline-cells", "gold-multiline-cells", "corpus-csv-cell-too-large",
     ],
 )
 def test_malformed_input_file_is_data_error(tmp_path, monkeypatch, capsys, command, files, named):
@@ -344,6 +394,26 @@ def test_malformed_input_file_is_data_error(tmp_path, monkeypatch, capsys, comma
     for name, text in files.items():
         (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     assert run_cli(*command.split(), "--out", tmp_path) == 3
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, name, content, named",
+    [
+        ("--config", "run.yaml", b"mode: two_step\nseed: 7  # caf\xe9\n", "run.yaml:2"),
+        ("--rules", "rules.yaml", b"- {name: r\xff}\n", "rules.yaml:1"),
+        ("--dict", "dict.json", b'{"chef": "cook",\n "k\xe9": "x"}\n', "dict.json:2"),
+        ("--dict", "dict.json", b'{"chef": "cook",\n "koch"}\n', "dict.json:2"),
+    ],
+    ids=["config-not-utf8", "rules-not-utf8", "dictionary-not-utf8", "dictionary-not-json"],
+)
+def test_malformed_config_file_is_config_error(
+    tmp_path, monkeypatch, capsys, flag, name, content, named
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_bytes(content)
+    (tmp_path / POSTINGS_FILE).write_text(json.dumps(_POSTING) + "\n", encoding="utf-8")
+    assert run_cli("dedup", flag, name, "--out", tmp_path) == 2
     assert named in capsys.readouterr().err
 
 

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import ast
 import json
 from collections import Counter
 from datetime import date
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from postdedup import corpus
 from postdedup.corpus import (
     Posting,
     corpus_stats,
@@ -228,3 +231,28 @@ def test_dedup_reduction_ratio():
 @given(st.integers(min_value=0, max_value=10**12))
 def test_pair_count_telescopes(n):
     assert pair_count(n + 1) - pair_count(n) == n
+
+
+def _text_reads(tree: ast.AST) -> list[int]:
+    """Lines of `open(..., encoding=...)` in a read mode and of `.read_text(...)` calls."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr == "read_text":
+            lines.append(node.lineno)
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "open" and any(kw.arg == "encoding" for kw in node.keywords):
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[1:2]
+            mode = modes[0] if modes else ast.Constant("r")
+            if isinstance(mode, ast.Constant) and not set("wax") & set(mode.value):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_reader_opens_files_for_text_reading():
+    src = Path(corpus.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in src.glob("*.py")}
+    assert len(_text_reads(trees.pop("corpus.py"))) == 1  # `_lines`
+    assert {name: lines for name, tree in trees.items() if (lines := _text_reads(tree))} == {}

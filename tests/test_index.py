@@ -234,7 +234,6 @@ class TestIVF:
         ivf = build_index(
             FlatIndex(*vectors), IndexConfig(kind="ivf", dim=8, nlist=10, nprobe=3, seed=7)
         )
-        ivf.reset_comparison_count()
         ivf.search_arrays(matrix[:1], 5)
         assert ivf.comparison_count < 300
         sizes = sorted(ivf.list_sizes(), reverse=True)
@@ -243,10 +242,10 @@ class TestIVF:
     def test_flat_comparison_counter(self):
         _, matrix = vectors = unit_vectors(50, 4, seed=2)
         flat = build_index(FlatIndex(*vectors), IndexConfig(dim=4))
-        flat.reset_comparison_count()
-        flat.search_arrays(matrix[0:1], 3)
-        flat.search_arrays(matrix[1:2], 3)
-        assert flat.comparison_count == 100
+        flat.search_arrays(matrix[0:3], 3)
+        assert flat.comparison_count == 150
+        flat.search_arrays(matrix[3:4], 3)
+        assert flat.comparison_count == 50  # each search sets the count to its own
 
 
 class TestBatch:
@@ -624,7 +623,6 @@ def test_search_arrays_are_the_search_hits_and_count_reranks():
     ids, matrix = vectors = unit_vectors(300, 16, seed=23)
     index = build_index(FlatIndex(*vectors), IndexConfig(dim=16))
     queries = matrix[:40]
-    index.reset_comparison_count()
     rows, distances = index.search_arrays(queries, 12)
     assert index.comparison_count == 40 * 300
     assert 40 * 12 <= index.rerank_count <= 40 * 300

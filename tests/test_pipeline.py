@@ -3,8 +3,9 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,16 +315,16 @@ def test_run_staged_reads_no_artifact_but_postings(tmp_path, monkeypatch):
     outdir = tmp_path / "staged"
     outdir.mkdir()
     save_postings(synth.postings, outdir / POSTINGS_FILE)
-    real_artifact = pipeline._artifact
+    real_load_postings = pipeline.load_postings
 
-    def postings_only(out, name):
-        assert name == POSTINGS_FILE, f"run_staged read back {name}"
-        return real_artifact(out, name)
+    def postings_only(path, *args):
+        assert Path(path).name == POSTINGS_FILE, f"run_staged read back {path}"
+        return real_load_postings(path, *args)
 
     def no_read(*args, **kwargs):
         raise AssertionError("run_staged read back an artifact")
 
-    monkeypatch.setattr(pipeline, "_artifact", postings_only)
+    monkeypatch.setattr(pipeline, "load_postings", postings_only)
     for reader in ("read_canonical_file", "read_translated_file", "load_index"):
         monkeypatch.setattr(pipeline, reader, no_read)
     staged = run_staged(config, outdir)
@@ -456,7 +457,7 @@ def test_failed_artifact_write_keeps_previous_file(tmp_path, name):
     postings = synth.postings
     canonicals = [canonicalize(p, config.normalize) for p in postings]
     pairs = run_pipeline(postings, config).pairs
-    stats = corpus_stats(postings, tokenize).to_dict()
+    stats = asdict(corpus_stats(postings, tokenize))
     evaluation = score(pairs, synth.gold).to_dict()
     # (what is written, the same failing partway, the writer the program uses)
     items, failing, write = {

@@ -16,7 +16,6 @@ from postdedup.errors import (
     BackendUnavailable,
     ConfigError,
     DataError,
-    InvalidLanguage,
     RateLimited,
 )
 from postdedup.translate import (
@@ -220,13 +219,6 @@ def test_remote_unreachable_endpoint_fails_on_first_use():
     backend = make_backend("remote", endpoint="http://127.0.0.1:9/translate")
     with pytest.raises(BackendUnavailable):
         backend.translate(["hello"], None, "en")
-
-
-def test_invalid_language_rejected():
-    with pytest.raises(InvalidLanguage):
-        TranslationRequest(fingerprint="f", text="text", target_language="ENGLISH")
-    with pytest.raises(InvalidLanguage):
-        TranslationRequest(fingerprint="f", text="text", target_language="")
 
 
 def test_empty_text_rejected():

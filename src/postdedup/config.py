@@ -69,6 +69,17 @@ class DedupConfig:
         if list(self.sweep_thetas) != sorted(self.sweep_thetas):
             raise ConfigError("sweep_thetas must be ascending")
 
+    @property
+    def search_radius(self) -> float:
+        """The largest distance a run can keep or count: the candidate search's bound.
+
+        The largest of `base_theta`, the threshold of every threshold rule
+        and the last of `sweep_thetas`; every threshold is strict, so no
+        pair at this distance or beyond is kept or counted.
+        """
+        thresholds = [rule.threshold for rule in self.rules if rule.action == "threshold"]
+        return max([self.base_theta, *thresholds, *self.sweep_thetas[-1:]])
+
 
 @dataclass(frozen=True)
 class IOConfig:

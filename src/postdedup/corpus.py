@@ -140,19 +140,46 @@ def read_text(path: str | Path, error: type[DedupError]) -> str:
     return "".join(line for _, line in _lines(path, error))
 
 
+# A JSON string, an opening or closing bracket, or a line break.
+_JSON_NESTING = re.compile(r'"(?:[^"\\\n]|\\.)*"|[\[{]|[\]}]|\n')
+
+
+def _deepest_line(text: str) -> int:
+    """The line on which the brackets of a JSON text first nest deepest."""
+    depth = deepest = 0
+    line = at = 1
+    for token in _JSON_NESTING.finditer(text):
+        char = token.group()
+        if char == "\n":
+            line += 1
+        elif char in "[{":
+            depth += 1
+            if depth > deepest:
+                deepest, at = depth, line
+        elif char in "]}":
+            depth -= 1
+    return at
+
+
 def read_json(path: str | Path, error: type[DedupError] = DataError):
-    """The value of a JSON document; text that is not JSON raises `error` at `path:line`."""
+    """The value of a JSON document; text that is not JSON raises `error` at `path:line`.
+
+    Nesting too deep for the parser is named at the line where it is deepest.
+    """
     text = read_text(path, error)
     try:
         return json.loads(text)
     except json.JSONDecodeError as err:
         raise error(f"malformed JSON at {path}:{err.lineno}: {err.msg}") from err
+    except RecursionError as err:
+        raise error(f"JSON nested too deeply at {path}:{_deepest_line(text)}") from err
 
 
 def jsonl_records(path: str | Path) -> Iterator[tuple[dict, int]]:
     """Each record of a JSONL file with its line number; blank lines are skipped.
 
-    A line that is not a JSON object is a MalformedRecord.
+    A line that is not a JSON object, or nests too deeply to parse, is a
+    MalformedRecord.
     """
     for line_no, line in _lines(path, DataError):
         if line.isspace():
@@ -161,6 +188,8 @@ def jsonl_records(path: str | Path) -> Iterator[tuple[dict, int]]:
             record = json.loads(line)
         except json.JSONDecodeError as err:
             raise MalformedRecord(path, line_no, err.msg) from err
+        except RecursionError as err:
+            raise MalformedRecord(path, line_no, "JSON nested too deeply") from err
         if not isinstance(record, dict):
             raise MalformedRecord(path, line_no, "expected a JSON object")
         yield record, line_no
@@ -209,12 +238,12 @@ def load_postings(path: str | Path, format: str = "jsonl") -> list[Posting]:
         raise DataError(f"unknown corpus format {format!r}")
 
     postings: list[Posting] = []
-    seen: set[str] = set()
+    first_line: dict[str, int] = {}
     for record, line_no in records:
         posting = _posting_from_record(record, path, line_no)
-        if posting.id in seen:
-            raise DuplicateId(posting.id)
-        seen.add(posting.id)
+        first = first_line.setdefault(posting.id, line_no)
+        if first != line_no:
+            raise DuplicateId(posting.id, f"at {path}:{line_no} (first at line {first})")
         postings.append(posting)
     return postings
 

@@ -115,17 +115,19 @@ def default_rule(base_theta: float) -> ExpertRule:
 
 @dataclass(frozen=True, eq=False)
 class KnnHits:
-    """Each query's k nearest neighbors, its own id excluded, as arrays.
+    """Each query's nearest neighbors, its own id excluded, as arrays.
 
     Row i belongs to `query_ids[i]`: `rows[i]` indexes `ids` (-1 where the
-    query has fewer than k hits) and `distances[i]` holds the true L2
-    distances (inf there), ascending with ties by id.
+    query has fewer hits than columns) and `distances[i]` holds the true
+    L2 distances (inf there), ascending with ties by id. A k-NN search
+    has k columns; one bounded by a radius holds only the hits under it,
+    in as many columns as the query with the most of them needs (at most k).
     """
 
     query_ids: list[str]
     ids: Sequence[str]
-    rows: np.ndarray  # (n, k) int64
-    distances: np.ndarray  # (n, k) float64
+    rows: np.ndarray  # (n, width) int64
+    distances: np.ndarray  # (n, width) float64
 
     def __len__(self) -> int:
         return len(self.query_ids)
@@ -136,25 +138,39 @@ class KnnHits:
 
 
 def collect_hits(
-    index: VectorIndex, queries: FlatIndex, k: int = 100, threads: int = 1
+    index: VectorIndex,
+    queries: FlatIndex,
+    k: int = 100,
+    threads: int = 1,
+    radius: float | None = None,
 ) -> KnnHits:
     """Per-query k-NN hits of every row of `queries`, the query's own id excluded.
 
-    Queries may fan out over threads; results are identical for any
-    thread count.
+    With `radius`, only the hits at a distance under it are kept. They are
+    exactly the k-NN hits under `radius`, bit for bit, so every threshold
+    and sweep at or under it counts the same pairs, and every saturated
+    query is still found; a flat index then re-ranks only the rows that
+    can lie under `radius` (see `postdedup.index`). Queries may fan out
+    over threads; results are identical for any thread count.
     """
     query_ids = list(queries.ids)
-    rows, distances = index.search_arrays(queries.vectors, k + 1, threads=threads)
+    rows, distances = index.search_arrays(queries.vectors, k + 1, threads=threads, radius=radius)
     row_of = {vid: i for i, vid in enumerate(index.ids)}
     own = np.array([row_of.get(vid, -2) for vid in query_ids], dtype=np.int64)
-    # Move each query's own row (matched by id) behind its other hits, then
-    # keep k: the (k+1)-th hit drops where the query did not find itself.
-    keep = np.argsort(rows == own[:, None], axis=1, kind="stable")[:, :k]
+    # Move each query's own row (matched by id), and with a radius every hit
+    # not under it, behind the other hits, then keep k: the (k+1)-th hit
+    # drops where the query did not find itself.
+    drop = rows == own[:, None]
+    width = k
+    if radius is not None:
+        drop |= distances >= radius
+        width = min(k, int(np.count_nonzero(~drop, axis=1).max(initial=0)))
+    keep = np.argsort(drop, axis=1, kind="stable")[:, :width]
     return KnnHits(
         query_ids,
         index.ids,
-        np.take_along_axis(rows, keep, axis=1),
-        np.take_along_axis(distances, keep, axis=1),
+        np.take_along_axis(np.where(drop, -1, rows), keep, axis=1),
+        np.take_along_axis(np.where(drop, np.inf, distances), keep, axis=1),
     )
 
 

@@ -26,9 +26,9 @@ class MalformedRecord(DataError):
 
 
 class DuplicateId(DataError):
-    def __init__(self, posting_id: str) -> None:
+    def __init__(self, posting_id: str, where: str = "") -> None:
         self.posting_id = posting_id
-        super().__init__(f"duplicate posting id {posting_id!r}")
+        super().__init__(f"duplicate posting id {posting_id!r}" + (f" {where}" if where else ""))
 
 
 class MissingRequiredField(MalformedRecord):

@@ -156,7 +156,10 @@ def render_report(
     lines = []
     if run:
         lines.append("== Run ==")
-        for key in ("mode", "k", "base_theta", "n_postings", "n_groups", "n_representatives"):
+        for key in (
+            "mode", "k", "base_theta", "search_radius", "n_postings", "n_groups",
+            "n_representatives",
+        ):
             if key in run:
                 lines.append(f"{key}: {run[key]}")
         if run.get("stage_seconds"):
@@ -171,6 +174,10 @@ def render_report(
             lines.append("-- labels --")
             for name, value in run["label_counts"].items():
                 lines.append(f"{name}: {value}")
+        if run.get("rule_kept"):
+            lines.append("-- kept per rule --")
+            for index, kept in enumerate(run["rule_kept"]):
+                lines.append(f"rule({index}): {kept}")
         if run.get("truncation"):
             t = run["truncation"]
             lines.append("-- truncation --")

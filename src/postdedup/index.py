@@ -29,6 +29,17 @@ the rows of its probed lists and re-ranks all of them exactly; the
 k-means assign step uses the same preselect and exact re-check against
 the centroids.
 
+A flat search can also be bounded by a radius R, the largest distance
+the caller can keep (a range search next to k-NN, as in Johnson et al.;
+the threshold bounds all-pairs search as in Bayardo, Ma & Srikant,
+"Scaling Up All Pairs Similarity Search", WWW 2007). Each query then
+keeps the rows with ``A ≤ R² + 2Δ``; only a query that keeps more than
+k of them partitions its row for ``a_k`` and keeps ``A ≤ a_k + 2Δ``
+instead, which is exactly what it keeps without R. Every row under R is
+still kept, so the hits under R are those of the unbounded search bit
+for bit, while the exact re-rank sees the few rows near each query
+instead of more than k.
+
 The product is one BLAS GEMM, ``(rows @ queries.T).T``, as in blocked
 exact search (Johnson, Douze & Jégou, arXiv:1702.08734). The CLI runs
 OpenBLAS with one thread (see ``postdedup.cli``), so the only parallelism
@@ -79,7 +90,8 @@ _KIND_IVF = 1
 # Bytes of temporaries one block of queries may hold. A block takes as
 # many queries as fit when every candidate (query, row) entry costs
 # `_CANDIDATE_BYTES` (indices, exact d², sort order) plus, for a
-# preselecting scan, two approximate distances and a mask flag.
+# preselecting scan, two approximate distances and a mask flag; a scan
+# bounded by a radius charges only the latter (see `_nearest`).
 _BLOCK_BYTES = 1 << 20
 _CANDIDATE_BYTES = 40
 
@@ -127,10 +139,20 @@ def _gamma(n: int, u: float) -> float:
     return n * u / (1.0 - n * u)
 
 
+def _kth_cutoff(approx: np.ndarray, k: int, delta: np.ndarray) -> np.ndarray:
+    """Per query (as a column), its k-th smallest approximate distance plus 2Δ."""
+    kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+    return (kth.astype(np.float64) + 2 * delta)[:, None]
+
+
 def _preselect(
-    queries: np.ndarray, rows: np.ndarray, row_sq: np.ndarray, k: int
+    queries: np.ndarray,
+    rows: np.ndarray,
+    row_sq: np.ndarray,
+    k: int,
+    radius: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(query, row) index pairs that can be in a query's exact top k.
+    """(query, row) index pairs that can be in a query's exact top k (under `radius`).
 
     For a query q and a row x let D = ‖q − x‖² in real arithmetic and
     S = (‖q‖ + ‖x‖)², so that ‖q‖² + ‖x‖² ≤ S, 2|q·x| ≤ S and D ≤ S.
@@ -151,24 +173,42 @@ def _preselect(
     larger, hence A ≤ E + Δ ≤ a_k + 2Δ. Keeping A ≤ a_k + 2Δ therefore
     keeps every row the exact top k can hold, through any ties. The
     bound scales with the norms and holds for any summation order.
+
+    With `radius` R only the rows the top k can hold at a distance under
+    R are needed. The distance is the float64 square root of E, correctly
+    rounded and R a float64, so √E < R implies E < R² and A < R² + Δ. The
+    cutoff R² + 2Δ is computed in float64 with two roundings, which lose
+    at most 2u'(R² + 2Δ): less than Δ when R² ≤ Δ/(2u'), and when R² is
+    larger every row passes anyway, since A ≤ E + Δ ≤ 2S ≪ R². So keeping
+    A ≤ R² + 2Δ keeps every row under R. A query that keeps at most k rows
+    this way keeps all of its rows under R, and they are its nearest, so
+    the radius-free top k holds all of them too. A query that keeps more
+    than k falls back to the cutoff a_k + 2Δ: its kept set, and so its
+    exact top k, is then the one found without a radius. Either way each
+    query's hits under R equal its radius-free top k's hits under R, bit
+    for bit.
     """
     m, n = len(queries), len(rows)
-    if k >= n:  # every row is in the top k
+    if k >= n and radius is None:  # every row is in the top k
         return np.repeat(np.arange(m), n), np.tile(np.arange(n), m)
     approx = (rows @ queries.T).T
     approx *= -2
     approx += row_sq
     q_sq = _sq_norms(queries)
     approx += q_sq[:, None]
-    kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
     d = rows.shape[1]
     info = np.finfo(rows.dtype)
     u = float(info.eps) / 2
     coeff = _gamma(d, u) + 2 * _gamma(d + 2, float(np.finfo(np.float64).eps) / 2) + 6 * u
     floor = (2 * d + 4) * float(info.smallest_subnormal) / 2
     delta = coeff * (np.sqrt(q_sq) + np.sqrt(row_sq.max())) ** 2 + floor
-    cutoff = kth.astype(np.float64) + 2 * delta
-    return np.nonzero(approx <= cutoff[:, None])
+    if radius is None:
+        return np.nonzero(approx <= _kth_cutoff(approx, k, delta))
+    keep = approx <= (radius * radius + 2 * delta)[:, None]
+    over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
+    if over.size:
+        keep[over] = approx[over] <= _kth_cutoff(approx[over], k, delta[over])
+    return np.nonzero(keep)
 
 
 def _exact_sq_dists(
@@ -254,15 +294,24 @@ def _nearest(
     k: int,
     ranks: np.ndarray,
     threads: int = 1,
+    radius: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Exact top k of all `rows` per query: preselect, then exact re-rank."""
+    """Exact top k of all `rows` per query (under `radius`): preselect, then exact re-rank.
+
+    Under a radius a query keeps few rows, so a block is sized by the
+    product and the mask alone; one whose queries all keep every row (a
+    clique under the radius, within 2Δ of one another) can hold up to
+    (2·itemsize + 1 + `_CANDIDATE_BYTES`) / (2·itemsize + 1), 5.4 times
+    the budget for float32 rows.
+    """
+    candidate_bytes = _CANDIDATE_BYTES if radius is None else 0
     return _blocked_top_k(
         queries,
         rows,
         k,
         ranks,
-        lambda block: _preselect(block, rows, row_sq, k),
-        2 * rows.itemsize + 1 + _CANDIDATE_BYTES,
+        lambda block: _preselect(block, rows, row_sq, k, radius),
+        2 * rows.itemsize + 1 + candidate_bytes,
         threads,
     )
 
@@ -337,11 +386,15 @@ class _BaseIndex:
             raise DimensionMismatch(self.dim, int(queries.shape[-1]) if queries.ndim else 0)
         return queries
 
-    def search_arrays(self, queries, k: int, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    def search_arrays(
+        self, queries, k: int, threads: int = 1, radius: float | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Top k per query as (m, k) arrays of stored row indices and true L2 distances.
 
         Each row ascends with ties by id; -1 and inf pad a query with fewer
-        than k hits. Results are equal for any thread count.
+        than k hits. Results are equal for any thread count. With `radius`,
+        hits at a distance of `radius` or more may be left out, but every
+        hit of the top k under it is there, with the same bits.
         """
         raise NotImplementedError
 
@@ -362,9 +415,13 @@ class FlatIndex(_BaseIndex):
 
     kind = "flat"
 
-    def search_arrays(self, queries, k: int, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    def search_arrays(
+        self, queries, k: int, threads: int = 1, radius: float | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         queries = self._queries(queries, k)
-        rows, d2, reranked = _nearest(queries, self._vecs32, self._sq, k, self._id_ranks, threads)
+        rows, d2, reranked = _nearest(
+            queries, self._vecs32, self._sq, k, self._id_ranks, threads, radius
+        )
         self.comparison_count, self.rerank_count = len(queries) * len(self), reranked
         return rows, np.sqrt(d2)
 
@@ -418,7 +475,10 @@ class IVFIndex(_BaseIndex):
         rows = _spans(self._list_starts[lists].ravel(), sizes.ravel())
         return np.repeat(np.arange(len(queries)), sizes.sum(axis=1)), rows
 
-    def search_arrays(self, queries, k: int, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    def search_arrays(
+        self, queries, k: int, threads: int = 1, radius: float | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # The probed lists are scanned whole: `radius` does not narrow them.
         queries = self._queries(queries, k)
         rows, d2, scanned = _blocked_top_k(
             queries,

@@ -2,8 +2,9 @@
 
 The chain: canonicalize -> group exact duplicates (these already settle
 FULL/TEMPORAL for identical text) -> translate one representative per group
-(optional) -> embed -> index -> k-NN candidate pairs -> expert rules ->
-classify -> expand group labels back to all members -> run report.
+(optional) -> embed -> index -> k-NN candidate pairs under the search
+radius (the largest threshold the rules or the sweep use) -> expert rules
+-> classify -> expand group labels back to all members -> run report.
 
 `run_pipeline` runs the chain in memory; `run_staged` (the CLI `dedup`
 command) runs it from `postings.jsonl`, writing each artifact as it is
@@ -24,6 +25,8 @@ from dataclasses import asdict, dataclass, field, replace
 from itertools import combinations, product
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 from .atomic import atomic_write, write_json
 from .config import PipelineConfig
@@ -65,12 +68,14 @@ class RunReport:
     mode: str
     k: int
     base_theta: float
+    search_radius: float
     n_postings: int = 0
     n_groups: int = 0
     n_representatives: int = 0
     n_zero_vectors: int = 0
     counters: dict = field(default_factory=dict)
     label_counts: dict = field(default_factory=dict)
+    rule_kept: list = field(default_factory=list)
     stage_seconds: dict = field(default_factory=dict)
     truncation: Optional[dict] = None
     saturation: Optional[dict] = None
@@ -236,8 +241,9 @@ def _dedup(
 ) -> PipelineResult:
     """Candidates, rules, classification, expansion; assembles the run report."""
     t0 = time.perf_counter()
+    radius = config.dedup.search_radius
     if index is not None:
-        hits = collect_hits(index, queries, config.dedup.k, threads=config.threads)
+        hits = collect_hits(index, queries, config.dedup.k, threads=config.threads, radius=radius)
         comparisons, reranked = index.comparison_count, index.rerank_count
     else:
         hits, comparisons, reranked = KnnHits.empty(config.dedup.k), 0, 0
@@ -260,6 +266,7 @@ def _dedup(
         mode=config.mode,
         k=k,
         base_theta=base_theta,
+        search_radius=radius,
         n_postings=len(postings),
         n_groups=len(groups),
         n_representatives=len(groups),
@@ -280,6 +287,7 @@ def _dedup(
             "output_pairs": len(pairs),
         },
         label_counts=dict(sorted(label_counts.items())),
+        rule_kept=np.bincount(kept.rule_indices, minlength=len(rules)).tolist(),
         stage_seconds=dict(timings),
         truncation=meta["truncation"],
         saturation=saturation,

@@ -397,6 +397,32 @@ def test_malformed_input_file_is_data_error(tmp_path, monkeypatch, capsys, comma
     assert named in capsys.readouterr().err
 
 
+def test_deeply_nested_corpus_line_exits_3_without_traceback(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps(_POSTING) + "\n" + "[" * 100_000 + "\n", encoding="utf-8")
+    done = subprocess.run(
+        [
+            sys.executable, "-m", "postdedup.cli", "ingest",
+            "--input", str(corpus), "--out", str(tmp_path / "run"),
+        ],
+        env=_env_without_blas_threads(),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 3
+    assert f"{corpus}:2" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_deeply_nested_json_document_names_its_deepest_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / REPORT_FILE).write_text(
+        '{"k": [1, "[[[["],\n "deep":\n' + "[" * 100_000 + "\n", encoding="utf-8"
+    )
+    assert run_cli("report", "--out", tmp_path) == 3
+    assert f"{REPORT_FILE}:3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flag, name, content, named",
     [

@@ -52,10 +52,13 @@ def test_load_single_jsonl_record(tmp_path):
 
 def test_duplicate_id_rejected(tmp_path):
     path = tmp_path / "corpus.jsonl"
-    write_jsonl(path, [FULL_RECORD, FULL_RECORD])
+    other = {**FULL_RECORD, "id": "b2"}
+    write_jsonl(path, [FULL_RECORD, other, other, FULL_RECORD])
     with pytest.raises(DuplicateId) as err:
         load_postings(path)
-    assert err.value.posting_id == "a1"
+    assert err.value.posting_id == "b2"
+    # The repeated record's file:line, and the line where the id came first.
+    assert str(err.value) == f"duplicate posting id 'b2' at {path}:3 (first at line 2)"
 
 
 def test_empty_file_gives_empty_list(tmp_path):

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import json
 import random
+from collections import Counter
 from datetime import date
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import postdedup.index
 
 from postdedup.dedup import (
     DuplicateLabel,
@@ -20,8 +25,13 @@ from postdedup.dedup import (
     saturation_report,
     threshold_sweep,
 )
+from postdedup.config import config_from_dict
+from postdedup.corpus import save_postings
 from postdedup.errors import ConfigError, NoMatchingRule, UnknownId
-from postdedup.index import FlatIndex, IndexConfig, build_index
+from postdedup.evaluation import render_report
+from postdedup.index import FlatIndex, IndexConfig, build_index, load_index
+from postdedup.pipeline import EMBEDDINGS_FILE, POSTINGS_FILE, run_staged
+from postdedup.synth import DupPlan, synth_corpus
 
 from conftest import candidate_pairs, make_posting, pair_keys, pair_triples, unit_vectors
 
@@ -376,6 +386,73 @@ class TestSaturation:
         assert report.count == k + 5
 
 
+# --- the radius-bounded search against k-NN, then the filter d < R ----------
+
+def hit_entries(hits):
+    """Each (query id, row id, distance bits) of a KnnHits."""
+    return {
+        (query, hits.ids[row], distance.hex())
+        for query, rows, distances in zip(hits.query_ids, hits.rows.tolist(), hits.distances.tolist())
+        for row, distance in zip(rows, distances)
+        if row >= 0
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dim=st.sampled_from([3, 8, 16]),
+    n_background=st.integers(0, 30),
+    clique=st.integers(0, 12),  # near-identical rows, often more than k
+    copies=st.integers(0, 4),  # exact repeats of rows: ties at every distance
+    k=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    pick=st.sampled_from(["distance", "ulp_below", "ulp_above", "clique", "everything"]),
+    kind=st.sampled_from(["flat", "ivf"]),
+    threads=st.sampled_from([1, 4]),
+)
+def test_radius_search_equals_knn_then_filter(
+    dim, n_background, clique, copies, k, seed, pick, kind, threads
+):
+    rng = np.random.default_rng(seed)
+    anchor = rng.normal(size=dim)
+    near = anchor / np.linalg.norm(anchor) + rng.normal(size=(clique, dim)) * 1e-3
+    rows = np.concatenate([near, rng.normal(size=(n_background, dim))])
+    if not len(rows):
+        rows = rng.normal(size=(1, dim))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    rows = np.concatenate([rows, rows[rng.integers(len(rows), size=copies)]]).astype(np.float32)
+    ids = [f"v{i:03d}" for i in rng.permutation(len(rows))]
+    # The radius: the distance from a row to one of its k nearest (a tie at
+    # R, met before the k cap), one ulp either side of it, one holding the
+    # clique, or one holding every row.
+    X = rows.astype(np.float64)
+    query = X[rng.integers(len(X))]
+    nearest = np.sort(np.sqrt(np.square(X - query).sum(axis=1)))
+    d = float(nearest[rng.integers(min(k + 1, len(X)))])
+    radius = {
+        "distance": d,
+        "ulp_below": float(np.nextafter(d, 0)),
+        "ulp_above": float(np.nextafter(d, np.inf)),
+        "clique": 0.05,
+        "everything": 2.5,
+    }[pick]
+    vectors = FlatIndex(ids, rows)
+    config = IndexConfig(kind=kind, dim=dim, nlist=min(3, len(rows)), nprobe=min(2, len(rows)))
+    index = build_index(vectors, config)
+    knn = collect_hits(index, vectors, k)
+    # Blocks of one to two queries, so four threads have blocks to spread.
+    with mock.patch.object(postdedup.index, "_BLOCK_BYTES", 20 * len(rows)):
+        bounded = collect_hits(index, vectors, k, threads=threads, radius=radius)
+
+    under = {e for e in hit_entries(knn) if float.fromhex(e[2]) < radius}
+    assert hit_entries(bounded) == under
+    for theta in (radius, radius / 2):
+        assert saturation_report(bounded, theta, k) == saturation_report(knn, theta, k)
+    thetas = [radius / 4, radius / 2, float(np.nextafter(radius, 0)), radius]
+    sweep = [n for _, n, _ in threshold_sweep(pairs_from_hits(bounded).distances, thetas)]
+    assert sweep == [n for _, n, _ in threshold_sweep(pairs_from_hits(knn).distances, thetas)]
+
+
 @settings(max_examples=50)
 @given(
     st.sets(
@@ -501,3 +578,39 @@ def test_array_rules_equal_per_pair_matcher(postings, unknown, raw_pairs, rules)
     kept = apply_rules_detailed(candidate_pairs(triples), postings_by_id, rules, 0.25)
     assert list(zip(pair_triples(kept.pairs), kept.rule_indices.tolist())) == expected
     assert kept.rule_indices.dtype == np.int64
+
+
+def test_report_rule_kept_counts_the_per_pair_matcher(tmp_path):
+    synth = synth_corpus(60, DupPlan(0.15, 0.15, 0.10, hard_semantic_fraction=0.5), seed=3)
+    dictionary = tmp_path / "dict.json"
+    dictionary.write_text(json.dumps(synth.translation_dict), encoding="utf-8")
+    # k over the corpus size: the candidates are every pair under the radius.
+    config = config_from_dict(
+        {
+            "translate": {"kind": "dictionary", "dictionary_path": str(dictionary)},
+            "dedup": {"k": 200, "base_theta": 0.25, "rules": "example"},
+        }
+    )
+    outdir = tmp_path / "run"
+    outdir.mkdir()
+    save_postings(synth.postings, outdir / POSTINGS_FILE)
+    report = run_staged(config, outdir).report
+    # Independent: every pair of embedded representatives under the search
+    # radius, from a float64 scan, through the per-pair matcher.
+    embedded = load_index(outdir / EMBEDDINGS_FILE)
+    ids, X = embedded.ids, embedded.vectors.astype(np.float64)
+    triples = []
+    for i, vid in enumerate(ids):
+        distances = np.sqrt(np.square(X - X[i]).sum(axis=1))
+        triples += [
+            (vid, ids[j], float(distances[j]))
+            for j in range(len(ids))
+            if vid < ids[j] and distances[j] < config.dedup.search_radius
+        ]
+    postings_by_id = {p.id: p for p in synth.postings}
+    rules = list(config.dedup.rules)
+    counts = Counter(index for _, index in per_pair_rules(triples, postings_by_id, rules))
+    assert report.rule_kept == [counts[i] for i in range(len(rules))]
+    assert len([c for c in report.rule_kept if c]) > 1  # more than one rule keeps pairs
+    assert sum(report.rule_kept) == report.counters["kept_representative_pairs"]
+    assert "-- kept per rule --" in render_report(report.to_dict())

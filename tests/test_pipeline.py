@@ -17,7 +17,7 @@ from postdedup.corpus import corpus_stats, save_postings
 from postdedup.dedup import DuplicateLabel, example_ruleset
 from postdedup.errors import DataError, DuplicateId, ZeroVector
 from postdedup.embed import tokenize
-from postdedup.evaluation import GoldSet, score, write_results_csv
+from postdedup.evaluation import GoldSet, render_report, score, write_results_csv
 from postdedup.atomic import atomic_write, write_json
 from postdedup.index import FlatIndex, load_index
 from postdedup.normalize import canonicalize, group_exact
@@ -369,14 +369,20 @@ def test_candidate_reduction_matches_independent_pair_count(tmp_path):
     save_postings(synth.postings, outdir / POSTINGS_FILE)
     counters = run_staged(config, outdir).report.counters
     # Independent: every representative's k nearest others by (d2, id) in
-    # a float64 scan of the written embeddings, as unordered pairs.
+    # a float64 scan of the written embeddings, as unordered pairs, those
+    # at a distance under the search radius.
+    radius = config.dedup.search_radius
     embedded = load_index(outdir / EMBEDDINGS_FILE)
     ids, X = embedded.ids, embedded.vectors.astype(np.float64)
     pairs = set()
     for i, vid in enumerate(ids):
         d2 = np.square(X - X[i]).sum(axis=1)
         others = sorted((j for j in range(len(ids)) if j != i), key=lambda j: (d2[j], ids[j]))
-        pairs.update(tuple(sorted((vid, ids[j]))) for j in others[: config.dedup.k])
+        pairs.update(
+            tuple(sorted((vid, ids[j])))
+            for j in others[: config.dedup.k]
+            if np.sqrt(d2[j]) < radius
+        )
     brute = len(ids) * (len(ids) - 1) // 2
     assert counters["candidate_pairs"] == len(pairs)
     assert counters["brute_force_pairs"] == brute
@@ -393,11 +399,61 @@ def test_rerank_rows_count_rows_through_the_exact_expression(tmp_path, monkeypat
         return exact(rows, query, buf)
 
     monkeypatch.setattr(index_module, "_row_sq_dists", counted)
-    report = run_pipeline(synth.postings, config).report
-    n = report.n_representatives - report.n_zero_vectors
-    counters = report.counters
+    outdir = tmp_path / "staged"
+    outdir.mkdir()
+    save_postings(synth.postings, outdir / POSTINGS_FILE)
+    counters = run_staged(config, outdir).report.counters
     assert counters["rerank_rows"] == sum(rows_seen)
-    assert n * (config.dedup.k + 1) <= counters["rerank_rows"] <= counters["index_comparisons"]
+    # Independent: each query's rows under the search radius, itself
+    # included, in a float64 scan of the written embeddings. The search
+    # asks for k + 1 rows, so it re-ranks at least that many of them.
+    X = load_index(outdir / EMBEDDINGS_FILE).vectors.astype(np.float64)
+    under = [
+        int((np.sqrt(np.square(X - x).sum(axis=1)) < config.dedup.search_radius).sum())
+        for x in X
+    ]
+    bound = sum(min(count, config.dedup.k + 1) for count in under)
+    assert bound > len(X)  # some query has a row under the radius besides itself
+    assert bound <= counters["rerank_rows"] <= counters["index_comparisons"]
+
+
+@pytest.mark.parametrize(
+    "dedup, radius",
+    [
+        # base_theta is the largest
+        ({"base_theta": 0.9, "sweep_thetas": [0.1, 0.5]}, 0.9),
+        # a threshold rule is; the reject rule has none
+        (
+            {
+                "base_theta": 0.35,
+                "rules": [
+                    {"company": "different", "action": "reject"},
+                    {"company": "same", "action": "threshold", "threshold": 0.8},
+                    {"action": "threshold", "threshold": 0.3},
+                ],
+            },
+            0.8,
+        ),
+        # the last of the sweep thetas is
+        ({"base_theta": 0.35, "rules": "example", "sweep_thetas": [0.1, 0.6]}, 0.6),
+    ],
+    ids=["base-theta", "rule-threshold", "sweep-theta"],
+)
+def test_report_search_radius_is_the_largest_threshold_in_play(tmp_path, dedup, radius):
+    synth, base = small_corpus_setup(tmp_path, n_base=40)
+    config = config_from_dict(
+        {
+            "translate": {"kind": "dictionary", "dictionary_path": base.translate.dictionary_path},
+            "dedup": {"k": 20, **dedup},
+        }
+    )
+    outdir = tmp_path / "staged"
+    outdir.mkdir()
+    save_postings(synth.postings, outdir / POSTINGS_FILE)
+    run_staged(config, outdir)
+    report = json.loads((outdir / REPORT_FILE).read_text(encoding="utf-8"))
+    assert config.dedup.search_radius == report["search_radius"] == radius
+    assert f"search_radius: {radius}" in render_report(report).splitlines()
 
 
 def test_ivf_rerank_rows_are_the_probed_rows(tmp_path):

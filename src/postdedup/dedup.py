@@ -149,9 +149,10 @@ def collect_hits(
     With `radius`, only the hits at a distance under it are kept. They are
     exactly the k-NN hits under `radius`, bit for bit, so every threshold
     and sweep at or under it counts the same pairs, and every saturated
-    query is still found; a flat index then re-ranks only the rows that
-    can lie under `radius` (see `postdedup.index`). Queries may fan out
-    over threads; results are identical for any thread count.
+    query is still found; the index then re-ranks only the rows (of its
+    probed lists, for IVF) that can lie under `radius` (see
+    `postdedup.index`). Queries may fan out over threads; results are
+    identical for any thread count.
     """
     query_ids = list(queries.ids)
     rows, distances = index.search_arrays(queries.vectors, k + 1, threads=threads, radius=radius)

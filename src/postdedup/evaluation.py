@@ -178,6 +178,10 @@ def render_report(
             lines.append("-- kept per rule --")
             for index, kept in enumerate(run["rule_kept"]):
                 lines.append(f"rule({index}): {kept}")
+        if run.get("ivf_list_sizes"):
+            sizes = run["ivf_list_sizes"]
+            lines.append("-- ivf list sizes --")
+            lines.append(f"min {sizes['min']}, median {sizes['median']}, max {sizes['max']}")
         if run.get("truncation"):
             t = run["truncation"]
             lines.append("-- truncation --")

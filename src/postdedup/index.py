@@ -17,28 +17,38 @@ block's queries with the stored float32 vectors. It keeps, per query,
 every row with ``A ≤ a_k + 2Δ``, where ``a_k`` is the query's k-th
 smallest ``A`` and
 
-    Δ = (γ_d + 2·γ'_(d+2) + 6u)·(‖q‖ + max‖x‖)² + (2d + 4)·η
+    Δ = (γ_d + 2·γ'_(d+2) + 6u)·(‖q‖ + max‖x‖)² + (5d + 4)·η
 
 bounds ``|A − exact d²|`` for every row (u: unit roundoff of the stored
 dtype, 2⁻²⁴ for float32; γ_n = n·u/(1 − n·u), γ' the same for float64;
 η: half the smallest subnormal; d: dimension; derivation at
 `_preselect`). Only the kept rows are re-ranked with the exact
 expression, and the top k is chosen by (exact d², id), so the result
-equals an exhaustive exact scan bit for bit, ties included. IVF gathers
-the rows of its probed lists and re-ranks all of them exactly; the
-k-means assign step uses the same preselect and exact re-check against
-the centroids.
+equals an exhaustive exact scan bit for bit, ties included. The k-means
+assign step uses the same preselect and exact re-check against the
+centroids, and the k-means++ seeding the same bound, with float64's u,
+to skip the rows a new center cannot bring closer.
 
-A flat search can also be bounded by a radius R, the largest distance
-the caller can keep (a range search next to k-NN, as in Johnson et al.;
-the threshold bounds all-pairs search as in Bayardo, Ma & Srikant,
-"Scaling Up All Pairs Similarity Search", WWW 2007). Each query then
-keeps the rows with ``A ≤ R² + 2Δ``; only a query that keeps more than
-k of them partitions its row for ``a_k`` and keeps ``A ≤ a_k + 2Δ``
-instead, which is exactly what it keeps without R. Every row under R is
-still kept, so the hits under R are those of the unbounded search bit
-for bit, while the exact re-rank sees the few rows near each query
-instead of more than k.
+A search can also be bounded by a radius R, the largest distance the
+caller can keep (a range search next to k-NN, as in Johnson et al.; the
+threshold bounds all-pairs search as in Bayardo, Ma & Srikant, "Scaling
+Up All Pairs Similarity Search", WWW 2007). Each query then keeps the
+rows with ``A ≤ R² + 2Δ``. A flat query that keeps more than k of them
+partitions its row for ``a_k`` and keeps ``A ≤ a_k + 2Δ`` instead, which
+is exactly what it keeps without R. Every row under R is still kept, so
+the hits under R are those of the unbounded search bit for bit, while
+the exact re-rank sees the few rows near each query instead of more
+than k.
+
+IVF probes each query's ``nprobe`` nearest lists through the same flat
+kernel over the centroids. Without a radius it re-ranks every probed
+row exactly. With one it scans list by list: each list probed by a block
+of queries gets one product with those queries and keeps the rows with
+``A ≤ R² + 2Δ`` (Δ takes the largest norm of all stored rows, so it
+holds for any list), and only those are re-ranked. The probed rows
+under R are all kept and come first in (d², id) order, so the hits
+under R are the unbounded search's bit for bit, however many rows a
+query keeps; unlike flat, no k-th partition is needed.
 
 The product is one BLAS GEMM, ``(rows @ queries.T).T``, as in blocked
 exact search (Johnson, Douze & Jégou, arXiv:1702.08734). The CLI runs
@@ -91,7 +101,9 @@ _KIND_IVF = 1
 # many queries as fit when every candidate (query, row) entry costs
 # `_CANDIDATE_BYTES` (indices, exact d², sort order) plus, for a
 # preselecting scan, two approximate distances and a mask flag; a scan
-# bounded by a radius charges only the latter (see `_nearest`).
+# bounded by a radius charges only the latter (see `_nearest`). The rows
+# a query can reach are all stored rows for flat, and for IVF the rows of
+# the `nprobe` largest lists (see `IVFIndex.search_arrays`).
 _BLOCK_BYTES = 1 << 20
 _CANDIDATE_BYTES = 40
 
@@ -145,6 +157,19 @@ def _kth_cutoff(approx: np.ndarray, k: int, delta: np.ndarray) -> np.ndarray:
     return (kth.astype(np.float64) + 2 * delta)[:, None]
 
 
+def _margin(q_sq: np.ndarray, max_row_sq: float, dim: int, dtype) -> np.ndarray:
+    """Δ per query: a bound on |A − E| against any row of squared norm at most `max_row_sq`.
+
+    u and η are those of the rows' `dtype` (see `_preselect`). The bound
+    takes the largest row norm, so it holds for any subset of the rows.
+    """
+    info = np.finfo(dtype)
+    u = float(info.eps) / 2
+    coeff = _gamma(dim, u) + 2 * _gamma(dim + 2, float(np.finfo(np.float64).eps) / 2) + 6 * u
+    floor = (5 * dim + 4) * float(info.smallest_subnormal) / 2
+    return coeff * (np.sqrt(q_sq) + np.sqrt(max_row_sq)) ** 2 + floor
+
+
 def _preselect(
     queries: np.ndarray,
     rows: np.ndarray,
@@ -161,15 +186,17 @@ def _preselect(
         blocked, fused multiply-add partial sums included) its error is
         at most γ_d·Σ|q_l·x_l| ≤ γ_d·‖q‖‖x‖, plus d·η of underflow, so
         −2q·x is off by at most γ_d·S + 2d·η;
-      * the squared norms are float64 sums, together off by ≤ γ'_d·S;
+      * the squared norms are float64 sums, together off by ≤ γ'_d·S
+        (≤ γ_d·S + 2d·η for float64 rows, whose squares also round);
       * the two additions forming A = −2q·x + ‖x‖² + ‖q‖² each round in
         float64 and then to the dtype: ≤ 2(u + u')(1 + γ_d)·S + 2η;
       * the exact re-rank value E (float64 subtract, square, sum) is off
-        from D by ≤ γ'_(d+2)·D ≤ γ'_(d+2)·S, whatever its order.
+        from D by ≤ γ'_(d+2)·D ≤ γ'_(d+2)·S, whatever its order, plus
+        d·η of underflow for float64 rows.
     So |A − E| ≤ Δ with Δ as in the module docstring, taking the largest
-    row norm; the 6u also covers rounding the cutoff below. The k rows
-    with the smallest A (at most a_k) have E ≤ a_k + Δ, so the k-th
-    smallest E is at most a_k + Δ; a row of the exact top k has E no
+    row norm (`_margin`); the 6u also covers rounding the cutoff below.
+    The k rows with the smallest A (at most a_k) have E ≤ a_k + Δ, so the
+    k-th smallest E is at most a_k + Δ; a row of the exact top k has E no
     larger, hence A ≤ E + Δ ≤ a_k + 2Δ. Keeping A ≤ a_k + 2Δ therefore
     keeps every row the exact top k can hold, through any ties. The
     bound scales with the norms and holds for any summation order.
@@ -191,17 +218,14 @@ def _preselect(
     m, n = len(queries), len(rows)
     if k >= n and radius is None:  # every row is in the top k
         return np.repeat(np.arange(m), n), np.tile(np.arange(n), m)
-    approx = (rows @ queries.T).T
+    # BLAS is fastest on this orientation; the copy makes the arithmetic,
+    # partition and mask below run on rows of contiguous memory.
+    approx = np.ascontiguousarray((rows @ queries.T).T)
     approx *= -2
     approx += row_sq
     q_sq = _sq_norms(queries)
     approx += q_sq[:, None]
-    d = rows.shape[1]
-    info = np.finfo(rows.dtype)
-    u = float(info.eps) / 2
-    coeff = _gamma(d, u) + 2 * _gamma(d + 2, float(np.finfo(np.float64).eps) / 2) + 6 * u
-    floor = (2 * d + 4) * float(info.smallest_subnormal) / 2
-    delta = coeff * (np.sqrt(q_sq) + np.sqrt(row_sq.max())) ** 2 + floor
+    delta = _margin(q_sq, row_sq.max(), rows.shape[1], rows.dtype)
     if radius is None:
         return np.nonzero(approx <= _kth_cutoff(approx, k, delta))
     keep = approx <= (radius * radius + 2 * delta)[:, None]
@@ -254,26 +278,27 @@ def _blocked_top_k(
     rows: np.ndarray,
     k: int,
     ranks: np.ndarray,
-    candidates: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    entry_bytes: int,
+    candidates: Callable[[slice], tuple[np.ndarray, np.ndarray]],
+    query_bytes: int,
     threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Exact top k rows per query under (d², rank), one block of queries at a time.
 
     `candidates(block)` returns the (query, row) index pairs to re-rank for
-    a block of queries; `entry_bytes` is what one (query, stored row) entry
-    may cost the block. Returns (m, k) row indices (-1 where a query has
-    fewer than k) and exact d² (inf there), and the number of pairs
-    re-ranked. Blocks are independent, so `threads` only spreads them.
+    the queries of the slice `block`, query indices counted from its start;
+    `query_bytes` is what one query may cost the block. Returns (m, k) row
+    indices (-1 where a query has fewer than k) and exact d² (inf there),
+    and the number of pairs re-ranked. Blocks are independent, so
+    `threads` only spreads them.
     """
     m = len(queries)
     out_rows = np.full((m, k), -1, dtype=np.int64)
     out_d2 = np.full((m, k), np.inf)
-    size = max(1, _BLOCK_BYTES // max(1, entry_bytes * len(rows)))
+    size = max(1, _BLOCK_BYTES // max(1, query_bytes))
 
     def run(start: int) -> int:
         block = slice(start, start + size)
-        qi, rj = candidates(queries[block])
+        qi, rj = candidates(block)
         d2 = _exact_sq_dists(queries[block], rows, qi, rj)
         _top_k(qi, rj, d2, ranks, out_rows[block], out_d2[block])
         return int(qi.size)
@@ -310,8 +335,8 @@ def _nearest(
         rows,
         k,
         ranks,
-        lambda block: _preselect(block, rows, row_sq, k, radius),
-        2 * rows.itemsize + 1 + candidate_bytes,
+        lambda block: _preselect(queries[block], rows, row_sq, k, radius),
+        (2 * rows.itemsize + 1 + candidate_bytes) * len(rows),
         threads,
     )
 
@@ -466,30 +491,73 @@ class IVFIndex(_BaseIndex):
     def list_sizes(self) -> list[int]:
         return self._list_sizes.tolist()
 
-    def _probe(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(query, row) pairs of every row in each query's nprobe nearest lists."""
-        lists, _, _ = _nearest(
-            queries, self._cent32, self._cent_sq, self.nprobe, np.arange(self.nlist)
-        )
+    def _probed(self, lists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(query, row) pairs of every row a query probes; row q of `lists` holds query q's lists."""
         sizes = self._list_sizes[lists]
         rows = _spans(self._list_starts[lists].ravel(), sizes.ravel())
-        return np.repeat(np.arange(len(queries)), sizes.sum(axis=1)), rows
+        return np.repeat(np.arange(len(lists)), sizes.sum(axis=1)), rows
+
+    def _bounded_scan(
+        self, queries: np.ndarray, lists: np.ndarray, radius: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(query, row) pairs to re-rank: the probed rows that can lie under `radius`.
+
+        Each list probed by the block gets one product with the queries
+        probing it and keeps the rows with A ≤ R² + 2Δ, as `_preselect`
+        does; Δ takes the largest norm of all stored rows, so its proof
+        holds for the rows of any list. Every probed row under R is kept,
+        and in (d², id) order those rows come before all others, so the
+        top k of the kept rows holds the same hits under R, with the same
+        bits, as the top k of all probed rows, however many rows a query
+        keeps.
+        """
+        nprobe = lists.shape[1]
+        q_sq = _sq_norms(queries)
+        cutoff = radius * radius + 2 * _margin(q_sq, self._sq.max(), self.dim, self._vecs32.dtype)
+        # Each (query, list) probe, grouped by list in query order.
+        by_list = np.argsort(lists.ravel(), kind="stable")
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(lists.ravel(), minlength=self.nlist))))
+        found_q, found_r = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+        for lst in np.flatnonzero((bounds[1:] > bounds[:-1]) & (self._list_sizes > 0)):
+            start = int(self._list_starts[lst])
+            stop = start + int(self._list_sizes[lst])
+            probing = by_list[bounds[lst] : bounds[lst + 1]] // nprobe
+            approx = self._vecs32[start:stop] @ queries[probing].T
+            approx *= -2
+            approx += self._sq[start:stop, None]
+            approx += q_sq[probing]
+            row, col = np.nonzero(approx <= cutoff[probing])
+            found_q.append(probing[col])
+            found_r.append(row + start)
+        return np.concatenate(found_q), np.concatenate(found_r)
 
     def search_arrays(
         self, queries, k: int, threads: int = 1, radius: float | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        # The probed lists are scanned whole: `radius` does not narrow them.
+        # Probe every query's lists first. Without `radius` every probed row
+        # is re-ranked exactly; with it, only the rows `_bounded_scan` keeps.
+        # A block is sized by the most rows one query can probe, those of
+        # the `nprobe` largest lists, at the entry costs of the flat search;
+        # as there, a bounded block whose queries keep every probed row (a
+        # clique under the radius) can hold several times the budget.
         queries = self._queries(queries, k)
-        rows, d2, scanned = _blocked_top_k(
-            queries,
-            self._vecs32,
-            k,
-            self._id_ranks,
-            self._probe,
-            _CANDIDATE_BYTES,
-            threads,
+        lists, _, _ = _nearest(
+            queries, self._cent32, self._cent_sq, self.nprobe, np.arange(self.nlist), threads
         )
-        self.comparison_count = self.rerank_count = scanned
+        most_probed = int(np.sort(self._list_sizes)[-self.nprobe :].sum())
+        if radius is None:
+            scan = lambda block: self._probed(lists[block])
+            query_bytes = _CANDIDATE_BYTES * most_probed
+        else:
+            scan = lambda block: self._bounded_scan(queries[block], lists[block], radius)
+            # The product and mask of the probed rows, and the gathered queries.
+            itemsize = self._vecs32.itemsize
+            query_bytes = (2 * itemsize + 1) * most_probed + itemsize * self.dim
+        rows, d2, reranked = _blocked_top_k(
+            queries, self._vecs32, k, self._id_ranks, scan, query_bytes, threads
+        )
+        self.comparison_count = int(self._list_sizes[lists].sum())
+        self.rerank_count = reranked
         return rows, np.sqrt(d2)
 
     def to_bytes(self) -> bytes:
@@ -499,12 +567,37 @@ class IVFIndex(_BaseIndex):
 VectorIndex = Union[FlatIndex, IVFIndex]
 
 
+def _lower_sq_dists(
+    d2: np.ndarray, X: np.ndarray, x_sq: np.ndarray, max_sq: float, center: int
+) -> None:
+    """d2 ← min(d2, exact d² of each row of X to the row `center`), in place.
+
+    Only the rows whose exact d² can fall under d2 go through the exact
+    expression: with A = ‖x‖² + ‖c‖² − 2·x·c and Δ its bound from
+    `_margin` (as in `_preselect`, u of X's dtype), a row with
+    A > d2 + 2Δ has exact d² > d2, so the minimum keeps d2's bits there.
+    Rounding d2 + 2Δ loses less than Δ unless d2 ≥ 2S, S = (‖x‖ + ‖c‖)²,
+    and then A ≤ E + Δ < 2S ≤ d2 keeps the row anyway, as for R² in
+    `_preselect`.
+    """
+    c = X[center]
+    approx = X @ c
+    approx *= -2
+    approx += x_sq
+    approx += x_sq[center]
+    delta = _margin(x_sq[center], max_sq, X.shape[1], X.dtype)
+    near = np.flatnonzero(approx <= d2 + 2 * delta)
+    rows = X[near]
+    d2[near] = np.minimum(d2[near], _row_sq_dists(rows, c, rows))
+
+
 def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = X.shape[0]
     centers = np.empty((k, X.shape[1]), dtype=np.float64)
     centers[0] = X[int(rng.integers(n))]
-    buf = np.empty_like(X)
-    d2 = _row_sq_dists(X, centers[0], buf)
+    d2 = _row_sq_dists(X, centers[0], None)
+    x_sq = _sq_norms(X)
+    max_sq = float(x_sq.max())
     for j in range(1, k):
         total = float(d2.sum())
         if total > 0.0:
@@ -512,7 +605,7 @@ def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         else:
             idx = int(rng.integers(n))
         centers[j] = X[idx]
-        d2 = np.minimum(d2, _row_sq_dists(X, centers[j], buf))
+        _lower_sq_dists(d2, X, x_sq, max_sq, idx)
     return centers
 
 

@@ -46,7 +46,7 @@ from .dedup import (
 from .embed import HashedEmbedder, RemoteEmbedder, truncation_report
 from .errors import DataError, MalformedRecord
 from .evaluation import write_results_csv
-from .index import FlatIndex, build_index, load_index
+from .index import FlatIndex, IVFIndex, build_index, load_index
 from .normalize import CanonicalText, ExactGroup, canonicalize, group_exact
 from .translate import TranslationCache, TranslationRequest, make_backend, translate_batch
 
@@ -76,6 +76,7 @@ class RunReport:
     counters: dict = field(default_factory=dict)
     label_counts: dict = field(default_factory=dict)
     rule_kept: list = field(default_factory=list)
+    ivf_list_sizes: Optional[dict] = None
     stage_seconds: dict = field(default_factory=dict)
     truncation: Optional[dict] = None
     saturation: Optional[dict] = None
@@ -262,6 +263,10 @@ def _dedup(
     label_counts = Counter(pair.label.value for pair in pairs)
     timings["classify"] = time.perf_counter() - t0
     brute_force_pairs = pair_count(len(hits))
+    list_sizes = None
+    if isinstance(index, IVFIndex):
+        sizes = index.list_sizes()
+        list_sizes = {"min": min(sizes), "median": float(np.median(sizes)), "max": max(sizes)}
     report = RunReport(
         mode=config.mode,
         k=k,
@@ -288,6 +293,7 @@ def _dedup(
         },
         label_counts=dict(sorted(label_counts.items())),
         rule_kept=np.bincount(kept.rule_indices, minlength=len(rules)).tolist(),
+        ivf_list_sizes=list_sizes,
         stage_seconds=dict(timings),
         truncation=meta["truncation"],
         saturation=saturation,

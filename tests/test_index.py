@@ -25,7 +25,9 @@ from postdedup.index import (
     _assign,
     _kmeans,
     _kmeans_pp_init,
+    _lower_sq_dists,
     _row_sq_dists,
+    _sq_norms,
     build_index,
     index_from_bytes,
     load_index,
@@ -600,6 +602,44 @@ def test_kmeans_stopping_at_its_fixed_point_equals_running_every_iteration(
     assert assign.tolist() == ref_assign.tolist()
 
 
+def full_pass_kmeans_pp_init(X, k, rng):
+    """k-means++ seeding that runs every row through the exact expression for each center."""
+    n = X.shape[0]
+    centers = np.empty((k, X.shape[1]))
+    centers[0] = X[int(rng.integers(n))]
+    d2 = _row_sq_dists(X, centers[0], None)
+    for j in range(1, k):
+        total = float(d2.sum())
+        idx = int(rng.choice(n, p=d2 / total)) if total > 0.0 else int(rng.integers(n))
+        centers[j] = X[idx]
+        d2 = np.minimum(d2, _row_sq_dists(X, centers[j], None))
+    return centers
+
+
+@settings(max_examples=100, deadline=None)
+@given(**ADVERSARIAL_DATA, grid=st.sampled_from(["float32", "float64", "subnormal"]))
+def test_kmeans_pp_seeding_equals_the_full_pass_loop(kind, n, dim, seed, grid):
+    rng = np.random.default_rng(seed)
+    X = adversarial_rows(kind, n, dim, rng).astype(np.float64)
+    if grid == "float64":  # off the float32 grid: the squares round too
+        X *= 1 + rng.normal(size=X.shape) * 1e-9
+    elif grid == "subnormal":  # squares and products underflow
+        X *= 1e-160
+    k = int(rng.integers(1, len(X) + 1))
+    centers = _kmeans_pp_init(X, k, np.random.default_rng(seed))
+    expected = full_pass_kmeans_pp_init(X, k, np.random.default_rng(seed))
+    assert centers.tobytes() == expected.tobytes()
+    # The running minimum after every center, against the full pass.
+    x_sq = _sq_norms(X)
+    picks = rng.integers(len(X), size=k)
+    d2 = _row_sq_dists(X, X[picks[0]], None)
+    full = d2.copy()
+    for idx in picks[1:]:
+        _lower_sq_dists(d2, X, x_sq, float(x_sq.max()), int(idx))
+        full = np.minimum(full, _row_sq_dists(X, X[idx], None))
+        assert d2.tobytes() == full.tobytes()
+
+
 def test_kmeans_stops_when_an_iteration_leaves_the_centers_unchanged(monkeypatch):
     import postdedup.index
 
@@ -649,3 +689,96 @@ def test_block_temporaries_stay_under_rows_by_dim(distinct):
     finally:
         tracemalloc.stop()
     assert peak < n * dim * 8, peak
+
+
+@pytest.mark.parametrize("distinct", [1, 50])
+def test_ivf_block_temporaries_stay_under_rows_by_dim(distinct):
+    # As the flat test: all rows equal (one list holds nearly all) or 40
+    # copies of each of 50 vectors, probing a quarter of the lists.
+    n, dim = 2000, 256
+    _, base = unit_vectors(distinct, dim, seed=24)
+    rows = np.repeat(base, n // distinct, axis=0)
+    index = build_index(
+        FlatIndex([f"v{i:05d}" for i in range(n)], rows),
+        IndexConfig(kind="ivf", dim=dim, nlist=16, nprobe=4, kmeans_iters=3),
+    )
+    queries = rows[:: n // 64]
+    index.search_arrays(queries[:1], 101)  # warm-up
+    tracemalloc.start()
+    try:
+        index.search_arrays(queries, 101)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * dim * 8, peak
+
+
+# --- the bounded IVF scan against re-ranking every probed row ---------------
+
+def probed_top_k(index, query32, k):
+    """Every row of the query's nprobe nearest lists (ties by list number)
+    through the per-row float64 loop; the top k by (d², id)."""
+    q = np.asarray(query32, dtype=np.float32).astype(np.float64)
+    cent = [float(np.square(c.astype(np.float64) - q).sum()) for c in index._cent32]
+    lists = sorted(range(index.nlist), key=lambda j: (cent[j], j))[: index.nprobe]
+    offsets = index._offsets.astype(np.int64)
+    probed = [r for j in lists for r in range(offsets[j], offsets[j + 1])]
+    d2 = {r: float(np.square(index.vectors[r].astype(np.float64) - q).sum()) for r in probed}
+    order = sorted(probed, key=lambda r: (d2[r], index.ids[r]))
+    return [(index.ids[r], float(np.sqrt(d2[r]))) for r in order[:k]], len(probed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dim=st.sampled_from([3, 8, 16]),
+    n_background=st.integers(0, 30),
+    clique=st.integers(0, 12),  # near-identical rows, often more than k
+    copies=st.integers(0, 4),  # exact repeats of rows: ties at every distance
+    k=st.integers(1, 6),
+    nlist=st.integers(1, 6),
+    probe_all=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    pick=st.sampled_from(["distance", "ulp_below", "ulp_above", "clique", "everything"]),
+    threads=st.sampled_from([1, 4]),
+)
+def test_bounded_ivf_scan_equals_reranking_every_probed_row(
+    dim, n_background, clique, copies, k, nlist, probe_all, seed, pick, threads
+):
+    rng = np.random.default_rng(seed)
+    anchor = rng.normal(size=dim)
+    near = anchor / np.linalg.norm(anchor) + rng.normal(size=(clique, dim)) * 1e-3
+    rows = np.concatenate([near, rng.normal(size=(n_background, dim))])
+    if not len(rows):
+        rows = rng.normal(size=(1, dim))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    rows = np.concatenate([rows, rows[rng.integers(len(rows), size=copies)]]).astype(np.float32)
+    ids = [f"v{i:03d}" for i in rng.permutation(len(rows))]
+    nlist = min(nlist, len(rows))
+    nprobe = nlist if probe_all else int(rng.integers(1, nlist + 1))
+    index = build_index(
+        FlatIndex(ids, rows),
+        IndexConfig(kind="ivf", dim=dim, nlist=nlist, nprobe=nprobe, seed=seed % 97),
+    )
+    queries = np.concatenate([rows, rng.normal(size=(2, dim)).astype(np.float32)])
+    # The radius: an exact pair distance (a tie at R), one ulp either side
+    # of it, one holding the clique, or one holding every row.
+    X = rows.astype(np.float64)
+    pair = np.sqrt(np.square(X - X[rng.integers(len(X))]).sum(axis=1))
+    d = float(pair[rng.integers(len(X))])
+    radius = {
+        "distance": d,
+        "ulp_below": float(np.nextafter(d, 0)),
+        "ulp_above": float(np.nextafter(d, np.inf)),
+        "clique": 0.05,
+        "everything": 2.5,
+    }[pick]
+    expected, probed = zip(*(probed_top_k(index, q, k) for q in queries))
+    # Blocks of one to two queries, so four threads have blocks to spread.
+    with mock.patch.object(postdedup.index, "_BLOCK_BYTES", 20 * len(rows)):
+        assert search_hits(index, queries, k, threads=threads) == list(expected)
+        assert index.rerank_count == index.comparison_count == sum(probed)
+        bounded = search_hits(index, queries, k, threads=threads, radius=radius)
+    under = [[(vid, dist) for vid, dist in hits if dist < radius] for hits in expected]
+    assert [[(vid, dist) for vid, dist in hits if dist < radius] for hits in bounded] == under
+    assert index.comparison_count == sum(probed)
+    assert sum(map(len, under)) <= index.rerank_count <= index.comparison_count

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import statistics
 import struct
 import zlib
 from dataclasses import asdict, replace
@@ -456,24 +457,56 @@ def test_report_search_radius_is_the_largest_threshold_in_play(tmp_path, dedup, 
     assert f"search_radius: {radius}" in render_report(report).splitlines()
 
 
-def test_ivf_rerank_rows_are_the_probed_rows(tmp_path):
+def test_ivf_compares_the_probed_rows_and_reranks_those_under_the_radius(tmp_path):
     synth, flat = small_corpus_setup(tmp_path, n_base=60)
     config = replace(flat, index=replace(flat.index, kind="ivf", nlist=8, nprobe=2))
     outdir = tmp_path / "staged"
     outdir.mkdir()
     save_postings(synth.postings, outdir / POSTINGS_FILE)
     counters = run_staged(config, outdir).report.counters
-    # Independent: each query's 2 nearest centroids (ties by list number)
-    # and the sizes of their lists, read from the written index.
+    # Independent: each query's 2 nearest centroids (ties by list number),
+    # the sizes of their lists, and their rows under the search radius
+    # (the query itself included), read from the written index.
     index = load_index(outdir / INDEX_FILE)
     centroids = index._cent32.astype(np.float64)
     sizes = np.array(index.list_sizes())
-    probed = 0
-    for vec in load_index(outdir / EMBEDDINGS_FILE).vectors:
-        d2 = np.square(centroids - vec.astype(np.float64)).sum(axis=1)
-        probed += int(sizes[np.lexsort((np.arange(len(d2)), d2))[:2]].sum())
-    assert counters["rerank_rows"] == counters["index_comparisons"] == probed
+    offsets = index._offsets.astype(np.int64)
+    rows = index.vectors.astype(np.float64)
+    probed = under = 0
+    for vec in load_index(outdir / EMBEDDINGS_FILE).vectors.astype(np.float64):
+        d2 = np.square(centroids - vec).sum(axis=1)
+        lists = np.lexsort((np.arange(len(d2)), d2))[:2]
+        probed += int(sizes[lists].sum())
+        for j in lists:
+            list_rows = rows[offsets[j] : offsets[j + 1]]
+            distances = np.sqrt(np.square(list_rows - vec).sum(axis=1))
+            under += int((distances < config.dedup.search_radius).sum())
+    assert counters["index_comparisons"] == probed
+    assert under > len(rows)  # some query has a probed row under the radius besides itself
+    assert under <= counters["rerank_rows"] <= probed
 
+
+def test_report_ivf_list_sizes_are_those_of_the_written_index(tmp_path):
+    synth, flat = small_corpus_setup(tmp_path, n_base=60)
+    config = replace(flat, index=replace(flat.index, kind="ivf", nlist=8, nprobe=2))
+    outdir = tmp_path / "staged"
+    outdir.mkdir()
+    save_postings(synth.postings, outdir / POSTINGS_FILE)
+    run_staged(config, outdir)
+    report = json.loads((outdir / REPORT_FILE).read_text(encoding="utf-8"))
+    # Independent: the list offsets of the written file, read with struct.
+    data = (outdir / INDEX_FILE).read_bytes()
+    (nlist,) = struct.unpack_from("<I", data, 19)
+    offsets = struct.unpack_from(f"<{nlist + 1}Q", data, 23 + 4 * nlist * config.index.dim)
+    sizes = [b - a for a, b in zip(offsets, offsets[1:])]
+    expected = {"min": min(sizes), "median": statistics.median(sizes), "max": max(sizes)}
+    assert nlist == 8 and sum(sizes) == len(load_index(outdir / EMBEDDINGS_FILE))
+    assert report["ivf_list_sizes"] == expected
+    lines = render_report(report).splitlines()
+    assert lines[lines.index("-- ivf list sizes --") + 1] == (
+        f"min {expected['min']}, median {float(expected['median'])}, max {expected['max']}"
+    )
+    assert run_pipeline(synth.postings, flat).report.ivf_list_sizes is None
 
 
 class WriteFailed(Exception):

@@ -11,10 +11,12 @@ The workload's inputs are generated from the seed with
 imports), once for each side, in a fresh directory. Every `postdedup dedup`
 command of the workload then runs in a fresh interpreter from that side's
 `src/`. Afterwards every file of every output directory is compared byte
-for byte, except `report.json` (it holds timings), and the translation
-cache is compared record by record without its per-run `timestamp`. The
-script prints each artifact that differs and exits 1 if any does, 2 if a
-command fails, and 0 otherwise.
+for byte, except `report.json`, which is compared as JSON without its
+`stage_seconds` (the timings), and the translation cache, which is
+compared record by record without its per-run `timestamp`. The script
+prints each artifact that differs, and for `report.json` the top-level
+keys that differ; it exits 1 if any artifact differs, 2 if a command
+fails, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-SKIPPED = {"report.json"}
+REPORT = "report.json"
 
 
 class CommandFailed(Exception):
@@ -65,13 +67,27 @@ def _cache_records(path: Path) -> list[dict]:
     return records
 
 
+def _report_keys(base: Path, head: Path) -> list[str]:
+    """The top-level keys on which two run reports differ, timings aside."""
+    sides = [json.loads(path.read_text(encoding="utf-8")) for path in (base, head)]
+    for report in sides:
+        report.pop("stage_seconds", None)
+    b, h = sides
+    missing = object()
+    return sorted(key for key in b.keys() | h.keys() if b.get(key, missing) != h.get(key, missing))
+
+
 def _differences(base_dir: Path, head_dir: Path) -> list[str]:
     names = {p.name for p in base_dir.iterdir()} | {p.name for p in head_dir.iterdir()}
     out = []
-    for name in sorted(names - SKIPPED):
+    for name in sorted(names):
         base, head = base_dir / name, head_dir / name
         if not (base.is_file() and head.is_file()):
             out.append(f"{name}: only in {'base' if base.is_file() else 'head'}")
+        elif name == REPORT:
+            keys = _report_keys(base, head)
+            if keys:
+                out.append(f"{name}: keys differ: {', '.join(keys)}")
         elif base.read_bytes() != head.read_bytes():
             out.append(f"{name}: bytes differ")
     return out

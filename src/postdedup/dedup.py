@@ -1,6 +1,8 @@
 """Candidate-pair generation, thresholding, expert rules, and classification.
 
-Candidate pairs travel as arrays (`CandidatePairs`), canonically ordered
+Candidate pairs come straight from one k-NN search of the embeddings
+against the index built from them (`collect_hits`, a self-join by id
+rank), and travel as arrays (`CandidatePairs`), canonically ordered
 (id_a < id_b) and unordered-unique; expert rules are matched over them as
 one boolean mask per rule, never pair by pair. Thresholds are strict: a
 pair at exactly the threshold is excluded. A pair receives exactly one
@@ -114,68 +116,6 @@ def default_rule(base_theta: float) -> ExpertRule:
 
 
 @dataclass(frozen=True, eq=False)
-class KnnHits:
-    """Each query's nearest neighbors, its own id excluded, as arrays.
-
-    Row i belongs to `query_ids[i]`: `rows[i]` indexes `ids` (-1 where the
-    query has fewer hits than columns) and `distances[i]` holds the true
-    L2 distances (inf there), ascending with ties by id. A k-NN search
-    has k columns; one bounded by a radius holds only the hits under it,
-    in as many columns as the query with the most of them needs (at most k).
-    """
-
-    query_ids: list[str]
-    ids: Sequence[str]
-    rows: np.ndarray  # (n, width) int64
-    distances: np.ndarray  # (n, width) float64
-
-    def __len__(self) -> int:
-        return len(self.query_ids)
-
-    @classmethod
-    def empty(cls, k: int) -> "KnnHits":
-        return cls([], [], np.empty((0, k), dtype=np.int64), np.empty((0, k)))
-
-
-def collect_hits(
-    index: VectorIndex,
-    queries: FlatIndex,
-    k: int = 100,
-    threads: int = 1,
-    radius: float | None = None,
-) -> KnnHits:
-    """Per-query k-NN hits of every row of `queries`, the query's own id excluded.
-
-    With `radius`, only the hits at a distance under it are kept. They are
-    exactly the k-NN hits under `radius`, bit for bit, so every threshold
-    and sweep at or under it counts the same pairs, and every saturated
-    query is still found; the index then re-ranks only the rows (of its
-    probed lists, for IVF) that can lie under `radius` (see
-    `postdedup.index`). Queries may fan out over threads; results are
-    identical for any thread count.
-    """
-    query_ids = list(queries.ids)
-    rows, distances = index.search_arrays(queries.vectors, k + 1, threads=threads, radius=radius)
-    row_of = {vid: i for i, vid in enumerate(index.ids)}
-    own = np.array([row_of.get(vid, -2) for vid in query_ids], dtype=np.int64)
-    # Move each query's own row (matched by id), and with a radius every hit
-    # not under it, behind the other hits, then keep k: the (k+1)-th hit
-    # drops where the query did not find itself.
-    drop = rows == own[:, None]
-    width = k
-    if radius is not None:
-        drop |= distances >= radius
-        width = min(k, int(np.count_nonzero(~drop, axis=1).max(initial=0)))
-    keep = np.argsort(drop, axis=1, kind="stable")[:, :width]
-    return KnnHits(
-        query_ids,
-        index.ids,
-        np.take_along_axis(np.where(drop, -1, rows), keep, axis=1),
-        np.take_along_axis(np.where(drop, np.inf, distances), keep, axis=1),
-    )
-
-
-@dataclass(frozen=True, eq=False)
 class CandidatePairs:
     """Unordered candidate pairs as arrays, sorted by (id_a, id_b).
 
@@ -192,35 +132,61 @@ class CandidatePairs:
         return int(self.lo.size)
 
 
-def pairs_from_hits(hits: KnnHits) -> CandidatePairs:
-    """Union of per-query hits as unordered, deduplicated pairs.
+def collect_hits(
+    index: VectorIndex,
+    queries: FlatIndex,
+    k: int = 100,
+    threads: int = 1,
+    radius: float | None = None,
+) -> tuple[CandidatePairs, np.ndarray]:
+    """Candidate pairs of a self-join, and each query's k-th hit distance.
 
-    A pair found from both ends keeps the distance of its first hit in
-    query order (both ends compute the same bits).
+    `queries` holds the same ids as `index` (the embeddings the index was
+    built from), else ValueError. A query's hits are its k nearest rows,
+    its own row excluded; with `radius`, only those at a distance under
+    it. Those are exactly the k-NN hits under `radius`, bit for bit, so
+    every threshold and sweep at or under it counts the same pairs, and
+    every saturated query is still found; the index then re-ranks only
+    the rows (of its probed lists, for IVF) that can lie under `radius`
+    (see `postdedup.index`). Queries may fan out over threads; results are
+    identical for any thread count.
+
+    The pairs are the union of every query's hits, with names
+    `sorted(index.ids)`; a pair found from both ends keeps the distance of
+    its first hit in query order (both ends compute the same bits).
+    `kth[q]` is the distance of row q of `queries`' k-th hit, inf where it
+    has fewer than k.
     """
-    names = sorted(set(hits.query_ids).union(hits.ids))
-    rank = {name: i for i, name in enumerate(names)}
-    query_rank = np.array([rank[vid] for vid in hits.query_ids], dtype=np.int64)
-    row_rank = np.array([rank[vid] for vid in hits.ids], dtype=np.int64)
-    found = hits.rows >= 0
-    a = np.broadcast_to(query_rank[:, None], hits.rows.shape)[found]
-    b = row_rank[hits.rows[found]]
-    distances = hits.distances[found]
-    distinct = a != b
-    a, b, distances = a[distinct], b[distinct], distances[distinct]
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    codes, first = np.unique(lo * len(names) + hi, return_index=True)
-    return CandidatePairs(names, codes // len(names), codes % len(names), distances[first])
+    names = sorted(index.ids)
+    if sorted(queries.ids) != names:
+        raise ValueError("collect_hits is a self-join: queries must hold the index's ids")
+    rows, distances = index.search_arrays(queries.vectors, k + 1, threads=threads, radius=radius)
+    # Each hit as (query, query's id rank, row's id rank, distance), in
+    # query order, then ascending within a query; the own row is the hit
+    # of equal rank.
+    qi, col = np.nonzero(rows >= 0 if radius is None else distances < radius)
+    a, b = queries._id_ranks[qi], index._id_ranks[rows[qi, col]]
+    other = a != b
+    qi, a, b, d = qi[other], a[other], b[other], distances[qi, col][other]
+    # qi ascends, so a hit's place among its query's hits is its offset
+    # from the query's first hit.
+    place = np.arange(qi.size) - np.searchsorted(qi, qi)
+    kth = np.full(len(queries), np.inf)
+    kth[qi[place == k - 1]] = d[place == k - 1]
+    first_k = place < k
+    lo, hi = np.minimum(a[first_k], b[first_k]), np.maximum(a[first_k], b[first_k])
+    n = len(names)
+    codes, first = np.unique(lo * n + hi, return_index=True)
+    return CandidatePairs(names, codes // n, codes % n, d[first_k][first]), kth
 
 
 def threshold_sweep(
-    distances: np.ndarray, thetas: Sequence[float]
+    distances: np.ndarray, thetas: Sequence[float], total: int
 ) -> list[tuple[float, int, float]]:
-    """Counts and fractions of `distances` strictly under each of an ascending list of thresholds."""
+    """Count of `distances` strictly under each of an ascending list of thresholds, and its share of `total`."""
     if list(thetas) != sorted(thetas):
         raise ValueError("thetas must be sorted ascending")
     distances = np.sort(np.asarray(distances, dtype=np.float64))
-    total = distances.size
     kept = np.searchsorted(distances, np.asarray(thetas, dtype=np.float64), side="left")
     return [
         (theta, int(n), int(n) / total if total else 0.0) for theta, n in zip(thetas, kept)
@@ -375,13 +341,12 @@ class SaturationReport:
         }
 
 
-def saturation_report(hits: KnnHits, theta: float, k: int) -> SaturationReport:
-    """A query is saturated iff it has exactly k hits and the k-th is under theta."""
-    if k > hits.rows.shape[1]:
-        return SaturationReport(k=k, theta=theta)
-    full = (hits.rows >= 0).sum(axis=1) == k
-    flags = full & (hits.distances[:, k - 1] < theta)
-    saturated = [vid for vid, flag in zip(hits.query_ids, flags.tolist()) if flag]
+def saturation_report(
+    query_ids: Sequence[str], kth: np.ndarray, theta: float, k: int
+) -> SaturationReport:
+    """A query is saturated iff its k-th hit (`kth`, inf for fewer than k hits) is under theta."""
+    flags = (np.asarray(kth) < theta).tolist()
+    saturated = [vid for vid, flag in zip(query_ids, flags) if flag]
     return SaturationReport(k=k, theta=theta, saturated_ids=sorted(saturated))
 
 
@@ -391,11 +356,9 @@ __all__ = [
     "ExpertRule",
     "example_ruleset",
     "default_rule",
-    "KnnHits",
     "CandidatePairs",
     "KeptPairs",
     "collect_hits",
-    "pairs_from_hits",
     "threshold_sweep",
     "choose_theta",
     "apply_rules_detailed",

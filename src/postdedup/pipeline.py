@@ -32,14 +32,13 @@ from .atomic import atomic_write, write_json
 from .config import PipelineConfig
 from .corpus import Posting, jsonl_records, load_postings, pair_count, save_postings
 from .dedup import (
+    CandidatePairs,
     KeptPairs,
-    KnnHits,
     LabeledPair,
     apply_rules_detailed,
     classify,
     collect_hits,
     default_rule,
-    pairs_from_hits,
     saturation_report,
     threshold_sweep,
 )
@@ -242,27 +241,29 @@ def _dedup(
 ) -> PipelineResult:
     """Candidates, rules, classification, expansion; assembles the run report."""
     t0 = time.perf_counter()
+    k, base_theta = config.dedup.k, config.dedup.base_theta
     radius = config.dedup.search_radius
     if index is not None:
-        hits = collect_hits(index, queries, config.dedup.k, threads=config.threads, radius=radius)
-        comparisons, reranked = index.comparison_count, index.rerank_count
+        candidates, kth = collect_hits(index, queries, k, threads=config.threads, radius=radius)
+        query_ids, comparisons, reranked = queries.ids, index.comparison_count, index.rerank_count
     else:
-        hits, comparisons, reranked = KnnHits.empty(config.dedup.k), 0, 0
+        none = np.empty(0, dtype=np.int64)
+        candidates, kth = CandidatePairs([], none, none, np.empty(0)), np.empty(0)
+        query_ids, comparisons, reranked = [], 0, 0
     timings["candidates"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    k, base_theta = config.dedup.k, config.dedup.base_theta
     postings_by_id = {p.id: p for p in postings}
     fingerprints_by_id = {c.source_id: c.fingerprint for c in canonicals}
-    candidates = pairs_from_hits(hits)
     rules = list(config.dedup.rules) or [default_rule(base_theta)]
     kept = apply_rules_detailed(candidates, postings_by_id, rules, base_theta)
     pairs, n_exact = _expand_pairs(kept, rules, groups, postings_by_id, fingerprints_by_id)
-    sweep = threshold_sweep(candidates.distances, list(config.dedup.sweep_thetas))
-    saturation = saturation_report(hits, base_theta, k).to_dict()
+    n = len(query_ids)
+    brute_force_pairs = pair_count(n)
+    sweep = threshold_sweep(candidates.distances, list(config.dedup.sweep_thetas), len(candidates))
+    saturation = saturation_report(query_ids, kth, base_theta, k).to_dict()
     label_counts = Counter(pair.label.value for pair in pairs)
     timings["classify"] = time.perf_counter() - t0
-    brute_force_pairs = pair_count(len(hits))
     list_sizes = None
     if isinstance(index, IVFIndex):
         sizes = index.list_sizes()
@@ -279,7 +280,7 @@ def _dedup(
         counters={
             # Ordered query x row evaluations, on the same basis as each other.
             "index_comparisons": comparisons,
-            "brute_force_comparisons": len(hits) * (len(index) if index is not None else 0),
+            "brute_force_comparisons": n * n,  # a self-join
             "rerank_rows": reranked,
             # Unordered pairs, on the same basis as each other.
             "brute_force_pairs": brute_force_pairs,

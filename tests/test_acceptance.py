@@ -15,8 +15,7 @@ import pytest
 
 from postdedup.config import config_from_dict
 from postdedup.corpus import pair_count, save_postings
-from postdedup.dedup import choose_theta, pairs_from_hits, saturation_report, threshold_sweep
-from postdedup.dedup import collect_hits
+from postdedup.dedup import choose_theta, collect_hits, saturation_report, threshold_sweep
 from postdedup.embed import HashedEmbedder, truncation_report
 from postdedup.errors import CorruptIndex
 from postdedup.evaluation import score
@@ -113,7 +112,7 @@ def test_criterion_3_comparison_reduction_arithmetic():
 
     vectors = FlatIndex(*unit_vectors(10_000, 16, seed=105))
     index = build_index(vectors, IndexConfig(kind="flat", dim=16))
-    pairs = pairs_from_hits(collect_hits(index, vectors, k=100))
+    pairs, _ = collect_hits(index, vectors, k=100)
     brute = pair_count(10_000)
     assert brute == 49_995_000
     assert len(pairs) <= 1_000_000
@@ -211,7 +210,7 @@ def test_criterion_6_threshold_geometry():
 
     distances = rng.uniform(0, 1.5, size=5_000)
     thetas = [0.1, 0.2, 0.25, 0.3, 0.45, 0.7, 1.0, 1.4]
-    rows = threshold_sweep(distances, thetas)
+    rows = threshold_sweep(distances, thetas, distances.size)
     counts = [count for _, count, _ in rows]
     assert counts == sorted(counts)
     for theta, count, _ in rows:
@@ -245,8 +244,8 @@ def test_criterion_7_diagnostics_correctness():
         np.concatenate([clique.astype(np.float32), background]),
     )
     index = build_index(vectors, IndexConfig(kind="flat", dim=dim))
-    hits = collect_hits(index, vectors, k=k)
-    sat = saturation_report(hits, theta=theta, k=k)
+    _, kth = collect_hits(index, vectors, k=k)
+    sat = saturation_report(vectors.ids, kth, theta=theta, k=k)
     assert sat.saturated_ids == sorted(clique_ids)
     assert sat.count == k + 5
     _ok("7", f"truncation stats exact; saturation flags exactly the {k + 5} clique members")

@@ -21,7 +21,6 @@ from postdedup.dedup import (
     collect_hits,
     default_rule,
     example_ruleset,
-    pairs_from_hits,
     saturation_report,
     threshold_sweep,
 )
@@ -29,7 +28,7 @@ from postdedup.config import config_from_dict
 from postdedup.corpus import save_postings
 from postdedup.errors import ConfigError, NoMatchingRule, UnknownId
 from postdedup.evaluation import render_report
-from postdedup.index import FlatIndex, IndexConfig, build_index, load_index
+from postdedup.index import FlatIndex, IndexConfig, IVFIndex, build_index, load_index
 from postdedup.pipeline import EMBEDDINGS_FILE, POSTINGS_FILE, run_staged
 from postdedup.synth import DupPlan, synth_corpus
 
@@ -53,27 +52,27 @@ def distances_of(pairs) -> np.ndarray:
 
 def count_under(pairs, theta):
     """The sweep's count at theta: pairs strictly under it."""
-    return threshold_sweep(distances_of(pairs), [theta])[0][1]
+    return threshold_sweep(distances_of(pairs), [theta], len(pairs))[0][1]
 
 
 class TestCandidatePairs:
     def test_three_identical_vectors_complete_graph(self):
         vectors = FlatIndex([f"v{i}" for i in range(3)], [[1, 0]] * 3)
         index = build_index(vectors, IndexConfig(dim=2))
-        pairs = pairs_from_hits(collect_hits(index, vectors, k=2))
+        pairs, _ = collect_hits(index, vectors, k=2)
         assert pair_keys(pairs) == {("v0", "v1"), ("v0", "v2"), ("v1", "v2")}
         assert (pairs.distances == 0.0).all()
 
     def test_k_capped_by_index_size(self):
         vectors = FlatIndex(["a", "b"], [[1, 0], [0, 1]])
         index = build_index(vectors, IndexConfig(dim=2))
-        pairs = pairs_from_hits(collect_hits(index, vectors, k=100))
+        pairs, _ = collect_hits(index, vectors, k=100)
         assert pair_keys(pairs) == {("a", "b")}
 
     def test_matches_exhaustive_knn_oracle(self):
         ids, matrix = vectors = unit_vectors(500, 16, seed=77)
         index = build_index(FlatIndex(*vectors), IndexConfig(dim=16))
-        got = pair_keys(pairs_from_hits(collect_hits(index, index, k=10)))
+        got = pair_keys(collect_hits(index, index, k=10)[0])
 
         # oracle: full distance matrix in float64, take each row's true
         # 10 nearest (excluding self, ties by id), union as sorted pairs
@@ -87,9 +86,17 @@ class TestCandidatePairs:
                 expected.add((min(ids[i], ids[j]), max(ids[i], ids[j])))
         assert got == expected
 
+    def test_own_row_outside_the_k_plus_one_nearest(self):
+        # Four equal rows tie at 0 and break ties by id, so "d" finds "a" and
+        # "b" but not itself among its k + 1 = 2 nearest; it keeps "a" only.
+        vectors = FlatIndex(["d", "c", "b", "a"], [[1, 0]] * 4)
+        pairs, kth = collect_hits(vectors, vectors, k=1)
+        assert pair_keys(pairs) == {("a", "b"), ("a", "c"), ("a", "d")}
+        assert kth.tolist() == [0.0] * 4
+
     def test_canonical_form(self):
         index = build_index(FlatIndex(*unit_vectors(50, 8, seed=78)), IndexConfig(dim=8))
-        pairs = pairs_from_hits(collect_hits(index, index, k=5))
+        pairs, _ = collect_hits(index, index, k=5)
         assert pairs.names == sorted(pairs.names)
         triples = pair_triples(pairs)
         assert all(a < b for a, b, _ in triples)
@@ -132,23 +139,23 @@ class TestThreshold:
 class TestSweep:
     def test_counts_at_thresholds(self):
         pairs = {pair("a", "b", 0.1), pair("a", "c", 0.2), pair("b", "c", 0.3)}
-        rows = threshold_sweep(distances_of(pairs), [0.15, 0.25, 0.45])
+        rows = threshold_sweep(distances_of(pairs), [0.15, 0.25, 0.45], len(pairs))
         assert [(theta, count) for theta, count, _ in rows] == [(0.15, 1), (0.25, 2), (0.45, 3)]
         assert rows[-1][2] == pytest.approx(1.0)
 
     def test_empty_pairs(self):
-        rows = threshold_sweep(np.array([]), [0.1, 0.2])
+        rows = threshold_sweep(np.array([]), [0.1, 0.2], 0)
         assert [(c, f) for _, c, f in rows] == [(0, 0.0), (0, 0.0)]
 
     def test_unsorted_thetas_rejected(self):
         with pytest.raises(ValueError):
-            threshold_sweep(np.array([]), [0.2, 0.1])
+            threshold_sweep(np.array([]), [0.2, 0.1], 0)
 
     def test_matches_histogram_oracle(self):
         rng = random.Random(8)
         pairs = {pair(f"a{i:05d}", f"b{i:05d}", rng.uniform(0, 1.5)) for i in range(5_000)}
         thetas = [0.1, 0.25, 0.45, 0.8, 1.2, 1.6]
-        rows = threshold_sweep(distances_of(pairs), thetas)
+        rows = threshold_sweep(distances_of(pairs), thetas, len(pairs))
         distances = [d for _, _, d in pairs]
         for theta, count, fraction in rows:
             expected = sum(1 for d in distances if d < theta)
@@ -165,7 +172,7 @@ class TestSweep:
         distances = [rng.uniform(0.0, 0.25) for _ in range(600)]
         distances += [rng.uniform(0.5, 1.5) for _ in range(9_400)]
         pairs = {pair(f"a{i:05d}", f"b{i:05d}", d) for i, d in enumerate(distances)}
-        rows = threshold_sweep(distances_of(pairs), [0.1, 0.25, 0.45])
+        rows = threshold_sweep(distances_of(pairs), [0.1, 0.25, 0.45], len(pairs))
         _, kept, fraction = rows[1]
         independent = sum(1 for d in distances if d < 0.25)
         assert kept == independent
@@ -177,7 +184,7 @@ class TestChooseTheta:
     def test_picks_midpoint_of_widest_kept_gap(self):
         pairs = {pair(f"a{i}", f"b{i}", d) for i, d in enumerate([0.1, 0.12, 0.15, 1.3, 1.35])}
         thetas = [round(0.05 * i, 2) for i in range(1, 30)]
-        rows = threshold_sweep(distances_of(pairs), thetas)
+        rows = threshold_sweep(distances_of(pairs), thetas, len(pairs))
         theta = choose_theta(rows)
         assert 0.15 < theta < 1.3  # inside the duplicate/non-duplicate gap
 
@@ -346,15 +353,15 @@ class TestSaturation:
     def test_all_hits_under_theta_saturated(self):
         vectors = FlatIndex(["q", "n1", "n2"], [[1, 0], [1, 0.01], [1, 0.02]])
         index = build_index(vectors, IndexConfig(dim=2))
-        hits = collect_hits(index, vectors, k=2)
-        report = saturation_report(hits, theta=0.25, k=2)
+        _, kth = collect_hits(index, vectors, k=2)
+        report = saturation_report(vectors.ids, kth, theta=0.25, k=2)
         assert "q" in report.saturated_ids
 
     def test_kth_hit_over_theta_not_saturated(self):
         vectors = FlatIndex(["q", "n1", "far"], [[1, 0], [1, 0.1], [0, 1]])
         index = build_index(vectors, IndexConfig(dim=2))
-        hits = collect_hits(index, vectors, k=2)
-        report = saturation_report(hits, theta=0.25, k=2)
+        _, kth = collect_hits(index, vectors, k=2)
+        report = saturation_report(vectors.ids, kth, theta=0.25, k=2)
         assert "q" not in report.saturated_ids
 
     def test_planted_clique_flagged_exactly(self):
@@ -371,8 +378,8 @@ class TestSaturation:
         matrix = np.concatenate([noisy.astype(np.float32), background])
 
         index = build_index(FlatIndex(ids, matrix), IndexConfig(dim=dim))
-        hits = collect_hits(index, index, k=k)
-        report = saturation_report(hits, theta=theta, k=k)
+        _, kth = collect_hits(index, index, k=k)
+        report = saturation_report(index.ids, kth, theta=theta, k=k)
 
         matrix = matrix.astype(np.float64)
         expected = []
@@ -385,17 +392,132 @@ class TestSaturation:
         assert set(report.saturated_ids) == {f"c{i:02d}" for i in range(k + 5)}
         assert report.count == k + 5
 
+    def test_ivf_query_found_by_k_others_but_finding_none_not_saturated(self):
+        # Unit rows in 2-D at the angles below, each in its nearest list;
+        # every query probes its two nearest lists. "n1" and "n2" probe
+        # lists B and A and find "q", but "q" probes A and C and finds
+        # neither. "q" is in k = 2 pairs under theta, so a rule on pair
+        # degrees would flag it; it has no k-th hit of its own.
+        k, theta = 2, 0.25
+        unit = lambda degrees: [np.cos(np.radians(degrees)), np.sin(np.radians(degrees))]
+        index = IVFIndex(
+            ["q", "n1", "n2", "z"],
+            np.array([unit(0), unit(11), unit(12), unit(-100)]),
+            np.array([unit(0), unit(20), unit(-15)]),  # lists A, B, C
+            [0, 1, 3, 4],
+            nprobe=2,
+        )
+        vectors = FlatIndex(index.ids, index.vectors)
+        pairs, kth = collect_hits(index, vectors, k=k)
+        report = saturation_report(vectors.ids, kth, theta=theta, k=k)
 
-# --- the radius-bounded search against k-NN, then the filter d < R ----------
+        under = pairs.distances < theta
+        degree = Counter(pairs.names[i] for i in pairs.lo[under].tolist() + pairs.hi[under].tolist())
+        assert degree["q"] == k
+        assert report.saturated_ids == ["n1", "n2"]
+        _, expected_kth = collect_hits_oracle(index, vectors, k)
+        assert [d.hex() for d in kth.tolist()] == expected_kth
 
-def hit_entries(hits):
-    """Each (query id, row id, distance bits) of a KnnHits."""
+
+# --- collect_hits against a per-query loop over the search ---------------
+
+def pair_bits(pairs):
+    """Each pair of a `CandidatePairs` as (id_a, id_b, distance bits), in its order."""
+    return [(a, b, d.hex()) for a, b, d in pair_triples(pairs)]
+
+
+def collect_hits_oracle(index, queries, k, radius=None):
+    """Pairs as sorted (id_a, id_b, distance bits) and each query's k-th hit's bits.
+
+    One query at a time over the unbounded `search_arrays(..., k + 1)`:
+    drop the query's own id and every hit at d >= radius, keep the first
+    k, and take the union; a pair keeps the distance of its first hit.
+    """
+    rows, distances = index.search_arrays(queries.vectors, k + 1)
+    pairs, kth = {}, []
+    for vid, row, dist in zip(queries.ids, rows.tolist(), distances.tolist()):
+        hits = [
+            (index.ids[r], d)
+            for r, d in zip(row, dist)
+            if r >= 0 and index.ids[r] != vid and (radius is None or d < radius)
+        ][:k]
+        for other, d in hits:
+            pairs.setdefault(tuple(sorted((vid, other))), d.hex())
+        kth.append(hits[k - 1][1].hex() if len(hits) == k else np.inf.hex())
+    return [(a, b, bits) for (a, b), bits in sorted(pairs.items())], kth
+
+
+def random_rows(rng, dim, n_background, clique, copies):
+    """Unit rows: a near-identical clique, a background, and `copies` repeats of one row."""
+    anchor = rng.normal(size=dim)
+    near = anchor / np.linalg.norm(anchor) + rng.normal(size=(clique, dim)) * 1e-3
+    rows = np.concatenate([near, rng.normal(size=(n_background, dim))])
+    if not len(rows):
+        rows = rng.normal(size=(1, dim))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    repeated = np.repeat(rows[rng.integers(len(rows), size=1)], copies, axis=0)
+    return np.concatenate([rows, repeated]).astype(np.float32)
+
+
+def radius_near_a_hit(rng, rows, k, pick):
+    """A radius at the distance from a row to one of its k + 1 nearest, or one ulp either side."""
+    X = rows.astype(np.float64)
+    nearest = np.sort(np.sqrt(np.square(X - X[rng.integers(len(X))]).sum(axis=1)))
+    d = float(nearest[rng.integers(min(k + 1, len(X)))])
     return {
-        (query, hits.ids[row], distance.hex())
-        for query, rows, distances in zip(hits.query_ids, hits.rows.tolist(), hits.distances.tolist())
-        for row, distance in zip(rows, distances)
-        if row >= 0
-    }
+        "distance": d,
+        "ulp_below": float(np.nextafter(d, 0)),
+        "ulp_above": float(np.nextafter(d, np.inf)),
+        "clique": 0.05,
+        "everything": 2.5,
+    }[pick]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dim=st.sampled_from([3, 8]),
+    n_background=st.integers(0, 30),
+    clique=st.integers(0, 12),
+    copies=st.integers(0, 9),  # one row repeated: more than k ties at 0 hide the own row
+    k=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    pick=st.sampled_from(["none", "distance", "ulp_below", "ulp_above"]),
+    kind=st.sampled_from(["flat", "ivf"]),
+    nprobe=st.integers(1, 4),
+    kmeans_iters=st.integers(1, 3),
+    threads=st.sampled_from([1, 4]),
+)
+def test_collect_hits_equals_per_query_loop(
+    dim, n_background, clique, copies, k, seed, pick, kind, nprobe, kmeans_iters, threads
+):
+    rng = np.random.default_rng(seed)
+    rows = random_rows(rng, dim, n_background, clique, copies)
+    ids = [f"v{i:03d}" for i in rng.permutation(len(rows))]
+    radius = None if pick == "none" else radius_near_a_hit(rng, rows, k, pick)
+    vectors = FlatIndex(ids, rows)
+    # Several probes of a few roughly trained lists make the search
+    # asymmetric: a query can find a row that does not find it.
+    nlist = min(4, len(rows))
+    config = IndexConfig(
+        kind=kind, dim=dim, nlist=nlist, nprobe=min(nprobe, nlist), kmeans_iters=kmeans_iters
+    )
+    index = build_index(vectors, config)
+    expected_pairs, expected_kth = collect_hits_oracle(index, vectors, k, radius)
+    # Blocks of one to two queries, so four threads have blocks to spread.
+    with mock.patch.object(postdedup.index, "_BLOCK_BYTES", 20 * len(rows)):
+        pairs, kth = collect_hits(index, vectors, k, threads=threads, radius=radius)
+    assert pairs.names == sorted(ids)
+    assert pair_bits(pairs) == expected_pairs
+    assert [d.hex() for d in kth.tolist()] == expected_kth
+
+
+def test_collect_hits_is_a_self_join():
+    vectors = FlatIndex(["a", "b", "c"], [[1, 0], [0, 1], [1, 1]])
+    others = FlatIndex(["a", "b", "d"], [[1, 0], [0, 1], [1, 1]])
+    with pytest.raises(ValueError, match="self-join"):
+        collect_hits(vectors, others, k=2)
+    with pytest.raises(ValueError, match="self-join"):
+        collect_hits(vectors, FlatIndex(["a", "b"], [[1, 0], [0, 1]]), k=2)
 
 
 @settings(max_examples=150, deadline=None)
@@ -425,32 +547,27 @@ def test_radius_search_equals_knn_then_filter(
     # The radius: the distance from a row to one of its k nearest (a tie at
     # R, met before the k cap), one ulp either side of it, one holding the
     # clique, or one holding every row.
-    X = rows.astype(np.float64)
-    query = X[rng.integers(len(X))]
-    nearest = np.sort(np.sqrt(np.square(X - query).sum(axis=1)))
-    d = float(nearest[rng.integers(min(k + 1, len(X)))])
-    radius = {
-        "distance": d,
-        "ulp_below": float(np.nextafter(d, 0)),
-        "ulp_above": float(np.nextafter(d, np.inf)),
-        "clique": 0.05,
-        "everything": 2.5,
-    }[pick]
+    radius = radius_near_a_hit(rng, rows, k, pick)
     vectors = FlatIndex(ids, rows)
     config = IndexConfig(kind=kind, dim=dim, nlist=min(3, len(rows)), nprobe=min(2, len(rows)))
     index = build_index(vectors, config)
-    knn = collect_hits(index, vectors, k)
+    knn, knn_kth = collect_hits(index, vectors, k)
     # Blocks of one to two queries, so four threads have blocks to spread.
     with mock.patch.object(postdedup.index, "_BLOCK_BYTES", 20 * len(rows)):
-        bounded = collect_hits(index, vectors, k, threads=threads, radius=radius)
+        bounded, bounded_kth = collect_hits(index, vectors, k, threads=threads, radius=radius)
 
-    under = {e for e in hit_entries(knn) if float.fromhex(e[2]) < radius}
-    assert hit_entries(bounded) == under
+    under = [t for t in pair_bits(knn) if float.fromhex(t[2]) < radius]
+    assert pair_bits(bounded) == under
+    # A query has k hits under R iff its k-th k-NN hit is under R.
+    expected_kth = np.where(knn_kth < radius, knn_kth, np.inf)
+    assert [d.hex() for d in bounded_kth.tolist()] == [d.hex() for d in expected_kth.tolist()]
     for theta in (radius, radius / 2):
-        assert saturation_report(bounded, theta, k) == saturation_report(knn, theta, k)
+        assert saturation_report(ids, bounded_kth, theta, k) == saturation_report(
+            ids, knn_kth, theta, k
+        )
     thetas = [radius / 4, radius / 2, float(np.nextafter(radius, 0)), radius]
-    sweep = [n for _, n, _ in threshold_sweep(pairs_from_hits(bounded).distances, thetas)]
-    assert sweep == [n for _, n, _ in threshold_sweep(pairs_from_hits(knn).distances, thetas)]
+    sweep = [n for _, n, _ in threshold_sweep(bounded.distances, thetas, len(knn))]
+    assert sweep == [n for _, n, _ in threshold_sweep(knn.distances, thetas, len(knn))]
 
 
 @settings(max_examples=50)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from postdedup.config import config_from_dict
-from postdedup.dedup import collect_hits, pairs_from_hits
+from postdedup.dedup import collect_hits
 from postdedup.errors import CorruptIndex
 from postdedup.index import FlatIndex, IndexConfig, build_index, index_from_bytes
 from postdedup.normalize import clean_text, decode_entities
@@ -54,7 +54,7 @@ class TestDegenerateIndexes:
     def test_candidate_pairs_on_two_point_index(self):
         vectors = FlatIndex(["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
         index = build_index(vectors, IndexConfig(dim=2))
-        assert pair_keys(pairs_from_hits(collect_hits(index, vectors, k=5))) == {("a", "b")}
+        assert pair_keys(collect_hits(index, vectors, k=5)[0]) == {("a", "b")}
 
 
 class TestStructuralCorruption:

@@ -55,7 +55,7 @@ def main() -> int:
         probe = run_pipeline(synth.postings, config_at(grid[len(grid) // 2]))
         print(f"{'theta':>8} {'kept':>8} {'fraction':>9}")
         for theta, kept, fraction in probe.report.sweep:
-            print(f"{theta:>8.3f} {kept:>8d} {fraction:>9.4f}")
+            print(f"{theta:>8.3f} {kept:>8d} {fraction:>9.2e}")
 
         chosen = choose_theta(probe.report.sweep)
         print(f"\nchosen theta (widest flat stretch): {chosen:.3f}")

@@ -198,7 +198,7 @@ def render_report(
             lines.append("-- threshold sweep --")
             lines.append(f"{'theta':>8} {'kept':>8} {'fraction':>9}")
             for theta, kept, fraction in run["sweep"]:
-                lines.append(f"{theta:>8.3f} {kept:>8d} {fraction:>9.4f}")
+                lines.append(f"{theta:>8.3f} {kept:>8d} {fraction:>9.2e}")
     if eval_report is not None:
         lines.append("== Evaluation ==")
         lines.append(f"{'class':>9} {'precision':>10} {'recall':>8} {'f1':>8} {'tp':>6} {'fp':>6} {'fn':>6}")

@@ -260,7 +260,9 @@ def _dedup(
     pairs, n_exact = _expand_pairs(kept, rules, groups, postings_by_id, fingerprints_by_id)
     n = len(query_ids)
     brute_force_pairs = pair_count(n)
-    sweep = threshold_sweep(candidates.distances, list(config.dedup.sweep_thetas), len(candidates))
+    sweep = threshold_sweep(
+        candidates.distances, list(config.dedup.sweep_thetas), brute_force_pairs
+    )
     saturation = saturation_report(query_ids, kth, base_theta, k).to_dict()
     label_counts = Counter(pair.label.value for pair in pairs)
     timings["classify"] = time.perf_counter() - t0

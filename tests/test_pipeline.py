@@ -363,32 +363,58 @@ def test_partial_ivf_probe_compares_less_than_brute_force(tmp_path):
     assert 0 < counters["index_comparisons"] < counters["brute_force_comparisons"]
 
 
+def independent_candidates(outdir, config) -> dict:
+    """Candidate pairs and their distances, from a float64 scan of the written embeddings.
+
+    Every representative's k nearest others by (d2, id), as unordered
+    pairs, those at a distance under the search radius.
+    """
+    radius = config.dedup.search_radius
+    embedded = load_index(outdir / EMBEDDINGS_FILE)
+    ids, X = embedded.ids, embedded.vectors.astype(np.float64)
+    pairs = {}
+    for i, vid in enumerate(ids):
+        d2 = np.square(X - X[i]).sum(axis=1)
+        others = sorted((j for j in range(len(ids)) if j != i), key=lambda j: (d2[j], ids[j]))
+        pairs.update(
+            (tuple(sorted((vid, ids[j]))), float(np.sqrt(d2[j])))
+            for j in others[: config.dedup.k]
+            if np.sqrt(d2[j]) < radius
+        )
+    return pairs
+
+
 def test_candidate_reduction_matches_independent_pair_count(tmp_path):
     synth, config = small_corpus_setup(tmp_path, n_base=60)
     outdir = tmp_path / "staged"
     outdir.mkdir()
     save_postings(synth.postings, outdir / POSTINGS_FILE)
     counters = run_staged(config, outdir).report.counters
-    # Independent: every representative's k nearest others by (d2, id) in
-    # a float64 scan of the written embeddings, as unordered pairs, those
-    # at a distance under the search radius.
-    radius = config.dedup.search_radius
-    embedded = load_index(outdir / EMBEDDINGS_FILE)
-    ids, X = embedded.ids, embedded.vectors.astype(np.float64)
-    pairs = set()
-    for i, vid in enumerate(ids):
-        d2 = np.square(X - X[i]).sum(axis=1)
-        others = sorted((j for j in range(len(ids)) if j != i), key=lambda j: (d2[j], ids[j]))
-        pairs.update(
-            tuple(sorted((vid, ids[j])))
-            for j in others[: config.dedup.k]
-            if np.sqrt(d2[j]) < radius
-        )
-    brute = len(ids) * (len(ids) - 1) // 2
+    pairs = independent_candidates(outdir, config)
+    n = len(load_index(outdir / EMBEDDINGS_FILE))
+    brute = n * (n - 1) // 2
     assert counters["candidate_pairs"] == len(pairs)
     assert counters["brute_force_pairs"] == brute
     assert counters["candidate_reduction"] == 1 - len(pairs) / brute
     assert 0 < counters["candidate_reduction"] < 1
+
+
+def test_sweep_fractions_are_shares_of_brute_force_pairs(tmp_path):
+    synth, config = small_corpus_setup(tmp_path, n_base=60)
+    outdir = tmp_path / "staged"
+    outdir.mkdir()
+    save_postings(synth.postings, outdir / POSTINGS_FILE)
+    report = run_staged(config, outdir).report
+    distances = list(independent_candidates(outdir, config).values())
+    brute = report.counters["brute_force_pairs"]
+    assert [theta for theta, _, _ in report.sweep] == list(config.dedup.sweep_thetas)
+    for theta, count, fraction in report.sweep:
+        assert count == sum(d < theta for d in distances)
+        assert fraction == count / brute
+    # The last theta is the search radius: every candidate lies under it,
+    # but only a small share of all pairs does.
+    assert report.sweep[-1][0] == config.dedup.search_radius
+    assert 0 < report.sweep[-1][2] < 0.1
 
 
 def test_rerank_rows_count_rows_through_the_exact_expression(tmp_path, monkeypatch):

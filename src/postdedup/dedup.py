@@ -154,8 +154,8 @@ def collect_hits(
     The pairs are the union of every query's hits, with names
     `sorted(index.ids)`; a pair found from both ends keeps the distance of
     its first hit in query order (both ends compute the same bits).
-    `kth[q]` is the distance of row q of `queries`' k-th hit, inf where it
-    has fewer than k.
+    `kth[q]` is the distance of the k-th hit of `queries.ids[q]`, inf where
+    it has fewer than k.
     """
     names = sorted(index.ids)
     if sorted(queries.ids) != names:
@@ -172,18 +172,21 @@ def collect_hits(
     # from the query's first hit.
     place = np.arange(qi.size) - np.searchsorted(qi, qi)
     kth = np.full(len(queries), np.inf)
-    kth[qi[place == k - 1]] = d[place == k - 1]
-    first_k = place < k
-    lo, hi = np.minimum(a[first_k], b[first_k]), np.maximum(a[first_k], b[first_k])
+    last = place == k - 1
+    kth[qi[last]] = d[last]
+    keep = place < k
+    a, b, d = a[keep], b[keep], d[keep]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
     n = len(names)
     codes, first = np.unique(lo * n + hi, return_index=True)
-    return CandidatePairs(names, codes // n, codes % n, d[first_k][first]), kth
+    return CandidatePairs(names, codes // n, codes % n, d[first]), kth
 
 
 def threshold_sweep(
     distances: np.ndarray, thetas: Sequence[float], total: int
 ) -> list[tuple[float, int, float]]:
-    """Count of `distances` strictly under each of an ascending list of thresholds, and its share of `total`."""
+    """Per threshold of an ascending list: the count of `distances` strictly
+    under it, and that count's share of `total`."""
     if list(thetas) != sorted(thetas):
         raise ValueError("thetas must be sorted ascending")
     distances = np.sort(np.asarray(distances, dtype=np.float64))
@@ -345,7 +348,7 @@ def saturation_report(
     query_ids: Sequence[str], kth: np.ndarray, theta: float, k: int
 ) -> SaturationReport:
     """A query is saturated iff its k-th hit (`kth`, inf for fewer than k hits) is under theta."""
-    flags = (np.asarray(kth) < theta).tolist()
+    flags = (kth < theta).tolist()
     saturated = [vid for vid, flag in zip(query_ids, flags) if flag]
     return SaturationReport(k=k, theta=theta, saturated_ids=sorted(saturated))
 

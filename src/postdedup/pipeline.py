@@ -3,8 +3,10 @@
 The chain: canonicalize -> group exact duplicates (these already settle
 FULL/TEMPORAL for identical text) -> translate one representative per group
 (optional) -> embed -> index -> k-NN candidate pairs under the search
-radius (the largest threshold the rules or the sweep use) -> expert rules
--> classify -> expand group labels back to all members -> run report.
+radius (the largest threshold the rules or the sweep use), made straight
+from one search of the embeddings against their own index
+(`collect_hits`) -> expert rules -> classify -> expand group labels back
+to all members -> run report.
 
 `run_pipeline` runs the chain in memory; `run_staged` (the CLI `dedup`
 command) runs it from `postings.jsonl`, writing each artifact as it is

@@ -411,8 +411,8 @@ class TestSaturation:
         pairs, kth = collect_hits(index, vectors, k=k)
         report = saturation_report(vectors.ids, kth, theta=theta, k=k)
 
-        under = pairs.distances < theta
-        degree = Counter(pairs.names[i] for i in pairs.lo[under].tolist() + pairs.hi[under].tolist())
+        under = [(a, b) for a, b, d in pair_triples(pairs) if d < theta]
+        degree = Counter(name for pair in under for name in pair)
         assert degree["q"] == k
         assert report.saturated_ids == ["n1", "n2"]
         _, expected_kth = collect_hits_oracle(index, vectors, k)

@@ -4,6 +4,7 @@ import json
 import random
 import threading
 import time
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -404,6 +405,50 @@ def test_map_batches_retries_a_batch_that_came_back_short():
     out = map_batches([1, 2, 3], short_once, batch_size=3, max_in_flight=1, retry=FAST_RETRY)
     assert out == [10, 20, 30]
     assert len(calls) == 2
+
+
+STORM_RETRY = RetryPolicy(attempts=4, backoff_base=1.0, backoff_cap=8.0)
+
+
+def test_map_batches_429_storm_makes_exactly_the_bounded_attempts(monkeypatch):
+    sleeps, calls = [], []
+    monkeypatch.setattr(postdedup.batching.time, "sleep", sleeps.append)
+
+    def storm(batch):
+        calls.append(batch)
+        raise RateLimited(retry_after=7.5)
+
+    with pytest.raises(RateLimited):
+        map_batches([1, 2], storm, batch_size=2, max_in_flight=1, retry=STORM_RETRY)
+    assert len(calls) == STORM_RETRY.attempts
+    assert len(sleeps) == STORM_RETRY.attempts - 1  # no sleep after the last attempt
+    assert all(seconds >= 7.5 for seconds in sleeps)
+
+
+def test_map_batches_429_storm_ending_before_the_bound_keeps_submission_order(monkeypatch):
+    calls, sleeps, lock = Counter(), [], threading.Lock()
+    told = threading.local()  # the Retry-After this thread's batch was last given
+    monkeypatch.setattr(
+        postdedup.batching.time, "sleep", lambda seconds: sleeps.append((told.value, seconds))
+    )
+
+    def storm_then_answer(batch):
+        # Each batch is rate limited on all but its last allowed attempt,
+        # and later batches are told to wait longer.
+        with lock:
+            calls[batch[0]] += 1
+            limited = calls[batch[0]] < STORM_RETRY.attempts
+        if limited:
+            told.value = 2.0 + batch[0]
+            raise RateLimited(retry_after=told.value)
+        return [x * 10 for x in batch]
+
+    items = list(range(10))
+    out = map_batches(items, storm_then_answer, batch_size=2, max_in_flight=3, retry=STORM_RETRY)
+    assert out == [x * 10 for x in items]
+    assert calls == {first: STORM_RETRY.attempts for first in range(0, 10, 2)}
+    assert len(sleeps) == 5 * (STORM_RETRY.attempts - 1)
+    assert all(seconds >= retry_after for retry_after, seconds in sleeps)
 
 
 def test_grouped_by_language_pair():

@@ -118,6 +118,29 @@ class PipelineConfig:
         return "identity" if self.mode == "multilingual" else self.translate.kind
 
 
+# Keys whose value must be an int, per section ("" is the top level).
+_INT_KEYS = {
+    "": ("seed", "threads"),
+    "translate": ("max_in_flight", "batch_size"),
+    "embed": ("dim", "max_tokens"),
+    "index": ("nlist", "nprobe", "kmeans_iters", "seed"),
+    "dedup": ("k",),
+}
+
+
+def _check_ints(raw: dict) -> None:
+    """Reject a float, bool, string or other non-int under an integer key, naming it."""
+    for section, keys in _INT_KEYS.items():
+        values = raw.get(section) if section else raw
+        if not isinstance(values, dict):
+            continue
+        for key in keys:
+            value = values.get(key, 0)  # an absent key keeps its int default
+            if isinstance(value, bool) or not isinstance(value, int):
+                name = f"{section}.{key}" if section else key
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_keys(raw: dict, allowed: Sequence[str], where: str) -> None:
     unknown = set(raw) - set(allowed)
     if unknown:
@@ -148,6 +171,7 @@ def _config_from_dict(raw: dict) -> PipelineConfig:
         ("mode", "seed", "threads", "normalize", "translate", "embed", "index", "dedup", "io"),
         "config",
     )
+    _check_ints(raw)
     normalize_raw = dict(raw.get("normalize") or {})
     _check_keys(normalize_raw, ("ascii_only", "keep_punct"), "normalize")
     if "keep_punct" in normalize_raw:
@@ -185,8 +209,8 @@ def _config_from_dict(raw: dict) -> PipelineConfig:
 
     return PipelineConfig(
         mode=raw.get("mode", "two_step"),
-        seed=int(raw.get("seed", 0)),
-        threads=int(raw.get("threads", 1)),
+        seed=raw.get("seed", 0),
+        threads=raw.get("threads", 1),
         normalize=normalize,
         translate=translate,
         embed=embed,

@@ -147,9 +147,8 @@ def collect_hits(
     it. Those are exactly the k-NN hits under `radius`, bit for bit, so
     every threshold and sweep at or under it counts the same pairs, and
     every saturated query is still found; the index then re-ranks only
-    the rows (of its probed lists, for IVF) that can lie under `radius`
-    (see `postdedup.index`). Queries may fan out over threads; results are
-    identical for any thread count.
+    the rows that can lie under `radius` (see `postdedup.index`). Queries
+    may fan out over threads; results are identical for any thread count.
 
     The pairs are the union of every query's hits, with names
     `sorted(index.ids)`; a pair found from both ends keeps the distance of

@@ -9,53 +9,47 @@ batched or threaded, and an IVF index probing all of its lists
 reproduces the flat index exactly, including tie order (ties break by
 ascending id everywhere).
 
-Search kernel. Queries run in blocks whose temporaries are sized by a
-byte budget (`_BLOCK_BYTES`), not by a query count. For each block a
-flat scan first computes the approximate squared distance
-``A = ‖q‖² + ‖x‖² − 2·q·x`` of every stored row from one product of the
-block's queries with the stored float32 vectors. It keeps, per query,
-every row with ``A ≤ a_k + 2Δ``, where ``a_k`` is the query's k-th
-smallest ``A`` and
+Search kernel. Every search scans lists of stored rows, as the IVF list
+scan of Johnson, Douze & Jégou (arXiv:1702.08734) does: a flat index is
+one list, ``[0, n)``, that every query probes, and an IVF index probes
+each query's ``nprobe`` nearest lists, found by the same kernel over the
+centroids. Queries run in blocks whose temporaries are sized by a byte
+budget (`_BLOCK_BYTES`), not by a query count. Each list a block probes
+gets one product with the queries probing it, which gives the
+approximate squared distance ``A = ‖q‖² + ‖x‖² − 2·q·x`` of every row of
+the list. Per query the scan keeps every row with ``A ≤ a_k + 2Δ``,
+where ``a_k`` is the query's k-th smallest ``A`` in the list and
 
     Δ = (γ_d + 2·γ'_(d+2) + 6u)·(‖q‖ + max‖x‖)² + (5d + 4)·η
 
-bounds ``|A − exact d²|`` for every row (u: unit roundoff of the stored
-dtype, 2⁻²⁴ for float32; γ_n = n·u/(1 − n·u), γ' the same for float64;
-η: half the smallest subnormal; d: dimension; derivation at
+bounds ``|A − exact d²|`` for every row of the list (u: unit roundoff of
+the stored dtype, 2⁻²⁴ for float32; γ_n = n·u/(1 − n·u), γ' the same for
+float64; η: half the smallest subnormal; d: dimension; derivation at
 `_preselect`). Only the kept rows are re-ranked with the exact
 expression, and the top k is chosen by (exact d², id), so the result
-equals an exhaustive exact scan bit for bit, ties included. The k-means
-assign step uses the same preselect and exact re-check against the
-centroids, and the k-means++ seeding the same bound, with float64's u,
-to skip the rows a new center cannot bring closer.
+equals an exhaustive exact scan of the probed rows bit for bit, ties
+included. The k-means assign step uses the same preselect and exact
+re-check against the centroids, and the k-means++ seeding the same
+bound, with float64's u, to skip the rows a new center cannot bring
+closer.
 
 A search can also be bounded by a radius R, the largest distance the
 caller can keep (a range search next to k-NN, as in Johnson et al.; the
 threshold bounds all-pairs search as in Bayardo, Ma & Srikant, "Scaling
 Up All Pairs Similarity Search", WWW 2007). Each query then keeps the
-rows with ``A ≤ R² + 2Δ``. A flat query that keeps more than k of them
-partitions its row for ``a_k`` and keeps ``A ≤ a_k + 2Δ`` instead, which
-is exactly what it keeps without R. Every row under R is still kept, so
-the hits under R are those of the unbounded search bit for bit, while
-the exact re-rank sees the few rows near each query instead of more
-than k.
-
-IVF probes each query's ``nprobe`` nearest lists through the same flat
-kernel over the centroids. Without a radius it re-ranks every probed
-row exactly. With one it scans list by list: each list probed by a block
-of queries gets one product with those queries and keeps the rows with
-``A ≤ R² + 2Δ`` (Δ takes the largest norm of all stored rows, so it
-holds for any list), and only those are re-ranked. The probed rows
-under R are all kept and come first in (d², id) order, so the hits
-under R are the unbounded search's bit for bit, however many rows a
-query keeps; unlike flat, no k-th partition is needed.
+rows of a list with ``A ≤ R² + 2Δ``. A query that keeps more than k of
+them in one list partitions that list for ``a_k`` and keeps
+``A ≤ a_k + 2Δ`` instead, which is exactly what it keeps there without
+R. The hits under R are those of the unbounded search bit for bit,
+while the exact re-rank sees the few rows near each query instead of
+more than k.
 
 The product is one BLAS GEMM, ``(rows @ queries.T).T``, as in blocked
-exact search (Johnson, Douze & Jégou, arXiv:1702.08734). The CLI runs
-OpenBLAS with one thread (see ``postdedup.cli``), so the only parallelism
-is the block pool of ``threads``. On the flat-2k rows (2,395 × 256,
-blocks of 8 queries) the one-thread product takes 0.075 s against 0.24 s
-for the ``np.einsum`` it replaced; ``queries @ rows.T`` takes 0.16 s.
+exact search (Johnson et al.). The CLI runs OpenBLAS with one thread (see
+``postdedup.cli``), so the only parallelism is the block pool of
+``threads``. On the flat-2k rows (2,395 × 256, blocks of 8 queries) the
+one-thread product takes 0.075 s against 0.24 s for the ``np.einsum`` it
+replaced; ``queries @ rows.T`` takes 0.16 s.
 
 Persistence uses a little-endian binary format:
 
@@ -98,12 +92,14 @@ _KIND_FLAT = 0
 _KIND_IVF = 1
 
 # Bytes of temporaries one block of queries may hold. A block takes as
-# many queries as fit when every candidate (query, row) entry costs
-# `_CANDIDATE_BYTES` (indices, exact d², sort order) plus, for a
-# preselecting scan, two approximate distances and a mask flag; a scan
-# bounded by a radius charges only the latter (see `_nearest`). The rows
-# a query can reach are all stored rows for flat, and for IVF the rows of
-# the `nprobe` largest lists (see `IVFIndex.search_arrays`).
+# many queries as fit when each query costs its gathered copy and every
+# (query, row) entry it can reach costs two approximate distances and a
+# mask flag, plus `_CANDIDATE_BYTES` (indices, exact d², sort order)
+# without a radius; with one a query keeps few rows, so a block whose
+# queries all keep every row they reach (a clique under the radius) can
+# hold up to 5.4 times the budget for float32 rows. The rows a query can
+# reach are all n stored rows for flat, and for IVF the rows of the
+# `nprobe` largest lists (see `_BaseIndex.search_arrays`).
 _BLOCK_BYTES = 1 << 20
 _CANDIDATE_BYTES = 40
 
@@ -207,13 +203,21 @@ def _preselect(
     cutoff R² + 2Δ is computed in float64 with two roundings, which lose
     at most 2u'(R² + 2Δ): less than Δ when R² ≤ Δ/(2u'), and when R² is
     larger every row passes anyway, since A ≤ E + Δ ≤ 2S ≪ R². So keeping
-    A ≤ R² + 2Δ keeps every row under R. A query that keeps at most k rows
-    this way keeps all of its rows under R, and they are its nearest, so
-    the radius-free top k holds all of them too. A query that keeps more
-    than k falls back to the cutoff a_k + 2Δ: its kept set, and so its
-    exact top k, is then the one found without a radius. Either way each
-    query's hits under R equal its radius-free top k's hits under R, bit
-    for bit.
+    A ≤ R² + 2Δ keeps every row under R. A query that keeps more than k
+    rows this way falls back to the cutoff a_k + 2Δ. Either way its kept
+    set holds every row of its top k that lies under R.
+
+    A search calls this once per list it probes (flat: one list of every
+    row), and a probed list is a flat scan of its rows: a row in a
+    query's top k of all its probed rows is in the top k of its own
+    list. So the rows kept from all its lists hold every row of the
+    probed top k (that lies under R, with a radius), and without a radius
+    the top k of the kept rows is the probed top k. With one, a kept row
+    under R outside the probed top k sorts after all k of its rows by
+    (E, id); they then lie under R too and are kept, so that row is not
+    in the top k of the kept rows either. The top k of the kept rows
+    therefore has the radius-free probed top k's hits under R, bit for
+    bit.
     """
     m, n = len(queries), len(rows)
     if k >= n and radius is None:  # every row is in the top k
@@ -319,33 +323,17 @@ def _nearest(
     k: int,
     ranks: np.ndarray,
     threads: int = 1,
-    radius: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Exact top k of all `rows` per query (under `radius`): preselect, then exact re-rank.
-
-    Under a radius a query keeps few rows, so a block is sized by the
-    product and the mask alone; one whose queries all keep every row (a
-    clique under the radius, within 2Δ of one another) can hold up to
-    (2·itemsize + 1 + `_CANDIDATE_BYTES`) / (2·itemsize + 1), 5.4 times
-    the budget for float32 rows.
-    """
-    candidate_bytes = _CANDIDATE_BYTES if radius is None else 0
+    """Exact top k of all `rows` per query: preselect, then exact re-rank."""
     return _blocked_top_k(
         queries,
         rows,
         k,
         ranks,
-        lambda block: _preselect(queries[block], rows, row_sq, k, radius),
-        (2 * rows.itemsize + 1 + candidate_bytes) * len(rows),
+        lambda block: _preselect(queries[block], rows, row_sq, k),
+        (2 * rows.itemsize + 1 + _CANDIDATE_BYTES) * len(rows),
         threads,
     )
-
-
-def _spans(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Concatenation of the ranges [starts[i], starts[i] + sizes[i])."""
-    ends = np.cumsum(sizes)
-    total = int(ends[-1]) if ends.size else 0
-    return np.arange(total) + np.repeat(starts - (ends - sizes), sizes)
 
 
 class _BaseIndex:
@@ -411,6 +399,10 @@ class _BaseIndex:
             raise DimensionMismatch(self.dim, int(queries.shape[-1]) if queries.ndim else 0)
         return queries
 
+    def _lists(self, queries: np.ndarray, threads: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each list's first row and size, and the (m, p) lists each query probes."""
+        raise NotImplementedError
+
     def search_arrays(
         self, queries, k: int, threads: int = 1, radius: float | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -421,7 +413,35 @@ class _BaseIndex:
         hits at a distance of `radius` or more may be left out, but every
         hit of the top k under it is there, with the same bits.
         """
-        raise NotImplementedError
+        queries = self._queries(queries, k)
+        starts, sizes, probes = self._lists(queries, threads)
+        nprobe = probes.shape[1]
+
+        def scan(block: slice) -> tuple[np.ndarray, np.ndarray]:
+            # Each (query, list) probe of the block, grouped by list in query order.
+            lists = probes[block].ravel()
+            by_list = np.argsort(lists, kind="stable")
+            counts = np.bincount(lists, minlength=len(sizes))
+            ends = np.cumsum(counts)
+            found = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))]
+            for lst in np.flatnonzero((counts > 0) & (sizes > 0)):
+                probing = by_list[ends[lst] - counts[lst] : ends[lst]] // nprobe
+                span = slice(starts[lst], starts[lst] + sizes[lst])
+                qi, rj = _preselect(
+                    queries[block][probing], self._vecs32[span], self._sq[span], k, radius
+                )
+                found.append((probing[qi], rj + starts[lst]))
+            qi, rj = zip(*found)
+            return np.concatenate(qi), np.concatenate(rj)
+
+        most = int(np.sort(sizes)[-nprobe:].sum())
+        entry_bytes = 2 * self._vecs32.itemsize + 1 + (_CANDIDATE_BYTES if radius is None else 0)
+        query_bytes = entry_bytes * most + self._vecs32.itemsize * self.dim
+        rows, d2, self.rerank_count = _blocked_top_k(
+            queries, self._vecs32, k, self._id_ranks, scan, query_bytes, threads
+        )
+        self.comparison_count = int(sizes[probes].sum())
+        return rows, np.sqrt(d2)
 
     def save(self, path: str | Path) -> None:
         with atomic_write(path, "wb") as fh:
@@ -440,15 +460,10 @@ class FlatIndex(_BaseIndex):
 
     kind = "flat"
 
-    def search_arrays(
-        self, queries, k: int, threads: int = 1, radius: float | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        queries = self._queries(queries, k)
-        rows, d2, reranked = _nearest(
-            queries, self._vecs32, self._sq, k, self._id_ranks, threads, radius
-        )
-        self.comparison_count, self.rerank_count = len(queries) * len(self), reranked
-        return rows, np.sqrt(d2)
+    def _lists(self, queries: np.ndarray, threads: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # One list, [0, n), that every query probes.
+        probes = np.zeros((len(queries), 1), dtype=np.int64)
+        return np.zeros(1, dtype=np.int64), np.array([len(self)]), probes
 
     def to_bytes(self) -> bytes:
         return _serialize(_KIND_FLAT, self.dim, self.ids, self._vecs32, None, None)
@@ -491,74 +506,12 @@ class IVFIndex(_BaseIndex):
     def list_sizes(self) -> list[int]:
         return self._list_sizes.tolist()
 
-    def _probed(self, lists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(query, row) pairs of every row a query probes; row q of `lists` holds query q's lists."""
-        sizes = self._list_sizes[lists]
-        rows = _spans(self._list_starts[lists].ravel(), sizes.ravel())
-        return np.repeat(np.arange(len(lists)), sizes.sum(axis=1)), rows
-
-    def _bounded_scan(
-        self, queries: np.ndarray, lists: np.ndarray, radius: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(query, row) pairs to re-rank: the probed rows that can lie under `radius`.
-
-        Each list probed by the block gets one product with the queries
-        probing it and keeps the rows with A ≤ R² + 2Δ, as `_preselect`
-        does; Δ takes the largest norm of all stored rows, so its proof
-        holds for the rows of any list. Every probed row under R is kept,
-        and in (d², id) order those rows come before all others, so the
-        top k of the kept rows holds the same hits under R, with the same
-        bits, as the top k of all probed rows, however many rows a query
-        keeps.
-        """
-        nprobe = lists.shape[1]
-        q_sq = _sq_norms(queries)
-        cutoff = radius * radius + 2 * _margin(q_sq, self._sq.max(), self.dim, self._vecs32.dtype)
-        # Each (query, list) probe, grouped by list in query order.
-        by_list = np.argsort(lists.ravel(), kind="stable")
-        bounds = np.concatenate(([0], np.cumsum(np.bincount(lists.ravel(), minlength=self.nlist))))
-        found_q, found_r = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-        for lst in np.flatnonzero((bounds[1:] > bounds[:-1]) & (self._list_sizes > 0)):
-            start = int(self._list_starts[lst])
-            stop = start + int(self._list_sizes[lst])
-            probing = by_list[bounds[lst] : bounds[lst + 1]] // nprobe
-            approx = self._vecs32[start:stop] @ queries[probing].T
-            approx *= -2
-            approx += self._sq[start:stop, None]
-            approx += q_sq[probing]
-            row, col = np.nonzero(approx <= cutoff[probing])
-            found_q.append(probing[col])
-            found_r.append(row + start)
-        return np.concatenate(found_q), np.concatenate(found_r)
-
-    def search_arrays(
-        self, queries, k: int, threads: int = 1, radius: float | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        # Probe every query's lists first. Without `radius` every probed row
-        # is re-ranked exactly; with it, only the rows `_bounded_scan` keeps.
-        # A block is sized by the most rows one query can probe, those of
-        # the `nprobe` largest lists, at the entry costs of the flat search;
-        # as there, a bounded block whose queries keep every probed row (a
-        # clique under the radius) can hold several times the budget.
-        queries = self._queries(queries, k)
-        lists, _, _ = _nearest(
+    def _lists(self, queries: np.ndarray, threads: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # Each query probes its `nprobe` nearest centroids' lists.
+        probes, _, _ = _nearest(
             queries, self._cent32, self._cent_sq, self.nprobe, np.arange(self.nlist), threads
         )
-        most_probed = int(np.sort(self._list_sizes)[-self.nprobe :].sum())
-        if radius is None:
-            scan = lambda block: self._probed(lists[block])
-            query_bytes = _CANDIDATE_BYTES * most_probed
-        else:
-            scan = lambda block: self._bounded_scan(queries[block], lists[block], radius)
-            # The product and mask of the probed rows, and the gathered queries.
-            itemsize = self._vecs32.itemsize
-            query_bytes = (2 * itemsize + 1) * most_probed + itemsize * self.dim
-        rows, d2, reranked = _blocked_top_k(
-            queries, self._vecs32, k, self._id_ranks, scan, query_bytes, threads
-        )
-        self.comparison_count = int(self._list_sizes[lists].sum())
-        self.rerank_count = reranked
-        return rows, np.sqrt(d2)
+        return self._list_starts, self._list_sizes, probes
 
     def to_bytes(self) -> bytes:
         return _serialize(_KIND_IVF, self.dim, self.ids, self._vecs32, self._cent32, self._offsets)

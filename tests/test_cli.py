@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -145,6 +146,27 @@ def test_removed_output_dir_key_is_config_error(tmp_path, capsys):
     config.write_text("io: {output_dir: run}\n", encoding="utf-8")
     assert run_cli("dedup", "--out", tmp_path, "--config", config) == 2
     assert "output_dir" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [1.5, True, "3"])
+@pytest.mark.parametrize(
+    "key",
+    [
+        "seed", "threads", "translate.max_in_flight", "translate.batch_size",
+        "embed.dim", "embed.max_tokens", "index.nlist", "index.nprobe",
+        "index.kmeans_iters", "index.seed", "dedup.k",
+    ],
+)
+def test_integer_config_key_rejects_other_values(tmp_path, capsys, key, value):
+    # A float must not be truncated or crash later, and a bool is not a count.
+    section, _, name = key.rpartition(".")
+    document = {section: {name: value}} if section else {name: value}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(document), encoding="utf-8")
+    assert run_cli("dedup", "--out", tmp_path, "--config", config) == 2
+    err = capsys.readouterr().err
+    assert f"{key} must be an integer" in err
+    assert "Traceback" not in err
 
 
 def test_same_config_and_seed_byte_identical_results(tmp_path):
@@ -626,3 +648,62 @@ def test_dedup_outputs_do_not_depend_on_threads_with_one_blas_thread(tmp_path, k
         )
         outputs.append([(outdir / name).read_bytes() for name in (RESULTS_FILE, INDEX_FILE)])
     assert outputs[0] == outputs[1]
+
+
+# Runs `postdedup dedup` with os.replace wrapped so that the process
+# SIGKILLs itself just before `results.csv` would be replaced.
+_KILLED_AT_RESULTS = """
+import os, signal, sys
+import postdedup.atomic
+from postdedup import cli
+
+replace = postdedup.atomic.os.replace
+
+def kill_before_results(src, dst):
+    if os.path.basename(dst) == "results.csv":
+        os.kill(os.getpid(), signal.SIGKILL)
+    replace(src, dst)
+
+postdedup.atomic.os.replace = kill_before_results
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_sigkill_during_an_artifact_write_then_dedup_again(tmp_path):
+    run, fresh = tmp_path / "run", tmp_path / "fresh"
+    for outdir in (run, fresh):
+        assert run_cli(*synth_args(outdir, n_base=40, seed=9)) == 0
+
+    def dedup(outdir, theta):
+        return ["dedup", "--out", outdir, "--dict", outdir / DICTIONARY_FILE, "--k", 20,
+                "--theta", theta, "--seed", 9]
+
+    # An earlier good run with another theta, so its results differ.
+    assert run_cli(*dedup(run, 0.2)) == 0
+    earlier = (run / RESULTS_FILE).read_bytes()
+    assert run_cli(*dedup(fresh, 0.35)) == 0
+    assert (fresh / RESULTS_FILE).read_bytes() != earlier
+
+    killed = subprocess.run(
+        [sys.executable, "-c", _KILLED_AT_RESULTS, *map(str, dedup(run, 0.35))],
+        env=_env_without_blas_threads(),
+        capture_output=True,
+    )
+    assert killed.returncode == -signal.SIGKILL
+    assert (run / RESULTS_FILE).read_bytes() == earlier
+    # Nothing cleans up under SIGKILL: the finished temp file stays behind.
+    (orphan,) = run.glob(f".{RESULTS_FILE}.*.tmp")
+    orphan.write_bytes(b"not a results file\n")
+
+    assert run_cli(*dedup(run, 0.35)) == 0
+    assert orphan.read_bytes() == b"not a results file\n"  # the rerun neither reads nor removes it
+    names = sorted(p.name for p in fresh.iterdir())
+    assert sorted(p.name for p in run.iterdir() if p != orphan) == names
+    for name in names:
+        if name == REPORT_FILE:
+            reports = [json.loads((d / name).read_text()) for d in (run, fresh)]
+            for report in reports:
+                del report["stage_seconds"]
+            assert reports[0] == reports[1]
+        else:
+            assert (run / name).read_bytes() == (fresh / name).read_bytes(), name

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
-from .errors import BackendUnavailable, RateLimited
+from .errors import BackendUnavailable, ConfigError, RateLimited
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -60,6 +60,13 @@ def _retry_after(value: str | None) -> float | None:
         return float(value) if value else None
     except ValueError:
         return None
+
+
+def check_endpoint(endpoint: str) -> str:
+    """`endpoint` if it is an http(s) URL; anything else is a ConfigError, not a retry."""
+    if not endpoint.startswith(("http://", "https://")):
+        raise ConfigError(f"malformed endpoint {endpoint!r}")
+    return endpoint
 
 
 def post_json(

@@ -229,9 +229,14 @@ def _cmd_report(args) -> int:
                 if name != "macro_f1"
             }
             eval_report = EvalReport(per_class=per_class, macro_f1=raw["macro_f1"])
-        except (AttributeError, KeyError, TypeError) as err:
+            render_report(None, eval_report)  # every value must render
+        except (AttributeError, KeyError, TypeError, ValueError) as err:
             raise DataError(f"malformed eval report {eval_path}: {err!r}") from err
-    print(render_report(run, eval_report, format=args.format), end="")
+    try:
+        text = render_report(run, eval_report, format=args.format)
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise DataError(f"malformed run report {run_path}: {err!r}") from err
+    print(text, end="")
     return 0
 
 

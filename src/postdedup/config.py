@@ -141,6 +141,16 @@ def _check_ints(raw: dict) -> None:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _float(value, name: str) -> float:
+    """`value` read with float(), so that a YAML 1.1 `1e-1` string counts; a bool does not."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
 def _check_keys(raw: dict, allowed: Sequence[str], where: str) -> None:
     unknown = set(raw) - set(allowed)
     if unknown:
@@ -153,7 +163,13 @@ def _rules_from_config(raw, base_theta: float) -> tuple[ExpertRule, ...]:
     if raw == "example":
         return tuple(example_ruleset(base_theta))
     if isinstance(raw, list):
-        return tuple(ExpertRule.from_dict(entry) for entry in raw)
+        rules = []
+        for i, entry in enumerate(raw):
+            if isinstance(entry, dict) and entry.get("threshold") is not None:
+                threshold = _float(entry["threshold"], f"dedup.rules[{i}].threshold")
+                entry = {**entry, "threshold": threshold}
+            rules.append(ExpertRule.from_dict(entry))
+        return tuple(rules)
     raise ConfigError("dedup.rules must be 'example', 'none', or a list of rule objects")
 
 
@@ -197,11 +213,12 @@ def _config_from_dict(raw: dict) -> PipelineConfig:
 
     dedup_raw = dict(raw.get("dedup") or {})
     _check_keys(dedup_raw, ("k", "base_theta", "rules", "sweep_thetas"), "dedup")
-    base_theta = float(dedup_raw.get("base_theta", 0.25))
+    base_theta = _float(dedup_raw.pop("base_theta", 0.25), "dedup.base_theta")
     rules = _rules_from_config(dedup_raw.pop("rules", None), base_theta)
     if "sweep_thetas" in dedup_raw:
-        dedup_raw["sweep_thetas"] = tuple(dedup_raw["sweep_thetas"])
-    dedup = DedupConfig(rules=rules, **dedup_raw)
+        thetas = dedup_raw["sweep_thetas"]
+        dedup_raw["sweep_thetas"] = tuple(_float(t, "dedup.sweep_thetas") for t in thetas)
+    dedup = DedupConfig(base_theta=base_theta, rules=rules, **dedup_raw)
 
     io_raw = dict(raw.get("io") or {})
     _check_keys(io_raw, ("input_path", "input_format"), "io")

@@ -186,7 +186,8 @@ class RemoteEmbedder:
     translation client: HTTP 429 is RateLimited, and an unreachable
     endpoint, an error status, a body without a "vectors" list, one with
     a vector count other than the batch size, or a vector with a
-    non-numeric, NaN or infinite entry is BackendUnavailable.
+    non-numeric, NaN or infinite entry is BackendUnavailable. An endpoint
+    that is not an http(s) URL is a ConfigError.
     """
 
     def __init__(
@@ -200,8 +201,10 @@ class RemoteEmbedder:
     ) -> None:
         import requests
 
+        from .batching import check_endpoint
+
         self.name = "remote"
-        self.endpoint = endpoint
+        self.endpoint = check_endpoint(endpoint)
         self.dim = dim
         self.timeout = timeout
         self.batch_size = batch_size

@@ -9,29 +9,31 @@ batched or threaded, and an IVF index probing all of its lists
 reproduces the flat index exactly, including tie order (ties break by
 ascending id everywhere).
 
-Search kernel. Every search scans lists of stored rows, as the IVF list
-scan of Johnson, Douze & Jégou (arXiv:1702.08734) does: a flat index is
-one list, ``[0, n)``, that every query probes, and an IVF index probes
-each query's ``nprobe`` nearest lists, found by the same kernel over the
-centroids. Queries run in blocks whose temporaries are sized by a byte
-budget (`_BLOCK_BYTES`), not by a query count. Each list a block probes
-gets one product with the queries probing it, which gives the
-approximate squared distance ``A = ‖q‖² + ‖x‖² − 2·q·x`` of every row of
-the list. Per query the scan keeps every row with ``A ≤ a_k + 2Δ``,
-where ``a_k`` is the query's k-th smallest ``A`` in the list and
+Search kernel. One function, `_search`, finds every exact top k here,
+by the IVF list scan of Johnson, Douze & Jégou (arXiv:1702.08734): a
+query scans the lists of rows it probes. A flat index is one list,
+``[0, n)``, that every query probes; an IVF index probes each query's
+``nprobe`` nearest lists, and that probe is a one-list search over the
+centroids, as the k-means assign step is over the centers. Queries run
+in blocks whose temporaries are sized by a byte budget (`_BLOCK_BYTES`),
+not by a query count. Each list a block probes gets one product with the
+queries probing it (`_preselect`, the only place that forms it), which
+gives the approximate squared distance ``A = ‖q‖² + ‖x‖² − 2·q·x`` of
+every row of the list. Per query the scan keeps every row with
+``A ≤ a_k + 2Δ``, where ``a_k`` is the query's k-th smallest ``A`` in
+the list and
 
     Δ = (γ_d + 2·γ'_(d+2) + 6u)·(‖q‖ + max‖x‖)² + (5d + 4)·η
 
 bounds ``|A − exact d²|`` for every row of the list (u: unit roundoff of
-the stored dtype, 2⁻²⁴ for float32; γ_n = n·u/(1 − n·u), γ' the same for
+the rows' dtype, 2⁻²⁴ for float32; γ_n = n·u/(1 − n·u), γ' the same for
 float64; η: half the smallest subnormal; d: dimension; derivation at
 `_preselect`). Only the kept rows are re-ranked with the exact
 expression, and the top k is chosen by (exact d², id), so the result
 equals an exhaustive exact scan of the probed rows bit for bit, ties
-included. The k-means assign step uses the same preselect and exact
-re-check against the centroids, and the k-means++ seeding the same
-bound, with float64's u, to skip the rows a new center cannot bring
-closer.
+included. The k-means++ seeding shares the same preselect, bounded per
+row by its distance to the nearest center so far, to skip the rows a
+new center cannot bring closer.
 
 A search can also be bounded by a radius R, the largest distance the
 caller can keep (a range search next to k-NN, as in Johnson et al.; the
@@ -71,7 +73,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -98,8 +100,8 @@ _KIND_IVF = 1
 # without a radius; with one a query keeps few rows, so a block whose
 # queries all keep every row they reach (a clique under the radius) can
 # hold up to 5.4 times the budget for float32 rows. The rows a query can
-# reach are all n stored rows for flat, and for IVF the rows of the
-# `nprobe` largest lists (see `_BaseIndex.search_arrays`).
+# reach are those of the `nprobe` largest lists: all n rows for a one-list
+# search (flat, the IVF probe, the k-means assign); see `_search`.
 _BLOCK_BYTES = 1 << 20
 _CANDIDATE_BYTES = 40
 
@@ -153,28 +155,37 @@ def _kth_cutoff(approx: np.ndarray, k: int, delta: np.ndarray) -> np.ndarray:
     return (kth.astype(np.float64) + 2 * delta)[:, None]
 
 
+# Unit roundoff u and smallest subnormal (2η) of each dtype the kernel
+# scans: float32 for stored rows and centroids, float64 for k-means.
+_ROUNDING = {
+    np.dtype(np.float32): (2.0**-24, 2.0**-149),
+    np.dtype(np.float64): (2.0**-53, 2.0**-1074),
+}
+
+
 def _margin(q_sq: np.ndarray, max_row_sq: float, dim: int, dtype) -> np.ndarray:
     """Δ per query: a bound on |A − E| against any row of squared norm at most `max_row_sq`.
 
     u and η are those of the rows' `dtype` (see `_preselect`). The bound
     takes the largest row norm, so it holds for any subset of the rows.
     """
-    info = np.finfo(dtype)
-    u = float(info.eps) / 2
-    coeff = _gamma(dim, u) + 2 * _gamma(dim + 2, float(np.finfo(np.float64).eps) / 2) + 6 * u
-    floor = (5 * dim + 4) * float(info.smallest_subnormal) / 2
+    u, tiny = _ROUNDING[dtype]
+    coeff = _gamma(dim, u) + 2 * _gamma(dim + 2, 2.0**-53) + 6 * u
+    floor = (5 * dim + 4) * tiny / 2
     return coeff * (np.sqrt(q_sq) + np.sqrt(max_row_sq)) ** 2 + floor
 
 
 def _preselect(
     queries: np.ndarray,
+    q_sq: np.ndarray,
     rows: np.ndarray,
     row_sq: np.ndarray,
     k: int,
-    radius: float | None = None,
+    r2: float | np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(query, row) index pairs that can be in a query's exact top k (under `radius`).
+    """(query, row) index pairs that can be in a query's exact top k (with E under `r2`).
 
+    `q_sq` and `row_sq` are the squared norms of `queries` and `rows`.
     For a query q and a row x let D = ‖q − x‖² in real arithmetic and
     S = (‖q‖ + ‖x‖)², so that ‖q‖² + ‖x‖² ≤ S, 2|q·x| ≤ S and D ≤ S.
     With u and η of the rows' dtype and d the dimension:
@@ -197,15 +208,18 @@ def _preselect(
     keeps every row the exact top k can hold, through any ties. The
     bound scales with the norms and holds for any summation order.
 
-    With `radius` R only the rows the top k can hold at a distance under
-    R are needed. The distance is the float64 square root of E, correctly
-    rounded and R a float64, so √E < R implies E < R² and A < R² + Δ. The
-    cutoff R² + 2Δ is computed in float64 with two roundings, which lose
-    at most 2u'(R² + 2Δ): less than Δ when R² ≤ Δ/(2u'), and when R² is
-    larger every row passes anyway, since A ≤ E + Δ ≤ 2S ≪ R². So keeping
-    A ≤ R² + 2Δ keeps every row under R. A query that keeps more than k
-    rows this way falls back to the cutoff a_k + 2Δ. Either way its kept
-    set holds every row of its top k that lies under R.
+    With `r2` only the rows with E under a bound ρ are needed, and `r2`
+    is one value for all queries or one per query. A search bounded by a
+    radius R passes R·R: the distance is the float64 square root of E,
+    correctly rounded and R a float64, so √E < R implies E < ρ = R². The
+    k-means++ seeding passes each row's running d² as ρ itself. A row
+    with E < ρ has A < ρ + Δ. The cutoff r2 + 2Δ comes from ρ with at
+    most two float64 roundings, which lose at most 2u'(ρ + 2Δ): less than
+    Δ when ρ ≤ Δ/(2u'), and when ρ is larger every row passes anyway,
+    since then ρ > 3S + 2d·η/u', far above A ≤ E + Δ. So keeping
+    A ≤ r2 + 2Δ keeps every row with E < ρ. A query that keeps more than
+    k rows this way falls back to the cutoff a_k + 2Δ. Either way its
+    kept set holds every row of its top k with E < ρ.
 
     A search calls this once per list it probes (flat: one list of every
     row), and a probed list is a flat scan of its rows: a row in a
@@ -220,19 +234,18 @@ def _preselect(
     bit.
     """
     m, n = len(queries), len(rows)
-    if k >= n and radius is None:  # every row is in the top k
+    if k >= n and r2 is None:  # every row is in the top k
         return np.repeat(np.arange(m), n), np.tile(np.arange(n), m)
     # BLAS is fastest on this orientation; the copy makes the arithmetic,
     # partition and mask below run on rows of contiguous memory.
     approx = np.ascontiguousarray((rows @ queries.T).T)
     approx *= -2
     approx += row_sq
-    q_sq = _sq_norms(queries)
     approx += q_sq[:, None]
     delta = _margin(q_sq, row_sq.max(), rows.shape[1], rows.dtype)
-    if radius is None:
+    if r2 is None:
         return np.nonzero(approx <= _kth_cutoff(approx, k, delta))
-    keep = approx <= (radius * radius + 2 * delta)[:, None]
+    keep = approx <= (r2 + 2 * delta)[:, None]
     over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
     if over.size:
         keep[over] = approx[over] <= _kth_cutoff(approx[over], k, delta[over])
@@ -277,63 +290,69 @@ def _top_k(
     d2_out[valid] = d2[pick]
 
 
-def _blocked_top_k(
-    queries: np.ndarray,
-    rows: np.ndarray,
-    k: int,
-    ranks: np.ndarray,
-    candidates: Callable[[slice], tuple[np.ndarray, np.ndarray]],
-    query_bytes: int,
-    threads: int = 1,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Exact top k rows per query under (d², rank), one block of queries at a time.
-
-    `candidates(block)` returns the (query, row) index pairs to re-rank for
-    the queries of the slice `block`, query indices counted from its start;
-    `query_bytes` is what one query may cost the block. Returns (m, k) row
-    indices (-1 where a query has fewer than k) and exact d² (inf there),
-    and the number of pairs re-ranked. Blocks are independent, so
-    `threads` only spreads them.
-    """
-    m = len(queries)
-    out_rows = np.full((m, k), -1, dtype=np.int64)
-    out_d2 = np.full((m, k), np.inf)
-    size = max(1, _BLOCK_BYTES // max(1, query_bytes))
-
-    def run(start: int) -> int:
-        block = slice(start, start + size)
-        qi, rj = candidates(block)
-        d2 = _exact_sq_dists(queries[block], rows, qi, rj)
-        _top_k(qi, rj, d2, ranks, out_rows[block], out_d2[block])
-        return int(qi.size)
-
-    starts = range(0, m, size)
-    if threads <= 1 or len(starts) <= 1:
-        reranked = sum(map(run, starts))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reranked = sum(pool.map(run, starts))
-    return out_rows, out_d2, reranked
+def _one_list(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The `lists` of `_search` for one list of all n rows, probed by each of m queries."""
+    return np.array([0, n]), np.zeros((m, 1), dtype=np.int64)
 
 
-def _nearest(
+def _search(
     queries: np.ndarray,
     rows: np.ndarray,
     row_sq: np.ndarray,
-    k: int,
     ranks: np.ndarray,
+    lists: tuple[np.ndarray, np.ndarray],
+    k: int,
     threads: int = 1,
+    r2: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Exact top k of all `rows` per query: preselect, then exact re-rank."""
-    return _blocked_top_k(
-        queries,
-        rows,
-        k,
-        ranks,
-        lambda block: _preselect(queries[block], rows, row_sq, k),
-        (2 * rows.itemsize + 1 + _CANDIDATE_BYTES) * len(rows),
-        threads,
-    )
+    """Exact top k per query by (d², rank) over the rows of the lists it probes.
+
+    `lists` is (bounds, probes): list i holds rows bounds[i]:bounds[i + 1]
+    and query q probes the lists probes[q]. A block of queries sends each
+    list it probes through `_preselect`, with the queries probing it and
+    the squared radius `r2`, and re-ranks the kept rows exactly. Returns
+    (m, k) row indices (-1 where a query has fewer than k) and exact d²
+    (inf there), and the number of pairs re-ranked. Blocks are
+    independent, so `threads` only spreads them.
+    """
+    bounds, probes = lists
+    firsts, sizes = bounds[:-1], np.diff(bounds)
+    m, nprobe = probes.shape
+    out_rows = np.full((m, k), -1, dtype=np.int64)
+    out_d2 = np.full((m, k), np.inf)
+    most = int(np.sort(sizes)[-nprobe:].sum())
+    entry_bytes = 2 * rows.itemsize + 1 + (_CANDIDATE_BYTES if r2 is None else 0)
+    size = max(1, _BLOCK_BYTES // (entry_bytes * most + queries.itemsize * queries.shape[1]))
+
+    def run(start: int) -> int:
+        block = slice(start, start + size)
+        block_q = queries[block]
+        block_sq = _sq_norms(block_q)
+        # Each (query, list) probe of the block, grouped by list in query order.
+        probed = probes[block].ravel()
+        by_list = np.argsort(probed, kind="stable")
+        counts = np.bincount(probed, minlength=len(sizes))
+        ends = np.cumsum(counts)
+        found = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))]
+        for lst in np.flatnonzero((counts > 0) & (sizes > 0)):
+            probing = by_list[ends[lst] - counts[lst] : ends[lst]] // nprobe
+            span = slice(firsts[lst], firsts[lst] + sizes[lst])
+            qi, rj = _preselect(
+                block_q[probing], block_sq[probing], rows[span], row_sq[span], k, r2
+            )
+            found.append((probing[qi], rj + firsts[lst]))
+        qi, rj = (np.concatenate(part) for part in zip(*found))
+        d2 = _exact_sq_dists(block_q, rows, qi, rj)
+        _top_k(qi, rj, d2, ranks, out_rows[block], out_d2[block])
+        return int(qi.size)
+
+    blocks = range(0, m, size)
+    if threads <= 1 or len(blocks) <= 1:
+        reranked = sum(map(run, blocks))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            reranked = sum(pool.map(run, blocks))
+    return out_rows, out_d2, reranked
 
 
 class _BaseIndex:
@@ -399,8 +418,8 @@ class _BaseIndex:
             raise DimensionMismatch(self.dim, int(queries.shape[-1]) if queries.ndim else 0)
         return queries
 
-    def _lists(self, queries: np.ndarray, threads: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each list's first row and size, and the (m, p) lists each query probes."""
+    def _lists(self, queries: np.ndarray, threads: int) -> tuple[np.ndarray, np.ndarray]:
+        """`_search` lists: the lists' row bounds and the (m, p) lists each query probes."""
         raise NotImplementedError
 
     def search_arrays(
@@ -414,33 +433,12 @@ class _BaseIndex:
         hit of the top k under it is there, with the same bits.
         """
         queries = self._queries(queries, k)
-        starts, sizes, probes = self._lists(queries, threads)
-        nprobe = probes.shape[1]
-
-        def scan(block: slice) -> tuple[np.ndarray, np.ndarray]:
-            # Each (query, list) probe of the block, grouped by list in query order.
-            lists = probes[block].ravel()
-            by_list = np.argsort(lists, kind="stable")
-            counts = np.bincount(lists, minlength=len(sizes))
-            ends = np.cumsum(counts)
-            found = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))]
-            for lst in np.flatnonzero((counts > 0) & (sizes > 0)):
-                probing = by_list[ends[lst] - counts[lst] : ends[lst]] // nprobe
-                span = slice(starts[lst], starts[lst] + sizes[lst])
-                qi, rj = _preselect(
-                    queries[block][probing], self._vecs32[span], self._sq[span], k, radius
-                )
-                found.append((probing[qi], rj + starts[lst]))
-            qi, rj = zip(*found)
-            return np.concatenate(qi), np.concatenate(rj)
-
-        most = int(np.sort(sizes)[-nprobe:].sum())
-        entry_bytes = 2 * self._vecs32.itemsize + 1 + (_CANDIDATE_BYTES if radius is None else 0)
-        query_bytes = entry_bytes * most + self._vecs32.itemsize * self.dim
-        rows, d2, self.rerank_count = _blocked_top_k(
-            queries, self._vecs32, k, self._id_ranks, scan, query_bytes, threads
+        bounds, probes = self._lists(queries, threads)
+        r2 = None if radius is None else radius * radius
+        rows, d2, self.rerank_count = _search(
+            queries, self._vecs32, self._sq, self._id_ranks, (bounds, probes), k, threads, r2
         )
-        self.comparison_count = int(sizes[probes].sum())
+        self.comparison_count = int(np.diff(bounds)[probes].sum())
         return rows, np.sqrt(d2)
 
     def save(self, path: str | Path) -> None:
@@ -460,10 +458,8 @@ class FlatIndex(_BaseIndex):
 
     kind = "flat"
 
-    def _lists(self, queries: np.ndarray, threads: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # One list, [0, n), that every query probes.
-        probes = np.zeros((len(queries), 1), dtype=np.int64)
-        return np.zeros(1, dtype=np.int64), np.array([len(self)]), probes
+    def _lists(self, queries: np.ndarray, threads: int) -> tuple[np.ndarray, np.ndarray]:
+        return _one_list(len(queries), len(self))
 
     def to_bytes(self) -> bytes:
         return _serialize(_KIND_FLAT, self.dim, self.ids, self._vecs32, None, None)
@@ -495,8 +491,7 @@ class IVFIndex(_BaseIndex):
         if bad.any():
             raise DataError(f"non-finite centroid {int(np.argmax(bad))} cannot be searched")
         self._offsets = np.asarray(offsets, dtype=np.uint64)
-        bounds = self._offsets.astype(np.int64)
-        self._list_starts, self._list_sizes = bounds[:-1], np.diff(bounds)
+        self._bounds = self._offsets.astype(np.int64)
         self.nprobe = nprobe
 
     @property
@@ -504,14 +499,15 @@ class IVFIndex(_BaseIndex):
         return int(self._cent32.shape[0])
 
     def list_sizes(self) -> list[int]:
-        return self._list_sizes.tolist()
+        return np.diff(self._bounds).tolist()
 
-    def _lists(self, queries: np.ndarray, threads: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # Each query probes its `nprobe` nearest centroids' lists.
-        probes, _, _ = _nearest(
-            queries, self._cent32, self._cent_sq, self.nprobe, np.arange(self.nlist), threads
+    def _lists(self, queries: np.ndarray, threads: int) -> tuple[np.ndarray, np.ndarray]:
+        # Each query probes the lists of its `nprobe` nearest centroids.
+        ranks, one = np.arange(self.nlist), _one_list(len(queries), self.nlist)
+        probes, _, _ = _search(
+            queries, self._cent32, self._cent_sq, ranks, one, self.nprobe, threads
         )
-        return self._list_starts, self._list_sizes, probes
+        return self._bounds, probes
 
     def to_bytes(self) -> bytes:
         return _serialize(_KIND_IVF, self.dim, self.ids, self._vecs32, self._cent32, self._offsets)
@@ -520,28 +516,17 @@ class IVFIndex(_BaseIndex):
 VectorIndex = Union[FlatIndex, IVFIndex]
 
 
-def _lower_sq_dists(
-    d2: np.ndarray, X: np.ndarray, x_sq: np.ndarray, max_sq: float, center: int
-) -> None:
+def _lower_sq_dists(d2: np.ndarray, X: np.ndarray, x_sq: np.ndarray, center: int) -> None:
     """d2 ← min(d2, exact d² of each row of X to the row `center`), in place.
 
-    Only the rows whose exact d² can fall under d2 go through the exact
-    expression: with A = ‖x‖² + ‖c‖² − 2·x·c and Δ its bound from
-    `_margin` (as in `_preselect`, u of X's dtype), a row with
-    A > d2 + 2Δ has exact d² > d2, so the minimum keeps d2's bits there.
-    Rounding d2 + 2Δ loses less than Δ unless d2 ≥ 2S, S = (‖x‖ + ‖c‖)²,
-    and then A ≤ E + Δ < 2S ≤ d2 keeps the row anyway, as for R² in
-    `_preselect`.
+    Only the rows `_preselect` keeps under r2 = d2 go through the exact
+    expression; any other row's exact d² is at least d2, so the minimum
+    keeps d2's bits there.
     """
-    c = X[center]
-    approx = X @ c
-    approx *= -2
-    approx += x_sq
-    approx += x_sq[center]
-    delta = _margin(x_sq[center], max_sq, X.shape[1], X.dtype)
-    near = np.flatnonzero(approx <= d2 + 2 * delta)
+    one = slice(center, center + 1)
+    near, _ = _preselect(X, x_sq, X[one], x_sq[one], 1, d2)
     rows = X[near]
-    d2[near] = np.minimum(d2[near], _row_sq_dists(rows, c, rows))
+    d2[near] = np.minimum(d2[near], _row_sq_dists(rows, X[center], rows))
 
 
 def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -550,7 +535,6 @@ def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     centers[0] = X[int(rng.integers(n))]
     d2 = _row_sq_dists(X, centers[0], None)
     x_sq = _sq_norms(X)
-    max_sq = float(x_sq.max())
     for j in range(1, k):
         total = float(d2.sum())
         if total > 0.0:
@@ -558,13 +542,14 @@ def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         else:
             idx = int(rng.integers(n))
         centers[j] = X[idx]
-        _lower_sq_dists(d2, X, x_sq, max_sq, idx)
+        _lower_sq_dists(d2, X, x_sq, idx)
     return centers
 
 
 def _assign(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Each row's nearest center by the exact expression, lowest index on ties."""
-    nearest, _, _ = _nearest(X, centers, _sq_norms(centers), 1, np.arange(len(centers)))
+    k = len(centers)
+    nearest, _, _ = _search(X, centers, _sq_norms(centers), np.arange(k), _one_list(len(X), k), 1)
     return nearest[:, 0]
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Protocol, Sequence
 
-from .batching import RetryPolicy, list_field, map_batches, post_json
+from .batching import RetryPolicy, check_endpoint, list_field, map_batches, post_json
 from .corpus import read_json
 from .errors import ConfigError, DataError
 
@@ -131,9 +131,7 @@ class RemoteTranslator:
     ) -> None:
         import requests
 
-        if not endpoint.startswith(("http://", "https://")):
-            raise ConfigError(f"malformed endpoint {endpoint!r}")
-        self.endpoint = endpoint
+        self.endpoint = check_endpoint(endpoint)
         self.timeout = timeout
         self._api_key = api_key if api_key is not None else os.environ.get("DEDUP_TRANSLATE_API_KEY")
         self._session = session or requests.Session()

@@ -117,6 +117,27 @@ def test_nan_in_embed_response_exits_backend_error(tmp_path, monkeypatch, capsys
     assert session.calls == 5  # one batch, retried before giving up
 
 
+@pytest.mark.parametrize("section", ["embed", "translate"])
+def test_malformed_remote_endpoint_is_config_error(tmp_path, monkeypatch, capsys, section):
+    # Both remote clients check the scheme before any POST, so a value that
+    # is not a URL is a config error at once, not a backend error after retries.
+    import requests
+    from conftest import FakeSession
+
+    session = FakeSession()
+    monkeypatch.setattr(requests, "Session", lambda: session)
+    outdir = tmp_path / "run"
+    assert run_cli(*synth_args(outdir, n_base=20)) == 0
+    config = tmp_path / "remote.yaml"
+    config.write_text(
+        yaml.safe_dump({section: {"kind": "remote", "endpoint": "not a url"}}), encoding="utf-8"
+    )
+    capsys.readouterr()
+    assert run_cli("dedup", "--out", outdir, "--config", config) == 2
+    assert "config error: malformed endpoint 'not a url'" in capsys.readouterr().err
+    assert session.calls == []
+
+
 def test_dedup_without_ingest_artifact_is_data_error(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -167,6 +188,45 @@ def test_integer_config_key_rejects_other_values(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert f"{key} must be an integer" in err
     assert "Traceback" not in err
+
+
+def test_yaml_exponent_floats_are_read_as_numbers(tmp_path):
+    # YAML 1.1 reads a float only with a dot, so `1e-1` loads as a string;
+    # every threshold key must still read it as the number JSON would give.
+    text = (
+        "dedup:\n"
+        "  base_theta: 3e-1\n"
+        "  sweep_thetas: [1e-1, 2e-1]\n"
+        "  rules: [{company: same, action: threshold, threshold: 25e-2}]\n"
+    )
+    assert yaml.safe_load(text)["dedup"]["sweep_thetas"] == ["1e-1", "2e-1"]
+    assert json.loads('{"theta": 1e-1}')["theta"] == 0.1
+    outdir = tmp_path / "run"
+    assert run_cli(*synth_args(outdir, n_base=20)) == 0
+    config = tmp_path / "config.yaml"
+    config.write_text(text, encoding="utf-8")
+    assert run_cli("dedup", "--out", outdir, "--config", config) == 0
+    report = json.loads((outdir / REPORT_FILE).read_text())
+    assert report["base_theta"] == 0.3
+    assert [row[0] for row in report["sweep"]] == [0.1, 0.2]
+    assert report["search_radius"] == 0.3
+
+
+@pytest.mark.parametrize(
+    "dedup, key",
+    [
+        ("sweep_thetas: [a, b]", "dedup.sweep_thetas"),
+        ("sweep_thetas: [true, 0.2]", "dedup.sweep_thetas"),
+        ("base_theta: true", "dedup.base_theta"),
+        ("rules: [{action: threshold, threshold: x}]", "dedup.rules[0].threshold"),
+        ("rules: [{action: threshold, threshold: true}]", "dedup.rules[0].threshold"),
+    ],
+)
+def test_threshold_that_is_not_a_number_is_config_error(tmp_path, capsys, dedup, key):
+    config = tmp_path / "config.yaml"
+    config.write_text(f"dedup: {{{dedup}}}\n", encoding="utf-8")
+    assert run_cli("dedup", "--out", tmp_path, "--config", config) == 2
+    assert f"config error: {key} must be a number" in capsys.readouterr().err
 
 
 def test_same_config_and_seed_byte_identical_results(tmp_path):
@@ -302,6 +362,26 @@ _CANONICAL_LINE = json.dumps({"id": "a", "canonical_text": "chef", "fingerprint"
         ),
         ("report", {REPORT_FILE: "[1, 2]"}, REPORT_FILE),
         (
+            "report",
+            {
+                REPORT_FILE: "{}",
+                EVAL_FILE: '{"full": {"precision": "high", "recall": 1.0, "f1": 1.0,'
+                ' "tp": 1, "fp": 0, "fn": 0}, "macro_f1": 1.0}',
+            },
+            EVAL_FILE,
+        ),
+        # A run report whose fields `report` cannot render.
+        *(
+            ("report", {REPORT_FILE: json.dumps(run)}, REPORT_FILE)
+            for run in (
+                {"truncation": {"n_total": 3}},
+                {"sweep": [[0.1, 2]]},
+                {"stage_seconds": {"x": "fast"}},
+                {"ivf_list_sizes": [1, 2]},
+                {"saturation": {"count": 1}},
+            )
+        ),
+        (
             "translate",
             {POSTINGS_FILE: json.dumps(_POSTING) + "\n", CANONICAL_FILE: "[1, 2]\n"},
             f"{CANONICAL_FILE}:1",
@@ -404,6 +484,8 @@ _CANONICAL_LINE = json.dumps({"id": "a", "canonical_text": "chef", "fingerprint"
     ids=[
         "report-not-json", "eval-json-missing-fields", "gold-unknown-label",
         "results-without-distance", "canonical-not-json", "report-not-object",
+        "eval-json-string-metric", "report-truncation", "report-sweep", "report-stage-seconds",
+        "report-ivf-list-sizes", "report-saturation",
         "canonical-not-object", "canonical-missing-field", "canonical-non-string-field",
         "translated-not-object", "translated-missing-field", "corpus-jsonl-not-utf8",
         "corpus-csv-not-utf8", "canonical-not-utf8", "translated-not-utf8",

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -561,15 +563,22 @@ def test_blas_sized_search_equals_per_row_oracle(kind, n, dim, seed, k_pick, thr
 
 
 @settings(max_examples=60, deadline=None)
-@given(**BLAS_SIZED_DATA, n_centers=st.integers(min_value=2, max_value=70))
-def test_blas_sized_assign_equals_loop_over_centers(kind, n, dim, seed, n_centers):
+@given(
+    **BLAS_SIZED_DATA,
+    n_centers=st.integers(min_value=2, max_value=70),
+    small_blocks=st.booleans(),
+)
+def test_blas_sized_assign_equals_loop_over_centers(kind, n, dim, seed, n_centers, small_blocks):
     rng = np.random.default_rng(seed)
     X = adversarial_rows(kind, n, dim, rng).astype(np.float64)
     centers = X[rng.integers(len(X), size=n_centers)].copy()  # exact ties with rows
     mixed = rng.random(n_centers) < 0.5
     centers[mixed] = X[rng.integers(len(X), size=(n_centers, 3))[mixed]].mean(axis=1)
     centers[-1] = centers[0]  # duplicated center: ties go to the lower index
-    assert _assign(X, centers).tolist() == loop_assign(X, centers).tolist()
+    # Without the patch one block holds every row; with it, a few rows each.
+    budget = 100 * (n_centers + dim) if small_blocks else postdedup.index._BLOCK_BYTES
+    with mock.patch.object(postdedup.index, "_BLOCK_BYTES", budget):
+        assert _assign(X, centers).tolist() == loop_assign(X, centers).tolist()
 
 
 @settings(max_examples=40, deadline=None)
@@ -635,9 +644,32 @@ def test_kmeans_pp_seeding_equals_the_full_pass_loop(kind, n, dim, seed, grid):
     d2 = _row_sq_dists(X, X[picks[0]], None)
     full = d2.copy()
     for idx in picks[1:]:
-        _lower_sq_dists(d2, X, x_sq, float(x_sq.max()), int(idx))
+        _lower_sq_dists(d2, X, x_sq, int(idx))
         full = np.minimum(full, _row_sq_dists(X, X[idx], None))
         assert d2.tobytes() == full.tobytes()
+
+
+def _matrix_products(tree: ast.AST) -> int:
+    """How many `@`, `@=`, `dot(...)` and `matmul(...)` the tree holds."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            count += 1
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            count += name in ("dot", "matmul")
+    return count
+
+
+def test_only_preselect_forms_a_matrix_product():
+    # Search, IVF probe, k-means assign and seeding share one product, the
+    # one `_preselect`'s error bound is proved for.
+    tree = ast.parse(Path(postdedup.index.__file__).read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    preselect = functions["_preselect"]
+    assert _matrix_products(preselect) > 0
+    assert _matrix_products(tree) == _matrix_products(preselect)
 
 
 def test_kmeans_stops_when_an_iteration_leaves_the_centers_unchanged(monkeypatch):

@@ -4,7 +4,10 @@ Exit codes: 0 success, 2 configuration error, 3 data/artifact error,
 4 backend error. Each stage command reads the previous stage's artifact
 from the output directory and writes its own; `dedup` reads none of them:
 it reruns the whole chain from `postings.jsonl` and rewrites every
-artifact. Flags are merged into the config document before it is read.
+artifact. The corpus is named by `--input` and `--format` alone (`ingest`,
+or `dedup --input`). Flags are merged into the config document before it
+is read, so a flag and a file key are checked alike: a key that is not in
+the schema, or a value of the wrong type, exits 2 naming the dotted key.
 """
 
 from __future__ import annotations
@@ -113,9 +116,6 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
         if not isinstance(rules, list):
             raise ConfigError("rules file must contain a list of rule objects")
         flags["dedup.rules"] = rules
-    if getattr(args, "input", None):
-        flags["io.input_path"] = args.input
-        flags["io.input_format"] = args.format
     if args.paper_strict:
         flags.update(_PAPER_STRICT)
     for dotted, value in flags.items():
@@ -125,8 +125,8 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _cmd_ingest(args) -> int:
-    config = _config_from_args(args)
-    postings = stage_ingest(config, args.out)
+    _config_from_args(args)  # only checked: a broken config fails every command
+    postings = stage_ingest(args.input, args.format, args.out)
     stats = corpus_stats(postings, tokenize)
     write_json(asdict(stats), Path(args.out) / "corpus_stats.json")
     print(f"ingested {len(postings)} postings into {args.out}/{POSTINGS_FILE}")
@@ -167,7 +167,7 @@ def _cmd_index(args) -> int:
 def _cmd_dedup(args) -> int:
     config = _config_from_args(args)
     outdir = Path(args.out)
-    postings = stage_ingest(config, outdir) if args.input else None
+    postings = stage_ingest(args.input, args.format, outdir) if args.input else None
     result = run_staged(config, outdir, postings=postings)
     print(
         f"wrote {len(result.pairs)} labeled pairs to {outdir / RESULTS_FILE} "

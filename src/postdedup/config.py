@@ -1,10 +1,21 @@
-"""Pipeline configuration: dataclasses, YAML loading, flag overrides."""
+"""Pipeline configuration: the section dataclasses are the schema.
+
+A config document is a mapping of `mode`, `seed`, `threads` and one
+mapping per section: `normalize`, `translate`, `embed`, `index`, `dedup`.
+`_section` reads each mapping through its dataclass's fields, so a key
+that is no field, or a value that does not fit its field's annotation, is
+a ConfigError naming the dotted key. `index.dim` is not a key (it is
+`embed.dim`), `index.seed` defaults to `seed`, and each entry of a
+`dedup.rules` list is read as an `ExpertRule` the same way.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import typing
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import yaml
 
@@ -82,16 +93,6 @@ class DedupConfig:
 
 
 @dataclass(frozen=True)
-class IOConfig:
-    input_path: Optional[str] = None
-    input_format: str = "jsonl"
-
-    def __post_init__(self) -> None:
-        if self.input_format not in ("jsonl", "csv"):
-            raise ConfigError(f"unknown input format {self.input_format!r}")
-
-
-@dataclass(frozen=True)
 class PipelineConfig:
     mode: str = "two_step"
     seed: int = 0
@@ -101,44 +102,27 @@ class PipelineConfig:
     embed: EmbedConfig = field(default_factory=EmbedConfig)
     index: IndexConfig = field(default_factory=IndexConfig)
     dedup: DedupConfig = field(default_factory=DedupConfig)
-    io: IOConfig = field(default_factory=IOConfig)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.threads < 1:
             raise ConfigError("threads must be positive")
-        if self.index.dim != self.embed.dim:
-            raise ConfigError(
-                f"index dim {self.index.dim} must match embed dim {self.embed.dim}"
-            )
 
     def effective_translate_kind(self) -> str:
         # Multilingual mode embeds original-language text directly.
         return "identity" if self.mode == "multilingual" else self.translate.kind
 
 
-# Keys whose value must be an int, per section ("" is the top level).
-_INT_KEYS = {
-    "": ("seed", "threads"),
-    "translate": ("max_in_flight", "batch_size"),
-    "embed": ("dim", "max_tokens"),
-    "index": ("nlist", "nprobe", "kmeans_iters", "seed"),
-    "dedup": ("k",),
-}
+def _kind(kind: type, what: str):
+    """A reader that takes only a value of `kind`; a bool is not an int."""
 
+    def read(value, name: str):
+        if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+            return value
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
 
-def _check_ints(raw: dict) -> None:
-    """Reject a float, bool, string or other non-int under an integer key, naming it."""
-    for section, keys in _INT_KEYS.items():
-        values = raw.get(section) if section else raw
-        if not isinstance(values, dict):
-            continue
-        for key in keys:
-            value = values.get(key, 0)  # an absent key keeps its int default
-            if isinstance(value, bool) or not isinstance(value, int):
-                name = f"{section}.{key}" if section else key
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return read
 
 
 def _float(value, name: str) -> float:
@@ -151,89 +135,101 @@ def _float(value, name: str) -> float:
     raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
-def _check_keys(raw: dict, allowed: Sequence[str], where: str) -> None:
-    unknown = set(raw) - set(allowed)
+def _floats(value, name: str) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    return tuple(_float(item, name) for item in value)
+
+
+def _chars(value, name: str) -> frozenset[str]:
+    if value and isinstance(value, (str, list)) and all(
+        isinstance(ch, str) and len(ch) == 1 for ch in value
+    ):
+        return frozenset(value)
+    raise ConfigError(f"{name} must be a non-empty string or list of characters, got {value!r}")
+
+
+def _optional(read):
+    return lambda value, name: None if value is None else read(value, name)
+
+
+# The reader of each field annotation that a config key may have.
+_READERS = {
+    int: _kind(int, "an integer"),
+    bool: _kind(bool, "true or false"),
+    str: _kind(str, "a string"),
+    float: _float,
+    Optional[str]: _optional(_kind(str, "a string")),
+    Optional[float]: _optional(_float),
+    tuple[float, ...]: _floats,
+    frozenset[str]: _chars,
+}
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    """Each field of dataclass `cls` with its resolved annotation, worked out once."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def _mapping(raw, where: str) -> dict:
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a mapping, got {raw!r}")
+    return dict(raw)
+
+
+def _section(cls, raw, where: str, **given):
+    """`cls` read from the mapping `raw`, whose keys are the fields of `cls` not `given`.
+
+    Each value goes through the reader of its field's annotation; `where`
+    is the section's dotted name, "" for the top level of the document.
+    """
+    raw = _mapping(raw, where or "config document")
+    types = _field_types(cls)
+    unknown = [key for key in raw if key not in types or key in given]
     if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {where or 'config'} keys: {sorted(map(str, unknown))}")
+    values = {
+        key: _READERS[types[key]](value, f"{where}.{key}" if where else key)
+        for key, value in raw.items()
+    }
+    return cls(**values, **given)
 
 
-def _rules_from_config(raw, base_theta: float) -> tuple[ExpertRule, ...]:
+def _rules(raw, base_theta: float) -> tuple[ExpertRule, ...]:
     if raw in (None, "none"):
         return ()
     if raw == "example":
         return tuple(example_ruleset(base_theta))
     if isinstance(raw, list):
-        rules = []
-        for i, entry in enumerate(raw):
-            if isinstance(entry, dict) and entry.get("threshold") is not None:
-                threshold = _float(entry["threshold"], f"dedup.rules[{i}].threshold")
-                entry = {**entry, "threshold": threshold}
-            rules.append(ExpertRule.from_dict(entry))
-        return tuple(rules)
+        return tuple(_section(ExpertRule, rule, f"dedup.rules[{i}]") for i, rule in enumerate(raw))
     raise ConfigError("dedup.rules must be 'example', 'none', or a list of rule objects")
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
     """Build a PipelineConfig from a nested plain-dict document."""
+    top = _mapping(raw, "config document")
+    names = ("normalize", "translate", "embed", "index", "dedup")
+    sections = {name: _mapping(top.pop(name, None), name) for name in names}
+    run = _section(PipelineConfig, top, "")  # mode, seed and threads
+    rules = sections["dedup"].pop("rules", None)
+    dedup = _section(DedupConfig, sections["dedup"], "dedup")
+    embed = _section(EmbedConfig, sections["embed"], "embed")
+    sections["index"].setdefault("seed", run.seed)
     try:
-        return _config_from_dict(raw)
-    except (TypeError, ValueError) as err:
+        index = _section(IndexConfig, sections["index"], "index", dim=embed.dim)
+    except ValueError as err:  # IndexConfig's own checks
         raise ConfigError(str(err)) from err
-
-
-def _config_from_dict(raw: dict) -> PipelineConfig:
-    _check_keys(
-        raw,
-        ("mode", "seed", "threads", "normalize", "translate", "embed", "index", "dedup", "io"),
-        "config",
-    )
-    _check_ints(raw)
-    normalize_raw = dict(raw.get("normalize") or {})
-    _check_keys(normalize_raw, ("ascii_only", "keep_punct"), "normalize")
-    if "keep_punct" in normalize_raw:
-        normalize_raw["keep_punct"] = frozenset(normalize_raw["keep_punct"])
-    normalize = NormalizeConfig(**normalize_raw)
-
-    translate_raw = dict(raw.get("translate") or {})
-    _check_keys(
-        translate_raw,
-        ("kind", "dictionary_path", "endpoint", "max_in_flight", "batch_size", "cache_path"),
-        "translate",
-    )
-    translate = TranslateConfig(**translate_raw)
-
-    embed_raw = dict(raw.get("embed") or {})
-    _check_keys(embed_raw, ("kind", "dim", "max_tokens", "endpoint"), "embed")
-    embed = EmbedConfig(**embed_raw)
-
-    index_raw = dict(raw.get("index") or {})
-    _check_keys(index_raw, ("kind", "nlist", "nprobe", "kmeans_iters", "seed"), "index")
-    index_raw.setdefault("seed", raw.get("seed", 0))
-    index = IndexConfig(dim=embed.dim, **index_raw)
-
-    dedup_raw = dict(raw.get("dedup") or {})
-    _check_keys(dedup_raw, ("k", "base_theta", "rules", "sweep_thetas"), "dedup")
-    base_theta = _float(dedup_raw.pop("base_theta", 0.25), "dedup.base_theta")
-    rules = _rules_from_config(dedup_raw.pop("rules", None), base_theta)
-    if "sweep_thetas" in dedup_raw:
-        thetas = dedup_raw["sweep_thetas"]
-        dedup_raw["sweep_thetas"] = tuple(_float(t, "dedup.sweep_thetas") for t in thetas)
-    dedup = DedupConfig(base_theta=base_theta, rules=rules, **dedup_raw)
-
-    io_raw = dict(raw.get("io") or {})
-    _check_keys(io_raw, ("input_path", "input_format"), "io")
-    io = IOConfig(**io_raw)
-
-    return PipelineConfig(
-        mode=raw.get("mode", "two_step"),
-        seed=raw.get("seed", 0),
-        threads=raw.get("threads", 1),
-        normalize=normalize,
-        translate=translate,
+    return replace(
+        run,
+        normalize=_section(NormalizeConfig, sections["normalize"], "normalize"),
+        translate=_section(TranslateConfig, sections["translate"], "translate"),
         embed=embed,
         index=index,
-        dedup=dedup,
-        io=io,
+        dedup=replace(dedup, rules=_rules(rules, dedup.base_theta)),
     )
 
 
@@ -247,12 +243,7 @@ def _read_yaml(path: str | Path, what: str):
 
 
 def _read_document(path: str | Path) -> dict:
-    raw = _read_yaml(path, "config")
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError("config document must be a mapping")
-    return raw
+    return _mapping(_read_yaml(path, "config"), "config document")
 
 
 __all__ = [
@@ -261,7 +252,6 @@ __all__ = [
     "TranslateConfig",
     "EmbedConfig",
     "DedupConfig",
-    "IOConfig",
     "PipelineConfig",
     "config_from_dict",
 ]

@@ -85,14 +85,6 @@ class ExpertRule:
     def is_catch_all(self) -> bool:
         return self.company == "any" and self.language == "any" and self.location == "any"
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ExpertRule":
-        known = {"company", "language", "location", "action", "threshold"}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown rule keys: {sorted(unknown)}")
-        return cls(**raw)
-
 
 def example_ruleset(base_theta: float) -> list[ExpertRule]:
     """Documented default ruleset; the override values are engine defaults.

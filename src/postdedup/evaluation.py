@@ -156,10 +156,7 @@ def render_report(
     lines = []
     if run:
         lines.append("== Run ==")
-        for key in (
-            "mode", "k", "base_theta", "search_radius", "n_postings", "n_groups",
-            "n_representatives",
-        ):
+        for key in ("mode", "k", "base_theta", "search_radius", "n_postings", "n_groups"):
             if key in run:
                 lines.append(f"{key}: {run[key]}")
         if run.get("stage_seconds"):

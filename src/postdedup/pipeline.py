@@ -72,7 +72,6 @@ class RunReport:
     search_radius: float
     n_postings: int = 0
     n_groups: int = 0
-    n_representatives: int = 0
     n_zero_vectors: int = 0
     counters: dict = field(default_factory=dict)
     label_counts: dict = field(default_factory=dict)
@@ -279,7 +278,6 @@ def _dedup(
         search_radius=radius,
         n_postings=len(postings),
         n_groups=len(groups),
-        n_representatives=len(groups),
         n_zero_vectors=len(meta["zero_vector_ids"]),
         counters={
             # Ordered query x row evaluations, on the same basis as each other.
@@ -419,10 +417,8 @@ def _write_result(result: PipelineResult, outdir: str | Path) -> None:
     write_json(result.report.to_dict(), Path(outdir) / REPORT_FILE)
 
 
-def stage_ingest(config: PipelineConfig, outdir: str | Path) -> list[Posting]:
-    if not config.io.input_path:
-        raise DataError("no input path configured; pass --input or set io.input_path")
-    postings = load_postings(config.io.input_path, config.io.input_format)
+def stage_ingest(path: str | Path, format: str, outdir: str | Path) -> list[Posting]:
+    postings = load_postings(path, format)
     Path(outdir).mkdir(parents=True, exist_ok=True)
     save_postings(postings, Path(outdir) / POSTINGS_FILE)
     return postings

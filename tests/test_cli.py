@@ -161,12 +161,12 @@ def test_unknown_config_key_is_config_error(tmp_path):
 
 
 def test_removed_output_dir_key_is_config_error(tmp_path, capsys):
-    # `--out` alone picks the artifact directory; the old key must not be
-    # accepted and then ignored.
+    # `--out` alone picks the artifact directory, and `--input` the corpus;
+    # the removed `io` section must not be accepted and then ignored.
     config = tmp_path / "old.yaml"
     config.write_text("io: {output_dir: run}\n", encoding="utf-8")
     assert run_cli("dedup", "--out", tmp_path, "--config", config) == 2
-    assert "output_dir" in capsys.readouterr().err
+    assert "unknown config keys: ['io']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", [1.5, True, "3"])

@@ -35,6 +35,10 @@ from postdedup.synth import DupPlan, synth_corpus
 from conftest import candidate_pairs, make_posting, pair_keys, pair_triples, unit_vectors
 
 
+def rules_from_config(rules: list) -> tuple[ExpertRule, ...]:
+    return config_from_dict({"dedup": {"rules": rules}}).dedup.rules
+
+
 def pair(a, b, d) -> tuple[str, str, float]:
     return (a, b, d)
 
@@ -294,15 +298,15 @@ class TestRules:
         with pytest.raises(ConfigError):
             ExpertRule(action="reject", threshold=0.3)
         with pytest.raises(ConfigError):
-            ExpertRule.from_dict({"company": "same", "action": "reject", "bogus": 1})
+            rules_from_config([{"company": "same", "action": "reject", "bogus": 1}])
 
     def test_rule_dict_round_trip(self):
         raw = {"company": "same", "location": "same", "action": "threshold", "threshold": 0.3}
-        assert ExpertRule.from_dict(raw) == ExpertRule(
-            company="same", location="same", action="threshold", threshold=0.3
+        assert rules_from_config([raw]) == (
+            ExpertRule(company="same", location="same", action="threshold", threshold=0.3),
         )
         reject = {"company": "different", "action": "reject"}
-        assert ExpertRule.from_dict(reject) == ExpertRule(company="different", action="reject")
+        assert rules_from_config([reject]) == (ExpertRule(company="different", action="reject"),)
 
     def test_example_ruleset_shape(self):
         rules = example_ruleset(0.25)

@@ -162,7 +162,7 @@ def test_report_dict_schema(tmp_path):
     result = run_pipeline(synth.postings, config)
     raw = result.report.to_dict()
     for key in (
-        "mode", "k", "base_theta", "n_postings", "n_groups", "n_representatives",
+        "mode", "k", "base_theta", "n_postings", "n_groups",
         "n_zero_vectors", "counters", "label_counts", "stage_seconds",
         "truncation", "saturation", "sweep",
     ):
@@ -350,7 +350,7 @@ def test_stage_seconds_names_match_across_paths(tmp_path):
 def test_flat_index_comparisons_equal_brute_force_comparisons(tmp_path):
     synth, config = small_corpus_setup(tmp_path, n_base=60)
     report = run_pipeline(synth.postings, config).report
-    n = report.n_representatives - report.n_zero_vectors  # queries = indexed rows
+    n = report.n_groups - report.n_zero_vectors  # queries = indexed rows
     assert n > 1
     assert report.counters["index_comparisons"] == report.counters["brute_force_comparisons"] == n * n
     assert report.counters["brute_force_pairs"] == n * (n - 1) // 2

@@ -2,12 +2,16 @@
 
 Exit codes: 0 success, 2 configuration error, 3 data/artifact error,
 4 backend error. Each stage command reads the previous stage's artifact
-from the output directory and writes its own; `dedup` reads none of them:
-it reruns the whole chain from `postings.jsonl` and rewrites every
-artifact. The corpus is named by `--input` and `--format` alone (`ingest`,
-or `dedup --input`). Flags are merged into the config document before it
-is read, so a flag and a file key are checked alike: a key that is not in
-the schema, or a value of the wrong type, exits 2 naming the dotted key.
+from the output directory and writes its own; only the stage commands
+write those artifacts. `dedup` reads none of them: it runs the whole chain
+in memory over `postings.jsonl` (or the `--input` corpus it ingests
+there), writes `results.csv` and `report.json`, and removes any stage
+artifact left in the output directory, so that no later stage command
+combines it with another corpus. The corpus is named by `--input` and
+`--format` alone (`ingest`, or `dedup --input`). Flags are merged into
+the config document before it is read, so a flag and a file key are
+checked alike: a key that is not in the schema, or a value of the wrong
+type, exits 2 naming the dotted key.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .atomic import write_json
 from .config import PipelineConfig, _read_document, _read_yaml, config_from_dict
-from .corpus import corpus_stats, read_json, save_postings
+from .corpus import corpus_stats, load_postings, read_json, save_postings
 from .embed import tokenize
 from .errors import BackendError, ConfigError, DataError, DedupError
 from .evaluation import ClassMetrics, EvalReport, GoldSet, read_results_csv, render_report, score
@@ -40,12 +44,14 @@ from .pipeline import (
     POSTINGS_FILE,
     REPORT_FILE,
     RESULTS_FILE,
-    run_staged,
+    STAGE_FILES,
+    run_pipeline,
     stage_embed,
     stage_index,
     stage_ingest,
     stage_normalize,
     stage_translate,
+    write_run,
 )
 from .synth import DupPlan, synth_corpus
 
@@ -167,8 +173,14 @@ def _cmd_index(args) -> int:
 def _cmd_dedup(args) -> int:
     config = _config_from_args(args)
     outdir = Path(args.out)
-    postings = stage_ingest(args.input, args.format, outdir) if args.input else None
-    result = run_staged(config, outdir, postings=postings)
+    if args.input:
+        postings = stage_ingest(args.input, args.format, outdir)
+    else:
+        postings = load_postings(outdir / POSTINGS_FILE)
+    for name in STAGE_FILES:
+        (outdir / name).unlink(missing_ok=True)
+    result = run_pipeline(postings, config)
+    write_run(result, outdir)
     print(
         f"wrote {len(result.pairs)} labeled pairs to {outdir / RESULTS_FILE} "
         f"(labels: {result.report.label_counts})"
@@ -263,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common_flags(p)
         p.set_defaults(func=func)
 
-    p = sub.add_parser("dedup", help="rerun the whole chain from postings.jsonl")
+    p = sub.add_parser("dedup", help="run the whole chain over postings.jsonl")
     p.add_argument("--input", help="optionally ingest this corpus file first")
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     _add_common_flags(p)

@@ -1,4 +1,4 @@
-"""The dedup pipeline: one chain of stages, run in memory or over files.
+"""The dedup pipeline: one chain of stages, run in memory.
 
 The chain: canonicalize -> group exact duplicates (these already settle
 FULL/TEMPORAL for identical text) -> translate one representative per group
@@ -8,14 +8,16 @@ from one search of the embeddings against their own index
 (`collect_hits`) -> expert rules -> classify -> expand group labels back
 to all members -> run report.
 
-`run_pipeline` runs the chain in memory; `run_staged` (the CLI `dedup`
-command) runs it from `postings.jsonl`, writing each artifact as it is
-produced and reading none back. The `stage_*` functions (ingest through
-index, one per CLI stage command) each read the previous stage's artifact,
-call the same stage function and write its output, byte-identical to what
-`run_staged` writes because every artifact round-trips exactly (float32
-vectors, UTF-8 text). Candidates, rules and results run only inside the
-whole chain, so no code reads `index.pdix` back.
+`run_pipeline` is the only function that runs the chain. The CLI `dedup`
+command calls it over the loaded postings and writes only what is read
+afterwards: `results.csv` and `report.json` (`write_run`). The `stage_*`
+functions (ingest through index, one per CLI stage command) are the only
+writers of the intermediate artifacts: each reads the previous stage's
+artifact, calls the same stage function the chain calls and writes its
+output. Every artifact round-trips exactly (float32 vectors, UTF-8 text),
+so the stage commands write the bytes of the chain's in-memory values.
+Candidates, rules and results run only inside the whole chain, so no code
+reads `index.pdix` back.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ EMBED_META_FILE = "embed_meta.json"
 INDEX_FILE = "index.pdix"
 RESULTS_FILE = "results.csv"
 REPORT_FILE = "report.json"
+# What the stage commands write; `dedup` removes them, as it does not refresh them.
+STAGE_FILES = (CANONICAL_FILE, TRANSLATED_FILE, EMBED_META_FILE, EMBEDDINGS_FILE, INDEX_FILE)
 GOLD_FILE = "gold.csv"
 DICTIONARY_FILE = "dictionary.json"
 EVAL_FILE = "eval.json"
@@ -305,42 +309,6 @@ def _dedup(
     return PipelineResult(pairs=pairs, report=report)
 
 
-def _run(
-    postings: Sequence[Posting],
-    config: PipelineConfig,
-    translator=None,
-    embedder=None,
-    cache: TranslationCache | None = None,
-    outdir: str | Path | None = None,
-) -> PipelineResult:
-    """The whole chain; with `outdir`, write each artifact as it is produced."""
-    timings: dict[str, float] = {}
-    canonicals = _timed(timings, "normalize", _normalize, postings, config)
-    groups = _timed(timings, "group_exact", group_exact, canonicals)
-    if outdir is not None:
-        write_canonical_file(canonicals, Path(outdir) / CANONICAL_FILE)
-
-    texts = _timed(
-        timings, "translate", _translate, postings, canonicals, groups, config, translator, cache
-    )
-    if outdir is not None:
-        _write_translated(groups, texts, outdir)
-
-    rep_ids = [g.representative_id for g in groups]
-    embedded, meta = _timed(timings, "embed", _embed, rep_ids, texts, config, embedder)
-    if outdir is not None:
-        _write_embedded(embedded, meta, outdir)
-
-    index = _timed(timings, "index", _build_search_index, embedded, config)
-    if outdir is not None and index is not None:
-        index.save(Path(outdir) / INDEX_FILE)
-
-    result = _dedup(postings, canonicals, groups, meta, embedded, index, config, timings)
-    if outdir is not None:
-        _write_result(result, outdir)
-    return result
-
-
 def run_pipeline(
     postings: Sequence[Posting],
     config: PipelineConfig,
@@ -348,8 +316,17 @@ def run_pipeline(
     embedder=None,
     cache: TranslationCache | None = None,
 ) -> PipelineResult:
-    """Run the full dedup pipeline in memory over already-loaded postings."""
-    return _run(postings, config, translator, embedder, cache)
+    """Run the full dedup chain in memory over already-loaded postings."""
+    timings: dict[str, float] = {}
+    canonicals = _timed(timings, "normalize", _normalize, postings, config)
+    groups = _timed(timings, "group_exact", group_exact, canonicals)
+    texts = _timed(
+        timings, "translate", _translate, postings, canonicals, groups, config, translator, cache
+    )
+    rep_ids = [g.representative_id for g in groups]
+    embedded, meta = _timed(timings, "embed", _embed, rep_ids, texts, config, embedder)
+    index = _timed(timings, "index", _build_search_index, embedded, config)
+    return _dedup(postings, canonicals, groups, meta, embedded, index, config, timings)
 
 
 # --- artifact files and single-stage runners ---------------------------------
@@ -412,7 +389,8 @@ def _write_embedded(embedded: FlatIndex | None, meta: dict, outdir: str | Path) 
             (outdir / name).unlink(missing_ok=True)
 
 
-def _write_result(result: PipelineResult, outdir: str | Path) -> None:
+def write_run(result: PipelineResult, outdir: str | Path) -> None:
+    """The outputs of `dedup`: the labeled pairs and the run report."""
     write_results_csv(result.pairs, Path(outdir) / RESULTS_FILE)
     write_json(result.report.to_dict(), Path(outdir) / REPORT_FILE)
 
@@ -433,6 +411,11 @@ def stage_normalize(config: PipelineConfig, outdir: str | Path) -> list[Canonica
 def stage_translate(config: PipelineConfig, outdir: str | Path, translator=None) -> list[str]:
     postings = load_postings(Path(outdir) / POSTINGS_FILE)
     canonicals = read_canonical_file(Path(outdir) / CANONICAL_FILE)
+    if [c.source_id for c in canonicals] != [p.id for p in postings]:
+        raise DataError(
+            f"{Path(outdir) / CANONICAL_FILE} does not hold the ids of {POSTINGS_FILE} "
+            "in order; run the normalize stage again"
+        )
     groups = group_exact(canonicals)
     texts = _translate(postings, canonicals, groups, config, translator)
     _write_translated(groups, texts, outdir)
@@ -458,23 +441,6 @@ def stage_index(config: PipelineConfig, outdir: str | Path):
     return index
 
 
-def run_staged(
-    config: PipelineConfig,
-    outdir: str | Path,
-    translator=None,
-    embedder=None,
-    postings: Sequence[Posting] | None = None,
-) -> PipelineResult:
-    """The `dedup` command: run the chain over postings.jsonl, write every artifact.
-
-    `postings` are what `stage_ingest` just wrote there; passing them saves
-    parsing the file again, since it reads back identically.
-    """
-    if postings is None:
-        postings = load_postings(Path(outdir) / POSTINGS_FILE)
-    return _run(postings, config, translator, embedder, outdir=outdir)
-
-
 __all__ = [
     "POSTINGS_FILE",
     "CANONICAL_FILE",
@@ -482,6 +448,7 @@ __all__ = [
     "EMBEDDINGS_FILE",
     "EMBED_META_FILE",
     "INDEX_FILE",
+    "STAGE_FILES",
     "RESULTS_FILE",
     "REPORT_FILE",
     "GOLD_FILE",
@@ -490,7 +457,7 @@ __all__ = [
     "RunReport",
     "PipelineResult",
     "run_pipeline",
-    "run_staged",
+    "write_run",
     "make_translator",
     "make_embedder",
     "stage_ingest",

@@ -3,12 +3,24 @@ from __future__ import annotations
 import json
 import random
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from postdedup.corpus import Posting
+from postdedup import pipeline
+from postdedup.corpus import Posting, save_postings
 from postdedup.dedup import CandidatePairs
+from postdedup.pipeline import (
+    CANONICAL_FILE,
+    INDEX_FILE,
+    POSTINGS_FILE,
+    stage_embed,
+    stage_index,
+    stage_normalize,
+    stage_translate,
+    write_canonical_file,
+)
 
 
 def make_posting(pid: str, title: str = "chef", description: str = "", **kwargs) -> Posting:
@@ -35,6 +47,45 @@ def fuzz_noisy_string(rng: random.Random) -> str:
         if rng.random() < 0.15:
             parts.append(chr(rng.randint(32, 0x2FFF)))
     return "".join(parts)
+
+
+def write_stage_artifacts(postings, config, outdir: Path) -> Path:
+    """`outdir` holding `postings` as postings.jsonl and what the stage
+    commands write from it, `normalize` through `index`."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    save_postings(postings, outdir / POSTINGS_FILE)
+    for stage in (stage_normalize, stage_translate, stage_embed, stage_index):
+        stage(config, outdir)
+    return outdir
+
+
+def spy_on_chain(monkeypatch) -> dict[str, list]:
+    """Record each call of the chain's stage functions in `pipeline` as (args, result)."""
+    calls = {}
+    for name in ("_normalize", "_translate", "_embed", "_build_search_index"):
+        real, calls[name] = getattr(pipeline, name), []
+
+        def recorded(*args, _real=real, _calls=calls[name], **kwargs):
+            out = _real(*args, **kwargs)
+            _calls.append((args, out))
+            return out
+
+        monkeypatch.setattr(pipeline, name, recorded)
+    return calls
+
+
+def write_chain_artifacts(calls: dict[str, list], outdir: Path) -> Path:
+    """The values of one recorded chain run, written by the stage commands' writers."""
+    ((_, canonicals),) = calls["_normalize"]
+    ((translate_args, texts),) = calls["_translate"]
+    ((_, (embedded, meta)),) = calls["_embed"]
+    ((_, index),) = calls["_build_search_index"]
+    outdir.mkdir(parents=True, exist_ok=True)
+    write_canonical_file(canonicals, outdir / CANONICAL_FILE)
+    pipeline._write_translated(translate_args[2], texts, outdir)  # groups, texts
+    pipeline._write_embedded(embedded, meta, outdir)
+    index.save(outdir / INDEX_FILE)
+    return outdir
 
 
 def unit_vectors(n: int, dim: int, seed: int = 0) -> tuple[list[str], np.ndarray]:

@@ -14,25 +14,23 @@ import numpy as np
 import pytest
 
 from postdedup.config import config_from_dict
-from postdedup.corpus import pair_count, save_postings
+from postdedup.corpus import pair_count
 from postdedup.dedup import choose_theta, collect_hits, saturation_report, threshold_sweep
 from postdedup.embed import HashedEmbedder, truncation_report
 from postdedup.errors import CorruptIndex
-from postdedup.evaluation import score
+from postdedup.evaluation import score, write_results_csv
 from postdedup.index import FlatIndex, IndexConfig, build_index, index_from_bytes
 from postdedup.normalize import NormalizeConfig, clean_text
 from postdedup.pipeline import (
     DICTIONARY_FILE,
     INDEX_FILE,
-    POSTINGS_FILE,
     RESULTS_FILE,
     run_pipeline,
-    run_staged,
 )
 from postdedup.synth import DupPlan, synth_corpus
 from postdedup.translate import TranslationRequest, translate_batch
 
-from conftest import fuzz_noisy_string, search_one, unit_vectors
+from conftest import fuzz_noisy_string, search_one, unit_vectors, write_stage_artifacts
 
 
 def _ok(criterion: str, detail: str) -> None:
@@ -258,7 +256,6 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
         outdir = tmp_path / name
         outdir.mkdir()
         synth = synth_corpus(150, DupPlan(0.2, 0.2, 0.1), seed=801)
-        save_postings(synth.postings, outdir / POSTINGS_FILE)
         (outdir / DICTIONARY_FILE).write_text(
             json.dumps(synth.translation_dict), encoding="utf-8"
         )
@@ -274,7 +271,8 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
                 "index": {"kind": "ivf", "nlist": 16, "nprobe": 16, "seed": 801},
             }
         )
-        run_staged(config, outdir)
+        write_results_csv(run_pipeline(synth.postings, config).pairs, outdir / RESULTS_FILE)
+        write_stage_artifacts(synth.postings, config, outdir)
         outputs.append(
             (
                 (outdir / RESULTS_FILE).read_bytes(),

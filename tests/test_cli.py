@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -24,8 +25,13 @@ from postdedup.pipeline import (
     POSTINGS_FILE,
     REPORT_FILE,
     RESULTS_FILE,
+    STAGE_FILES,
     TRANSLATED_FILE,
 )
+
+from conftest import spy_on_chain, write_chain_artifacts
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*argv) -> int:
@@ -284,7 +290,7 @@ def test_ingest_missing_input_is_data_error(tmp_path):
 
 
 @pytest.mark.parametrize("kind", ["flat", "ivf"])
-def test_stagewise_commands_match_dedup(tmp_path, kind):
+def test_stagewise_commands_match_dedup(tmp_path, monkeypatch, kind):
     index = {"kind": kind, "nlist": 8, "nprobe": 2} if kind == "ivf" else {"kind": kind}
     config_path = tmp_path / "index.yaml"
     config_path.write_text(yaml.safe_dump({"index": index}), encoding="utf-8")
@@ -299,15 +305,138 @@ def test_stagewise_commands_match_dedup(tmp_path, kind):
             "--k", 20, "--theta", 0.35, "--seed", 9,
         ]
 
+    calls = spy_on_chain(monkeypatch)
     assert run_cli("dedup", *flags(one)) == 0
+    monkeypatch.undo()
+    chain = write_chain_artifacts(calls, tmp_path / "chain")
     for command in ("normalize", "translate", "embed", "index"):
         assert run_cli(command, *flags(two)) == 0
-    # `dedup` rewrites every artifact, so compare the stage commands' own first.
-    for name in (CANONICAL_FILE, TRANSLATED_FILE, EMBED_META_FILE, EMBEDDINGS_FILE, INDEX_FILE):
-        assert (one / name).read_bytes() == (two / name).read_bytes(), name
+    # The stage commands write the bytes of the values `dedup` kept in memory.
+    for name in STAGE_FILES:
+        assert (chain / name).read_bytes() == (two / name).read_bytes(), name
     assert run_cli("dedup", *flags(two)) == 0
 
     assert (one / RESULTS_FILE).read_bytes() == (two / RESULTS_FILE).read_bytes()
+
+
+def test_translate_on_the_canonical_file_of_another_corpus_is_data_error(tmp_path, capsys):
+    one, two = tmp_path / "one", tmp_path / "two"
+    assert run_cli(*synth_args(one, n_base=20, seed=1)) == 0
+    assert run_cli(*synth_args(two, n_base=20, seed=2)) == 0
+    assert run_cli("normalize", "--out", one) == 0
+    (two / CANONICAL_FILE).write_bytes((one / CANONICAL_FILE).read_bytes())
+    capsys.readouterr()
+    assert run_cli("translate", "--out", two, "--dict", two / DICTIONARY_FILE) == 3
+    err = capsys.readouterr().err
+    assert f"{two / CANONICAL_FILE} does not hold the ids of {POSTINGS_FILE}" in err
+    assert not (two / TRANSLATED_FILE).exists()
+
+
+def test_dedup_removes_the_stage_artifacts_of_another_corpus(tmp_path, capsys):
+    a, b, run = tmp_path / "a", tmp_path / "b", tmp_path / "run"
+    assert run_cli(*synth_args(a, n_base=20, seed=1)) == 0
+    assert run_cli(*synth_args(b, n_base=20, seed=2)) == 0
+    flags = ["--out", run, "--dict", a / DICTIONARY_FILE]
+    assert run_cli("ingest", "--input", a / POSTINGS_FILE, *flags) == 0
+    for command in ("normalize", "translate", "embed", "index"):
+        assert run_cli(command, *flags) == 0
+    assert all((run / name).exists() for name in STAGE_FILES)
+
+    assert run_cli("dedup", "--input", b / POSTINGS_FILE, *flags) == 0
+    names = {p.name for p in run.iterdir()}
+    assert {POSTINGS_FILE, RESULTS_FILE, REPORT_FILE} <= names
+    assert not names & set(STAGE_FILES)
+    assert (run / POSTINGS_FILE).read_bytes() == (b / POSTINGS_FILE).read_bytes()
+    # No translated.jsonl of corpus A is left to embed alongside corpus B.
+    capsys.readouterr()
+    assert run_cli("embed", *flags) == 3
+    assert TRANSLATED_FILE in capsys.readouterr().err
+
+
+# Runs `postdedup` and writes to argv[1] every file it opened, with the
+# open flags, as an audit hook sees them.
+_RECORD_OPENS = """
+import json, os, sys
+from postdedup import cli
+
+opened = []
+
+def hook(event, args):
+    if event == "open" and isinstance(args[0], (str, bytes, os.PathLike)):
+        opened.append((os.fsdecode(args[0]), args[2]))
+
+sys.addaudithook(hook)
+code = cli.main(sys.argv[2:])
+record = list(opened)
+with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    json.dump(record, fh)
+sys.exit(code)
+"""
+
+
+def test_dedup_reads_no_file_but_its_corpus(tmp_path):
+    corpus, run = tmp_path / "corpus", tmp_path / "run"
+    assert run_cli(*synth_args(corpus, n_base=20, seed=4)) == 0
+    flags = ["--out", run, "--dict", corpus / DICTIONARY_FILE]
+    assert run_cli("ingest", "--input", corpus / POSTINGS_FILE, *flags) == 0
+    for command in ("normalize", "translate", "embed", "index"):
+        assert run_cli(command, *flags) == 0
+
+    log = tmp_path / "opened.json"
+    subprocess.run(
+        [sys.executable, "-c", _RECORD_OPENS, str(log), "dedup", *map(str, flags)],
+        env=_env_without_blas_threads(),
+        capture_output=True,
+        check=True,
+    )
+    opened = json.loads(log.read_text(encoding="utf-8"))
+    read = {
+        Path(path).resolve() for path, how in opened if how & os.O_ACCMODE == os.O_RDONLY
+    }
+    assert {path for path in read if path.is_relative_to(run.resolve())} == {
+        (run / POSTINGS_FILE).resolve()
+    }
+
+
+def readme_command_files() -> dict[str, tuple[set[str], set[str]]]:
+    """The README's table of what each command writes to and removes from `--out`."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Commands and their files\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \|(.*)\|(.*)\|$", section, re.M)
+    return {
+        command: (set(re.findall(r"`([^`]+)`", writes)), set(re.findall(r"`([^`]+)`", removes)))
+        for command, writes, removes in rows
+    }
+
+
+def test_readme_names_the_files_each_command_writes(tmp_path):
+    table = readme_command_files()
+    assert list(table) == [
+        "synth", "ingest --input FILE", "normalize", "translate", "embed", "index",
+        "dedup", "dedup --input FILE", "eval", "report",
+    ]
+    assert table["dedup"][1] == set(STAGE_FILES)
+    corpus, run = tmp_path / "corpus", tmp_path / "run"
+    assert run_cli(*synth_args(corpus, n_base=20, seed=6)) == 0
+    flags = ["--out", run, "--dict", corpus / DICTIONARY_FILE, "--k", 20, "--theta", 0.35]
+
+    def state(outdir):
+        return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in outdir.glob("*")}
+
+    for command, (writes, removes) in table.items():
+        argv = command.replace("FILE", str(corpus / POSTINGS_FILE)).split()
+        if command == "synth":
+            argv += ["--n-base", "20"]
+        before = state(run) if run.exists() else {}
+        assert run_cli(*argv, *flags) == 0, command
+        after = state(run)
+        assert {name for name in after if before.get(name) != after[name]} == writes, command
+        assert set(before) - set(after) == removes & set(before), command
+
+    # `dedup --input` in an empty directory leaves exactly what it writes.
+    fresh = tmp_path / "fresh"
+    assert run_cli("dedup", "--input", corpus / POSTINGS_FILE, *flags[2:], "--out", fresh) == 0
+    assert set(state(fresh)) == table["dedup --input FILE"][0]
 
 
 def test_stage_commands_on_a_corpus_with_nothing_to_embed(tmp_path, capsys):
@@ -728,7 +857,9 @@ def test_dedup_outputs_do_not_depend_on_threads_with_one_blas_thread(tmp_path, k
             capture_output=True,
             check=True,
         )
-        outputs.append([(outdir / name).read_bytes() for name in (RESULTS_FILE, INDEX_FILE)])
+        report = json.loads((outdir / REPORT_FILE).read_text(encoding="utf-8"))
+        del report["stage_seconds"]
+        outputs.append([(outdir / RESULTS_FILE).read_bytes(), report])
     assert outputs[0] == outputs[1]
 
 

@@ -25,14 +25,20 @@ from postdedup.dedup import (
     threshold_sweep,
 )
 from postdedup.config import config_from_dict
-from postdedup.corpus import save_postings
 from postdedup.errors import ConfigError, NoMatchingRule, UnknownId
 from postdedup.evaluation import render_report
 from postdedup.index import FlatIndex, IndexConfig, IVFIndex, build_index, load_index
-from postdedup.pipeline import EMBEDDINGS_FILE, POSTINGS_FILE, run_staged
+from postdedup.pipeline import EMBEDDINGS_FILE, run_pipeline
 from postdedup.synth import DupPlan, synth_corpus
 
-from conftest import candidate_pairs, make_posting, pair_keys, pair_triples, unit_vectors
+from conftest import (
+    candidate_pairs,
+    make_posting,
+    pair_keys,
+    pair_triples,
+    unit_vectors,
+    write_stage_artifacts,
+)
 
 
 def rules_from_config(rules: list) -> tuple[ExpertRule, ...]:
@@ -712,10 +718,8 @@ def test_report_rule_kept_counts_the_per_pair_matcher(tmp_path):
             "dedup": {"k": 200, "base_theta": 0.25, "rules": "example"},
         }
     )
-    outdir = tmp_path / "run"
-    outdir.mkdir()
-    save_postings(synth.postings, outdir / POSTINGS_FILE)
-    report = run_staged(config, outdir).report
+    outdir = write_stage_artifacts(synth.postings, config, tmp_path / "run")
+    report = run_pipeline(synth.postings, config).report
     # Independent: every pair of embedded representatives under the search
     # radius, from a float64 scan, through the per-pair matcher.
     embedded = load_index(outdir / EMBEDDINGS_FILE)

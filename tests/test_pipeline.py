@@ -13,6 +13,7 @@ import pytest
 
 from postdedup import index as index_module
 from postdedup import pipeline
+from postdedup.cli import main
 from postdedup.config import config_from_dict
 from postdedup.corpus import corpus_stats, save_postings
 from postdedup.dedup import DuplicateLabel, example_ruleset
@@ -33,18 +34,16 @@ from postdedup.pipeline import (
     POSTINGS_FILE,
     REPORT_FILE,
     RESULTS_FILE,
-    TRANSLATED_FILE,
+    STAGE_FILES,
     run_pipeline,
-    run_staged,
-    stage_embed,
     stage_index,
     stage_normalize,
-    stage_translate,
     write_canonical_file,
+    write_run,
 )
 from postdedup.synth import DupPlan, synth_corpus
 
-from conftest import make_posting
+from conftest import make_posting, spy_on_chain, write_chain_artifacts, write_stage_artifacts
 
 
 def small_corpus_setup(tmp_path, n_base=120, seed=3, hard=0.0):
@@ -175,33 +174,24 @@ def test_staged_equals_in_memory(tmp_path):
     outdir = tmp_path / "staged"
     outdir.mkdir()
     save_postings(synth.postings, outdir / POSTINGS_FILE)
-
-    staged = run_staged(config, outdir)
-    in_memory = run_pipeline(synth.postings, config)
-    assert staged.pairs == in_memory.pairs
+    flags = ["--mode", "two_step", "--dict", config.translate.dictionary_path]
+    assert main(["dedup", "--out", str(outdir), *flags, "--k", "20", "--theta", "0.35"]) == 0
 
     expected = tmp_path / "expected.csv"
-    write_results_csv(in_memory.pairs, expected)
+    write_results_csv(run_pipeline(synth.postings, config).pairs, expected)
     assert (outdir / RESULTS_FILE).read_bytes() == expected.read_bytes()
 
 
-def test_individual_stages_compose_byte_identically(tmp_path):
+def test_individual_stages_compose_byte_identically(tmp_path, monkeypatch):
     synth, config = small_corpus_setup(tmp_path, n_base=80)
-    one = tmp_path / "one"
-    two = tmp_path / "two"
-    for outdir in (one, two):
-        outdir.mkdir()
-        save_postings(synth.postings, outdir / POSTINGS_FILE)
+    calls = spy_on_chain(monkeypatch)
+    run_pipeline(synth.postings, config)
+    monkeypatch.undo()
+    chain = write_chain_artifacts(calls, tmp_path / "chain")
 
-    run_staged(config, one)
-
-    stage_normalize(config, two)
-    stage_translate(config, two)
-    stage_embed(config, two)
-    stage_index(config, two)
-
-    for name in (CANONICAL_FILE, TRANSLATED_FILE, EMBED_META_FILE, EMBEDDINGS_FILE, INDEX_FILE):
-        assert (one / name).read_bytes() == (two / name).read_bytes(), name
+    stages = write_stage_artifacts(synth.postings, config, tmp_path / "stages")
+    for name in STAGE_FILES:
+        assert (chain / name).read_bytes() == (stages / name).read_bytes(), name
 
 
 def test_stage_requires_previous_artifact(tmp_path):
@@ -311,42 +301,6 @@ def test_multilingual_mode_uses_identity_translation(tmp_path):
     assert f1_two > f1_ml  # cross-language pairs are invisible without translation
 
 
-def test_run_staged_reads_no_artifact_but_postings(tmp_path, monkeypatch):
-    synth, config = small_corpus_setup(tmp_path, n_base=40)
-    outdir = tmp_path / "staged"
-    outdir.mkdir()
-    save_postings(synth.postings, outdir / POSTINGS_FILE)
-    real_load_postings = pipeline.load_postings
-
-    def postings_only(path, *args):
-        assert Path(path).name == POSTINGS_FILE, f"run_staged read back {path}"
-        return real_load_postings(path, *args)
-
-    def no_read(*args, **kwargs):
-        raise AssertionError("run_staged read back an artifact")
-
-    monkeypatch.setattr(pipeline, "load_postings", postings_only)
-    for reader in ("read_canonical_file", "read_translated_file", "load_index"):
-        monkeypatch.setattr(pipeline, reader, no_read)
-    staged = run_staged(config, outdir)
-    assert staged.pairs == run_pipeline(synth.postings, config).pairs
-    for name in (CANONICAL_FILE, TRANSLATED_FILE, EMBEDDINGS_FILE, INDEX_FILE, REPORT_FILE):
-        assert (outdir / name).exists()
-
-
-def test_stage_seconds_names_match_across_paths(tmp_path):
-    synth, config = small_corpus_setup(tmp_path, n_base=40)
-    outdir = tmp_path / "staged"
-    outdir.mkdir()
-    save_postings(synth.postings, outdir / POSTINGS_FILE)
-    run_staged(config, outdir)
-    on_disk = json.loads((outdir / REPORT_FILE).read_text(encoding="utf-8"))
-    in_memory = run_pipeline(synth.postings, config).report.stage_seconds
-    assert list(on_disk["stage_seconds"]) == list(in_memory) == [
-        "normalize", "group_exact", "translate", "embed", "index", "candidates", "classify",
-    ]
-
-
 def test_flat_index_comparisons_equal_brute_force_comparisons(tmp_path):
     synth, config = small_corpus_setup(tmp_path, n_base=60)
     report = run_pipeline(synth.postings, config).report
@@ -386,10 +340,8 @@ def independent_candidates(outdir, config) -> dict:
 
 def test_candidate_reduction_matches_independent_pair_count(tmp_path):
     synth, config = small_corpus_setup(tmp_path, n_base=60)
-    outdir = tmp_path / "staged"
-    outdir.mkdir()
-    save_postings(synth.postings, outdir / POSTINGS_FILE)
-    counters = run_staged(config, outdir).report.counters
+    outdir = write_stage_artifacts(synth.postings, config, tmp_path / "staged")
+    counters = run_pipeline(synth.postings, config).report.counters
     pairs = independent_candidates(outdir, config)
     n = len(load_index(outdir / EMBEDDINGS_FILE))
     brute = n * (n - 1) // 2
@@ -401,10 +353,8 @@ def test_candidate_reduction_matches_independent_pair_count(tmp_path):
 
 def test_sweep_fractions_are_shares_of_brute_force_pairs(tmp_path):
     synth, config = small_corpus_setup(tmp_path, n_base=60)
-    outdir = tmp_path / "staged"
-    outdir.mkdir()
-    save_postings(synth.postings, outdir / POSTINGS_FILE)
-    report = run_staged(config, outdir).report
+    outdir = write_stage_artifacts(synth.postings, config, tmp_path / "staged")
+    report = run_pipeline(synth.postings, config).report
     distances = list(independent_candidates(outdir, config).values())
     brute = report.counters["brute_force_pairs"]
     assert [theta for theta, _, _ in report.sweep] == list(config.dedup.sweep_thetas)
@@ -426,11 +376,9 @@ def test_rerank_rows_count_rows_through_the_exact_expression(tmp_path, monkeypat
         return exact(rows, query, buf)
 
     monkeypatch.setattr(index_module, "_row_sq_dists", counted)
-    outdir = tmp_path / "staged"
-    outdir.mkdir()
-    save_postings(synth.postings, outdir / POSTINGS_FILE)
-    counters = run_staged(config, outdir).report.counters
+    counters = run_pipeline(synth.postings, config).report.counters
     assert counters["rerank_rows"] == sum(rows_seen)
+    outdir = write_stage_artifacts(synth.postings, config, tmp_path / "staged")
     # Independent: each query's rows under the search radius, itself
     # included, in a float64 scan of the written embeddings. The search
     # asks for k + 1 rows, so it re-ranks at least that many of them.
@@ -474,10 +422,9 @@ def test_report_search_radius_is_the_largest_threshold_in_play(tmp_path, dedup, 
             "dedup": {"k": 20, **dedup},
         }
     )
-    outdir = tmp_path / "staged"
+    outdir = tmp_path / "run"
     outdir.mkdir()
-    save_postings(synth.postings, outdir / POSTINGS_FILE)
-    run_staged(config, outdir)
+    write_run(run_pipeline(synth.postings, config), outdir)
     report = json.loads((outdir / REPORT_FILE).read_text(encoding="utf-8"))
     assert config.dedup.search_radius == report["search_radius"] == radius
     assert f"search_radius: {radius}" in render_report(report).splitlines()
@@ -486,10 +433,8 @@ def test_report_search_radius_is_the_largest_threshold_in_play(tmp_path, dedup, 
 def test_ivf_compares_the_probed_rows_and_reranks_those_under_the_radius(tmp_path):
     synth, flat = small_corpus_setup(tmp_path, n_base=60)
     config = replace(flat, index=replace(flat.index, kind="ivf", nlist=8, nprobe=2))
-    outdir = tmp_path / "staged"
-    outdir.mkdir()
-    save_postings(synth.postings, outdir / POSTINGS_FILE)
-    counters = run_staged(config, outdir).report.counters
+    outdir = write_stage_artifacts(synth.postings, config, tmp_path / "staged")
+    counters = run_pipeline(synth.postings, config).report.counters
     # Independent: each query's 2 nearest centroids (ties by list number),
     # the sizes of their lists, and their rows under the search radius
     # (the query itself included), read from the written index.
@@ -515,10 +460,8 @@ def test_ivf_compares_the_probed_rows_and_reranks_those_under_the_radius(tmp_pat
 def test_report_ivf_list_sizes_are_those_of_the_written_index(tmp_path):
     synth, flat = small_corpus_setup(tmp_path, n_base=60)
     config = replace(flat, index=replace(flat.index, kind="ivf", nlist=8, nprobe=2))
-    outdir = tmp_path / "staged"
-    outdir.mkdir()
-    save_postings(synth.postings, outdir / POSTINGS_FILE)
-    run_staged(config, outdir)
+    outdir = write_stage_artifacts(synth.postings, config, tmp_path / "staged")
+    write_run(run_pipeline(synth.postings, config), outdir)
     report = json.loads((outdir / REPORT_FILE).read_text(encoding="utf-8"))
     # Independent: the list offsets of the written file, read with struct.
     data = (outdir / INDEX_FILE).read_bytes()
@@ -613,14 +556,10 @@ def test_atomic_write_failing_partway_keeps_previous_index(tmp_path):
 
 
 def ivf_run_dir(tmp_path):
-    """The directory of a `dedup` run over a small corpus with an IVF index."""
+    """The stage artifacts of a small corpus with an IVF index."""
     synth, config = small_corpus_setup(tmp_path, n_base=60)
     config = replace(config, index=replace(config.index, kind="ivf", nlist=8, nprobe=2))
-    outdir = tmp_path / "staged"
-    outdir.mkdir()
-    save_postings(synth.postings, outdir / POSTINGS_FILE)
-    run_staged(config, outdir)
-    return outdir
+    return write_stage_artifacts(synth.postings, config, tmp_path / "staged")
 
 
 def crafted_ivf(raw: bytes, corruption: str) -> bytes:
@@ -666,10 +605,8 @@ def test_expanded_pairs_carry_their_representatives_distance(tmp_path):
     synth, config = small_corpus_setup(tmp_path, n_base=80, hard=0.3)
     rules = tuple(example_ruleset(config.dedup.base_theta))
     config = replace(config, dedup=replace(config.dedup, rules=rules))
-    outdir = tmp_path / "staged"
-    outdir.mkdir()
-    save_postings(synth.postings, outdir / POSTINGS_FILE)
-    result = run_staged(config, outdir)
+    outdir = write_stage_artifacts(synth.postings, config, tmp_path / "staged")
+    result = run_pipeline(synth.postings, config)
     # Independent: each member's representative from the written canonical
     # file, and the L2 distance of the two representatives' stored vectors.
     rep = {

@@ -3,11 +3,11 @@
 Exit codes: 0 success, 2 configuration error, 3 data/artifact error,
 4 backend error. Each stage command reads the previous stage's artifact
 from the output directory and writes its own; only the stage commands
-write those artifacts. `dedup` reads none of them: it runs the whole chain
-in memory over `postings.jsonl` (or the `--input` corpus it ingests
-there), writes `results.csv` and `report.json`, and removes any stage
-artifact left in the output directory, so that no later stage command
-combines it with another corpus. The corpus is named by `--input` and
+write those artifacts. `dedup` is corpus in, labels out: it reads the
+`--input` corpus, else `postings.jsonl`, runs the whole chain in memory,
+and writes only `results.csv` and `report.json`; it reads no stage
+artifact and writes or removes no other file, so a failed run leaves the
+output directory as it was. The corpus is named by `--input` and
 `--format` alone (`ingest`, or `dedup --input`). Flags are merged into
 the config document before it is read, so a flag and a file key are
 checked alike: a key that is not in the schema, or a value of the wrong
@@ -31,9 +31,10 @@ from pathlib import Path
 # product can go through BLAS. A value the user set is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+from . import pipeline
 from .atomic import write_json
 from .config import PipelineConfig, _read_document, _read_yaml, config_from_dict
-from .corpus import corpus_stats, load_postings, read_json, save_postings
+from .corpus import corpus_stats, read_json, save_postings
 from .embed import tokenize
 from .errors import BackendError, ConfigError, DataError, DedupError
 from .evaluation import ClassMetrics, EvalReport, GoldSet, read_results_csv, render_report, score
@@ -44,7 +45,6 @@ from .pipeline import (
     POSTINGS_FILE,
     REPORT_FILE,
     RESULTS_FILE,
-    STAGE_FILES,
     run_pipeline,
     stage_embed,
     stage_index,
@@ -106,7 +106,6 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     flags = {
         "mode": args.mode,
         "seed": args.seed,
-        "index.seed": args.seed,
         "threads": args.threads,
         "dedup.k": args.k,
         "dedup.base_theta": args.theta,
@@ -173,12 +172,11 @@ def _cmd_index(args) -> int:
 def _cmd_dedup(args) -> int:
     config = _config_from_args(args)
     outdir = Path(args.out)
+    # Through `pipeline`, where a tracer finds every name the chain calls.
     if args.input:
-        postings = stage_ingest(args.input, args.format, outdir)
+        postings = pipeline.load_postings(args.input, args.format)
     else:
-        postings = load_postings(outdir / POSTINGS_FILE)
-    for name in STAGE_FILES:
-        (outdir / name).unlink(missing_ok=True)
+        postings = pipeline.load_postings(outdir / POSTINGS_FILE)
     result = run_pipeline(postings, config)
     write_run(result, outdir)
     print(
@@ -275,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common_flags(p)
         p.set_defaults(func=func)
 
-    p = sub.add_parser("dedup", help="run the whole chain over postings.jsonl")
-    p.add_argument("--input", help="optionally ingest this corpus file first")
+    p = sub.add_parser("dedup", help="label the duplicate pairs of a corpus")
+    p.add_argument("--input", help=f"corpus file to read instead of <out>/{POSTINGS_FILE}")
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     _add_common_flags(p)
     p.set_defaults(func=_cmd_dedup)

@@ -4,9 +4,9 @@ A config document is a mapping of `mode`, `seed`, `threads` and one
 mapping per section: `normalize`, `translate`, `embed`, `index`, `dedup`.
 `_section` reads each mapping through its dataclass's fields, so a key
 that is no field, or a value that does not fit its field's annotation, is
-a ConfigError naming the dotted key. `index.dim` is not a key (it is
-`embed.dim`), `index.seed` defaults to `seed`, and each entry of a
-`dedup.rules` list is read as an `ExpertRule` the same way.
+a ConfigError naming the dotted key. `index.dim` and `index.seed` are not
+keys (they are `embed.dim` and `seed`), and each entry of a `dedup.rules`
+list is read as an `ExpertRule` the same way.
 """
 
 from __future__ import annotations
@@ -218,9 +218,8 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     rules = sections["dedup"].pop("rules", None)
     dedup = _section(DedupConfig, sections["dedup"], "dedup")
     embed = _section(EmbedConfig, sections["embed"], "embed")
-    sections["index"].setdefault("seed", run.seed)
     try:
-        index = _section(IndexConfig, sections["index"], "index", dim=embed.dim)
+        index = _section(IndexConfig, sections["index"], "index", dim=embed.dim, seed=run.seed)
     except ValueError as err:  # IndexConfig's own checks
         raise ConfigError(str(err)) from err
     return replace(

@@ -13,6 +13,7 @@ duplicate TEMPORAL.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from datetime import date
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
@@ -27,7 +28,6 @@ class DuplicateLabel(Enum):
     FULL = "FULL"
     SEMANTIC = "SEMANTIC"
     TEMPORAL = "TEMPORAL"
-    NONE = "NONE"
 
 
 @dataclass(frozen=True)
@@ -289,25 +289,13 @@ def apply_rules_detailed(
     )
 
 
-def classify(
-    id_a: str,
-    id_b: str,
-    postings_by_id: Mapping[str, Posting],
-    fingerprints_by_id: Mapping[str, str],
-    semantic_pass: bool,
-) -> DuplicateLabel:
-    """Label a pair: exact fingerprints make FULL, passing the semantic
-    filter makes SEMANTIC, and differing retrieval dates turn either into
-    TEMPORAL."""
-    for posting_id in (id_a, id_b):
-        if posting_id not in postings_by_id or posting_id not in fingerprints_by_id:
-            raise UnknownId(posting_id)
-    same_date = postings_by_id[id_a].retrieval_date == postings_by_id[id_b].retrieval_date
-    if fingerprints_by_id[id_a] == fingerprints_by_id[id_b]:
-        return DuplicateLabel.FULL if same_date else DuplicateLabel.TEMPORAL
-    if semantic_pass:
-        return DuplicateLabel.SEMANTIC if same_date else DuplicateLabel.TEMPORAL
-    return DuplicateLabel.NONE
+def classify(same_text: bool, date_a: date, date_b: date) -> DuplicateLabel:
+    """Label a duplicate pair: shared canonical text (one exact group) makes
+    FULL, a kept pair across two groups SEMANTIC, and differing retrieval
+    dates turn either into TEMPORAL."""
+    if date_a != date_b:
+        return DuplicateLabel.TEMPORAL
+    return DuplicateLabel.FULL if same_text else DuplicateLabel.SEMANTIC
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 The default backend is a deterministic hashed bag-of-tokens embedder:
 each token is hashed to a bucket with a ±1 sign, bucket sums are
 small integers (so the result is exactly order-insensitive),
-and the vector is L2-normalized. Every embedder turns a batch of texts
-into one (n, dim) float32 matrix; an all-zero row marks a text with
-nothing to embed, and such rows must never enter an index.
+and the vector is L2-normalized. Every embedder's `embed_many` turns a
+batch of texts into one (n, dim) float32 matrix, and appends each text's
+`tokenize` count to `token_counts` when given; an all-zero row marks a
+text with nothing to embed, and such rows must never enter an index.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import hashlib
 import re
 import statistics
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -126,19 +127,6 @@ def _bow_rows(tokens: Sequence[str], lengths: Sequence[int], dim: int) -> np.nda
     norms = np.sqrt(np.einsum("ij,ij->i", accum, accum))[:, None]
     unit = np.divide(accum, norms, out=np.zeros(accum.shape), where=norms != 0.0)
     return unit.astype(np.float32)
-
-
-class Embedder(Protocol):
-    name: str
-    dim: int
-
-    def embed_many(
-        self, texts: Sequence[str], token_counts: list[int] | None = None
-    ) -> np.ndarray:
-        """One (len(texts), dim) float32 row per text; all zeros where it has nothing to embed.
-
-        Appends the number of `tokenize` tokens of each text to `token_counts`.
-        """
 
 
 class HashedEmbedder:
@@ -260,7 +248,6 @@ __all__ = [
     "truncate_tokens",
     "truncation_report",
     "token_hash",
-    "Embedder",
     "HashedEmbedder",
     "RemoteEmbedder",
 ]

@@ -18,21 +18,18 @@ from .corpus import csv_records
 from .dedup import DuplicateLabel, LabeledPair
 from .errors import DataError, DuplicatePrediction, MalformedRecord
 
-SCORED_CLASSES = (DuplicateLabel.FULL, DuplicateLabel.SEMANTIC, DuplicateLabel.TEMPORAL)
-
 
 @dataclass(frozen=True)
 class GoldSet:
-    """Canonical-keyed map of true duplicate pairs; NONE pairs are never stored."""
+    """Canonical-keyed map of the true duplicate pairs, each with its label;
+    a pair that is no duplicate is absent."""
 
     pairs: Mapping[tuple[str, str], DuplicateLabel]
 
     def __post_init__(self) -> None:
-        for (id_a, id_b), label in self.pairs.items():
+        for id_a, id_b in self.pairs:
             if id_a >= id_b:
                 raise DataError(f"gold key ({id_a!r}, {id_b!r}) is not canonically ordered")
-            if label not in SCORED_CLASSES:
-                raise DataError(f"gold label for ({id_a}, {id_b}) must be a duplicate class")
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -88,15 +85,13 @@ def score(predicted: Sequence[LabeledPair], gold: GoldSet) -> EvalReport:
     """Per-class TP/FP/FN against gold; 0/0 ratios are 0, macro over classes."""
     predicted_by_key: dict[tuple[str, str], DuplicateLabel] = {}
     for pair in predicted:
-        if pair.label == DuplicateLabel.NONE:
-            raise DataError("NONE pairs must not be emitted as predictions")
         if pair.key in predicted_by_key:
             raise DuplicatePrediction(pair.id_a, pair.id_b)
         predicted_by_key[pair.key] = pair.label
 
     per_class: dict[str, ClassMetrics] = {}
     f1s = []
-    for cls in SCORED_CLASSES:
+    for cls in DuplicateLabel:
         tp = sum(
             1
             for key, label in predicted_by_key.items()
@@ -209,7 +204,6 @@ def render_report(
 
 
 __all__ = [
-    "SCORED_CLASSES",
     "GoldSet",
     "ClassMetrics",
     "EvalReport",

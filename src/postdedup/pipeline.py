@@ -1,16 +1,19 @@
 """The dedup pipeline: one chain of stages, run in memory.
 
-The chain: canonicalize -> group exact duplicates (these already settle
-FULL/TEMPORAL for identical text) -> translate one representative per group
-(optional) -> embed -> index -> k-NN candidate pairs under the search
-radius (the largest threshold the rules or the sweep use), made straight
-from one search of the embeddings against their own index
-(`collect_hits`) -> expert rules -> classify -> expand group labels back
-to all members -> run report.
+The chain: canonicalize -> group exact duplicates (one group per
+fingerprint) -> translate one representative per group (optional) ->
+embed -> index -> k-NN candidate pairs under the search radius (the
+largest threshold the rules or the sweep use), made straight from one
+search of the embeddings against their own index (`collect_hits`) ->
+expert rules -> label every member pair -> run report. A pair inside one
+exact group shares its canonical text and is FULL; a kept pair across two
+groups does not and is SEMANTIC; either is TEMPORAL when the retrieval
+dates differ.
 
 `run_pipeline` is the only function that runs the chain. The CLI `dedup`
-command calls it over the loaded postings and writes only what is read
-afterwards: `results.csv` and `report.json` (`write_run`). The `stage_*`
+command calls it over the corpus it reads (`load_postings`, looked up here
+at call time) and writes only its outputs, `results.csv` and `report.json`
+(`write_run`); it writes no other file and removes none. The `stage_*`
 functions (ingest through index, one per CLI stage command) are the only
 writers of the intermediate artifacts: each reads the previous stage's
 artifact, calls the same stage function the chain calls and writes its
@@ -51,7 +54,14 @@ from .errors import DataError, MalformedRecord
 from .evaluation import write_results_csv
 from .index import FlatIndex, IVFIndex, build_index, load_index
 from .normalize import CanonicalText, ExactGroup, canonicalize, group_exact
-from .translate import TranslationCache, TranslationRequest, make_backend, translate_batch
+from .translate import (
+    DictionaryTranslator,
+    IdentityTranslator,
+    RemoteTranslator,
+    TranslationCache,
+    TranslationRequest,
+    translate_batch,
+)
 
 POSTINGS_FILE = "postings.jsonl"
 CANONICAL_FILE = "canonical.jsonl"
@@ -61,8 +71,6 @@ EMBED_META_FILE = "embed_meta.json"
 INDEX_FILE = "index.pdix"
 RESULTS_FILE = "results.csv"
 REPORT_FILE = "report.json"
-# What the stage commands write; `dedup` removes them, as it does not refresh them.
-STAGE_FILES = (CANONICAL_FILE, TRANSLATED_FILE, EMBED_META_FILE, EMBEDDINGS_FILE, INDEX_FILE)
 GOLD_FILE = "gold.csv"
 DICTIONARY_FILE = "dictionary.json"
 EVAL_FILE = "eval.json"
@@ -100,11 +108,11 @@ class PipelineResult:
 
 def make_translator(config: PipelineConfig):
     kind = config.effective_translate_kind()
-    return make_backend(
-        kind,
-        path=config.translate.dictionary_path,
-        endpoint=config.translate.endpoint,
-    )
+    if kind == "dictionary":
+        return DictionaryTranslator.from_file(config.translate.dictionary_path)
+    if kind == "remote":
+        return RemoteTranslator(config.translate.endpoint)
+    return IdentityTranslator()
 
 
 def make_embedder(config: PipelineConfig):
@@ -202,14 +210,16 @@ def _expand_pairs(
     rules,
     groups: Sequence[ExactGroup],
     postings_by_id: Mapping[str, Posting],
-    fingerprints_by_id: Mapping[str, str],
 ) -> tuple[list[LabeledPair], int]:
-    group_by_rep = {g.representative_id: g for g in groups}
+    """Every member pair of each exact group (FULL), and of each kept pair of
+    representatives (SEMANTIC); either is TEMPORAL when the dates differ."""
+    members = {g.representative_id: sorted(g.member_ids) for g in groups}
+    dates = {pid: p.retrieval_date for pid, p in postings_by_id.items()}
     pairs: list[LabeledPair] = []
 
-    for group in groups:
-        for id_a, id_b in combinations(sorted(group.member_ids), 2):
-            label = classify(id_a, id_b, postings_by_id, fingerprints_by_id, semantic_pass=False)
+    for ids in members.values():
+        for id_a, id_b in combinations(ids, 2):
+            label = classify(True, dates[id_a], dates[id_b])
             pairs.append(LabeledPair(id_a, id_b, label, 0.0, "exact_fingerprint"))
     n_exact = len(pairs)
 
@@ -223,11 +233,9 @@ def _expand_pairs(
         kept.pairs.distances.tolist(),
         kept.rule_indices.tolist(),
     ):
-        members_a = sorted(group_by_rep[names[lo]].member_ids)
-        members_b = sorted(group_by_rep[names[hi]].member_ids)
-        for ma, mb in product(members_a, members_b):
+        for ma, mb in product(members[names[lo]], members[names[hi]]):
             id_a, id_b = (ma, mb) if ma < mb else (mb, ma)
-            label = classify(id_a, id_b, postings_by_id, fingerprints_by_id, semantic_pass=True)
+            label = classify(False, dates[id_a], dates[id_b])
             pairs.append(LabeledPair(id_a, id_b, label, distance, reasons[rule_index]))
 
     pairs.sort(key=lambda p: p.key)
@@ -236,7 +244,6 @@ def _expand_pairs(
 
 def _dedup(
     postings: Sequence[Posting],
-    canonicals: Sequence[CanonicalText],
     groups: Sequence[ExactGroup],
     meta: dict,
     queries: FlatIndex | None,
@@ -259,10 +266,9 @@ def _dedup(
 
     t0 = time.perf_counter()
     postings_by_id = {p.id: p for p in postings}
-    fingerprints_by_id = {c.source_id: c.fingerprint for c in canonicals}
     rules = list(config.dedup.rules) or [default_rule(base_theta)]
     kept = apply_rules_detailed(candidates, postings_by_id, rules, base_theta)
-    pairs, n_exact = _expand_pairs(kept, rules, groups, postings_by_id, fingerprints_by_id)
+    pairs, n_exact = _expand_pairs(kept, rules, groups, postings_by_id)
     n = len(query_ids)
     brute_force_pairs = pair_count(n)
     sweep = threshold_sweep(
@@ -326,7 +332,7 @@ def run_pipeline(
     rep_ids = [g.representative_id for g in groups]
     embedded, meta = _timed(timings, "embed", _embed, rep_ids, texts, config, embedder)
     index = _timed(timings, "index", _build_search_index, embedded, config)
-    return _dedup(postings, canonicals, groups, meta, embedded, index, config, timings)
+    return _dedup(postings, groups, meta, embedded, index, config, timings)
 
 
 # --- artifact files and single-stage runners ---------------------------------
@@ -391,6 +397,7 @@ def _write_embedded(embedded: FlatIndex | None, meta: dict, outdir: str | Path) 
 
 def write_run(result: PipelineResult, outdir: str | Path) -> None:
     """The outputs of `dedup`: the labeled pairs and the run report."""
+    Path(outdir).mkdir(parents=True, exist_ok=True)
     write_results_csv(result.pairs, Path(outdir) / RESULTS_FILE)
     write_json(result.report.to_dict(), Path(outdir) / REPORT_FILE)
 
@@ -448,7 +455,6 @@ __all__ = [
     "EMBEDDINGS_FILE",
     "EMBED_META_FILE",
     "INDEX_FILE",
-    "STAGE_FILES",
     "RESULTS_FILE",
     "REPORT_FILE",
     "GOLD_FILE",

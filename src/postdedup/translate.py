@@ -154,27 +154,6 @@ class RemoteTranslator:
         return [str(t) for t in list_field(payload, "translations", "translate")]
 
 
-def make_backend(
-    kind: str,
-    *,
-    path: str | Path | None = None,
-    endpoint: str | None = None,
-    api_key: str | None = None,
-) -> Translator:
-    """Construct a translator: identity, dictionary(path), or remote(endpoint)."""
-    if kind == "identity":
-        return IdentityTranslator()
-    if kind == "dictionary":
-        if path is None:
-            raise ConfigError("dictionary backend needs a path")
-        return DictionaryTranslator.from_file(path)
-    if kind == "remote":
-        if endpoint is None:
-            raise ConfigError("remote backend needs an endpoint")
-        return RemoteTranslator(endpoint, api_key=api_key)
-    raise ConfigError(f"unknown translator kind {kind!r}")
-
-
 _CACHE_FIELDS = ("fingerprint", "target", "backend", "translated_text")
 
 
@@ -315,7 +294,6 @@ __all__ = [
     "IdentityTranslator",
     "DictionaryTranslator",
     "RemoteTranslator",
-    "make_backend",
     "TranslationCache",
     "translate_batch",
 ]

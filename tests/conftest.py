@@ -13,14 +13,20 @@ from postdedup.corpus import Posting, save_postings
 from postdedup.dedup import CandidatePairs
 from postdedup.pipeline import (
     CANONICAL_FILE,
+    EMBED_META_FILE,
+    EMBEDDINGS_FILE,
     INDEX_FILE,
     POSTINGS_FILE,
+    TRANSLATED_FILE,
     stage_embed,
     stage_index,
     stage_normalize,
     stage_translate,
     write_canonical_file,
 )
+
+# What the stage commands `normalize` through `index` write to `--out`.
+STAGE_FILES = (CANONICAL_FILE, TRANSLATED_FILE, EMBED_META_FILE, EMBEDDINGS_FILE, INDEX_FILE)
 
 
 def make_posting(pid: str, title: str = "chef", description: str = "", **kwargs) -> Posting:

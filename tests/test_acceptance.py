@@ -268,7 +268,7 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
                     "dictionary_path": str(outdir / DICTIONARY_FILE),
                 },
                 "dedup": {"k": 20, "base_theta": 0.35},
-                "index": {"kind": "ivf", "nlist": 16, "nprobe": 16, "seed": 801},
+                "index": {"kind": "ivf", "nlist": 16, "nprobe": 16},
             }
         )
         write_results_csv(run_pipeline(synth.postings, config).pairs, outdir / RESULTS_FILE)

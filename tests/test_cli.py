@@ -25,11 +25,10 @@ from postdedup.pipeline import (
     POSTINGS_FILE,
     REPORT_FILE,
     RESULTS_FILE,
-    STAGE_FILES,
     TRANSLATED_FILE,
 )
 
-from conftest import spy_on_chain, write_chain_artifacts
+from conftest import STAGE_FILES, spy_on_chain, write_chain_artifacts
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -181,7 +180,7 @@ def test_removed_output_dir_key_is_config_error(tmp_path, capsys):
     [
         "seed", "threads", "translate.max_in_flight", "translate.batch_size",
         "embed.dim", "embed.max_tokens", "index.nlist", "index.nprobe",
-        "index.kmeans_iters", "index.seed", "dedup.k",
+        "index.kmeans_iters", "dedup.k",
     ],
 )
 def test_integer_config_key_rejects_other_values(tmp_path, capsys, key, value):
@@ -265,8 +264,8 @@ def test_ingest_jsonl_and_csv(tmp_path):
 
 
 def test_dedup_input_csv_equals_ingest_then_dedup(tmp_path):
-    # `dedup --input` runs the chain over the postings it ingested, without
-    # parsing postings.jsonl again; the results equal those of the two-step path.
+    # `dedup --input` reads the corpus itself and writes no postings.jsonl;
+    # the results equal those of the two-step path.
     synth_dir = tmp_path / "synth"
     assert run_cli(*synth_args(synth_dir, n_base=40, seed=3)) == 0
     from postdedup.corpus import load_postings, save_postings
@@ -281,8 +280,8 @@ def test_dedup_input_csv_equals_ingest_then_dedup(tmp_path):
     assert run_cli("dedup", "--input", csv_src, "--format", "csv", "--out", one, *flags) == 0
     assert run_cli("ingest", "--input", csv_src, "--format", "csv", "--out", two) == 0
     assert run_cli("dedup", "--out", two, *flags) == 0
-    for name in (POSTINGS_FILE, RESULTS_FILE):
-        assert (one / name).read_bytes() == (two / name).read_bytes(), name
+    assert (one / RESULTS_FILE).read_bytes() == (two / RESULTS_FILE).read_bytes()
+    assert not (one / POSTINGS_FILE).exists()
 
 
 def test_ingest_missing_input_is_data_error(tmp_path):
@@ -332,25 +331,39 @@ def test_translate_on_the_canonical_file_of_another_corpus_is_data_error(tmp_pat
     assert not (two / TRANSLATED_FILE).exists()
 
 
-def test_dedup_removes_the_stage_artifacts_of_another_corpus(tmp_path, capsys):
+def test_dedup_input_leaves_the_files_of_another_corpus_alone(tmp_path):
+    a, b, run, fresh = (tmp_path / name for name in ("a", "b", "run", "fresh"))
+    assert run_cli(*synth_args(a, n_base=20, seed=1)) == 0
+    assert run_cli(*synth_args(b, n_base=20, seed=2)) == 0
+    flags = ["--dict", a / DICTIONARY_FILE]
+    assert run_cli("ingest", "--input", a / POSTINGS_FILE, "--out", run, *flags) == 0
+    for command in ("normalize", "translate", "embed", "index"):
+        assert run_cli(command, "--out", run, *flags) == 0
+    kept = (POSTINGS_FILE, "corpus_stats.json", *STAGE_FILES)
+    before = {name: (run / name).read_bytes() for name in kept}
+
+    assert run_cli("dedup", "--input", b / POSTINGS_FILE, "--out", run, *flags) == 0
+    assert {name: (run / name).read_bytes() for name in kept} == before
+    assert run_cli("dedup", "--input", b / POSTINGS_FILE, "--out", fresh, *flags) == 0
+    assert (run / RESULTS_FILE).read_bytes() == (fresh / RESULTS_FILE).read_bytes()
+
+
+def test_failed_dedup_input_changes_no_file(tmp_path, capsys):
+    # Corpus A's outputs must not be left beside a half-run over corpus B.
     a, b, run = tmp_path / "a", tmp_path / "b", tmp_path / "run"
     assert run_cli(*synth_args(a, n_base=20, seed=1)) == 0
     assert run_cli(*synth_args(b, n_base=20, seed=2)) == 0
-    flags = ["--out", run, "--dict", a / DICTIONARY_FILE]
+    flags = ["--out", run, "--dict", a / DICTIONARY_FILE, "--k", 20, "--theta", 0.35]
     assert run_cli("ingest", "--input", a / POSTINGS_FILE, *flags) == 0
-    for command in ("normalize", "translate", "embed", "index"):
-        assert run_cli(command, *flags) == 0
-    assert all((run / name).exists() for name in STAGE_FILES)
+    assert run_cli("dedup", *flags) == 0
+    rules = tmp_path / "no_catch_all.yaml"
+    rules.write_text("- {company: same, action: threshold, threshold: 0.3}\n", encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
 
-    assert run_cli("dedup", "--input", b / POSTINGS_FILE, *flags) == 0
-    names = {p.name for p in run.iterdir()}
-    assert {POSTINGS_FILE, RESULTS_FILE, REPORT_FILE} <= names
-    assert not names & set(STAGE_FILES)
-    assert (run / POSTINGS_FILE).read_bytes() == (b / POSTINGS_FILE).read_bytes()
-    # No translated.jsonl of corpus A is left to embed alongside corpus B.
     capsys.readouterr()
-    assert run_cli("embed", *flags) == 3
-    assert TRANSLATED_FILE in capsys.readouterr().err
+    assert run_cli("dedup", "--input", b / POSTINGS_FILE, *flags, "--rules", rules) == 3
+    assert "no rule matched pair" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
 # Runs `postdedup` and writes to argv[1] every file it opened, with the
@@ -398,15 +411,12 @@ def test_dedup_reads_no_file_but_its_corpus(tmp_path):
     }
 
 
-def readme_command_files() -> dict[str, tuple[set[str], set[str]]]:
-    """The README's table of what each command writes to and removes from `--out`."""
+def readme_command_files() -> dict[str, set[str]]:
+    """The README's table of what each command writes to `--out`."""
     text = (REPO / "README.md").read_text(encoding="utf-8")
     section = text.split("\n## Commands and their files\n", 1)[1].split("\n## ", 1)[0]
-    rows = re.findall(r"^\| `([^`]+)` \|(.*)\|(.*)\|$", section, re.M)
-    return {
-        command: (set(re.findall(r"`([^`]+)`", writes)), set(re.findall(r"`([^`]+)`", removes)))
-        for command, writes, removes in rows
-    }
+    rows = re.findall(r"^\| `([^`]+)` \|(.*)\|$", section, re.M)
+    return {command: set(re.findall(r"`([^`]+)`", writes)) for command, writes in rows}
 
 
 def test_readme_names_the_files_each_command_writes(tmp_path):
@@ -415,7 +425,6 @@ def test_readme_names_the_files_each_command_writes(tmp_path):
         "synth", "ingest --input FILE", "normalize", "translate", "embed", "index",
         "dedup", "dedup --input FILE", "eval", "report",
     ]
-    assert table["dedup"][1] == set(STAGE_FILES)
     corpus, run = tmp_path / "corpus", tmp_path / "run"
     assert run_cli(*synth_args(corpus, n_base=20, seed=6)) == 0
     flags = ["--out", run, "--dict", corpus / DICTIONARY_FILE, "--k", 20, "--theta", 0.35]
@@ -423,7 +432,7 @@ def test_readme_names_the_files_each_command_writes(tmp_path):
     def state(outdir):
         return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in outdir.glob("*")}
 
-    for command, (writes, removes) in table.items():
+    for command, writes in table.items():
         argv = command.replace("FILE", str(corpus / POSTINGS_FILE)).split()
         if command == "synth":
             argv += ["--n-base", "20"]
@@ -431,12 +440,12 @@ def test_readme_names_the_files_each_command_writes(tmp_path):
         assert run_cli(*argv, *flags) == 0, command
         after = state(run)
         assert {name for name in after if before.get(name) != after[name]} == writes, command
-        assert set(before) - set(after) == removes & set(before), command
+        assert set(before) <= set(after), command  # no command removes a file
 
     # `dedup --input` in an empty directory leaves exactly what it writes.
     fresh = tmp_path / "fresh"
     assert run_cli("dedup", "--input", corpus / POSTINGS_FILE, *flags[2:], "--out", fresh) == 0
-    assert set(state(fresh)) == table["dedup --input FILE"][0]
+    assert set(state(fresh)) == table["dedup --input FILE"]
 
 
 def test_stage_commands_on_a_corpus_with_nothing_to_embed(tmp_path, capsys):
@@ -609,6 +618,22 @@ _CANONICAL_LINE = json.dumps({"id": "a", "canonical_text": "chef", "fingerprint"
             },
             "corpus.csv:2",
         ),
+        (
+            "eval",
+            {
+                RESULTS_FILE: "id1,id2,label,distance,reason\na,b,NONE,0.1,x\n",
+                GOLD_FILE: "id1,id2,label\n",
+            },
+            f"{RESULTS_FILE}:2",
+        ),
+        (
+            "eval",
+            {
+                RESULTS_FILE: "id1,id2,label,distance,reason\n",
+                GOLD_FILE: "id1,id2,label\na,b,NONE\n",
+            },
+            f"{GOLD_FILE}:2",
+        ),
     ],
     ids=[
         "report-not-json", "eval-json-missing-fields", "gold-unknown-label",
@@ -620,6 +645,7 @@ _CANONICAL_LINE = json.dumps({"id": "a", "canonical_text": "chef", "fingerprint"
         "corpus-csv-not-utf8", "canonical-not-utf8", "translated-not-utf8",
         "gold-not-utf8", "results-not-utf8", "postings-not-json",
         "corpus-csv-multiline-cells", "gold-multiline-cells", "corpus-csv-cell-too-large",
+        "results-none-label", "gold-none-label",
     ],
 )
 def test_malformed_input_file_is_data_error(tmp_path, monkeypatch, capsys, command, files, named):

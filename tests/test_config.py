@@ -24,8 +24,8 @@ from postdedup.errors import ConfigError
 REPO = Path(__file__).resolve().parents[1]
 SRC = Path(postdedup.__file__).resolve().parents[1]
 
-# Fields that are no config key: `index.dim` is `embed.dim`.
-NOT_KEYS = {"index.dim"}
+# Fields that are no config key: `index.dim` is `embed.dim`, `index.seed` is `seed`.
+NOT_KEYS = {"index.dim", "index.seed"}
 # A rule entry is an ExpertRule read at this key; a valid base for one field's case.
 RULE = "dedup.rules[0]"
 RULE_BASE = {"action": "threshold", "threshold": 0.3}
@@ -98,6 +98,17 @@ CASES = [
             id=f"{section}.kind=remote,endpoint=5",
         )
         for section in ("embed", "translate")
+    ),
+    pytest.param({"index": {"seed": 3}}, "unknown index keys: ['seed']", id="index.seed=3"),
+    pytest.param(
+        {"translate": {"kind": "babelfish"}},
+        "unknown translator kind 'babelfish'",
+        id="translate.kind=babelfish",
+    ),
+    pytest.param(
+        {"translate": {"kind": "dictionary"}},
+        "dictionary translator needs dictionary_path",
+        id="translate.kind=dictionary,no-path",
     ),
 ]
 

@@ -4,6 +4,7 @@ import json
 import random
 from collections import Counter
 from datetime import date
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -28,6 +29,7 @@ from postdedup.config import config_from_dict
 from postdedup.errors import ConfigError, NoMatchingRule, UnknownId
 from postdedup.evaluation import render_report
 from postdedup.index import FlatIndex, IndexConfig, IVFIndex, build_index, load_index
+from postdedup.normalize import canonicalize
 from postdedup.pipeline import EMBEDDINGS_FILE, run_pipeline
 from postdedup.synth import DupPlan, synth_corpus
 
@@ -322,41 +324,81 @@ class TestRules:
         assert rules[2].threshold == 0.25
 
 
-class TestClassify:
-    def setup_method(self):
-        self.postings = {
-            "a": make_posting("a", retrieval_date=date(2024, 3, 1)),
-            "b": make_posting("b", retrieval_date=date(2024, 3, 1)),
-            "c": make_posting("c", retrieval_date=date(2024, 4, 2)),
-        }
-        self.fps = {"a": "f1", "b": "f1", "c": "f2"}
+MARCH, APRIL = date(2024, 3, 1), date(2024, 4, 2)
 
+
+class TestClassify:
+    # `same_text` is True for a pair inside one exact group (equal
+    # fingerprints), False for a kept pair across two (the semantic pass).
     def test_equal_fingerprints_equal_dates_full(self):
-        assert classify("a", "b", self.postings, self.fps, False) == DuplicateLabel.FULL
+        assert classify(True, MARCH, MARCH) == DuplicateLabel.FULL
 
     def test_equal_fingerprints_different_dates_temporal(self):
-        fps = {"a": "f1", "c": "f1"}
-        assert classify("a", "c", self.postings, fps, False) == DuplicateLabel.TEMPORAL
+        assert classify(True, MARCH, APRIL) == DuplicateLabel.TEMPORAL
 
     def test_semantic_pass_equal_dates_semantic(self):
-        fps = {"a": "f1", "b": "f9"}
-        assert classify("a", "b", self.postings, fps, True) == DuplicateLabel.SEMANTIC
+        assert classify(False, MARCH, MARCH) == DuplicateLabel.SEMANTIC
 
     def test_semantic_pass_different_dates_temporal(self):
-        assert classify("a", "c", self.postings, self.fps, True) == DuplicateLabel.TEMPORAL
-
-    def test_no_semantic_pass_none(self):
-        assert classify("a", "c", self.postings, self.fps, False) == DuplicateLabel.NONE
-
-    def test_unknown_id(self):
-        with pytest.raises(UnknownId):
-            classify("a", "zz", self.postings, self.fps, True)
+        assert classify(False, APRIL, MARCH) == DuplicateLabel.TEMPORAL
 
     def test_deterministic(self):
-        first = classify("a", "b", self.postings, self.fps, True)
-        assert all(
-            classify("a", "b", self.postings, self.fps, True) == first for _ in range(5)
+        first = classify(False, MARCH, MARCH)
+        assert all(classify(False, MARCH, MARCH) == first for _ in range(5))
+
+
+def fingerprint_label(id_a, id_b, postings_by_id, fingerprints_by_id, semantic_pass):
+    """The label rule that compared both ids' fingerprints; None where it gave NONE."""
+    same_date = postings_by_id[id_a].retrieval_date == postings_by_id[id_b].retrieval_date
+    if fingerprints_by_id[id_a] == fingerprints_by_id[id_b]:
+        return DuplicateLabel.FULL if same_date else DuplicateLabel.TEMPORAL
+    if semantic_pass:
+        return DuplicateLabel.SEMANTIC if same_date else DuplicateLabel.TEMPORAL
+    return None
+
+
+# Word-order swaps embed identically (a bag of tokens) but differ in canonical
+# text, so they give kept pairs across exact groups; case and spacing do not
+# change a fingerprint.
+LABEL_TEXTS = ("senior chef", "chef senior", "senior chef kitchen", "line cook", "cook line")
+LABEL_CONFIG = config_from_dict({"embed": {"dim": 64}, "dedup": {"k": 20, "base_theta": 0.9}})
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_labels_equal_the_fingerprint_rule(data):
+    counts = data.draw(
+        st.lists(st.integers(0, 4), min_size=len(LABEL_TEXTS), max_size=len(LABEL_TEXTS))
+        .filter(lambda c: sum(c) >= 2),
+        label="members per text",
+    )
+    texts = [text for text, n in zip(LABEL_TEXTS, counts) for _ in range(n)]
+    ids = data.draw(st.permutations([f"p{i:02d}" for i in range(len(texts))]), label="ids")
+    n_dates = data.draw(st.integers(2, 3), label="dates")
+    postings = [
+        make_posting(
+            pid,
+            data.draw(st.sampled_from([text, text.upper(), text.title(), f" {text}  "])),
+            retrieval_date=date(2024, 3, 1 + data.draw(st.integers(0, n_dates - 1))),
         )
+        for pid, text in zip(ids, texts)
+    ]
+    pairs = run_pipeline(postings, LABEL_CONFIG).pairs
+
+    postings_by_id = {p.id: p for p in postings}
+    fingerprints = {p.id: canonicalize(p, LABEL_CONFIG.normalize).fingerprint for p in postings}
+    same_text = {
+        (a, b)
+        for a, b in combinations(sorted(fingerprints), 2)
+        if fingerprints[a] == fingerprints[b]
+    }
+    assert {p.key for p in pairs if p.reason == "exact_fingerprint"} == same_text
+    for pair in pairs:
+        semantic_pass = pair.reason != "exact_fingerprint"
+        expected = fingerprint_label(
+            pair.id_a, pair.id_b, postings_by_id, fingerprints, semantic_pass
+        )
+        assert pair.label == expected, pair
 
 
 class TestSaturation:

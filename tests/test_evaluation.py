@@ -66,11 +66,6 @@ def test_duplicate_prediction_rejected():
         score([lp("a", "b", FULL), lp("a", "b", SEMANTIC)], gold)
 
 
-def test_none_prediction_rejected():
-    with pytest.raises(DataError):
-        score([lp("a", "b", DuplicateLabel.NONE)], GoldSet({}))
-
-
 def test_scoring_invariant_to_order():
     gold = GoldSet({("a", "b"): FULL, ("c", "d"): SEMANTIC})
     predicted = [lp("a", "b", FULL), lp("c", "d", TEMPORAL)]
@@ -133,8 +128,6 @@ def test_gold_csv_round_trip(tmp_path):
 def test_gold_validation():
     with pytest.raises(DataError):
         GoldSet({("b", "a"): FULL})
-    with pytest.raises(DataError):
-        GoldSet({("a", "b"): DuplicateLabel.NONE})
 
 
 def test_results_csv_round_trip(tmp_path):

@@ -34,7 +34,6 @@ from postdedup.pipeline import (
     POSTINGS_FILE,
     REPORT_FILE,
     RESULTS_FILE,
-    STAGE_FILES,
     run_pipeline,
     stage_index,
     stage_normalize,
@@ -43,7 +42,13 @@ from postdedup.pipeline import (
 )
 from postdedup.synth import DupPlan, synth_corpus
 
-from conftest import make_posting, spy_on_chain, write_chain_artifacts, write_stage_artifacts
+from conftest import (
+    STAGE_FILES,
+    make_posting,
+    spy_on_chain,
+    write_chain_artifacts,
+    write_stage_artifacts,
+)
 
 
 def small_corpus_setup(tmp_path, n_base=120, seed=3, hard=0.0):
@@ -215,8 +220,9 @@ def test_ivf_pipeline_matches_flat(tmp_path):
                 "kind": "dictionary",
                 "dictionary_path": config.translate.dictionary_path,
             },
+            "seed": 5,
             "dedup": {"k": 20, "base_theta": 0.35},
-            "index": {"kind": "ivf", "nlist": 8, "nprobe": 8, "seed": 5},
+            "index": {"kind": "ivf", "nlist": 8, "nprobe": 8},
         }
     )
     ivf_result = run_pipeline(synth.postings, ivf_config)

@@ -13,19 +13,20 @@ from hypothesis import given, settings, strategies as st
 import postdedup.batching
 import postdedup.translate
 from postdedup.batching import RetryPolicy, map_batches
+from postdedup.config import config_from_dict
 from postdedup.errors import (
     BackendUnavailable,
     ConfigError,
     DataError,
     RateLimited,
 )
+from postdedup.pipeline import make_translator
 from postdedup.translate import (
     DictionaryTranslator,
     IdentityTranslator,
     RemoteTranslator,
     TranslationCache,
     TranslationRequest,
-    make_backend,
     translate_batch,
 )
 
@@ -204,20 +205,24 @@ def test_dictionary_from_file(tmp_path):
         DictionaryTranslator.from_file(tmp_path / "missing.json")
 
 
-def test_make_backend_kinds(tmp_path):
-    assert make_backend("identity").name == "identity"
+def test_make_translator_kinds(tmp_path):
     path = tmp_path / "d.json"
-    path.write_text("{}", encoding="utf-8")
-    assert make_backend("dictionary", path=path).name == "dictionary"
-    assert make_backend("remote", endpoint="http://127.0.0.1:9").name == "remote"
-    with pytest.raises(ConfigError):
-        make_backend("dictionary")
-    with pytest.raises(ConfigError):
-        make_backend("babelfish")
+    path.write_text('{"hund": "dog"}', encoding="utf-8")
+    dictionary = {"kind": "dictionary", "dictionary_path": str(path)}
+    remote = {"kind": "remote", "endpoint": "http://127.0.0.1:9"}
+    for raw, kind in (
+        ({}, IdentityTranslator),
+        ({"translate": dictionary}, DictionaryTranslator),
+        ({"translate": remote}, RemoteTranslator),
+        ({"mode": "multilingual", "translate": dictionary}, IdentityTranslator),
+    ):
+        assert type(make_translator(config_from_dict(raw))) is kind, raw
+    translator = make_translator(config_from_dict({"translate": dictionary}))
+    assert translator.translate(["hund"], None, "en") == ["dog"]
 
 
 def test_remote_unreachable_endpoint_fails_on_first_use():
-    backend = make_backend("remote", endpoint="http://127.0.0.1:9/translate")
+    backend = RemoteTranslator("http://127.0.0.1:9/translate")
     with pytest.raises(BackendUnavailable):
         backend.translate(["hello"], None, "en")
 
@@ -508,7 +513,7 @@ def translate_server():
 
 def test_remote_backend_round_trip(translate_server, monkeypatch):
     monkeypatch.setenv("DEDUP_TRANSLATE_API_KEY", "sekret")
-    backend = make_backend("remote", endpoint=translate_server)
+    backend = RemoteTranslator(translate_server)
     out = translate_batch([req("hallo"), req("welt")], backend, batch_size=2)
     assert out == ["HALLO", "WELT"]
     assert _Handler.seen_auth == ["Bearer sekret"]
@@ -516,14 +521,14 @@ def test_remote_backend_round_trip(translate_server, monkeypatch):
 
 def test_remote_backend_retries_rate_limit(translate_server):
     _Handler.behavior = "rate_limit_once"
-    backend = make_backend("remote", endpoint=translate_server)
+    backend = RemoteTranslator(translate_server)
     out = translate_batch([req("hallo")], backend, retry=FAST_RETRY)
     assert out == ["HALLO"]
 
 
 def test_remote_backend_server_error_surfaces(translate_server):
     _Handler.behavior = "error"
-    backend = make_backend("remote", endpoint=translate_server)
+    backend = RemoteTranslator(translate_server)
     _Handler.behavior = "error"
     with pytest.raises(BackendUnavailable):
         backend.translate(["x"], None, "en")
@@ -531,7 +536,7 @@ def test_remote_backend_server_error_surfaces(translate_server):
 
 def test_remote_malformed_endpoint_rejected():
     with pytest.raises(ConfigError):
-        make_backend("remote", endpoint="not a url")
+        RemoteTranslator("not a url")
 
 
 # -- remote backend against a scripted offline session -------------------------

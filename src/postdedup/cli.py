@@ -33,7 +33,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import pipeline
 from .atomic import write_json
-from .config import PipelineConfig, _read_document, _read_yaml, config_from_dict
+from .config import PipelineConfig, _read_document, _read_json_or_yaml, config_from_dict
 from .corpus import corpus_stats, read_json, save_postings
 from .embed import tokenize
 from .errors import BackendError, ConfigError, DataError, DedupError
@@ -53,7 +53,6 @@ from .pipeline import (
     stage_translate,
     write_run,
 )
-from .synth import DupPlan, synth_corpus
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -117,7 +116,7 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     if args.rules in ("example", "none"):
         flags["dedup.rules"] = args.rules
     elif args.rules:
-        rules = _read_yaml(args.rules, "rules file")
+        rules = _read_json_or_yaml(args.rules, "rules file")
         if not isinstance(rules, list):
             raise ConfigError("rules file must contain a list of rule objects")
         flags["dedup.rules"] = rules
@@ -201,6 +200,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from .synth import DupPlan, synth_corpus
+
     config = _config_from_args(args)
     plan = DupPlan(
         full_rate=args.full_rate,

@@ -12,12 +12,11 @@ list is read as an `ExpertRule` the same way.
 from __future__ import annotations
 
 import functools
+import json
 import typing
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
-
-import yaml
 
 from .corpus import read_text
 from .dedup import ExpertRule, example_ruleset
@@ -232,9 +231,21 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     )
 
 
-def _read_yaml(path: str | Path, what: str):
-    """Parse a YAML (or JSON, a YAML subset) file; failures are ConfigError."""
+def _read_json_or_yaml(path: str | Path, what: str):
+    """Parse a JSON or YAML file; failures are ConfigError.
+
+    A document that parses as JSON is read with `json`, so yaml is loaded
+    only for one that does not. The two read a few JSON texts differently
+    (YAML 1.1 reads `1e-1`, `NaN` and `Infinity` as strings, JSON as
+    floats); the readers of `_READERS` take a float key's value either way.
+    """
     text = read_text(path, ConfigError)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError):
+        pass
+    import yaml
+
     try:
         return yaml.safe_load(text)
     except yaml.YAMLError as err:
@@ -242,7 +253,7 @@ def _read_yaml(path: str | Path, what: str):
 
 
 def _read_document(path: str | Path) -> dict:
-    return _mapping(_read_yaml(path, "config"), "config document")
+    return _mapping(_read_json_or_yaml(path, "config"), "config document")
 
 
 __all__ = [

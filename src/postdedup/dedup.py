@@ -142,7 +142,9 @@ def collect_hits(
     the rows that can lie under `radius` (see `postdedup.index`). Queries
     may fan out over threads; results are identical for any thread count.
 
-    The pairs are the union of every query's hits, with names
+    The hits come as the flat arrays of one `search_arrays(..., k + 1)`
+    call, so the memory they take follows the hits found, not k. The
+    pairs are the union of every query's hits, with names
     `sorted(index.ids)`; a pair found from both ends keeps the distance of
     its first hit in query order (both ends compute the same bits).
     `kth[q]` is the distance of the k-th hit of `queries.ids[q]`, inf where
@@ -151,14 +153,16 @@ def collect_hits(
     names = sorted(index.ids)
     if sorted(queries.ids) != names:
         raise ValueError("collect_hits is a self-join: queries must hold the index's ids")
-    rows, distances = index.search_arrays(queries.vectors, k + 1, threads=threads, radius=radius)
+    qi, rows, d = index.search_arrays(queries.vectors, k + 1, threads=threads, radius=radius)
+    if radius is not None:
+        under = d < radius
+        qi, rows, d = qi[under], rows[under], d[under]
     # Each hit as (query, query's id rank, row's id rank, distance), in
     # query order, then ascending within a query; the own row is the hit
     # of equal rank.
-    qi, col = np.nonzero(rows >= 0 if radius is None else distances < radius)
-    a, b = queries._id_ranks[qi], index._id_ranks[rows[qi, col]]
+    a, b = queries._id_ranks[qi], index._id_ranks[rows]
     other = a != b
-    qi, a, b, d = qi[other], a[other], b[other], distances[qi, col][other]
+    qi, a, b, d = qi[other], a[other], b[other], d[other]
     # qi ascends, so a hit's place among its query's hits is its offset
     # from the query's first hit.
     place = np.arange(qi.size) - np.searchsorted(qi, qi)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import re
-import statistics
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -88,12 +87,17 @@ def truncation_report(
             bucket = _loss_bucket(n_lost)
             histogram[bucket] = histogram.get(bucket, 0) + 1
     n_truncated = len(losses)
+    mean = median = 0.0
+    if losses:  # statistics is loaded only once a text is truncated
+        import statistics
+
+        mean, median = float(statistics.fmean(losses)), float(statistics.median(losses))
     return TruncationReport(
         n_total=n_total,
         n_truncated=n_truncated,
         fraction_truncated=n_truncated / n_total if n_total else 0.0,
-        mean_tokens_lost=float(statistics.fmean(losses)) if losses else 0.0,
-        median_tokens_lost=float(statistics.median(losses)) if losses else 0.0,
+        mean_tokens_lost=mean,
+        median_tokens_lost=median,
         histogram_over_limit=dict(sorted(histogram.items())),
     )
 

@@ -70,10 +70,9 @@ from __future__ import annotations
 import struct
 import zlib
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -97,11 +96,13 @@ _KIND_IVF = 1
 # many queries as fit when each query costs its gathered copy and every
 # (query, row) entry it can reach costs two approximate distances and a
 # mask flag, plus `_CANDIDATE_BYTES` (indices, exact d², sort order)
-# without a radius; with one a query keeps few rows, so a block whose
-# queries all keep every row they reach (a clique under the radius) can
-# hold up to 5.4 times the budget for float32 rows. The rows a query can
-# reach are those of the `nprobe` largest lists: all n rows for a one-list
-# search (flat, the IVF probe, the k-means assign); see `_search`.
+# without a radius. The rows a query can reach are those of the `nprobe`
+# largest lists: all n rows for a one-list search (flat, the IVF probe,
+# the k-means assign). With a radius a query keeps few rows, so the block
+# is not sized for candidates; its queries are instead re-ranked in runs
+# whose kept rows cost at most the budget at `_CANDIDATE_BYTES` each, so
+# a block whose queries keep every row they reach (a clique under the
+# radius) holds no more than a common one. See `_search`.
 _BLOCK_BYTES = 1 << 20
 _CANDIDATE_BYTES = 40
 
@@ -163,16 +164,19 @@ _ROUNDING = {
 }
 
 
-def _margin(q_sq: np.ndarray, max_row_sq: float, dim: int, dtype) -> np.ndarray:
-    """Δ per query: a bound on |A − E| against any row of squared norm at most `max_row_sq`.
+def _margin(dim: int, dtype) -> Callable[[np.ndarray, float], np.ndarray]:
+    """Δ as a function of the query norms and the largest norm of the rows.
 
-    u and η are those of the rows' `dtype` (see `_preselect`). The bound
-    takes the largest row norm, so it holds for any subset of the rows.
+    Δ per query bounds |A − E| against any row of norm at most the one
+    given; u and η are those of the rows' `dtype` (see `_preselect`). Its
+    coefficient depends only on `dim` and `dtype`, so a search works it
+    out once. The bound takes the largest row norm, so it holds for any
+    subset of the rows.
     """
     u, tiny = _ROUNDING[dtype]
     coeff = _gamma(dim, u) + 2 * _gamma(dim + 2, 2.0**-53) + 6 * u
     floor = (5 * dim + 4) * tiny / 2
-    return coeff * (np.sqrt(q_sq) + np.sqrt(max_row_sq)) ** 2 + floor
+    return lambda q_norm, max_row_norm: coeff * (q_norm + max_row_norm) ** 2 + floor
 
 
 def _preselect(
@@ -180,12 +184,14 @@ def _preselect(
     q_sq: np.ndarray,
     rows: np.ndarray,
     row_sq: np.ndarray,
+    delta: np.ndarray,
     k: int,
     r2: float | np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(query, row) index pairs that can be in a query's exact top k (with E under `r2`).
+) -> np.ndarray:
+    """Mask (m, n) of the (query, row) pairs that can be in a query's exact top k (E under `r2`).
 
-    `q_sq` and `row_sq` are the squared norms of `queries` and `rows`.
+    `q_sq` and `row_sq` are the squared norms of `queries` and `rows`, and
+    `delta` is Δ per query (`_margin`, from the largest norm of `rows`).
     For a query q and a row x let D = ‖q − x‖² in real arithmetic and
     S = (‖q‖ + ‖x‖)², so that ‖q‖² + ‖x‖² ≤ S, 2|q·x| ≤ S and D ≤ S.
     With u and η of the rows' dtype and d the dimension:
@@ -233,23 +239,21 @@ def _preselect(
     therefore has the radius-free probed top k's hits under R, bit for
     bit.
     """
-    m, n = len(queries), len(rows)
-    if k >= n and r2 is None:  # every row is in the top k
-        return np.repeat(np.arange(m), n), np.tile(np.arange(n), m)
+    if k >= len(rows) and r2 is None:  # every row is in the top k
+        return np.ones((len(queries), len(rows)), dtype=bool)
     # BLAS is fastest on this orientation; the copy makes the arithmetic,
     # partition and mask below run on rows of contiguous memory.
     approx = np.ascontiguousarray((rows @ queries.T).T)
     approx *= -2
     approx += row_sq
     approx += q_sq[:, None]
-    delta = _margin(q_sq, row_sq.max(), rows.shape[1], rows.dtype)
     if r2 is None:
-        return np.nonzero(approx <= _kth_cutoff(approx, k, delta))
+        return approx <= _kth_cutoff(approx, k, delta)
     keep = approx <= (r2 + 2 * delta)[:, None]
     over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
     if over.size:
         keep[over] = approx[over] <= _kth_cutoff(approx[over], k, delta[over])
-    return np.nonzero(keep)
+    return keep
 
 
 def _exact_sq_dists(
@@ -266,33 +270,35 @@ def _exact_sq_dists(
 
 
 def _top_k(
-    qi: np.ndarray,
-    rj: np.ndarray,
-    d2: np.ndarray,
-    ranks: np.ndarray,
-    rows_out: np.ndarray,
-    d2_out: np.ndarray,
-) -> None:
-    """Write each query's smallest candidates by (d², rank) into its output row.
-
-    A query with fewer candidates than columns keeps its padding.
-    """
-    if qi.size == 0:
-        return
-    k = rows_out.shape[1]
+    qi: np.ndarray, rj: np.ndarray, d2: np.ndarray, ranks: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each query's k smallest candidates by (d², rank): (query, row, d²) in that order."""
     order = np.lexsort((ranks[rj], d2, qi))
-    counts = np.bincount(qi, minlength=len(rows_out))
-    starts = np.cumsum(counts) - counts
-    col = np.arange(k)
-    valid = col < counts[:, None]
-    pick = order[(starts[:, None] + col)[valid]]
-    rows_out[valid] = rj[pick]
-    d2_out[valid] = d2[pick]
+    qi = qi[order]
+    first_k = np.arange(qi.size) - np.searchsorted(qi, qi) < k
+    order = order[first_k]
+    return qi[first_k], rj[order], d2[order]
+
+
+def _runs(counts: np.ndarray, cap: int) -> list[tuple[int, int]]:
+    """Consecutive runs [a, b) of `counts`, each as long as its sum stays at most `cap`.
+
+    A count over `cap` is a run of its own.
+    """
+    total = np.cumsum(counts)
+    cuts = [0]
+    while cuts[-1] < len(counts):
+        before = total[cuts[-1] - 1] if cuts[-1] else 0
+        cuts.append(max(cuts[-1] + 1, int(np.searchsorted(total, before + cap, side="right"))))
+    return list(zip(cuts, cuts[1:]))
 
 
 def _one_list(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The `lists` of `_search` for one list of all n rows, probed by each of m queries."""
     return np.array([0, n]), np.zeros((m, 1), dtype=np.int64)
+
+
+_NO_HITS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
 
 
 def _search(
@@ -304,55 +310,80 @@ def _search(
     k: int,
     threads: int = 1,
     r2: float | None = None,
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Exact top k per query by (d², rank) over the rows of the lists it probes.
 
     `lists` is (bounds, probes): list i holds rows bounds[i]:bounds[i + 1]
     and query q probes the lists probes[q]. A block of queries sends each
     list it probes through `_preselect`, with the queries probing it and
-    the squared radius `r2`, and re-ranks the kept rows exactly. Returns
-    (m, k) row indices (-1 where a query has fewer than k) and exact d²
-    (inf there), and the number of pairs re-ranked. Blocks are
-    independent, so `threads` only spreads them.
+    the squared radius `r2`, and re-ranks the kept rows exactly, in runs
+    of queries whose kept rows fit the budget. Returns the hits as flat
+    arrays (query, row, exact d²) in (query, d², rank) order, at most k
+    per query and fewer where a query reaches or keeps fewer rows, so
+    they take memory in proportion to the hits; and the number of pairs
+    re-ranked. Blocks are independent, so `threads` only spreads them.
     """
     bounds, probes = lists
     firsts, sizes = bounds[:-1], np.diff(bounds)
     m, nprobe = probes.shape
-    out_rows = np.full((m, k), -1, dtype=np.int64)
-    out_d2 = np.full((m, k), np.inf)
+    margin = _margin(rows.shape[1], rows.dtype)
     most = int(np.sort(sizes)[-nprobe:].sum())
     entry_bytes = 2 * rows.itemsize + 1 + (_CANDIDATE_BYTES if r2 is None else 0)
     size = max(1, _BLOCK_BYTES // (entry_bytes * most + queries.itemsize * queries.shape[1]))
+    cap = _BLOCK_BYTES // _CANDIDATE_BYTES  # kept rows one re-rank may hold
 
-    def run(start: int) -> int:
-        block = slice(start, start + size)
-        block_q = queries[block]
+    def run(start: int) -> list[tuple[tuple[np.ndarray, ...], int]]:
+        block_q = queries[start : start + size]
         block_sq = _sq_norms(block_q)
+        block_norm = np.sqrt(block_sq)
         # Each (query, list) probe of the block, grouped by list in query order.
-        probed = probes[block].ravel()
+        probed = probes[start : start + size].ravel()
         by_list = np.argsort(probed, kind="stable")
         counts = np.bincount(probed, minlength=len(sizes))
         ends = np.cumsum(counts)
-        found = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))]
+        masks, kept = [], 0
         for lst in np.flatnonzero((counts > 0) & (sizes > 0)):
             probing = by_list[ends[lst] - counts[lst] : ends[lst]] // nprobe
             span = slice(firsts[lst], firsts[lst] + sizes[lst])
-            qi, rj = _preselect(
-                block_q[probing], block_sq[probing], rows[span], row_sq[span], k, r2
+            delta = margin(block_norm[probing], np.sqrt(row_sq[span].max()))
+            keep = _preselect(
+                block_q[probing], block_sq[probing], rows[span], row_sq[span], delta, k, r2
             )
-            found.append((probing[qi], rj + firsts[lst]))
-        qi, rj = (np.concatenate(part) for part in zip(*found))
-        d2 = _exact_sq_dists(block_q, rows, qi, rj)
-        _top_k(qi, rj, d2, ranks, out_rows[block], out_d2[block])
-        return int(qi.size)
+            masks.append((probing, firsts[lst], keep))
+            kept += np.count_nonzero(keep)
+        runs = [(0, len(block_q))]
+        if kept > cap:  # say, a clique under the radius: split by each query's kept rows
+            per_query = np.zeros(len(block_q), dtype=np.int64)
+            for probing, _, keep in masks:
+                per_query[probing] += np.count_nonzero(keep, axis=1)
+            runs = _runs(per_query, cap)
+
+        def rerank(a: int, b: int) -> tuple[tuple[np.ndarray, ...], int]:
+            # The kept rows of queries a:b of the block; `probing` ascends.
+            found = [_NO_HITS[:2]]
+            for probing, first, keep in masks:
+                lo, hi = np.searchsorted(probing, (a, b))
+                qi, rj = np.nonzero(keep[lo:hi])
+                found.append((probing[qi + lo], rj + first))
+            qi, rj = (np.concatenate(part) for part in zip(*found))
+            del found
+            d2 = _exact_sq_dists(block_q, rows, qi, rj)
+            return _top_k(qi + start, rj, d2, ranks, k), int(qi.size)
+
+        return [rerank(a, b) for a, b in runs]
 
     blocks = range(0, m, size)
     if threads <= 1 or len(blocks) <= 1:
-        reranked = sum(map(run, blocks))
+        reranks = [rerank for block in map(run, blocks) for rerank in block]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            reranked = sum(pool.map(run, blocks))
-    return out_rows, out_d2, reranked
+            reranks = [rerank for block in pool.map(run, blocks) for rerank in block]
+    hits = [_NO_HITS, *(hit for hit, _ in reranks)]
+    reranked = sum(n for _, n in reranks)
+    qi, rj, d2 = (np.concatenate(part) for part in zip(*hits))
+    return qi, rj, d2, reranked
 
 
 class _BaseIndex:
@@ -424,22 +455,24 @@ class _BaseIndex:
 
     def search_arrays(
         self, queries, k: int, threads: int = 1, radius: float | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Top k per query as (m, k) arrays of stored row indices and true L2 distances.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Top k per query as flat hit arrays: query index, stored row index, true L2 distance.
 
-        Each row ascends with ties by id; -1 and inf pad a query with fewer
-        than k hits. Results are equal for any thread count. With `radius`,
-        hits at a distance of `radius` or more may be left out, but every
-        hit of the top k under it is there, with the same bits.
+        The hits run in query order, each query's ascending with ties by
+        id; a query with fewer than k hits has only those, so the arrays
+        hold as many entries as there are hits. Results are equal for any
+        thread count. With `radius`, hits at a distance of `radius` or
+        more may be left out, but every hit of the top k under it is
+        there, with the same bits.
         """
         queries = self._queries(queries, k)
         bounds, probes = self._lists(queries, threads)
         r2 = None if radius is None else radius * radius
-        rows, d2, self.rerank_count = _search(
+        qi, rows, d2, self.rerank_count = _search(
             queries, self._vecs32, self._sq, self._id_ranks, (bounds, probes), k, threads, r2
         )
         self.comparison_count = int(np.diff(bounds)[probes].sum())
-        return rows, np.sqrt(d2)
+        return qi, rows, np.sqrt(d2)
 
     def save(self, path: str | Path) -> None:
         with atomic_write(path, "wb") as fh:
@@ -504,10 +537,11 @@ class IVFIndex(_BaseIndex):
     def _lists(self, queries: np.ndarray, threads: int) -> tuple[np.ndarray, np.ndarray]:
         # Each query probes the lists of its `nprobe` nearest centroids.
         ranks, one = np.arange(self.nlist), _one_list(len(queries), self.nlist)
-        probes, _, _ = _search(
+        # A query reaches every centroid and keeps at least nprobe of them.
+        _, probes, _, _ = _search(
             queries, self._cent32, self._cent_sq, ranks, one, self.nprobe, threads
         )
-        return self._bounds, probes
+        return self._bounds, probes.reshape(len(queries), self.nprobe)
 
     def to_bytes(self) -> bytes:
         return _serialize(_KIND_IVF, self.dim, self.ids, self._vecs32, self._cent32, self._offsets)
@@ -516,15 +550,20 @@ class IVFIndex(_BaseIndex):
 VectorIndex = Union[FlatIndex, IVFIndex]
 
 
-def _lower_sq_dists(d2: np.ndarray, X: np.ndarray, x_sq: np.ndarray, center: int) -> None:
+def _lower_sq_dists(
+    d2: np.ndarray, X: np.ndarray, x_sq: np.ndarray, x_norm: np.ndarray, center: int, margin
+) -> None:
     """d2 ← min(d2, exact d² of each row of X to the row `center`), in place.
 
+    `x_sq` and `x_norm` are the rows' squared norms and norms, and
+    `margin` is `_margin` of X, all worked out once for every center.
     Only the rows `_preselect` keeps under r2 = d2 go through the exact
     expression; any other row's exact d² is at least d2, so the minimum
     keeps d2's bits there.
     """
     one = slice(center, center + 1)
-    near, _ = _preselect(X, x_sq, X[one], x_sq[one], 1, d2)
+    delta = margin(x_norm, x_norm[center])
+    near = np.flatnonzero(_preselect(X, x_sq, X[one], x_sq[one], delta, 1, d2))
     rows = X[near]
     d2[near] = np.minimum(d2[near], _row_sq_dists(rows, X[center], rows))
 
@@ -535,6 +574,7 @@ def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     centers[0] = X[int(rng.integers(n))]
     d2 = _row_sq_dists(X, centers[0], None)
     x_sq = _sq_norms(X)
+    x_norm, margin = np.sqrt(x_sq), _margin(X.shape[1], X.dtype)
     for j in range(1, k):
         total = float(d2.sum())
         if total > 0.0:
@@ -542,15 +582,17 @@ def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         else:
             idx = int(rng.integers(n))
         centers[j] = X[idx]
-        _lower_sq_dists(d2, X, x_sq, idx)
+        _lower_sq_dists(d2, X, x_sq, x_norm, idx, margin)
     return centers
 
 
 def _assign(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Each row's nearest center by the exact expression, lowest index on ties."""
     k = len(centers)
-    nearest, _, _ = _search(X, centers, _sq_norms(centers), np.arange(k), _one_list(len(X), k), 1)
-    return nearest[:, 0]
+    # Each row keeps at least one center, so it has exactly one hit.
+    one = _one_list(len(X), k)
+    _, nearest, _, _ = _search(X, centers, _sq_norms(centers), np.arange(k), one, 1)
+    return nearest
 
 
 def _kmeans(

@@ -191,7 +191,11 @@ def _embed(
         "zero_vector_ids": [rid for rid, keep in zip(rep_ids, flags) if not keep],
         "truncation": asdict(truncation_report(token_counts, config.embed.max_tokens)),
     }
-    return (FlatIndex(ids, vectors[nonzero]) if ids else None), meta
+    if not ids:
+        return None, meta
+    # The embedder's matrix becomes the index as it is; a copy is made only
+    # to drop zero rows.
+    return FlatIndex(ids, vectors if len(ids) == len(rep_ids) else vectors[nonzero]), meta
 
 
 def _build_search_index(flat: FlatIndex | None, config: PipelineConfig):

@@ -14,11 +14,13 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Protocol, Sequence
 
-from .batching import RetryPolicy, check_endpoint, list_field, map_batches, post_json
 from .corpus import read_json
 from .errors import ConfigError, DataError
+
+if TYPE_CHECKING:  # batching is loaded only for a remote backend
+    from .batching import RetryPolicy
 
 # The two-step mode translates every text into English. The target is part
 # of each cache key and of each remote request body.
@@ -131,12 +133,16 @@ class RemoteTranslator:
     ) -> None:
         import requests
 
+        from .batching import check_endpoint
+
         self.endpoint = check_endpoint(endpoint)
         self.timeout = timeout
         self._api_key = api_key if api_key is not None else os.environ.get("DEDUP_TRANSLATE_API_KEY")
         self._session = session or requests.Session()
 
     def translate(self, texts: Sequence[str], source: Optional[str], target: str) -> list[str]:
+        from .batching import list_field, post_json
+
         body: dict = {"texts": list(texts), "target": target}
         if source:
             body["source"] = source
@@ -268,6 +274,8 @@ def translate_batch(
         if isinstance(backend, _IN_PROCESS):
             translated = backend.translate(texts, source, TARGET_LANGUAGE)
         else:
+            from .batching import map_batches
+
             translated = map_batches(
                 texts,
                 lambda batch, s=source: backend.translate(batch, s, TARGET_LANGUAGE),

@@ -130,12 +130,13 @@ def pair_keys(pairs: CandidatePairs) -> set[tuple[str, str]]:
 
 
 def search_hits(index, queries, k: int, **kwargs) -> list[list[tuple[str, float]]]:
-    """Each query's hits from `search_arrays` as (id, distance) pairs, padding dropped."""
-    rows, distances = index.search_arrays(np.asarray(queries, dtype=np.float32), k, **kwargs)
-    return [
-        [(index.ids[r], d) for r, d in zip(row, dist) if r >= 0]
-        for row, dist in zip(rows.tolist(), distances.tolist())
-    ]
+    """Each query's hits from `search_arrays` as (id, distance) pairs."""
+    queries = np.asarray(queries, dtype=np.float32)
+    qi, rows, distances = index.search_arrays(queries, k, **kwargs)
+    hits: list[list[tuple[str, float]]] = [[] for _ in queries]
+    for q, r, d in zip(qi.tolist(), rows.tolist(), distances.tolist()):
+        hits[q].append((index.ids[r], d))
+    return hits
 
 
 def search_one(index, query, k: int, **kwargs) -> list[tuple[str, float]]:

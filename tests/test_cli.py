@@ -837,6 +837,45 @@ def test_importing_the_package_loads_no_submodule_and_no_numpy():
     assert out.strip() == "[]"
 
 
+# What `dedup` with an in-process translator, the hashed embedder, one
+# thread and a JSON config does not run, so importing the CLI loads none.
+_NOT_RUN_BY_DEDUP = (
+    "yaml",
+    "postdedup.synth",
+    "postdedup.batching",
+    "statistics",
+    "concurrent.futures",
+    "requests",
+)
+
+
+def test_cli_loads_only_the_modules_dedup_runs(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        "".join(json.dumps({**_POSTING, "id": vid}) + "\n" for vid in "abc"), encoding="utf-8"
+    )
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dedup": {"base_theta": 1e-1, "k": 2}}), encoding="utf-8")
+    code = (
+        "import json, sys\n"
+        "from postdedup import cli\n"
+        f"names = {list(_NOT_RUN_BY_DEDUP)!r}\n"
+        "imported = [m for m in names if m in sys.modules]\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, imported, [m for m in names if m in sys.modules]]))\n"
+    )
+    argv = ["dedup", "--input", str(corpus), "--out", str(tmp_path / "run")]
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv, "--config", str(config), "--rules", "example"],
+        env=_env_without_blas_threads(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(done.stdout.splitlines()[-1]) == [0, [], []]
+    assert "exact_fingerprint" in (tmp_path / "run" / RESULTS_FILE).read_text(encoding="utf-8")
+
+
 def _env_without_blas_threads(**extra) -> dict:
     """This process's environment minus OPENBLAS_NUM_THREADS, with `src` importable."""
     src = str(Path(postdedup.__file__).parents[1])

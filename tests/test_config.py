@@ -17,7 +17,7 @@ import yaml
 
 import postdedup
 from postdedup.cli import main
-from postdedup.config import PipelineConfig, config_from_dict
+from postdedup.config import PipelineConfig, _read_document, config_from_dict
 from postdedup.dedup import ExpertRule
 from postdedup.errors import ConfigError
 
@@ -137,6 +137,60 @@ def test_index_dim_is_no_key_and_follows_embed_dim():
         config_from_dict({"index": {"dim": 64}})
     config = config_from_dict({"embed": {"dim": 64}, "seed": 3})
     assert (config.index.dim, config.index.seed) == (64, 3)
+
+
+# One config as a JSON document and as a YAML one. It has exponents without
+# a dot, which YAML 1.1 reads as strings and JSON as numbers, and quoted
+# numbers, which both read as strings.
+PARITY_JSON = """{
+  "mode": "two_step", "seed": 7, "threads": 2,
+  "normalize": {"ascii_only": true, "keep_punct": "-+"},
+  "translate": {"kind": "identity", "cache_path": "1e-1"},
+  "embed": {"dim": 64, "max_tokens": 100},
+  "index": {"kind": "ivf", "nlist": 4, "nprobe": 2},
+  "dedup": {
+    "k": 10, "base_theta": 1e-1, "sweep_thetas": ["5e-2", 1e-1, 0.2, "3E-1"],
+    "rules": [
+      {"company": "same", "action": "threshold", "threshold": 25e-2},
+      {"action": "threshold", "threshold": "0.2"}
+    ]
+  }
+}
+"""
+PARITY_YAML = """\
+mode: two_step
+seed: 7
+threads: 2
+normalize: {ascii_only: true, keep_punct: "-+"}
+translate:
+  kind: identity
+  cache_path: "1e-1"  # a comment: this document is not JSON
+embed: {dim: 64, max_tokens: 100}
+index: {kind: ivf, nlist: 4, nprobe: 2}
+dedup:
+  k: 10
+  base_theta: 1e-1
+  sweep_thetas: ["5e-2", 1e-1, 0.2, "3E-1"]
+  rules:
+    - {company: same, action: threshold, threshold: 25e-2}
+    - {action: threshold, threshold: "0.2"}
+"""
+
+
+def test_a_config_reads_the_same_as_json_and_as_yaml(tmp_path):
+    with pytest.raises(ValueError):
+        json.loads(PARITY_YAML)
+    read = []
+    for name, text in (("run.json", PARITY_JSON), ("run.yaml", PARITY_YAML)):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        read.append(config_from_dict(_read_document(tmp_path / name)))
+    assert read[0] == read[1]
+    # yaml reads the JSON text to the same config as well.
+    assert config_from_dict(yaml.safe_load(PARITY_JSON)) == read[0]
+    dedup = read[0].dedup
+    assert (dedup.base_theta, dedup.sweep_thetas) == (0.1, (0.05, 0.1, 0.2, 0.3))
+    assert [rule.threshold for rule in dedup.rules] == [0.25, 0.2]
+    assert read[0].translate.cache_path == "1e-1"
 
 
 def readme_config() -> dict:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 from collections import Counter
 from datetime import date
 from itertools import combinations
@@ -38,6 +39,7 @@ from conftest import (
     make_posting,
     pair_keys,
     pair_triples,
+    search_hits,
     unit_vectors,
     write_stage_artifacts,
 )
@@ -485,13 +487,10 @@ def collect_hits_oracle(index, queries, k, radius=None):
     drop the query's own id and every hit at d >= radius, keep the first
     k, and take the union; a pair keeps the distance of its first hit.
     """
-    rows, distances = index.search_arrays(queries.vectors, k + 1)
     pairs, kth = {}, []
-    for vid, row, dist in zip(queries.ids, rows.tolist(), distances.tolist()):
+    for vid, found in zip(queries.ids, search_hits(index, queries.vectors, k + 1)):
         hits = [
-            (index.ids[r], d)
-            for r, d in zip(row, dist)
-            if r >= 0 and index.ids[r] != vid and (radius is None or d < radius)
+            (other, d) for other, d in found if other != vid and (radius is None or d < radius)
         ][:k]
         for other, d in hits:
             pairs.setdefault(tuple(sorted((vid, other))), d.hex())
@@ -561,6 +560,29 @@ def test_collect_hits_equals_per_query_loop(
     assert pairs.names == sorted(ids)
     assert pair_bits(pairs) == expected_pairs
     assert [d.hex() for d in kth.tolist()] == expected_kth
+
+
+def test_collect_hits_memory_follows_the_hits_not_k():
+    # 500 near pairs of unit rows in 32 dimensions: under the radius each
+    # query has one hit whatever k is. Hits padded to (n, k + 1) would take
+    # 24 MB more at k = 1000 than at k = 10.
+    rng = np.random.default_rng(5)
+    n, dim = 1000, 32
+    rows = rng.normal(size=(n, dim))
+    rows[1::2] = rows[::2] + rng.normal(size=(n // 2, dim)) * 1e-3
+    rows = (rows / np.linalg.norm(rows, axis=1, keepdims=True)).astype(np.float32)
+    index = FlatIndex([f"v{i:04d}" for i in range(n)], rows)
+    peaks = []
+    for k in (10, 1000):
+        pairs, _ = collect_hits(index, index, k, radius=0.3)  # warm-up
+        assert len(pairs) == n // 2
+        tracemalloc.start()
+        try:
+            collect_hits(index, index, k, radius=0.3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 64 * 1024, peaks
 
 
 def test_collect_hits_is_a_self_join():

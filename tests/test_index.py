@@ -28,6 +28,7 @@ from postdedup.index import (
     _kmeans,
     _kmeans_pp_init,
     _lower_sq_dists,
+    _margin,
     _row_sq_dists,
     _sq_norms,
     build_index,
@@ -256,10 +257,10 @@ class TestBatch:
     def test_batch_of_one_equals_single(self):
         _, matrix = vectors = unit_vectors(64, 8, seed=4)
         index = build_index(FlatIndex(*vectors), IndexConfig(dim=8))
-        alone = index.search_arrays(matrix[5:6], 3)
-        among_all = index.search_arrays(matrix, 3)
-        for got, batched in zip(alone, among_all):
-            assert got[0].tobytes() == batched[5].tobytes()
+        _, alone_rows, alone_dist = index.search_arrays(matrix[5:6], 3)
+        qi, rows, dist = index.search_arrays(matrix, 3)
+        assert alone_rows.tobytes() == rows[qi == 5].tobytes()
+        assert alone_dist.tobytes() == dist[qi == 5].tobytes()
 
     def test_self_queries_hit_themselves(self):
         ids, matrix = vectors = unit_vectors(128, 8, seed=5)
@@ -640,11 +641,12 @@ def test_kmeans_pp_seeding_equals_the_full_pass_loop(kind, n, dim, seed, grid):
     assert centers.tobytes() == expected.tobytes()
     # The running minimum after every center, against the full pass.
     x_sq = _sq_norms(X)
+    x_norm, margin = np.sqrt(x_sq), _margin(X.shape[1], X.dtype)
     picks = rng.integers(len(X), size=k)
     d2 = _row_sq_dists(X, X[picks[0]], None)
     full = d2.copy()
     for idx in picks[1:]:
-        _lower_sq_dists(d2, X, x_sq, int(idx))
+        _lower_sq_dists(d2, X, x_sq, x_norm, int(idx), margin)
         full = np.minimum(full, _row_sq_dists(X, X[idx], None))
         assert d2.tobytes() == full.tobytes()
 
@@ -695,14 +697,13 @@ def test_search_arrays_are_the_search_hits_and_count_reranks():
     ids, matrix = vectors = unit_vectors(300, 16, seed=23)
     index = build_index(FlatIndex(*vectors), IndexConfig(dim=16))
     queries = matrix[:40]
-    rows, distances = index.search_arrays(queries, 12)
+    qi, rows, distances = index.search_arrays(queries, 12)
     assert index.comparison_count == 40 * 300
     assert 40 * 12 <= index.rerank_count <= 40 * 300
     hits = [per_row_top_k(ids, matrix, q, 12) for q in queries]
-    assert [[index.ids[r] for r in row] for row in rows.tolist()] == [
-        [vid for vid, _ in row] for row in hits
-    ]
-    assert distances.tolist() == [[d for _, d in row] for row in hits]
+    assert qi.tolist() == [q for q, row in enumerate(hits) for _ in row]
+    assert [index.ids[r] for r in rows.tolist()] == [vid for row in hits for vid, _ in row]
+    assert distances.tolist() == [d for row in hits for _, d in row]
 
 
 @pytest.mark.parametrize("distinct", [1, 50])
@@ -743,6 +744,31 @@ def test_ivf_block_temporaries_stay_under_rows_by_dim(distinct):
     finally:
         tracemalloc.stop()
     assert peak < n * dim * 8, peak
+
+
+def test_a_clique_under_a_radius_holds_the_block_budget():
+    # Every row equal: under any radius each query keeps every row, the most
+    # a block can re-rank. The kept rows go through the re-rank in runs of
+    # queries within the budget, so the search holds what a common block
+    # does: the product and mask, then the candidates and one exact-distance
+    # chunk, each about `_BLOCK_BYTES`. A block that re-ranked all its kept
+    # rows at once held about six times the budget here.
+    n, dim = 2000, 256
+    _, base = unit_vectors(1, dim, seed=24)
+    index = FlatIndex([f"v{i:05d}" for i in range(n)], np.repeat(base, n, axis=0))
+    queries = index.vectors[:: n // 64]
+    index.search_arrays(queries[:1], 101, radius=0.1)  # warm-up
+    tracemalloc.start()
+    try:
+        index.search_arrays(queries, 101, radius=0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    budget = postdedup.index._BLOCK_BYTES
+    assert peak < 2.5 * budget, peak / budget
+    assert index.rerank_count == len(queries) * n
+    hits = search_hits(index, queries, 101, radius=0.1)
+    assert [len(found) for found in hits] == [101] * len(queries)
 
 
 # --- the bounded IVF scan against re-ranking every probed row ---------------

@@ -2,16 +2,16 @@
 
 Exit codes: 0 success, 2 configuration error, 3 data/artifact error,
 4 backend error. Each stage command reads the previous stage's artifact
-from the output directory and writes its own; only the stage commands
-write those artifacts. `dedup` is corpus in, labels out: it reads the
-`--input` corpus, else `postings.jsonl`, runs the whole chain in memory,
-and writes only `results.csv` and `report.json`; it reads no stage
-artifact and writes or removes no other file, so a failed run leaves the
-output directory as it was. The corpus is named by `--input` and
-`--format` alone (`ingest`, or `dedup --input`). Flags are merged into
-the config document before it is read, so a flag and a file key are
-checked alike: a key that is not in the schema, or a value of the wrong
-type, exits 2 naming the dotted key.
+from the output directory and always writes its own, even if empty; only
+the stage commands write those artifacts, and no command removes a file.
+`dedup` is corpus in, labels out: it reads the `--input` corpus, else
+`postings.jsonl`, runs the whole chain in memory, and writes only
+`results.csv` and `report.json`; it reads no stage artifact and writes no
+other file, so a failed run leaves the output directory as it was. The
+corpus is named by `--input` and `--format` alone (`ingest`, or `dedup
+--input`). Flags are merged into the config document before it is read,
+so a flag and a file key are checked alike: a key that is not in the
+schema, or a value of the wrong type, exits 2 naming the dotted key.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ EXIT_BACKEND = 4
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="YAML config file; flags override file values")
+    parser.add_argument("--config", help="YAML or JSON config file; flags override file values")
     parser.add_argument("--out", default="dedup_out", help="artifact directory")
     parser.add_argument("--mode", choices=("two_step", "multilingual"))
     parser.add_argument("--k", type=int, help="neighbors per query")
@@ -154,17 +154,14 @@ def _cmd_translate(args) -> int:
 def _cmd_embed(args) -> int:
     config = _config_from_args(args)
     embedded = stage_embed(config, args.out)
-    print(f"embedded {len(embedded) if embedded is not None else 0} non-empty representatives")
+    print(f"embedded {len(embedded)} non-empty representatives")
     return 0
 
 
 def _cmd_index(args) -> int:
     config = _config_from_args(args)
     index = stage_index(config, args.out)
-    if index is None:
-        print("nothing to index: no representative has a non-empty embedding")
-    else:
-        print(f"built {index.kind} index over {len(index)} vectors")
+    print(f"built {index.kind} index over {len(index)} vectors")
     return 0
 
 

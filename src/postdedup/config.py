@@ -76,7 +76,10 @@ class DedupConfig:
             raise ConfigError("k must be positive")
         if not 0 < self.base_theta <= 2:
             raise ConfigError("base_theta must be in (0, 2]")
-        if list(self.sweep_thetas) != sorted(self.sweep_thetas):
+        thetas = list(self.sweep_thetas)
+        if not all(0 < theta <= 2 for theta in thetas):  # NaN fails every comparison
+            raise ConfigError(f"dedup.sweep_thetas must each be in (0, 2], got {thetas}")
+        if thetas != sorted(thetas):
             raise ConfigError("sweep_thetas must be ascending")
 
     @property

@@ -56,15 +56,6 @@ class DimensionMismatch(DataError):
         super().__init__(f"expected dimension {expected}, got {got}")
 
 
-class EmptyInput(DataError):
-    """An operation that needs at least one record received none."""
-
-
-class NlistExceedsPoints(DataError):
-    def __init__(self, nlist: int, n_points: int) -> None:
-        super().__init__(f"nlist={nlist} exceeds number of vectors ({n_points})")
-
-
 class ZeroVector(DataError):
     """A zero (empty-text) vector reached an index; these must be filtered upstream."""
 

@@ -53,6 +53,8 @@ exact search (Johnson et al.). The CLI runs OpenBLAS with one thread (see
 one-thread product takes 0.075 s against 0.24 s for the ``np.einsum`` it
 replaced; ``queries @ rows.T`` takes 0.16 s.
 
+An index may hold zero rows; every search of it finds no hits.
+
 Persistence uses a little-endian binary format:
 
     magic "PDIX" | version u16 | kind u8 (0=flat, 1=ivf) | dim u32 | count u64
@@ -82,8 +84,6 @@ from .errors import (
     DataError,
     DimensionMismatch,
     DuplicateId,
-    EmptyInput,
-    NlistExceedsPoints,
     ZeroVector,
 )
 
@@ -128,6 +128,8 @@ class IndexConfig:
                 raise ValueError(f"nprobe={self.nprobe} exceeds nlist={self.nlist}")
             if self.kmeans_iters < 1:
                 raise ValueError("kmeans_iters must be positive")
+            if self.seed < 0:  # it seeds numpy's generator, which takes no negative seed
+                raise ValueError(f"seed must be non-negative for an ivf index, got {self.seed}")
 
 
 def _row_sq_dists(rows: np.ndarray, query: np.ndarray, buf: np.ndarray | None) -> np.ndarray:
@@ -389,18 +391,15 @@ def _search(
 class _BaseIndex:
     """Rows and ids every index holds, validated in one place.
 
-    The constructor rejects what no index may hold: no rows (EmptyInput),
-    a shape other than (len(ids), dim) (DataError), an all-zero row
-    (ZeroVector), a NaN or infinite entry (DataError) and a repeated id
-    (DuplicateId).
+    The constructor rejects what no index may hold: a shape other than
+    (len(ids), dim) (DataError), an all-zero row (ZeroVector), a NaN or
+    infinite entry (DataError) and a repeated id (DuplicateId), not zero rows.
     """
 
     kind: str
 
     def __init__(self, ids: Sequence[str], vectors) -> None:
         ids = list(ids)
-        if not ids:
-            raise EmptyInput("cannot build an index from zero vectors")
         vecs32 = np.ascontiguousarray(vectors, dtype=np.float32)
         if vecs32.ndim != 2 or len(vecs32) != len(ids):
             raise DataError(f"{len(ids)} ids need a ({len(ids)}, dim) matrix, got {vecs32.shape}")
@@ -641,19 +640,21 @@ def _kmeans(
 def build_index(flat: FlatIndex, config: IndexConfig) -> VectorIndex:
     """The search index over `flat`'s rows: `flat` itself, or IVF trained on them.
 
-    Deterministic given config.seed.
+    This is the one sizing rule: IVF takes min(nlist, rows) lists and
+    probes min(nprobe, lists) of them, so a corpus smaller than `nlist`
+    gets one list per row; zero rows train nothing and give `flat`, the
+    empty flat index. Deterministic given config.seed.
     """
     if flat.dim != config.dim:
         raise DimensionMismatch(config.dim, flat.dim)
-    if config.kind == "flat":
+    if config.kind == "flat" or not len(flat):
         return flat
-    if config.nlist > len(flat):
-        raise NlistExceedsPoints(config.nlist, len(flat))
+    nlist = min(config.nlist, len(flat))
     rows = flat.vectors
     rng = np.random.default_rng(config.seed)
-    centers, assign = _kmeans(rows.astype(np.float64), config.nlist, config.kmeans_iters, rng)
+    centers, assign = _kmeans(rows.astype(np.float64), nlist, config.kmeans_iters, rng)
     order = np.argsort(assign, kind="stable")
-    counts = np.bincount(assign, minlength=config.nlist)
+    counts = np.bincount(assign, minlength=nlist)
     offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.uint64)
     grouped_ids = [flat.ids[int(i)] for i in order]
     return IVFIndex(
@@ -661,7 +662,7 @@ def build_index(flat: FlatIndex, config: IndexConfig) -> VectorIndex:
         rows[order],
         centers.astype(np.float32),
         offsets,
-        nprobe=config.nprobe,
+        nprobe=min(config.nprobe, nlist),
     )
 
 

@@ -210,13 +210,15 @@ def canonicalize(posting, config: NormalizeConfig | None = None) -> CanonicalTex
 def group_exact(canonicals: Iterable[CanonicalText]) -> list[ExactGroup]:
     """Partition canonical texts by fingerprint; singletons included.
 
-    Groups are returned sorted by representative id. Raises
-    FingerprintCollision if two members share a fingerprint but differ in
-    lowercased text (never expected at 128 bits).
+    An empty text is a group of its own: a posting that cleans to nothing
+    shares no text with another. Groups are returned sorted by
+    representative id. Raises FingerprintCollision if two members share a
+    fingerprint but differ in lowercased text (never expected at 128 bits).
     """
-    by_fp: dict[str, list[CanonicalText]] = {}
+    by_fp: dict[str | tuple[str], list[CanonicalText]] = {}
     for canonical in canonicals:
-        by_fp.setdefault(canonical.fingerprint, []).append(canonical)
+        key = canonical.fingerprint if canonical.text else (canonical.source_id,)
+        by_fp.setdefault(key, []).append(canonical)
     groups = []
     for members in by_fp.values():
         reference = members[0].text.lower()

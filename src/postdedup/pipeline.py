@@ -21,6 +21,9 @@ output. Every artifact round-trips exactly (float32 vectors, UTF-8 text),
 so the stage commands write the bytes of the chain's in-memory values.
 Candidates, rules and results run only inside the whole chain, so no code
 reads `index.pdix` back.
+
+Nothing to embed is no special case: the embeddings are then a flat index
+of zero rows, which is written, indexed and searched like any other.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from itertools import combinations, product
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -39,7 +42,6 @@ from .atomic import atomic_write, write_json
 from .config import PipelineConfig
 from .corpus import Posting, jsonl_records, load_postings, pair_count, save_postings
 from .dedup import (
-    CandidatePairs,
     KeptPairs,
     LabeledPair,
     apply_rules_detailed,
@@ -52,7 +54,7 @@ from .dedup import (
 from .embed import HashedEmbedder, RemoteEmbedder, truncation_report
 from .errors import DataError, MalformedRecord
 from .evaluation import write_results_csv
-from .index import FlatIndex, IVFIndex, build_index, load_index
+from .index import FlatIndex, IVFIndex, VectorIndex, build_index, load_index
 from .normalize import CanonicalText, ExactGroup, canonicalize, group_exact
 from .translate import (
     DictionaryTranslator,
@@ -148,36 +150,27 @@ def _translate(
     canonical_by_id = {c.source_id: c for c in canonicals}
     language_by_id = {p.id: p.language for p in postings}
     reps = [canonical_by_id[g.representative_id] for g in groups]
-    requests = []
-    slots = []
-    for i, rep in enumerate(reps):
-        if not rep.text:
-            continue  # empty canonical text never reaches a backend
-        requests.append(
-            TranslationRequest(
-                fingerprint=rep.fingerprint,
-                text=rep.text,
-                source_language=language_by_id[rep.source_id],
-            )
+    requests = [
+        TranslationRequest(
+            fingerprint=rep.fingerprint,
+            text=rep.text,
+            source_language=language_by_id[rep.source_id],
         )
-        slots.append(i)
-    translated = translate_batch(
+        for rep in reps
+    ]
+    return translate_batch(
         requests,
         translator,
         cache=cache,
         max_in_flight=config.translate.max_in_flight,
         batch_size=config.translate.batch_size,
     )
-    texts = [""] * len(reps)
-    for slot, text in zip(slots, translated):
-        texts[slot] = text
-    return texts
 
 
 def _embed(
     rep_ids: Sequence[str], texts: Sequence[str], config: PipelineConfig, embedder=None
-) -> tuple[FlatIndex | None, dict]:
-    """The non-zero embeddings as a flat index (None if there are none), and their metadata."""
+) -> tuple[FlatIndex, dict]:
+    """The non-zero embeddings as a flat index (no rows if none), and their metadata."""
     if embedder is None:
         embedder = make_embedder(config)
     token_counts: list[int] = []
@@ -191,22 +184,9 @@ def _embed(
         "zero_vector_ids": [rid for rid, keep in zip(rep_ids, flags) if not keep],
         "truncation": asdict(truncation_report(token_counts, config.embed.max_tokens)),
     }
-    if not ids:
-        return None, meta
     # The embedder's matrix becomes the index as it is; a copy is made only
     # to drop zero rows.
     return FlatIndex(ids, vectors if len(ids) == len(rep_ids) else vectors[nonzero]), meta
-
-
-def _build_search_index(flat: FlatIndex | None, config: PipelineConfig):
-    if flat is None:
-        return None
-    index_config = config.index
-    if index_config.kind == "ivf":
-        # Desk-scale corpora can undershoot the configured partition count.
-        nlist = min(index_config.nlist, len(flat))
-        index_config = replace(index_config, nlist=nlist, nprobe=min(index_config.nprobe, nlist))
-    return build_index(flat, index_config)
 
 
 def _expand_pairs(
@@ -250,8 +230,8 @@ def _dedup(
     postings: Sequence[Posting],
     groups: Sequence[ExactGroup],
     meta: dict,
-    queries: FlatIndex | None,
-    index,
+    queries: FlatIndex,
+    index: VectorIndex,
     config: PipelineConfig,
     timings: dict,
 ) -> PipelineResult:
@@ -259,13 +239,7 @@ def _dedup(
     t0 = time.perf_counter()
     k, base_theta = config.dedup.k, config.dedup.base_theta
     radius = config.dedup.search_radius
-    if index is not None:
-        candidates, kth = collect_hits(index, queries, k, threads=config.threads, radius=radius)
-        query_ids, comparisons, reranked = queries.ids, index.comparison_count, index.rerank_count
-    else:
-        none = np.empty(0, dtype=np.int64)
-        candidates, kth = CandidatePairs([], none, none, np.empty(0)), np.empty(0)
-        query_ids, comparisons, reranked = [], 0, 0
+    candidates, kth = collect_hits(index, queries, k, threads=config.threads, radius=radius)
     timings["candidates"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -273,12 +247,12 @@ def _dedup(
     rules = list(config.dedup.rules) or [default_rule(base_theta)]
     kept = apply_rules_detailed(candidates, postings_by_id, rules, base_theta)
     pairs, n_exact = _expand_pairs(kept, rules, groups, postings_by_id)
-    n = len(query_ids)
+    n = len(queries)
     brute_force_pairs = pair_count(n)
     sweep = threshold_sweep(
         candidates.distances, list(config.dedup.sweep_thetas), brute_force_pairs
     )
-    saturation = saturation_report(query_ids, kth, base_theta, k).to_dict()
+    saturation = saturation_report(queries.ids, kth, base_theta, k).to_dict()
     label_counts = Counter(pair.label.value for pair in pairs)
     timings["classify"] = time.perf_counter() - t0
     list_sizes = None
@@ -295,9 +269,9 @@ def _dedup(
         n_zero_vectors=len(meta["zero_vector_ids"]),
         counters={
             # Ordered query x row evaluations, on the same basis as each other.
-            "index_comparisons": comparisons,
+            "index_comparisons": index.comparison_count,
             "brute_force_comparisons": n * n,  # a self-join
-            "rerank_rows": reranked,
+            "rerank_rows": index.rerank_count,
             # Unordered pairs, on the same basis as each other.
             "brute_force_pairs": brute_force_pairs,
             "candidate_pairs": len(candidates),
@@ -335,7 +309,7 @@ def run_pipeline(
     )
     rep_ids = [g.representative_id for g in groups]
     embedded, meta = _timed(timings, "embed", _embed, rep_ids, texts, config, embedder)
-    index = _timed(timings, "index", _build_search_index, embedded, config)
+    index = _timed(timings, "index", build_index, embedded, config.index)
     return _dedup(postings, groups, meta, embedded, index, config, timings)
 
 
@@ -388,15 +362,9 @@ def read_translated_file(path: str | Path) -> list[tuple[str, str]]:
     return _read_jsonl(path, ("id", "text"))
 
 
-def _write_embedded(embedded: FlatIndex | None, meta: dict, outdir: str | Path) -> None:
-    outdir = Path(outdir)
-    write_json(meta, outdir / EMBED_META_FILE)
-    if embedded is not None:
-        embedded.save(outdir / EMBEDDINGS_FILE)
-    else:
-        # drop stale artifacts so a re-run cannot mix corpora
-        for name in (EMBEDDINGS_FILE, INDEX_FILE):
-            (outdir / name).unlink(missing_ok=True)
+def _write_embedded(embedded: FlatIndex, meta: dict, outdir: str | Path) -> None:
+    write_json(meta, Path(outdir) / EMBED_META_FILE)
+    embedded.save(Path(outdir) / EMBEDDINGS_FILE)
 
 
 def write_run(result: PipelineResult, outdir: str | Path) -> None:
@@ -433,7 +401,7 @@ def stage_translate(config: PipelineConfig, outdir: str | Path, translator=None)
     return texts
 
 
-def stage_embed(config: PipelineConfig, outdir: str | Path, embedder=None) -> FlatIndex | None:
+def stage_embed(config: PipelineConfig, outdir: str | Path, embedder=None) -> FlatIndex:
     translated = read_translated_file(Path(outdir) / TRANSLATED_FILE)
     rep_ids, texts = [rid for rid, _ in translated], [text for _, text in translated]
     embedded, meta = _embed(rep_ids, texts, config, embedder)
@@ -441,13 +409,11 @@ def stage_embed(config: PipelineConfig, outdir: str | Path, embedder=None) -> Fl
     return embedded
 
 
-def stage_index(config: PipelineConfig, outdir: str | Path):
-    """The search index, saved; None when the embed stage had nothing to embed."""
-    if not (Path(outdir) / EMBED_META_FILE).exists():
-        raise DataError(f"missing {Path(outdir) / EMBED_META_FILE}; run the embed stage first")
-    if not (Path(outdir) / EMBEDDINGS_FILE).exists():
-        return None
-    index = _build_search_index(load_index(Path(outdir) / EMBEDDINGS_FILE), config)
+def stage_index(config: PipelineConfig, outdir: str | Path) -> VectorIndex:
+    embeddings = Path(outdir) / EMBEDDINGS_FILE
+    if not embeddings.exists():
+        raise DataError(f"missing {embeddings}; run the embed stage first")
+    index = build_index(load_index(embeddings), config.index)
     index.save(Path(outdir) / INDEX_FILE)
     return index
 

@@ -33,10 +33,6 @@ class TranslationRequest:
     text: str
     source_language: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        if not self.text:
-            raise ValueError("translation request text must be non-empty")
-
 
 class Translator(Protocol):
     name: str
@@ -241,20 +237,23 @@ def translate_batch(
 ) -> list[str]:
     """Translate requests, preserving order; cache hits bypass the backend.
 
-    Misses are grouped by source language. The in-process backends
-    translate each group in one call in the calling thread; any other
-    backend gets it cut into batches of `batch_size`, dispatched with at
-    most `max_in_flight` calls outstanding, each failed batch retried with
+    An empty text translates to "" with no cache or backend call. Misses
+    are grouped by source language. The in-process backends translate
+    each group in one call in the calling thread; any other backend gets
+    it cut into batches of `batch_size`, dispatched with at most
+    `max_in_flight` calls outstanding, each failed batch retried with
     exponential backoff. Each group's translations reach the cache in one
     `put`.
     """
     if max_in_flight < 1:
         raise ValueError("max_in_flight must be >= 1")
-    results: list[Optional[str]] = [None] * len(requests)
+    results = [""] * len(requests)
     # Requests sharing a fingerprint are translated once, whether the earlier
     # copy came from the cache or from this same call.
     pending: dict[str, list[int]] = {}
     for i, request in enumerate(requests):
+        if not request.text:
+            continue
         cached = (
             cache.get(request.fingerprint, TARGET_LANGUAGE, backend.name)
             if cache is not None
@@ -293,7 +292,7 @@ def translate_batch(
                 for fingerprint, text in zip(fingerprints, translated)
             )
 
-    return [r if r is not None else "" for r in results]
+    return results
 
 
 __all__ = [

@@ -68,7 +68,7 @@ def write_stage_artifacts(postings, config, outdir: Path) -> Path:
 def spy_on_chain(monkeypatch) -> dict[str, list]:
     """Record each call of the chain's stage functions in `pipeline` as (args, result)."""
     calls = {}
-    for name in ("_normalize", "_translate", "_embed", "_build_search_index"):
+    for name in ("_normalize", "_translate", "_embed", "build_index"):
         real, calls[name] = getattr(pipeline, name), []
 
         def recorded(*args, _real=real, _calls=calls[name], **kwargs):
@@ -85,7 +85,7 @@ def write_chain_artifacts(calls: dict[str, list], outdir: Path) -> Path:
     ((_, canonicals),) = calls["_normalize"]
     ((translate_args, texts),) = calls["_translate"]
     ((_, (embedded, meta)),) = calls["_embed"]
-    ((_, index),) = calls["_build_search_index"]
+    ((_, index),) = calls["build_index"]
     outdir.mkdir(parents=True, exist_ok=True)
     write_canonical_file(canonicals, outdir / CANONICAL_FILE)
     pipeline._write_translated(translate_args[2], texts, outdir)  # groups, texts

@@ -14,10 +14,11 @@ import yaml
 
 import postdedup
 from postdedup.cli import _config_from_args, build_parser, main
+from postdedup.corpus import save_postings
+from postdedup.index import FlatIndex, load_index
 from postdedup.pipeline import (
     CANONICAL_FILE,
     DICTIONARY_FILE,
-    EMBED_META_FILE,
     EMBEDDINGS_FILE,
     EVAL_FILE,
     GOLD_FILE,
@@ -28,9 +29,10 @@ from postdedup.pipeline import (
     TRANSLATED_FILE,
 )
 
-from conftest import STAGE_FILES, spy_on_chain, write_chain_artifacts
+from conftest import STAGE_FILES, make_posting, spy_on_chain, write_chain_artifacts
 
 REPO = Path(__file__).resolve().parents[1]
+RESULTS_HEADER = "id1,id2,label,distance,reason"
 
 
 def run_cli(*argv) -> int:
@@ -448,26 +450,89 @@ def test_readme_names_the_files_each_command_writes(tmp_path):
     assert set(state(fresh)) == table["dedup --input FILE"]
 
 
+def ivf_config(tmp_path) -> Path:
+    path = tmp_path / "ivf.json"
+    path.write_text('{"index": {"kind": "ivf", "nlist": 4, "nprobe": 2}}', encoding="utf-8")
+    return path
+
+
 def test_stage_commands_on_a_corpus_with_nothing_to_embed(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
-    corpus.write_text(
-        "".join(
-            json.dumps({"id": pid, "title": title, "retrieval_date": "2024-03-01", "source": "s"})
-            + "\n"
-            for pid, title in (("a", "\U0001f642"), ("b", "\U0001f389\U0001f389"))
-        ),
-        encoding="utf-8",
-    )
+    save_postings([make_posting("a", "\U0001f642"), make_posting("b", "\U0001f389" * 2)], corpus)
     outdir = tmp_path / "run"
+    outdir.mkdir()
+    stale = FlatIndex(["old"], [[1.0, 0.0]])  # the artifacts of an earlier corpus
+    stale.save(outdir / EMBEDDINGS_FILE)
+    stale.save(outdir / INDEX_FILE)
+    ivf = ivf_config(tmp_path)
     assert run_cli("ingest", "--input", corpus, "--out", outdir) == 0
     for command in ("normalize", "translate", "embed", "index"):
-        assert run_cli(command, "--out", outdir) == 0, command
+        before = set(outdir.iterdir())
+        assert run_cli(command, "--out", outdir, "--config", ivf) == 0, command
+        assert before <= set(outdir.iterdir()), command  # no file is removed
     out = capsys.readouterr().out
     assert "embedded 0 non-empty representatives" in out
-    assert "nothing to index" in out
-    assert (outdir / EMBED_META_FILE).exists()
-    assert not (outdir / EMBEDDINGS_FILE).exists() and not (outdir / INDEX_FILE).exists()
-    assert run_cli("dedup", "--out", outdir) == 0
+    assert "built flat index over 0 vectors" in out
+    for name in (EMBEDDINGS_FILE, INDEX_FILE):
+        index = load_index(outdir / name)
+        assert isinstance(index, FlatIndex) and (index.ids, index.dim) == ([], 256), name
+    assert (outdir / INDEX_FILE).read_bytes() == (outdir / EMBEDDINGS_FILE).read_bytes()
+    assert run_cli("dedup", "--out", outdir, "--config", ivf) == 0
+    assert (outdir / RESULTS_FILE).read_text().splitlines() == [RESULTS_HEADER]
+    report = json.loads((outdir / REPORT_FILE).read_text())
+    assert (report["n_groups"], report["n_zero_vectors"], report["label_counts"]) == (2, 2, {})
+
+
+def test_postings_that_clean_to_nothing_are_not_duplicates(tmp_path):
+    # Under ascii_only, Greek and Japanese text cleans to nothing; in every
+    # mode so do emoji. An empty text is an exact group of its own.
+    corpus = tmp_path / "corpus.jsonl"
+    postings = [
+        ("cook", "Μάγειρας", "Ζητείται μάγειρας για εστιατόριο στην Αθήνα"),
+        ("driver", "Οδηγός φορτηγού", "Ζητείται οδηγός φορτηγού με δίπλωμα"),
+        ("engineer", "エンジニア", "東京のソフトウェアエンジニアを募集しています"),
+        ("smile", "\U0001f642"),
+        ("party", "\U0001f389"),
+        ("chef", "Chef", "Chef wanted for a restaurant in Athens"),
+    ]
+    save_postings([make_posting(*posting) for posting in postings], corpus)
+    for name, flags in (("default", []), ("strict", ["--paper-strict"])):
+        outdir = tmp_path / name
+        assert run_cli("dedup", "--input", corpus, "--out", outdir, *flags) == 0, name
+        assert (outdir / RESULTS_FILE).read_text().splitlines() == [RESULTS_HEADER], name
+        assert json.loads((outdir / REPORT_FILE).read_text())["n_groups"] == 6, name
+
+
+@pytest.mark.parametrize("thetas", ["[0.1, NaN]", "[0.1, Infinity]", "[-0.5, 0.1]", "[0.1, 5.0]"])
+def test_sweep_theta_outside_0_to_2_is_config_error(tmp_path, capsys, thetas):
+    config = tmp_path / "config.json"
+    config.write_text(f'{{"dedup": {{"sweep_thetas": {thetas}}}}}', encoding="utf-8")
+    assert run_cli("dedup", "--out", tmp_path, "--config", config) == 2
+    assert "config error: dedup.sweep_thetas must each be in (0, 2]" in capsys.readouterr().err
+    assert not (tmp_path / REPORT_FILE).exists()
+
+
+def test_report_is_strict_json(tmp_path):
+    outdir = tmp_path / "run"
+    assert run_cli(*synth_args(outdir, n_base=20)) == 0
+    config = ivf_config(tmp_path)
+    flags = ["--dict", outdir / DICTIONARY_FILE, "--k", 5, "--theta", 2.0, "--config", config]
+    assert run_cli("dedup", "--out", outdir, *flags) == 0
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    report = json.loads((outdir / REPORT_FILE).read_text(), parse_constant=refuse)
+    assert report["search_radius"] == 2.0 and report["ivf_list_sizes"]
+
+
+def test_negative_seed_with_an_ivf_index_is_config_error(tmp_path, capsys):
+    config = ivf_config(tmp_path)
+    outdir = tmp_path / "run"
+    assert run_cli(*synth_args(outdir, n_base=20)) == 0
+    assert run_cli("dedup", "--out", outdir, "--config", config, "--seed", -1) == 2
+    err = capsys.readouterr().err
+    assert "config error: seed must be non-negative for an ivf index, got -1" in err
 
 
 _POSTING = {"id": "a", "title": "chef", "retrieval_date": "2024-03-01", "source": "s"}

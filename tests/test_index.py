@@ -16,8 +16,6 @@ from postdedup.errors import (
     DataError,
     DimensionMismatch,
     DuplicateId,
-    EmptyInput,
-    NlistExceedsPoints,
     ZeroVector,
 )
 from postdedup.index import (
@@ -97,9 +95,20 @@ class TestFlatBasics:
 
 
 class TestBuildValidation:
-    def test_empty_input(self):
-        with pytest.raises(EmptyInput):
-            FlatIndex([], np.empty((0, 2), dtype=np.float32))
+    def test_empty_index_finds_no_hits_and_round_trips(self, tmp_path):
+        empty = FlatIndex([], np.empty((0, 2), dtype=np.float32))
+        assert (len(empty), empty.dim) == (0, 2)
+        queries = np.array([[1, 0], [0, 1]], dtype=np.float32)
+        for radius in (None, 0.5):
+            qi, rows, distances = empty.search_arrays(queries, 3, radius=radius)
+            assert qi.size == rows.size == distances.size == 0
+            assert empty.comparison_count == empty.rerank_count == 0
+        for kind in ("flat", "ivf"):
+            assert build_index(empty, IndexConfig(kind=kind, dim=2)) is empty
+        empty.save(tmp_path / "empty.pdix")
+        loaded = load_index(tmp_path / "empty.pdix")
+        assert isinstance(loaded, FlatIndex) and (loaded.ids, loaded.dim) == ([], 2)
+        assert loaded.to_bytes() == (tmp_path / "empty.pdix").read_bytes()
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -124,10 +133,15 @@ class TestBuildValidation:
         with pytest.raises(DuplicateId):
             FlatIndex(["a", "a"], [[1, 0], [0, 1]])
 
-    def test_nlist_exceeds_points(self):
+    def test_nlist_over_the_row_count_gives_one_list_per_row(self):
         flat = FlatIndex([f"v{i}" for i in range(4)], [[i, 1] for i in range(4)])
-        with pytest.raises(NlistExceedsPoints):
-            build_index(flat, IndexConfig(kind="ivf", dim=2, nlist=8, nprobe=1))
+        ivf = build_index(flat, IndexConfig(kind="ivf", dim=2, nlist=8, nprobe=8))
+        assert (ivf.nlist, ivf.nprobe, ivf.list_sizes()) == (4, 4, [1, 1, 1, 1])
+        # Every list probed: the flat index's hits, bit for bit.
+        queries = np.array([[0.5, 1], [3, 0], [-1, 2]], dtype=np.float32)
+        assert search_hits(ivf, queries, 4) == search_hits(flat, queries, 4)
+        few = build_index(flat, IndexConfig(kind="ivf", dim=2, nlist=8, nprobe=2))
+        assert (few.nlist, few.nprobe) == (4, 2)
 
     def test_nprobe_exceeds_nlist_rejected(self):
         with pytest.raises(ValueError):

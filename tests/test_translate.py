@@ -227,9 +227,26 @@ def test_remote_unreachable_endpoint_fails_on_first_use():
         backend.translate(["hello"], None, "en")
 
 
-def test_empty_text_rejected():
-    with pytest.raises(ValueError):
-        TranslationRequest(fingerprint="f", text="")
+def test_empty_text_makes_no_backend_or_cache_call():
+    class SpyCache(TranslationCache):
+        def __init__(self):
+            super().__init__()
+            self.looked_up = []
+
+        def get(self, fingerprint, target, backend_name):
+            self.looked_up.append(fingerprint)
+            return super().get(fingerprint, target, backend_name)
+
+    backend, cache = CountingBackend(), SpyCache()
+    cache.put([("fp-", "en", backend.name, "a cached text for the empty one")])
+    requests = [req(""), req("hallo"), req("", fingerprint="other")]
+    assert translate_batch(requests, backend, cache=cache) == ["", "hallo", ""]
+    assert cache.looked_up == ["fp-hallo"]
+    assert backend.batches == [["hallo"]]
+    assert len(cache) == 2  # "hallo" alone was added
+    backend = CountingBackend()
+    assert translate_batch([req("", source="el")], backend, cache=cache) == [""]
+    assert backend.calls == 0 and cache.looked_up == ["fp-hallo"]
 
 
 def test_cache_second_submission_is_a_hit():

@@ -55,11 +55,13 @@ def call_with_retry(fn: Callable[[], R], policy: RetryPolicy) -> R:
 
 
 def _retry_after(value: str | None) -> float | None:
-    # Only the delay-seconds form is honored; an HTTP date is ignored.
+    # Only the delay-seconds form is honored: an HTTP date is ignored, and
+    # so is a number that is not finite and non-negative ("inf", "nan", "-1").
     try:
-        return float(value) if value else None
+        seconds = float(value) if value else None
     except ValueError:
         return None
+    return seconds if seconds is not None and 0 <= seconds < float("inf") else None
 
 
 def check_endpoint(endpoint: str) -> str:

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 configuration error, 3 data/artifact error,
 4 backend error. Each stage command reads the previous stage's artifact
-from the output directory and always writes its own, even if empty; only
-the stage commands write those artifacts, and no command removes a file.
+from the output directory and writes its own, even if empty, except
+`index`, which builds the index of one run and writes nothing; only the
+stage commands write those artifacts, and no command removes a file.
 `dedup` is corpus in, labels out: it reads the `--input` corpus, else
 `postings.jsonl`, runs the whole chain in memory, and writes only
 `results.csv` and `report.json`; it reads no stage artifact and writes no
@@ -265,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("normalize", _cmd_normalize, "clean postings and fingerprint them"),
         ("translate", _cmd_translate, "translate group representatives"),
         ("embed", _cmd_embed, "embed translated representatives"),
-        ("index", _cmd_index, "build the configured vector index"),
+        ("index", _cmd_index, "build the configured index over the embeddings; writes no file"),
     ):
         p = sub.add_parser(name, help=help_text)
         _add_common_flags(p)

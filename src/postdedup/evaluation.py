@@ -118,14 +118,18 @@ def write_results_csv(pairs: Iterable[LabeledPair], path: str | Path) -> None:
 
 
 def read_results_csv(path: str | Path) -> list[LabeledPair]:
+    """The labeled pairs of a results file; each row's ids must ascend, as gold keys do."""
     pairs = []
     for row, line_no in csv_records(path):
         try:
             distance = float(row["distance"]) if row["distance"] else None
             label = DuplicateLabel(row["label"])
-            pairs.append(LabeledPair(row["id1"], row["id2"], label, distance, row["reason"]))
+            pair = LabeledPair(row["id1"], row["id2"], label, distance, row["reason"])
         except (KeyError, ValueError) as err:
             raise MalformedRecord(path, line_no, f"results row {err!r}") from err
+        if pair.id_a >= pair.id_b:
+            raise MalformedRecord(path, line_no, f"results ids {pair.key} do not ascend")
+        pairs.append(pair)
     return pairs
 
 

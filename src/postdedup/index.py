@@ -55,16 +55,17 @@ replaced; ``queries @ rows.T`` takes 0.16 s.
 
 An index may hold zero rows; every search of it finds no hits.
 
-Persistence uses a little-endian binary format:
+Only a flat index is stored: it is how embeddings travel between runs. An
+IVF index is trained by `build_index` for the run that searches it and is
+never written. The stored format is little-endian binary:
 
-    magic "PDIX" | version u16 | kind u8 (0=flat, 1=ivf) | dim u32 | count u64
-    [ivf only: nlist u32 | centroids float32[nlist*dim] | offsets u64[nlist+1]]
+    magic "PDIX" | version u16 | kind u8 (0=flat) | dim u32 | count u64
     vectors float32[count*dim] row-major
     id table: count entries of (u32 byte length + UTF-8 bytes)
     crc32 u32 of all preceding bytes
 
-Serialization is canonical: re-saving a loaded index reproduces the file
-byte for byte.
+Any other kind byte is rejected. Serialization is canonical: re-saving a
+loaded index reproduces the file byte for byte.
 """
 
 from __future__ import annotations
@@ -90,7 +91,6 @@ from .errors import (
 _MAGIC = b"PDIX"
 _VERSION = 1
 _KIND_FLAT = 0
-_KIND_IVF = 1
 
 # Bytes of temporaries one block of queries may hold. A block takes as
 # many queries as fit when each query costs its gathered copy and every
@@ -478,7 +478,7 @@ class _BaseIndex:
             fh.write(self.to_bytes())
 
     def to_bytes(self) -> bytes:
-        raise NotImplementedError
+        raise NotImplementedError(f"a {self.kind} index is not stored")
 
 
 class FlatIndex(_BaseIndex):
@@ -494,16 +494,23 @@ class FlatIndex(_BaseIndex):
         return _one_list(len(queries), len(self))
 
     def to_bytes(self) -> bytes:
-        return _serialize(_KIND_FLAT, self.dim, self.ids, self._vecs32, None, None)
+        parts = [_MAGIC, struct.pack("<HBIQ", _VERSION, _KIND_FLAT, self.dim, len(self))]
+        parts.append(np.ascontiguousarray(self._vecs32, dtype="<f4").tobytes())
+        for vid in self.ids:
+            raw = vid.encode("utf-8")
+            parts.append(struct.pack("<I", len(raw)))
+            parts.append(raw)
+        payload = b"".join(parts)
+        return payload + struct.pack("<I", zlib.crc32(payload))
 
 
 class IVFIndex(_BaseIndex):
     """Inverted-file index: k-means coarse quantizer plus per-centroid lists.
 
-    Vectors are stored grouped by list; a query scans only the `nprobe`
-    lists whose centroids are nearest. `nprobe` is a search-time knob and
-    is not part of the serialized file. Besides the rows' checks, the
-    constructor rejects a NaN or infinite centroid (DataError).
+    Vectors are stored grouped by list, list i holding rows
+    bounds[i]:bounds[i + 1]; a query scans only the `nprobe` lists whose
+    centroids are nearest. `build_index` makes it, from k-means centroids
+    of finite rows, and it is never written to a file.
     """
 
     kind = "ivf"
@@ -513,17 +520,13 @@ class IVFIndex(_BaseIndex):
         ids: list[str],
         vecs32: np.ndarray,
         centroids32: np.ndarray,
-        offsets: np.ndarray,
+        bounds: np.ndarray,
         nprobe: int,
     ) -> None:
         super().__init__(ids, vecs32)
         self._cent32 = np.ascontiguousarray(centroids32, dtype=np.float32)
         self._cent_sq = _sq_norms(self._cent32)
-        bad = ~np.isfinite(self._cent_sq)
-        if bad.any():
-            raise DataError(f"non-finite centroid {int(np.argmax(bad))} cannot be searched")
-        self._offsets = np.asarray(offsets, dtype=np.uint64)
-        self._bounds = self._offsets.astype(np.int64)
+        self._bounds = np.asarray(bounds, dtype=np.int64)
         self.nprobe = nprobe
 
     @property
@@ -541,9 +544,6 @@ class IVFIndex(_BaseIndex):
             queries, self._cent32, self._cent_sq, ranks, one, self.nprobe, threads
         )
         return self._bounds, probes.reshape(len(queries), self.nprobe)
-
-    def to_bytes(self) -> bytes:
-        return _serialize(_KIND_IVF, self.dim, self.ids, self._vecs32, self._cent32, self._offsets)
 
 
 VectorIndex = Union[FlatIndex, IVFIndex]
@@ -655,38 +655,15 @@ def build_index(flat: FlatIndex, config: IndexConfig) -> VectorIndex:
     centers, assign = _kmeans(rows.astype(np.float64), nlist, config.kmeans_iters, rng)
     order = np.argsort(assign, kind="stable")
     counts = np.bincount(assign, minlength=nlist)
-    offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.uint64)
+    bounds = np.concatenate(([0], np.cumsum(counts)))
     grouped_ids = [flat.ids[int(i)] for i in order]
     return IVFIndex(
         grouped_ids,
         rows[order],
         centers.astype(np.float32),
-        offsets,
+        bounds,
         nprobe=min(config.nprobe, nlist),
     )
-
-
-def _serialize(
-    kind: int,
-    dim: int,
-    ids: list[str],
-    vecs32: np.ndarray,
-    centroids32: np.ndarray | None,
-    offsets: np.ndarray | None,
-) -> bytes:
-    parts = [_MAGIC, struct.pack("<HBIQ", _VERSION, kind, dim, len(ids))]
-    if kind == _KIND_IVF:
-        assert centroids32 is not None and offsets is not None
-        parts.append(struct.pack("<I", centroids32.shape[0]))
-        parts.append(np.ascontiguousarray(centroids32, dtype="<f4").tobytes())
-        parts.append(np.ascontiguousarray(offsets, dtype="<u8").tobytes())
-    parts.append(np.ascontiguousarray(vecs32, dtype="<f4").tobytes())
-    for vid in ids:
-        raw = vid.encode("utf-8")
-        parts.append(struct.pack("<I", len(raw)))
-        parts.append(raw)
-    payload = b"".join(parts)
-    return payload + struct.pack("<I", zlib.crc32(payload))
 
 
 class _Reader:
@@ -705,13 +682,13 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
-def load_index(path: str | Path) -> VectorIndex:
-    """Load a PDIX file, verifying magic, version, structure, and CRC-32."""
+def load_index(path: str | Path) -> FlatIndex:
+    """Load a PDIX file, verifying magic, version, kind, structure, and CRC-32."""
     data = Path(path).read_bytes()
     return index_from_bytes(data)
 
 
-def index_from_bytes(data: bytes) -> VectorIndex:
+def index_from_bytes(data: bytes) -> FlatIndex:
     if len(data) < len(_MAGIC) + struct.calcsize("<HBIQ") + 4:
         raise CorruptIndex("index file too short")
     payload, (stored_crc,) = data[:-4], struct.unpack("<I", data[-4:])
@@ -723,19 +700,10 @@ def index_from_bytes(data: bytes) -> VectorIndex:
     version, kind, dim, count = reader.unpack("<HBIQ")
     if version != _VERSION:
         raise CorruptIndex(f"unsupported format version {version}")
-    if kind not in (_KIND_FLAT, _KIND_IVF):
+    if kind != _KIND_FLAT:
         raise CorruptIndex(f"unknown index kind {kind}")
     if dim < 1:
         raise CorruptIndex("non-positive dimension")
-    centroids32 = offsets = None
-    if kind == _KIND_IVF:
-        (nlist,) = reader.unpack("<I")
-        if nlist < 1:
-            raise CorruptIndex("non-positive nlist")
-        centroids32 = np.frombuffer(reader.take(4 * nlist * dim), dtype="<f4").reshape(nlist, dim)
-        offsets = np.frombuffer(reader.take(8 * (nlist + 1)), dtype="<u8")
-        if int(offsets[0]) != 0 or int(offsets[-1]) != count or np.any(np.diff(offsets.astype(np.int64)) < 0):
-            raise CorruptIndex("inconsistent list offsets")
     vecs32 = np.frombuffer(reader.take(4 * count * dim), dtype="<f4").reshape(count, dim)
     ids = []
     for _ in range(count):
@@ -746,10 +714,7 @@ def index_from_bytes(data: bytes) -> VectorIndex:
             raise CorruptIndex("undecodable id entry") from err
     if reader.pos != len(payload):
         raise CorruptIndex("trailing bytes after id table")
-    if kind == _KIND_FLAT:
-        return FlatIndex(ids, vecs32.copy())
-    assert centroids32 is not None and offsets is not None
-    return IVFIndex(ids, vecs32.copy(), centroids32.copy(), offsets.copy(), nprobe=int(offsets.shape[0] - 1))
+    return FlatIndex(ids, vecs32.copy())
 
 
 __all__ = [

@@ -14,16 +14,17 @@ dates differ.
 command calls it over the corpus it reads (`load_postings`, looked up here
 at call time) and writes only its outputs, `results.csv` and `report.json`
 (`write_run`); it writes no other file and removes none. The `stage_*`
-functions (ingest through index, one per CLI stage command) are the only
-writers of the intermediate artifacts: each reads the previous stage's
-artifact, calls the same stage function the chain calls and writes its
-output. Every artifact round-trips exactly (float32 vectors, UTF-8 text),
-so the stage commands write the bytes of the chain's in-memory values.
-Candidates, rules and results run only inside the whole chain, so no code
-reads `index.pdix` back.
+functions (ingest through index, one per CLI stage command) each read the
+previous stage's artifact, call the same stage function the chain calls
+and, up to embed, write their output; they are the only writers of the
+intermediate artifacts. Every artifact round-trips exactly (float32
+vectors, UTF-8 text), so the stage commands write the bytes of the
+chain's in-memory values. The search index lives for one run:
+`stage_index` builds it and writes nothing, and candidates, rules and
+results run only inside the whole chain.
 
 Nothing to embed is no special case: the embeddings are then a flat index
-of zero rows, which is written, indexed and searched like any other.
+of zero rows, which is written, read, indexed and searched like any other.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ CANONICAL_FILE = "canonical.jsonl"
 TRANSLATED_FILE = "translated.jsonl"
 EMBEDDINGS_FILE = "embeddings.pdix"
 EMBED_META_FILE = "embed_meta.json"
-INDEX_FILE = "index.pdix"
 RESULTS_FILE = "results.csv"
 REPORT_FILE = "report.json"
 GOLD_FILE = "gold.csv"
@@ -410,12 +410,11 @@ def stage_embed(config: PipelineConfig, outdir: str | Path, embedder=None) -> Fl
 
 
 def stage_index(config: PipelineConfig, outdir: str | Path) -> VectorIndex:
+    """The configured index over `embeddings.pdix`, built as `dedup` builds it; writes nothing."""
     embeddings = Path(outdir) / EMBEDDINGS_FILE
     if not embeddings.exists():
         raise DataError(f"missing {embeddings}; run the embed stage first")
-    index = build_index(load_index(embeddings), config.index)
-    index.save(Path(outdir) / INDEX_FILE)
-    return index
+    return build_index(load_index(embeddings), config.index)
 
 
 __all__ = [
@@ -424,7 +423,6 @@ __all__ = [
     "TRANSLATED_FILE",
     "EMBEDDINGS_FILE",
     "EMBED_META_FILE",
-    "INDEX_FILE",
     "RESULTS_FILE",
     "REPORT_FILE",
     "GOLD_FILE",

@@ -15,7 +15,6 @@ from postdedup.pipeline import (
     CANONICAL_FILE,
     EMBED_META_FILE,
     EMBEDDINGS_FILE,
-    INDEX_FILE,
     POSTINGS_FILE,
     TRANSLATED_FILE,
     stage_embed,
@@ -25,8 +24,9 @@ from postdedup.pipeline import (
     write_canonical_file,
 )
 
-# What the stage commands `normalize` through `index` write to `--out`.
-STAGE_FILES = (CANONICAL_FILE, TRANSLATED_FILE, EMBED_META_FILE, EMBEDDINGS_FILE, INDEX_FILE)
+# What the stage commands `normalize` through `index` write to `--out`;
+# `index` writes nothing.
+STAGE_FILES = (CANONICAL_FILE, TRANSLATED_FILE, EMBED_META_FILE, EMBEDDINGS_FILE)
 
 
 def make_posting(pid: str, title: str = "chef", description: str = "", **kwargs) -> Posting:
@@ -57,7 +57,8 @@ def fuzz_noisy_string(rng: random.Random) -> str:
 
 def write_stage_artifacts(postings, config, outdir: Path) -> Path:
     """`outdir` holding `postings` as postings.jsonl and what the stage
-    commands write from it, `normalize` through `index`."""
+    commands write from it, `normalize` through `embed`; `index` is run
+    too and writes nothing."""
     outdir.mkdir(parents=True, exist_ok=True)
     save_postings(postings, outdir / POSTINGS_FILE)
     for stage in (stage_normalize, stage_translate, stage_embed, stage_index):
@@ -85,13 +86,20 @@ def write_chain_artifacts(calls: dict[str, list], outdir: Path) -> Path:
     ((_, canonicals),) = calls["_normalize"]
     ((translate_args, texts),) = calls["_translate"]
     ((_, (embedded, meta)),) = calls["_embed"]
-    ((_, index),) = calls["build_index"]
     outdir.mkdir(parents=True, exist_ok=True)
     write_canonical_file(canonicals, outdir / CANONICAL_FILE)
     pipeline._write_translated(translate_args[2], texts, outdir)  # groups, texts
     pipeline._write_embedded(embedded, meta, outdir)
-    index.save(outdir / INDEX_FILE)
     return outdir
+
+
+def index_state(index) -> tuple:
+    """Everything a search of `index` reads, as comparable bytes: kind, ids,
+    rows, and for IVF its centroids, list bounds and nprobe."""
+    state = (index.kind, index.ids, index.vectors.tobytes())
+    if index.kind == "ivf":
+        state += (index._cent32.tobytes(), index._bounds.tolist(), index.nprobe)
+    return state
 
 
 def unit_vectors(n: int, dim: int, seed: int = 0) -> tuple[list[str], np.ndarray]:

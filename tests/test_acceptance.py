@@ -23,7 +23,7 @@ from postdedup.index import FlatIndex, IndexConfig, build_index, index_from_byte
 from postdedup.normalize import NormalizeConfig, clean_text
 from postdedup.pipeline import (
     DICTIONARY_FILE,
-    INDEX_FILE,
+    EMBEDDINGS_FILE,
     RESULTS_FILE,
     run_pipeline,
 )
@@ -250,7 +250,7 @@ def test_criterion_7_diagnostics_correctness():
 
 
 def test_criterion_8_determinism_and_persistence(tmp_path):
-    """Byte-identical reruns; bit-exact index round-trip; corruption rejected."""
+    """Byte-identical reruns; bit-exact embeddings round-trip; corruption rejected."""
     outputs = []
     for name in ("run1", "run2"):
         outdir = tmp_path / name
@@ -271,16 +271,18 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
                 "index": {"kind": "ivf", "nlist": 16, "nprobe": 16},
             }
         )
-        write_results_csv(run_pipeline(synth.postings, config).pairs, outdir / RESULTS_FILE)
+        result = run_pipeline(synth.postings, config)
+        write_results_csv(result.pairs, outdir / RESULTS_FILE)
         write_stage_artifacts(synth.postings, config, outdir)
         outputs.append(
             (
                 (outdir / RESULTS_FILE).read_bytes(),
-                (outdir / INDEX_FILE).read_bytes(),
+                (outdir / EMBEDDINGS_FILE).read_bytes(),
+                result.report.ivf_list_sizes,
             )
         )
-    assert outputs[0][0] == outputs[1][0]
-    assert outputs[0][1] == outputs[1][1]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][2]["max"] > 0  # the IVF index each run built
 
     index_bytes = outputs[0][1]
     loaded = index_from_bytes(index_bytes)
@@ -292,7 +294,7 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
         index_from_bytes(bytes(corrupted))
     with pytest.raises(CorruptIndex):
         index_from_bytes(index_bytes[: len(index_bytes) - 7])
-    _ok("8", "rerun byte-identical (results.csv, index.pdix); corruption rejected")
+    _ok("8", "rerun byte-identical (results.csv, embeddings.pdix); corruption rejected")
 
 
 class _SlowBackend:

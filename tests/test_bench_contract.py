@@ -2,7 +2,8 @@
 
 The tracer wraps layer functions by name and counts work from their
 arguments and results. These tests load it as it is and check that every
-name it wraps exists and that its rule counts equal the run report's.
+name it wraps exists and is called by a stagewise run and `dedup`, and
+that its rule counts equal the run report's.
 """
 
 from __future__ import annotations
@@ -70,3 +71,36 @@ def test_traced_rule_counts_are_the_report_counters(tracing, tmp_path, monkeypat
         "dedup.candidates": counters["candidate_pairs"],
         "dedup.kept": counters["kept_representative_pairs"],
     }
+
+
+def test_every_trace_target_is_called_by_a_stagewise_run_and_dedup(tracing, tmp_path, monkeypatch):
+    # A name that resolves but is never called would read 0 without warning.
+    from postdedup.cli import main
+
+    for module, cls, attr, _, _ in tracing.TARGETS:
+        owner = importlib.import_module(f"postdedup.{module}")
+        owner = getattr(owner, cls) if cls is not None else owner
+        monkeypatch.setattr(owner, attr, getattr(owner, attr))  # restored at teardown
+    tracer = tracing.Tracer()
+    assert tracing.install(tracer) == []
+
+    corpus, run = tmp_path / "corpus", tmp_path / "run"
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "translate": {"cache_path": str(tmp_path / "cache.jsonl")},
+                "index": {"kind": "ivf", "nlist": 4, "nprobe": 2},
+                "dedup": {"k": 10, "base_theta": 0.35},
+            }
+        ),
+        encoding="utf-8",
+    )
+    assert main(["synth", "--out", str(corpus), "--n-base", "40", "--seed", "3"]) == 0
+    flags = ["--out", str(run), "--config", str(config), "--dict", str(corpus / "dictionary.json")]
+    assert main(["ingest", "--input", str(corpus / pipeline.POSTINGS_FILE), *flags]) == 0
+    for command in ("normalize", "translate", "embed", "index", "dedup"):
+        assert main([command, *flags]) == 0, command
+
+    recorded = Counter(span[tracing.NAME] for span in tracer.spans)
+    assert [name for name in tracing.SPAN_NAMES if not recorded[name]] == []

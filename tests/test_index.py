@@ -21,7 +21,6 @@ from postdedup.errors import (
 from postdedup.index import (
     FlatIndex,
     IndexConfig,
-    IVFIndex,
     _assign,
     _kmeans,
     _kmeans_pp_init,
@@ -34,7 +33,7 @@ from postdedup.index import (
     load_index,
 )
 
-from conftest import search_hits, search_one, unit_vectors
+from conftest import index_state, search_hits, search_one, unit_vectors
 
 
 def brute_force_search(ids, matrix32, query32, k):
@@ -216,9 +215,9 @@ class TestIVF:
         )
         assert sorted(index.list_sizes()) == [50, 50]
         # each inverted list holds exactly one planted cluster
-        offsets = index._offsets
-        first = {index.ids[i][0] for i in range(int(offsets[0]), int(offsets[1]))}
-        second = {index.ids[i][0] for i in range(int(offsets[1]), int(offsets[2]))}
+        bounds = index._bounds
+        first = {index.ids[i][0] for i in range(bounds[0], bounds[1])}
+        second = {index.ids[i][0] for i in range(bounds[1], bounds[2])}
         assert first != second
         assert len(first) == len(second) == 1
 
@@ -328,18 +327,20 @@ class TestPersistence:
 
     def test_round_trip_bytes_stable(self, tmp_path):
         vectors = FlatIndex(*unit_vectors(80, 8, seed=13))
-        for config in (
-            IndexConfig(dim=8),
-            IndexConfig(kind="ivf", dim=8, nlist=4, nprobe=2, seed=3),
-        ):
-            index = build_index(vectors, config)
-            raw = index.to_bytes()
-            assert index_from_bytes(raw).to_bytes() == raw
+        raw = build_index(vectors, IndexConfig(dim=8)).to_bytes()
+        assert index_from_bytes(raw).to_bytes() == raw
+        # Only a flat index is stored; IVF is built for one run.
+        ivf = build_index(vectors, IndexConfig(kind="ivf", dim=8, nlist=4, nprobe=2, seed=3))
+        with pytest.raises(NotImplementedError):
+            ivf.save(tmp_path / "ivf.pdix")
+        assert not (tmp_path / "ivf.pdix").exists()
 
     def test_same_seed_builds_byte_identical_index(self):
         vectors = FlatIndex(*unit_vectors(120, 8, seed=14))
         config = IndexConfig(kind="ivf", dim=8, nlist=8, nprobe=2, seed=42)
-        assert build_index(vectors, config).to_bytes() == build_index(vectors, config).to_bytes()
+        one, two = build_index(vectors, config), build_index(vectors, config)
+        assert one is not two and one.kind == "ivf"
+        assert index_state(one) == index_state(two)  # ids, rows, centroids, bounds
 
     def test_truncated_file_rejected(self, tmp_path):
         index = build_index(FlatIndex(*unit_vectors(20, 4, seed=15)), IndexConfig(dim=4))
@@ -365,15 +366,6 @@ class TestPersistence:
         path = tmp_path / "uni.pdix"
         index.save(path)
         assert load_index(path).ids == ["żółć-1", "日本-2"]
-
-    def test_loaded_ivf_defaults_to_exact_probing(self, tmp_path):
-        vectors = FlatIndex(*unit_vectors(64, 8, seed=18))
-        ivf = build_index(vectors, IndexConfig(kind="ivf", dim=8, nlist=8, nprobe=2, seed=1))
-        path = tmp_path / "ivf.pdix"
-        ivf.save(path)
-        loaded = load_index(path)
-        assert isinstance(loaded, IVFIndex)
-        assert loaded.nprobe == loaded.nlist
 
 
 def test_distance_matches_high_precision_oracle():
@@ -813,8 +805,8 @@ def probed_top_k(index, query32, k):
     q = np.asarray(query32, dtype=np.float32).astype(np.float64)
     cent = [float(np.square(c.astype(np.float64) - q).sum()) for c in index._cent32]
     lists = sorted(range(index.nlist), key=lambda j: (cent[j], j))[: index.nprobe]
-    offsets = index._offsets.astype(np.int64)
-    probed = [r for j in lists for r in range(offsets[j], offsets[j + 1])]
+    bounds = index._bounds
+    probed = [r for j in lists for r in range(bounds[j], bounds[j + 1])]
     d2 = {r: float(np.square(index.vectors[r].astype(np.float64) - q).sum()) for r in probed}
     order = sorted(probed, key=lambda r: (d2[r], index.ids[r]))
     return [(index.ids[r], float(np.sqrt(d2[r]))) for r in order[:k]], len(probed)

@@ -30,7 +30,6 @@ from postdedup.pipeline import (
     EMBEDDINGS_FILE,
     EVAL_FILE,
     GOLD_FILE,
-    INDEX_FILE,
     POSTINGS_FILE,
     REPORT_FILE,
     RESULTS_FILE,
@@ -443,11 +442,11 @@ def test_ivf_compares_the_probed_rows_and_reranks_those_under_the_radius(tmp_pat
     counters = run_pipeline(synth.postings, config).report.counters
     # Independent: each query's 2 nearest centroids (ties by list number),
     # the sizes of their lists, and their rows under the search radius
-    # (the query itself included), read from the written index.
-    index = load_index(outdir / INDEX_FILE)
+    # (the query itself included), read from the index `index` builds.
+    index = stage_index(config, outdir)
     centroids = index._cent32.astype(np.float64)
-    sizes = np.array(index.list_sizes())
-    offsets = index._offsets.astype(np.int64)
+    bounds = index._bounds
+    sizes = np.diff(bounds)
     rows = index.vectors.astype(np.float64)
     probed = under = 0
     for vec in load_index(outdir / EMBEDDINGS_FILE).vectors.astype(np.float64):
@@ -455,7 +454,7 @@ def test_ivf_compares_the_probed_rows_and_reranks_those_under_the_radius(tmp_pat
         lists = np.lexsort((np.arange(len(d2)), d2))[:2]
         probed += int(sizes[lists].sum())
         for j in lists:
-            list_rows = rows[offsets[j] : offsets[j + 1]]
+            list_rows = rows[bounds[j] : bounds[j + 1]]
             distances = np.sqrt(np.square(list_rows - vec).sum(axis=1))
             under += int((distances < config.dedup.search_radius).sum())
     assert counters["index_comparisons"] == probed
@@ -463,19 +462,21 @@ def test_ivf_compares_the_probed_rows_and_reranks_those_under_the_radius(tmp_pat
     assert under <= counters["rerank_rows"] <= probed
 
 
-def test_report_ivf_list_sizes_are_those_of_the_written_index(tmp_path):
+def test_report_ivf_list_sizes_are_those_of_the_built_index(tmp_path):
     synth, flat = small_corpus_setup(tmp_path, n_base=60)
     config = replace(flat, index=replace(flat.index, kind="ivf", nlist=8, nprobe=2))
     outdir = write_stage_artifacts(synth.postings, config, tmp_path / "staged")
     write_run(run_pipeline(synth.postings, config), outdir)
     report = json.loads((outdir / REPORT_FILE).read_text(encoding="utf-8"))
-    # Independent: the list offsets of the written file, read with struct.
-    data = (outdir / INDEX_FILE).read_bytes()
-    (nlist,) = struct.unpack_from("<I", data, 19)
-    offsets = struct.unpack_from(f"<{nlist + 1}Q", data, 23 + 4 * nlist * config.index.dim)
-    sizes = [b - a for a, b in zip(offsets, offsets[1:])]
+    # Independent: each written embedding's nearest centroid of the index
+    # `index` builds (ties by list number) by a float64 scan, counted per list.
+    index = stage_index(config, outdir)
+    centroids = index._cent32.astype(np.float64)
+    X = load_index(outdir / EMBEDDINGS_FILE).vectors.astype(np.float64)
+    nearest = [int(np.argmin(np.square(centroids - x).sum(axis=1))) for x in X]
+    sizes = np.bincount(nearest, minlength=len(centroids)).tolist()
     expected = {"min": min(sizes), "median": statistics.median(sizes), "max": max(sizes)}
-    assert nlist == 8 and sum(sizes) == len(load_index(outdir / EMBEDDINGS_FILE))
+    assert len(sizes) == 8 and sizes == np.diff(index._bounds).tolist()
     assert report["ivf_list_sizes"] == expected
     lines = render_report(report).splitlines()
     assert lines[lines.index("-- ivf list sizes --") + 1] == (
@@ -550,7 +551,7 @@ def test_failed_artifact_write_keeps_previous_file(tmp_path, name):
 
 
 def test_atomic_write_failing_partway_keeps_previous_index(tmp_path):
-    path = tmp_path / INDEX_FILE
+    path = tmp_path / EMBEDDINGS_FILE
     FlatIndex(["a", "b"], [[1, 0], [0, 1]]).save(path)
     before = path.read_bytes()
     with pytest.raises(WriteFailed):
@@ -561,23 +562,15 @@ def test_atomic_write_failing_partway_keeps_previous_index(tmp_path):
     assert list(tmp_path.iterdir()) == [path]
 
 
-def ivf_run_dir(tmp_path):
-    """The stage artifacts of a small corpus with an IVF index."""
-    synth, config = small_corpus_setup(tmp_path, n_base=60)
-    config = replace(config, index=replace(config.index, kind="ivf", nlist=8, nprobe=2))
-    return write_stage_artifacts(synth.postings, config, tmp_path / "staged")
-
-
-def crafted_ivf(raw: bytes, corruption: str) -> bytes:
-    """A valid IVF `.pdix` file with one corruption, its CRC recomputed."""
+def crafted_embeddings(raw: bytes, corruption: str) -> bytes:
+    """A valid flat `.pdix` file with one corruption, its CRC recomputed."""
     index = index_module.index_from_bytes(raw)
-    dim, nlist, ids = index.dim, index.nlist, index.ids
+    dim, ids = index.dim, index.ids
     payload = bytearray(raw[:-4])
-    centroids = 4 + struct.calcsize("<HBIQ") + 4  # magic, header fields, nlist
-    rows = centroids + 4 * nlist * dim + 8 * (nlist + 1)
+    rows = 4 + struct.calcsize("<HBIQ")  # magic, header fields
     table = rows + 4 * len(ids) * dim
-    nan = struct.pack("<f", float("nan"))
     if corruption == "nan_row":
+        nan = struct.pack("<f", float("nan"))
         payload[rows + 4 * dim : rows + 4 * dim + 4] = nan  # second row, first entry
     elif corruption == "zero_row":
         payload[rows : rows + 4 * dim] = bytes(4 * dim)
@@ -586,8 +579,6 @@ def crafted_ivf(raw: bytes, corruption: str) -> bytes:
         payload[table:] = b"".join(
             struct.pack("<I", len(vid.encode())) + vid.encode() for vid in repeated
         )
-    elif corruption == "nan_centroid":
-        payload[centroids : centroids + 4] = nan
     return bytes(payload) + struct.pack("<I", zlib.crc32(bytes(payload)))
 
 
@@ -597,14 +588,19 @@ def crafted_ivf(raw: bytes, corruption: str) -> bytes:
         ("nan_row", DataError, "non-finite vector"),
         ("zero_row", ZeroVector, "zero vector"),
         ("repeated_id", DuplicateId, "duplicate"),
-        ("nan_centroid", DataError, "non-finite centroid"),
     ],
 )
-def test_crafted_ivf_file_fails_load_and_stage_dedup(tmp_path, corruption, error, match):
-    path = ivf_run_dir(tmp_path) / INDEX_FILE
-    path.write_bytes(crafted_ivf(path.read_bytes(), corruption))
+def test_crafted_embeddings_file_fails_load_and_index_command(
+    tmp_path, capsys, corruption, error, match
+):
+    synth, config = small_corpus_setup(tmp_path, n_base=60)
+    outdir = write_stage_artifacts(synth.postings, config, tmp_path / "staged")
+    path = outdir / EMBEDDINGS_FILE
+    path.write_bytes(crafted_embeddings(path.read_bytes(), corruption))
     with pytest.raises(error, match=match):  # each is a DataError (exit 3)
         load_index(path)
+    assert main(["index", "--out", str(outdir)]) == 3
+    assert match in capsys.readouterr().err
 
 
 def test_expanded_pairs_carry_their_representatives_distance(tmp_path):

@@ -582,9 +582,27 @@ def test_remote_malformed_body_is_retried():
 
 
 def test_remote_rate_limit_reads_retry_after_seconds_only():
-    for header, expected in (("7", 7.0), ("Wed, 21 Oct 2015 07:28:00 GMT", None)):
+    for header, expected in (
+        ("7", 7.0),
+        ("0", 0.0),
+        ("Wed, 21 Oct 2015 07:28:00 GMT", None),
+        ("inf", None),
+        ("-inf", None),
+        ("nan", None),
+        ("-1", None),
+    ):
         session = FakeSession(FakeResponse(429, "", {"Retry-After": header}))
         backend = RemoteTranslator("http://translate.invalid/t", session=session)
         with pytest.raises(RateLimited) as info:
             backend.translate(["hallo"], None, "en")
         assert info.value.retry_after == expected
+
+
+def test_retry_after_inf_is_ignored_and_the_call_retried():
+    # time.sleep(inf) raises OverflowError, which no exit code maps.
+    session = FakeSession(
+        FakeResponse(429, "", {"Retry-After": "inf"}), answer({"translations": ["HALLO"]})
+    )
+    backend = RemoteTranslator("http://translate.invalid/t", session=session)
+    assert translate_batch([req("hallo")], backend, retry=FAST_RETRY) == ["HALLO"]
+    assert len(session.calls) == 2

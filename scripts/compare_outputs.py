@@ -10,18 +10,22 @@ The workload's inputs are generated from the seed with
 `bench/workloads.make_inputs` of HEAD_CHECKOUT (which the script only
 imports), once for each side, in a fresh directory. Every `postdedup dedup`
 command of the workload then runs in a fresh interpreter from that side's
-`src/`. Afterwards every file of every output directory is compared byte
-for byte, except `report.json`, which is compared as JSON without its
-`stage_seconds` (the timings), and the translation cache, which is
-compared record by record without its per-run `timestamp`. The script
-prints each artifact that differs, and for `report.json` the top-level
-keys that differ; it exits 1 if any artifact differs, 2 if a command
-fails, and 0 otherwise.
+`src/`. After each one, the script writes that command's gold pairs as
+`gold.csv` in its output directory, and runs `eval` and `report --format
+json` there; the report's output is kept as `report-format-json.out`.
+Afterwards every file of every output directory is compared byte for
+byte (`eval.json` included), except `report.json` and the report's
+output, which are compared as JSON without the run's `stage_seconds` (the
+timings), and the translation cache, which is compared record by record
+without its per-run `timestamp`. The script prints each artifact that
+differs, and for the two reports the top-level keys that differ; it exits
+1 if any artifact differs, 2 if a command fails, and 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import shutil
@@ -31,6 +35,7 @@ import tempfile
 from pathlib import Path
 
 REPORT = "report.json"
+RENDERED = "report-format-json.out"  # the output of `report --format json`
 
 
 class CommandFailed(Exception):
@@ -44,17 +49,34 @@ def _load_workloads(checkout: Path):
     return workloads
 
 
+def _write_gold(gold: dict, path: Path) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id1", "id2", "label"])
+        writer.writerows([id_a, id_b, label] for (id_a, id_b), label in sorted(gold.items()))
+
+
 def _run_side(checkout: Path, workloads, workload, seed: int, work: Path):
-    """Generate the inputs under `work` and run every command; return them."""
+    """Generate the inputs under `work`, run every command, and score and
+    report each one's output; return the inputs."""
     inputs = workloads.make_inputs(workload, seed, work)
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    for command in inputs.commands:
-        argv = [sys.executable, "-m", "postdedup.cli"]
-        argv += command.argv(inputs.dictionary, inputs.config)
+
+    def run(name: str, args: list[str]) -> str:
+        argv = [sys.executable, "-m", "postdedup.cli", *args]
         done = subprocess.run(argv, cwd=work, env=env, capture_output=True, text=True)
         if done.returncode != 0:
             sys.stderr.write(done.stderr)
-            raise CommandFailed(f"{checkout}: {command.name} exited {done.returncode}")
+            raise CommandFailed(f"{checkout}: {name} exited {done.returncode}")
+        return done.stdout
+
+    for command in inputs.commands:
+        run(command.name, command.argv(inputs.dictionary, inputs.config))
+        _write_gold(command.gold, command.out_dir / "gold.csv")
+        out = ["--out", str(command.out_dir)]
+        run(f"{command.name} eval", ["eval", *out])
+        rendered = run(f"{command.name} report", ["report", *out, "--format", "json"])
+        (command.out_dir / RENDERED).write_text(rendered, encoding="utf-8")
     return inputs
 
 
@@ -68,10 +90,12 @@ def _cache_records(path: Path) -> list[dict]:
 
 
 def _report_keys(base: Path, head: Path) -> list[str]:
-    """The top-level keys on which two run reports differ, timings aside."""
+    """The top-level keys on which two run reports, or two rendered
+    reports, differ, timings aside."""
     sides = [json.loads(path.read_text(encoding="utf-8")) for path in (base, head)]
     for report in sides:
-        report.pop("stage_seconds", None)
+        run = report["run"] if base.name == RENDERED else report
+        run.pop("stage_seconds", None)
     b, h = sides
     missing = object()
     return sorted(key for key in b.keys() | h.keys() if b.get(key, missing) != h.get(key, missing))
@@ -84,7 +108,7 @@ def _differences(base_dir: Path, head_dir: Path) -> list[str]:
         base, head = base_dir / name, head_dir / name
         if not (base.is_file() and head.is_file()):
             out.append(f"{name}: only in {'base' if base.is_file() else 'head'}")
-        elif name == REPORT:
+        elif name in (REPORT, RENDERED):
             keys = _report_keys(base, head)
             if keys:
                 out.append(f"{name}: keys differ: {', '.join(keys)}")

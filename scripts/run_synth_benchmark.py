@@ -68,11 +68,10 @@ def main() -> int:
             started = time.perf_counter()
             result = run_pipeline(synth.postings, config)
             wall = time.perf_counter() - started
-            report = score(result.pairs, synth.gold)
-            row = report.per_class
+            scores = score(result.pairs, synth.gold)
             print(
-                f"{name:>16} {row['FULL'].f1:>7.3f} {row['SEMANTIC'].f1:>9.3f} "
-                f"{row['TEMPORAL'].f1:>9.3f} {report.macro_f1:>7.3f} {wall:>6.1f}s"
+                f"{name:>16} {scores['FULL']['f1']:>7.3f} {scores['SEMANTIC']['f1']:>9.3f} "
+                f"{scores['TEMPORAL']['f1']:>9.3f} {scores['macro_f1']:>7.3f} {wall:>6.1f}s"
             )
     return 0
 

@@ -54,20 +54,19 @@ def main() -> int:
 
         probe = run_pipeline(synth.postings, config_at(grid[len(grid) // 2]))
         print(f"{'theta':>8} {'kept':>8} {'fraction':>9}")
-        for theta, kept, fraction in probe.report.sweep:
+        for theta, kept, fraction in probe.report["sweep"]:
             print(f"{theta:>8.3f} {kept:>8d} {fraction:>9.2e}")
 
-        chosen = choose_theta(probe.report.sweep)
+        chosen = choose_theta(probe.report["sweep"])
         print(f"\nchosen theta (widest flat stretch): {chosen:.3f}")
 
         print(f"\n{'theta':>8} {'FULL':>7} {'SEMANTIC':>9} {'TEMPORAL':>9}")
         for theta in sorted({round(chosen / 2, 3), round(chosen, 3), round(min(2.0, chosen * 1.5), 3)}):
             result = run_pipeline(synth.postings, config_at(theta))
-            report = score(result.pairs, synth.gold)
-            row = report.per_class
+            scores = score(result.pairs, synth.gold)
             print(
-                f"{theta:>8.3f} {row['FULL'].f1:>7.3f} {row['SEMANTIC'].f1:>9.3f} "
-                f"{row['TEMPORAL'].f1:>9.3f}"
+                f"{theta:>8.3f} {scores['FULL']['f1']:>7.3f} {scores['SEMANTIC']['f1']:>9.3f} "
+                f"{scores['TEMPORAL']['f1']:>9.3f}"
             )
     return 0
 

@@ -4,7 +4,8 @@ Shared by the translation and embedding clients: items are cut into
 batches, at most `max_in_flight` batches are outstanding at any moment,
 and results are reassembled in submission order regardless of completion
 order. Transient backend failures are retried with exponential backoff
-and full jitter.
+and full jitter; a server's Retry-After hint is honoured up to the backoff
+cap, and a longer one ends the retries at once.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ def call_with_retry(fn: Callable[[], R], policy: RetryPolicy) -> R:
         try:
             return fn()
         except RateLimited as err:
+            if err.retry_after is not None and err.retry_after > policy.backoff_cap:
+                raise  # a wait past the cap would stall the run; give up now
             last_error = err
             if attempt + 1 < policy.attempts:
                 time.sleep(policy.sleep_before(attempt, err.retry_after))

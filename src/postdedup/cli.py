@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 # OpenBLAS reads this once, when numpy first loads it, so it is set before
@@ -38,7 +37,7 @@ from .config import PipelineConfig, _read_document, _read_json_or_yaml, config_f
 from .corpus import corpus_stats, read_json, save_postings
 from .embed import tokenize
 from .errors import BackendError, ConfigError, DataError, DedupError
-from .evaluation import ClassMetrics, EvalReport, GoldSet, read_results_csv, render_report, score
+from .evaluation import SCORE_KEYS, GoldSet, read_results_csv, render_report, score
 from .pipeline import (
     DICTIONARY_FILE,
     EVAL_FILE,
@@ -132,8 +131,7 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
 def _cmd_ingest(args) -> int:
     _config_from_args(args)  # only checked: a broken config fails every command
     postings = stage_ingest(args.input, args.format, args.out)
-    stats = corpus_stats(postings, tokenize)
-    write_json(asdict(stats), Path(args.out) / "corpus_stats.json")
+    write_json(corpus_stats(postings, tokenize), Path(args.out) / "corpus_stats.json")
     print(f"ingested {len(postings)} postings into {args.out}/{POSTINGS_FILE}")
     return 0
 
@@ -178,7 +176,7 @@ def _cmd_dedup(args) -> int:
     write_run(result, outdir)
     print(
         f"wrote {len(result.pairs)} labeled pairs to {outdir / RESULTS_FILE} "
-        f"(labels: {result.report.label_counts})"
+        f"(labels: {result.report['label_counts']})"
     )
     return 0
 
@@ -188,11 +186,11 @@ def _cmd_eval(args) -> int:
     gold_path = Path(args.gold or Path(args.out) / GOLD_FILE)
     predicted = read_results_csv(results_path)
     gold = GoldSet.load_csv(gold_path)
-    report = score(predicted, gold)
+    scores = score(predicted, gold)
     out_path = Path(args.out) / EVAL_FILE
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_json(report.to_dict(), out_path)
-    print(render_report(None, report, format="text"), end="")
+    write_json(scores, out_path)
+    print(render_report(None, scores, format="text"), end="")
     print(f"wrote {out_path}")
     return 0
 
@@ -227,22 +225,19 @@ def _cmd_report(args) -> int:
     run = read_json(run_path)
     if not isinstance(run, dict):
         raise DataError(f"malformed run report {run_path}: expected a JSON object")
-    eval_report = None
+    scores = None
     eval_path = Path(args.eval or Path(args.out) / EVAL_FILE)
-    if eval_path.exists():
-        raw = read_json(eval_path)
+    if args.eval or eval_path.exists():  # a file named by --eval must exist
+        scores = read_json(eval_path)
         try:
-            per_class = {
-                name: ClassMetrics(**metrics)
-                for name, metrics in raw.items()
-                if name != "macro_f1"
-            }
-            eval_report = EvalReport(per_class=per_class, macro_f1=raw["macro_f1"])
-            render_report(None, eval_report)  # every value must render
+            render_report(None, scores)  # every value must render
+            for name, entry in scores.items():
+                if name != "macro_f1" and set(entry) != set(SCORE_KEYS):
+                    raise ValueError(f"class {name!r} must hold exactly {', '.join(SCORE_KEYS)}")
         except (AttributeError, KeyError, TypeError, ValueError) as err:
             raise DataError(f"malformed eval report {eval_path}: {err!r}") from err
     try:
-        text = render_report(run, eval_report, format=args.format)
+        text = render_report(run, scores, format=args.format)
     except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise DataError(f"malformed run report {run_path}: {err!r}") from err
     print(text, end="")
@@ -295,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="render run and eval reports")
     p.add_argument("--run", help=f"defaults to <out>/{REPORT_FILE}")
-    p.add_argument("--eval", help=f"defaults to <out>/{EVAL_FILE}")
+    p.add_argument("--eval", help=f"must exist if named; defaults to <out>/{EVAL_FILE} if any")
     p.add_argument("--format", choices=("text", "json"), default="text")
     _add_common_flags(p)
     p.set_defaults(func=_cmd_report)

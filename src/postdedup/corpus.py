@@ -1,4 +1,5 @@
-"""The reader of every input file; corpus loading, validation, statistics, pair counts."""
+"""The reader of every input file; corpus loading, validation, pair counts,
+and the `corpus_stats.json` document that `ingest` writes (`corpus_stats`)."""
 
 from __future__ import annotations
 
@@ -54,17 +55,6 @@ class Posting:
             "retrieval_date": self.retrieval_date.isoformat(),
             "source": self.source,
         }
-
-
-@dataclass(frozen=True)
-class CorpusStats:
-    """Per-corpus summary: language mix, token-count histogram, missingness."""
-
-    n_postings: int
-    language_histogram: dict[str, int]
-    token_count_histogram: dict[str, int]
-    missing_company_fraction: float
-    missing_location_fraction: float
 
 
 def parse_date(value: str) -> date:
@@ -273,8 +263,9 @@ def _token_bucket(count: int) -> str:
     return f"{lo}-{lo + 99}"
 
 
-def corpus_stats(postings: list[Posting], tokenizer: Callable[[str], list[str]]) -> CorpusStats:
-    """Summarize language mix, per-posting token counts, and field missingness.
+def corpus_stats(postings: list[Posting], tokenizer: Callable[[str], list[str]]) -> dict:
+    """The `corpus_stats.json` document: language mix, per-posting token
+    counts, and field missingness.
 
     Postings without a language tag are bucketed under "und"; histogram
     counts always sum to the number of postings.
@@ -290,13 +281,13 @@ def corpus_stats(postings: list[Posting], tokenizer: Callable[[str], list[str]])
         missing_company += posting.company is None
         missing_location += posting.location is None
     n = len(postings)
-    return CorpusStats(
-        n_postings=n,
-        language_histogram=dict(sorted(languages.items())),
-        token_count_histogram=dict(sorted(token_buckets.items())),
-        missing_company_fraction=missing_company / n if n else 0.0,
-        missing_location_fraction=missing_location / n if n else 0.0,
-    )
+    return {
+        "n_postings": n,
+        "language_histogram": dict(sorted(languages.items())),
+        "token_count_histogram": dict(sorted(token_buckets.items())),
+        "missing_company_fraction": missing_company / n if n else 0.0,
+        "missing_location_fraction": missing_location / n if n else 0.0,
+    }
 
 
 def pair_count(n: int) -> int:
@@ -308,7 +299,6 @@ def pair_count(n: int) -> int:
 
 __all__ = [
     "Posting",
-    "CorpusStats",
     "parse_date",
     "read_text",
     "read_json",

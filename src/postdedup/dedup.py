@@ -12,7 +12,7 @@ duplicate TEMPORAL.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from typing import Mapping, Optional, Sequence
@@ -302,38 +302,17 @@ def classify(same_text: bool, date_a: date, date_b: date) -> DuplicateLabel:
     return DuplicateLabel.FULL if same_text else DuplicateLabel.SEMANTIC
 
 
-@dataclass(frozen=True)
-class SaturationReport:
-    """Queries whose whole k-NN list sits under the threshold.
+def saturation_report(query_ids: Sequence[str], kth: np.ndarray, theta: float, k: int) -> dict:
+    """The queries whose whole k-NN list sits under theta: the `saturation`
+    document of the run report.
 
-    For these, the k cap (not the threshold) limited the matches, so true
-    duplicates beyond the k-th neighbor may have been cut off.
+    A query is saturated iff its k-th hit (`kth`, inf for fewer than k hits)
+    is under theta. For these the k cap, not the threshold, limited the
+    matches, so true duplicates beyond the k-th neighbor may have been cut off.
     """
-
-    k: int
-    theta: float
-    saturated_ids: list[str] = field(default_factory=list)
-
-    @property
-    def count(self) -> int:
-        return len(self.saturated_ids)
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "theta": self.theta,
-            "count": self.count,
-            "saturated_ids": list(self.saturated_ids),
-        }
-
-
-def saturation_report(
-    query_ids: Sequence[str], kth: np.ndarray, theta: float, k: int
-) -> SaturationReport:
-    """A query is saturated iff its k-th hit (`kth`, inf for fewer than k hits) is under theta."""
     flags = (kth < theta).tolist()
-    saturated = [vid for vid, flag in zip(query_ids, flags) if flag]
-    return SaturationReport(k=k, theta=theta, saturated_ids=sorted(saturated))
+    saturated = sorted(vid for vid, flag in zip(query_ids, flags) if flag)
+    return {"k": k, "theta": theta, "count": len(saturated), "saturated_ids": saturated}
 
 
 __all__ = [
@@ -349,6 +328,5 @@ __all__ = [
     "choose_theta",
     "apply_rules_detailed",
     "classify",
-    "SaturationReport",
     "saturation_report",
 ]

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import re
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,22 +25,6 @@ DEFAULT_MAX_TOKENS = 384
 # Budget of one embedding chunk: its float64 bucket accumulator plus four
 # 8-byte values (hash, cell, sign, row) per kept token.
 _CHUNK_BYTES = 1 << 20
-
-
-@dataclass(frozen=True)
-class TruncationReport:
-    """Corpus-level view of how much text a token limit cuts off.
-
-    Mean/median losses are computed over truncated records only; an
-    untruncated corpus reports zeros.
-    """
-
-    n_total: int
-    n_truncated: int
-    fraction_truncated: float
-    mean_tokens_lost: float
-    median_tokens_lost: float
-    histogram_over_limit: dict[str, int] = field(default_factory=dict)
 
 
 # A token runs from an alphanumeric character to the last alphanumeric one
@@ -70,10 +53,13 @@ def _loss_bucket(n_lost: int) -> str:
     return f"{lo}-{lo + 99}"
 
 
-def truncation_report(
-    token_counts: Iterable[int], max_tokens: int = DEFAULT_MAX_TOKENS
-) -> TruncationReport:
-    """Aggregate truncation losses over texts with these `tokenize` token counts."""
+def truncation_report(token_counts: Iterable[int], max_tokens: int = DEFAULT_MAX_TOKENS) -> dict:
+    """How much text a token limit cuts off, over texts with these `tokenize`
+    token counts: the `truncation` document of the run report.
+
+    Mean/median losses are over truncated texts only; an untruncated corpus
+    reports zeros.
+    """
     if max_tokens < 1:
         raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
     losses: list[int] = []
@@ -92,14 +78,14 @@ def truncation_report(
         import statistics
 
         mean, median = float(statistics.fmean(losses)), float(statistics.median(losses))
-    return TruncationReport(
-        n_total=n_total,
-        n_truncated=n_truncated,
-        fraction_truncated=n_truncated / n_total if n_total else 0.0,
-        mean_tokens_lost=mean,
-        median_tokens_lost=median,
-        histogram_over_limit=dict(sorted(histogram.items())),
-    )
+    return {
+        "n_total": n_total,
+        "n_truncated": n_truncated,
+        "fraction_truncated": n_truncated / n_total if n_total else 0.0,
+        "mean_tokens_lost": mean,
+        "median_tokens_lost": median,
+        "histogram_over_limit": dict(sorted(histogram.items())),
+    }
 
 
 def token_hash(token: str) -> int:
@@ -247,7 +233,6 @@ class RemoteEmbedder:
 
 __all__ = [
     "DEFAULT_MAX_TOKENS",
-    "TruncationReport",
     "tokenize",
     "truncate_tokens",
     "truncation_report",

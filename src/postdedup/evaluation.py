@@ -2,16 +2,22 @@
 
 Scoring is competition-style over a sparse gold set assumed complete:
 a predicted pair absent from gold counts as a false positive for its
-predicted class, and 0/0 precision or recall is defined as 0.
+predicted class, and 0/0 precision or recall is defined as 0. `score`
+returns the `eval.json` document itself, and `render_report` reads the run
+report and the scores as the mappings they are written as.
+
+`gold.csv` and `results.csv` are pair files, read by one row reader
+(`_read_pairs`): a row with an unknown label, ids that do not ascend or a
+pair listed a second time is a MalformedRecord naming `file:line`.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .atomic import atomic_write
 from .corpus import csv_records
@@ -43,53 +49,23 @@ class GoldSet:
 
     @classmethod
     def load_csv(cls, path: str | Path) -> "GoldSet":
-        pairs: dict[tuple[str, str], DuplicateLabel] = {}
-        for row, line_no in csv_records(path):
-            try:
-                key = (row["id1"], row["id2"])
-                label = DuplicateLabel(row["label"])
-            except (KeyError, ValueError) as err:
-                raise MalformedRecord(path, line_no, f"gold row {err!r}") from err
-            if key in pairs:
-                raise MalformedRecord(path, line_no, f"gold pair {key} listed twice")
-            pairs[key] = label
-        return cls(pairs)
+        return cls(dict(_read_pairs(path, "gold", lambda key, label, row: (key, label))))
 
 
-@dataclass(frozen=True)
-class ClassMetrics:
-    precision: float
-    recall: float
-    f1: float
-    tp: int
-    fp: int
-    fn: int
+# The keys of each class entry of `eval.json`, in the order they are written.
+SCORE_KEYS = ("precision", "recall", "f1", "tp", "fp", "fn")
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    per_class: Mapping[str, ClassMetrics]
-    macro_f1: float
-
-    def to_dict(self) -> dict:
-        out: dict = {name: asdict(metrics) for name, metrics in self.per_class.items()}
-        out["macro_f1"] = self.macro_f1
-        return out
-
-
-def _safe_ratio(num: int, den: int) -> float:
-    return num / den if den else 0.0
-
-
-def score(predicted: Sequence[LabeledPair], gold: GoldSet) -> EvalReport:
-    """Per-class TP/FP/FN against gold; 0/0 ratios are 0, macro over classes."""
+def score(predicted: Sequence[LabeledPair], gold: GoldSet) -> dict:
+    """The `eval.json` document: per class, its precision, recall, f1, tp, fp
+    and fn against gold (0/0 ratios are 0), then `macro_f1` over the classes."""
     predicted_by_key: dict[tuple[str, str], DuplicateLabel] = {}
     for pair in predicted:
         if pair.key in predicted_by_key:
             raise DuplicatePrediction(pair.id_a, pair.id_b)
         predicted_by_key[pair.key] = pair.label
 
-    per_class: dict[str, ClassMetrics] = {}
+    scores: dict = {}
     f1s = []
     for cls in DuplicateLabel:
         tp = sum(
@@ -99,12 +75,13 @@ def score(predicted: Sequence[LabeledPair], gold: GoldSet) -> EvalReport:
         )
         fp = sum(1 for label in predicted_by_key.values() if label == cls) - tp
         fn = sum(1 for label in gold.pairs.values() if label == cls) - tp
-        precision = _safe_ratio(tp, tp + fp)
-        recall = _safe_ratio(tp, tp + fn)
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        per_class[cls.value] = ClassMetrics(precision, recall, f1, tp, fp, fn)
+        scores[cls.value] = dict(zip(SCORE_KEYS, (precision, recall, f1, tp, fp, fn)))
         f1s.append(f1)
-    return EvalReport(per_class=per_class, macro_f1=sum(f1s) / len(f1s))
+    scores["macro_f1"] = sum(f1s) / len(f1s)
+    return scores
 
 
 def write_results_csv(pairs: Iterable[LabeledPair], path: str | Path) -> None:
@@ -117,37 +94,50 @@ def write_results_csv(pairs: Iterable[LabeledPair], path: str | Path) -> None:
             writer.writerow([pair.id_a, pair.id_b, pair.label.value, distance, pair.reason])
 
 
-def read_results_csv(path: str | Path) -> list[LabeledPair]:
-    """The labeled pairs of a results file; each row's ids must ascend, as gold keys do."""
-    pairs = []
+def _read_pairs(path: str | Path, what: str, make) -> list:
+    """`make(key, label, row)` of each row of a pair file (gold or results).
+
+    A row whose fields do not parse (an unknown label, a missing cell), whose
+    ids do not ascend, or that lists a pair a second time is a MalformedRecord
+    naming `file:line`.
+    """
+    records = []
+    seen: set[tuple[str, str]] = set()
     for row, line_no in csv_records(path):
         try:
-            distance = float(row["distance"]) if row["distance"] else None
-            label = DuplicateLabel(row["label"])
-            pair = LabeledPair(row["id1"], row["id2"], label, distance, row["reason"])
+            key = (row["id1"], row["id2"])
+            records.append(make(key, DuplicateLabel(row["label"]), row))
         except (KeyError, ValueError) as err:
-            raise MalformedRecord(path, line_no, f"results row {err!r}") from err
-        if pair.id_a >= pair.id_b:
-            raise MalformedRecord(path, line_no, f"results ids {pair.key} do not ascend")
-        pairs.append(pair)
-    return pairs
+            raise MalformedRecord(path, line_no, f"{what} row {err!r}") from err
+        if key[0] >= key[1]:
+            raise MalformedRecord(path, line_no, f"{what} ids {key} do not ascend")
+        if key in seen:
+            raise MalformedRecord(path, line_no, f"{what} pair {key} listed twice")
+        seen.add(key)
+    return records
 
 
-def render_report(
-    run_report: Mapping | None,
-    eval_report: Optional[EvalReport] = None,
-    format: str = "text",
-) -> str:
-    """Render the run report (and optional eval report) as text or JSON.
+def _result_pair(key: tuple[str, str], label: DuplicateLabel, row: dict) -> LabeledPair:
+    distance = float(row["distance"]) if row["distance"] else None
+    return LabeledPair(*key, label, distance, row["reason"])
+
+
+def read_results_csv(path: str | Path) -> list[LabeledPair]:
+    """The labeled pairs of a results file."""
+    return _read_pairs(path, "results", _result_pair)
+
+
+def render_report(run: Mapping | None, scores: Mapping | None = None, format: str = "text") -> str:
+    """Render the run report (and optional `eval.json` scores) as text or JSON.
 
     The JSON form is the exact serialization of the report mappings, so
     reparsing it reproduces the input field for field.
     """
-    run = dict(run_report) if run_report else {}
+    run = dict(run) if run else {}
     if format == "json":
         document: dict = {"run": run}
-        if eval_report is not None:
-            document["eval"] = eval_report.to_dict()
+        if scores is not None:
+            document["eval"] = scores
         return json.dumps(document, indent=2)
     if format != "text":
         raise DataError(f"unknown report format {format!r}")
@@ -195,22 +185,22 @@ def render_report(
             lines.append(f"{'theta':>8} {'kept':>8} {'fraction':>9}")
             for theta, kept, fraction in run["sweep"]:
                 lines.append(f"{theta:>8.3f} {kept:>8d} {fraction:>9.2e}")
-    if eval_report is not None:
+    if scores is not None:
         lines.append("== Evaluation ==")
         lines.append(f"{'class':>9} {'precision':>10} {'recall':>8} {'f1':>8} {'tp':>6} {'fp':>6} {'fn':>6}")
-        for name, m in eval_report.per_class.items():
-            lines.append(
-                f"{name:>9} {m.precision:>10.4f} {m.recall:>8.4f} {m.f1:>8.4f} "
-                f"{m.tp:>6d} {m.fp:>6d} {m.fn:>6d}"
-            )
-        lines.append(f"macro F1: {eval_report.macro_f1:.4f}")
+        for name, m in scores.items():
+            if name != "macro_f1":
+                lines.append(
+                    f"{name:>9} {m['precision']:>10.4f} {m['recall']:>8.4f} {m['f1']:>8.4f} "
+                    f"{m['tp']:>6d} {m['fp']:>6d} {m['fn']:>6d}"
+                )
+        lines.append(f"macro F1: {scores['macro_f1']:.4f}")
     return "\n".join(lines) + "\n"
 
 
 __all__ = [
     "GoldSet",
-    "ClassMetrics",
-    "EvalReport",
+    "SCORE_KEYS",
     "score",
     "write_results_csv",
     "read_results_csv",

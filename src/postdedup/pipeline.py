@@ -23,6 +23,10 @@ chain's in-memory values. The search index lives for one run:
 `stage_index` builds it and writes nothing, and candidates, rules and
 results run only inside the whole chain.
 
+The run report is the `report.json` document: `_dedup` builds it as one
+dict, in the key order it is written in, holding the stage mappings of
+`truncation_report` and `saturation_report`.
+
 Nothing to embed is no special case: the embeddings are then a flat index
 of zero rows, which is written, read, indexed and searched like any other.
 """
@@ -32,10 +36,10 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, product
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -79,33 +83,9 @@ EVAL_FILE = "eval.json"
 
 
 @dataclass
-class RunReport:
-    mode: str
-    k: int
-    base_theta: float
-    search_radius: float
-    n_postings: int = 0
-    n_groups: int = 0
-    n_zero_vectors: int = 0
-    counters: dict = field(default_factory=dict)
-    label_counts: dict = field(default_factory=dict)
-    rule_kept: list = field(default_factory=list)
-    ivf_list_sizes: Optional[dict] = None
-    stage_seconds: dict = field(default_factory=dict)
-    truncation: Optional[dict] = None
-    saturation: Optional[dict] = None
-    sweep: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        raw = asdict(self)
-        raw["sweep"] = [list(row) for row in self.sweep]
-        return raw
-
-
-@dataclass
 class PipelineResult:
     pairs: list[LabeledPair]
-    report: RunReport
+    report: dict  # the `report.json` document
 
 
 def make_translator(config: PipelineConfig):
@@ -182,7 +162,7 @@ def _embed(
         "dim": config.embed.dim,
         "max_tokens": config.embed.max_tokens,
         "zero_vector_ids": [rid for rid, keep in zip(rep_ids, flags) if not keep],
-        "truncation": asdict(truncation_report(token_counts, config.embed.max_tokens)),
+        "truncation": truncation_report(token_counts, config.embed.max_tokens),
     }
     # The embedder's matrix becomes the index as it is; a copy is made only
     # to drop zero rows.
@@ -252,22 +232,22 @@ def _dedup(
     sweep = threshold_sweep(
         candidates.distances, list(config.dedup.sweep_thetas), brute_force_pairs
     )
-    saturation = saturation_report(queries.ids, kth, base_theta, k).to_dict()
+    saturation = saturation_report(queries.ids, kth, base_theta, k)
     label_counts = Counter(pair.label.value for pair in pairs)
     timings["classify"] = time.perf_counter() - t0
     list_sizes = None
     if isinstance(index, IVFIndex):
         sizes = index.list_sizes()
         list_sizes = {"min": min(sizes), "median": float(np.median(sizes)), "max": max(sizes)}
-    report = RunReport(
-        mode=config.mode,
-        k=k,
-        base_theta=base_theta,
-        search_radius=radius,
-        n_postings=len(postings),
-        n_groups=len(groups),
-        n_zero_vectors=len(meta["zero_vector_ids"]),
-        counters={
+    report = {
+        "mode": config.mode,
+        "k": k,
+        "base_theta": base_theta,
+        "search_radius": radius,
+        "n_postings": len(postings),
+        "n_groups": len(groups),
+        "n_zero_vectors": len(meta["zero_vector_ids"]),
+        "counters": {
             # Ordered query x row evaluations, on the same basis as each other.
             "index_comparisons": index.comparison_count,
             "brute_force_comparisons": n * n,  # a self-join
@@ -282,14 +262,14 @@ def _dedup(
             "exact_group_pairs": n_exact,
             "output_pairs": len(pairs),
         },
-        label_counts=dict(sorted(label_counts.items())),
-        rule_kept=np.bincount(kept.rule_indices, minlength=len(rules)).tolist(),
-        ivf_list_sizes=list_sizes,
-        stage_seconds=dict(timings),
-        truncation=meta["truncation"],
-        saturation=saturation,
-        sweep=sweep,
-    )
+        "label_counts": dict(sorted(label_counts.items())),
+        "rule_kept": np.bincount(kept.rule_indices, minlength=len(rules)).tolist(),
+        "ivf_list_sizes": list_sizes,
+        "stage_seconds": dict(timings),
+        "truncation": meta["truncation"],
+        "saturation": saturation,
+        "sweep": [list(row) for row in sweep],
+    }
     return PipelineResult(pairs=pairs, report=report)
 
 
@@ -371,7 +351,7 @@ def write_run(result: PipelineResult, outdir: str | Path) -> None:
     """The outputs of `dedup`: the labeled pairs and the run report."""
     Path(outdir).mkdir(parents=True, exist_ok=True)
     write_results_csv(result.pairs, Path(outdir) / RESULTS_FILE)
-    write_json(result.report.to_dict(), Path(outdir) / REPORT_FILE)
+    write_json(result.report, Path(outdir) / REPORT_FILE)
 
 
 def stage_ingest(path: str | Path, format: str, outdir: str | Path) -> list[Posting]:
@@ -428,7 +408,6 @@ __all__ = [
     "GOLD_FILE",
     "DICTIONARY_FILE",
     "EVAL_FILE",
-    "RunReport",
     "PipelineResult",
     "run_pipeline",
     "write_run",

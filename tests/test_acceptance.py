@@ -149,12 +149,12 @@ def test_criterion_4_end_to_end_planted_duplicates(tmp_path):
     probe = run_pipeline(
         synth.postings, _two_step_config(dictionary_path, 0.25, sweep=sweep_grid)
     )
-    theta = choose_theta(probe.report.sweep)
+    theta = choose_theta(probe.report["sweep"])
     result = run_pipeline(synth.postings, _two_step_config(dictionary_path, theta))
     report = score(result.pairs, synth.gold)
-    assert report.per_class["FULL"].f1 >= 0.99
-    assert report.per_class["SEMANTIC"].f1 >= 0.90
-    assert report.per_class["TEMPORAL"].f1 >= 0.90
+    assert report["FULL"]["f1"] >= 0.99
+    assert report["SEMANTIC"]["f1"] >= 0.90
+    assert report["TEMPORAL"]["f1"] >= 0.90
 
     # a generator with metadata signal: the example expert ruleset must add
     # at least 0.02 absolute semantic F1 over the plain 0.25 threshold
@@ -163,17 +163,17 @@ def test_criterion_4_end_to_end_planted_duplicates(tmp_path):
     hard_dict.write_text(json.dumps(hard.translation_dict), encoding="utf-8")
     plain = run_pipeline(hard.postings, _two_step_config(hard_dict, 0.25))
     ruled = run_pipeline(hard.postings, _two_step_config(hard_dict, 0.25, rules="example"))
-    f1_plain = score(plain.pairs, hard.gold).per_class["SEMANTIC"].f1
-    f1_ruled = score(ruled.pairs, hard.gold).per_class["SEMANTIC"].f1
+    f1_plain = score(plain.pairs, hard.gold)["SEMANTIC"]["f1"]
+    f1_ruled = score(ruled.pairs, hard.gold)["SEMANTIC"]["f1"]
     assert f1_ruled - f1_plain >= 0.02
 
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0
     _ok(
         "4",
-        f"theta={theta:.3f}: FULL={report.per_class['FULL'].f1:.3f} "
-        f"SEMANTIC={report.per_class['SEMANTIC'].f1:.3f} "
-        f"TEMPORAL={report.per_class['TEMPORAL'].f1:.3f}; "
+        f"theta={theta:.3f}: FULL={report['FULL']['f1']:.3f} "
+        f"SEMANTIC={report['SEMANTIC']['f1']:.3f} "
+        f"TEMPORAL={report['TEMPORAL']['f1']:.3f}; "
         f"rules lift {f1_plain:.3f}->{f1_ruled:.3f} in {elapsed:.1f}s",
     )
 
@@ -223,11 +223,11 @@ def test_criterion_7_diagnostics_correctness():
     HashedEmbedder(dim=16, max_tokens=384).embed_many(texts, counts)
     report = truncation_report(counts, 384)
     # losses: 16, 116, 1 -> over truncated records only
-    assert report.n_total == 5
-    assert report.n_truncated == 3
-    assert report.fraction_truncated == pytest.approx(3 / 5)
-    assert report.mean_tokens_lost == pytest.approx((16 + 116 + 1) / 3)
-    assert report.median_tokens_lost == 16.0
+    assert report["n_total"] == 5
+    assert report["n_truncated"] == 3
+    assert report["fraction_truncated"] == pytest.approx(3 / 5)
+    assert report["mean_tokens_lost"] == pytest.approx((16 + 116 + 1) / 3)
+    assert report["median_tokens_lost"] == 16.0
 
     k, dim, theta = 10, 16, 0.25
     rng = np.random.default_rng(701)
@@ -244,8 +244,8 @@ def test_criterion_7_diagnostics_correctness():
     index = build_index(vectors, IndexConfig(kind="flat", dim=dim))
     _, kth = collect_hits(index, vectors, k=k)
     sat = saturation_report(vectors.ids, kth, theta=theta, k=k)
-    assert sat.saturated_ids == sorted(clique_ids)
-    assert sat.count == k + 5
+    assert sat["saturated_ids"] == sorted(clique_ids)
+    assert sat["count"] == k + 5
     _ok("7", f"truncation stats exact; saturation flags exactly the {k + 5} clique members")
 
 
@@ -278,7 +278,7 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
             (
                 (outdir / RESULTS_FILE).read_bytes(),
                 (outdir / EMBEDDINGS_FILE).read_bytes(),
-                result.report.ivf_list_sizes,
+                result.report["ivf_list_sizes"],
             )
         )
     assert outputs[0] == outputs[1]

@@ -61,7 +61,7 @@ def test_traced_rule_counts_are_the_report_counters(tracing, tmp_path, monkeypat
         return out
 
     monkeypatch.setattr(pipeline, "apply_rules_detailed", spy)
-    counters = pipeline.run_pipeline(synth.postings, config).report.counters
+    counters = pipeline.run_pipeline(synth.postings, config).report["counters"]
     [(args, kwargs, out)] = calls
     assert len(args[0]) == counters["candidate_pairs"]
     assert len(out) == counters["kept_representative_pairs"] > 0

@@ -176,6 +176,18 @@ def test_eval_of_a_results_row_whose_ids_do_not_ascend_is_data_error(tmp_path, c
     assert not (tmp_path / EVAL_FILE).exists()
 
 
+def test_report_of_a_named_eval_file_that_is_missing_is_data_error(tmp_path, capsys):
+    (tmp_path / REPORT_FILE).write_text('{"mode": "two_step"}', encoding="utf-8")
+    missing = tmp_path / "nosuch.json"
+    assert run_cli("report", "--out", tmp_path, "--eval", missing) == 3
+    captured = capsys.readouterr()
+    assert f"cannot read {missing}" in captured.err
+    assert captured.out == ""
+    # The default eval.json stays optional.
+    assert run_cli("report", "--out", tmp_path) == 0
+    assert "== Evaluation ==" not in capsys.readouterr().out
+
+
 def test_bad_config_file_is_config_error(tmp_path):
     config = tmp_path / "bad.yaml"
     config.write_text("mode: warp_speed\n", encoding="utf-8")
@@ -586,6 +598,15 @@ _CANONICAL_LINE = json.dumps({"id": "a", "canonical_text": "chef", "fingerprint"
             "report",
             {
                 REPORT_FILE: "{}",
+                EVAL_FILE: '{"full": {"precision": 1.0, "recall": 1.0, "f1": 1.0,'
+                ' "tp": 1, "fp": 0, "fn": 0, "support": 1}, "macro_f1": 1.0}',
+            },
+            EVAL_FILE,
+        ),
+        (
+            "report",
+            {
+                REPORT_FILE: "{}",
                 EVAL_FILE: '{"full": {"precision": "high", "recall": 1.0, "f1": 1.0,'
                 ' "tp": 1, "fp": 0, "fn": 0}, "macro_f1": 1.0}',
             },
@@ -717,10 +738,27 @@ _CANONICAL_LINE = json.dumps({"id": "a", "canonical_text": "chef", "fingerprint"
             },
             f"{GOLD_FILE}:2",
         ),
+        # gold.csv and results.csv are read by one row reader, and report
+        # the same faults alike.
+        (
+            "eval",
+            {RESULTS_FILE: f"{RESULTS_HEADER}\n", GOLD_FILE: "id1,id2,label\nb,a,FULL\n"},
+            f"{GOLD_FILE}:2: gold ids ('b', 'a') do not ascend",
+        ),
+        (
+            "eval",
+            {
+                RESULTS_FILE: f"{RESULTS_HEADER}\na,b,FULL,0.0,exact_fingerprint\n"
+                "a,b,SEMANTIC,0.1,semantic_threshold\n",
+                GOLD_FILE: "id1,id2,label\na,b,FULL\n",
+            },
+            f"{RESULTS_FILE}:3: results pair ('a', 'b') listed twice",
+        ),
     ],
     ids=[
         "report-not-json", "eval-json-missing-fields", "gold-unknown-label",
         "results-without-distance", "canonical-not-json", "report-not-object",
+        "eval-json-extra-field",
         "eval-json-string-metric", "report-truncation", "report-sweep", "report-stage-seconds",
         "report-ivf-list-sizes", "report-saturation",
         "canonical-not-object", "canonical-missing-field", "canonical-non-string-field",
@@ -728,7 +766,7 @@ _CANONICAL_LINE = json.dumps({"id": "a", "canonical_text": "chef", "fingerprint"
         "corpus-csv-not-utf8", "canonical-not-utf8", "translated-not-utf8",
         "gold-not-utf8", "results-not-utf8", "postings-not-json",
         "corpus-csv-multiline-cells", "gold-multiline-cells", "corpus-csv-cell-too-large",
-        "results-none-label", "gold-none-label",
+        "results-none-label", "gold-none-label", "gold-ids-descend", "results-pair-twice",
     ],
 )
 def test_malformed_input_file_is_data_error(tmp_path, monkeypatch, capsys, command, files, named):

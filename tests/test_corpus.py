@@ -159,23 +159,23 @@ def test_language_histogram_counts():
         make_posting("c", language="en"),
     ]
     stats = corpus_stats(postings, tokenize)
-    assert stats.language_histogram == {"de": 2, "en": 1}
+    assert stats["language_histogram"] == {"de": 2, "en": 1}
 
 
 def test_missing_language_bucketed_as_und():
     stats = corpus_stats([make_posting("a")], tokenize)
-    assert stats.language_histogram == {"und": 1}
+    assert stats["language_histogram"] == {"und": 1}
 
 
 def test_missing_company_fraction():
     stats = corpus_stats([make_posting("a", company=None)], tokenize)
-    assert stats.missing_company_fraction == 1.0
+    assert stats["missing_company_fraction"] == 1.0
 
 
 def test_stats_on_empty_corpus():
     stats = corpus_stats([], tokenize)
-    assert stats.n_postings == 0
-    assert stats.missing_company_fraction == 0.0
+    assert stats["n_postings"] == 0
+    assert stats["missing_company_fraction"] == 0.0
 
 
 def test_histogram_totals_match_single_pass_oracle():
@@ -202,11 +202,11 @@ def test_histogram_totals_match_single_pass_oracle():
     for p in postings:
         oracle_langs[p.language or "und"] += 1
         oracle_missing_company += p.company is None
-    assert stats.n_postings == 10_000
-    assert stats.language_histogram == dict(sorted(oracle_langs.items()))
-    assert sum(stats.language_histogram.values()) == 10_000
-    assert sum(stats.token_count_histogram.values()) == 10_000
-    assert stats.missing_company_fraction == oracle_missing_company / 10_000
+    assert stats["n_postings"] == 10_000
+    assert stats["language_histogram"] == dict(sorted(oracle_langs.items()))
+    assert sum(stats["language_histogram"].values()) == 10_000
+    assert sum(stats["token_count_histogram"].values()) == 10_000
+    assert stats["missing_company_fraction"] == oracle_missing_company / 10_000
 
 
 def test_pair_count_known_values():

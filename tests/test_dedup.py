@@ -409,14 +409,14 @@ class TestSaturation:
         index = build_index(vectors, IndexConfig(dim=2))
         _, kth = collect_hits(index, vectors, k=2)
         report = saturation_report(vectors.ids, kth, theta=0.25, k=2)
-        assert "q" in report.saturated_ids
+        assert "q" in report["saturated_ids"]
 
     def test_kth_hit_over_theta_not_saturated(self):
         vectors = FlatIndex(["q", "n1", "far"], [[1, 0], [1, 0.1], [0, 1]])
         index = build_index(vectors, IndexConfig(dim=2))
         _, kth = collect_hits(index, vectors, k=2)
         report = saturation_report(vectors.ids, kth, theta=0.25, k=2)
-        assert "q" not in report.saturated_ids
+        assert "q" not in report["saturated_ids"]
 
     def test_planted_clique_flagged_exactly(self):
         # clique of k+5 near-identical vectors plus a scattered background;
@@ -442,9 +442,9 @@ class TestSaturation:
             others = sorted(d[j] for j in range(len(ids)) if j != i)
             if len(others) >= k and others[k - 1] < theta:
                 expected.append(vid)
-        assert report.saturated_ids == sorted(expected)
-        assert set(report.saturated_ids) == {f"c{i:02d}" for i in range(k + 5)}
-        assert report.count == k + 5
+        assert report["saturated_ids"] == sorted(expected)
+        assert set(report["saturated_ids"]) == {f"c{i:02d}" for i in range(k + 5)}
+        assert report["count"] == k + 5
 
     def test_ivf_query_found_by_k_others_but_finding_none_not_saturated(self):
         # Unit rows in 2-D at the angles below, each in its nearest list;
@@ -468,7 +468,7 @@ class TestSaturation:
         under = [(a, b) for a, b, d in pair_triples(pairs) if d < theta]
         degree = Counter(name for pair in under for name in pair)
         assert degree["q"] == k
-        assert report.saturated_ids == ["n1", "n2"]
+        assert report["saturated_ids"] == ["n1", "n2"]
         _, expected_kth = collect_hits_oracle(index, vectors, k)
         assert [d.hex() for d in kth.tolist()] == expected_kth
 
@@ -799,7 +799,7 @@ def test_report_rule_kept_counts_the_per_pair_matcher(tmp_path):
     postings_by_id = {p.id: p for p in synth.postings}
     rules = list(config.dedup.rules)
     counts = Counter(index for _, index in per_pair_rules(triples, postings_by_id, rules))
-    assert report.rule_kept == [counts[i] for i in range(len(rules))]
-    assert len([c for c in report.rule_kept if c]) > 1  # more than one rule keeps pairs
-    assert sum(report.rule_kept) == report.counters["kept_representative_pairs"]
-    assert "-- kept per rule --" in render_report(report.to_dict())
+    assert report["rule_kept"] == [counts[i] for i in range(len(rules))]
+    assert len([c for c in report["rule_kept"] if c]) > 1  # more than one rule keeps pairs
+    assert sum(report["rule_kept"]) == report["counters"]["kept_representative_pairs"]
+    assert "-- kept per rule --" in render_report(report)

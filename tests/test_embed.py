@@ -70,19 +70,19 @@ def _text_with_tokens(n: int) -> str:
 class TestTruncationReport:
     def test_hand_computed_statistics(self):
         report = truncation_report([100, 400, 500], 384)
-        assert report.n_total == 3
-        assert report.n_truncated == 2
-        assert report.fraction_truncated == pytest.approx(2 / 3)
-        assert report.mean_tokens_lost == 66.0  # losses 16 and 116
-        assert report.median_tokens_lost == 66.0
+        assert report["n_total"] == 3
+        assert report["n_truncated"] == 2
+        assert report["fraction_truncated"] == pytest.approx(2 / 3)
+        assert report["mean_tokens_lost"] == 66.0  # losses 16 and 116
+        assert report["median_tokens_lost"] == 66.0
 
     def test_no_truncation(self):
         report = truncation_report([10, 384], 384)
-        assert report.n_truncated == 0
-        assert report.fraction_truncated == 0.0
-        assert report.mean_tokens_lost == 0.0
-        assert report.median_tokens_lost == 0.0
-        assert report.histogram_over_limit == {}
+        assert report["n_truncated"] == 0
+        assert report["fraction_truncated"] == 0.0
+        assert report["mean_tokens_lost"] == 0.0
+        assert report["median_tokens_lost"] == 0.0
+        assert report["histogram_over_limit"] == {}
 
     def test_matches_second_pass_counting_oracle(self):
         rng = random.Random(31)
@@ -90,19 +90,19 @@ class TestTruncationReport:
         report = truncation_report(iter(counts), 384)
 
         losses = [c - 384 for c in counts if c > 384]
-        assert report.n_total == 10_000
-        assert report.n_truncated == len(losses)
-        assert report.fraction_truncated == len(losses) / 10_000
-        assert report.mean_tokens_lost == pytest.approx(sum(losses) / len(losses))
-        assert report.median_tokens_lost == float(np.median(losses))
-        assert sum(report.histogram_over_limit.values()) == len(losses)
+        assert report["n_total"] == 10_000
+        assert report["n_truncated"] == len(losses)
+        assert report["fraction_truncated"] == len(losses) / 10_000
+        assert report["mean_tokens_lost"] == pytest.approx(sum(losses) / len(losses))
+        assert report["median_tokens_lost"] == float(np.median(losses))
+        assert sum(report["histogram_over_limit"].values()) == len(losses)
 
     def test_monotone_in_limit(self):
         counts = [10, 200, 390, 500, 800]
         lo = truncation_report(counts, 256)
         hi = truncation_report(counts, 384)
-        assert hi.n_truncated <= lo.n_truncated
-        assert hi.mean_tokens_lost <= lo.mean_tokens_lost
+        assert hi["n_truncated"] <= lo["n_truncated"]
+        assert hi["mean_tokens_lost"] <= lo["mean_tokens_lost"]
 
 
 def truncation_loop(texts, max_tokens):
@@ -126,11 +126,11 @@ def test_truncation_report_of_the_embedding_token_counts_equals_second_pass(max_
     report = truncation_report(counts, max_tokens)
 
     losses = truncation_loop(texts, max_tokens)
-    assert report.n_total == len(texts) and report.n_truncated == len(losses)
-    assert report.fraction_truncated == len(losses) / len(texts)
-    assert report.mean_tokens_lost == (float(np.mean(losses)) if losses else 0.0)
-    assert report.median_tokens_lost == (float(np.median(losses)) if losses else 0.0)
-    assert sum(report.histogram_over_limit.values()) == len(losses)
+    assert report["n_total"] == len(texts) and report["n_truncated"] == len(losses)
+    assert report["fraction_truncated"] == len(losses) / len(texts)
+    assert report["mean_tokens_lost"] == (float(np.mean(losses)) if losses else 0.0)
+    assert report["median_tokens_lost"] == (float(np.median(losses)) if losses else 0.0)
+    assert sum(report["histogram_over_limit"].values()) == len(losses)
     assert len(vectors) == len(texts)
 
 

@@ -8,7 +8,6 @@ import pytest
 from postdedup.dedup import DuplicateLabel, LabeledPair
 from postdedup.errors import DataError, DuplicatePrediction
 from postdedup.evaluation import (
-    EvalReport,
     GoldSet,
     read_results_csv,
     render_report,
@@ -29,35 +28,36 @@ def test_perfect_prediction_scores_one():
     gold = GoldSet({("a", "b"): FULL, ("c", "d"): SEMANTIC, ("e", "f"): TEMPORAL})
     predicted = [lp("a", "b", FULL), lp("c", "d", SEMANTIC), lp("e", "f", TEMPORAL)]
     report = score(predicted, gold)
-    assert all(m.f1 == 1.0 for m in report.per_class.values())
-    assert report.macro_f1 == 1.0
+    assert all(report[cls]["f1"] == 1.0 for cls in ("FULL", "SEMANTIC", "TEMPORAL"))
+    assert report["macro_f1"] == 1.0
 
 
 def test_empty_prediction_all_zero():
     gold = GoldSet({("a", "b"): FULL})
     report = score([], gold)
-    for m in report.per_class.values():
-        assert (m.precision, m.recall, m.f1) == (0.0, 0.0, 0.0)
-    assert report.macro_f1 == 0.0
+    for cls in ("FULL", "SEMANTIC", "TEMPORAL"):
+        m = report[cls]
+        assert (m["precision"], m["recall"], m["f1"]) == (0.0, 0.0, 0.0)
+    assert report["macro_f1"] == 0.0
 
 
 def test_hand_enumerated_mixed_case():
     gold = GoldSet({("a", "b"): SEMANTIC, ("c", "d"): FULL})
     predicted = [lp("a", "b", SEMANTIC), lp("c", "d", SEMANTIC)]
     report = score(predicted, gold)
-    semantic = report.per_class["SEMANTIC"]
-    assert semantic.precision == pytest.approx(1 / 2)
-    assert semantic.recall == pytest.approx(1.0)
-    assert semantic.f1 == pytest.approx(2 / 3)
-    full = report.per_class["FULL"]
-    assert (full.precision, full.recall, full.f1) == (0.0, 0.0, 0.0)
-    assert full.fn == 1
+    semantic = report["SEMANTIC"]
+    assert semantic["precision"] == pytest.approx(1 / 2)
+    assert semantic["recall"] == pytest.approx(1.0)
+    assert semantic["f1"] == pytest.approx(2 / 3)
+    full = report["FULL"]
+    assert (full["precision"], full["recall"], full["f1"]) == (0.0, 0.0, 0.0)
+    assert full["fn"] == 1
 
 
 def test_gold_absent_prediction_counts_as_fp():
     gold = GoldSet({})
     report = score([lp("a", "b", FULL)], gold)
-    assert report.per_class["FULL"].fp == 1
+    assert report["FULL"]["fp"] == 1
 
 
 def test_duplicate_prediction_rejected():
@@ -101,7 +101,7 @@ def test_adding_correct_prediction_never_lowers_recall():
         extended = predicted + [lp(key[0], key[1], gold.pairs[key])]
         after = score(extended, gold)
         for cls in ("FULL", "SEMANTIC", "TEMPORAL"):
-            assert after.per_class[cls].recall >= before.per_class[cls].recall
+            assert after[cls]["recall"] >= before[cls]["recall"]
 
 
 def test_adding_incorrect_prediction_never_raises_precision():
@@ -115,7 +115,7 @@ def test_adding_incorrect_prediction_never_raises_precision():
             continue
         label = rng.choice([FULL, SEMANTIC, TEMPORAL])
         after = score(predicted + [lp(a, b, label)], gold)
-        assert after.per_class[label.value].precision <= before.per_class[label.value].precision
+        assert after[label.value]["precision"] <= before[label.value]["precision"]
 
 
 def test_gold_csv_round_trip(tmp_path):
@@ -148,7 +148,7 @@ def test_render_json_round_trips():
     run = {"mode": "two_step", "k": 100, "stage_seconds": {"normalize": 0.1}}
     document = json.loads(render_report(run, eval_report, format="json"))
     assert document["run"] == run
-    assert document["eval"] == eval_report.to_dict()
+    assert document["eval"] == eval_report
 
 
 def test_render_text_contains_required_sections():

@@ -4,7 +4,7 @@ import json
 import statistics
 import struct
 import zlib
-from dataclasses import asdict, replace
+from dataclasses import replace
 from datetime import date
 from pathlib import Path
 
@@ -68,7 +68,7 @@ def test_single_posting_yields_no_pairs():
     config = config_from_dict({"mode": "multilingual"})
     result = run_pipeline([make_posting("only", title="solo role")], config)
     assert result.pairs == []
-    assert result.report.n_postings == 1
+    assert result.report["n_postings"] == 1
 
 
 def test_two_identical_postings_same_date_one_full_pair():
@@ -145,7 +145,7 @@ def test_empty_text_posting_reported_not_indexed():
     p1 = make_posting("a", title="<br>", description="<hr/>")
     p2 = make_posting("b", title="real role")
     result = run_pipeline([p1, p2], config)
-    assert result.report.n_zero_vectors == 1
+    assert result.report["n_zero_vectors"] == 1
     assert result.pairs == []
 
 
@@ -153,17 +153,18 @@ def test_full_run_on_synthetic_corpus(tmp_path):
     synth, config = small_corpus_setup(tmp_path)
     result = run_pipeline(synth.postings, config)
     report = score(result.pairs, synth.gold)
-    assert report.per_class["FULL"].f1 == 1.0
-    assert report.per_class["SEMANTIC"].f1 >= 0.9
-    assert report.per_class["TEMPORAL"].f1 >= 0.9
-    assert result.report.counters["candidate_pairs"] <= result.report.counters["brute_force_pairs"]
-    assert result.report.sweep  # sweep table present
+    assert report["FULL"]["f1"] == 1.0
+    assert report["SEMANTIC"]["f1"] >= 0.9
+    assert report["TEMPORAL"]["f1"] >= 0.9
+    counters = result.report["counters"]
+    assert counters["candidate_pairs"] <= counters["brute_force_pairs"]
+    assert result.report["sweep"]  # sweep table present
 
 
 def test_report_dict_schema(tmp_path):
     synth, config = small_corpus_setup(tmp_path, n_base=40)
     result = run_pipeline(synth.postings, config)
-    raw = result.report.to_dict()
+    raw = result.report
     for key in (
         "mode", "k", "base_theta", "n_postings", "n_groups",
         "n_zero_vectors", "counters", "label_counts", "stage_seconds",
@@ -254,8 +255,8 @@ def test_expert_rules_recover_hard_pairs(tmp_path):
             }
         ),
     )
-    f1_plain = score(plain.pairs, synth.gold).per_class["SEMANTIC"].f1
-    f1_rules = score(with_rules.pairs, synth.gold).per_class["SEMANTIC"].f1
+    f1_plain = score(plain.pairs, synth.gold)["SEMANTIC"]["f1"]
+    f1_rules = score(with_rules.pairs, synth.gold)["SEMANTIC"]["f1"]
     assert f1_rules > f1_plain
     rule_reasons = {p.reason for p in with_rules.pairs}
     assert any(r.startswith("rule(") for r in rule_reasons)
@@ -301,24 +302,25 @@ def test_multilingual_mode_uses_identity_translation(tmp_path):
     ml_config = config_from_dict({"mode": "multilingual", "dedup": {"k": 20, "base_theta": 0.35}})
     two_step = run_pipeline(synth.postings, config)
     multilingual = run_pipeline(synth.postings, ml_config)
-    f1_two = score(two_step.pairs, synth.gold).per_class["SEMANTIC"].f1
-    f1_ml = score(multilingual.pairs, synth.gold).per_class["SEMANTIC"].f1
+    f1_two = score(two_step.pairs, synth.gold)["SEMANTIC"]["f1"]
+    f1_ml = score(multilingual.pairs, synth.gold)["SEMANTIC"]["f1"]
     assert f1_two > f1_ml  # cross-language pairs are invisible without translation
 
 
 def test_flat_index_comparisons_equal_brute_force_comparisons(tmp_path):
     synth, config = small_corpus_setup(tmp_path, n_base=60)
     report = run_pipeline(synth.postings, config).report
-    n = report.n_groups - report.n_zero_vectors  # queries = indexed rows
+    n = report["n_groups"] - report["n_zero_vectors"]  # queries = indexed rows
     assert n > 1
-    assert report.counters["index_comparisons"] == report.counters["brute_force_comparisons"] == n * n
-    assert report.counters["brute_force_pairs"] == n * (n - 1) // 2
+    counters = report["counters"]
+    assert counters["index_comparisons"] == counters["brute_force_comparisons"] == n * n
+    assert report["counters"]["brute_force_pairs"] == n * (n - 1) // 2
 
 
 def test_partial_ivf_probe_compares_less_than_brute_force(tmp_path):
     synth, flat = small_corpus_setup(tmp_path, n_base=60)
     config = replace(flat, index=replace(flat.index, kind="ivf", nlist=8, nprobe=2))
-    counters = run_pipeline(synth.postings, config).report.counters
+    counters = run_pipeline(synth.postings, config).report["counters"]
     assert 0 < counters["index_comparisons"] < counters["brute_force_comparisons"]
 
 
@@ -346,7 +348,7 @@ def independent_candidates(outdir, config) -> dict:
 def test_candidate_reduction_matches_independent_pair_count(tmp_path):
     synth, config = small_corpus_setup(tmp_path, n_base=60)
     outdir = write_stage_artifacts(synth.postings, config, tmp_path / "staged")
-    counters = run_pipeline(synth.postings, config).report.counters
+    counters = run_pipeline(synth.postings, config).report["counters"]
     pairs = independent_candidates(outdir, config)
     n = len(load_index(outdir / EMBEDDINGS_FILE))
     brute = n * (n - 1) // 2
@@ -361,15 +363,15 @@ def test_sweep_fractions_are_shares_of_brute_force_pairs(tmp_path):
     outdir = write_stage_artifacts(synth.postings, config, tmp_path / "staged")
     report = run_pipeline(synth.postings, config).report
     distances = list(independent_candidates(outdir, config).values())
-    brute = report.counters["brute_force_pairs"]
-    assert [theta for theta, _, _ in report.sweep] == list(config.dedup.sweep_thetas)
-    for theta, count, fraction in report.sweep:
+    brute = report["counters"]["brute_force_pairs"]
+    assert [theta for theta, _, _ in report["sweep"]] == list(config.dedup.sweep_thetas)
+    for theta, count, fraction in report["sweep"]:
         assert count == sum(d < theta for d in distances)
         assert fraction == count / brute
     # The last theta is the search radius: every candidate lies under it,
     # but only a small share of all pairs does.
-    assert report.sweep[-1][0] == config.dedup.search_radius
-    assert 0 < report.sweep[-1][2] < 0.1
+    assert report["sweep"][-1][0] == config.dedup.search_radius
+    assert 0 < report["sweep"][-1][2] < 0.1
 
 
 def test_rerank_rows_count_rows_through_the_exact_expression(tmp_path, monkeypatch):
@@ -381,7 +383,7 @@ def test_rerank_rows_count_rows_through_the_exact_expression(tmp_path, monkeypat
         return exact(rows, query, buf)
 
     monkeypatch.setattr(index_module, "_row_sq_dists", counted)
-    counters = run_pipeline(synth.postings, config).report.counters
+    counters = run_pipeline(synth.postings, config).report["counters"]
     assert counters["rerank_rows"] == sum(rows_seen)
     outdir = write_stage_artifacts(synth.postings, config, tmp_path / "staged")
     # Independent: each query's rows under the search radius, itself
@@ -439,7 +441,7 @@ def test_ivf_compares_the_probed_rows_and_reranks_those_under_the_radius(tmp_pat
     synth, flat = small_corpus_setup(tmp_path, n_base=60)
     config = replace(flat, index=replace(flat.index, kind="ivf", nlist=8, nprobe=2))
     outdir = write_stage_artifacts(synth.postings, config, tmp_path / "staged")
-    counters = run_pipeline(synth.postings, config).report.counters
+    counters = run_pipeline(synth.postings, config).report["counters"]
     # Independent: each query's 2 nearest centroids (ties by list number),
     # the sizes of their lists, and their rows under the search radius
     # (the query itself included), read from the index `index` builds.
@@ -482,7 +484,7 @@ def test_report_ivf_list_sizes_are_those_of_the_built_index(tmp_path):
     assert lines[lines.index("-- ivf list sizes --") + 1] == (
         f"min {expected['min']}, median {float(expected['median'])}, max {expected['max']}"
     )
-    assert run_pipeline(synth.postings, flat).report.ivf_list_sizes is None
+    assert run_pipeline(synth.postings, flat).report["ivf_list_sizes"] is None
 
 
 class WriteFailed(Exception):
@@ -522,8 +524,8 @@ def test_failed_artifact_write_keeps_previous_file(tmp_path, name):
     postings = synth.postings
     canonicals = [canonicalize(p, config.normalize) for p in postings]
     pairs = run_pipeline(postings, config).pairs
-    stats = asdict(corpus_stats(postings, tokenize))
-    evaluation = score(pairs, synth.gold).to_dict()
+    stats = corpus_stats(postings, tokenize)
+    evaluation = score(pairs, synth.gold)
     # (what is written, the same failing partway, the writer the program uses)
     items, failing, write = {
         "postings.jsonl": (postings, fail_after(postings, 2), save_postings),

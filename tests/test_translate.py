@@ -456,12 +456,12 @@ def test_map_batches_429_storm_ending_before_the_bound_keeps_submission_order(mo
 
     def storm_then_answer(batch):
         # Each batch is rate limited on all but its last allowed attempt,
-        # and later batches are told to wait longer.
+        # and later batches are told to wait longer, up to the backoff cap.
         with lock:
             calls[batch[0]] += 1
             limited = calls[batch[0]] < STORM_RETRY.attempts
         if limited:
-            told.value = 2.0 + batch[0]
+            told.value = 2.0 + batch[0] / 2
             raise RateLimited(retry_after=told.value)
         return [x * 10 for x in batch]
 
@@ -605,4 +605,32 @@ def test_retry_after_inf_is_ignored_and_the_call_retried():
     )
     backend = RemoteTranslator("http://translate.invalid/t", session=session)
     assert translate_batch([req("hallo")], backend, retry=FAST_RETRY) == ["HALLO"]
+    assert len(session.calls) == 2
+
+
+@pytest.mark.parametrize("header", ["1e10", "3600"])
+def test_retry_after_past_the_backoff_cap_ends_the_retries_unslept(monkeypatch, header):
+    # 1e10 s overflows time.sleep; 3600 s would stall the run for an hour.
+    sleeps = []
+    monkeypatch.setattr(postdedup.batching.time, "sleep", sleeps.append)
+    session = FakeSession(
+        FakeResponse(429, "", {"Retry-After": header}), answer({"translations": ["HALLO"]})
+    )
+    backend = RemoteTranslator("http://translate.invalid/t", session=session)
+    with pytest.raises(RateLimited) as info:
+        translate_batch([req("hallo")], backend)
+    assert info.value.retry_after == float(header)
+    assert sleeps == []
+    assert len(session.calls) == 1
+
+
+def test_retry_after_within_the_backoff_cap_is_slept_and_the_call_retried(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(postdedup.batching.time, "sleep", sleeps.append)
+    session = FakeSession(
+        FakeResponse(429, "", {"Retry-After": "2"}), answer({"translations": ["HALLO"]})
+    )
+    backend = RemoteTranslator("http://translate.invalid/t", session=session)
+    assert translate_batch([req("hallo")], backend) == ["HALLO"]
+    assert len(sleeps) == 1 and sleeps[0] >= 2.0
     assert len(session.calls) == 2

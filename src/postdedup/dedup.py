@@ -143,7 +143,10 @@ def collect_hits(
     may fan out over threads; results are identical for any thread count.
 
     The hits come as the flat arrays of one `search_arrays(..., k + 1)`
-    call, so the memory they take follows the hits found, not k. The
+    call, so the memory they take follows the hits found, not k; when
+    `index` is `queries` itself (a flat index of its own queries) and a
+    radius is given, `self_join_arrays` gives the same arrays deciding
+    each pair of rows once (see `postdedup.index`). The
     pairs are the union of every query's hits, with names
     `sorted(index.ids)`; a pair found from both ends keeps the distance of
     its first hit in query order (both ends compute the same bits).
@@ -153,7 +156,10 @@ def collect_hits(
     names = sorted(index.ids)
     if sorted(queries.ids) != names:
         raise ValueError("collect_hits is a self-join: queries must hold the index's ids")
-    qi, rows, d = index.search_arrays(queries.vectors, k + 1, threads=threads, radius=radius)
+    if index is queries and radius is not None:  # a flat index of its own queries
+        qi, rows, d = index.self_join_arrays(k + 1, radius, threads=threads)
+    else:
+        qi, rows, d = index.search_arrays(queries.vectors, k + 1, threads=threads, radius=radius)
     if radius is not None:
         under = d < radius
         qi, rows, d = qi[under], rows[under], d[under]

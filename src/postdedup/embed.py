@@ -29,13 +29,25 @@ _CHUNK_BYTES = 1 << 20
 
 # A token runs from an alphanumeric character to the last alphanumeric one
 # of its whitespace chunk; any other non-space character is a token alone.
-# In `re`, [^\W_] is exactly str.isalnum() and \S exactly not str.isspace().
+# In `re`, [^\W_] is exactly str.isalnum() and \S exactly not str.isspace(),
+# which is what str.split() splits on.
 _TOKEN_RE = re.compile(r"[^\W_](?:\S*[^\W_])?|\S")
 
 
 def tokenize(text: str) -> list[str]:
-    """Split on whitespace, then peel leading/trailing punctuation into own tokens."""
-    return _TOKEN_RE.findall(text)
+    """Split on whitespace, then peel leading/trailing punctuation into own tokens.
+
+    No token spans whitespace, so each `str.split` chunk is tokenized on
+    its own: an all-alphanumeric chunk is one token, and only the others
+    go through the regex.
+    """
+    tokens: list[str] = []
+    for chunk in text.split():
+        if chunk.isalnum():
+            tokens.append(chunk)
+        else:
+            tokens += _TOKEN_RE.findall(chunk)
+    return tokens
 
 
 def truncate_tokens(tokens: Sequence[str], max_tokens: int = DEFAULT_MAX_TOKENS) -> tuple[list[str], int]:

@@ -46,12 +46,28 @@ R. The hits under R are those of the unbounded search bit for bit,
 while the exact re-rank sees the few rows near each query instead of
 more than k.
 
+Self-join. A flat index searched with its own rows as the queries and a
+radius (`FlatIndex.self_join_arrays`, how `collect_hits` searches the
+embeddings of a flat run) decides each unordered pair once, as the
+all-pairs search of Bayardo et al. does (`_self_join`). Query block
+[s, e) forms its product only against rows [s, n), keeping the upper
+triangle of its own rows, with one Δ for every pair (the largest row
+norm on both sides), and re-ranks each kept pair once; the exact d² is
+bitwise symmetric, so the pair is mirrored to its other end. A row that
+keeps more than k rows in all is searched by `_search` instead, so every
+row's hits are those of the search above, bit for bit. A block reaches
+n − s rows, so blocks grow with s: on the flat-2k rows (2,395 × 256) the
+first holds 46 queries (1 MiB ÷ (9 × 2,395 + 1,024)), and 29 blocks
+cover all rows, where `_search` would form 53 blocks of 46 queries, each
+against every row.
+
 The product is one BLAS GEMM, ``(rows @ queries.T).T``, as in blocked
 exact search (Johnson et al.). The CLI runs OpenBLAS with one thread (see
 ``postdedup.cli``), so the only parallelism is the block pool of
-``threads``. On the flat-2k rows (2,395 × 256, blocks of 8 queries) the
-one-thread product takes 0.075 s against 0.24 s for the ``np.einsum`` it
-replaced; ``queries @ rows.T`` takes 0.16 s.
+``threads``. On the flat-2k rows, every row against every row in blocks
+of 8 queries (the blocks of a search without a radius), the one-thread
+product takes 0.075 s against 0.24 s for the ``np.einsum`` it replaced;
+``queries @ rows.T`` takes 0.16 s.
 
 An index may hold zero rows; every search of it finds no hits.
 
@@ -72,10 +88,10 @@ from __future__ import annotations
 
 import struct
 import zlib
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -303,6 +319,28 @@ def _one_list(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 _NO_HITS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
 
 
+def _in_order(fn: Callable, items: Sequence, threads: int) -> Iterator:
+    """`fn` of each item, yielded in order, with at most `threads` calls running or unread.
+
+    Calls run on a pool of `threads` threads (inline for one), so the
+    results depend only on the items; the bound on unread results keeps a
+    slow consumer from holding every block's temporaries at once.
+    """
+    if threads <= 1 or len(items) <= 1:
+        yield from map(fn, items)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending: deque = deque()
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) == threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
 def _search(
     queries: np.ndarray,
     rows: np.ndarray,
@@ -375,17 +413,91 @@ def _search(
         return [rerank(a, b) for a, b in runs]
 
     blocks = range(0, m, size)
-    if threads <= 1 or len(blocks) <= 1:
-        reranks = [rerank for block in map(run, blocks) for rerank in block]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reranks = [rerank for block in pool.map(run, blocks) for rerank in block]
+    reranks = [rerank for block in _in_order(run, blocks, threads) for rerank in block]
     hits = [_NO_HITS, *(hit for hit, _ in reranks)]
     reranked = sum(n for _, n in reranks)
     qi, rj, d2 = (np.concatenate(part) for part in zip(*hits))
     return qi, rj, d2, reranked
+
+
+def _self_join(
+    rows: np.ndarray, row_sq: np.ndarray, ranks: np.ndarray, k: int, threads: int, r2: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """`_search` of every row against all the rows under `r2`, deciding each unordered pair once.
+
+    Returns what that search returns under `r2` (top k per query by
+    (d², rank), the hits under the radius bit for bit), and the number of
+    pairs re-ranked. Query block [s, e) forms its product only against
+    rows [s, n), through `_preselect` with one Δ for every pair (that of
+    the largest row norm against itself, which bounds |A − E| in both
+    orientations) and a k of at least the row count, so that only the
+    radius mask applies; in its own rows the block keeps the upper
+    triangle, own row included. A row's running count is its kept pairs
+    so far, itself once; after the block it is in, the count is final.
+
+    A query that keeps at most k rows in all keeps every row with E under
+    r2, so the top k under the radius is all of them (the argument at
+    `_preselect`). Its hits are its kept pairs, each re-ranked once with
+    the exact expression and mirrored: E is bitwise symmetric, since
+    x − q = −(q − x) exactly in floating point. A query that keeps more
+    rows probes a list of all rows in `_search` (the others probe an
+    empty one), so its hits are that search's by construction. A pair is
+    stored only while one of its ends keeps at most k rows, so the stored
+    pairs follow the hits, and blocks are sized as `_search` sizes them
+    with a radius. Results are equal for any `threads`.
+    """
+    n, dim = rows.shape
+    if not n:
+        return (*_NO_HITS, 0)
+    top = float(np.sqrt(row_sq.max()))
+    delta = _margin(dim, rows.dtype)(top, top)
+    entry_bytes = 2 * rows.itemsize + 1
+    cuts = [0]
+    while cuts[-1] < n:  # a block reaches n - s rows, fewer as s grows
+        left = n - cuts[-1]
+        size = _BLOCK_BYTES // (entry_bytes * left + rows.itemsize * dim)
+        cuts.append(cuts[-1] + min(left, max(1, size)))
+
+    def kept(block: tuple[int, int]) -> np.ndarray:
+        s, e = block
+        deltas = np.full(e - s, delta)
+        keep = _preselect(rows[s:e], row_sq[s:e], rows[s:], row_sq[s:], deltas, n, r2)
+        keep[:, : e - s] &= ~np.tri(e - s, k=-1, dtype=bool)
+        return keep
+
+    counts = np.zeros(n, dtype=np.int64)
+    pi, pj = _NO_HITS[:2]
+    blocks = list(zip(cuts, cuts[1:]))
+    for (s, e), keep in zip(blocks, _in_order(kept, blocks, threads)):
+        own, flags = np.arange(e - s), keep.view(np.uint8)
+        counts[s:] += flags.sum(axis=0, dtype=np.int32)
+        counts[s:e] += flags.sum(axis=1, dtype=np.int32) - flags[own, own]
+        open_ = counts[s:] <= k
+        # Row-major coordinates of the pairs to store (np.nonzero is slower).
+        qi, rj = np.divmod(np.flatnonzero(keep & (open_[: e - s, None] | open_)), n - s)
+        del keep, flags
+        alive = (counts[pi] <= k) | (counts[pj] <= k)
+        pi, pj = np.concatenate((pi[alive], qi + s)), np.concatenate((pj[alive], rj + s))
+    alive = (counts[pi] <= k) | (counts[pj] <= k)
+    pi, pj = pi[alive], pj[alive]
+    d2 = _exact_sq_dists(rows, rows, pi, pj)
+    forward, back = counts[pi] <= k, (counts[pj] <= k) & (pi != pj)
+    fallback = counts > k
+    if fallback.any():
+        probes = (~fallback).astype(np.int64)[:, None]  # list 0: all rows; list 1: none
+        fqi, frj, fd2, reranked = _search(
+            rows, rows, row_sq, ranks, (np.array([0, n, n]), probes), k, threads, r2
+        )
+    else:
+        (fqi, frj, fd2), reranked = _NO_HITS, 0
+    qi, rj, d2 = _top_k(
+        np.concatenate((pi[forward], pj[back], fqi)),
+        np.concatenate((pj[forward], pi[back], frj)),
+        np.concatenate((d2[forward], d2[back], fd2)),
+        ranks,
+        k,
+    )
+    return qi, rj, d2, int(pi.size) + reranked
 
 
 class _BaseIndex:
@@ -492,6 +604,24 @@ class FlatIndex(_BaseIndex):
 
     def _lists(self, queries: np.ndarray, threads: int) -> tuple[np.ndarray, np.ndarray]:
         return _one_list(len(queries), len(self))
+
+    def self_join_arrays(
+        self, k: int, radius: float, threads: int = 1
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`search_arrays(self.vectors, k, threads, radius)`, deciding each pair of rows once.
+
+        The same hits in the same order, under the same contract: every hit
+        of each row's top k under `radius` is there with the same bits
+        (`_self_join`). The comparison count stays n², the ordered pairs
+        the search decided.
+        """
+        if k < 1:
+            raise ValueError("k must be positive")
+        qi, rows, d2, self.rerank_count = _self_join(
+            self._vecs32, self._sq, self._id_ranks, k, threads, radius * radius
+        )
+        self.comparison_count = len(self) ** 2
+        return qi, rows, np.sqrt(d2)
 
     def to_bytes(self) -> bytes:
         parts = [_MAGIC, struct.pack("<HBIQ", _VERSION, _KIND_FLAT, self.dim, len(self))]

@@ -67,6 +67,7 @@ from .translate import (
     RemoteTranslator,
     TranslationCache,
     TranslationRequest,
+    text_key,
     translate_batch,
 )
 
@@ -132,7 +133,7 @@ def _translate(
     reps = [canonical_by_id[g.representative_id] for g in groups]
     requests = [
         TranslationRequest(
-            fingerprint=rep.fingerprint,
+            fingerprint=text_key(rep.text),
             text=rep.text,
             source_language=language_by_id[rep.source_id],
         )

@@ -8,6 +8,7 @@ via the DEDUP_TRANSLATE_API_KEY environment variable.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import threading
@@ -27,8 +28,20 @@ if TYPE_CHECKING:  # batching is loaded only for a remote backend
 TARGET_LANGUAGE = "en"
 
 
+def text_key(text: str) -> str:
+    """The cache key of a text: the sha256 of its exact UTF-8 bytes, as 64 hex characters.
+
+    Case is part of the key, since translations keep it.
+    """
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 @dataclass(frozen=True)
 class TranslationRequest:
+    """A text to translate. `fingerprint` keys it in the cache and among the
+    requests of one call, so equal fingerprints must mean equal text; the
+    pipeline passes `text_key(text)`."""
+
     fingerprint: str
     text: str
     source_language: Optional[str] = None
@@ -58,13 +71,15 @@ class DictionaryTranslator:
     first; lookup is case-insensitive; unknown tokens pass through
     unchanged. Only the key lengths that start with a word are tried
     there, so a word that starts no multiword key costs one lookup in the
-    mapping.
+    mapping. The name, under which the cache keeps its translations, is
+    "dictionary:" and 16 hex characters of the mapping's sha256, so a
+    translation made with another mapping is never served.
     """
-
-    name = "dictionary"
 
     def __init__(self, mapping: dict[str, str]) -> None:
         self._mapping = {k.lower(): v for k, v in mapping.items()}
+        canonical = json.dumps(sorted(self._mapping.items()), ensure_ascii=False)
+        self.name = "dictionary:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
         # The first word of each multiword key, mapped to the lengths in words
         # of the keys it starts, longest first. Only a single-space-joined key
         # can equal a span of lowercased tokens, so no other key is indexed.
@@ -85,11 +100,15 @@ class DictionaryTranslator:
         return cls(mapping)
 
     def _translate_one(self, text: str) -> str:
-        # Lowercasing token by token equals lowercasing the joined key: a
-        # space ends the context of str.lower's only context rule (final sigma).
+        # Lowercasing the text equals lowercasing it token by token: a
+        # character lowercases to whitespace iff it is whitespace, and to
+        # itself then, and whitespace ends the context of str.lower's only
+        # context rule (final sigma).
         tokens = text.split()
-        words = [token.lower() for token in tokens]
+        words = text.lower().split()
         mapping = self._mapping
+        if self._starts.keys().isdisjoint(words):  # every word is looked up alone
+            return " ".join(map(mapping.get, words, tokens))
         out: list[str] = []
         i = 0
         while i < len(words):
@@ -161,6 +180,11 @@ _CACHE_FIELDS = ("fingerprint", "target", "backend", "translated_text")
 
 class TranslationCache:
     """Append-only JSONL cache keyed by (fingerprint, target, backend).
+
+    The pipeline keys a text by `text_key`, 64 hex characters: translations
+    keep case, so a record keyed by a case-insensitive 32-hex-character
+    canonical fingerprint, which may hold another casing's translation,
+    matches no request of the pipeline.
 
     Re-runs must not re-bill an external API: hits are served from memory,
     new entries are appended under a lock, and the newest entry for a key
@@ -296,6 +320,7 @@ def translate_batch(
 
 
 __all__ = [
+    "text_key",
     "TranslationRequest",
     "Translator",
     "IdentityTranslator",

@@ -945,6 +945,61 @@ def test_non_string_translation_cache_text_is_data_error(tmp_path, capsys):
     assert "malformed translation cache record" in capsys.readouterr().err
 
 
+def cache_config(tmp_path, cache_path) -> Path:
+    config_path = tmp_path / "cache.yaml"
+    config_path.write_text(
+        yaml.safe_dump({"translate": {"cache_path": str(cache_path)}}), encoding="utf-8"
+    )
+    return config_path
+
+
+def test_translation_cache_serves_no_translation_of_another_dictionary(tmp_path):
+    corpus = tmp_path / "corpus"
+    assert run_cli(*synth_args(corpus, n_base=40, seed=3)) == 0
+    mapping = json.loads((corpus / DICTIONARY_FILE).read_text(encoding="utf-8"))
+    other = tmp_path / "zzz.json"
+    other.write_text(json.dumps(dict.fromkeys(mapping, "zzz")), encoding="utf-8")
+    config = cache_config(tmp_path, tmp_path / "cache.jsonl")
+
+    def results(name, dictionary, *flags):
+        outdir = tmp_path / name
+        args = ("--input", corpus / POSTINGS_FILE, "--out", outdir, "--dict", dictionary)
+        assert run_cli("dedup", *args, *flags) == 0
+        return (outdir / RESULTS_FILE).read_text(encoding="utf-8")
+
+    first = results("first", corpus / DICTIONARY_FILE, "--config", config)
+    uncached = results("uncached", other)
+    assert uncached != first
+    assert results("cached", other, "--config", config) == uncached
+
+
+def test_translation_cache_serves_no_translation_of_another_casing(tmp_path):
+    # Both days' texts share a lowercase fingerprint, but the embedder hashes
+    # tokens as they are cased, so day 2 must embed its own casing.
+    dictionary = tmp_path / "empty.json"
+    dictionary.write_text("{}", encoding="utf-8")
+    text = "Senior Data Engineer Berlin python spark airflow"
+    days = {
+        "day1": [make_posting("a1", text)],
+        "day2": [
+            make_posting("b1", text.upper()),
+            make_posting("b2", "Senior Data Engineer Berlin python spark kafka"),
+        ],
+    }
+    config = cache_config(tmp_path, tmp_path / "cache.jsonl")
+
+    def results(day, *flags):
+        corpus, outdir = tmp_path / f"{day}.jsonl", tmp_path / f"{day}-{len(flags)}"
+        save_postings(days[day], corpus)
+        args = ("--input", corpus, "--out", outdir, "--dict", dictionary, "--theta", 0.9)
+        assert run_cli("dedup", *args, *flags) == 0
+        return (outdir / RESULTS_FILE).read_text(encoding="utf-8").splitlines()
+
+    results("day1", "--config", config)
+    assert results("day2") == [RESULTS_HEADER]
+    assert results("day2", "--config", config) == [RESULTS_HEADER]
+
+
 def test_importing_the_package_loads_no_submodule_and_no_numpy():
     src = str(Path(postdedup.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

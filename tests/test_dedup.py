@@ -555,8 +555,11 @@ def test_collect_hits_equals_per_query_loop(
     index = build_index(vectors, config)
     expected_pairs, expected_kth = collect_hits_oracle(index, vectors, k, radius)
     # Blocks of one to two queries, so four threads have blocks to spread.
-    with mock.patch.object(postdedup.index, "_BLOCK_BYTES", 20 * len(rows)):
+    join = mock.patch.object(postdedup.index, "_self_join", wraps=postdedup.index._self_join)
+    with mock.patch.object(postdedup.index, "_BLOCK_BYTES", 20 * len(rows)), join as spy:
         pairs, kth = collect_hits(index, vectors, k, threads=threads, radius=radius)
+    # A flat index is the embeddings themselves; with a radius it is self-joined.
+    assert spy.called == (kind == "flat" and radius is not None)
     assert pairs.names == sorted(ids)
     assert pair_bits(pairs) == expected_pairs
     assert [d.hex() for d in kth.tolist()] == expected_kth

@@ -777,6 +777,29 @@ def test_a_clique_under_a_radius_holds_the_block_budget():
     assert [len(found) for found in hits] == [101] * len(queries)
 
 
+def test_a_self_join_clique_under_a_radius_holds_the_block_budget():
+    # Every row equal and a radius holding them all: each row keeps every
+    # row, so every query falls back to the search above. The self-join
+    # blocks hold no more than a search block, and no pair is stored once
+    # both its ends keep more than k rows.
+    n, dim, k = 2000, 64, 3
+    _, base = unit_vectors(1, dim, seed=24)
+    index = FlatIndex([f"v{i:05d}" for i in range(n)], np.repeat(base, n, axis=0))
+    index.self_join_arrays(k, radius=0.1)  # warm-up
+    tracemalloc.start()
+    try:
+        qi, rows, distances = index.self_join_arrays(k, radius=0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    budget = postdedup.index._BLOCK_BYTES
+    assert peak < 2.5 * budget, peak / budget
+    assert (index.comparison_count, index.rerank_count) == (n * n, n * n)
+    assert qi.tolist() == np.repeat(np.arange(n), k).tolist()
+    assert rows.tolist() == list(range(k)) * n  # ties at 0 break by id
+    assert not distances.any()
+
+
 # --- the bounded IVF scan against re-ranking every probed row ---------------
 
 def clique_rows(rng, dim, n_background, clique, copies):

@@ -266,24 +266,28 @@ def test_collapse_equals_shrink_callback(text):
 
 @pytest.mark.parametrize("ascii_only", [False, True])
 def test_clean_text_equals_loop_pipeline_on_fuzzed_strings(ascii_only):
-    config = NormalizeConfig(ascii_only=ascii_only)
+    # The pipeline collapses runs of keep_punct's punctuation only; the loop
+    # collapses runs of any. The last keep_punct holds "_", a letter and a
+    # whitespace character.
+    for keep_punct in (DEFAULT_KEEP_PUNCT, _CUSTOM_KEEP_PUNCT, frozenset("_q\u3000")):
+        config = NormalizeConfig(ascii_only=ascii_only, keep_punct=keep_punct)
 
-    def clean_loop(text):
-        for _ in range(32):
-            step = strip_html(text)
-            step = decode_entities(step)
-            step = split_camel_case_loop(step)
-            step = filter_charset_loop(step, ascii_only, DEFAULT_KEEP_PUNCT)
-            step = collapse_loop(step)
-            if step == text:
-                break
-            text = step
-        return text
+        def clean_loop(text):
+            for _ in range(32):
+                step = strip_html(text)
+                step = decode_entities(step)
+                step = split_camel_case_loop(step)
+                step = filter_charset_loop(step, ascii_only, keep_punct)
+                step = collapse_loop(step)
+                if step == text:
+                    break
+                text = step
+            return text
 
-    rng = random.Random(4242 + ascii_only)
-    for _ in range(1_000):
-        text = fuzz_noisy_string(rng) + rng.choice(_TRICKY) + fuzz_noisy_string(rng)
-        assert clean_text(text, config) == clean_loop(text)
+        rng = random.Random(4242 + ascii_only)
+        for _ in range(1_000):
+            text = fuzz_noisy_string(rng) + rng.choice(_TRICKY) + fuzz_noisy_string(rng)
+            assert clean_text(text, config) == clean_loop(text), keep_punct
 
 
 def test_regex_classes_are_the_str_predicates_on_every_code_point():

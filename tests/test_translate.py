@@ -165,6 +165,25 @@ def test_dictionary_overlapping_and_irregular_keys():
     assert backend.translate(texts, None, "en")[0] == "AB BC ABC C x y"
 
 
+def test_lowercasing_a_text_splits_like_lowercasing_each_token():
+    # DictionaryTranslator splits text.lower() where it splits text. That
+    # holds when a character lowercases to whitespace iff it is whitespace,
+    # whitespace lowercases to itself, and whitespace ends the context of
+    # final sigma on both sides.
+    spaces = []
+    for code_point in range(0x110000):
+        ch = chr(code_point)
+        lower = ch.lower()
+        assert any(c.isspace() for c in lower) == ch.isspace(), hex(code_point)
+        if ch.isspace():
+            assert lower == ch, hex(code_point)
+            spaces.append(ch)
+    assert len(spaces) > 20
+    for w in spaces:
+        for text in ("A\u03a3" + w + "B", "A" + w + "\u03a3"):
+            assert text.lower().split() == [t.lower() for t in text.split()], hex(ord(w))
+
+
 def test_in_process_backends_start_no_thread_pool(monkeypatch):
     pools = []
 

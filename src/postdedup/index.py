@@ -50,16 +50,15 @@ Self-join. A flat index searched with its own rows as the queries and a
 radius (`FlatIndex.self_join_arrays`, how `collect_hits` searches the
 embeddings of a flat run) decides each unordered pair once, as the
 all-pairs search of Bayardo et al. does (`_self_join`). Query block
-[s, e) forms its product only against rows [s, n), keeping the upper
-triangle of its own rows, with one Δ for every pair (the largest row
-norm on both sides), and re-ranks each kept pair once; the exact d² is
-bitwise symmetric, so the pair is mirrored to its other end. A row that
-keeps more than k rows in all is searched by `_search` instead, so every
-row's hits are those of the search above, bit for bit. A block reaches
-n − s rows, so blocks grow with s: on the flat-2k rows (2,395 × 256) the
-first holds 46 queries (1 MiB ÷ (9 × 2,395 + 1,024)), and 29 blocks
-cover all rows, where `_search` would form 53 blocks of 46 queries, each
-against every row.
+[s, e) forms its product only against rows [s, n), keeping the strict
+upper triangle of its own rows, with one Δ for every pair (the largest
+row norm on both sides), and re-ranks each kept pair once; the exact d²
+is bitwise symmetric, so the pair is mirrored to its other end, and a
+row's own d² is 0. A row that keeps more than k rows in all is searched
+by `_search` instead, so every row's hits are those of the search above,
+bit for bit. On the flat-2k rows (2,395 × 256) the blocks hold 46
+queries, as `_search`'s do with a radius (1 MiB ÷ (9 × 2,395 + 1,024)),
+but the 53 products cover half the (query, row) pairs.
 
 The product is one BLAS GEMM, ``(rows @ queries.T).T``, as in blocked
 exact search (Johnson et al.). The CLI runs OpenBLAS with one thread (see
@@ -431,73 +430,77 @@ def _self_join(
     rows [s, n), through `_preselect` with one Δ for every pair (that of
     the largest row norm against itself, which bounds |A − E| in both
     orientations) and a k of at least the row count, so that only the
-    radius mask applies; in its own rows the block keeps the upper
-    triangle, own row included. A row's running count is its kept pairs
-    so far, itself once; after the block it is in, the count is final.
+    radius mask applies; in its own rows the block keeps the strict upper
+    triangle. A row also keeps itself (E = 0, so A ≤ Δ), at d² 0, the
+    bits the exact expression gives, without re-ranking it. A row's
+    running count is its kept rows so far, itself included; after the
+    block it is in, the count is final.
 
     A query that keeps at most k rows in all keeps every row with E under
     r2, so the top k under the radius is all of them (the argument at
-    `_preselect`). Its hits are its kept pairs, each re-ranked once with
-    the exact expression and mirrored: E is bitwise symmetric, since
-    x − q = −(q − x) exactly in floating point. A query that keeps more
-    rows probes a list of all rows in `_search` (the others probe an
-    empty one), so its hits are that search's by construction. A pair is
-    stored only while one of its ends keeps at most k rows, so the stored
-    pairs follow the hits, and blocks are sized as `_search` sizes them
-    with a radius. Results are equal for any `threads`.
+    `_preselect`). Its hits are its kept rows: each pair is re-ranked once
+    with the exact expression when it is stored, and mirrored, since E is
+    bitwise symmetric (x − q = −(q − x) exactly in floating point). A
+    query that keeps more rows probes a list of all rows in `_search`
+    (the others probe an empty one), so its hits are that search's by
+    construction. A pair is stored only while one of its ends keeps at
+    most k rows, so the stored pairs follow the hits, and blocks are
+    sized as `_search` sizes them with a radius. Results are equal for
+    any `threads`.
     """
     n, dim = rows.shape
     if not n:
         return (*_NO_HITS, 0)
     top = float(np.sqrt(row_sq.max()))
     delta = _margin(dim, rows.dtype)(top, top)
-    entry_bytes = 2 * rows.itemsize + 1
-    cuts = [0]
-    while cuts[-1] < n:  # a block reaches n - s rows, fewer as s grows
-        left = n - cuts[-1]
-        size = _BLOCK_BYTES // (entry_bytes * left + rows.itemsize * dim)
-        cuts.append(cuts[-1] + min(left, max(1, size)))
+    # Blocks of as many queries as a `_search` block with a radius. Block
+    # [s, e) reaches only n - s rows, but a larger block would make BLAS
+    # pack, and the process hold, more of its queries at once.
+    size = max(1, _BLOCK_BYTES // ((2 * rows.itemsize + 1) * n + rows.itemsize * dim))
+    cuts = [*range(0, n, size), n]
 
     def kept(block: tuple[int, int]) -> np.ndarray:
         s, e = block
         deltas = np.full(e - s, delta)
         keep = _preselect(rows[s:e], row_sq[s:e], rows[s:], row_sq[s:], deltas, n, r2)
-        keep[:, : e - s] &= ~np.tri(e - s, k=-1, dtype=bool)
+        keep[:, : e - s] &= ~np.tri(e - s, dtype=bool)
         return keep
 
-    counts = np.zeros(n, dtype=np.int64)
-    pi, pj = _NO_HITS[:2]
+    counts, reranked = np.zeros(n, dtype=np.int64), 0
+    pi, pj, pd = _NO_HITS
     blocks = list(zip(cuts, cuts[1:]))
     for (s, e), keep in zip(blocks, _in_order(kept, blocks, threads)):
-        own, flags = np.arange(e - s), keep.view(np.uint8)
+        flags = keep.view(np.uint8)
         counts[s:] += flags.sum(axis=0, dtype=np.int32)
-        counts[s:e] += flags.sum(axis=1, dtype=np.int32) - flags[own, own]
+        counts[s:e] += flags.sum(axis=1, dtype=np.int32) + 1  # and its own row
         open_ = counts[s:] <= k
         # Row-major coordinates of the pairs to store (np.nonzero is slower).
         qi, rj = np.divmod(np.flatnonzero(keep & (open_[: e - s, None] | open_)), n - s)
         del keep, flags
+        qi += s
+        rj += s
         alive = (counts[pi] <= k) | (counts[pj] <= k)
-        pi, pj = np.concatenate((pi[alive], qi + s)), np.concatenate((pj[alive], rj + s))
-    alive = (counts[pi] <= k) | (counts[pj] <= k)
-    pi, pj = pi[alive], pj[alive]
-    d2 = _exact_sq_dists(rows, rows, pi, pj)
-    forward, back = counts[pi] <= k, (counts[pj] <= k) & (pi != pj)
+        pi, pj = np.concatenate((pi[alive], qi)), np.concatenate((pj[alive], rj))
+        pd = np.concatenate((pd[alive], _exact_sq_dists(rows, rows, qi, rj)))
+        reranked += qi.size
     fallback = counts > k
-    if fallback.any():
+    forward, back, itself = ~fallback[pi], ~fallback[pj], np.flatnonzero(~fallback)
+    if itself.size < n:
         probes = (~fallback).astype(np.int64)[:, None]  # list 0: all rows; list 1: none
-        fqi, frj, fd2, reranked = _search(
+        fqi, frj, fd2, searched = _search(
             rows, rows, row_sq, ranks, (np.array([0, n, n]), probes), k, threads, r2
         )
+        reranked += searched
     else:
-        (fqi, frj, fd2), reranked = _NO_HITS, 0
+        fqi, frj, fd2 = _NO_HITS
     qi, rj, d2 = _top_k(
-        np.concatenate((pi[forward], pj[back], fqi)),
-        np.concatenate((pj[forward], pi[back], frj)),
-        np.concatenate((d2[forward], d2[back], fd2)),
+        np.concatenate((pi[forward], pj[back], itself, fqi)),
+        np.concatenate((pj[forward], pi[back], itself, frj)),
+        np.concatenate((pd[forward], pd[back], np.zeros(itself.size), fd2)),
         ranks,
         k,
     )
-    return qi, rj, d2, int(pi.size) + reranked
+    return qi, rj, d2, reranked
 
 
 class _BaseIndex:

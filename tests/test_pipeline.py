@@ -386,17 +386,17 @@ def test_rerank_rows_count_rows_through_the_exact_expression(tmp_path, monkeypat
     counters = run_pipeline(synth.postings, config).report["counters"]
     assert counters["rerank_rows"] == sum(rows_seen)
     outdir = write_stage_artifacts(synth.postings, config, tmp_path / "staged")
-    # Independent: the unordered pairs of rows under the search radius, a
-    # row with itself included, in a float64 scan of the written
-    # embeddings. No row has more than k + 1 of them, so the flat
-    # self-join keeps each such pair and re-ranks it once.
+    # Independent: the unordered pairs of distinct rows under the search
+    # radius, in a float64 scan of the written embeddings. No row has more
+    # than k + 1 rows under it, itself included, so the flat self-join
+    # keeps each such pair and re-ranks it once.
     X = load_index(outdir / EMBEDDINGS_FILE).vectors.astype(np.float64)
     under = np.array(
         [np.sqrt(np.square(X - x).sum(axis=1)) < config.dedup.search_radius for x in X]
     )
     assert under.sum(axis=1).max() <= config.dedup.k + 1
-    bound = int(np.triu(under).sum())
-    assert bound > len(X)  # some row has a row under the radius besides itself
+    bound = int(np.triu(under, k=1).sum())
+    assert bound > 0  # some row has a row under the radius besides itself
     assert bound <= counters["rerank_rows"] <= counters["index_comparisons"]
 
 

@@ -68,7 +68,7 @@ def main() -> int:
             started = time.perf_counter()
             result = run_pipeline(synth.postings, config)
             wall = time.perf_counter() - started
-            scores = score(result.pairs, synth.gold)
+            scores = score(result.label_map(), synth.gold)
             print(
                 f"{name:>16} {scores['FULL']['f1']:>7.3f} {scores['SEMANTIC']['f1']:>9.3f} "
                 f"{scores['TEMPORAL']['f1']:>9.3f} {scores['macro_f1']:>7.3f} {wall:>6.1f}s"

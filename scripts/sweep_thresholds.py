@@ -63,7 +63,7 @@ def main() -> int:
         print(f"\n{'theta':>8} {'FULL':>7} {'SEMANTIC':>9} {'TEMPORAL':>9}")
         for theta in sorted({round(chosen / 2, 3), round(chosen, 3), round(min(2.0, chosen * 1.5), 3)}):
             result = run_pipeline(synth.postings, config_at(theta))
-            scores = score(result.pairs, synth.gold)
+            scores = score(result.label_map(), synth.gold)
             print(
                 f"{theta:>8.3f} {scores['FULL']['f1']:>7.3f} {scores['SEMANTIC']['f1']:>9.3f} "
                 f"{scores['TEMPORAL']['f1']:>9.3f}"

@@ -13,7 +13,6 @@ duplicate TEMPORAL.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
@@ -28,19 +27,6 @@ class DuplicateLabel(Enum):
     FULL = "FULL"
     SEMANTIC = "SEMANTIC"
     TEMPORAL = "TEMPORAL"
-
-
-@dataclass(frozen=True)
-class LabeledPair:
-    id_a: str
-    id_b: str
-    label: DuplicateLabel
-    distance: Optional[float]
-    reason: str  # "exact_fingerprint" | "semantic_threshold" | "rule(<index>)"
-
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.id_a, self.id_b)
 
 
 _COMPANY_MODES = ("same", "different", "any_missing", "any")
@@ -299,13 +285,16 @@ def apply_rules_detailed(
     )
 
 
-def classify(same_text: bool, date_a: date, date_b: date) -> DuplicateLabel:
-    """Label a duplicate pair: shared canonical text (one exact group) makes
-    FULL, a kept pair across two groups SEMANTIC, and differing retrieval
-    dates turn either into TEMPORAL."""
-    if date_a != date_b:
-        return DuplicateLabel.TEMPORAL
-    return DuplicateLabel.FULL if same_text else DuplicateLabel.SEMANTIC
+# The code of each label in label arrays: its place in DuplicateLabel.
+_FULL, _SEMANTIC, _TEMPORAL = range(len(DuplicateLabel))
+
+
+def classify(same_text: bool, day_a: np.ndarray, day_b: np.ndarray) -> np.ndarray:
+    """Label codes of duplicate pairs from their members' retrieval days:
+    shared canonical text (one exact group) makes FULL, a kept pair across
+    two groups SEMANTIC, and differing days turn either into TEMPORAL."""
+    same_day = _FULL if same_text else _SEMANTIC
+    return np.where(day_a != day_b, _TEMPORAL, same_day).astype(np.int8)
 
 
 def saturation_report(query_ids: Sequence[str], kth: np.ndarray, theta: float, k: int) -> dict:
@@ -323,7 +312,6 @@ def saturation_report(query_ids: Sequence[str], kth: np.ndarray, theta: float, k
 
 __all__ = [
     "DuplicateLabel",
-    "LabeledPair",
     "ExpertRule",
     "example_ruleset",
     "default_rule",

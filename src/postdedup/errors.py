@@ -74,13 +74,6 @@ class NoMatchingRule(DataError):
     """No expert rule matched a pair; the terminal default rule is missing."""
 
 
-class DuplicatePrediction(DataError):
-    def __init__(self, id_a: str, id_b: str) -> None:
-        self.id_a = id_a
-        self.id_b = id_b
-        super().__init__(f"pair ({id_a!r}, {id_b!r}) predicted more than once")
-
-
 class BackendError(DedupError):
     """Base class for translation/embedding service failures."""
 

@@ -7,8 +7,9 @@ returns the `eval.json` document itself, and `render_report` reads the run
 report and the scores as the mappings they are written as.
 
 `gold.csv` and `results.csv` are pair files, read by one row reader
-(`_read_pairs`): a row with an unknown label, ids that do not ascend or a
-pair listed a second time is a MalformedRecord naming `file:line`.
+(`_read_pairs`) into the mapping `score` takes: a row with an unknown label,
+ids that do not ascend or a pair listed twice is a MalformedRecord naming
+`file:line`.
 """
 
 from __future__ import annotations
@@ -17,12 +18,15 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 from .atomic import atomic_write
 from .corpus import csv_records
-from .dedup import DuplicateLabel, LabeledPair
-from .errors import DataError, DuplicatePrediction, MalformedRecord
+from .dedup import DuplicateLabel
+from .errors import DataError, MalformedRecord
+
+if TYPE_CHECKING:
+    from .pipeline import PipelineResult
 
 
 @dataclass(frozen=True)
@@ -49,31 +53,25 @@ class GoldSet:
 
     @classmethod
     def load_csv(cls, path: str | Path) -> "GoldSet":
-        return cls(dict(_read_pairs(path, "gold", lambda key, label, row: (key, label))))
+        return cls(_read_pairs(path, "gold"))
 
 
 # The keys of each class entry of `eval.json`, in the order they are written.
 SCORE_KEYS = ("precision", "recall", "f1", "tp", "fp", "fn")
 
 
-def score(predicted: Sequence[LabeledPair], gold: GoldSet) -> dict:
+def score(predicted: Mapping[tuple[str, str], DuplicateLabel], gold: GoldSet) -> dict:
     """The `eval.json` document: per class, its precision, recall, f1, tp, fp
     and fn against gold (0/0 ratios are 0), then `macro_f1` over the classes."""
-    predicted_by_key: dict[tuple[str, str], DuplicateLabel] = {}
-    for pair in predicted:
-        if pair.key in predicted_by_key:
-            raise DuplicatePrediction(pair.id_a, pair.id_b)
-        predicted_by_key[pair.key] = pair.label
-
     scores: dict = {}
     f1s = []
     for cls in DuplicateLabel:
         tp = sum(
             1
-            for key, label in predicted_by_key.items()
+            for key, label in predicted.items()
             if label == cls and gold.pairs.get(key) == cls
         )
-        fp = sum(1 for label in predicted_by_key.values() if label == cls) - tp
+        fp = sum(1 for label in predicted.values() if label == cls) - tp
         fn = sum(1 for label in gold.pairs.values() if label == cls) - tp
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
@@ -84,47 +82,61 @@ def score(predicted: Sequence[LabeledPair], gold: GoldSet) -> dict:
     return scores
 
 
-def write_results_csv(pairs: Iterable[LabeledPair], path: str | Path) -> None:
-    """Results file: id1,id2,label,distance,reason sorted by (id1, id2)."""
+# Rows per `writerows` call: the Python values of one chunk are alive at once.
+_WRITE_CHUNK = 65536
+
+
+def write_results_csv(result: PipelineResult, path: str | Path) -> None:
+    """Results file: id1,id2,label,distance,reason, one row per pair of
+    `result` in its order, which is (id1, id2)."""
+    pairs, names, reason_names = result.pairs, result.pairs.names, result.reason_names
+    label_names = [label.value for label in DuplicateLabel]
     with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id1", "id2", "label", "distance", "reason"])
-        for pair in sorted(pairs, key=lambda p: p.key):
-            distance = "" if pair.distance is None else repr(pair.distance)
-            writer.writerow([pair.id_a, pair.id_b, pair.label.value, distance, pair.reason])
+        for start in range(0, len(pairs), _WRITE_CHUNK):
+            rows = slice(start, start + _WRITE_CHUNK)
+            writer.writerows(
+                zip(
+                    map(names.__getitem__, pairs.lo[rows].tolist()),
+                    map(names.__getitem__, pairs.hi[rows].tolist()),
+                    map(label_names.__getitem__, result.labels[rows].tolist()),
+                    map(repr, pairs.distances[rows].tolist()),
+                    map(reason_names.__getitem__, result.reasons[rows].tolist()),
+                )
+            )
 
 
-def _read_pairs(path: str | Path, what: str, make) -> list:
-    """`make(key, label, row)` of each row of a pair file (gold or results).
+def _read_pairs(path: str | Path, what: str) -> dict:
+    """The label of each pair of a pair file, keyed by (id1, id2); `what` is
+    "gold" or "results", whose rows also hold a distance and a reason.
 
-    A row whose fields do not parse (an unknown label, a missing cell), whose
-    ids do not ascend, or that lists a pair a second time is a MalformedRecord
-    naming `file:line`.
+    A row whose fields do not parse (an unknown label, a missing cell, a
+    non-empty distance that is no number), whose ids do not ascend, or that
+    lists a pair a second time is a MalformedRecord naming `file:line`.
     """
-    records = []
-    seen: set[tuple[str, str]] = set()
+    pairs: dict[tuple[str, str], DuplicateLabel] = {}
     for row, line_no in csv_records(path):
         try:
             key = (row["id1"], row["id2"])
-            records.append(make(key, DuplicateLabel(row["label"]), row))
+            label = DuplicateLabel(row["label"])
+            if what == "results":
+                distance, _ = row["distance"], row["reason"]  # both cells present
+                if distance:
+                    float(distance)
         except (KeyError, ValueError) as err:
             raise MalformedRecord(path, line_no, f"{what} row {err!r}") from err
         if key[0] >= key[1]:
             raise MalformedRecord(path, line_no, f"{what} ids {key} do not ascend")
-        if key in seen:
+        if key in pairs:
             raise MalformedRecord(path, line_no, f"{what} pair {key} listed twice")
-        seen.add(key)
-    return records
+        pairs[key] = label
+    return pairs
 
 
-def _result_pair(key: tuple[str, str], label: DuplicateLabel, row: dict) -> LabeledPair:
-    distance = float(row["distance"]) if row["distance"] else None
-    return LabeledPair(*key, label, distance, row["reason"])
-
-
-def read_results_csv(path: str | Path) -> list[LabeledPair]:
-    """The labeled pairs of a results file."""
-    return _read_pairs(path, "results", _result_pair)
+def read_results_csv(path: str | Path) -> dict[tuple[str, str], DuplicateLabel]:
+    """The label of each pair of a results file, keyed by (id1, id2)."""
+    return _read_pairs(path, "results")
 
 
 def render_report(run: Mapping | None, scores: Mapping | None = None, format: str = "text") -> str:

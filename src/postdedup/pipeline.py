@@ -35,11 +35,10 @@ from __future__ import annotations
 
 import json
 import time
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,8 +46,9 @@ from .atomic import atomic_write, write_json
 from .config import PipelineConfig
 from .corpus import Posting, jsonl_records, load_postings, pair_count, save_postings
 from .dedup import (
+    CandidatePairs,
+    DuplicateLabel,
     KeptPairs,
-    LabeledPair,
     apply_rules_detailed,
     classify,
     collect_hits,
@@ -66,8 +66,6 @@ from .translate import (
     IdentityTranslator,
     RemoteTranslator,
     TranslationCache,
-    TranslationRequest,
-    text_key,
     translate_batch,
 )
 
@@ -85,8 +83,21 @@ EVAL_FILE = "eval.json"
 
 @dataclass
 class PipelineResult:
-    pairs: list[LabeledPair]
+    """A run's labeled pairs as aligned columns, and its run report: pair i of
+    `pairs` (an exact pair at distance 0.0) is `DuplicateLabel` number
+    `labels[i]`, for reason `reason_names[reasons[i]]`."""
+
+    pairs: CandidatePairs
+    labels: np.ndarray  # int8 codes, the places of the labels in DuplicateLabel
+    reasons: np.ndarray  # int64 indexes into reason_names
+    reason_names: list[str]  # "exact_fingerprint", then one per rule
     report: dict  # the `report.json` document
+
+    def label_map(self) -> dict[tuple[str, str], DuplicateLabel]:
+        """Each pair's label, keyed by (id_a, id_b): what `score` reads."""
+        names, labels, pairs = self.pairs.names, list(DuplicateLabel), self.pairs
+        lo, hi, codes = pairs.lo.tolist(), pairs.hi.tolist(), self.labels.tolist()
+        return {(names[a], names[b]): labels[c] for a, b, c in zip(lo, hi, codes)}
 
 
 def make_translator(config: PipelineConfig):
@@ -128,19 +139,12 @@ def _translate(
         translator = make_translator(config)
     if cache is None and config.translate.cache_path:
         cache = TranslationCache(config.translate.cache_path)
-    canonical_by_id = {c.source_id: c for c in canonicals}
+    text_by_id = {c.source_id: c.text for c in canonicals}
     language_by_id = {p.id: p.language for p in postings}
-    reps = [canonical_by_id[g.representative_id] for g in groups]
-    requests = [
-        TranslationRequest(
-            fingerprint=text_key(rep.text),
-            text=rep.text,
-            source_language=language_by_id[rep.source_id],
-        )
-        for rep in reps
-    ]
+    rep_ids = [g.representative_id for g in groups]
     return translate_batch(
-        requests,
+        [text_by_id[rid] for rid in rep_ids],
+        [language_by_id[rid] for rid in rep_ids],
         translator,
         cache=cache,
         max_in_flight=config.translate.max_in_flight,
@@ -174,37 +178,50 @@ def _expand_pairs(
     kept: KeptPairs,
     rules,
     groups: Sequence[ExactGroup],
-    postings_by_id: Mapping[str, Posting],
-) -> tuple[list[LabeledPair], int]:
+    postings: Sequence[Posting],
+) -> tuple[CandidatePairs, np.ndarray, np.ndarray, list[str]]:
     """Every member pair of each exact group (FULL), and of each kept pair of
-    representatives (SEMANTIC); either is TEMPORAL when the dates differ."""
-    members = {g.representative_id: sorted(g.member_ids) for g in groups}
-    dates = {pid: p.retrieval_date for pid, p in postings_by_id.items()}
-    pairs: list[LabeledPair] = []
+    representatives (SEMANTIC); either is TEMPORAL when the dates differ.
+    Returns the columns of a `PipelineResult`: the pairs over the sorted
+    posting ids, sorted by (id_a, id_b), their label and reason codes, and
+    the reason names."""
+    day_by_id = {p.id: p.retrieval_date.toordinal() for p in postings}
+    names = sorted(day_by_id)
+    rank = {pid: r for r, pid in enumerate(names)}
+    days = np.array([day_by_id[pid] for pid in names], dtype=np.int64)
+    # Ranks order as ids do: a pair whose ranks ascend has ids that ascend.
+    members = {g.representative_id: sorted(rank[m] for m in g.member_ids) for g in groups}
+    rank_pair = np.dtype((np.int64, 2))
 
-    for ids in members.values():
-        for id_a, id_b in combinations(ids, 2):
-            label = classify(True, dates[id_a], dates[id_b])
-            pairs.append(LabeledPair(id_a, id_b, label, 0.0, "exact_fingerprint"))
-    n_exact = len(pairs)
+    exact = np.fromiter(
+        chain.from_iterable(combinations(m, 2) for m in members.values()), dtype=rank_pair
+    )
+    exact_labels = classify(True, days[exact[:, 0]], days[exact[:, 1]])
 
-    reasons = [
+    kept_names = kept.pairs.names
+    sides = [
+        (members[kept_names[lo]], members[kept_names[hi]])
+        for lo, hi in zip(kept.pairs.lo.tolist(), kept.pairs.hi.tolist())
+    ]
+    semantic = np.fromiter(
+        chain.from_iterable(product(ma, mb) for ma, mb in sides), dtype=rank_pair
+    )
+    semantic.sort(axis=1)
+    per_kept = np.array([len(ma) * len(mb) for ma, mb in sides], dtype=np.int64)
+    semantic_labels = classify(False, days[semantic[:, 0]], days[semantic[:, 1]])
+
+    ranks = np.concatenate([exact, semantic])
+    order = np.lexsort((ranks[:, 1], ranks[:, 0]))
+    distances = np.concatenate([np.zeros(len(exact)), np.repeat(kept.pairs.distances, per_kept)])
+    labels = np.concatenate([exact_labels, semantic_labels])
+    reasons = np.concatenate(
+        [np.zeros(len(exact), dtype=np.int64), np.repeat(kept.rule_indices + 1, per_kept)]
+    )
+    reason_names = ["exact_fingerprint"] + [
         "semantic_threshold" if rule.is_catch_all else f"rule({i})" for i, rule in enumerate(rules)
     ]
-    names = kept.pairs.names
-    for lo, hi, distance, rule_index in zip(
-        kept.pairs.lo.tolist(),
-        kept.pairs.hi.tolist(),
-        kept.pairs.distances.tolist(),
-        kept.rule_indices.tolist(),
-    ):
-        for ma, mb in product(members[names[lo]], members[names[hi]]):
-            id_a, id_b = (ma, mb) if ma < mb else (mb, ma)
-            label = classify(False, dates[id_a], dates[id_b])
-            pairs.append(LabeledPair(id_a, id_b, label, distance, reasons[rule_index]))
-
-    pairs.sort(key=lambda p: p.key)
-    return pairs, n_exact
+    pairs = CandidatePairs(names, ranks[order, 0], ranks[order, 1], distances[order])
+    return pairs, labels[order], reasons[order], reason_names
 
 
 def _dedup(
@@ -227,14 +244,14 @@ def _dedup(
     postings_by_id = {p.id: p for p in postings}
     rules = list(config.dedup.rules) or [default_rule(base_theta)]
     kept = apply_rules_detailed(candidates, postings_by_id, rules, base_theta)
-    pairs, n_exact = _expand_pairs(kept, rules, groups, postings_by_id)
+    pairs, labels, reasons, reason_names = _expand_pairs(kept, rules, groups, postings)
     n = len(queries)
     brute_force_pairs = pair_count(n)
     sweep = threshold_sweep(
         candidates.distances, list(config.dedup.sweep_thetas), brute_force_pairs
     )
     saturation = saturation_report(queries.ids, kth, base_theta, k)
-    label_counts = Counter(pair.label.value for pair in pairs)
+    label_counts = np.bincount(labels, minlength=len(DuplicateLabel)).tolist()
     timings["classify"] = time.perf_counter() - t0
     list_sizes = None
     if isinstance(index, IVFIndex):
@@ -260,10 +277,11 @@ def _dedup(
                 1 - len(candidates) / brute_force_pairs if brute_force_pairs else 0.0
             ),
             "kept_representative_pairs": len(kept),
-            "exact_group_pairs": n_exact,
+            "exact_group_pairs": int(np.count_nonzero(reasons == 0)),
             "output_pairs": len(pairs),
         },
-        "label_counts": dict(sorted(label_counts.items())),
+        # The labels given, in name order, which is DuplicateLabel's.
+        "label_counts": {k.value: n for k, n in zip(DuplicateLabel, label_counts) if n},
         "rule_kept": np.bincount(kept.rule_indices, minlength=len(rules)).tolist(),
         "ivf_list_sizes": list_sizes,
         "stage_seconds": dict(timings),
@@ -271,7 +289,7 @@ def _dedup(
         "saturation": saturation,
         "sweep": [list(row) for row in sweep],
     }
-    return PipelineResult(pairs=pairs, report=report)
+    return PipelineResult(pairs, labels, reasons, reason_names, report)
 
 
 def run_pipeline(
@@ -351,7 +369,7 @@ def _write_embedded(embedded: FlatIndex, meta: dict, outdir: str | Path) -> None
 def write_run(result: PipelineResult, outdir: str | Path) -> None:
     """The outputs of `dedup`: the labeled pairs and the run report."""
     Path(outdir).mkdir(parents=True, exist_ok=True)
-    write_results_csv(result.pairs, Path(outdir) / RESULTS_FILE)
+    write_results_csv(result, Path(outdir) / RESULTS_FILE)
     write_json(result.report, Path(outdir) / REPORT_FILE)
 
 

@@ -13,7 +13,6 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional, Protocol, Sequence
 
@@ -34,17 +33,6 @@ def text_key(text: str) -> str:
     Case is part of the key, since translations keep it.
     """
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-@dataclass(frozen=True)
-class TranslationRequest:
-    """A text to translate. `fingerprint` keys it in the cache and among the
-    requests of one call, so equal fingerprints must mean equal text; the
-    pipeline passes `text_key(text)`."""
-
-    fingerprint: str
-    text: str
-    source_language: Optional[str] = None
 
 
 class Translator(Protocol):
@@ -181,10 +169,10 @@ _CACHE_FIELDS = ("fingerprint", "target", "backend", "translated_text")
 class TranslationCache:
     """Append-only JSONL cache keyed by (fingerprint, target, backend).
 
-    The pipeline keys a text by `text_key`, 64 hex characters: translations
-    keep case, so a record keyed by a case-insensitive 32-hex-character
-    canonical fingerprint, which may hold another casing's translation,
-    matches no request of the pipeline.
+    `translate_batch` keys a text by `text_key`, 64 hex characters:
+    translations keep case, so a record keyed by a case-insensitive
+    32-hex-character canonical fingerprint, which may hold another casing's
+    translation, matches no text it translates.
 
     Re-runs must not re-bill an external API: hits are served from memory,
     new entries are appended under a lock, and the newest entry for a key
@@ -252,68 +240,66 @@ _IN_PROCESS = (IdentityTranslator, DictionaryTranslator)
 
 
 def translate_batch(
-    requests: Sequence[TranslationRequest],
+    texts: Sequence[str],
+    sources: Sequence[Optional[str]],
     backend: Translator,
     cache: TranslationCache | None = None,
     max_in_flight: int = 4,
     batch_size: int = 32,
     retry: RetryPolicy | None = None,
 ) -> list[str]:
-    """Translate requests, preserving order; cache hits bypass the backend.
+    """Translate texts, each from its source language, preserving order;
+    cache hits bypass the backend.
 
-    An empty text translates to "" with no cache or backend call. Misses
-    are grouped by source language. The in-process backends translate
-    each group in one call in the calling thread; any other backend gets
-    it cut into batches of `batch_size`, dispatched with at most
-    `max_in_flight` calls outstanding, each failed batch retried with
+    Each text is keyed by `text_key(text)`, in the cache and among the texts
+    of one call: equal texts are translated once. An empty text translates
+    to "" with no cache or backend call. Misses are grouped by source
+    language (a repeated text by its first source). The in-process backends
+    translate each group in one call in the calling thread; any other
+    backend gets it cut into batches of `batch_size`, dispatched with at
+    most `max_in_flight` calls outstanding, each failed batch retried with
     exponential backoff. Each group's translations reach the cache in one
     `put`.
     """
     if max_in_flight < 1:
         raise ValueError("max_in_flight must be >= 1")
-    results = [""] * len(requests)
-    # Requests sharing a fingerprint are translated once, whether the earlier
-    # copy came from the cache or from this same call.
+    results = [""] * len(texts)
+    # Indexes of the texts still to translate, by key.
     pending: dict[str, list[int]] = {}
-    for i, request in enumerate(requests):
-        if not request.text:
+    for i, text in enumerate(texts):
+        if not text:
             continue
-        cached = (
-            cache.get(request.fingerprint, TARGET_LANGUAGE, backend.name)
-            if cache is not None
-            else None
-        )
+        key = text_key(text)
+        cached = cache.get(key, TARGET_LANGUAGE, backend.name) if cache is not None else None
         if cached is not None:
             results[i] = cached
         else:
-            pending.setdefault(request.fingerprint, []).append(i)
+            pending.setdefault(key, []).append(i)
 
-    by_source: dict[Optional[str], list[int]] = {}
-    for indices in pending.values():
-        by_source.setdefault(requests[indices[0]].source_language, []).append(indices[0])
+    by_source: dict[Optional[str], list[str]] = {}
+    for key, indices in pending.items():
+        by_source.setdefault(sources[indices[0]], []).append(key)
 
-    for source, firsts in by_source.items():
-        texts = [requests[i].text for i in firsts]
+    for source, keys in by_source.items():
+        group = [texts[pending[key][0]] for key in keys]
         if isinstance(backend, _IN_PROCESS):
-            translated = backend.translate(texts, source, TARGET_LANGUAGE)
+            translated = backend.translate(group, source, TARGET_LANGUAGE)
         else:
             from .batching import map_batches
 
             translated = map_batches(
-                texts,
+                group,
                 lambda batch, s=source: backend.translate(batch, s, TARGET_LANGUAGE),
                 batch_size=batch_size,
                 max_in_flight=max_in_flight,
                 retry=retry,
             )
-        fingerprints = [requests[i].fingerprint for i in firsts]
-        for fingerprint, text in zip(fingerprints, translated):
-            for i in pending[fingerprint]:
+        for key, text in zip(keys, translated):
+            for i in pending[key]:
                 results[i] = text
         if cache is not None:
             cache.put(
-                (fingerprint, TARGET_LANGUAGE, backend.name, text)
-                for fingerprint, text in zip(fingerprints, translated)
+                (key, TARGET_LANGUAGE, backend.name, text) for key, text in zip(keys, translated)
             )
 
     return results
@@ -321,7 +307,6 @@ def translate_batch(
 
 __all__ = [
     "text_key",
-    "TranslationRequest",
     "Translator",
     "IdentityTranslator",
     "DictionaryTranslator",

@@ -4,13 +4,14 @@ import json
 import random
 from datetime import date
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from postdedup import pipeline
 from postdedup.corpus import Posting, save_postings
-from postdedup.dedup import CandidatePairs
+from postdedup.dedup import CandidatePairs, DuplicateLabel
 from postdedup.pipeline import (
     CANONICAL_FILE,
     EMBED_META_FILE,
@@ -135,6 +136,31 @@ def pair_triples(pairs: CandidatePairs) -> list[tuple[str, str, float]]:
 
 def pair_keys(pairs: CandidatePairs) -> set[tuple[str, str]]:
     return {(a, b) for a, b, _ in pair_triples(pairs)}
+
+
+class ResultRow(NamedTuple):
+    """One labeled pair, as a row of `results.csv` holds it."""
+
+    id_a: str
+    id_b: str
+    label: DuplicateLabel
+    distance: float
+    reason: str
+
+    @property
+    def key(self) -> tuple[str, str]:
+        return (self.id_a, self.id_b)
+
+
+def result_rows(result) -> list[ResultRow]:
+    """The labeled pairs of a `PipelineResult`, one row each, in its order."""
+    labels = list(DuplicateLabel)
+    return [
+        ResultRow(id_a, id_b, labels[code], distance, result.reason_names[reason])
+        for (id_a, id_b, distance), code, reason in zip(
+            pair_triples(result.pairs), result.labels.tolist(), result.reasons.tolist()
+        )
+    ]
 
 
 def search_hits(index, queries, k: int, **kwargs) -> list[list[tuple[str, float]]]:

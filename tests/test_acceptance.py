@@ -28,7 +28,7 @@ from postdedup.pipeline import (
     run_pipeline,
 )
 from postdedup.synth import DupPlan, synth_corpus
-from postdedup.translate import TranslationRequest, translate_batch
+from postdedup.translate import translate_batch
 
 from conftest import fuzz_noisy_string, search_one, unit_vectors, write_stage_artifacts
 
@@ -151,7 +151,7 @@ def test_criterion_4_end_to_end_planted_duplicates(tmp_path):
     )
     theta = choose_theta(probe.report["sweep"])
     result = run_pipeline(synth.postings, _two_step_config(dictionary_path, theta))
-    report = score(result.pairs, synth.gold)
+    report = score(result.label_map(), synth.gold)
     assert report["FULL"]["f1"] >= 0.99
     assert report["SEMANTIC"]["f1"] >= 0.90
     assert report["TEMPORAL"]["f1"] >= 0.90
@@ -163,8 +163,8 @@ def test_criterion_4_end_to_end_planted_duplicates(tmp_path):
     hard_dict.write_text(json.dumps(hard.translation_dict), encoding="utf-8")
     plain = run_pipeline(hard.postings, _two_step_config(hard_dict, 0.25))
     ruled = run_pipeline(hard.postings, _two_step_config(hard_dict, 0.25, rules="example"))
-    f1_plain = score(plain.pairs, hard.gold)["SEMANTIC"]["f1"]
-    f1_ruled = score(ruled.pairs, hard.gold)["SEMANTIC"]["f1"]
+    f1_plain = score(plain.label_map(), hard.gold)["SEMANTIC"]["f1"]
+    f1_ruled = score(ruled.label_map(), hard.gold)["SEMANTIC"]["f1"]
     assert f1_ruled - f1_plain >= 0.02
 
     elapsed = time.perf_counter() - started
@@ -272,7 +272,7 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
             }
         )
         result = run_pipeline(synth.postings, config)
-        write_results_csv(result.pairs, outdir / RESULTS_FILE)
+        write_results_csv(result, outdir / RESULTS_FILE)
         write_stage_artifacts(synth.postings, config, outdir)
         outputs.append(
             (
@@ -311,21 +311,19 @@ class _SlowBackend:
 def test_criterion_9_bounded_concurrency_contract():
     """4-way concurrency at least halves wall time; serial stays near B*L."""
     latency, n_batches = 0.05, 20
-    requests = [
-        TranslationRequest(fingerprint=f"f{i:02d}", text=f"text {i}") for i in range(n_batches)
-    ]
+    texts = [f"text {i}" for i in range(n_batches)]
     serial_budget = n_batches * latency
 
     started = time.perf_counter()
     concurrent_out = translate_batch(
-        requests, _SlowBackend(latency), batch_size=1, max_in_flight=4
+        texts, [None] * n_batches, _SlowBackend(latency), batch_size=1, max_in_flight=4
     )
     concurrent_wall = time.perf_counter() - started
     assert concurrent_wall <= 0.5 * serial_budget
 
     started = time.perf_counter()
     serial_out = translate_batch(
-        requests, _SlowBackend(latency), batch_size=1, max_in_flight=1
+        texts, [None] * n_batches, _SlowBackend(latency), batch_size=1, max_in_flight=1
     )
     serial_wall = time.perf_counter() - started
     assert serial_wall >= 0.9 * serial_budget

@@ -39,6 +39,7 @@ from conftest import (
     make_posting,
     pair_keys,
     pair_triples,
+    result_rows,
     search_hits,
     unit_vectors,
     write_stage_artifacts,
@@ -326,27 +327,25 @@ class TestRules:
         assert rules[2].threshold == 0.25
 
 
-MARCH, APRIL = date(2024, 3, 1), date(2024, 4, 2)
+MARCH, APRIL = date(2024, 3, 1).toordinal(), date(2024, 4, 2).toordinal()
 
 
-class TestClassify:
-    # `same_text` is True for a pair inside one exact group (equal
-    # fingerprints), False for a kept pair across two (the semantic pass).
-    def test_equal_fingerprints_equal_dates_full(self):
-        assert classify(True, MARCH, MARCH) == DuplicateLabel.FULL
-
-    def test_equal_fingerprints_different_dates_temporal(self):
-        assert classify(True, MARCH, APRIL) == DuplicateLabel.TEMPORAL
-
-    def test_semantic_pass_equal_dates_semantic(self):
-        assert classify(False, MARCH, MARCH) == DuplicateLabel.SEMANTIC
-
-    def test_semantic_pass_different_dates_temporal(self):
-        assert classify(False, APRIL, MARCH) == DuplicateLabel.TEMPORAL
-
-    def test_deterministic(self):
-        first = classify(False, MARCH, MARCH)
-        assert all(classify(False, MARCH, MARCH) == first for _ in range(5))
+# `same_text` is True for pairs inside one exact group (equal fingerprints),
+# False for kept pairs across two (the semantic pass).
+@pytest.mark.parametrize(
+    "same_text, same_day_label",
+    [(True, DuplicateLabel.FULL), (False, DuplicateLabel.SEMANTIC)],
+    ids=["exact-group", "kept-pair"],
+)
+def test_classify_labels_by_text_and_day(same_text, same_day_label):
+    day_a = np.array([MARCH, MARCH, APRIL], dtype=np.int64)
+    day_b = np.array([MARCH, APRIL, MARCH], dtype=np.int64)
+    codes = classify(same_text, day_a, day_b)
+    labels = list(DuplicateLabel)
+    assert [labels[c] for c in codes.tolist()] == [
+        same_day_label, DuplicateLabel.TEMPORAL, DuplicateLabel.TEMPORAL
+    ]
+    assert classify(same_text, day_a[:0], day_b[:0]).size == 0
 
 
 def fingerprint_label(id_a, id_b, postings_by_id, fingerprints_by_id, semantic_pass):
@@ -385,7 +384,7 @@ def test_labels_equal_the_fingerprint_rule(data):
         )
         for pid, text in zip(ids, texts)
     ]
-    pairs = run_pipeline(postings, LABEL_CONFIG).pairs
+    pairs = result_rows(run_pipeline(postings, LABEL_CONFIG))
 
     postings_by_id = {p.id: p for p in postings}
     fingerprints = {p.id: canonicalize(p, LABEL_CONFIG.normalize).fingerprint for p in postings}

@@ -147,6 +147,6 @@ class TestTranslationCacheFile:
 def test_run_pipeline_on_empty_corpus():
     config = config_from_dict({"mode": "multilingual"})
     result = run_pipeline([], config)
-    assert result.pairs == []
+    assert len(result.pairs) == 0
     assert result.report["n_postings"] == 0
     assert result.report["counters"]["candidate_pairs"] == 0

@@ -3,10 +3,11 @@ from __future__ import annotations
 import json
 import random
 
+import numpy as np
 import pytest
 
-from postdedup.dedup import DuplicateLabel, LabeledPair
-from postdedup.errors import DataError, DuplicatePrediction
+from postdedup.dedup import DuplicateLabel
+from postdedup.errors import DataError, MalformedRecord
 from postdedup.evaluation import (
     GoldSet,
     read_results_csv,
@@ -14,19 +15,18 @@ from postdedup.evaluation import (
     score,
     write_results_csv,
 )
+from postdedup.pipeline import PipelineResult
+
+from conftest import candidate_pairs
 
 FULL = DuplicateLabel.FULL
 SEMANTIC = DuplicateLabel.SEMANTIC
 TEMPORAL = DuplicateLabel.TEMPORAL
 
 
-def lp(a, b, label, distance=0.1, reason="semantic_threshold") -> LabeledPair:
-    return LabeledPair(a, b, label, distance, reason)
-
-
 def test_perfect_prediction_scores_one():
     gold = GoldSet({("a", "b"): FULL, ("c", "d"): SEMANTIC, ("e", "f"): TEMPORAL})
-    predicted = [lp("a", "b", FULL), lp("c", "d", SEMANTIC), lp("e", "f", TEMPORAL)]
+    predicted = {("a", "b"): FULL, ("c", "d"): SEMANTIC, ("e", "f"): TEMPORAL}
     report = score(predicted, gold)
     assert all(report[cls]["f1"] == 1.0 for cls in ("FULL", "SEMANTIC", "TEMPORAL"))
     assert report["macro_f1"] == 1.0
@@ -34,7 +34,7 @@ def test_perfect_prediction_scores_one():
 
 def test_empty_prediction_all_zero():
     gold = GoldSet({("a", "b"): FULL})
-    report = score([], gold)
+    report = score({}, gold)
     for cls in ("FULL", "SEMANTIC", "TEMPORAL"):
         m = report[cls]
         assert (m["precision"], m["recall"], m["f1"]) == (0.0, 0.0, 0.0)
@@ -43,7 +43,7 @@ def test_empty_prediction_all_zero():
 
 def test_hand_enumerated_mixed_case():
     gold = GoldSet({("a", "b"): SEMANTIC, ("c", "d"): FULL})
-    predicted = [lp("a", "b", SEMANTIC), lp("c", "d", SEMANTIC)]
+    predicted = {("a", "b"): SEMANTIC, ("c", "d"): SEMANTIC}
     report = score(predicted, gold)
     semantic = report["SEMANTIC"]
     assert semantic["precision"] == pytest.approx(1 / 2)
@@ -56,21 +56,15 @@ def test_hand_enumerated_mixed_case():
 
 def test_gold_absent_prediction_counts_as_fp():
     gold = GoldSet({})
-    report = score([lp("a", "b", FULL)], gold)
+    report = score({("a", "b"): FULL}, gold)
     assert report["FULL"]["fp"] == 1
-
-
-def test_duplicate_prediction_rejected():
-    gold = GoldSet({})
-    with pytest.raises(DuplicatePrediction):
-        score([lp("a", "b", FULL), lp("a", "b", SEMANTIC)], gold)
 
 
 def test_scoring_invariant_to_order():
     gold = GoldSet({("a", "b"): FULL, ("c", "d"): SEMANTIC})
-    predicted = [lp("a", "b", FULL), lp("c", "d", TEMPORAL)]
-    forward = score(predicted, gold)
-    backward = score(list(reversed(predicted)), gold)
+    predicted = [(("a", "b"), FULL), (("c", "d"), TEMPORAL)]
+    forward = score(dict(predicted), gold)
+    backward = score(dict(reversed(predicted)), gold)
     assert forward == backward
 
 
@@ -85,7 +79,7 @@ def _random_case(rng: random.Random):
     for _ in range(rng.randint(0, 25)):
         a, b = rng.sample(ids, 2)
         predicted[(min(a, b), max(a, b))] = rng.choice(labels)
-    return GoldSet(gold), [lp(a, b, label) for (a, b), label in predicted.items()]
+    return GoldSet(gold), predicted
 
 
 def test_adding_correct_prediction_never_lowers_recall():
@@ -93,13 +87,11 @@ def test_adding_correct_prediction_never_lowers_recall():
     for _ in range(50):
         gold, predicted = _random_case(rng)
         before = score(predicted, gold)
-        predicted_keys = {p.key for p in predicted}
-        missing = [k for k in gold.pairs if k not in predicted_keys]
+        missing = [k for k in gold.pairs if k not in predicted]
         if not missing:
             continue
         key = rng.choice(missing)
-        extended = predicted + [lp(key[0], key[1], gold.pairs[key])]
-        after = score(extended, gold)
+        after = score({**predicted, key: gold.pairs[key]}, gold)
         for cls in ("FULL", "SEMANTIC", "TEMPORAL"):
             assert after[cls]["recall"] >= before[cls]["recall"]
 
@@ -109,12 +101,11 @@ def test_adding_incorrect_prediction_never_raises_precision():
     for _ in range(50):
         gold, predicted = _random_case(rng)
         before = score(predicted, gold)
-        predicted_keys = {p.key for p in predicted}
-        a, b = "x000", "x001"  # ids outside the gold universe: always wrong
-        if (a, b) in predicted_keys:
+        key = ("x000", "x001")  # ids outside the gold universe: always wrong
+        if key in predicted:
             continue
         label = rng.choice([FULL, SEMANTIC, TEMPORAL])
-        after = score(predicted + [lp(a, b, label)], gold)
+        after = score({**predicted, key: label}, gold)
         assert after[label.value]["precision"] <= before[label.value]["precision"]
 
 
@@ -131,20 +122,41 @@ def test_gold_validation():
 
 
 def test_results_csv_round_trip(tmp_path):
-    pairs = [
-        lp("a", "b", FULL, distance=0.0, reason="exact_fingerprint"),
-        lp("c", "d", SEMANTIC, distance=0.19999999999, reason="rule(1)"),
-        LabeledPair("e", "f", TEMPORAL, None, "exact_fingerprint"),
-    ]
+    pairs = candidate_pairs([("a", "b", 0.0), ("c", "d", 0.19999999999), ("e", "f", 0.0)])
+    labels = np.array([0, 1, 2], dtype=np.int8)  # FULL, SEMANTIC, TEMPORAL
+    reason_names = ["exact_fingerprint", "semantic_threshold", "rule(1)"]
+    reasons = np.array([0, 2, 0], dtype=np.int64)
+    result = PipelineResult(pairs, labels, reasons, reason_names, report={})
     path = tmp_path / "results.csv"
-    write_results_csv(pairs, path)
-    loaded = read_results_csv(path)
-    assert loaded == sorted(pairs, key=lambda p: p.key)
+    write_results_csv(result, path)
+    assert path.read_text(encoding="utf-8").splitlines() == [
+        "id1,id2,label,distance,reason",
+        "a,b,FULL,0.0,exact_fingerprint",
+        "c,d,SEMANTIC,0.19999999999,rule(1)",
+        "e,f,TEMPORAL,0.0,exact_fingerprint",
+    ]
+    assert read_results_csv(path) == result.label_map()
+
+
+def test_results_csv_reader_takes_an_empty_distance(tmp_path):
+    path = tmp_path / "results.csv"
+    path.write_text("id1,id2,label,distance,reason\ne,f,TEMPORAL,,exact_fingerprint\n")
+    assert read_results_csv(path) == {("e", "f"): TEMPORAL}
+
+
+@pytest.mark.parametrize(
+    "row", ["a,b,FULL,close,exact_fingerprint", "a,b,FULL,0.1"], ids=["bad-distance", "no-reason"]
+)
+def test_results_row_with_a_bad_distance_or_no_reason_is_malformed(tmp_path, row):
+    path = tmp_path / "results.csv"
+    path.write_text(f"id1,id2,label,distance,reason\n{row}\n")
+    with pytest.raises(MalformedRecord, match="results.csv:2"):
+        read_results_csv(path)
 
 
 def test_render_json_round_trips():
     gold = GoldSet({("a", "b"): FULL})
-    eval_report = score([lp("a", "b", FULL)], gold)
+    eval_report = score({("a", "b"): FULL}, gold)
     run = {"mode": "two_step", "k": 100, "stage_seconds": {"normalize": 0.1}}
     document = json.loads(render_report(run, eval_report, format="json"))
     assert document["run"] == run
@@ -153,7 +165,7 @@ def test_render_json_round_trips():
 
 def test_render_text_contains_required_sections():
     gold = GoldSet({("a", "b"): FULL})
-    eval_report = score([lp("a", "b", FULL)], gold)
+    eval_report = score({("a", "b"): FULL}, gold)
     run = {
         "mode": "two_step",
         "k": 100,

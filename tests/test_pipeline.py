@@ -3,13 +3,17 @@ from __future__ import annotations
 import json
 import statistics
 import struct
+import tempfile
 import zlib
+from collections import Counter
 from dataclasses import replace
 from datetime import date
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from postdedup import index as index_module
 from postdedup import pipeline
@@ -41,9 +45,11 @@ from postdedup.pipeline import (
 )
 from postdedup.synth import DupPlan, synth_corpus
 
+import reference
 from conftest import (
     STAGE_FILES,
     make_posting,
+    result_rows,
     spy_on_chain,
     write_chain_artifacts,
     write_stage_artifacts,
@@ -67,7 +73,7 @@ def small_corpus_setup(tmp_path, n_base=120, seed=3, hard=0.0):
 def test_single_posting_yields_no_pairs():
     config = config_from_dict({"mode": "multilingual"})
     result = run_pipeline([make_posting("only", title="solo role")], config)
-    assert result.pairs == []
+    assert result_rows(result) == []
     assert result.report["n_postings"] == 1
 
 
@@ -77,7 +83,7 @@ def test_two_identical_postings_same_date_one_full_pair():
     p2 = make_posting("b", title="Chef de Cuisine", description="run the kitchen")
     result = run_pipeline([p1, p2], config)
     assert len(result.pairs) == 1
-    pair = result.pairs[0]
+    [pair] = result_rows(result)
     assert (pair.id_a, pair.id_b, pair.label) == ("a", "b", DuplicateLabel.FULL)
     assert pair.reason == "exact_fingerprint"
 
@@ -87,7 +93,7 @@ def test_identical_text_different_dates_temporal():
     p1 = make_posting("a", title="Chef", retrieval_date=date(2024, 3, 1))
     p2 = make_posting("b", title="chef", retrieval_date=date(2024, 5, 2))
     result = run_pipeline([p1, p2], config)
-    assert [p.label for p in result.pairs] == [DuplicateLabel.TEMPORAL]
+    assert [p.label for p in result_rows(result)] == [DuplicateLabel.TEMPORAL]
 
 
 def test_semantic_label_propagates_to_exact_group_members():
@@ -102,7 +108,7 @@ def test_semantic_label_propagates_to_exact_group_members():
     pb = make_posting("b", title="", description=text.upper())
     pc = make_posting("c", title="", description=near)
     result = run_pipeline([pa, pb, pc], config)
-    by_key = {p.key: p for p in result.pairs}
+    by_key = {p.key: p for p in result_rows(result)}
     assert by_key[("a", "b")].label == DuplicateLabel.FULL
     assert by_key[("a", "c")].label == DuplicateLabel.SEMANTIC
     assert by_key[("b", "c")].label == DuplicateLabel.SEMANTIC
@@ -119,7 +125,7 @@ def test_semantic_expansion_respects_member_dates():
     pb = make_posting("b", title="", description=text, retrieval_date=date(2024, 7, 1))
     pc = make_posting("c", title="", description=near)
     result = run_pipeline([pa, pb, pc], config)
-    by_key = {p.key: p.label for p in result.pairs}
+    by_key = result.label_map()
     assert by_key[("a", "b")] == DuplicateLabel.TEMPORAL  # same text, new date
     assert by_key[("a", "c")] == DuplicateLabel.SEMANTIC  # same date
     assert by_key[("b", "c")] == DuplicateLabel.TEMPORAL  # dates differ
@@ -133,11 +139,11 @@ def test_exact_group_of_three_expands_to_all_pairs():
     p3 = make_posting("c", retrieval_date=date(2024, 6, 1), **same)
     result = run_pipeline([p1, p2, p3], config)
     assert len(result.pairs) == 3  # pair_count(3)
-    by_key = {p.key: p.label for p in result.pairs}
+    by_key = result.label_map()
     assert by_key[("a", "b")] == DuplicateLabel.FULL
     assert by_key[("a", "c")] == DuplicateLabel.TEMPORAL
     assert by_key[("b", "c")] == DuplicateLabel.TEMPORAL
-    assert all(p.reason == "exact_fingerprint" for p in result.pairs)
+    assert all(p.reason == "exact_fingerprint" for p in result_rows(result))
 
 
 def test_empty_text_posting_reported_not_indexed():
@@ -146,13 +152,13 @@ def test_empty_text_posting_reported_not_indexed():
     p2 = make_posting("b", title="real role")
     result = run_pipeline([p1, p2], config)
     assert result.report["n_zero_vectors"] == 1
-    assert result.pairs == []
+    assert result_rows(result) == []
 
 
 def test_full_run_on_synthetic_corpus(tmp_path):
     synth, config = small_corpus_setup(tmp_path)
     result = run_pipeline(synth.postings, config)
-    report = score(result.pairs, synth.gold)
+    report = score(result.label_map(), synth.gold)
     assert report["FULL"]["f1"] == 1.0
     assert report["SEMANTIC"]["f1"] >= 0.9
     assert report["TEMPORAL"]["f1"] >= 0.9
@@ -183,7 +189,7 @@ def test_staged_equals_in_memory(tmp_path):
     assert main(["dedup", "--out", str(outdir), *flags, "--k", "20", "--theta", "0.35"]) == 0
 
     expected = tmp_path / "expected.csv"
-    write_results_csv(run_pipeline(synth.postings, config).pairs, expected)
+    write_results_csv(run_pipeline(synth.postings, config), expected)
     assert (outdir / RESULTS_FILE).read_bytes() == expected.read_bytes()
 
 
@@ -226,7 +232,7 @@ def test_ivf_pipeline_matches_flat(tmp_path):
         }
     )
     ivf_result = run_pipeline(synth.postings, ivf_config)
-    assert ivf_result.pairs == flat_result.pairs  # nprobe = nlist: exact
+    assert result_rows(ivf_result) == result_rows(flat_result)  # nprobe = nlist: exact
 
 
 def test_expert_rules_recover_hard_pairs(tmp_path):
@@ -255,10 +261,10 @@ def test_expert_rules_recover_hard_pairs(tmp_path):
             }
         ),
     )
-    f1_plain = score(plain.pairs, synth.gold)["SEMANTIC"]["f1"]
-    f1_rules = score(with_rules.pairs, synth.gold)["SEMANTIC"]["f1"]
+    f1_plain = score(plain.label_map(), synth.gold)["SEMANTIC"]["f1"]
+    f1_rules = score(with_rules.label_map(), synth.gold)["SEMANTIC"]["f1"]
     assert f1_rules > f1_plain
-    rule_reasons = {p.reason for p in with_rules.pairs}
+    rule_reasons = {p.reason for p in result_rows(with_rules)}
     assert any(r.startswith("rule(") for r in rule_reasons)
 
 
@@ -270,7 +276,7 @@ def test_results_independent_of_thread_count(tmp_path):
         )
     single = run_pipeline(synth.postings, config_with_threads(1))
     threaded = run_pipeline(synth.postings, config_with_threads(4))
-    assert single.pairs == threaded.pairs
+    assert result_rows(single) == result_rows(threaded)
 
 
 def test_explicit_rule_list_in_config(tmp_path):
@@ -294,7 +300,7 @@ def test_explicit_rule_list_in_config(tmp_path):
     )
     assert len(config.dedup.rules) == 2
     result = run_pipeline(synth.postings, config)
-    assert result.pairs
+    assert len(result.pairs)
 
 
 def test_multilingual_mode_uses_identity_translation(tmp_path):
@@ -302,8 +308,8 @@ def test_multilingual_mode_uses_identity_translation(tmp_path):
     ml_config = config_from_dict({"mode": "multilingual", "dedup": {"k": 20, "base_theta": 0.35}})
     two_step = run_pipeline(synth.postings, config)
     multilingual = run_pipeline(synth.postings, ml_config)
-    f1_two = score(two_step.pairs, synth.gold)["SEMANTIC"]["f1"]
-    f1_ml = score(multilingual.pairs, synth.gold)["SEMANTIC"]["f1"]
+    f1_two = score(two_step.label_map(), synth.gold)["SEMANTIC"]["f1"]
+    f1_ml = score(multilingual.label_map(), synth.gold)["SEMANTIC"]["f1"]
     assert f1_two > f1_ml  # cross-language pairs are invisible without translation
 
 
@@ -498,6 +504,20 @@ def fail_after(items, n):
     raise WriteFailed
 
 
+class FailingList(list):
+    """A list whose reads fail after the first n, as a writer reads it."""
+
+    def __init__(self, items, n):
+        super().__init__(items)
+        self.reads = n
+
+    def __getitem__(self, i):
+        if not self.reads:
+            raise WriteFailed
+        self.reads -= 1
+        return super().__getitem__(i)
+
+
 class FailingDocument(dict):
     """A mapping whose entries fail partway through being read, as a writer reads them."""
 
@@ -524,9 +544,9 @@ def test_failed_artifact_write_keeps_previous_file(tmp_path, name):
     synth = synth_corpus(20, DupPlan(0.2, 0.2, 0.1), seed=4)
     postings = synth.postings
     canonicals = [canonicalize(p, config.normalize) for p in postings]
-    pairs = run_pipeline(postings, config).pairs
+    result = run_pipeline(postings, config)
     stats = corpus_stats(postings, tokenize)
-    evaluation = score(pairs, synth.gold)
+    evaluation = score(result.label_map(), synth.gold)
     # (what is written, the same failing partway, the writer the program uses)
     items, failing, write = {
         "postings.jsonl": (postings, fail_after(postings, 2), save_postings),
@@ -534,7 +554,11 @@ def test_failed_artifact_write_keeps_previous_file(tmp_path, name):
             postings, fail_after(postings, 2), lambda items, path: save_postings(items, path, "csv")
         ),
         CANONICAL_FILE: (canonicals, fail_after(canonicals, 2), write_canonical_file),
-        RESULTS_FILE: (pairs, fail_after(pairs, 2), write_results_csv),
+        RESULTS_FILE: (
+            result,
+            replace(result, reason_names=FailingList(result.reason_names, 2)),
+            write_results_csv,
+        ),
         "corpus_stats.json": (stats, FailingDocument(stats), write_json),
         EVAL_FILE: (evaluation, FailingDocument(evaluation), write_json),
         DICTIONARY_FILE: (
@@ -623,9 +647,93 @@ def test_expanded_pairs_carry_their_representatives_distance(tmp_path):
     vectors = dict(zip(embedded.ids, embedded.vectors.astype(np.float64)))
     thresholds = {f"rule({i})": rule.threshold for i, rule in enumerate(rules[:-1])}
     thresholds["semantic_threshold"] = rules[-1].threshold
-    semantic = [p for p in result.pairs if p.reason != "exact_fingerprint"]
+    semantic = [p for p in result_rows(result) if p.reason != "exact_fingerprint"]
     assert semantic
     for p in semantic:
         distance = float(np.sqrt(np.square(vectors[rep[p.id_a]] - vectors[rep[p.id_b]]).sum()))
         assert p.distance == pytest.approx(distance, rel=1e-12, abs=1e-15)
         assert p.distance < thresholds[p.reason]
+
+
+# Ids with commas, quotes, spaces and non-ASCII, which csv quoting must keep.
+_ID_CHARS = ["a", "b", "c", ",", '"', " ", "é", "日"]
+# Word-order swaps embed identically (a bag of tokens) but differ in canonical
+# text, so they give kept pairs across exact groups; case and spacing do not
+# change a fingerprint, and an empty text is a group of its own.
+_DIFF_TEXTS = ["senior chef", "chef senior", "line cook", "cook line", "night porter", ""]
+_MATCHERS = {
+    "company": ["same", "different", "any_missing", "any"],
+    "language": ["same", "different", "any"],
+    "location": ["same", "different", "any_missing", "any"],
+}
+
+
+@st.composite
+def _ruleset(draw) -> list[dict]:
+    """Up to two drawn rules of one or two matchers before a catch-all; any
+    of them may reject."""
+    rules = []
+    for _ in range(draw(st.integers(0, 2))):
+        fields = draw(
+            st.lists(st.sampled_from(sorted(_MATCHERS)), min_size=1, max_size=2, unique=True)
+        )
+        rules.append({field: draw(st.sampled_from(_MATCHERS[field])) for field in fields})
+    rules.append({})
+    for rule in rules:
+        if draw(st.booleans()) and len(rules) > 1:
+            rule["action"] = "reject"
+        else:
+            rule.update(action="threshold", threshold=draw(st.sampled_from([0.2, 0.9, 1.5])))
+    return rules
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_results_csv_equals_the_object_expansion(data):
+    n = data.draw(st.integers(2, 40), label="postings")
+    # A drawn prefix orders the ids; the posting's place makes each unique.
+    ids = [data.draw(st.text(st.sampled_from(_ID_CHARS), max_size=2)) + str(i) for i in range(n)]
+    n_dates = data.draw(st.integers(1, 3), label="dates")
+    meta = st.sampled_from([None, "x", "y"])
+    postings = [
+        make_posting(
+            pid,
+            data.draw(
+                st.sampled_from(_DIFF_TEXTS).flatmap(
+                    lambda t: st.sampled_from([t, t.upper(), f" {t} "])
+                )
+            ),
+            retrieval_date=date(2024, 3, 1 + data.draw(st.integers(0, n_dates - 1))),
+            company=data.draw(meta),
+            location=data.draw(meta),
+            language=data.draw(meta),
+        )
+        for pid in ids
+    ]
+    rules = data.draw(st.one_of(st.just([]), _ruleset()), label="rules")
+    config = config_from_dict(
+        {
+            "mode": "multilingual",
+            "embed": {"dim": 32},
+            "dedup": {"k": 10, "base_theta": 0.9, "rules": rules},
+        }
+    )
+    calls = []
+    expand = pipeline._expand_pairs
+
+    def recorded(*args):
+        calls.append(args)
+        return expand(*args)
+
+    with mock.patch.object(pipeline, "_expand_pairs", recorded):
+        result = run_pipeline(postings, config)
+    [(kept, run_rules, groups, _)] = calls
+    rows = reference.expand_pairs(kept, run_rules, groups, postings)
+    with tempfile.TemporaryDirectory() as outdir:
+        write_run(result, outdir)
+        assert (Path(outdir) / RESULTS_FILE).read_bytes() == reference.results_csv_bytes(rows)
+    counters = result.report["counters"]
+    assert counters["output_pairs"] == len(rows)
+    assert counters["exact_group_pairs"] == sum(r.reason == "exact_fingerprint" for r in rows)
+    labels = Counter(row.label.value for row in rows)
+    assert result.report["label_counts"] == dict(sorted(labels.items()))

@@ -26,19 +26,13 @@ from postdedup.translate import (
     IdentityTranslator,
     RemoteTranslator,
     TranslationCache,
-    TranslationRequest,
+    text_key,
     translate_batch,
 )
 
 from conftest import FakeResponse, FakeSession, answer
 
 FAST_RETRY = RetryPolicy(attempts=5, backoff_base=0.001, backoff_cap=0.002)
-
-
-def req(text: str, fingerprint: str | None = None, source: str | None = None) -> TranslationRequest:
-    return TranslationRequest(
-        fingerprint=fingerprint or f"fp-{text}", text=text, source_language=source
-    )
 
 
 class CountingBackend:
@@ -73,12 +67,12 @@ class CountingBackend:
 
 def test_identity_backend():
     backend = IdentityTranslator()
-    assert translate_batch([req("hund")], backend) == ["hund"]
+    assert translate_batch(["hund"], [None], backend) == ["hund"]
 
 
 def test_dictionary_backend_word_map():
     backend = DictionaryTranslator({"hund": "dog"})
-    assert translate_batch([req("hund kennel")], backend) == ["dog kennel"]
+    assert translate_batch(["hund kennel"], [None], backend) == ["dog kennel"]
 
 
 def test_dictionary_empty_map_passthrough():
@@ -193,11 +187,12 @@ def test_in_process_backends_start_no_thread_pool(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(postdedup.batching, "ThreadPoolExecutor", SpyPool)
-    requests = [req(f"hund {i}", source=("de", "es")[i % 2]) for i in range(50)]
+    texts = [f"hund {i}" for i in range(50)]
+    sources = [("de", "es")[i % 2] for i in range(50)]
     for backend in (IdentityTranslator(), DictionaryTranslator({"hund": "dog"})):
-        translate_batch(requests, backend, batch_size=4, max_in_flight=4)
+        translate_batch(texts, sources, backend, batch_size=4, max_in_flight=4)
     assert pools == []
-    translate_batch(requests, CountingBackend(), batch_size=4, max_in_flight=4)
+    translate_batch(texts, sources, CountingBackend(), batch_size=4, max_in_flight=4)
     assert len(pools) == 2  # a backend of any other kind: one pool per language pair
 
 
@@ -209,8 +204,9 @@ def test_dictionary_backend_is_called_once_per_language_pair():
             calls.append((source, len(texts)))
             return super().translate(texts, source, target)
 
-    requests = [req(f"hund {i}", source=("de", "es")[i % 2]) for i in range(50)]
-    out = translate_batch(requests, Spy({"hund": "dog"}), batch_size=4)
+    texts = [f"hund {i}" for i in range(50)]
+    sources = [("de", "es")[i % 2] for i in range(50)]
+    out = translate_batch(texts, sources, Spy({"hund": "dog"}), batch_size=4)
     assert out == [f"dog {i}" for i in range(50)]
     assert calls == [("de", 25), ("es", 25)]
 
@@ -257,22 +253,22 @@ def test_empty_text_makes_no_backend_or_cache_call():
             return super().get(fingerprint, target, backend_name)
 
     backend, cache = CountingBackend(), SpyCache()
-    cache.put([("fp-", "en", backend.name, "a cached text for the empty one")])
-    requests = [req(""), req("hallo"), req("", fingerprint="other")]
-    assert translate_batch(requests, backend, cache=cache) == ["", "hallo", ""]
-    assert cache.looked_up == ["fp-hallo"]
+    cache.put([(text_key(""), "en", backend.name, "a cached text for the empty one")])
+    texts = ["", "hallo", ""]
+    assert translate_batch(texts, [None, None, "el"], backend, cache=cache) == ["", "hallo", ""]
+    assert cache.looked_up == [text_key("hallo")]
     assert backend.batches == [["hallo"]]
     assert len(cache) == 2  # "hallo" alone was added
     backend = CountingBackend()
-    assert translate_batch([req("", source="el")], backend, cache=cache) == [""]
-    assert backend.calls == 0 and cache.looked_up == ["fp-hallo"]
+    assert translate_batch([""], ["el"], backend, cache=cache) == [""]
+    assert backend.calls == 0 and cache.looked_up == [text_key("hallo")]
 
 
 def test_cache_second_submission_is_a_hit():
     backend = CountingBackend()
     cache = TranslationCache()
-    first = translate_batch([req("hallo", fingerprint="same")], backend, cache=cache)
-    second = translate_batch([req("hallo", fingerprint="same")], backend, cache=cache)
+    first = translate_batch(["hallo"], [None], backend, cache=cache)
+    second = translate_batch(["hallo"], [None], backend, cache=cache)
     assert first == second == ["hallo"]
     assert backend.calls == 1
 
@@ -280,7 +276,8 @@ def test_cache_second_submission_is_a_hit():
 def test_duplicate_fingerprints_within_one_call_translated_once():
     backend = CountingBackend()
     out = translate_batch(
-        [req("hallo", fingerprint="same"), req("hallo", fingerprint="same")],
+        ["hallo", "hallo"],
+        [None, None],
         backend,
         cache=TranslationCache(),
         batch_size=1,
@@ -291,13 +288,15 @@ def test_duplicate_fingerprints_within_one_call_translated_once():
 
 def test_warm_cache_means_zero_backend_calls(tmp_path):
     cache_path = tmp_path / "cache.jsonl"
-    requests = [req(f"text {i}") for i in range(10)]
+    texts = [f"text {i}" for i in range(10)]
     backend = CountingBackend()
-    first = translate_batch(requests, backend, cache=TranslationCache(cache_path))
+    first = translate_batch(texts, [None] * 10, backend, cache=TranslationCache(cache_path))
     assert backend.calls > 0
 
     cold_backend = CountingBackend()
-    second = translate_batch(requests, cold_backend, cache=TranslationCache(cache_path))
+    second = translate_batch(
+        texts, [None] * 10, cold_backend, cache=TranslationCache(cache_path)
+    )
     assert cold_backend.calls == 0
     assert second == first
 
@@ -339,8 +338,11 @@ def test_cache_appends_once_per_language_pair(tmp_path, monkeypatch):
         return real_open(file, mode, *args, **kwargs)
 
     monkeypatch.setattr(postdedup.translate, "open", spy_open, raising=False)
-    requests = [req(f"text {i}", source=("de", "es")[i % 2]) for i in range(30)]
-    translate_batch(requests, CountingBackend(), cache=TranslationCache(cache_path), batch_size=4)
+    texts = [f"text {i}" for i in range(30)]
+    sources = [("de", "es")[i % 2] for i in range(30)]
+    translate_batch(
+        texts, sources, CountingBackend(), cache=TranslationCache(cache_path), batch_size=4
+    )
     assert appends == [cache_path, cache_path]
     assert len(cache_path.read_text(encoding="utf-8").splitlines()) == 30
 
@@ -393,15 +395,15 @@ def test_order_preserved_under_concurrency():
             time.sleep(self._rng.uniform(0, 0.01))
             return [t.upper() for t in texts]
 
-    requests = [req(f"text {i}") for i in range(40)]
-    out = translate_batch(requests, JitterBackend(), batch_size=3, max_in_flight=8)
+    texts = [f"text {i}" for i in range(40)]
+    out = translate_batch(texts, [None] * 40, JitterBackend(), batch_size=3, max_in_flight=8)
     assert out == [f"TEXT {i}" for i in range(40)]
 
 
 def test_bounded_in_flight_window():
     backend = CountingBackend(latency=0.02)
-    requests = [req(f"text {i}") for i in range(24)]
-    translate_batch(requests, backend, batch_size=2, max_in_flight=3)
+    texts = [f"text {i}" for i in range(24)]
+    translate_batch(texts, [None] * 24, backend, batch_size=2, max_in_flight=3)
     assert backend.max_in_flight <= 3
     assert backend.calls == 12
 
@@ -409,7 +411,7 @@ def test_bounded_in_flight_window():
 def test_retry_recovers_from_transient_failures():
     backend = CountingBackend(fail_first=2)
     out = translate_batch(
-        [req("hello")], backend, batch_size=1, max_in_flight=1, retry=FAST_RETRY
+        ["hello"], [None], backend, batch_size=1, max_in_flight=1, retry=FAST_RETRY
     )
     assert out == ["hello"]
     assert backend.calls == 3
@@ -418,7 +420,7 @@ def test_retry_recovers_from_transient_failures():
 def test_retries_exhausted_raises_backend_unavailable():
     backend = CountingBackend(fail_first=10**6)
     with pytest.raises(BackendUnavailable):
-        translate_batch([req("hello")], backend, retry=FAST_RETRY)
+        translate_batch(["hello"], [None], backend, retry=FAST_RETRY)
     assert backend.calls == FAST_RETRY.attempts
 
 
@@ -494,12 +496,7 @@ def test_map_batches_429_storm_ending_before_the_bound_keeps_submission_order(mo
 
 def test_grouped_by_language_pair():
     backend = CountingBackend()
-    requests = [
-        req("eins", source="de"),
-        req("uno", source="es"),
-        req("zwei", source="de"),
-    ]
-    out = translate_batch(requests, backend, batch_size=32)
+    out = translate_batch(["eins", "uno", "zwei"], ["de", "es", "de"], backend, batch_size=32)
     assert out == ["eins", "uno", "zwei"]
     assert sorted(len(b) for b in backend.batches) == [1, 2]
 
@@ -550,7 +547,7 @@ def translate_server():
 def test_remote_backend_round_trip(translate_server, monkeypatch):
     monkeypatch.setenv("DEDUP_TRANSLATE_API_KEY", "sekret")
     backend = RemoteTranslator(translate_server)
-    out = translate_batch([req("hallo"), req("welt")], backend, batch_size=2)
+    out = translate_batch(["hallo", "welt"], [None, None], backend, batch_size=2)
     assert out == ["HALLO", "WELT"]
     assert _Handler.seen_auth == ["Bearer sekret"]
 
@@ -558,7 +555,7 @@ def test_remote_backend_round_trip(translate_server, monkeypatch):
 def test_remote_backend_retries_rate_limit(translate_server):
     _Handler.behavior = "rate_limit_once"
     backend = RemoteTranslator(translate_server)
-    out = translate_batch([req("hallo")], backend, retry=FAST_RETRY)
+    out = translate_batch(["hallo"], [None], backend, retry=FAST_RETRY)
     assert out == ["HALLO"]
 
 
@@ -596,7 +593,7 @@ def test_remote_malformed_body_is_backend_unavailable(body):
 def test_remote_malformed_body_is_retried():
     session = FakeSession(FakeResponse(200, "not json"), answer({"translations": ["HALLO"]}))
     backend = RemoteTranslator("http://translate.invalid/t", session=session)
-    assert translate_batch([req("hallo")], backend, retry=FAST_RETRY) == ["HALLO"]
+    assert translate_batch(["hallo"], [None], backend, retry=FAST_RETRY) == ["HALLO"]
     assert len(session.calls) == 2
 
 
@@ -623,7 +620,7 @@ def test_retry_after_inf_is_ignored_and_the_call_retried():
         FakeResponse(429, "", {"Retry-After": "inf"}), answer({"translations": ["HALLO"]})
     )
     backend = RemoteTranslator("http://translate.invalid/t", session=session)
-    assert translate_batch([req("hallo")], backend, retry=FAST_RETRY) == ["HALLO"]
+    assert translate_batch(["hallo"], [None], backend, retry=FAST_RETRY) == ["HALLO"]
     assert len(session.calls) == 2
 
 
@@ -637,7 +634,7 @@ def test_retry_after_past_the_backoff_cap_ends_the_retries_unslept(monkeypatch, 
     )
     backend = RemoteTranslator("http://translate.invalid/t", session=session)
     with pytest.raises(RateLimited) as info:
-        translate_batch([req("hallo")], backend)
+        translate_batch(["hallo"], [None], backend)
     assert info.value.retry_after == float(header)
     assert sleeps == []
     assert len(session.calls) == 1
@@ -650,6 +647,6 @@ def test_retry_after_within_the_backoff_cap_is_slept_and_the_call_retried(monkey
         FakeResponse(429, "", {"Retry-After": "2"}), answer({"translations": ["HALLO"]})
     )
     backend = RemoteTranslator("http://translate.invalid/t", session=session)
-    assert translate_batch([req("hallo")], backend) == ["HALLO"]
+    assert translate_batch(["hallo"], [None], backend) == ["HALLO"]
     assert len(sleeps) == 1 and sleeps[0] >= 2.0
     assert len(session.calls) == 2

@@ -330,6 +330,28 @@ class TestRules:
 MARCH, APRIL = date(2024, 3, 1).toordinal(), date(2024, 4, 2).toordinal()
 
 
+def classify_one(same_text, day_a, day_b):
+    """The label `classify` gives a single pair."""
+    codes = classify(same_text, np.array([day_a], dtype=np.int64), np.array([day_b], dtype=np.int64))
+    return list(DuplicateLabel)[int(codes[0])]
+
+
+class TestClassify:
+    # `same_text` is True for a pair inside one exact group (equal
+    # fingerprints), False for a kept pair across two (the semantic pass).
+    def test_equal_fingerprints_equal_dates_full(self):
+        assert classify_one(True, MARCH, MARCH) == DuplicateLabel.FULL
+
+    def test_equal_fingerprints_different_dates_temporal(self):
+        assert classify_one(True, MARCH, APRIL) == DuplicateLabel.TEMPORAL
+
+    def test_semantic_pass_equal_dates_semantic(self):
+        assert classify_one(False, MARCH, MARCH) == DuplicateLabel.SEMANTIC
+
+    def test_semantic_pass_different_dates_temporal(self):
+        assert classify_one(False, APRIL, MARCH) == DuplicateLabel.TEMPORAL
+
+
 # `same_text` is True for pairs inside one exact group (equal fingerprints),
 # False for kept pairs across two (the semantic pass).
 @pytest.mark.parametrize(

@@ -82,14 +82,17 @@ def _posting_from_record(record: dict, path: str | Path, line_no: int) -> Postin
         retrieval_date = parse_date(str(record["retrieval_date"]))
     except ValueError as err:
         raise MalformedRecord(path, line_no, str(err)) from err
-    optional = {k: (record.get(k) or None) for k in _OPTIONAL_FIELDS}
+    optional = {k: record.get(k) for k in _OPTIONAL_FIELDS}
+    for field, value in optional.items():
+        if not isinstance(value, (str, type(None))):
+            raise MalformedRecord(path, line_no, f"field {field!r} must be a string or null")
     return Posting(
         id=str(record["id"]),
         title=str(title),
         description=str(description),
         retrieval_date=retrieval_date,
         source=str(record["source"]),
-        **optional,
+        **{k: v or None for k, v in optional.items()},
     )
 
 

@@ -4,7 +4,8 @@ Candidate pairs come straight from one k-NN search of the embeddings
 against the index built from them (`collect_hits`, a self-join by id
 rank), and travel as arrays (`CandidatePairs`), canonically ordered
 (id_a < id_b) and unordered-unique; expert rules are matched over them as
-one boolean mask per rule, never pair by pair. Thresholds are strict: a
+one boolean mask per rule, never pair by pair, reading the postings given
+aligned with the pairs' names by place. Thresholds are strict: a
 pair at exactly the threshold is excluded. A pair receives exactly one
 label; differing retrieval dates make an otherwise full or semantic
 duplicate TEMPORAL.
@@ -14,12 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .corpus import Posting
-from .errors import ConfigError, NoMatchingRule, UnknownId
+from .errors import ConfigError, NoMatchingRule
 from .index import FlatIndex, VectorIndex
 
 
@@ -238,25 +239,22 @@ def _field_mask(mode: str, codes: np.ndarray, pairs: CandidatePairs) -> np.ndarr
 
 def apply_rules_detailed(
     pairs: CandidatePairs,
-    postings_by_id: Mapping[str, Posting],
+    postings: Sequence[Posting],
     rules: Sequence[ExpertRule] | None,
     base_theta: float,
 ) -> KeptPairs:
     """Kept pairs, in (id_a, id_b) order, with the index of the rule that kept each one.
 
-    An empty ruleset degenerates to a single default rule at base_theta.
-    Each pair is matched by the first rule whose matchers all accept it
-    and kept iff its distance is strictly under that rule's threshold
-    (never, for `reject`). A name of `pairs` that is not in
-    `postings_by_id` raises UnknownId, checked before any rule is
-    matched; then a pair that no rule matches raises NoMatchingRule,
-    naming the first such pair.
+    `postings[i]` is the posting of `pairs.names[i]`. An empty ruleset
+    degenerates to a single default rule at base_theta. Each pair is
+    matched by the first rule whose matchers all accept it and kept iff
+    its distance is strictly under that rule's threshold (never, for
+    `reject`). A pair that no rule matches raises NoMatchingRule, naming
+    the first such pair.
     """
+    if len(postings) != len(pairs.names):
+        raise ValueError("postings must be aligned with the pairs' names")
     rules = list(rules) if rules else [default_rule(base_theta)]
-    try:
-        postings = [postings_by_id[name] for name in pairs.names]
-    except KeyError as err:
-        raise UnknownId(str(err.args[0])) from err
     fields = {
         "company": _codes([p.company for p in postings]),
         "location": _codes([p.location for p in postings]),

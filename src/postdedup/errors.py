@@ -64,12 +64,6 @@ class CorruptIndex(DataError):
     """Index file failed magic/version/length/checksum validation."""
 
 
-class UnknownId(DataError):
-    def __init__(self, posting_id: str) -> None:
-        self.posting_id = posting_id
-        super().__init__(f"unknown posting id {posting_id!r}")
-
-
 class NoMatchingRule(DataError):
     """No expert rule matched a pair; the terminal default rule is missing."""
 

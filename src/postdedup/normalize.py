@@ -6,6 +6,9 @@ character set, collapse repeated punctuation and whitespace. The composed
 pipeline is applied until the text stops changing, which makes
 `clean_text` idempotent even when one step uncovers work for an earlier
 one (e.g. filtering "&am™p;" down to "&amp;").
+
+Exact groups (`group_exact`) name their members by place in id order; the
+first place is the representative.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import html.entities
 import re
 import unicodedata
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Sequence
 
 from .errors import FingerprintCollision
 
@@ -48,12 +51,6 @@ class CanonicalText:
     text: str
     fingerprint: str  # 32 hex chars: MD5 of the UTF-8 lowercased text
     source_id: str
-
-
-@dataclass(frozen=True)
-class ExactGroup:
-    representative_id: str  # lexicographic minimum of member_ids
-    member_ids: frozenset[str]
 
 
 def strip_html(text: str) -> str:
@@ -229,35 +226,30 @@ def canonicalize(posting, config: NormalizeConfig | None = None) -> CanonicalTex
     return CanonicalText(text=text, fingerprint=fingerprint_text(text), source_id=posting.id)
 
 
-def group_exact(canonicals: Iterable[CanonicalText]) -> list[ExactGroup]:
-    """Partition canonical texts by fingerprint; singletons included.
+def group_exact(canonicals: Sequence[CanonicalText]) -> list[list[int]]:
+    """Partition canonical texts, given in id order, by fingerprint; singletons included.
 
+    A group is the ascending places of its members in `canonicals`: the first
+    is its representative, the smallest id, and groups come in its order.
     An empty text is a group of its own: a posting that cleans to nothing
-    shares no text with another. Groups are returned sorted by
-    representative id. Raises FingerprintCollision if two members share a
-    fingerprint but differ in lowercased text (never expected at 128 bits).
+    shares no text with another. Raises FingerprintCollision if two members
+    share a fingerprint but differ in lowercased text (never at 128 bits).
     """
-    by_fp: dict[str | tuple[str], list[CanonicalText]] = {}
-    for canonical in canonicals:
-        key = canonical.fingerprint if canonical.text else (canonical.source_id,)
-        by_fp.setdefault(key, []).append(canonical)
-    groups = []
-    for members in by_fp.values():
-        reference = members[0].text.lower()
-        for other in members[1:]:
-            if other.text.lower() != reference:
-                raise FingerprintCollision(members[0].source_id, other.source_id)
-        ids = frozenset(m.source_id for m in members)
-        groups.append(ExactGroup(representative_id=min(ids), member_ids=ids))
-    groups.sort(key=lambda g: g.representative_id)
-    return groups
+    by_fp: dict[str | int, list[int]] = {}
+    for place, canonical in enumerate(canonicals):
+        by_fp.setdefault(canonical.fingerprint if canonical.text else place, []).append(place)
+    for first, *others in by_fp.values():
+        reference = canonicals[first].text.lower()
+        for other in others:
+            if canonicals[other].text.lower() != reference:
+                raise FingerprintCollision(canonicals[first].source_id, canonicals[other].source_id)
+    return list(by_fp.values())
 
 
 __all__ = [
     "DEFAULT_KEEP_PUNCT",
     "NormalizeConfig",
     "CanonicalText",
-    "ExactGroup",
     "strip_html",
     "decode_entities",
     "split_camel_case",

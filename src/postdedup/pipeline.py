@@ -10,6 +10,11 @@ exact group shares its canonical text and is FULL; a kept pair across two
 groups does not and is SEMANTIC; either is TEMPORAL when the retrieval
 dates differ.
 
+The postings are sorted by id once, up front (`_id_order`, which rejects a
+repeated id), and every later stage refers to a posting by its place in
+that order, which is its id's rank: groups, rules and expansion map no id
+back to its row.
+
 `run_pipeline` is the only function that runs the chain. The CLI `dedup`
 command calls it over the corpus it reads (`load_postings`, looked up here
 at call time) and writes only its outputs, `results.csv` and `report.json`
@@ -36,7 +41,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import chain, combinations, compress, product
 from pathlib import Path
 from typing import Sequence
 
@@ -57,10 +62,10 @@ from .dedup import (
     threshold_sweep,
 )
 from .embed import HashedEmbedder, RemoteEmbedder, truncation_report
-from .errors import DataError, MalformedRecord
+from .errors import DataError, DuplicateId, MalformedRecord
 from .evaluation import write_results_csv
 from .index import FlatIndex, IVFIndex, VectorIndex, build_index, load_index
-from .normalize import CanonicalText, ExactGroup, canonicalize, group_exact
+from .normalize import CanonicalText, canonicalize, group_exact
 from .translate import (
     DictionaryTranslator,
     IdentityTranslator,
@@ -122,6 +127,15 @@ def _timed(timings: dict, name: str, fn, *args):
     return out
 
 
+def _id_order(postings: Sequence[Posting]) -> list[int]:
+    """The places of `postings` in id order; a repeated id raises DuplicateId."""
+    ids = [p.id for p in postings]
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    if repeated := [ids[a] for a, b in zip(order, order[1:]) if ids[a] == ids[b]]:
+        raise DuplicateId(repeated[0])
+    return order
+
+
 def _normalize(postings: Sequence[Posting], config: PipelineConfig) -> list[CanonicalText]:
     return [canonicalize(p, config.normalize) for p in postings]
 
@@ -129,22 +143,20 @@ def _normalize(postings: Sequence[Posting], config: PipelineConfig) -> list[Cano
 def _translate(
     postings: Sequence[Posting],
     canonicals: Sequence[CanonicalText],
-    groups: Sequence[ExactGroup],
+    groups: Sequence[list[int]],
     config: PipelineConfig,
     translator=None,
     cache: TranslationCache | None = None,
 ) -> list[str]:
-    """The text to embed for each group's representative, in group order."""
+    """The text to embed for each group's representative, in group order;
+    `postings` and `canonicals` are aligned, in id order."""
     if translator is None:
         translator = make_translator(config)
     if cache is None and config.translate.cache_path:
         cache = TranslationCache(config.translate.cache_path)
-    text_by_id = {c.source_id: c.text for c in canonicals}
-    language_by_id = {p.id: p.language for p in postings}
-    rep_ids = [g.representative_id for g in groups]
     return translate_batch(
-        [text_by_id[rid] for rid in rep_ids],
-        [language_by_id[rid] for rid in rep_ids],
+        [canonicals[g[0]].text for g in groups],
+        [postings[g[0]].language for g in groups],
         translator,
         cache=cache,
         max_in_flight=config.translate.max_in_flight,
@@ -154,8 +166,9 @@ def _translate(
 
 def _embed(
     rep_ids: Sequence[str], texts: Sequence[str], config: PipelineConfig, embedder=None
-) -> tuple[FlatIndex, dict]:
-    """The non-zero embeddings as a flat index (no rows if none), and their metadata."""
+) -> tuple[FlatIndex, dict, np.ndarray]:
+    """The non-zero embeddings as a flat index (no rows if none), their
+    metadata, and which texts have one (a bool per text)."""
     if embedder is None:
         embedder = make_embedder(config)
     token_counts: list[int] = []
@@ -171,47 +184,40 @@ def _embed(
     }
     # The embedder's matrix becomes the index as it is; a copy is made only
     # to drop zero rows.
-    return FlatIndex(ids, vectors if len(ids) == len(rep_ids) else vectors[nonzero]), meta
+    embedded = FlatIndex(ids, vectors if len(ids) == len(rep_ids) else vectors[nonzero])
+    return embedded, meta, nonzero
 
 
 def _expand_pairs(
     kept: KeptPairs,
     rules,
-    groups: Sequence[ExactGroup],
+    groups: Sequence[list[int]],
+    named: Sequence[list[int]],
     postings: Sequence[Posting],
 ) -> tuple[CandidatePairs, np.ndarray, np.ndarray, list[str]]:
     """Every member pair of each exact group (FULL), and of each kept pair of
     representatives (SEMANTIC); either is TEMPORAL when the dates differ.
-    Returns the columns of a `PipelineResult`: the pairs over the sorted
-    posting ids, sorted by (id_a, id_b), their label and reason codes, and
-    the reason names."""
-    day_by_id = {p.id: p.retrieval_date.toordinal() for p in postings}
-    names = sorted(day_by_id)
-    rank = {pid: r for r, pid in enumerate(names)}
-    days = np.array([day_by_id[pid] for pid in names], dtype=np.int64)
-    # Ranks order as ids do: a pair whose ranks ascend has ids that ascend.
-    members = {g.representative_id: sorted(rank[m] for m in g.member_ids) for g in groups}
-    rank_pair = np.dtype((np.int64, 2))
+    `postings` are in id order, a group holds the places of its members and
+    `named[i]` is the group of `kept.pairs.names[i]`. Returns the columns of
+    a `PipelineResult`: the pairs over the posting ids, sorted by (id_a,
+    id_b), their label and reason codes, and the reason names."""
+    days = np.array([p.retrieval_date.toordinal() for p in postings], dtype=np.int64)
+    # Places order as ids do: a pair whose places ascend has ids that ascend.
+    place_pair = np.dtype((np.int64, 2))
 
-    exact = np.fromiter(
-        chain.from_iterable(combinations(m, 2) for m in members.values()), dtype=rank_pair
-    )
+    exact = np.fromiter(chain.from_iterable(combinations(g, 2) for g in groups), dtype=place_pair)
     exact_labels = classify(True, days[exact[:, 0]], days[exact[:, 1]])
 
-    kept_names = kept.pairs.names
-    sides = [
-        (members[kept_names[lo]], members[kept_names[hi]])
-        for lo, hi in zip(kept.pairs.lo.tolist(), kept.pairs.hi.tolist())
-    ]
+    sides = [(named[a], named[b]) for a, b in zip(kept.pairs.lo.tolist(), kept.pairs.hi.tolist())]
     semantic = np.fromiter(
-        chain.from_iterable(product(ma, mb) for ma, mb in sides), dtype=rank_pair
+        chain.from_iterable(product(ma, mb) for ma, mb in sides), dtype=place_pair
     )
     semantic.sort(axis=1)
     per_kept = np.array([len(ma) * len(mb) for ma, mb in sides], dtype=np.int64)
     semantic_labels = classify(False, days[semantic[:, 0]], days[semantic[:, 1]])
 
-    ranks = np.concatenate([exact, semantic])
-    order = np.lexsort((ranks[:, 1], ranks[:, 0]))
+    places = np.concatenate([exact, semantic])
+    order = np.lexsort((places[:, 1], places[:, 0]))
     distances = np.concatenate([np.zeros(len(exact)), np.repeat(kept.pairs.distances, per_kept)])
     labels = np.concatenate([exact_labels, semantic_labels])
     reasons = np.concatenate(
@@ -220,20 +226,23 @@ def _expand_pairs(
     reason_names = ["exact_fingerprint"] + [
         "semantic_threshold" if rule.is_catch_all else f"rule({i})" for i, rule in enumerate(rules)
     ]
-    pairs = CandidatePairs(names, ranks[order, 0], ranks[order, 1], distances[order])
+    names = [p.id for p in postings]
+    pairs = CandidatePairs(names, places[order, 0], places[order, 1], distances[order])
     return pairs, labels[order], reasons[order], reason_names
 
 
 def _dedup(
     postings: Sequence[Posting],
-    groups: Sequence[ExactGroup],
+    groups: Sequence[list[int]],
+    named: Sequence[list[int]],
     meta: dict,
     queries: FlatIndex,
     index: VectorIndex,
     config: PipelineConfig,
     timings: dict,
 ) -> PipelineResult:
-    """Candidates, rules, classification, expansion; assembles the run report."""
+    """Candidates, rules, classification, expansion; assembles the run report.
+    `named[i]` is the group of `queries.ids[i]`, the i-th candidate name."""
     t0 = time.perf_counter()
     k, base_theta = config.dedup.k, config.dedup.base_theta
     radius = config.dedup.search_radius
@@ -241,10 +250,9 @@ def _dedup(
     timings["candidates"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    postings_by_id = {p.id: p for p in postings}
     rules = list(config.dedup.rules) or [default_rule(base_theta)]
-    kept = apply_rules_detailed(candidates, postings_by_id, rules, base_theta)
-    pairs, labels, reasons, reason_names = _expand_pairs(kept, rules, groups, postings)
+    kept = apply_rules_detailed(candidates, [postings[g[0]] for g in named], rules, base_theta)
+    pairs, labels, reasons, reason_names = _expand_pairs(kept, rules, groups, named, postings)
     n = len(queries)
     brute_force_pairs = pair_count(n)
     sweep = threshold_sweep(
@@ -299,17 +307,21 @@ def run_pipeline(
     embedder=None,
     cache: TranslationCache | None = None,
 ) -> PipelineResult:
-    """Run the full dedup chain in memory over already-loaded postings."""
+    """Run the full dedup chain in memory over already-loaded postings, in
+    any order; a repeated id raises DuplicateId before any stage runs."""
     timings: dict[str, float] = {}
+    order = _id_order(postings)
     canonicals = _timed(timings, "normalize", _normalize, postings, config)
+    postings, canonicals = [postings[i] for i in order], [canonicals[i] for i in order]
     groups = _timed(timings, "group_exact", group_exact, canonicals)
     texts = _timed(
         timings, "translate", _translate, postings, canonicals, groups, config, translator, cache
     )
-    rep_ids = [g.representative_id for g in groups]
-    embedded, meta = _timed(timings, "embed", _embed, rep_ids, texts, config, embedder)
+    rep_ids = [postings[g[0]].id for g in groups]
+    embedded, meta, nonzero = _timed(timings, "embed", _embed, rep_ids, texts, config, embedder)
     index = _timed(timings, "index", build_index, embedded, config.index)
-    return _dedup(postings, groups, meta, embedded, index, config, timings)
+    named = list(compress(groups, nonzero))
+    return _dedup(postings, groups, named, meta, embedded, index, config, timings)
 
 
 # --- artifact files and single-stage runners ---------------------------------
@@ -350,10 +362,8 @@ def read_canonical_file(path: str | Path) -> list[CanonicalText]:
     ]
 
 
-def _write_translated(
-    groups: Sequence[ExactGroup], texts: Sequence[str], outdir: str | Path
-) -> None:
-    records = ({"id": g.representative_id, "text": text} for g, text in zip(groups, texts))
+def _write_translated(rep_ids: Sequence[str], texts: Sequence[str], outdir: str | Path) -> None:
+    records = ({"id": rid, "text": text} for rid, text in zip(rep_ids, texts))
     _write_jsonl(records, Path(outdir) / TRANSLATED_FILE)
 
 
@@ -394,16 +404,18 @@ def stage_translate(config: PipelineConfig, outdir: str | Path, translator=None)
             f"{Path(outdir) / CANONICAL_FILE} does not hold the ids of {POSTINGS_FILE} "
             "in order; run the normalize stage again"
         )
+    order = _id_order(postings)
+    postings, canonicals = [postings[i] for i in order], [canonicals[i] for i in order]
     groups = group_exact(canonicals)
     texts = _translate(postings, canonicals, groups, config, translator)
-    _write_translated(groups, texts, outdir)
+    _write_translated([postings[g[0]].id for g in groups], texts, outdir)
     return texts
 
 
 def stage_embed(config: PipelineConfig, outdir: str | Path, embedder=None) -> FlatIndex:
     translated = read_translated_file(Path(outdir) / TRANSLATED_FILE)
     rep_ids, texts = [rid for rid, _ in translated], [text for _, text in translated]
-    embedded, meta = _embed(rep_ids, texts, config, embedder)
+    embedded, meta, _ = _embed(rep_ids, texts, config, embedder)
     _write_embedded(embedded, meta, outdir)
     return embedded
 

@@ -85,11 +85,11 @@ def spy_on_chain(monkeypatch) -> dict[str, list]:
 def write_chain_artifacts(calls: dict[str, list], outdir: Path) -> Path:
     """The values of one recorded chain run, written by the stage commands' writers."""
     ((_, canonicals),) = calls["_normalize"]
-    ((translate_args, texts),) = calls["_translate"]
-    ((_, (embedded, meta)),) = calls["_embed"]
+    ((_, texts),) = calls["_translate"]
+    (((rep_ids, *_), (embedded, meta, _)),) = calls["_embed"]
     outdir.mkdir(parents=True, exist_ok=True)
     write_canonical_file(canonicals, outdir / CANONICAL_FILE)
-    pipeline._write_translated(translate_args[2], texts, outdir)  # groups, texts
+    pipeline._write_translated(rep_ids, texts, outdir)
     pipeline._write_embedded(embedded, meta, outdir)
     return outdir
 

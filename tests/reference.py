@@ -1,10 +1,17 @@
 """Plain reference implementations that tests compare the program against.
 
-`expand_pairs` is the expansion of kept representative pairs and exact
-groups into labeled member pairs, written one object per pair: every pair
-of each group, every member pair of each kept pair, a label per pair from
-its two dates, and one sort at the end. `results_csv_bytes` writes its rows
-one `writerow` at a time, as `results.csv` holds them.
+Each is written one object per posting, group or pair, keyed by id, and
+shares no ordering with the program:
+
+- `exact_groups` groups postings by the fingerprint of `canonicalize`; an
+  empty text is a group of its own, and a group's smallest id represents it;
+- `per_pair_rules` matches the expert rules pair by pair, the first match
+  winning;
+- `expand_pairs` expands kept representative pairs and exact groups into
+  labeled member pairs: every pair of each group, every member pair of each
+  kept pair, a label per pair from its two dates, and one sort at the end;
+- `results_csv_bytes` writes rows one `writerow` at a time, as
+  `results.csv` holds them.
 """
 
 from __future__ import annotations
@@ -14,13 +21,66 @@ import io
 from itertools import combinations, product
 
 from postdedup.dedup import DuplicateLabel
+from postdedup.errors import NoMatchingRule
+from postdedup.normalize import canonicalize
 
-from conftest import ResultRow, pair_triples
+from conftest import ResultRow
+
+
+def exact_groups(postings, config=None) -> dict[str, list[str]]:
+    """Each exact group's sorted member ids, keyed by its representative."""
+    by_key: dict = {}
+    for posting in postings:
+        canonical = canonicalize(posting, config)
+        key = canonical.fingerprint if canonical.text else ("empty text", posting.id)
+        by_key.setdefault(key, []).append(posting.id)
+    return {min(ids): sorted(ids) for ids in by_key.values()}
+
+
+def _optional_match(mode, va, vb) -> bool:
+    if mode == "any":
+        return True
+    missing = va is None or vb is None
+    if mode == "any_missing":
+        return missing
+    if missing:
+        return False
+    return (va == vb) if mode == "same" else (va != vb)
+
+
+def _language_match(mode, va, vb) -> bool:
+    if mode == "any":
+        return True
+    la, lb = va or "und", vb or "und"
+    return (la == lb) if mode == "same" else (la != lb)
+
+
+def per_pair_rules(triples, postings_by_id, rules):
+    """Kept (id_a, id_b, distance) triples and rule indices, one pair at a time.
+
+    Pairs go in (id_a, id_b) order, each to the first rule that matches
+    it, and are kept strictly under that rule's threshold.
+    """
+    kept = []
+    for a, b, d in sorted(triples):
+        pa, pb = postings_by_id[a], postings_by_id[b]
+        for index, rule in enumerate(rules):
+            if (
+                _optional_match(rule.company, pa.company, pb.company)
+                and _language_match(rule.language, pa.language, pb.language)
+                and _optional_match(rule.location, pa.location, pb.location)
+            ):
+                break
+        else:
+            raise NoMatchingRule(f"no rule matched pair {(a, b)}; add a terminal default rule")
+        if rule.action == "threshold" and d < rule.threshold:
+            kept.append(((a, b, d), index))
+    return kept
 
 
 def expand_pairs(kept, rules, groups, postings) -> list[ResultRow]:
-    """The labeled member pairs of exact groups and kept pairs, sorted by (id_a, id_b)."""
-    members = {g.representative_id: sorted(g.member_ids) for g in groups}
+    """The labeled member pairs of exact groups and of kept pairs (as
+    `per_pair_rules` gives them), sorted by (id_a, id_b)."""
     dates = {p.id: p.retrieval_date for p in postings}
 
     def label(same_text: bool, id_a: str, id_b: str) -> DuplicateLabel:
@@ -29,16 +89,14 @@ def expand_pairs(kept, rules, groups, postings) -> list[ResultRow]:
         return DuplicateLabel.FULL if same_text else DuplicateLabel.SEMANTIC
 
     rows = []
-    for ids in members.values():
+    for ids in groups.values():
         for id_a, id_b in combinations(ids, 2):
             rows.append(ResultRow(id_a, id_b, label(True, id_a, id_b), 0.0, "exact_fingerprint"))
     reasons = [
         "semantic_threshold" if rule.is_catch_all else f"rule({i})" for i, rule in enumerate(rules)
     ]
-    for (rep_a, rep_b, distance), rule_index in zip(
-        pair_triples(kept.pairs), kept.rule_indices.tolist()
-    ):
-        for ma, mb in product(members[rep_a], members[rep_b]):
+    for (rep_a, rep_b, distance), rule_index in kept:
+        for ma, mb in product(groups[rep_a], groups[rep_b]):
             id_a, id_b = (ma, mb) if ma < mb else (mb, ma)
             rows.append(
                 ResultRow(id_a, id_b, label(False, id_a, id_b), distance, reasons[rule_index])

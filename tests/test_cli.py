@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import re
 import signal
 import struct
@@ -283,6 +284,48 @@ def test_dedup_input_csv_equals_ingest_then_dedup(tmp_path):
 
 def test_ingest_missing_input_is_data_error(tmp_path):
     assert run_cli("ingest", "--input", tmp_path / "nope.jsonl", "--out", tmp_path) == 3
+
+
+@pytest.mark.parametrize("command", ["ingest", "dedup"])
+@pytest.mark.parametrize(
+    "field, value",
+    [("company", ["x"]), ("location", {"city": "x"}), ("country", 5), ("language", ["en"])],
+)
+def test_optional_field_that_is_not_a_string_is_malformed(tmp_path, capsys, command, field, value):
+    corpus = tmp_path / "corpus.jsonl"
+    records = [dict(_POSTING, id="a", **{field: "x"}), dict(_POSTING, id="b", **{field: value})]
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    assert run_cli(command, "--input", corpus, "--out", tmp_path / "run") == 3
+    err = capsys.readouterr().err
+    assert f"{corpus}:2" in err
+    assert f"field {field!r} must be a string or null" in err
+
+
+def test_dedup_does_not_depend_on_the_order_of_the_input_lines(tmp_path):
+    corpus = tmp_path / "corpus"
+    assert run_cli(*synth_args(corpus, n_base=60, seed=6)) == 0
+    lines = (corpus / POSTINGS_FILE).read_text(encoding="utf-8").splitlines(keepends=True)
+    random.Random(6).shuffle(lines)
+    shuffled = tmp_path / "shuffled.jsonl"
+    shuffled.write_text("".join(lines), encoding="utf-8")
+    runs = []
+    for name, source in (("as-written", corpus / POSTINGS_FILE), ("shuffled", shuffled)):
+        out, cache, config = (tmp_path / f"{name}{ext}" for ext in ("", ".cache.jsonl", ".json"))
+        config.write_text(json.dumps({"translate": {"cache_path": str(cache)}}), encoding="utf-8")
+        assert run_cli(
+            "dedup", "--input", source, "--out", out, "--config", config, "--mode", "two_step",
+            "--dict", corpus / DICTIONARY_FILE, "--rules", "example", "--k", 20, "--theta", 0.35,
+        ) == 0
+        report = json.loads((out / REPORT_FILE).read_text(encoding="utf-8"))
+        del report["stage_seconds"]
+        records = [json.loads(line) for line in cache.read_text(encoding="utf-8").splitlines()]
+        for record in records:
+            del record["timestamp"]
+        runs.append(((out / RESULTS_FILE).read_bytes(), report, records))
+    assert runs[0] == runs[1]
+    counters = runs[0][1]["counters"]
+    assert 0 < counters["exact_group_pairs"] < counters["output_pairs"]  # both kinds of pair
+    assert runs[0][2]  # the run translated through the cache
 
 
 @pytest.mark.parametrize("kind", ["flat", "ivf"])

@@ -27,12 +27,14 @@ from postdedup.dedup import (
     threshold_sweep,
 )
 from postdedup.config import config_from_dict
-from postdedup.errors import ConfigError, NoMatchingRule, UnknownId
+from postdedup.errors import ConfigError, NoMatchingRule
 from postdedup.evaluation import render_report
 from postdedup.index import FlatIndex, IndexConfig, IVFIndex, build_index, load_index
 from postdedup.normalize import canonicalize
 from postdedup.pipeline import EMBEDDINGS_FILE, run_pipeline
 from postdedup.synth import DupPlan, synth_corpus
+
+from reference import per_pair_rules
 
 from conftest import (
     candidate_pairs,
@@ -54,11 +56,17 @@ def pair(a, b, d) -> tuple[str, str, float]:
     return (a, b, d)
 
 
+def rules_over(triples, postings_by_id, rules, base_theta=0.25):
+    """`apply_rules_detailed` over the pairs of `triples`, with the postings
+    of their names aligned to them."""
+    pairs = candidate_pairs(triples)
+    return apply_rules_detailed(pairs, [postings_by_id[n] for n in pairs.names], rules, base_theta)
+
+
 def kept_under(pairs, theta):
     """The pairs a lone default rule at theta keeps (a strict distance comparison)."""
     postings = {pid: make_posting(pid) for a, b, _ in pairs for pid in (a, b)}
-    kept = apply_rules_detailed(candidate_pairs(pairs), postings, [default_rule(theta)], theta)
-    return set(pair_triples(kept.pairs))
+    return set(pair_triples(rules_over(pairs, postings, [default_rule(theta)], theta).pairs))
 
 
 def distances_of(pairs) -> np.ndarray:
@@ -220,7 +228,7 @@ class TestRules:
         }
 
     def apply(self, triples, rules, base_theta=0.25):
-        return apply_rules_detailed(candidate_pairs(triples), self.postings, rules, base_theta)
+        return rules_over(triples, self.postings, rules, base_theta)
 
     def first_rule(self, id_a, id_b, **matchers) -> int:
         """The index of the rule that fires on (id_a, id_b): 0 if a rule with
@@ -282,22 +290,16 @@ class TestRules:
         with pytest.raises(NoMatchingRule, match="'a', 'd'"):
             self.apply([pair("a", "b", 0.1), pair("a", "d", 0.1), pair("b", "d", 0.1)], rules)
 
-    def test_unknown_id_raises(self):
-        with pytest.raises(UnknownId):
-            self.apply([pair("a", "zz", 0.1)], [default_rule(0.25)])
-        # checked before any rule: an earlier pair that no rule matches does not mask it
-        no_default = [ExpertRule(company="same", action="threshold", threshold=0.3)]
-        with pytest.raises(UnknownId):
-            self.apply([pair("a", "d", 0.1), pair("b", "zz", 0.1)], no_default)
+    def test_postings_must_be_aligned_with_the_names(self):
+        pairs = candidate_pairs([pair("a", "b", 0.1)])
+        with pytest.raises(ValueError, match="aligned"):
+            apply_rules_detailed(pairs, [self.postings["a"]], [default_rule(0.25)], 0.25)
 
     def test_prefilter_keeps_errors_of_pairs_over_every_threshold(self):
-        # A pair far over every threshold still raises when no rule matches
-        # it, or when one of its ids is unknown.
+        # A pair far over every threshold still raises when no rule matches it.
         no_default = [ExpertRule(company="same", action="threshold", threshold=0.3)]
         with pytest.raises(NoMatchingRule):
             self.apply([pair("a", "d", 1.9)], no_default)
-        with pytest.raises(UnknownId):
-            self.apply([pair("a", "zz", 1.9)], [default_rule(0.25)])
 
     def test_rule_validation(self):
         with pytest.raises(ConfigError):
@@ -691,52 +693,7 @@ def test_rule_threshold_keeps_strict_subset_property(raw, theta):
     assert all(p[2] >= theta for p in pairs - kept)
 
 
-# --- the per-pair rule matcher, kept as the oracle of the array matcher ------
-
-def _optional_match(mode, va, vb) -> bool:
-    if mode == "any":
-        return True
-    missing = va is None or vb is None
-    if mode == "any_missing":
-        return missing
-    if missing:
-        return False
-    return (va == vb) if mode == "same" else (va != vb)
-
-
-def _language_match(mode, va, vb) -> bool:
-    if mode == "any":
-        return True
-    la, lb = va or "und", vb or "und"
-    return (la == lb) if mode == "same" else (la != lb)
-
-
-def per_pair_rules(triples, postings_by_id, rules):
-    """Kept (id_a, id_b, distance) triples and rule indices, one pair at a time.
-
-    Every id is checked first; then pairs go in (id_a, id_b) order, each
-    to the first rule that matches it, and are kept strictly under that
-    rule's threshold.
-    """
-    for pid in sorted({pid for a, b, _ in triples for pid in (a, b)}):
-        if pid not in postings_by_id:
-            raise UnknownId(pid)
-    kept = []
-    for a, b, d in sorted(triples):
-        pa, pb = postings_by_id[a], postings_by_id[b]
-        for index, rule in enumerate(rules):
-            if (
-                _optional_match(rule.company, pa.company, pb.company)
-                and _language_match(rule.language, pa.language, pb.language)
-                and _optional_match(rule.location, pa.location, pb.location)
-            ):
-                break
-        else:
-            raise NoMatchingRule(f"no rule matched pair {(a, b)}; add a terminal default rule")
-        if rule.action == "threshold" and d < rule.threshold:
-            kept.append(((a, b, d), index))
-    return kept
-
+# --- the array rule matcher against the per-pair one of `reference` ---------
 
 _FIELD_VALUES = st.sampled_from([None, "", "x", "y"])
 _THRESHOLDS = [0.2, 0.25, 0.5, 1.0]
@@ -766,7 +723,6 @@ def rulesets(draw):
     postings=st.lists(
         st.tuples(_FIELD_VALUES, _FIELD_VALUES, _FIELD_VALUES), min_size=6, max_size=6
     ),
-    unknown=st.integers(0, 20),  # the id left out of the postings, if under 6
     raw_pairs=st.dictionaries(
         st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda t: t[0] < t[1]),
         st.one_of(st.sampled_from(_THRESHOLDS), st.floats(0, 1.2)),
@@ -775,22 +731,21 @@ def rulesets(draw):
     ),
     rules=rulesets(),
 )
-def test_array_rules_equal_per_pair_matcher(postings, unknown, raw_pairs, rules):
+def test_array_rules_equal_per_pair_matcher(postings, raw_pairs, rules):
     ids = [f"p{i}" for i in range(6)]
     postings_by_id = {
         pid: make_posting(pid, company=company, location=location, language=language)
-        for i, (pid, (company, location, language)) in enumerate(zip(ids, postings))
-        if i != unknown
+        for pid, (company, location, language) in zip(ids, postings)
     }
     triples = [(ids[a], ids[b], d) for (a, b), d in raw_pairs.items()]
     try:
         expected = per_pair_rules(triples, postings_by_id, rules)
-    except (UnknownId, NoMatchingRule) as err:
-        with pytest.raises(type(err)) as got:
-            apply_rules_detailed(candidate_pairs(triples), postings_by_id, rules, 0.25)
+    except NoMatchingRule as err:
+        with pytest.raises(NoMatchingRule) as got:
+            rules_over(triples, postings_by_id, rules)
         assert str(got.value) == str(err)
         return
-    kept = apply_rules_detailed(candidate_pairs(triples), postings_by_id, rules, 0.25)
+    kept = rules_over(triples, postings_by_id, rules)
     assert list(zip(pair_triples(kept.pairs), kept.rule_indices.tolist())) == expected
     assert kept.rule_indices.dtype == np.int64
 

@@ -312,15 +312,19 @@ def _canonical(pid: str, text: str) -> CanonicalText:
 
 def test_group_exact_case_insensitive():
     groups = group_exact([_canonical("a", "Chef de Cuisine"), _canonical("b", "chef de cuisine")])
-    assert len(groups) == 1
-    assert groups[0].member_ids == frozenset({"a", "b"})
-    assert groups[0].representative_id == "a"
+    assert groups == [[0, 1]]  # places in id order; the first is the representative
 
 
 def test_group_exact_distinct_texts():
     groups = group_exact([_canonical("a", "chef"), _canonical("b", "baker")])
-    assert len(groups) == 2
-    assert all(len(g.member_ids) == 1 for g in groups)
+    assert groups == [[0], [1]]
+
+
+def test_group_exact_groups_come_in_representative_order():
+    texts = ["chef", "", "baker", "Chef", "", "BAKER", "chef"]
+    groups = group_exact([_canonical(f"p{i}", t) for i, t in enumerate(texts)])
+    # Each empty text is a group of its own.
+    assert groups == [[0, 3, 6], [1], [2, 5], [4]]
 
 
 def test_group_exact_detects_collision():
@@ -340,22 +344,19 @@ def test_group_exact_matches_all_pairs_equality_oracle():
         if rng.random() < 0.5:
             t = t.upper() if rng.random() < 0.5 else t.title()
         texts.append(t)
-    canonicals = [_canonical(f"p{i:05d}", t) for i, t in enumerate(texts)]
+    canonicals = [_canonical(f"p{i:05d}", t) for i, t in enumerate(texts)]  # in id order
 
     lowered = np.array([t.lower() for t in texts])
     equal = lowered[:, None] == lowered[None, :]
-    oracle_groups = set()
-    for i in range(len(texts)):
-        members = frozenset(f"p{j:05d}" for j in np.nonzero(equal[i])[0])
-        oracle_groups.add(members)
+    oracle_groups = {tuple(np.nonzero(equal[i])[0].tolist()) for i in range(len(texts))}
 
     groups = group_exact(canonicals)
-    assert {g.member_ids for g in groups} == oracle_groups
+    assert {tuple(g) for g in groups} == oracle_groups  # each ascending
     # partition: disjoint and covering
-    all_ids = [pid for g in groups for pid in g.member_ids]
-    assert len(all_ids) == 5_000
-    assert len(set(all_ids)) == 5_000
-    assert all(g.representative_id == min(g.member_ids) for g in groups)
+    all_places = [place for g in groups for place in g]
+    assert sorted(all_places) == list(range(5_000))
+    # the representative is the smallest id, and groups come in its order
+    assert [g[0] for g in groups] == sorted(g[0] for g in groups)
 
 
 def test_group_count_never_exceeds_posting_count():

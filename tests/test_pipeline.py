@@ -20,7 +20,7 @@ from postdedup import pipeline
 from postdedup.cli import main
 from postdedup.config import config_from_dict
 from postdedup.corpus import corpus_stats, save_postings
-from postdedup.dedup import DuplicateLabel, example_ruleset
+from postdedup.dedup import DuplicateLabel, default_rule, example_ruleset
 from postdedup.errors import DataError, DuplicateId, ZeroVector
 from postdedup.embed import tokenize
 from postdedup.evaluation import GoldSet, render_report, score, write_results_csv
@@ -49,6 +49,7 @@ import reference
 from conftest import (
     STAGE_FILES,
     make_posting,
+    pair_triples,
     result_rows,
     spy_on_chain,
     write_chain_artifacts,
@@ -191,6 +192,19 @@ def test_staged_equals_in_memory(tmp_path):
     expected = tmp_path / "expected.csv"
     write_results_csv(run_pipeline(synth.postings, config), expected)
     assert (outdir / RESULTS_FILE).read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("text", ["chef", "baker"], ids=["same-text", "different-text"])
+def test_a_repeated_id_is_rejected_before_any_stage(monkeypatch, text):
+    postings = [
+        make_posting("a", "chef"),
+        make_posting("a", text, retrieval_date=date(2024, 3, 2)),
+        make_posting("b", "chef"),
+    ]
+    calls = spy_on_chain(monkeypatch)
+    with pytest.raises(DuplicateId, match="duplicate posting id 'a'"):
+        run_pipeline(postings, config_from_dict({}))
+    assert calls == {name: [] for name in calls}
 
 
 def test_individual_stages_compose_byte_identically(tmp_path, monkeypatch):
@@ -638,10 +652,13 @@ def test_expanded_pairs_carry_their_representatives_distance(tmp_path):
     result = run_pipeline(synth.postings, config)
     # Independent: each member's representative from the written canonical
     # file, and the L2 distance of the two representatives' stored vectors.
+    canonicals = sorted(
+        pipeline.read_canonical_file(outdir / CANONICAL_FILE), key=lambda c: c.source_id
+    )
     rep = {
-        member: group.representative_id
-        for group in group_exact(pipeline.read_canonical_file(outdir / CANONICAL_FILE))
-        for member in group.member_ids
+        canonicals[member].source_id: canonicals[group[0]].source_id
+        for group in group_exact(canonicals)
+        for member in group
     }
     embedded = load_index(outdir / EMBEDDINGS_FILE)
     vectors = dict(zip(embedded.ids, embedded.vectors.astype(np.float64)))
@@ -718,21 +735,32 @@ def test_results_csv_equals_the_object_expansion(data):
             "dedup": {"k": 10, "base_theta": 0.9, "rules": rules},
         }
     )
+    # Only the candidate pairs come from the program; the groups, the rules
+    # and the expansion are the reference's own.
     calls = []
-    expand = pipeline._expand_pairs
+    collect = pipeline.collect_hits
 
-    def recorded(*args):
-        calls.append(args)
-        return expand(*args)
+    def recorded(*args, **kwargs):
+        calls.append(collect(*args, **kwargs))
+        return calls[-1]
 
-    with mock.patch.object(pipeline, "_expand_pairs", recorded):
+    with mock.patch.object(pipeline, "collect_hits", recorded):
         result = run_pipeline(postings, config)
-    [(kept, run_rules, groups, _)] = calls
-    rows = reference.expand_pairs(kept, run_rules, groups, postings)
+    [(candidates, _)] = calls
+    groups = reference.exact_groups(postings, config.normalize)
+    assert set(candidates.names) <= groups.keys()  # the representatives were embedded
+    rules = list(config.dedup.rules) or [default_rule(config.dedup.base_theta)]
+    kept = reference.per_pair_rules(
+        pair_triples(candidates), {p.id: p for p in postings}, rules
+    )
+    rows = reference.expand_pairs(kept, rules, groups, postings)
     with tempfile.TemporaryDirectory() as outdir:
         write_run(result, outdir)
         assert (Path(outdir) / RESULTS_FILE).read_bytes() == reference.results_csv_bytes(rows)
+    rule_kept = Counter(index for _, index in kept)
+    assert result.report["rule_kept"] == [rule_kept[i] for i in range(len(rules))]
     counters = result.report["counters"]
+    assert counters["kept_representative_pairs"] == len(kept)
     assert counters["output_pairs"] == len(rows)
     assert counters["exact_group_pairs"] == sum(r.reason == "exact_fingerprint" for r in rows)
     labels = Counter(row.label.value for row in rows)

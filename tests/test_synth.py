@@ -116,18 +116,11 @@ def test_generator_separation_margin_brute_force():
     result = synth_corpus(
         300, DupPlan(0.15, 0.15, 0.10, hard_semantic_fraction=0.3), seed=7
     )
-    canonicals = [canonicalize(p) for p in result.postings]
+    postings = sorted(result.postings, key=lambda p: p.id)
+    canonicals = [canonicalize(p) for p in postings]
     groups = group_exact(canonicals)
-    rep_text = {
-        g.representative_id: next(
-            c.text for c in canonicals if c.source_id == g.representative_id
-        )
-        for g in groups
-    }
-    rep_of = {}
-    for g in groups:
-        for member in g.member_ids:
-            rep_of[member] = g.representative_id
+    rep_text = {postings[g[0]].id: canonicals[g[0]].text for g in groups}
+    rep_of = {postings[member].id: postings[g[0]].id for g in groups for member in g}
 
     translator = DictionaryTranslator(result.translation_dict)
     embedder = HashedEmbedder(dim=256)

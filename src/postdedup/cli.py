@@ -128,44 +128,38 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     return config_from_dict(raw)
 
 
-def _cmd_ingest(args) -> int:
-    _config_from_args(args)  # only checked: a broken config fails every command
+def _cmd_ingest(args, config: PipelineConfig) -> int:
     postings = stage_ingest(args.input, args.format, args.out)
     write_json(corpus_stats(postings, tokenize), Path(args.out) / "corpus_stats.json")
     print(f"ingested {len(postings)} postings into {args.out}/{POSTINGS_FILE}")
     return 0
 
 
-def _cmd_normalize(args) -> int:
-    config = _config_from_args(args)
+def _cmd_normalize(args, config: PipelineConfig) -> int:
     canonicals = stage_normalize(config, args.out)
     print(f"normalized {len(canonicals)} postings")
     return 0
 
 
-def _cmd_translate(args) -> int:
-    config = _config_from_args(args)
+def _cmd_translate(args, config: PipelineConfig) -> int:
     texts = stage_translate(config, args.out)
     print(f"translated {len(texts)} representative texts")
     return 0
 
 
-def _cmd_embed(args) -> int:
-    config = _config_from_args(args)
+def _cmd_embed(args, config: PipelineConfig) -> int:
     embedded = stage_embed(config, args.out)
     print(f"embedded {len(embedded)} non-empty representatives")
     return 0
 
 
-def _cmd_index(args) -> int:
-    config = _config_from_args(args)
+def _cmd_index(args, config: PipelineConfig) -> int:
     index = stage_index(config, args.out)
     print(f"built {index.kind} index over {len(index)} vectors")
     return 0
 
 
-def _cmd_dedup(args) -> int:
-    config = _config_from_args(args)
+def _cmd_dedup(args, config: PipelineConfig) -> int:
     outdir = Path(args.out)
     # Through `pipeline`, where a tracer finds every name the chain calls.
     if args.input:
@@ -181,7 +175,7 @@ def _cmd_dedup(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args, config: PipelineConfig) -> int:
     results_path = Path(args.results or Path(args.out) / RESULTS_FILE)
     gold_path = Path(args.gold or Path(args.out) / GOLD_FILE)
     predicted = read_results_csv(results_path)
@@ -195,10 +189,9 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args, config: PipelineConfig) -> int:
     from .synth import DupPlan, synth_corpus
 
-    config = _config_from_args(args)
     plan = DupPlan(
         full_rate=args.full_rate,
         semantic_rate=args.semantic_rate,
@@ -220,7 +213,7 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args, config: PipelineConfig) -> int:
     run_path = Path(args.run or Path(args.out) / REPORT_FILE)
     run = read_json(run_path)
     if not isinstance(run, dict):
@@ -302,7 +295,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Every command reads the config, so a broken one fails each alike.
+        return args.func(args, _config_from_args(args))
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

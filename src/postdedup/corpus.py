@@ -71,28 +71,27 @@ def parse_date(value: str) -> date:
 
 
 def _posting_from_record(record: dict, path: str | Path, line_no: int) -> Posting:
+    for field in _COLUMNS:
+        if not isinstance(record.get(field), (str, type(None))):
+            raise MalformedRecord(path, line_no, f"field {field!r} must be a string or null")
     for field in ("id", "retrieval_date", "source"):
-        if record.get(field) in (None, ""):
+        if not record.get(field):
             raise MissingRequiredField(field, path, line_no)
     title = record.get("title") or ""
     description = record.get("description") or ""
     if not title and not description:
         raise MissingRequiredField("title/description", path, line_no)
     try:
-        retrieval_date = parse_date(str(record["retrieval_date"]))
+        retrieval_date = parse_date(record["retrieval_date"])
     except ValueError as err:
         raise MalformedRecord(path, line_no, str(err)) from err
-    optional = {k: record.get(k) for k in _OPTIONAL_FIELDS}
-    for field, value in optional.items():
-        if not isinstance(value, (str, type(None))):
-            raise MalformedRecord(path, line_no, f"field {field!r} must be a string or null")
     return Posting(
-        id=str(record["id"]),
-        title=str(title),
-        description=str(description),
+        id=record["id"],
+        title=title,
+        description=description,
         retrieval_date=retrieval_date,
-        source=str(record["source"]),
-        **{k: v or None for k, v in optional.items()},
+        source=record["source"],
+        **{k: record.get(k) or None for k in _OPTIONAL_FIELDS},
     )
 
 

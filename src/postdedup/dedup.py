@@ -13,6 +13,7 @@ duplicate TEMPORAL.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -116,58 +117,51 @@ def collect_hits(
     queries: FlatIndex,
     k: int = 100,
     threads: int = 1,
-    radius: float | None = None,
+    radius: float = math.inf,
 ) -> tuple[CandidatePairs, np.ndarray]:
     """Candidate pairs of a self-join, and each query's k-th hit distance.
 
     `queries` holds the same ids as `index` (the embeddings the index was
-    built from), else ValueError. A query's hits are its k nearest rows,
-    its own row excluded; with `radius`, only those at a distance under
-    it. Those are exactly the k-NN hits under `radius`, bit for bit, so
-    every threshold and sweep at or under it counts the same pairs, and
-    every saturated query is still found; the index then re-ranks only
-    the rows that can lie under `radius` (see `postdedup.index`). Queries
-    may fan out over threads; results are identical for any thread count.
+    built from), else ValueError. A query's hits are its k nearest rows
+    at a distance under `radius`, its own row excluded. Those are exactly
+    the k-NN hits under `radius`, bit for bit, so every threshold and
+    sweep at or under it counts the same pairs, and every saturated query
+    is still found; the index re-ranks only the rows that can lie under
+    `radius` (see `postdedup.index`). Queries may fan out over threads;
+    results are identical for any thread count.
 
-    The hits come as the flat arrays of one `search_arrays(..., k + 1)`
-    call, so the memory they take follows the hits found, not k; when
-    `index` is `queries` itself (a flat index of its own queries) and a
-    radius is given, `self_join_arrays` gives the same arrays deciding
-    each pair of rows once (see `postdedup.index`). The
-    pairs are the union of every query's hits, with names
+    The hits come as the flat arrays of one `index.self_join_arrays(k +
+    1, radius)` call, so the memory they take follows the hits found, not
+    k. The pairs are the union of every query's hits, with names
     `sorted(index.ids)`; a pair found from both ends keeps the distance of
-    its first hit in query order (both ends compute the same bits).
-    `kth[q]` is the distance of the k-th hit of `queries.ids[q]`, inf where
-    it has fewer than k.
+    its first hit in the index's row order (both ends compute the same
+    bits). `kth[q]` is the distance of the k-th hit of `queries.ids[q]`,
+    inf where it has fewer than k.
     """
     names = sorted(index.ids)
     if sorted(queries.ids) != names:
         raise ValueError("collect_hits is a self-join: queries must hold the index's ids")
-    if index is queries and radius is not None:  # a flat index of its own queries
-        qi, rows, d = index.self_join_arrays(k + 1, radius, threads=threads)
-    else:
-        qi, rows, d = index.search_arrays(queries.vectors, k + 1, threads=threads, radius=radius)
-    if radius is not None:
-        under = d < radius
-        qi, rows, d = qi[under], rows[under], d[under]
-    # Each hit as (query, query's id rank, row's id rank, distance), in
+    qi, rows, d = index.self_join_arrays(k + 1, radius, threads=threads)
+    under = d < radius
+    qi, rows, d = qi[under], rows[under], d[under]
+    # Each hit as (query row, query's id rank, row's id rank, distance), in
     # query order, then ascending within a query; the own row is the hit
     # of equal rank.
-    a, b = queries._id_ranks[qi], index._id_ranks[rows]
+    a, b = index._id_ranks[qi], index._id_ranks[rows]
     other = a != b
     qi, a, b, d = qi[other], a[other], b[other], d[other]
     # qi ascends, so a hit's place among its query's hits is its offset
     # from the query's first hit.
     place = np.arange(qi.size) - np.searchsorted(qi, qi)
-    kth = np.full(len(queries), np.inf)
+    kth = np.full(len(names), np.inf)  # by id rank
     last = place == k - 1
-    kth[qi[last]] = d[last]
+    kth[a[last]] = d[last]
     keep = place < k
     a, b, d = a[keep], b[keep], d[keep]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     n = len(names)
     codes, first = np.unique(lo * n + hi, return_index=True)
-    return CandidatePairs(names, codes // n, codes % n, d[first]), kth
+    return CandidatePairs(names, codes // n, codes % n, d[first]), kth[queries._id_ranks]
 
 
 def threshold_sweep(

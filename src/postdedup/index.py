@@ -9,19 +9,24 @@ batched or threaded, and an IVF index probing all of its lists
 reproduces the flat index exactly, including tie order (ties break by
 ascending id everywhere).
 
+An index has one search, `self_join_arrays`: the all-pairs search of
+Bayardo, Ma & Srikant ("Scaling Up All Pairs Similarity Search", WWW
+2007), each stored row's k nearest stored rows under a radius R (inf
+for none). That is the search the pipeline makes of the embeddings.
+
 Search kernel. One function, `_search`, finds every exact top k here,
 by the IVF list scan of Johnson, Douze & Jégou (arXiv:1702.08734): a
-query scans the lists of rows it probes. A flat index is one list,
-``[0, n)``, that every query probes; an IVF index probes each query's
-``nprobe`` nearest lists, and that probe is a one-list search over the
-centroids, as the k-means assign step is over the centers. Queries run
-in blocks whose temporaries are sized by a byte budget (`_BLOCK_BYTES`),
-not by a query count. Each list a block probes gets one product with the
-queries probing it (`_preselect`, the only place that forms it), which
-gives the approximate squared distance ``A = ‖q‖² + ‖x‖² − 2·q·x`` of
-every row of the list. Per query the scan keeps every row with
-``A ≤ a_k + 2Δ``, where ``a_k`` is the query's k-th smallest ``A`` in
-the list and
+query scans the lists of rows it probes. A one-list search, ``[0, n)``
+probed by every query, serves the flat self-join's fallback; an IVF
+index's rows probe their ``nprobe`` nearest lists, and that probe is a
+one-list search over the centroids, as the k-means assign step is over
+the centers. Queries run in blocks whose temporaries are sized by a byte
+budget (`_BLOCK_BYTES`), not by a query count. Each list a block probes
+gets one product with the queries probing it (`_preselect`, the only
+place that forms it), which gives the approximate squared distance
+``A = ‖q‖² + ‖x‖² − 2·q·x`` of every row of the list. Per query the
+scan keeps every row with ``A ≤ a_k + 2Δ``, where ``a_k`` is the
+query's k-th smallest ``A`` in the list and
 
     Δ = (γ_d + 2·γ'_(d+2) + 6u)·(‖q‖ + max‖x‖)² + (5d + 4)·η
 
@@ -35,30 +40,29 @@ included. The k-means++ seeding shares the same preselect, bounded per
 row by its distance to the nearest center so far, to skip the rows a
 new center cannot bring closer.
 
-A search can also be bounded by a radius R, the largest distance the
-caller can keep (a range search next to k-NN, as in Johnson et al.; the
-threshold bounds all-pairs search as in Bayardo, Ma & Srikant, "Scaling
-Up All Pairs Similarity Search", WWW 2007). Each query then keeps the
-rows of a list with ``A ≤ R² + 2Δ``. A query that keeps more than k of
-them in one list partitions that list for ``a_k`` and keeps
-``A ≤ a_k + 2Δ`` instead, which is exactly what it keeps there without
-R. The hits under R are those of the unbounded search bit for bit,
-while the exact re-rank sees the few rows near each query instead of
-more than k.
+The radius R is the largest distance the caller can keep (a range
+search next to k-NN, as in Johnson et al.; the threshold bounds
+all-pairs search as in Bayardo et al.). Each query keeps the rows of a
+list with ``A ≤ R² + 2Δ``. A query that keeps more than k of them in one
+list partitions that list for ``a_k`` and keeps ``A ≤ a_k + 2Δ``
+instead, which is exactly what it keeps there without R; under R = inf
+every query does. The hits under R are those of the unbounded search bit
+for bit, while the exact re-rank sees the few rows near each query
+instead of more than k.
 
-Self-join. A flat index searched with its own rows as the queries and a
-radius (`FlatIndex.self_join_arrays`, how `collect_hits` searches the
-embeddings of a flat run) decides each unordered pair once, as the
+Self-join. A flat index decides each unordered pair once, as the
 all-pairs search of Bayardo et al. does (`_self_join`). Query block
 [s, e) forms its product only against rows [s, n), keeping the strict
 upper triangle of its own rows, with one Δ for every pair (the largest
 row norm on both sides), and re-ranks each kept pair once; the exact d²
 is bitwise symmetric, so the pair is mirrored to its other end, and a
-row's own d² is 0. A row that keeps more than k rows in all is searched
-by `_search` instead, so every row's hits are those of the search above,
-bit for bit. On the flat-2k rows (2,395 × 256) the blocks hold 46
-queries, as `_search`'s do with a radius (1 MiB ÷ (9 × 2,395 + 1,024)),
-but the 53 products cover half the (query, row) pairs.
+row's own d² is 0. The rows that keep more than k rows in all are
+searched by `_search` instead, as the queries of one list of every row,
+so every row's hits are those of that search, bit for bit. On the
+flat-2k rows (2,395 × 256) the blocks hold 46 queries, as `_search`'s
+do with a radius (1 MiB ÷ (9 × 2,395 + 1,024)), but the 53 products
+cover half the (query, row) pairs. An IVF index runs `_search` with its
+rows as the queries, each probing its own ``nprobe`` lists.
 
 The product is one BLAS GEMM, ``(rows @ queries.T).T``, as in blocked
 exact search (Johnson et al.). The CLI runs OpenBLAS with one thread (see
@@ -85,6 +89,7 @@ loaded index reproduces the file byte for byte.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from collections import Counter, deque
@@ -112,12 +117,13 @@ _KIND_FLAT = 0
 # (query, row) entry it can reach costs two approximate distances and a
 # mask flag, plus `_CANDIDATE_BYTES` (indices, exact d², sort order)
 # without a radius. The rows a query can reach are those of the `nprobe`
-# largest lists: all n rows for a one-list search (flat, the IVF probe,
-# the k-means assign). With a radius a query keeps few rows, so the block
-# is not sized for candidates; its queries are instead re-ranked in runs
-# whose kept rows cost at most the budget at `_CANDIDATE_BYTES` each, so
-# a block whose queries keep every row they reach (a clique under the
-# radius) holds no more than a common one. See `_search`.
+# largest lists: all n rows for a one-list search (the flat self-join's
+# fallback, the IVF probe, the k-means assign). With a radius a query
+# keeps few rows, so the block is not sized for candidates; its queries
+# are instead re-ranked in runs whose kept rows cost at most the budget
+# at `_CANDIDATE_BYTES` each, so a block whose queries keep every row
+# they reach (a clique under the radius) holds no more than a common
+# one. See `_search`.
 _BLOCK_BYTES = 1 << 20
 _CANDIDATE_BYTES = 40
 
@@ -440,13 +446,12 @@ def _self_join(
     r2, so the top k under the radius is all of them (the argument at
     `_preselect`). Its hits are its kept rows: each pair is re-ranked once
     with the exact expression when it is stored, and mirrored, since E is
-    bitwise symmetric (x − q = −(q − x) exactly in floating point). A
-    query that keeps more rows probes a list of all rows in `_search`
-    (the others probe an empty one), so its hits are that search's by
-    construction. A pair is stored only while one of its ends keeps at
-    most k rows, so the stored pairs follow the hits, and blocks are
-    sized as `_search` sizes them with a radius. Results are equal for
-    any `threads`.
+    bitwise symmetric (x − q = −(q − x) exactly in floating point). The
+    queries that keep more rows are searched by `_search`, over one list
+    of all rows, so their hits are that search's by construction. A pair
+    is stored only while one of its ends keeps at most k rows, so the
+    stored pairs follow the hits, and blocks are sized as `_search` sizes
+    them with a radius. Results are equal for any `threads`.
     """
     n, dim = rows.shape
     if not n:
@@ -483,16 +488,20 @@ def _self_join(
         pi, pj = np.concatenate((pi[alive], qi)), np.concatenate((pj[alive], rj))
         pd = np.concatenate((pd[alive], _exact_sq_dists(rows, rows, qi, rj)))
         reranked += qi.size
-    fallback = counts > k
-    forward, back, itself = ~fallback[pi], ~fallback[pj], np.flatnonzero(~fallback)
-    if itself.size < n:
-        probes = (~fallback).astype(np.int64)[:, None]  # list 0: all rows; list 1: none
-        fqi, frj, fd2, searched = _search(
-            rows, rows, row_sq, ranks, (np.array([0, n, n]), probes), k, threads, r2
-        )
+    # The rows over k, as the queries of one list of every row, one block of
+    # them (as `_search` sizes it) copied at a time.
+    over = np.flatnonzero(counts > k)
+    chunks = np.split(over, range(size, over.size, size))
+
+    def search(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        return _search(rows[chunk], rows, row_sq, ranks, _one_list(chunk.size, n), k, 1, r2)
+
+    found = [_NO_HITS]
+    for chunk, (fqi, frj, fd2, searched) in zip(chunks, _in_order(search, chunks, threads)):
+        found.append((chunk[fqi], frj, fd2))
         reranked += searched
-    else:
-        fqi, frj, fd2 = _NO_HITS
+    fqi, frj, fd2 = (np.concatenate(part) for part in zip(*found))
+    forward, back, itself = counts[pi] <= k, counts[pj] <= k, np.flatnonzero(counts <= k)
     qi, rj, d2 = _top_k(
         np.concatenate((pi[forward], pj[back], itself, fqi)),
         np.concatenate((pj[forward], pi[back], itself, frj)),
@@ -554,39 +563,27 @@ class _BaseIndex:
         view.flags.writeable = False
         return view
 
-    def _queries(self, queries, k: int) -> np.ndarray:
-        """Queries as one (m, dim) float32 array, rounded to float32 like stored rows."""
+    def self_join_arrays(
+        self, k: int, radius: float = math.inf, threads: int = 1
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each stored row's top k of the rows it probes, as flat hit arrays.
+
+        The arrays hold the querying row, the stored row and the true L2
+        distance. The hits run in query order, each query's ascending with
+        ties by id; a query with fewer than k hits has only those, so the
+        arrays hold as many entries as there are hits. Hits at a distance
+        of `radius` or more may be left out, but every hit of the top k
+        under it is there, with the same bits. Results are equal for any
+        thread count.
+        """
         if k < 1:
             raise ValueError("k must be positive")
-        queries = np.ascontiguousarray(queries, dtype=np.float32)
-        if queries.ndim != 2 or queries.shape[1] != self.dim:
-            raise DimensionMismatch(self.dim, int(queries.shape[-1]) if queries.ndim else 0)
-        return queries
-
-    def _lists(self, queries: np.ndarray, threads: int) -> tuple[np.ndarray, np.ndarray]:
-        """`_search` lists: the lists' row bounds and the (m, p) lists each query probes."""
-        raise NotImplementedError
-
-    def search_arrays(
-        self, queries, k: int, threads: int = 1, radius: float | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Top k per query as flat hit arrays: query index, stored row index, true L2 distance.
-
-        The hits run in query order, each query's ascending with ties by
-        id; a query with fewer than k hits has only those, so the arrays
-        hold as many entries as there are hits. Results are equal for any
-        thread count. With `radius`, hits at a distance of `radius` or
-        more may be left out, but every hit of the top k under it is
-        there, with the same bits.
-        """
-        queries = self._queries(queries, k)
-        bounds, probes = self._lists(queries, threads)
-        r2 = None if radius is None else radius * radius
-        qi, rows, d2, self.rerank_count = _search(
-            queries, self._vecs32, self._sq, self._id_ranks, (bounds, probes), k, threads, r2
-        )
-        self.comparison_count = int(np.diff(bounds)[probes].sum())
+        qi, rows, d2 = self._join(k, radius * radius, threads)
         return qi, rows, np.sqrt(d2)
+
+    def _join(self, k: int, r2: float, threads: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`self_join_arrays` with exact d²; sets both counts."""
+        raise NotImplementedError
 
     def save(self, path: str | Path) -> None:
         with atomic_write(path, "wb") as fh:
@@ -605,26 +602,14 @@ class FlatIndex(_BaseIndex):
 
     kind = "flat"
 
-    def _lists(self, queries: np.ndarray, threads: int) -> tuple[np.ndarray, np.ndarray]:
-        return _one_list(len(queries), len(self))
-
-    def self_join_arrays(
-        self, k: int, radius: float, threads: int = 1
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`search_arrays(self.vectors, k, threads, radius)`, deciding each pair of rows once.
-
-        The same hits in the same order, under the same contract: every hit
-        of each row's top k under `radius` is there with the same bits
-        (`_self_join`). The comparison count stays n², the ordered pairs
-        the search decided.
-        """
-        if k < 1:
-            raise ValueError("k must be positive")
+    def _join(self, k: int, r2: float, threads: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # Each pair of rows decided once; the comparisons are the n² ordered
+        # pairs the search decided.
         qi, rows, d2, self.rerank_count = _self_join(
-            self._vecs32, self._sq, self._id_ranks, k, threads, radius * radius
+            self._vecs32, self._sq, self._id_ranks, k, threads, r2
         )
         self.comparison_count = len(self) ** 2
-        return qi, rows, np.sqrt(d2)
+        return qi, rows, d2
 
     def to_bytes(self) -> bytes:
         parts = [_MAGIC, struct.pack("<HBIQ", _VERSION, _KIND_FLAT, self.dim, len(self))]
@@ -641,9 +626,9 @@ class IVFIndex(_BaseIndex):
     """Inverted-file index: k-means coarse quantizer plus per-centroid lists.
 
     Vectors are stored grouped by list, list i holding rows
-    bounds[i]:bounds[i + 1]; a query scans only the `nprobe` lists whose
-    centroids are nearest. `build_index` makes it, from k-means centroids
-    of finite rows, and it is never written to a file.
+    bounds[i]:bounds[i + 1]; a row's search scans only the `nprobe` lists
+    whose centroids are nearest to it. `build_index` makes it, from k-means
+    centroids of finite rows, and it is never written to a file.
     """
 
     kind = "ivf"
@@ -669,14 +654,20 @@ class IVFIndex(_BaseIndex):
     def list_sizes(self) -> list[int]:
         return np.diff(self._bounds).tolist()
 
-    def _lists(self, queries: np.ndarray, threads: int) -> tuple[np.ndarray, np.ndarray]:
-        # Each query probes the lists of its `nprobe` nearest centroids.
-        ranks, one = np.arange(self.nlist), _one_list(len(queries), self.nlist)
-        # A query reaches every centroid and keeps at least nprobe of them.
+    def _join(self, k: int, r2: float, threads: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # Each row probes the lists of its `nprobe` nearest centroids; it
+        # reaches every centroid, so it keeps at least nprobe of them.
+        rows, n = self._vecs32, len(self)
+        ranks, one = np.arange(self.nlist), _one_list(n, self.nlist)
         _, probes, _, _ = _search(
-            queries, self._cent32, self._cent_sq, ranks, one, self.nprobe, threads
+            rows, self._cent32, self._cent_sq, ranks, one, self.nprobe, threads
         )
-        return self._bounds, probes.reshape(len(queries), self.nprobe)
+        probes = probes.reshape(n, self.nprobe)
+        qi, found, d2, self.rerank_count = _search(
+            rows, rows, self._sq, self._id_ranks, (self._bounds, probes), k, threads, r2
+        )
+        self.comparison_count = int(np.diff(self._bounds)[probes].sum())
+        return qi, found, d2
 
 
 VectorIndex = Union[FlatIndex, IVFIndex]

@@ -30,12 +30,10 @@ _MAX_PASSES = 32
 
 _TAG_RE = re.compile(r"<[^>]*>")
 _ENTITY_RE = re.compile(r"&(#[0-9]+|#[xX][0-9a-fA-F]+|[a-zA-Z][a-zA-Z0-9]*);")
-# A character that is neither whitespace nor alphanumeric, and a run of one
-# such character: in `re`, \w is exactly str.isalnum() plus "_" and \s
-# exactly str.isspace(), which is also what str.split() and str.strip()
-# split and trim on.
+# A character that is neither whitespace nor alphanumeric: in `re`, \w is
+# exactly str.isalnum() plus "_" and \s exactly str.isspace(), which is
+# also what str.split() and str.strip() split and trim on.
 _PUNCT = r"[^\w\s]|_"
-_PUNCT_RUN_RE = re.compile(f"({_PUNCT})\\1+")
 
 
 @dataclass(frozen=True)
@@ -170,7 +168,7 @@ def _punct_run_re(keep_punct: frozenset[str]) -> re.Pattern | None:
     """Runs of one punctuation character of `keep_punct`; None if it holds none.
 
     A class of a few listed characters scans faster than the Unicode
-    classes of `_PUNCT_RUN_RE`.
+    classes of `_PUNCT`.
     """
     punct = sorted(ch for ch in keep_punct if re.fullmatch(_PUNCT, ch))
     if not punct:
@@ -178,14 +176,13 @@ def _punct_run_re(keep_punct: frozenset[str]) -> re.Pattern | None:
     return re.compile("([" + "".join(map(re.escape, punct)) + "])\\1+")
 
 
-def collapse_punct_and_ws(text: str, keep_punct: frozenset[str] | None = None) -> str:
+def collapse_punct_and_ws(text: str, keep_punct: frozenset[str]) -> str:
     """Collapse runs of one punctuation character to one, whitespace to one space, trim.
 
-    Given `keep_punct`, only runs of its punctuation collapse. That is the
-    same result on any text whose punctuation all lies in `keep_punct`, as
-    a `filter_charset` output with that `keep_punct` does, and faster.
+    Only runs of `keep_punct`'s punctuation collapse, which are all the
+    runs of punctuation in a `filter_charset` output with that `keep_punct`.
     """
-    pattern = _PUNCT_RUN_RE if keep_punct is None else _punct_run_re(frozenset(keep_punct))
+    pattern = _punct_run_re(frozenset(keep_punct))
     if pattern is not None:
         text = pattern.sub(r"\1", text)
     return " ".join(text.split())

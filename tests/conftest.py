@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from datetime import date
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 from postdedup import pipeline
 from postdedup.corpus import Posting, save_postings
 from postdedup.dedup import CandidatePairs, DuplicateLabel
+from postdedup.index import _one_list, _search
 from postdedup.pipeline import (
     CANONICAL_FILE,
     EMBED_META_FILE,
@@ -163,19 +165,73 @@ def result_rows(result) -> list[ResultRow]:
     ]
 
 
-def search_hits(index, queries, k: int, **kwargs) -> list[list[tuple[str, float]]]:
-    """Each query's hits from `search_arrays` as (id, distance) pairs."""
-    queries = np.asarray(queries, dtype=np.float32)
-    qi, rows, distances = index.search_arrays(queries, k, **kwargs)
-    hits: list[list[tuple[str, float]]] = [[] for _ in queries]
+def join_hits(index, k: int, radius: float = math.inf, **kwargs) -> dict[str, list]:
+    """Each stored row's hits from `self_join_arrays` under `radius`, as
+    (id, distance) pairs, keyed by the row's id."""
+    qi, rows, distances = index.self_join_arrays(k, radius, **kwargs)
+    hits: dict[str, list] = {vid: [] for vid in index.ids}
+    for q, r, d in zip(qi.tolist(), rows.tolist(), distances.tolist()):
+        if d < radius:
+            hits[index.ids[q]].append((index.ids[r], d))
+    return hits
+
+
+def probed_rows(index, vector) -> np.ndarray:
+    """The rows a float32 `vector` probes in `index`: every row of a flat
+    index; the rows of its `nprobe` nearest lists, ties by list number, of
+    an IVF index."""
+    every = np.arange(len(index))
+    if index.kind == "flat":
+        return every
+    vector = np.asarray(vector, dtype=np.float32).astype(np.float64)
+    cent = np.square(index._cent32.astype(np.float64) - vector).sum(axis=1)
+    lists = sorted(range(index.nlist), key=lambda j: (cent[j], j))[: index.nprobe]
+    bounds = index._bounds
+    return np.concatenate([every[bounds[j] : bounds[j + 1]] for j in lists])
+
+
+def search_hits(index, k: int, radius: float = math.inf) -> dict[str, list]:
+    """The oracle of `join_hits`: per row, a brute force over the rows it probes.
+
+    Each probed row's d² is the float64 expression over the float32
+    values, and a Python sort by (d², id) gives the top k, of which the
+    hits under `radius` are kept.
+    """
+    ids, X = index.ids, index.vectors.astype(np.float64)
+    hits = {}
+    for q, vid in enumerate(ids):
+        probed = probed_rows(index, index.vectors[q])
+        d2 = np.square(X[probed] - X[q]).sum(axis=1).tolist()
+        top = sorted(zip(d2, (ids[r] for r in probed.tolist())))[:k]
+        hits[vid] = [(other, float(np.sqrt(e))) for e, other in top if np.sqrt(e) < radius]
+    return hits
+
+
+def scan(index, queries, k: int, threads: int = 1, radius: float | None = None):
+    """The search kernel `_search` of arbitrary queries over one list of
+    every row of `index`: (query, row, distance) hit arrays and the count
+    of pairs re-ranked."""
+    queries = np.ascontiguousarray(queries, dtype=np.float32)
+    lists = _one_list(len(queries), len(index))
+    r2 = None if radius is None else radius * radius
+    qi, rows, d2, reranked = _search(
+        queries, index.vectors, index._sq, index._id_ranks, lists, k, threads, r2
+    )
+    return qi, rows, np.sqrt(d2), reranked
+
+
+def scan_hits(index, queries, k: int, **kwargs) -> list[list[tuple[str, float]]]:
+    """Each query's hits from `scan` as (id, distance) pairs."""
+    qi, rows, distances, _ = scan(index, queries, k, **kwargs)
+    hits: list[list[tuple[str, float]]] = [[] for _ in range(len(queries))]
     for q, r, d in zip(qi.tolist(), rows.tolist(), distances.tolist()):
         hits[q].append((index.ids[r], d))
     return hits
 
 
-def search_one(index, query, k: int, **kwargs) -> list[tuple[str, float]]:
-    """One query's hits as (id, distance) pairs."""
-    return search_hits(index, [query], k, **kwargs)[0]
+def scan_one(index, query, k: int, **kwargs) -> list[tuple[str, float]]:
+    """One query's hits from `scan` as (id, distance) pairs."""
+    return scan_hits(index, [query], k, **kwargs)[0]
 
 
 class FakeResponse:

@@ -30,7 +30,14 @@ from postdedup.pipeline import (
 from postdedup.synth import DupPlan, synth_corpus
 from postdedup.translate import translate_batch
 
-from conftest import fuzz_noisy_string, search_one, unit_vectors, write_stage_artifacts
+from conftest import (
+    fuzz_noisy_string,
+    probed_rows,
+    scan,
+    scan_one,
+    unit_vectors,
+    write_stage_artifacts,
+)
 
 
 def _ok(criterion: str, detail: str) -> None:
@@ -59,12 +66,20 @@ def test_criterion_1_flat_oracle_exactness():
 
     for k in (1, 10, 100):
         for qi in range(500):
-            hits = search_one(index, queries[qi], k)
+            hits = scan_one(index, queries[qi], k)
             oracle = _oracle_top_k(ids, matrix, queries[qi], k)
             assert [(d, vid) for vid, d in hits] == oracle, (k, qi)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
     _ok("1", f"5000 vectors, 500 queries, k in {{1,10,100}} exact in {elapsed:.1f}s")
+
+
+def _join_by_id(index, k):
+    """`self_join_arrays` hits as (query id rank, row id rank, distance), by query id."""
+    qi, rows, distances = index.self_join_arrays(k)
+    ranks = index._id_ranks
+    order = np.argsort(ranks[qi], kind="stable")
+    return ranks[qi][order], ranks[rows][order], distances[order]
 
 
 def test_criterion_2_ivf_completeness_and_recall():
@@ -74,10 +89,8 @@ def test_criterion_2_ivf_completeness_and_recall():
     ivf = build_index(
         vectors, IndexConfig(kind="ivf", dim=64, nlist=64, nprobe=64, kmeans_iters=20, seed=7)
     )
-    rng = np.random.default_rng(103)
-    for _ in range(100):
-        q = rng.normal(size=64).astype(np.float32)
-        assert search_one(flat, q, 100) == search_one(ivf, q, 100)
+    for flat_part, ivf_part in zip(_join_by_id(flat, 10), _join_by_id(ivf, 10)):
+        assert flat_part.tobytes() == ivf_part.tobytes()
 
     # recall on a 16-component Gaussian mixture of 20,000 points
     rng = np.random.default_rng(104)
@@ -91,10 +104,15 @@ def test_criterion_2_ivf_completeness_and_recall():
     )
     query_assign = rng.integers(16, size=200)
     queries = (centers[query_assign] + rng.normal(size=(200, 32))).astype(np.float32)
+    # The exhaustive top 100 of each query, and that of the rows it probes,
+    # which the IVF self-join scans exactly (test_index.py).
+    truth_qi, truth_rows, _, _ = scan(gmm_flat, queries, 100)
     recalls = []
-    for i in range(200):
-        truth = {vid for vid, _ in search_one(gmm_flat, queries[i], 100)}
-        approx = {vid for vid, _ in search_one(gmm_ivf, queries[i], 100)}
+    for i, query in enumerate(queries):
+        truth = {gmm_flat.ids[r] for r in truth_rows[truth_qi == i].tolist()}
+        probed = probed_rows(gmm_ivf, query)
+        d2 = np.square(gmm_ivf.vectors[probed].astype(np.float64) - query).sum(axis=1)
+        approx = {gmm_ivf.ids[r] for r in probed[np.argsort(d2, kind="stable")[:100]].tolist()}
         recalls.append(len(truth & approx) / 100)
     mean_recall = float(np.mean(recalls))
     assert mean_recall >= 0.95

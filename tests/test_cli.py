@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import random
@@ -294,6 +295,28 @@ def test_ingest_missing_input_is_data_error(tmp_path):
 def test_optional_field_that_is_not_a_string_is_malformed(tmp_path, capsys, command, field, value):
     corpus = tmp_path / "corpus.jsonl"
     records = [dict(_POSTING, id="a", **{field: "x"}), dict(_POSTING, id="b", **{field: value})]
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    assert run_cli(command, "--input", corpus, "--out", tmp_path / "run") == 3
+    err = capsys.readouterr().err
+    assert f"{corpus}:2" in err
+    assert f"field {field!r} must be a string or null" in err
+
+
+@pytest.mark.parametrize("command", ["ingest", "dedup"])
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("id", 5),
+        ("title", ["chef", "cook"]),
+        ("description", {"x": 1}),
+        ("source", ["s"]),
+        ("retrieval_date", 20240101),
+    ],
+)
+def test_text_field_that_is_not_a_string_is_malformed(tmp_path, capsys, command, field, value):
+    # Not read as its Python text: an id of "5", a title of "['chef', 'cook']".
+    corpus = tmp_path / "corpus.jsonl"
+    records = [_POSTING, {**_POSTING, "id": "b", field: value}]
     corpus.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     assert run_cli(command, "--input", corpus, "--out", tmp_path / "run") == 3
     err = capsys.readouterr().err
@@ -864,6 +887,21 @@ def test_malformed_config_file_is_config_error(
     (tmp_path / POSTINGS_FILE).write_text(json.dumps(_POSTING) + "\n", encoding="utf-8")
     assert run_cli("dedup", flag, name, "--out", tmp_path) == 2
     assert named in capsys.readouterr().err
+
+
+def _commands() -> list[str]:
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sorted(sub.choices)
+
+
+@pytest.mark.parametrize("bad", [("--k", 0), ("--config", "missing.yaml")], ids=["k-0", "no-file"])
+@pytest.mark.parametrize("command", _commands())
+def test_every_command_checks_the_config(tmp_path, monkeypatch, capsys, command, bad):
+    monkeypatch.chdir(tmp_path)
+    extra = ("--input", "missing.jsonl") if command == "ingest" else ()
+    assert run_cli(command, "--out", "run", *bad, *extra) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_config_file_drives_run(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -496,25 +497,25 @@ class TestSaturation:
         assert [d.hex() for d in kth.tolist()] == expected_kth
 
 
-# --- collect_hits against a per-query loop over the search ---------------
+# --- collect_hits against a per-query loop over a brute-force search -------
 
 def pair_bits(pairs):
     """Each pair of a `CandidatePairs` as (id_a, id_b, distance bits), in its order."""
     return [(a, b, d.hex()) for a, b, d in pair_triples(pairs)]
 
 
-def collect_hits_oracle(index, queries, k, radius=None):
+def collect_hits_oracle(index, queries, k, radius=math.inf):
     """Pairs as sorted (id_a, id_b, distance bits) and each query's k-th hit's bits.
 
-    One query at a time over the unbounded `search_arrays(..., k + 1)`:
-    drop the query's own id and every hit at d >= radius, keep the first
-    k, and take the union; a pair keeps the distance of its first hit.
+    One query at a time over its k + 1 nearest probed rows by brute force
+    (`search_hits`), those under `radius`: drop the query's own id, keep
+    the first k, and take the union; a pair keeps the distance of its
+    first hit.
     """
+    found = search_hits(index, k + 1, radius)
     pairs, kth = {}, []
-    for vid, found in zip(queries.ids, search_hits(index, queries.vectors, k + 1)):
-        hits = [
-            (other, d) for other, d in found if other != vid and (radius is None or d < radius)
-        ][:k]
+    for vid in queries.ids:
+        hits = [(other, d) for other, d in found[vid] if other != vid][:k]
         for other, d in hits:
             pairs.setdefault(tuple(sorted((vid, other))), d.hex())
         kth.append(hits[k - 1][1].hex() if len(hits) == k else np.inf.hex())
@@ -567,7 +568,7 @@ def test_collect_hits_equals_per_query_loop(
     rng = np.random.default_rng(seed)
     rows = random_rows(rng, dim, n_background, clique, copies)
     ids = [f"v{i:03d}" for i in rng.permutation(len(rows))]
-    radius = None if pick == "none" else radius_near_a_hit(rng, rows, k, pick)
+    radius = math.inf if pick == "none" else radius_near_a_hit(rng, rows, k, pick)
     vectors = FlatIndex(ids, rows)
     # Several probes of a few roughly trained lists make the search
     # asymmetric: a query can find a row that does not find it.
@@ -581,8 +582,8 @@ def test_collect_hits_equals_per_query_loop(
     join = mock.patch.object(postdedup.index, "_self_join", wraps=postdedup.index._self_join)
     with mock.patch.object(postdedup.index, "_BLOCK_BYTES", 20 * len(rows)), join as spy:
         pairs, kth = collect_hits(index, vectors, k, threads=threads, radius=radius)
-    # A flat index is the embeddings themselves; with a radius it is self-joined.
-    assert spy.called == (kind == "flat" and radius is not None)
+    # A flat index decides each pair of its rows once.
+    assert spy.called == (kind == "flat")
     assert pairs.names == sorted(ids)
     assert pair_bits(pairs) == expected_pairs
     assert [d.hex() for d in kth.tolist()] == expected_kth

@@ -6,7 +6,6 @@ import json
 import struct
 import zlib
 
-import numpy as np
 import pytest
 
 from postdedup.config import config_from_dict
@@ -17,7 +16,7 @@ from postdedup.normalize import clean_text, decode_entities
 from postdedup.pipeline import run_pipeline
 from postdedup.translate import TranslationCache
 
-from conftest import pair_keys, search_one, unit_vectors
+from conftest import join_hits, pair_keys, unit_vectors
 
 
 def one_point() -> FlatIndex:
@@ -31,25 +30,22 @@ class TestDegenerateIndexes:
         vectors = FlatIndex(ids, [[1.0, 0.0]] * 10 + [[0.0, 1.0]] * 10)
         ivf = build_index(vectors, IndexConfig(kind="ivf", dim=2, nlist=8, nprobe=8, seed=0))
         assert sum(ivf.list_sizes()) == 20
-        hits = search_one(ivf, [1.0, 0.0], 20)
+        hits = join_hits(ivf, 20)["v03"]
         assert hits[:10] == [(f"v{i:02d}", 0.0) for i in range(10)]
 
     def test_ivf_nlist_equal_to_point_count(self):
-        _, matrix = vectors = unit_vectors(12, 4, seed=31)
-        flat = build_index(FlatIndex(*vectors), IndexConfig(dim=4))
+        flat = build_index(FlatIndex(*unit_vectors(12, 4, seed=31)), IndexConfig(dim=4))
         ivf = build_index(flat, IndexConfig(kind="ivf", dim=4, nlist=12, nprobe=12, seed=2))
-        q = matrix[3]
-        assert search_one(ivf, q, 5) == search_one(flat, q, 5)
+        assert join_hits(ivf, 5) == join_hits(flat, 5)
 
     def test_single_point_index(self):
         index = build_index(one_point(), IndexConfig(dim=2))
-        hits = search_one(index, [0.0, 1.0], 5)
-        assert [vid for vid, _ in hits] == ["only"]
+        assert join_hits(index, 5) == {"only": [("only", 0.0)]}
 
     def test_search_rejects_nonpositive_k(self):
         index = build_index(one_point(), IndexConfig(dim=2))
         with pytest.raises(ValueError):
-            index.search_arrays(np.array([[1.0, 0.0]], dtype=np.float32), 0)
+            index.self_join_arrays(0)
 
     def test_candidate_pairs_on_two_point_index(self):
         vectors = FlatIndex(["a", "b"], [[1.0, 0.0], [0.0, 1.0]])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import math
 import sys
 import tracemalloc
 from pathlib import Path
@@ -33,7 +34,16 @@ from postdedup.index import (
     load_index,
 )
 
-from conftest import index_state, search_hits, search_one, unit_vectors
+from conftest import (
+    index_state,
+    join_hits,
+    probed_rows,
+    scan,
+    scan_hits,
+    scan_one,
+    search_hits,
+    unit_vectors,
+)
 
 
 def brute_force_search(ids, matrix32, query32, k):
@@ -62,22 +72,22 @@ class TestFlatBasics:
 
     def test_nearest_at_distance_zero(self):
         index = build_index(two_axes(), IndexConfig(dim=2))
-        assert search_one(index, [1, 0], 1) == [("e1", 0.0)]
+        assert scan_one(index, [1, 0], 1) == [("e1", 0.0)]
 
     def test_second_hit_is_sqrt2(self):
         index = build_index(two_axes(), IndexConfig(dim=2))
-        hits = search_one(index, [1, 0], 2)
+        hits = scan_one(index, [1, 0], 2)
         assert hits[0][0] == "e1"
         assert hits[1][0] == "e2"
         assert hits[1][1] == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
     def test_k_larger_than_index_returns_all(self):
         index = build_index(two_axes(), IndexConfig(dim=2))
-        assert len(search_one(index, [1, 0], 100)) == 2
+        assert len(scan_one(index, [1, 0], 100)) == 2
 
     def test_ties_break_by_ascending_id(self):
         index = build_index(FlatIndex(["z", "a", "m"], [[1, 0]] * 3), IndexConfig(dim=2))
-        assert [vid for vid, _ in search_one(index, [1, 0], 3)] == ["a", "m", "z"]
+        assert [vid for vid, _ in scan_one(index, [1, 0], 3)] == ["a", "m", "z"]
 
     def test_flat_build_returns_the_flat_index(self):
         flat = two_axes()
@@ -97,9 +107,8 @@ class TestBuildValidation:
     def test_empty_index_finds_no_hits_and_round_trips(self, tmp_path):
         empty = FlatIndex([], np.empty((0, 2), dtype=np.float32))
         assert (len(empty), empty.dim) == (0, 2)
-        queries = np.array([[1, 0], [0, 1]], dtype=np.float32)
-        for radius in (None, 0.5):
-            qi, rows, distances = empty.search_arrays(queries, 3, radius=radius)
+        for radius in (math.inf, 0.5):
+            qi, rows, distances = empty.self_join_arrays(3, radius)
             assert qi.size == rows.size == distances.size == 0
             assert empty.comparison_count == empty.rerank_count == 0
         for kind in ("flat", "ivf"):
@@ -137,19 +146,13 @@ class TestBuildValidation:
         ivf = build_index(flat, IndexConfig(kind="ivf", dim=2, nlist=8, nprobe=8))
         assert (ivf.nlist, ivf.nprobe, ivf.list_sizes()) == (4, 4, [1, 1, 1, 1])
         # Every list probed: the flat index's hits, bit for bit.
-        queries = np.array([[0.5, 1], [3, 0], [-1, 2]], dtype=np.float32)
-        assert search_hits(ivf, queries, 4) == search_hits(flat, queries, 4)
+        assert join_hits(ivf, 4) == join_hits(flat, 4)
         few = build_index(flat, IndexConfig(kind="ivf", dim=2, nlist=8, nprobe=2))
         assert (few.nlist, few.nprobe) == (4, 2)
 
     def test_nprobe_exceeds_nlist_rejected(self):
         with pytest.raises(ValueError):
             IndexConfig(kind="ivf", dim=2, nlist=4, nprobe=8)
-
-    def test_search_dimension_mismatch(self):
-        index = build_index(FlatIndex(["a"], [[1, 0]]), IndexConfig(dim=2))
-        with pytest.raises(DimensionMismatch):
-            index.search_arrays(np.array([[1, 0, 0]], dtype=np.float32), 1)
 
 
 def test_flat_equals_brute_force_oracle_with_ties():
@@ -162,7 +165,7 @@ def test_flat_equals_brute_force_oracle_with_ties():
     for _ in range(25):
         q = rng.normal(size=16).astype(np.float32)
         for k in (1, 7, 100):
-            hits = search_one(index, q, k)
+            hits = scan_one(index, q, k)
             oracle = brute_force_search(ids, matrix, q, k)
             assert [(d, vid) for vid, d in hits] == oracle
 
@@ -180,7 +183,7 @@ def test_flat_matches_oracle_property(n, k, seed):
     ids = [f"v{i:03d}" for i in range(n)]
     index = build_index(FlatIndex(ids, matrix), IndexConfig(dim=3))
     q = rng.integers(-3, 4, size=3).astype(np.float32)
-    hits = search_one(index, q, k)
+    hits = scan_one(index, q, k)
     assert [(d, vid) for vid, d in hits] == brute_force_search(ids, matrix, q, k)
 
 
@@ -199,8 +202,7 @@ def test_ivf_probe_all_equals_flat_property(n, nlist_div, seed):
     ivf = build_index(
         vectors, IndexConfig(kind="ivf", dim=4, nlist=nlist, nprobe=nlist, seed=seed % 1000)
     )
-    q = rng.normal(size=4).astype(np.float32)
-    assert search_one(ivf, q, 7) == search_one(flat, q, 7)
+    assert join_hits(ivf, 7) == join_hits(flat, 7) == search_hits(flat, 7)
 
 
 class TestIVF:
@@ -242,73 +244,65 @@ class TestIVF:
         ivf = build_index(
             vectors, IndexConfig(kind="ivf", dim=12, nlist=16, nprobe=16, seed=2)
         )
-        rng = np.random.default_rng(3)
-        for _ in range(40):
-            q = rng.normal(size=12).astype(np.float32)
-            assert search_one(flat, q, 25) == search_one(ivf, q, 25)
+        assert join_hits(flat, 25) == join_hits(ivf, 25)
 
     def test_partial_probe_scans_only_probed_lists(self):
-        _, matrix = vectors = unit_vectors(300, 8, seed=1)
         ivf = build_index(
-            FlatIndex(*vectors), IndexConfig(kind="ivf", dim=8, nlist=10, nprobe=3, seed=7)
+            FlatIndex(*unit_vectors(300, 8, seed=1)),
+            IndexConfig(kind="ivf", dim=8, nlist=10, nprobe=3, seed=7),
         )
-        ivf.search_arrays(matrix[:1], 5)
-        assert ivf.comparison_count < 300
+        ivf.self_join_arrays(5)
         sizes = sorted(ivf.list_sizes(), reverse=True)
-        assert ivf.comparison_count <= sum(sizes[:3])
+        assert ivf.comparison_count <= 300 * sum(sizes[:3]) < 300 * 300
 
     def test_flat_comparison_counter(self):
-        _, matrix = vectors = unit_vectors(50, 4, seed=2)
-        flat = build_index(FlatIndex(*vectors), IndexConfig(dim=4))
-        flat.search_arrays(matrix[0:3], 3)
-        assert flat.comparison_count == 150
-        flat.search_arrays(matrix[3:4], 3)
-        assert flat.comparison_count == 50  # each search sets the count to its own
+        flat = build_index(FlatIndex(*unit_vectors(50, 4, seed=2)), IndexConfig(dim=4))
+        flat.self_join_arrays(3)
+        assert flat.comparison_count == 50 * 50
+        flat.self_join_arrays(3, radius=0.1)
+        assert flat.comparison_count == 50 * 50  # each search sets the count, not adds to it
 
 
 class TestBatch:
     def test_batch_of_one_equals_single(self):
         _, matrix = vectors = unit_vectors(64, 8, seed=4)
         index = build_index(FlatIndex(*vectors), IndexConfig(dim=8))
-        _, alone_rows, alone_dist = index.search_arrays(matrix[5:6], 3)
-        qi, rows, dist = index.search_arrays(matrix, 3)
+        _, alone_rows, alone_dist, _ = scan(index, matrix[5:6], 3)
+        qi, rows, dist, _ = scan(index, matrix, 3)
         assert alone_rows.tobytes() == rows[qi == 5].tobytes()
         assert alone_dist.tobytes() == dist[qi == 5].tobytes()
 
     def test_self_queries_hit_themselves(self):
-        ids, matrix = vectors = unit_vectors(128, 8, seed=5)
-        index = build_index(FlatIndex(*vectors), IndexConfig(dim=8))
-        for vid, hits in zip(ids, search_hits(index, matrix, 1)):
+        index = build_index(FlatIndex(*unit_vectors(128, 8, seed=5)), IndexConfig(dim=8))
+        for vid, hits in join_hits(index, 1).items():
             assert hits == [(vid, 0.0)]
 
     def test_batch_equals_sequential_loop(self):
         index = build_index(FlatIndex(*unit_vectors(128, 8, seed=6)), IndexConfig(dim=8))
         rng = np.random.default_rng(8)
         queries = rng.normal(size=(5_000, 8)).astype(np.float32)
-        batched = search_hits(index, queries, 10)
-        sequential = [search_one(index, q, 10) for q in queries]
+        batched = scan_hits(index, queries, 10)
+        sequential = [scan_one(index, q, 10) for q in queries]
         assert batched == sequential
 
     def test_threaded_batch_equals_sequential(self):
         index = build_index(FlatIndex(*unit_vectors(200, 8, seed=7)), IndexConfig(dim=8))
         rng = np.random.default_rng(10)
         queries = rng.normal(size=(100, 8)).astype(np.float32)
-        assert search_hits(index, queries, 5, threads=4) == search_hits(index, queries, 5)
+        assert scan_hits(index, queries, 5, threads=4) == scan_hits(index, queries, 5)
 
     def test_threads_never_share_a_distance_buffer(self):
         # More threads than cores and a tiny switch interval interleave the
         # searches; a buffer shared between threads would corrupt distances.
         vectors = FlatIndex(*unit_vectors(400, 16, seed=9))
-        rng = np.random.default_rng(11)
-        queries = rng.normal(size=(300, 16)).astype(np.float32)
         ivf = IndexConfig(kind="ivf", dim=16, nlist=8, nprobe=3, seed=1)
         for config in (IndexConfig(dim=16), ivf):
             index = build_index(vectors, config)
-            expected = [search_one(index, q, 7) for q in queries]
+            expected = search_hits(index, 7)
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
-                got = search_hits(index, queries, 7, threads=8)
+                got = join_hits(index, 7, threads=8)
             finally:
                 sys.setswitchinterval(interval)
             assert got == expected, config.kind
@@ -320,10 +314,7 @@ class TestPersistence:
         path = tmp_path / "flat.pdix"
         index.save(path)
         loaded = load_index(path)
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            q = rng.normal(size=8).astype(np.float32)
-            assert search_one(index, q, 10) == search_one(loaded, q, 10)
+        assert join_hits(index, 10) == join_hits(loaded, 10)
 
     def test_round_trip_bytes_stable(self, tmp_path):
         vectors = FlatIndex(*unit_vectors(80, 8, seed=13))
@@ -375,7 +366,7 @@ def test_distance_matches_high_precision_oracle():
     rng = np.random.default_rng(20)
     for _ in range(20):
         q = rng.normal(size=32).astype(np.float32)
-        for vid, distance in search_one(index, q, 10):
+        for vid, distance in scan_one(index, q, 10):
             row = matrix[by_id[vid]].astype(np.float64)
             exact = float(np.sqrt(((row - q.astype(np.float64)) ** 2).sum()))
             assert distance == pytest.approx(exact, rel=1e-6)
@@ -409,18 +400,17 @@ def test_buffered_distances_equal_plain_expression_bitwise(n, dim, seed, grid):
 
 def test_repeated_searches_allocate_no_rows_by_dim_array():
     n, dim = 2000, 256
-    _, matrix = vectors = unit_vectors(n, dim, seed=21)
     limit = n * dim * 8  # one (n, dim) float64 array
-    flat = build_index(FlatIndex(*vectors), IndexConfig(kind="flat", dim=dim))
+    flat = build_index(FlatIndex(*unit_vectors(n, dim, seed=21)), IndexConfig(dim=dim))
     ivf = build_index(
         flat, IndexConfig(kind="ivf", dim=dim, nlist=16, nprobe=4, kmeans_iters=2, seed=3)
     )
     for index in (flat, ivf):
-        index.search_arrays(matrix[:1], 10)  # warm-up
+        index.self_join_arrays(10)  # warm-up
         tracemalloc.start()
         try:
-            for i in range(50):
-                index.search_arrays(matrix[i : i + 1], 10)
+            for _ in range(2):
+                index.self_join_arrays(10)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -514,15 +504,18 @@ def test_blocked_kernel_equals_per_row_oracle(kind, n, dim, seed, k_extra, threa
     ids = [f"v{p:03d}" for p in rng.permutation(len(rows))]  # id order != row order
     k = max(1, len(rows) + k_extra)  # k >= n included
     queries = adversarial_queries(kind, rows, rng)
-    expected = [per_row_top_k(ids, rows, q, k) for q in queries]
     vectors = FlatIndex(ids, rows)
+    expected = [per_row_top_k(ids, rows, q, k) for q in queries]
+    assert scan_hits(vectors, queries, k, threads=threads) == expected
+    # The self-join of the rows, flat and probing every list of an IVF index.
+    expected = {vid: per_row_top_k(ids, rows, row, k) for vid, row in zip(ids, rows)}
     nlist = int(rng.integers(1, min(4, len(rows)) + 1))
     for config in (
         IndexConfig(dim=dim),
         IndexConfig(kind="ivf", dim=dim, nlist=nlist, nprobe=nlist, kmeans_iters=3, seed=seed % 97),
     ):
         index = build_index(vectors, config)
-        assert search_hits(index, queries, k, threads=threads) == expected, config.kind
+        assert join_hits(index, k, threads=threads) == expected, config.kind
 
 
 @settings(max_examples=120, deadline=None)
@@ -565,7 +558,7 @@ def test_blas_sized_search_equals_per_row_oracle(kind, n, dim, seed, k_pick, thr
     expected = [per_row_top_k(ids, rows, q, k) for q in queries]
     # About two queries a block, so four threads have blocks to spread.
     with mock.patch.object(postdedup.index, "_BLOCK_BYTES", 100 * len(rows)):
-        got = search_hits(FlatIndex(ids, rows), queries, k, threads=threads)
+        got = scan_hits(FlatIndex(ids, rows), queries, k, threads=threads)
     assert got == expected
 
 
@@ -699,17 +692,19 @@ def test_kmeans_stops_when_an_iteration_leaves_the_centers_unchanged(monkeypatch
     assert len(calls) == 2  # one assignment per iteration run
 
 
-def test_search_arrays_are_the_search_hits_and_count_reranks():
+def test_scan_and_self_join_arrays_are_the_hits_in_query_order():
     ids, matrix = vectors = unit_vectors(300, 16, seed=23)
     index = build_index(FlatIndex(*vectors), IndexConfig(dim=16))
-    queries = matrix[:40]
-    qi, rows, distances = index.search_arrays(queries, 12)
-    assert index.comparison_count == 40 * 300
-    assert 40 * 12 <= index.rerank_count <= 40 * 300
-    hits = [per_row_top_k(ids, matrix, q, 12) for q in queries]
-    assert qi.tolist() == [q for q, row in enumerate(hits) for _ in row]
-    assert [index.ids[r] for r in rows.tolist()] == [vid for row in hits for vid, _ in row]
-    assert distances.tolist() == [d for row in hits for _, d in row]
+    for queries, (qi, rows, distances, reranked) in (
+        (matrix[:40], scan(index, matrix[:40], 12)),
+        (matrix, (*index.self_join_arrays(12), index.rerank_count)),
+    ):
+        assert len(queries) * 12 <= reranked <= len(queries) * 300
+        hits = [per_row_top_k(ids, matrix, q, 12) for q in queries]
+        assert qi.tolist() == [q for q, row in enumerate(hits) for _ in row]
+        assert [index.ids[r] for r in rows.tolist()] == [vid for row in hits for vid, _ in row]
+        assert distances.tolist() == [d for row in hits for _, d in row]
+    assert index.comparison_count == 300 * 300
 
 
 @pytest.mark.parametrize("distinct", [1, 50])
@@ -720,10 +715,10 @@ def test_block_temporaries_stay_under_rows_by_dim(distinct):
     rows = np.repeat(base, n // distinct, axis=0)
     index = FlatIndex([f"v{i:05d}" for i in range(n)], rows)
     queries = rows[:: n // 64]
-    index.search_arrays(queries[:1], 101)  # warm-up
+    scan(index, queries[:1], 101)  # warm-up
     tracemalloc.start()
     try:
-        index.search_arrays(queries, 101)
+        scan(index, queries, 101)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -733,7 +728,9 @@ def test_block_temporaries_stay_under_rows_by_dim(distinct):
 @pytest.mark.parametrize("distinct", [1, 50])
 def test_ivf_block_temporaries_stay_under_rows_by_dim(distinct):
     # As the flat test: all rows equal (one list holds nearly all) or 40
-    # copies of each of 50 vectors, probing a quarter of the lists.
+    # copies of each of 50 vectors, probing a quarter of the lists. Every
+    # row is a query of the join; k is small, so its n·k hits are too. No
+    # warm-up: with every row tied, one join re-ranks 4 million pairs.
     n, dim = 2000, 256
     _, base = unit_vectors(distinct, dim, seed=24)
     rows = np.repeat(base, n // distinct, axis=0)
@@ -741,11 +738,9 @@ def test_ivf_block_temporaries_stay_under_rows_by_dim(distinct):
         FlatIndex([f"v{i:05d}" for i in range(n)], rows),
         IndexConfig(kind="ivf", dim=dim, nlist=16, nprobe=4, kmeans_iters=3),
     )
-    queries = rows[:: n // 64]
-    index.search_arrays(queries[:1], 101)  # warm-up
     tracemalloc.start()
     try:
-        index.search_arrays(queries, 101)
+        index.self_join_arrays(3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -763,17 +758,17 @@ def test_a_clique_under_a_radius_holds_the_block_budget():
     _, base = unit_vectors(1, dim, seed=24)
     index = FlatIndex([f"v{i:05d}" for i in range(n)], np.repeat(base, n, axis=0))
     queries = index.vectors[:: n // 64]
-    index.search_arrays(queries[:1], 101, radius=0.1)  # warm-up
+    scan(index, queries[:1], 101, radius=0.1)  # warm-up
     tracemalloc.start()
     try:
-        index.search_arrays(queries, 101, radius=0.1)
+        _, _, _, reranked = scan(index, queries, 101, radius=0.1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     budget = postdedup.index._BLOCK_BYTES
     assert peak < 2.5 * budget, peak / budget
-    assert index.rerank_count == len(queries) * n
-    hits = search_hits(index, queries, 101, radius=0.1)
+    assert reranked == len(queries) * n
+    hits = scan_hits(index, queries, 101, radius=0.1)
     assert [len(found) for found in hits] == [101] * len(queries)
 
 
@@ -800,6 +795,29 @@ def test_a_self_join_clique_under_a_radius_holds_the_block_budget():
     assert not distances.any()
 
 
+def test_self_join_searches_again_only_the_rows_over_k():
+    # A clique of k + 2 equal rows among scattered ones, under a radius
+    # that holds the clique only: each clique row keeps more than k rows
+    # and is searched again, as a query of one list of every row; no other
+    # row is.
+    k, radius = 3, 0.5
+    ids, rows = unit_vectors(40, 16, seed=25)
+    rows[: k + 2] = rows[0]
+    index = FlatIndex(ids, rows)
+    searched = []
+    search = postdedup.index._search
+
+    def spy(queries, *args):
+        searched.append(len(queries))
+        return search(queries, *args)
+
+    with mock.patch.object(postdedup.index, "_search", spy):
+        hits = join_hits(index, k, radius)
+    assert sum(searched) == k + 2
+    assert hits == search_hits(index, k, radius)
+    assert sum(map(len, hits.values())) == (k + 2) * k + 40 - (k + 2)
+
+
 # --- the bounded IVF scan against re-ranking every probed row ---------------
 
 def clique_rows(rng, dim, n_background, clique, copies):
@@ -820,19 +838,6 @@ def pair_distance(rng, rows):
     X = rows.astype(np.float64)
     pair = np.sqrt(np.square(X - X[rng.integers(len(X))]).sum(axis=1))
     return float(pair[rng.integers(len(X))])
-
-
-def probed_top_k(index, query32, k):
-    """Every row of the query's nprobe nearest lists (ties by list number)
-    through the per-row float64 loop; the top k by (d², id)."""
-    q = np.asarray(query32, dtype=np.float32).astype(np.float64)
-    cent = [float(np.square(c.astype(np.float64) - q).sum()) for c in index._cent32]
-    lists = sorted(range(index.nlist), key=lambda j: (cent[j], j))[: index.nprobe]
-    bounds = index._bounds
-    probed = [r for j in lists for r in range(bounds[j], bounds[j + 1])]
-    d2 = {r: float(np.square(index.vectors[r].astype(np.float64) - q).sum()) for r in probed}
-    order = sorted(probed, key=lambda r: (d2[r], index.ids[r]))
-    return [(index.ids[r], float(np.sqrt(d2[r]))) for r in order[:k]], len(probed)
 
 
 @settings(max_examples=150, deadline=None)
@@ -859,7 +864,6 @@ def test_bounded_ivf_scan_equals_reranking_every_probed_row(
         FlatIndex(ids, rows),
         IndexConfig(kind="ivf", dim=dim, nlist=nlist, nprobe=nprobe, seed=seed % 97),
     )
-    queries = np.concatenate([rows, rng.normal(size=(2, dim)).astype(np.float32)])
     # The radius: an exact pair distance (a tie at R), one ulp either side
     # of it, one holding the clique, or one holding every row.
     d = pair_distance(rng, rows)
@@ -870,17 +874,17 @@ def test_bounded_ivf_scan_equals_reranking_every_probed_row(
         "clique": 0.05,
         "everything": 2.5,
     }[pick]
-    expected, probed = zip(*(probed_top_k(index, q, k) for q in queries))
+    probed = sum(probed_rows(index, row).size for row in index.vectors)
     # Blocks of one to two queries, so four threads have blocks to spread.
     with mock.patch.object(postdedup.index, "_BLOCK_BYTES", 20 * len(rows)):
-        assert search_hits(index, queries, k, threads=threads) == list(expected)
-        assert index.comparison_count == sum(probed)
+        assert join_hits(index, k, threads=threads) == search_hits(index, k)
+        assert index.comparison_count == probed
         assert index.rerank_count <= index.comparison_count
-        bounded = search_hits(index, queries, k, threads=threads, radius=radius)
-    under = [[(vid, dist) for vid, dist in hits if dist < radius] for hits in expected]
-    assert [[(vid, dist) for vid, dist in hits if dist < radius] for hits in bounded] == under
-    assert index.comparison_count == sum(probed)
-    assert sum(map(len, under)) <= index.rerank_count <= index.comparison_count
+        bounded = join_hits(index, k, radius, threads=threads)
+    assert bounded == search_hits(index, k, radius)
+    assert index.comparison_count == probed
+    under = sum(map(len, bounded.values()))
+    assert under <= index.rerank_count <= index.comparison_count
 
 
 @settings(max_examples=60, deadline=None)
@@ -898,26 +902,23 @@ def test_flat_is_an_ivf_with_one_list(dim, n_background, k, over_k, copies, seed
     ids, rows = clique_rows(rng, dim, n_background, k + over_k, copies)
     flat = FlatIndex(ids, rows)
     ivf = build_index(flat, IndexConfig(kind="ivf", dim=dim, nlist=1, nprobe=1, seed=seed % 97))
-    queries = np.concatenate([rows, rng.normal(size=(2, dim)).astype(np.float32)])
     # Blocks of one to two queries, so four threads have blocks to spread.
+    # The flat index decides each pair once, so only the hits and the
+    # comparisons are the IVF index's.
     with mock.patch.object(postdedup.index, "_BLOCK_BYTES", 20 * len(rows)):
-        for radius in (None, 0.05, pair_distance(rng, rows)):
+        for radius in (math.inf, 0.05, pair_distance(rng, rows)):
             found = [
-                (
-                    search_hits(index, queries, k, threads=threads, radius=radius),
-                    index.comparison_count,
-                    index.rerank_count,
-                )
+                (join_hits(index, k, radius, threads=threads), index.comparison_count)
                 for index in (flat, ivf)
             ]
             assert found[0] == found[1]
-    # Every row lies under 100 of every query (unit rows, queries of norm
-    # about √dim), so a query keeps more than k rows and falls back to the
-    # unbounded cutoff: it re-ranks what it re-ranks without R. Blocks of
-    # one query make both searches form A from the same products.
+    # Every row lies under 100 of every row (unit rows), so a query keeps
+    # more than k rows and falls back to the unbounded cutoff: it re-ranks
+    # what it re-ranks without R. Blocks of one query make both searches
+    # form A from the same products.
     with mock.patch.object(postdedup.index, "_BLOCK_BYTES", 1):
         for index in (flat, ivf):
-            index.search_arrays(queries, k, radius=100.0)
+            index.self_join_arrays(k, radius=100.0)
             bounded = index.rerank_count
-            index.search_arrays(queries, k)
+            index.self_join_arrays(k)
             assert bounded == index.rerank_count

@@ -80,16 +80,16 @@ class TestFilterCharset:
 
 class TestCollapse:
     def test_repeated_punct_collapsed(self):
-        assert collapse_punct_and_ws("Now!!!  Apply") == "Now! Apply"
+        assert collapse_punct_and_ws("Now!!!  Apply", DEFAULT_KEEP_PUNCT) == "Now! Apply"
 
     def test_whitespace_collapsed_and_trimmed(self):
-        assert collapse_punct_and_ws("  a  b  ") == "a b"
+        assert collapse_punct_and_ws("  a  b  ", DEFAULT_KEEP_PUNCT) == "a b"
 
     def test_alternating_punct_not_a_run(self):
-        assert collapse_punct_and_ws("?!?!") == "?!?!"
+        assert collapse_punct_and_ws("?!?!", DEFAULT_KEEP_PUNCT) == "?!?!"
 
     def test_repeated_letters_kept(self):
-        assert collapse_punct_and_ws("jazz!!") == "jazz!"
+        assert collapse_punct_and_ws("jazz!!", DEFAULT_KEEP_PUNCT) == "jazz!"
 
 
 def test_canonicalize_pipeline_order():
@@ -259,9 +259,12 @@ def test_filter_charset_equals_per_character_loop(text):
 @settings(max_examples=300)
 @given(st.one_of(st.text(max_size=60), _TRICKY_TEXT))
 def test_collapse_equals_shrink_callback(text):
-    doubled = "".join(ch * 3 for ch in text)
-    assert collapse_punct_and_ws(text) == collapse_loop(text)
-    assert collapse_punct_and_ws(doubled) == collapse_loop(doubled)
+    # On `filter_charset` output with the same keep_punct, its precondition.
+    for ascii_only in (False, True):
+        for keep_punct in (DEFAULT_KEEP_PUNCT, _CUSTOM_KEEP_PUNCT):
+            for raw in (text, "".join(ch * 3 for ch in text)):
+                filtered = filter_charset(raw, ascii_only, keep_punct)
+                assert collapse_punct_and_ws(filtered, keep_punct) == collapse_loop(filtered)
 
 
 @pytest.mark.parametrize("ascii_only", [False, True])

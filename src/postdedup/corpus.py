@@ -194,9 +194,9 @@ def csv_records(
 
     Cells are comma-separated and double-quote escaped, and a quoted cell may
     span lines; blank lines are skipped and a short row lacks the keys of its
-    missing cells. A header name outside `columns` (when given), a row with
-    more cells than the header or text the csv module rejects is a
-    MalformedRecord.
+    missing cells. A header name outside `columns` (when given) or named
+    twice, a row with more cells than the header or text the csv module
+    rejects is a MalformedRecord.
     """
     reader = csv.reader(line for _, line in _lines(path, DataError))
     try:
@@ -205,6 +205,8 @@ def csv_records(
             return
         if columns is not None and (unknown := set(header) - set(columns)):
             raise MalformedRecord(path, 1, f"unknown columns: {sorted(unknown)}")
+        if repeated := sorted({name for name in header if header.count(name) > 1}):
+            raise MalformedRecord(path, 1, f"repeated columns: {repeated}")
         end = reader.line_num
         for row in reader:
             start, end = end + 1, reader.line_num

@@ -37,18 +37,6 @@ class MissingRequiredField(MalformedRecord):
         super().__init__(path, line_no, f"missing required field {field!r}")
 
 
-class FingerprintCollision(DataError):
-    """Two texts share a fingerprint but differ case-insensitively.
-
-    Diagnostic only; never expected at 128 bits.
-    """
-
-    def __init__(self, id_a: str, id_b: str) -> None:
-        self.id_a = id_a
-        self.id_b = id_b
-        super().__init__(f"fingerprint collision between {id_a!r} and {id_b!r}")
-
-
 class DimensionMismatch(DataError):
     def __init__(self, expected: int, got: int) -> None:
         self.expected = expected

@@ -1,4 +1,4 @@
-"""Text cleaning, canonical fingerprinting, and exact-duplicate grouping.
+"""Text cleaning and exact-duplicate grouping.
 
 The cleaning pipeline runs five steps in a fixed order: strip HTML tags,
 decode character references, split camelCase boundaries, filter the
@@ -7,8 +7,12 @@ pipeline is applied until the text stops changing, which makes
 `clean_text` idempotent even when one step uncovers work for an earlier
 one (e.g. filtering "&am™p;" down to "&amp;").
 
-Exact groups (`group_exact`) name their members by place in id order; the
-first place is the representative.
+A canonical text is the cleaned text itself, a plain `str` that keeps its
+case. Exact groups (`group_exact`) are keyed by the lowercased text, so
+capitalization-only variants share a group and no two different texts can;
+they name their members by place in id order, the first place the
+representative. `fingerprint_text` hashes a text only for the readers of
+`canonical.jsonl`.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-from .errors import FingerprintCollision
 
 DEFAULT_KEEP_PUNCT = frozenset('.,;:!?()/-&\'+%"')
 
@@ -40,15 +42,6 @@ _PUNCT = r"[^\w\s]|_"
 class NormalizeConfig:
     ascii_only: bool = False
     keep_punct: frozenset[str] = DEFAULT_KEEP_PUNCT
-
-
-@dataclass(frozen=True)
-class CanonicalText:
-    """Cleaned text plus the case-insensitive 128-bit fingerprint of it."""
-
-    text: str
-    fingerprint: str  # 32 hex chars: MD5 of the UTF-8 lowercased text
-    source_id: str
 
 
 def strip_html(text: str) -> str:
@@ -212,41 +205,32 @@ def fingerprint_text(text: str) -> str:
     return hashlib.md5(text.lower().encode("utf-8")).hexdigest()
 
 
-def canonicalize(posting, config: NormalizeConfig | None = None) -> CanonicalText:
-    """Clean `title + " " + description`; fingerprint the lowercased result.
+def canonicalize(posting, config: NormalizeConfig | None = None) -> str:
+    """The canonical text of a posting: `title + " " + description`, cleaned.
 
-    The stored text preserves case; only the fingerprint lowercases, so
-    capitalization-only variants land in the same exact group.
+    It keeps case; `group_exact` lowercases it, so capitalization-only
+    variants land in the same exact group.
     """
-    raw = (posting.title or "") + " " + (posting.description or "")
-    text = clean_text(raw, config)
-    return CanonicalText(text=text, fingerprint=fingerprint_text(text), source_id=posting.id)
+    return clean_text((posting.title or "") + " " + (posting.description or ""), config)
 
 
-def group_exact(canonicals: Sequence[CanonicalText]) -> list[list[int]]:
-    """Partition canonical texts, given in id order, by fingerprint; singletons included.
+def group_exact(texts: Sequence[str]) -> list[list[int]]:
+    """Partition canonical texts, given in id order, by lowercased text; singletons included.
 
-    A group is the ascending places of its members in `canonicals`: the first
-    is its representative, the smallest id, and groups come in its order.
-    An empty text is a group of its own: a posting that cleans to nothing
-    shares no text with another. Raises FingerprintCollision if two members
-    share a fingerprint but differ in lowercased text (never at 128 bits).
+    A group is the ascending places of its members in `texts`: the first is
+    its representative, the smallest id, and groups come in its order. An
+    empty text is a group of its own, keyed by its place: a posting that
+    cleans to nothing shares no text with another.
     """
-    by_fp: dict[str | int, list[int]] = {}
-    for place, canonical in enumerate(canonicals):
-        by_fp.setdefault(canonical.fingerprint if canonical.text else place, []).append(place)
-    for first, *others in by_fp.values():
-        reference = canonicals[first].text.lower()
-        for other in others:
-            if canonicals[other].text.lower() != reference:
-                raise FingerprintCollision(canonicals[first].source_id, canonicals[other].source_id)
-    return list(by_fp.values())
+    by_text: dict[str | int, list[int]] = {}
+    for place, text in enumerate(texts):
+        by_text.setdefault(text.lower() if text else place, []).append(place)
+    return list(by_text.values())
 
 
 __all__ = [
     "DEFAULT_KEEP_PUNCT",
     "NormalizeConfig",
-    "CanonicalText",
     "strip_html",
     "decode_entities",
     "split_camel_case",

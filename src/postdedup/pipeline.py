@@ -1,7 +1,8 @@
 """The dedup pipeline: one chain of stages, run in memory.
 
-The chain: canonicalize -> group exact duplicates (one group per
-fingerprint) -> translate one representative per group (optional) ->
+The chain: canonicalize (a posting's canonical text is a plain `str`) ->
+group exact duplicates (one group per lowercased canonical text, the text
+itself the key) -> translate one representative per group (optional) ->
 embed -> index -> k-NN candidate pairs under the search radius (the
 largest threshold the rules or the sweep use), made straight from one
 search of the embeddings against their own index (`collect_hits`) ->
@@ -22,11 +23,13 @@ at call time) and writes only its outputs, `results.csv` and `report.json`
 functions (ingest through index, one per CLI stage command) each read the
 previous stage's artifact, call the same stage function the chain calls
 and, up to embed, write their output; they are the only writers of the
-intermediate artifacts. Every artifact round-trips exactly (float32
-vectors, UTF-8 text), so the stage commands write the bytes of the
-chain's in-memory values. The search index lives for one run:
-`stage_index` builds it and writes nothing, and candidates, rules and
-results run only inside the whole chain.
+intermediate artifacts. `canonical.jsonl` also holds each text's
+fingerprint (`fingerprint_text`), made only as it is written, for the
+file's readers; `translate` reads back the ids and texts. Every artifact
+round-trips exactly (float32 vectors, UTF-8 text), so the stage commands
+write the bytes of the chain's in-memory values. The search index lives
+for one run: `stage_index` builds it and writes nothing, and candidates,
+rules and results run only inside the whole chain.
 
 The run report is the `report.json` document: `_dedup` builds it as one
 dict, in the key order it is written in, holding the stage mappings of
@@ -65,7 +68,7 @@ from .embed import HashedEmbedder, RemoteEmbedder, truncation_report
 from .errors import DataError, DuplicateId, MalformedRecord
 from .evaluation import write_results_csv
 from .index import FlatIndex, IVFIndex, VectorIndex, build_index, load_index
-from .normalize import CanonicalText, canonicalize, group_exact
+from .normalize import canonicalize, fingerprint_text, group_exact
 from .translate import (
     DictionaryTranslator,
     IdentityTranslator,
@@ -136,13 +139,13 @@ def _id_order(postings: Sequence[Posting]) -> list[int]:
     return order
 
 
-def _normalize(postings: Sequence[Posting], config: PipelineConfig) -> list[CanonicalText]:
+def _normalize(postings: Sequence[Posting], config: PipelineConfig) -> list[str]:
     return [canonicalize(p, config.normalize) for p in postings]
 
 
 def _translate(
     postings: Sequence[Posting],
-    canonicals: Sequence[CanonicalText],
+    canonicals: Sequence[str],
     groups: Sequence[list[int]],
     config: PipelineConfig,
     translator=None,
@@ -155,7 +158,7 @@ def _translate(
     if cache is None and config.translate.cache_path:
         cache = TranslationCache(config.translate.cache_path)
     return translate_batch(
-        [canonicals[g[0]].text for g in groups],
+        [canonicals[g[0]] for g in groups],
         [postings[g[0]].language for g in groups],
         translator,
         cache=cache,
@@ -343,23 +346,19 @@ def _read_jsonl(path: str | Path, fields: tuple[str, ...]) -> list[tuple[str, ..
     return records
 
 
-def write_canonical_file(canonicals: Sequence[CanonicalText], path: str | Path) -> None:
-    _write_jsonl(
-        (
-            {"id": c.source_id, "canonical_text": c.text, "fingerprint": c.fingerprint}
-            for c in canonicals
-        ),
-        path,
+def write_canonical_file(ids: Sequence[str], texts: Sequence[str], path: str | Path) -> None:
+    """Each posting's id and canonical text, with the text's fingerprint for readers."""
+    records = (
+        {"id": pid, "canonical_text": text, "fingerprint": fingerprint_text(text)}
+        for pid, text in zip(ids, texts)
     )
+    _write_jsonl(records, path)
 
 
-def read_canonical_file(path: str | Path) -> list[CanonicalText]:
-    return [
-        CanonicalText(text=text, fingerprint=fingerprint, source_id=source_id)
-        for source_id, text, fingerprint in _read_jsonl(
-            path, ("id", "canonical_text", "fingerprint")
-        )
-    ]
+def read_canonical_file(path: str | Path) -> list[tuple[str, str]]:
+    """The (id, canonical_text) pairs of `canonical.jsonl`; its fingerprints are not read back."""
+    fields = ("id", "canonical_text", "fingerprint")
+    return [(pid, text) for pid, text, _ in _read_jsonl(path, fields)]
 
 
 def _write_translated(rep_ids: Sequence[str], texts: Sequence[str], outdir: str | Path) -> None:
@@ -390,22 +389,23 @@ def stage_ingest(path: str | Path, format: str, outdir: str | Path) -> list[Post
     return postings
 
 
-def stage_normalize(config: PipelineConfig, outdir: str | Path) -> list[CanonicalText]:
-    canonicals = _normalize(load_postings(Path(outdir) / POSTINGS_FILE), config)
-    write_canonical_file(canonicals, Path(outdir) / CANONICAL_FILE)
+def stage_normalize(config: PipelineConfig, outdir: str | Path) -> list[str]:
+    postings = load_postings(Path(outdir) / POSTINGS_FILE)
+    canonicals = _normalize(postings, config)
+    write_canonical_file([p.id for p in postings], canonicals, Path(outdir) / CANONICAL_FILE)
     return canonicals
 
 
 def stage_translate(config: PipelineConfig, outdir: str | Path, translator=None) -> list[str]:
     postings = load_postings(Path(outdir) / POSTINGS_FILE)
-    canonicals = read_canonical_file(Path(outdir) / CANONICAL_FILE)
-    if [c.source_id for c in canonicals] != [p.id for p in postings]:
+    records = read_canonical_file(Path(outdir) / CANONICAL_FILE)
+    if [pid for pid, _ in records] != [p.id for p in postings]:
         raise DataError(
             f"{Path(outdir) / CANONICAL_FILE} does not hold the ids of {POSTINGS_FILE} "
             "in order; run the normalize stage again"
         )
     order = _id_order(postings)
-    postings, canonicals = [postings[i] for i in order], [canonicals[i] for i in order]
+    postings, canonicals = [postings[i] for i in order], [records[i][1] for i in order]
     groups = group_exact(canonicals)
     texts = _translate(postings, canonicals, groups, config, translator)
     _write_translated([postings[g[0]].id for g in groups], texts, outdir)

@@ -176,21 +176,26 @@ class TranslationCache:
 
     Re-runs must not re-bill an external API: hits are served from memory,
     new entries are appended under a lock, and the newest entry for a key
-    wins when loading. A final line without its newline is an append cut
-    off by a crash: loading drops it and truncates the file back to the
-    last newline. Any other malformed line, including one whose key fields
-    or translated text are not strings, raises DataError.
+    wins when loading. The file is opened for appending (and made, if it is
+    missing) when the cache is, so a path that cannot be written fails
+    before any translation is paid for, not at the first `put`. A final
+    line without its newline is an append cut off by a crash: loading drops
+    it and truncates the file back to the last newline. Any other malformed
+    line, including one whose key fields or translated text are not
+    strings, raises DataError.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
         self._path = Path(path) if path is not None else None
         self._entries: dict[tuple[str, str, str], str] = {}
         self._lock = threading.Lock()
-        if self._path is not None and self._path.exists():
-            self._load(self._path)
+        if self._path is not None:
+            with open(self._path, "a+b") as fh:
+                fh.seek(0)
+                self._load(fh, self._path)
 
-    def _load(self, path: Path) -> None:
-        data = path.read_bytes()
+    def _load(self, fh, path: Path) -> None:
+        data = fh.read()
         complete = data.rfind(b"\n") + 1
         for line_no, line in enumerate(data[:complete].split(b"\n"), 1):
             if not line.strip():
@@ -204,7 +209,7 @@ class TranslationCache:
             except (ValueError, KeyError, TypeError) as err:
                 raise DataError(f"malformed translation cache record at {path}:{line_no}") from err
         if complete < len(data):
-            os.truncate(path, complete)
+            fh.truncate(complete)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -251,10 +256,10 @@ def translate_batch(
     """Translate texts, each from its source language, preserving order;
     cache hits bypass the backend.
 
-    Each text is keyed by `text_key(text)`, in the cache and among the texts
-    of one call: equal texts are translated once. An empty text translates
-    to "" with no cache or backend call. Misses are grouped by source
-    language (a repeated text by its first source). The in-process backends
+    Equal texts of one call are translated once; the cache keys a text by
+    `text_key(text)`, which is computed only for its `get` and `put`. An
+    empty text translates to "" with no cache or backend call. Misses are
+    grouped by source language (a repeated text by its first source). The in-process backends
     translate each group in one call in the calling thread; any other
     backend gets it cut into batches of `batch_size`, dispatched with at
     most `max_in_flight` calls outstanding, each failed batch retried with
@@ -264,24 +269,23 @@ def translate_batch(
     if max_in_flight < 1:
         raise ValueError("max_in_flight must be >= 1")
     results = [""] * len(texts)
-    # Indexes of the texts still to translate, by key.
+    # Indexes of the texts still to translate, by text.
     pending: dict[str, list[int]] = {}
     for i, text in enumerate(texts):
         if not text:
             continue
-        key = text_key(text)
-        cached = cache.get(key, TARGET_LANGUAGE, backend.name) if cache is not None else None
-        if cached is not None:
-            results[i] = cached
-        else:
-            pending.setdefault(key, []).append(i)
+        if cache is not None:
+            cached = cache.get(text_key(text), TARGET_LANGUAGE, backend.name)
+            if cached is not None:
+                results[i] = cached
+                continue
+        pending.setdefault(text, []).append(i)
 
     by_source: dict[Optional[str], list[str]] = {}
-    for key, indices in pending.items():
-        by_source.setdefault(sources[indices[0]], []).append(key)
+    for text, indices in pending.items():
+        by_source.setdefault(sources[indices[0]], []).append(text)
 
-    for source, keys in by_source.items():
-        group = [texts[pending[key][0]] for key in keys]
+    for source, group in by_source.items():
         if isinstance(backend, _IN_PROCESS):
             translated = backend.translate(group, source, TARGET_LANGUAGE)
         else:
@@ -294,12 +298,13 @@ def translate_batch(
                 max_in_flight=max_in_flight,
                 retry=retry,
             )
-        for key, text in zip(keys, translated):
-            for i in pending[key]:
-                results[i] = text
+        for text, translation in zip(group, translated):
+            for i in pending[text]:
+                results[i] = translation
         if cache is not None:
             cache.put(
-                (key, TARGET_LANGUAGE, backend.name, text) for key, text in zip(keys, translated)
+                (text_key(text), TARGET_LANGUAGE, backend.name, translation)
+                for text, translation in zip(group, translated)
             )
 
     return results

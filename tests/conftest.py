@@ -86,11 +86,11 @@ def spy_on_chain(monkeypatch) -> dict[str, list]:
 
 def write_chain_artifacts(calls: dict[str, list], outdir: Path) -> Path:
     """The values of one recorded chain run, written by the stage commands' writers."""
-    ((_, canonicals),) = calls["_normalize"]
+    (((postings, *_), canonicals),) = calls["_normalize"]
     ((_, texts),) = calls["_translate"]
     (((rep_ids, *_), (embedded, meta, _)),) = calls["_embed"]
     outdir.mkdir(parents=True, exist_ok=True)
-    write_canonical_file(canonicals, outdir / CANONICAL_FILE)
+    write_canonical_file([p.id for p in postings], canonicals, outdir / CANONICAL_FILE)
     pipeline._write_translated(rep_ids, texts, outdir)
     pipeline._write_embedded(embedded, meta, outdir)
     return outdir

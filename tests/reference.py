@@ -22,7 +22,7 @@ from itertools import combinations, product
 
 from postdedup.dedup import DuplicateLabel
 from postdedup.errors import NoMatchingRule
-from postdedup.normalize import canonicalize
+from postdedup.normalize import canonicalize, fingerprint_text
 
 from conftest import ResultRow
 
@@ -31,8 +31,8 @@ def exact_groups(postings, config=None) -> dict[str, list[str]]:
     """Each exact group's sorted member ids, keyed by its representative."""
     by_key: dict = {}
     for posting in postings:
-        canonical = canonicalize(posting, config)
-        key = canonical.fingerprint if canonical.text else ("empty text", posting.id)
+        text = canonicalize(posting, config)
+        key = fingerprint_text(text) if text else ("empty text", posting.id)
         by_key.setdefault(key, []).append(posting.id)
     return {min(ids): sorted(ids) for ids in by_key.values()}
 

@@ -17,7 +17,9 @@ import pytest
 import yaml
 
 import postdedup
+from postdedup import pipeline
 from postdedup.cli import _config_from_args, build_parser, main
+from postdedup.config import config_from_dict
 from postdedup.corpus import save_postings
 from postdedup.index import FlatIndex, load_index
 from postdedup.pipeline import (
@@ -31,6 +33,7 @@ from postdedup.pipeline import (
     RESULTS_FILE,
     TRANSLATED_FILE,
 )
+from postdedup.translate import IdentityTranslator
 
 from conftest import (
     STAGE_FILES,
@@ -351,6 +354,22 @@ def test_dedup_does_not_depend_on_the_order_of_the_input_lines(tmp_path):
     assert runs[0][2]  # the run translated through the cache
 
 
+def test_canonical_file_bytes_are_pinned(tmp_path):
+    # The stagewise test writes both sides with one writer; these are the
+    # bytes any reader of canonical.jsonl sees, the MD5 of the lowercased
+    # text included.
+    corpus = tmp_path / "corpus.jsonl"
+    record = {"id": "a1", "title": "Chef de Cuisine", "retrieval_date": "2024-01-01", "source": "s"}
+    corpus.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    outdir = tmp_path / "run"
+    assert run_cli("ingest", "--input", corpus, "--out", outdir) == 0
+    assert run_cli("normalize", "--out", outdir) == 0
+    assert (outdir / CANONICAL_FILE).read_bytes() == (
+        b'{"id": "a1", "canonical_text": "Chef de Cuisine", '
+        b'"fingerprint": "5c1177c649550bb3bb57fb87e6b3dcb1"}\n'
+    )
+
+
 @pytest.mark.parametrize("kind", ["flat", "ivf"])
 def test_stagewise_commands_match_dedup(tmp_path, monkeypatch, kind):
     index = {"kind": kind, "nlist": 8, "nprobe": 2} if kind == "ivf" else {"kind": kind}
@@ -632,6 +651,8 @@ def test_negative_seed_with_an_ivf_index_is_config_error(tmp_path, capsys):
 
 
 _POSTING = {"id": "a", "title": "chef", "retrieval_date": "2024-03-01", "source": "s"}
+_CSV_CORPUS_HEADER = "id,title,description,retrieval_date,source"
+_CSV_CORPUS_ROW = "a1,chef,cooks food,2024-01-01,s"
 _CANONICAL_LINE = json.dumps({"id": "a", "canonical_text": "chef", "fingerprint": "f"}) + "\n"
 
 
@@ -820,6 +841,31 @@ _CANONICAL_LINE = json.dumps({"id": "a", "canonical_text": "chef", "fingerprint"
             },
             f"{RESULTS_FILE}:3: results pair ('a', 'b') listed twice",
         ),
+        # Every CSV reader refuses a header naming a column twice, whose last
+        # cell would silently win; the corpus reader also refuses a column it
+        # does not know, where the gold and results readers take extra ones.
+        *(
+            (
+                f"{command} --input corpus.csv --format csv",
+                {"corpus.csv": f"{_CSV_CORPUS_HEADER},{column}\n{_CSV_CORPUS_ROW},x\n"},
+                f"corpus.csv:1: {fault} columns: [{column!r}]",
+            )
+            for command in ("ingest", "dedup")
+            for column, fault in (("salary", "unknown"), ("title", "repeated"))
+        ),
+        (
+            "eval",
+            {RESULTS_FILE: f"{RESULTS_HEADER}\n", GOLD_FILE: "id1,id2,label,id2\na,b,FULL,c\n"},
+            f"{GOLD_FILE}:1: repeated columns: ['id2']",
+        ),
+        (
+            "eval",
+            {
+                RESULTS_FILE: f"{RESULTS_HEADER},label\na,b,FULL,0.0,exact_fingerprint,x\n",
+                GOLD_FILE: "id1,id2,label\n",
+            },
+            f"{RESULTS_FILE}:1: repeated columns: ['label']",
+        ),
     ],
     ids=[
         "report-not-json", "eval-json-missing-fields", "gold-unknown-label",
@@ -833,6 +879,9 @@ _CANONICAL_LINE = json.dumps({"id": "a", "canonical_text": "chef", "fingerprint"
         "gold-not-utf8", "results-not-utf8", "postings-not-json",
         "corpus-csv-multiline-cells", "gold-multiline-cells", "corpus-csv-cell-too-large",
         "results-none-label", "gold-none-label", "gold-ids-descend", "results-pair-twice",
+        "ingest-csv-unknown-column", "ingest-csv-repeated-column",
+        "dedup-csv-unknown-column", "dedup-csv-repeated-column",
+        "gold-repeated-column", "results-repeated-column",
     ],
 )
 def test_malformed_input_file_is_data_error(tmp_path, monkeypatch, capsys, command, files, named):
@@ -1032,6 +1081,36 @@ def cache_config(tmp_path, cache_path) -> Path:
         yaml.safe_dump({"translate": {"cache_path": str(cache_path)}}), encoding="utf-8"
     )
     return config_path
+
+
+@pytest.mark.parametrize("route", ["run_pipeline", "dedup"])
+def test_cache_path_in_a_missing_directory_fails_before_any_translation(
+    tmp_path, monkeypatch, capsys, route
+):
+    # The cache opens its file when it is made, so a path that cannot be
+    # written stops the run before the backend translates anything.
+    batches = []
+
+    class Counting(IdentityTranslator):
+        def translate(self, texts, source, target):
+            batches.append(list(texts))
+            return super().translate(texts, source, target)
+
+    cache_path = tmp_path / "missing" / "cache.jsonl"
+    postings = [make_posting("a1", "Koch"), make_posting("a2", "Kellner")]
+    if route == "run_pipeline":
+        config = config_from_dict({"translate": {"cache_path": str(cache_path)}})
+        with pytest.raises(FileNotFoundError, match=re.escape(str(cache_path))):
+            pipeline.run_pipeline(postings, config, translator=Counting())
+    else:
+        monkeypatch.setattr(pipeline, "make_translator", lambda config: Counting())
+        save_postings(postings, tmp_path / "corpus.jsonl")
+        config = cache_config(tmp_path, cache_path)
+        args = ("--input", tmp_path / "corpus.jsonl", "--out", tmp_path / "run", "--config", config)
+        assert run_cli("dedup", *args) == 3
+        assert str(cache_path) in capsys.readouterr().err
+    assert batches == []
+    assert not cache_path.parent.exists()
 
 
 def test_translation_cache_serves_no_translation_of_another_dictionary(tmp_path):

@@ -31,7 +31,7 @@ from postdedup.config import config_from_dict
 from postdedup.errors import ConfigError, NoMatchingRule
 from postdedup.evaluation import render_report
 from postdedup.index import FlatIndex, IndexConfig, IVFIndex, build_index, load_index
-from postdedup.normalize import canonicalize
+from postdedup.normalize import canonicalize, fingerprint_text
 from postdedup.pipeline import EMBEDDINGS_FILE, run_pipeline
 from postdedup.synth import DupPlan, synth_corpus
 
@@ -412,7 +412,9 @@ def test_labels_equal_the_fingerprint_rule(data):
     pairs = result_rows(run_pipeline(postings, LABEL_CONFIG))
 
     postings_by_id = {p.id: p for p in postings}
-    fingerprints = {p.id: canonicalize(p, LABEL_CONFIG.normalize).fingerprint for p in postings}
+    fingerprints = {
+        p.id: fingerprint_text(canonicalize(p, LABEL_CONFIG.normalize)) for p in postings
+    }
     same_text = {
         (a, b)
         for a, b in combinations(sorted(fingerprints), 2)

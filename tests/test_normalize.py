@@ -8,10 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from postdedup.errors import FingerprintCollision
 from postdedup.normalize import (
     DEFAULT_KEEP_PUNCT,
-    CanonicalText,
     NormalizeConfig,
     canonicalize,
     clean_text,
@@ -96,14 +94,12 @@ def test_canonicalize_pipeline_order():
     posting = make_posting(
         "a1", title="<b>Senior DataEngineer</b>", description="Apply&amp;Join!!!"
     )
-    canonical = canonicalize(posting)
-    assert canonical.text == "Senior Data Engineer Apply&Join!"
-    assert canonical.source_id == "a1"
+    assert canonicalize(posting) == "Senior Data Engineer Apply&Join!"
 
 
 def test_canonicalize_already_clean_is_identity():
     posting = make_posting("a1", title="shift manager", description="run the line")
-    assert canonicalize(posting).text == "shift manager run the line"
+    assert canonicalize(posting) == "shift manager run the line"
 
 
 def test_fingerprint_is_stable_and_case_insensitive():
@@ -140,17 +136,15 @@ def test_clean_text_idempotent_on_fuzzed_strings(ascii_only):
 
 def test_recanonicalizing_a_cleaned_posting_is_stable():
     # rebuilding a posting from cleaned text and canonicalizing again must
-    # reproduce the same text and fingerprint
+    # reproduce the same canonical text
     from conftest import fuzz_noisy_string
 
     rng = random.Random(77)
     for _ in range(300):
         posting = make_posting("x", title=fuzz_noisy_string(rng), description=fuzz_noisy_string(rng))
         first = canonicalize(posting)
-        rebuilt = make_posting("x", title="", description=first.text)
-        second = canonicalize(rebuilt)
-        assert second.text == first.text
-        assert second.fingerprint == first.fingerprint
+        rebuilt = make_posting("x", title="", description=first)
+        assert canonicalize(rebuilt) == first
 
 
 @settings(max_examples=300)
@@ -309,31 +303,21 @@ def test_regex_classes_are_the_str_predicates_on_every_code_point():
 
 # -- exact grouping -----------------------------------------------------------
 
-def _canonical(pid: str, text: str) -> CanonicalText:
-    return CanonicalText(text=text, fingerprint=fingerprint_text(text), source_id=pid)
-
-
 def test_group_exact_case_insensitive():
-    groups = group_exact([_canonical("a", "Chef de Cuisine"), _canonical("b", "chef de cuisine")])
+    groups = group_exact(["Chef de Cuisine", "chef de cuisine"])
     assert groups == [[0, 1]]  # places in id order; the first is the representative
 
 
 def test_group_exact_distinct_texts():
-    groups = group_exact([_canonical("a", "chef"), _canonical("b", "baker")])
+    groups = group_exact(["chef", "baker"])
     assert groups == [[0], [1]]
 
 
 def test_group_exact_groups_come_in_representative_order():
     texts = ["chef", "", "baker", "Chef", "", "BAKER", "chef"]
-    groups = group_exact([_canonical(f"p{i}", t) for i, t in enumerate(texts)])
+    groups = group_exact(texts)
     # Each empty text is a group of its own.
     assert groups == [[0, 3, 6], [1], [2, 5], [4]]
-
-
-def test_group_exact_detects_collision():
-    fake = CanonicalText(text="different", fingerprint=fingerprint_text("chef"), source_id="b")
-    with pytest.raises(FingerprintCollision):
-        group_exact([_canonical("a", "chef"), fake])
 
 
 def test_group_exact_matches_all_pairs_equality_oracle():
@@ -347,13 +331,11 @@ def test_group_exact_matches_all_pairs_equality_oracle():
         if rng.random() < 0.5:
             t = t.upper() if rng.random() < 0.5 else t.title()
         texts.append(t)
-    canonicals = [_canonical(f"p{i:05d}", t) for i, t in enumerate(texts)]  # in id order
-
     lowered = np.array([t.lower() for t in texts])
     equal = lowered[:, None] == lowered[None, :]
     oracle_groups = {tuple(np.nonzero(equal[i])[0].tolist()) for i in range(len(texts))}
 
-    groups = group_exact(canonicals)
+    groups = group_exact(texts)  # in id order
     assert {tuple(g) for g in groups} == oracle_groups  # each ascending
     # partition: disjoint and covering
     all_places = [place for g in groups for place in g]
@@ -365,6 +347,6 @@ def test_group_exact_matches_all_pairs_equality_oracle():
 def test_group_count_never_exceeds_posting_count():
     from postdedup.corpus import pair_count
 
-    canonicals = [_canonical(f"p{i}", f"text {i % 10}") for i in range(100)]
-    groups = group_exact(canonicals)
-    assert pair_count(len(groups)) <= pair_count(len(canonicals))
+    texts = [f"text {i % 10}" for i in range(100)]
+    groups = group_exact(texts)
+    assert pair_count(len(groups)) <= pair_count(len(texts))

@@ -567,7 +567,11 @@ def test_failed_artifact_write_keeps_previous_file(tmp_path, name):
         "postings.csv": (
             postings, fail_after(postings, 2), lambda items, path: save_postings(items, path, "csv")
         ),
-        CANONICAL_FILE: (canonicals, fail_after(canonicals, 2), write_canonical_file),
+        CANONICAL_FILE: (
+            canonicals,
+            fail_after(canonicals, 2),
+            lambda texts, path: write_canonical_file([p.id for p in postings], texts, path),
+        ),
         RESULTS_FILE: (
             result,
             replace(result, reason_names=FailingList(result.reason_names, 2)),
@@ -652,14 +656,8 @@ def test_expanded_pairs_carry_their_representatives_distance(tmp_path):
     result = run_pipeline(synth.postings, config)
     # Independent: each member's representative from the written canonical
     # file, and the L2 distance of the two representatives' stored vectors.
-    canonicals = sorted(
-        pipeline.read_canonical_file(outdir / CANONICAL_FILE), key=lambda c: c.source_id
-    )
-    rep = {
-        canonicals[member].source_id: canonicals[group[0]].source_id
-        for group in group_exact(canonicals)
-        for member in group
-    }
+    ids, texts = zip(*sorted(pipeline.read_canonical_file(outdir / CANONICAL_FILE)))
+    rep = {ids[member]: ids[group[0]] for group in group_exact(texts) for member in group}
     embedded = load_index(outdir / EMBEDDINGS_FILE)
     vectors = dict(zip(embedded.ids, embedded.vectors.astype(np.float64)))
     thresholds = {f"rule({i})": rule.threshold for i, rule in enumerate(rules[:-1])}

@@ -264,6 +264,19 @@ def test_empty_text_makes_no_backend_or_cache_call():
     assert backend.calls == 0 and cache.looked_up == [text_key("hallo")]
 
 
+def test_a_call_without_a_cache_hashes_no_text(monkeypatch):
+    # Equal texts of one call are found equal by the text itself; the key is
+    # made only for the cache.
+    def refuse(text):
+        raise AssertionError(f"hashed {text!r}")
+
+    monkeypatch.setattr(postdedup.translate, "text_key", refuse)
+    backend = CountingBackend()
+    out = translate_batch(["hallo", "Hallo", "hallo", ""], [None, None, "de", None], backend)
+    assert out == ["hallo", "Hallo", "hallo", ""]
+    assert backend.batches == [["hallo", "Hallo"]]
+
+
 def test_cache_second_submission_is_a_hit():
     backend = CountingBackend()
     cache = TranslationCache()
@@ -329,6 +342,7 @@ def test_cache_drops_torn_tail_and_appends_cleanly(tmp_path):
 
 def test_cache_appends_once_per_language_pair(tmp_path, monkeypatch):
     cache_path = tmp_path / "cache.jsonl"
+    cache = TranslationCache(cache_path)  # opens the file once itself, before any put
     appends = []
     real_open = open
 
@@ -340,9 +354,7 @@ def test_cache_appends_once_per_language_pair(tmp_path, monkeypatch):
     monkeypatch.setattr(postdedup.translate, "open", spy_open, raising=False)
     texts = [f"text {i}" for i in range(30)]
     sources = [("de", "es")[i % 2] for i in range(30)]
-    translate_batch(
-        texts, sources, CountingBackend(), cache=TranslationCache(cache_path), batch_size=4
-    )
+    translate_batch(texts, sources, CountingBackend(), cache=cache, batch_size=4)
     assert appends == [cache_path, cache_path]
     assert len(cache_path.read_text(encoding="utf-8").splitlines()) == 30
 

@@ -153,6 +153,23 @@ def _deepest_line(text: str) -> int:
     return at
 
 
+_JSON_ESCAPE = re.compile(r"\\(?:u[dD][89abAB]..\\u[dD][c-fC-F]..|(u[dD][89a-fA-F]..)|.)")
+
+
+def parse_json(text: str):
+    """`json.loads`, but a lone surrogate escape raises JSONDecodeError at
+    its place: no UTF-8 file can hold the string it makes. The text is
+    decoded UTF-8, so holds no surrogate itself, and in valid JSON each
+    backslash starts an escape: a pair, a lone surrogate (group 1) or another."""
+    value = json.loads(text)
+    if "\\ud" in text or "\\uD" in text:
+        for escape in _JSON_ESCAPE.finditer(text):
+            if escape.group(1):
+                lone = f"lone surrogate \\{escape.group(1)}"
+                raise json.JSONDecodeError(lone, text, escape.start())
+    return value
+
+
 def read_json(path: str | Path, error: type[DedupError] = DataError):
     """The value of a JSON document; text that is not JSON raises `error` at `path:line`.
 
@@ -160,7 +177,7 @@ def read_json(path: str | Path, error: type[DedupError] = DataError):
     """
     text = read_text(path, error)
     try:
-        return json.loads(text)
+        return parse_json(text)
     except json.JSONDecodeError as err:
         raise error(f"malformed JSON at {path}:{err.lineno}: {err.msg}") from err
     except RecursionError as err:
@@ -177,7 +194,7 @@ def jsonl_records(path: str | Path) -> Iterator[tuple[dict, int]]:
         if line.isspace():
             continue
         try:
-            record = json.loads(line)
+            record = parse_json(line)
         except json.JSONDecodeError as err:
             raise MalformedRecord(path, line_no, err.msg) from err
         except RecursionError as err:
@@ -305,6 +322,7 @@ __all__ = [
     "Posting",
     "parse_date",
     "read_text",
+    "parse_json",
     "read_json",
     "jsonl_records",
     "csv_records",

@@ -24,53 +24,43 @@ the centers. Queries run in blocks whose temporaries are sized by a byte
 budget (`_BLOCK_BYTES`), not by a query count. Each list a block probes
 gets one product with the queries probing it (`_preselect`, the only
 place that forms it), which gives the approximate squared distance
-``A = ‖q‖² + ‖x‖² − 2·q·x`` of every row of the list. Per query the
-scan keeps every row with ``A ≤ a_k + 2Δ``, where ``a_k`` is the
-query's k-th smallest ``A`` in the list and
+``A = ‖q‖² + ‖x‖² − 2·q·x`` of every row of the list. Every search has
+a radius R, the largest distance the caller can keep (a range search
+next to k-NN, as in Johnson et al.; the threshold bounds all-pairs
+search as in Bayardo et al.), and R = inf is the unbounded search. Per
+query the scan keeps every row with ``A ≤ R² + 2Δ``, where
 
     Δ = (γ_d + 2·γ'_(d+2) + 6u)·(‖q‖ + max‖x‖)² + (5d + 4)·η
 
 bounds ``|A − exact d²|`` for every row of the list (u: unit roundoff of
 the rows' dtype, 2⁻²⁴ for float32; γ_n = n·u/(1 − n·u), γ' the same for
 float64; η: half the smallest subnormal; d: dimension; derivation at
-`_preselect`). Only the kept rows are re-ranked with the exact
-expression, and the top k is chosen by (exact d², id), so the result
-equals an exhaustive exact scan of the probed rows bit for bit, ties
-included. The k-means++ seeding shares the same preselect, bounded per
-row by its distance to the nearest center so far, to skip the rows a
-new center cannot bring closer.
-
-The radius R is the largest distance the caller can keep (a range
-search next to k-NN, as in Johnson et al.; the threshold bounds
-all-pairs search as in Bayardo et al.). Each query keeps the rows of a
-list with ``A ≤ R² + 2Δ``. A query that keeps more than k of them in one
-list partitions that list for ``a_k`` and keeps ``A ≤ a_k + 2Δ``
-instead, which is exactly what it keeps there without R; under R = inf
-every query does. The hits under R are those of the unbounded search bit
-for bit, while the exact re-rank sees the few rows near each query
-instead of more than k.
+`_preselect`). A query that keeps more than k rows of a list that way
+keeps ``A ≤ a_k + 2Δ`` instead, ``a_k`` being its k-th smallest ``A``
+in the list. Only the kept rows are re-ranked with the exact expression,
+and the top k is chosen by (exact d², id), so the hits under R equal
+those of an exhaustive exact scan of the probed rows bit for bit, ties
+included, while the re-rank sees the few rows near each query. The
+k-means++ seeding shares the same preselect, bounded per row by its
+distance to the nearest center so far, to skip the rows a new center
+cannot bring closer.
 
 Self-join. A flat index decides each unordered pair once, as the
-all-pairs search of Bayardo et al. does (`_self_join`). Query block
-[s, e) forms its product only against rows [s, n), keeping the strict
-upper triangle of its own rows, with one Δ for every pair (the largest
-row norm on both sides), and re-ranks each kept pair once; the exact d²
-is bitwise symmetric, so the pair is mirrored to its other end, and a
-row's own d² is 0. The rows that keep more than k rows in all are
-searched by `_search` instead, as the queries of one list of every row,
-so every row's hits are those of that search, bit for bit. On the
-flat-2k rows (2,395 × 256) the blocks hold 46 queries, as `_search`'s
-do with a radius (1 MiB ÷ (9 × 2,395 + 1,024)), but the 53 products
-cover half the (query, row) pairs. An IVF index runs `_search` with its
-rows as the queries, each probing its own ``nprobe`` lists.
+all-pairs search of Bayardo et al. does (`_self_join`): a query block
+forms its product only against the rows from its own on, and each kept
+pair is re-ranked once and mirrored; the rows that keep more than k rows
+in all are searched by `_search` instead. On the flat-2k rows
+(2,395 × 256) the blocks hold 46 queries, as `_search`'s do (1 MiB ÷
+(9 × 2,395 + 1,024)), but the 53 products cover half the (query, row)
+pairs. An IVF index runs `_search` with its rows as the queries, each
+probing its own ``nprobe`` lists.
 
 The product is one BLAS GEMM, ``(rows @ queries.T).T``, as in blocked
 exact search (Johnson et al.). The CLI runs OpenBLAS with one thread (see
 ``postdedup.cli``), so the only parallelism is the block pool of
 ``threads``. On the flat-2k rows, every row against every row in blocks
-of 8 queries (the blocks of a search without a radius), the one-thread
-product takes 0.075 s against 0.24 s for the ``np.einsum`` it replaced;
-``queries @ rows.T`` takes 0.16 s.
+of 8 queries, the one-thread product takes 0.075 s against 0.24 s for
+the ``np.einsum`` it replaced; ``queries @ rows.T`` takes 0.16 s.
 
 An index may hold zero rows; every search of it finds no hits.
 
@@ -112,20 +102,21 @@ _MAGIC = b"PDIX"
 _VERSION = 1
 _KIND_FLAT = 0
 
-# Bytes of temporaries one block of queries may hold. A block takes as
-# many queries as fit when each query costs its gathered copy and every
-# (query, row) entry it can reach costs two approximate distances and a
-# mask flag, plus `_CANDIDATE_BYTES` (indices, exact d², sort order)
-# without a radius. The rows a query can reach are those of the `nprobe`
-# largest lists: all n rows for a one-list search (the flat self-join's
-# fallback, the IVF probe, the k-means assign). With a radius a query
-# keeps few rows, so the block is not sized for candidates; its queries
-# are instead re-ranked in runs whose kept rows cost at most the budget
-# at `_CANDIDATE_BYTES` each, so a block whose queries keep every row
-# they reach (a clique under the radius) holds no more than a common
-# one. See `_search`.
+# Bytes of temporaries one block of queries may hold (`_block_size`): each
+# query costs its gathered copy and, per row it can reach (those of the
+# `nprobe` largest lists, all n rows for a one-list search), two
+# approximate distances and a mask flag. Candidates are not counted: a
+# block re-ranks its kept rows in runs of queries that hold at most the
+# budget at `_CANDIDATE_BYTES` (indices, exact d², sort order) each, so a
+# clique under the radius holds no more than a common block. See `_search`.
 _BLOCK_BYTES = 1 << 20
 _CANDIDATE_BYTES = 40
+
+
+def _block_size(queries: np.ndarray, rows: np.ndarray, reach: int) -> int:
+    """Queries per block when each can reach `reach` of `rows` (see `_BLOCK_BYTES`)."""
+    entry_bytes = 2 * rows.itemsize + 1
+    return max(1, _BLOCK_BYTES // (entry_bytes * reach + queries.itemsize * queries.shape[1]))
 
 
 @dataclass(frozen=True)
@@ -173,12 +164,6 @@ def _gamma(n: int, u: float) -> float:
     return n * u / (1.0 - n * u)
 
 
-def _kth_cutoff(approx: np.ndarray, k: int, delta: np.ndarray) -> np.ndarray:
-    """Per query (as a column), its k-th smallest approximate distance plus 2Δ."""
-    kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
-    return (kth.astype(np.float64) + 2 * delta)[:, None]
-
-
 # Unit roundoff u and smallest subnormal (2η) of each dtype the kernel
 # scans: float32 for stored rows and centroids, float64 for k-means.
 _ROUNDING = {
@@ -209,9 +194,9 @@ def _preselect(
     row_sq: np.ndarray,
     delta: np.ndarray,
     k: int,
-    r2: float | np.ndarray | None = None,
+    r2: float | np.ndarray,
 ) -> np.ndarray:
-    """Mask (m, n) of the (query, row) pairs that can be in a query's exact top k (E under `r2`).
+    """Mask (m, n) of the (query, row) pairs that can be a query's top-k hits under `r2`.
 
     `q_sq` and `row_sq` are the squared norms of `queries` and `rows`, and
     `delta` is Δ per query (`_margin`, from the largest norm of `rows`).
@@ -230,52 +215,47 @@ def _preselect(
         from D by ≤ γ'_(d+2)·D ≤ γ'_(d+2)·S, whatever its order, plus
         d·η of underflow for float64 rows.
     So |A − E| ≤ Δ with Δ as in the module docstring, taking the largest
-    row norm (`_margin`); the 6u also covers rounding the cutoff below.
-    The k rows with the smallest A (at most a_k) have E ≤ a_k + Δ, so the
-    k-th smallest E is at most a_k + Δ; a row of the exact top k has E no
-    larger, hence A ≤ E + Δ ≤ a_k + 2Δ. Keeping A ≤ a_k + 2Δ therefore
-    keeps every row the exact top k can hold, through any ties. The
-    bound scales with the norms and holds for any summation order.
+    row norm (`_margin`); the 6u also covers rounding the cutoffs below.
 
-    With `r2` only the rows with E under a bound ρ are needed, and `r2`
-    is one value for all queries or one per query. A search bounded by a
-    radius R passes R·R: the distance is the float64 square root of E,
-    correctly rounded and R a float64, so √E < R implies E < ρ = R². The
-    k-means++ seeding passes each row's running d² as ρ itself. A row
+    Only the rows with E under a bound ρ are needed, and `r2` is one
+    value for all queries or one per query. A search with a radius R
+    passes R·R (inf for R = inf): the distance is the float64 square root
+    of E, correctly rounded and R a float64, so √E < R implies E < ρ = R².
+    The k-means++ seeding passes each row's running d² as ρ itself. A row
     with E < ρ has A < ρ + Δ. The cutoff r2 + 2Δ comes from ρ with at
     most two float64 roundings, which lose at most 2u'(ρ + 2Δ): less than
     Δ when ρ ≤ Δ/(2u'), and when ρ is larger every row passes anyway,
     since then ρ > 3S + 2d·η/u', far above A ≤ E + Δ. So keeping
     A ≤ r2 + 2Δ keeps every row with E < ρ. A query that keeps more than
-    k rows this way falls back to the cutoff a_k + 2Δ. Either way its
-    kept set holds every row of its top k with E < ρ.
+    k rows this way cuts at its k-th smallest A over the list, a_k,
+    instead: the k rows with the smallest A have E ≤ a_k + Δ, so the k-th
+    smallest E is at most a_k + Δ; a row of the exact top k has E no
+    larger, hence A ≤ E + Δ ≤ a_k + 2Δ, and keeping A ≤ a_k + 2Δ keeps
+    every row the exact top k can hold, through any ties. Either way the
+    query's kept set holds every row of its top k with E < ρ.
 
     A search calls this once per list it probes (flat: one list of every
     row), and a probed list is a flat scan of its rows: a row in a
     query's top k of all its probed rows is in the top k of its own
     list. So the rows kept from all its lists hold every row of the
-    probed top k (that lies under R, with a radius), and without a radius
-    the top k of the kept rows is the probed top k. With one, a kept row
-    under R outside the probed top k sorts after all k of its rows by
-    (E, id); they then lie under R too and are kept, so that row is not
-    in the top k of the kept rows either. The top k of the kept rows
-    therefore has the radius-free probed top k's hits under R, bit for
-    bit.
+    probed top k that lies under R. A kept row under R outside the probed
+    top k sorts after all k of its rows by (E, id); they then lie under
+    R too and are kept, so that row is not in the top k of the kept rows
+    either. The top k of the kept rows therefore has the probed top k's
+    hits under R, bit for bit; under R = inf that is the probed top k.
     """
-    if k >= len(rows) and r2 is None:  # every row is in the top k
-        return np.ones((len(queries), len(rows)), dtype=bool)
     # BLAS is fastest on this orientation; the copy makes the arithmetic,
     # partition and mask below run on rows of contiguous memory.
     approx = np.ascontiguousarray((rows @ queries.T).T)
     approx *= -2
     approx += row_sq
     approx += q_sq[:, None]
-    if r2 is None:
-        return approx <= _kth_cutoff(approx, k, delta)
     keep = approx <= (r2 + 2 * delta)[:, None]
     over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
     if over.size:
-        keep[over] = approx[over] <= _kth_cutoff(approx[over], k, delta[over])
+        approx = approx[over]
+        kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+        keep[over] = approx <= (kth.astype(np.float64) + 2 * delta[over])[:, None]
     return keep
 
 
@@ -354,15 +334,15 @@ def _search(
     lists: tuple[np.ndarray, np.ndarray],
     k: int,
     threads: int = 1,
-    r2: float | None = None,
+    r2: float = math.inf,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Exact top k per query by (d², rank) over the rows of the lists it probes.
 
     `lists` is (bounds, probes): list i holds rows bounds[i]:bounds[i + 1]
     and query q probes the lists probes[q]. A block of queries sends each
     list it probes through `_preselect`, with the queries probing it and
-    the squared radius `r2`, and re-ranks the kept rows exactly, in runs
-    of queries whose kept rows fit the budget. Returns the hits as flat
+    the squared radius `r2` (inf for none), and re-ranks the kept rows
+    exactly, in runs of queries whose kept rows fit the budget. Returns the hits as flat
     arrays (query, row, exact d²) in (query, d², rank) order, at most k
     per query and fewer where a query reaches or keeps fewer rows, so
     they take memory in proportion to the hits; and the number of pairs
@@ -372,9 +352,7 @@ def _search(
     firsts, sizes = bounds[:-1], np.diff(bounds)
     m, nprobe = probes.shape
     margin = _margin(rows.shape[1], rows.dtype)
-    most = int(np.sort(sizes)[-nprobe:].sum())
-    entry_bytes = 2 * rows.itemsize + 1 + (_CANDIDATE_BYTES if r2 is None else 0)
-    size = max(1, _BLOCK_BYTES // (entry_bytes * most + queries.itemsize * queries.shape[1]))
+    size = _block_size(queries, rows, int(np.sort(sizes)[-nprobe:].sum()))
     cap = _BLOCK_BYTES // _CANDIDATE_BYTES  # kept rows one re-rank may hold
 
     def run(start: int) -> list[tuple[tuple[np.ndarray, ...], int]]:
@@ -451,17 +429,17 @@ def _self_join(
     of all rows, so their hits are that search's by construction. A pair
     is stored only while one of its ends keeps at most k rows, so the
     stored pairs follow the hits, and blocks are sized as `_search` sizes
-    them with a radius. Results are equal for any `threads`.
+    them. Results are equal for any `threads`.
     """
     n, dim = rows.shape
     if not n:
         return (*_NO_HITS, 0)
     top = float(np.sqrt(row_sq.max()))
     delta = _margin(dim, rows.dtype)(top, top)
-    # Blocks of as many queries as a `_search` block with a radius. Block
-    # [s, e) reaches only n - s rows, but a larger block would make BLAS
-    # pack, and the process hold, more of its queries at once.
-    size = max(1, _BLOCK_BYTES // ((2 * rows.itemsize + 1) * n + rows.itemsize * dim))
+    # Blocks of as many queries as a `_search` block. Block [s, e) reaches
+    # only n - s rows, but a larger block would make BLAS pack, and the
+    # process hold, more of its queries at once.
+    size = _block_size(rows, rows, n)
     cuts = [*range(0, n, size), n]
 
     def kept(block: tuple[int, int]) -> np.ndarray:
@@ -474,6 +452,8 @@ def _self_join(
     counts, reranked = np.zeros(n, dtype=np.int64), 0
     pi, pj, pd = _NO_HITS
     blocks = list(zip(cuts, cuts[1:]))
+    if n > k and r2 >= 4 * row_sq.max():  # ‖q − x‖ ≤ ‖q‖ + ‖x‖: every row keeps all n
+        blocks, counts[:] = [], n
     for (s, e), keep in zip(blocks, _in_order(kept, blocks, threads)):
         flags = keep.view(np.uint8)
         counts[s:] += flags.sum(axis=0, dtype=np.int32)

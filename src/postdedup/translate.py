@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional, Protocol, Sequence
 
-from .corpus import read_json
+from .corpus import parse_json, read_json
 from .errors import ConfigError, DataError
 
 if TYPE_CHECKING:  # batching is loaded only for a remote backend
@@ -201,7 +201,7 @@ class TranslationCache:
             if not line.strip():
                 continue
             try:
-                record = json.loads(line.decode("utf-8"))
+                record = parse_json(line.decode("utf-8"))
                 fields = [record[name] for name in _CACHE_FIELDS]
                 if not all(isinstance(value, str) for value in fields):
                     raise TypeError("cache record fields must be strings")

@@ -207,15 +207,14 @@ def search_hits(index, k: int, radius: float = math.inf) -> dict[str, list]:
     return hits
 
 
-def scan(index, queries, k: int, threads: int = 1, radius: float | None = None):
+def scan(index, queries, k: int, threads: int = 1, radius: float = math.inf):
     """The search kernel `_search` of arbitrary queries over one list of
     every row of `index`: (query, row, distance) hit arrays and the count
     of pairs re-ranked."""
     queries = np.ascontiguousarray(queries, dtype=np.float32)
     lists = _one_list(len(queries), len(index))
-    r2 = None if radius is None else radius * radius
     qi, rows, d2, reranked = _search(
-        queries, index.vectors, index._sq, index._id_ranks, lists, k, threads, r2
+        queries, index.vectors, index._sq, index._id_ranks, lists, k, threads, radius * radius
     )
     return qi, rows, np.sqrt(d2), reranked
 

@@ -5,6 +5,9 @@ shares no ordering with the program:
 
 - `exact_groups` groups postings by the fingerprint of `canonicalize`; an
   empty text is a group of its own, and a group's smallest id represents it;
+- `candidate_triples` finds the candidate pairs of the representatives from
+  a full distance matrix of their embeddings, each row's k nearest other
+  rows under the search radius;
 - `per_pair_rules` matches the expert rules pair by pair, the first match
   winning;
 - `expand_pairs` expands kept representative pairs and exact groups into
@@ -18,9 +21,13 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from itertools import combinations, product
 
+import numpy as np
+
 from postdedup.dedup import DuplicateLabel
+from postdedup.embed import HashedEmbedder
 from postdedup.errors import NoMatchingRule
 from postdedup.normalize import canonicalize, fingerprint_text
 
@@ -35,6 +42,34 @@ def exact_groups(postings, config=None) -> dict[str, list[str]]:
         key = fingerprint_text(text) if text else ("empty text", posting.id)
         by_key.setdefault(key, []).append(posting.id)
     return {min(ids): sorted(ids) for ids in by_key.values()}
+
+
+def candidate_triples(postings, config) -> list[tuple[str, str, float]]:
+    """The (id_a, id_b, distance) candidate pairs of a run with identity
+    translation and the hashed embedder, sorted.
+
+    Each representative's canonical text is embedded, and the zero rows
+    are dropped. Each row takes its k nearest other rows by (float64 d²,
+    id), the d² of a pair being the upcast float32 rows' difference,
+    squared and summed, and keeps those at a distance under the search
+    radius; the pairs are the union over every row.
+    """
+    by_id = {p.id: p for p in postings}
+    reps = sorted(exact_groups(postings, config.normalize))
+    texts = [canonicalize(by_id[rep], config.normalize) for rep in reps]
+    vectors = HashedEmbedder(config.embed.dim, config.embed.max_tokens).embed_many(texts)
+    nonzero = vectors.any(axis=1)
+    ids = [rep for rep, keep in zip(reps, nonzero) if keep]
+    X = vectors[nonzero].astype(np.float64)
+    d2 = np.array([np.square(X - row).sum(axis=1) for row in X])
+    k, radius = config.dedup.k, config.dedup.search_radius
+    pairs = {}
+    for a, row in enumerate(d2.tolist()):
+        nearest = sorted((e, ids[b]) for b, e in enumerate(row) if b != a)[:k]
+        for e, other in nearest:
+            if math.sqrt(e) < radius:
+                pairs[min(ids[a], other), max(ids[a], other)] = math.sqrt(e)
+    return sorted((id_a, id_b, d) for (id_a, id_b), d in pairs.items())
 
 
 def _optional_match(mode, va, vb) -> bool:

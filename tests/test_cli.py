@@ -866,6 +866,20 @@ _CANONICAL_LINE = json.dumps({"id": "a", "canonical_text": "chef", "fingerprint"
             },
             f"{RESULTS_FILE}:1: repeated columns: ['label']",
         ),
+        # A lone surrogate escape decodes to a string no artifact can hold.
+        *(
+            (
+                f"{command} --input corpus.jsonl",
+                {
+                    "corpus.jsonl": json.dumps(_POSTING)
+                    + "\n"
+                    + json.dumps({**_POSTING, "id": "a\ud800"})
+                    + "\n"
+                },
+                "corpus.jsonl:2: lone surrogate \\ud800",
+            )
+            for command in ("ingest", "dedup")
+        ),
     ],
     ids=[
         "report-not-json", "eval-json-missing-fields", "gold-unknown-label",
@@ -882,6 +896,7 @@ _CANONICAL_LINE = json.dumps({"id": "a", "canonical_text": "chef", "fingerprint"
         "ingest-csv-unknown-column", "ingest-csv-repeated-column",
         "dedup-csv-unknown-column", "dedup-csv-repeated-column",
         "gold-repeated-column", "results-repeated-column",
+        "ingest-lone-surrogate", "dedup-lone-surrogate",
     ],
 )
 def test_malformed_input_file_is_data_error(tmp_path, monkeypatch, capsys, command, files, named):
@@ -925,8 +940,12 @@ def test_deeply_nested_json_document_names_its_deepest_line(tmp_path, monkeypatc
         ("--rules", "rules.yaml", b"- {name: r\xff}\n", "rules.yaml:1"),
         ("--dict", "dict.json", b'{"chef": "cook",\n "k\xe9": "x"}\n', "dict.json:2"),
         ("--dict", "dict.json", b'{"chef": "cook",\n "koch"}\n', "dict.json:2"),
+        ("--dict", "dict.json", b'{"chef": "cook",\n "hi": "hi\\ud800 there"}\n', "dict.json:2"),
     ],
-    ids=["config-not-utf8", "rules-not-utf8", "dictionary-not-utf8", "dictionary-not-json"],
+    ids=[
+        "config-not-utf8", "rules-not-utf8", "dictionary-not-utf8", "dictionary-not-json",
+        "dictionary-lone-surrogate",
+    ],
 )
 def test_malformed_config_file_is_config_error(
     tmp_path, monkeypatch, capsys, flag, name, content, named

@@ -75,6 +75,26 @@ def test_malformed_json_reports_line_number(tmp_path):
     assert err.value.line_no == 2
 
 
+# Pieces of a JSON string: escaped backslashes, quotes and characters, high
+# and low surrogate escapes alone and as a pair, and text that follows an
+# escaped backslash as a surrogate escape would.
+_JSON_PIECES = [
+    "a", "é", "\\\\", '\\"', "\\u00e9", "\\ud800", "\\uDBFF", "\\udc00", "\\uDFFF",
+    "\\ud83d\\ude00", "u", "d800",
+]
+
+
+@given(st.lists(st.sampled_from(_JSON_PIECES), max_size=8))
+def test_parse_json_rejects_exactly_the_strings_holding_a_lone_surrogate(pieces):
+    text = '{"k": "' + "".join(pieces) + '"}'
+    value = json.loads(text)["k"]
+    if any("\ud800" <= char <= "\udfff" for char in value):
+        with pytest.raises(json.JSONDecodeError, match="lone surrogate"):
+            corpus.parse_json(text)
+    else:
+        assert corpus.parse_json(text) == {"k": value}
+
+
 def test_missing_required_field(tmp_path):
     path = tmp_path / "corpus.jsonl"
     record = dict(FULL_RECORD)

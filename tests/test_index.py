@@ -534,7 +534,7 @@ def test_assign_equals_loop_over_centers(kind, n, dim, seed):
 
 # The same rows at the sizes BLAS kernels block and tile: dimensions that
 # are and are not a multiple of the SIMD width, and enough rows that k < n,
-# so the preselect product runs (it is skipped when every row is in the top k).
+# so each query cuts at its k-th smallest approximate distance.
 BLAS_SIZED_DATA = dict(
     kind=st.sampled_from(["grid", "ulp", "scaled"]),
     n=st.integers(min_value=20, max_value=200),
@@ -816,6 +816,27 @@ def test_self_join_searches_again_only_the_rows_over_k():
     assert sum(searched) == k + 2
     assert hits == search_hits(index, k, radius)
     assert sum(map(len, hits.values())) == (k + 2) * k + 40 - (k + 2)
+
+
+@pytest.mark.parametrize("radius", [math.inf, 3.0])
+def test_a_join_with_every_pair_under_the_radius_forms_no_triangle_product(radius):
+    # Unit rows lie within 2 of each other, so under these radii every row
+    # keeps all n > k rows: the join searches every row as a query of one
+    # list of every row, whose preselect takes the search's k, and forms
+    # none of the triangle products, which take k = n.
+    k = 5
+    index = FlatIndex(*unit_vectors(300, 16, seed=26))
+    ks = []
+    preselect = postdedup.index._preselect
+
+    def spy(*args):
+        ks.append(args[5])
+        return preselect(*args)
+
+    with mock.patch.object(postdedup.index, "_preselect", spy):
+        hits = join_hits(index, k, radius)
+    assert ks and set(ks) == {k}
+    assert hits == search_hits(index, k, radius)
 
 
 # --- the bounded IVF scan against re-ranking every probed row ---------------

@@ -9,7 +9,6 @@ from collections import Counter
 from dataclasses import replace
 from datetime import date
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -49,7 +48,6 @@ import reference
 from conftest import (
     STAGE_FILES,
     make_posting,
-    pair_triples,
     result_rows,
     spy_on_chain,
     write_chain_artifacts,
@@ -673,9 +671,14 @@ def test_expanded_pairs_carry_their_representatives_distance(tmp_path):
 # Ids with commas, quotes, spaces and non-ASCII, which csv quoting must keep.
 _ID_CHARS = ["a", "b", "c", ",", '"', " ", "é", "日"]
 # Word-order swaps embed identically (a bag of tokens) but differ in canonical
-# text, so they give kept pairs across exact groups; case and spacing do not
-# change a fingerprint, and an empty text is a group of its own.
-_DIFF_TEXTS = ["senior chef", "chef senior", "line cook", "cook line", "night porter", ""]
+# text, so they give kept pairs across exact groups; with three orders of one
+# bag, a row can have more than k rows at distance 0 ahead of it by id. Case
+# and spacing do not change a fingerprint, and an empty text is a group of
+# its own.
+_DIFF_TEXTS = [
+    "senior chef", "chef senior", "line cook", "cook line",
+    "night shift porter", "porter night shift", "shift porter night", "",
+]
 _MATCHERS = {
     "company": ["same", "different", "any_missing", "any"],
     "language": ["same", "different", "any"],
@@ -726,31 +729,26 @@ def test_results_csv_equals_the_object_expansion(data):
         for pid in ids
     ]
     rules = data.draw(st.one_of(st.just([]), _ruleset()), label="rules")
+    # A k under the texts' representatives, so that the cap binds; an IVF
+    # index probes every list, so that it finds what flat does.
+    k = data.draw(st.integers(1, 3), label="k")
+    nlist = data.draw(st.integers(1, 4), label="nlist")
+    index = data.draw(st.sampled_from([{}, {"kind": "ivf", "nlist": nlist, "nprobe": nlist}]))
     config = config_from_dict(
         {
             "mode": "multilingual",
             "embed": {"dim": 32},
-            "dedup": {"k": 10, "base_theta": 0.9, "rules": rules},
+            "index": index,
+            "dedup": {"k": k, "base_theta": 0.9, "rules": rules},
         }
     )
-    # Only the candidate pairs come from the program; the groups, the rules
-    # and the expansion are the reference's own.
-    calls = []
-    collect = pipeline.collect_hits
-
-    def recorded(*args, **kwargs):
-        calls.append(collect(*args, **kwargs))
-        return calls[-1]
-
-    with mock.patch.object(pipeline, "collect_hits", recorded):
-        result = run_pipeline(postings, config)
-    [(candidates, _)] = calls
+    # The candidates, the groups, the rules and the expansion are the
+    # reference's own.
+    result = run_pipeline(postings, config)
     groups = reference.exact_groups(postings, config.normalize)
-    assert set(candidates.names) <= groups.keys()  # the representatives were embedded
     rules = list(config.dedup.rules) or [default_rule(config.dedup.base_theta)]
-    kept = reference.per_pair_rules(
-        pair_triples(candidates), {p.id: p for p in postings}, rules
-    )
+    candidates = reference.candidate_triples(postings, config)
+    kept = reference.per_pair_rules(candidates, {p.id: p for p in postings}, rules)
     rows = reference.expand_pairs(kept, rules, groups, postings)
     with tempfile.TemporaryDirectory() as outdir:
         write_run(result, outdir)
@@ -758,6 +756,7 @@ def test_results_csv_equals_the_object_expansion(data):
     rule_kept = Counter(index for _, index in kept)
     assert result.report["rule_kept"] == [rule_kept[i] for i in range(len(rules))]
     counters = result.report["counters"]
+    assert counters["candidate_pairs"] == len(candidates)
     assert counters["kept_representative_pairs"] == len(kept)
     assert counters["output_pairs"] == len(rows)
     assert counters["exact_group_pairs"] == sum(r.reason == "exact_fingerprint" for r in rows)

@@ -379,9 +379,10 @@ def test_cache_malformed_inner_line_raises_data_error(tmp_path):
     cache_path = tmp_path / "cache.jsonl"
     TranslationCache(cache_path).put([("fp1", "en", "dictionary", "dog")])
     good = cache_path.read_bytes()
-    for bad in (b"{not json\n", b'{"fingerprint": "fp2"}\n', b"[1, 2]\n"):
+    lone = good.replace(b"dog", b"d\\ud800")  # a lone surrogate escape
+    for bad in (b"{not json\n", b'{"fingerprint": "fp2"}\n', b"[1, 2]\n", lone):
         cache_path.write_bytes(bad + good)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="cache.jsonl:1"):
             TranslationCache(cache_path)
         assert cache_path.read_bytes() == bad + good  # never rewritten
 

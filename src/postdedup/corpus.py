@@ -205,21 +205,26 @@ def jsonl_records(path: str | Path) -> Iterator[tuple[dict, int]]:
 
 
 def csv_records(
-    path: str | Path, columns: Sequence[str] | None = None
+    path: str | Path, columns: Sequence[str] | None = None, required: Sequence[str] = ()
 ) -> Iterator[tuple[dict, int]]:
     """Each row of a CSV file as a dict keyed by the header, with the line it starts on.
 
     Cells are comma-separated and double-quote escaped, and a quoted cell may
     span lines; blank lines are skipped and a short row lacks the keys of its
     missing cells. A header name outside `columns` (when given) or named
-    twice, a row with more cells than the header or text the csv module
-    rejects is a MalformedRecord.
+    twice, no header or one that lacks a name of `required` (when any), a
+    row with more cells than the header or text the csv module rejects is a
+    MalformedRecord.
     """
     reader = csv.reader(line for _, line in _lines(path, DataError))
     try:
         header = next(reader, None)
         if header is None:
+            if required:
+                raise MalformedRecord(path, 1, f"no header; expected columns {list(required)}")
             return
+        if missing := [name for name in required if name not in header]:
+            raise MalformedRecord(path, 1, f"header lacks columns: {missing}")
         if columns is not None and (unknown := set(header) - set(columns)):
             raise MalformedRecord(path, 1, f"unknown columns: {sorted(unknown)}")
         if repeated := sorted({name for name in header if header.count(name) > 1}):

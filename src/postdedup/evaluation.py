@@ -29,6 +29,10 @@ if TYPE_CHECKING:
     from .pipeline import PipelineResult
 
 
+# The columns of a results file; a gold file has the first three.
+_PAIR_COLUMNS = ("id1", "id2", "label", "distance", "reason")
+
+
 @dataclass(frozen=True)
 class GoldSet:
     """Canonical-keyed map of the true duplicate pairs, each with its label;
@@ -47,7 +51,7 @@ class GoldSet:
     def save_csv(self, path: str | Path) -> None:
         with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["id1", "id2", "label"])
+            writer.writerow(_PAIR_COLUMNS[:3])
             for (id_a, id_b), label in sorted(self.pairs.items()):
                 writer.writerow([id_a, id_b, label.value])
 
@@ -93,7 +97,7 @@ def write_results_csv(result: PipelineResult, path: str | Path) -> None:
     label_names = [label.value for label in DuplicateLabel]
     with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id1", "id2", "label", "distance", "reason"])
+        writer.writerow(_PAIR_COLUMNS)
         for start in range(0, len(pairs), _WRITE_CHUNK):
             rows = slice(start, start + _WRITE_CHUNK)
             writer.writerows(
@@ -111,12 +115,15 @@ def _read_pairs(path: str | Path, what: str) -> dict:
     """The label of each pair of a pair file, keyed by (id1, id2); `what` is
     "gold" or "results", whose rows also hold a distance and a reason.
 
-    A row whose fields do not parse (an unknown label, a missing cell, a
-    non-empty distance that is no number), whose ids do not ascend, or that
-    lists a pair a second time is a MalformedRecord naming `file:line`.
+    A file whose first line is not a header naming id1, id2 and label (an
+    empty file included) is a MalformedRecord at `file:1`; a header alone
+    is a file of no pairs. A row whose fields do not parse (an unknown
+    label, a missing cell, a non-empty distance that is no number), whose
+    ids do not ascend, or that lists a pair a second time is a
+    MalformedRecord naming `file:line`.
     """
     pairs: dict[tuple[str, str], DuplicateLabel] = {}
-    for row, line_no in csv_records(path):
+    for row, line_no in csv_records(path, required=_PAIR_COLUMNS[:3]):
         try:
             key = (row["id1"], row["id2"])
             label = DuplicateLabel(row["label"])
@@ -180,6 +187,8 @@ def render_report(run: Mapping | None, scores: Mapping | None = None, format: st
             sizes = run["ivf_list_sizes"]
             lines.append("-- ivf list sizes --")
             lines.append(f"min {sizes['min']}, median {sizes['median']}, max {sizes['max']}")
+        if run.get("ivf_kmeans_iterations") is not None:
+            lines.append(f"ivf k-means iterations: {run['ivf_kmeans_iterations']}")
         if run.get("truncation"):
             t = run["truncation"]
             lines.append("-- truncation --")

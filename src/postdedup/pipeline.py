@@ -264,10 +264,11 @@ def _dedup(
     saturation = saturation_report(queries.ids, kth, base_theta, k)
     label_counts = np.bincount(labels, minlength=len(DuplicateLabel)).tolist()
     timings["classify"] = time.perf_counter() - t0
-    list_sizes = None
+    list_sizes = kmeans_iterations = None
     if isinstance(index, IVFIndex):
         sizes = index.list_sizes()
         list_sizes = {"min": min(sizes), "median": float(np.median(sizes)), "max": max(sizes)}
+        kmeans_iterations = index.kmeans_iterations
     report = {
         "mode": config.mode,
         "k": k,
@@ -295,6 +296,7 @@ def _dedup(
         "label_counts": {k.value: n for k, n in zip(DuplicateLabel, label_counts) if n},
         "rule_kept": np.bincount(kept.rule_indices, minlength=len(rules)).tolist(),
         "ivf_list_sizes": list_sizes,
+        "ivf_kmeans_iterations": kmeans_iterations,
         "stage_seconds": dict(timings),
         "truncation": meta["truncation"],
         "saturation": saturation,

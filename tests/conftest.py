@@ -13,7 +13,7 @@ import pytest
 from postdedup import pipeline
 from postdedup.corpus import Posting, save_postings
 from postdedup.dedup import CandidatePairs, DuplicateLabel
-from postdedup.index import _one_list, _search
+from postdedup.index import _search
 from postdedup.pipeline import (
     CANONICAL_FILE,
     EMBED_META_FILE,
@@ -208,13 +208,12 @@ def search_hits(index, k: int, radius: float = math.inf) -> dict[str, list]:
 
 
 def scan(index, queries, k: int, threads: int = 1, radius: float = math.inf):
-    """The search kernel `_search` of arbitrary queries over one list of
-    every row of `index`: (query, row, distance) hit arrays and the count
-    of pairs re-ranked."""
+    """The search kernel `_search` of arbitrary queries over every row of
+    `index`: (query, row, distance) hit arrays and the count of pairs
+    re-ranked."""
     queries = np.ascontiguousarray(queries, dtype=np.float32)
-    lists = _one_list(len(queries), len(index))
     qi, rows, d2, reranked = _search(
-        queries, index.vectors, index._sq, index._id_ranks, lists, k, threads, radius * radius
+        queries, index.vectors, index._sq, index._id_ranks, k, threads, radius * radius
     )
     return qi, rows, np.sqrt(d2), reranked
 

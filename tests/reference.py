@@ -7,7 +7,8 @@ shares no ordering with the program:
   empty text is a group of its own, and a group's smallest id represents it;
 - `candidate_triples` finds the candidate pairs of the representatives from
   a full distance matrix of their embeddings, each row's k nearest other
-  rows under the search radius;
+  rows under the search radius, of all rows or of those the row probes in
+  an IVF index (`conftest.probed_rows`);
 - `per_pair_rules` matches the expert rules pair by pair, the first match
   winning;
 - `expand_pairs` expands kept representative pairs and exact groups into
@@ -31,7 +32,7 @@ from postdedup.embed import HashedEmbedder
 from postdedup.errors import NoMatchingRule
 from postdedup.normalize import canonicalize, fingerprint_text
 
-from conftest import ResultRow
+from conftest import ResultRow, probed_rows
 
 
 def exact_groups(postings, config=None) -> dict[str, list[str]]:
@@ -44,7 +45,7 @@ def exact_groups(postings, config=None) -> dict[str, list[str]]:
     return {min(ids): sorted(ids) for ids in by_key.values()}
 
 
-def candidate_triples(postings, config) -> list[tuple[str, str, float]]:
+def candidate_triples(postings, config, index=None) -> list[tuple[str, str, float]]:
     """The (id_a, id_b, distance) candidate pairs of a run with identity
     translation and the hashed embedder, sorted.
 
@@ -52,7 +53,8 @@ def candidate_triples(postings, config) -> list[tuple[str, str, float]]:
     are dropped. Each row takes its k nearest other rows by (float64 d²,
     id), the d² of a pair being the upcast float32 rows' difference,
     squared and summed, and keeps those at a distance under the search
-    radius; the pairs are the union over every row.
+    radius; the pairs are the union over every row. Given the run's
+    search `index`, a row takes its k nearest of the rows it probes there.
     """
     by_id = {p.id: p for p in postings}
     reps = sorted(exact_groups(postings, config.normalize))
@@ -65,11 +67,18 @@ def candidate_triples(postings, config) -> list[tuple[str, str, float]]:
     k, radius = config.dedup.k, config.dedup.search_radius
     pairs = {}
     for a, row in enumerate(d2.tolist()):
-        nearest = sorted((e, ids[b]) for b, e in enumerate(row) if b != a)[:k]
+        reach = set(ids) if index is None else _probed_ids(index, ids[a])
+        nearest = sorted((e, ids[b]) for b, e in enumerate(row) if b != a and ids[b] in reach)[:k]
         for e, other in nearest:
             if math.sqrt(e) < radius:
                 pairs[min(ids[a], other), max(ids[a], other)] = math.sqrt(e)
     return sorted((id_a, id_b, d) for (id_a, id_b), d in pairs.items())
+
+
+def _probed_ids(index, vid: str) -> set[str]:
+    """The ids of the rows that the row of `vid` probes in `index`."""
+    row = index.vectors[index.ids.index(vid)]
+    return {index.ids[r] for r in probed_rows(index, row).tolist()}
 
 
 def _optional_match(mode, va, vb) -> bool:

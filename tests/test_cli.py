@@ -181,6 +181,24 @@ def test_eval_of_a_results_row_whose_ids_do_not_ascend_is_data_error(tmp_path, c
     assert not (tmp_path / EVAL_FILE).exists()
 
 
+@pytest.mark.parametrize("headerless", [False, True], ids=["empty", "no-header"])
+@pytest.mark.parametrize("name", [RESULTS_FILE, GOLD_FILE])
+def test_eval_of_a_pair_file_without_a_header_is_data_error(tmp_path, capsys, name, headerless):
+    # Read as they stand, an empty file and a file whose first row is taken
+    # for its header hold no pairs: eval would score them and exit 0.
+    headers = {RESULTS_FILE: RESULTS_HEADER, GOLD_FILE: "id1,id2,label"}
+    rows = {RESULTS_FILE: "a,b,FULL,0.1,rule(0)\n", GOLD_FILE: "a,b,FULL\n"}
+    for file, header in headers.items():
+        (tmp_path / file).write_text(f"{header}\n{rows[file]}", encoding="utf-8")
+    (tmp_path / name).write_text(rows[name] if headerless else "", encoding="utf-8")
+    assert run_cli("eval", "--out", tmp_path) == 3
+    assert f"{tmp_path / name}:1: " in capsys.readouterr().err
+    assert not (tmp_path / EVAL_FILE).exists()
+    # A header alone is a file of no pairs.
+    (tmp_path / name).write_text(f"{headers[name]}\n", encoding="utf-8")
+    assert run_cli("eval", "--out", tmp_path) == 0
+
+
 def test_report_of_a_named_eval_file_that_is_missing_is_data_error(tmp_path, capsys):
     (tmp_path / REPORT_FILE).write_text('{"mode": "two_step"}', encoding="utf-8")
     missing = tmp_path / "nosuch.json"

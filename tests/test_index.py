@@ -587,7 +587,7 @@ def test_kmeans_equals_running_sum_reference(kind, n, dim, seed):
     X = adversarial_rows(kind, n, dim, np.random.default_rng(seed)).astype(np.float64)
     X[::4, 0] = -0.0  # signed zeros must sum as a running sum from 0.0 does
     k = int(np.random.default_rng(seed).integers(1, len(X) + 1))
-    centers, assign = _kmeans(X, k, 4, np.random.default_rng(seed))
+    centers, assign, _ = _kmeans(X, k, 4, np.random.default_rng(seed))
     ref_centers, ref_assign = running_sum_kmeans(X, k, 4, np.random.default_rng(seed))
     assert centers.tobytes() == ref_centers.tobytes()
     assert assign.tolist() == ref_assign.tolist()
@@ -605,7 +605,7 @@ def test_kmeans_stopping_at_its_fixed_point_equals_running_every_iteration(
     # k up to the row count, with a third of the rows duplicated: k-means++
     # then seeds duplicate centers, whose empty clusters the repair refills.
     k = int(np.random.default_rng(seed).integers(1, len(X) + 1))
-    centers, assign = _kmeans(X, k, iters, np.random.default_rng(seed))
+    centers, assign, _ = _kmeans(X, k, iters, np.random.default_rng(seed))
     ref_centers, ref_assign = running_sum_kmeans(X, k, iters, np.random.default_rng(seed))
     assert centers.tobytes() == ref_centers.tobytes()
     assert assign.tolist() == ref_assign.tolist()
@@ -685,11 +685,109 @@ def test_kmeans_stops_when_an_iteration_leaves_the_centers_unchanged(monkeypatch
     # that center, the second repeats itself, and the loop stops there with
     # the second iteration's assignment.
     X = np.array([[0, 0], [0, 0], [0, 0], [5, 5], [5, 5], [9, 0]], dtype=np.float64)
-    centers, assign = _kmeans(X, 4, 50, np.random.default_rng(1))
+    centers, assign, iterations = _kmeans(X, 4, 50, np.random.default_rng(1))
     ref_centers, ref_assign = running_sum_kmeans(X, 4, 50, np.random.default_rng(1))
     assert centers.tobytes() == ref_centers.tobytes()
     assert assign.tolist() == ref_assign.tolist()
-    assert len(calls) == 2  # one assignment per iteration run
+    assert len(calls) == iterations == 2  # one assignment per iteration run
+
+
+def float64_copy_kmeans(X, k, iters, rng):
+    """k-means as it ran on a float64 copy of the rows: each iteration gathers
+    the rows by cluster with np.take and sums each cluster with
+    np.add.reduceat, plus 0.0, and the repair subtracts into its own gather."""
+    X = X.astype(np.float64)
+    centers = _kmeans_pp_init(X, k, rng)
+    grouped = np.empty_like(X)
+    previous = np.empty_like(centers)
+    for iteration in range(1, iters + 1):
+        previous[:] = centers
+        nearest = _assign(X, centers)
+        assign = nearest.copy()
+        counts = np.bincount(assign, minlength=k)
+        nonempty = counts > 0
+        np.take(X, np.argsort(assign, kind="stable"), axis=0, out=grouped, mode="clip")
+        starts = (np.cumsum(counts) - counts)[nonempty]
+        sums = np.add.reduceat(grouped, starts, axis=0) + 0.0
+        centers[nonempty] = sums / counts[nonempty, None]
+        for j in np.nonzero(~nonempty)[0]:
+            big = int(np.argmax(counts))
+            if counts[big] <= 1:
+                continue
+            members = np.nonzero(assign == big)[0]
+            rows = X[members]
+            far = members[int(np.argmax(_row_sq_dists(rows, centers[big], rows)))]
+            centers[int(j)] = X[far]
+            assign[far] = j
+            counts[big] -= 1
+            counts[int(j)] += 1
+        if np.array_equal(previous.view(np.uint64), centers.view(np.uint64)):
+            return centers, nearest, iteration
+    return centers, _assign(X, centers), iters
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    **{**ADVERSARIAL_DATA, "n": st.integers(min_value=1, max_value=150)},
+    iters=st.integers(min_value=1, max_value=25),
+)
+def test_float32_kmeans_equals_the_float64_copy(kind, n, dim, seed, iters):
+    rng = np.random.default_rng(seed)
+    rows = adversarial_rows(kind, n, dim, rng)
+    rows[::4, 0] = -0.0  # signed zeros must sum as a running sum from 0.0 does
+    rows[~rows.any(axis=1)] = 1.0
+    # Up to one list per row, with a third of the rows duplicated: k-means++
+    # then seeds duplicate centers, whose empty clusters the repair refills.
+    nlist = int(rng.integers(1, len(rows) + 1))
+    centers, assign, iterations = _kmeans(rows, nlist, iters, np.random.default_rng(seed))
+    expected = float64_copy_kmeans(rows, nlist, iters, np.random.default_rng(seed))
+    assert centers.tobytes() == expected[0].tobytes()
+    assert assign.tolist() == expected[1].tolist()
+    assert iterations == expected[2]
+    flat = FlatIndex([f"v{p:03d}" for p in rng.permutation(len(rows))], rows)
+    config = IndexConfig(kind="ivf", dim=dim, nlist=nlist, nprobe=1, kmeans_iters=iters, seed=seed % 97)
+    built = build_index(flat, config)
+    with mock.patch.object(postdedup.index, "_kmeans", float64_copy_kmeans):
+        assert index_state(built) == index_state(build_index(flat, config))
+
+
+def test_ivf_join_keeps_the_same_rows_on_any_thread_count():
+    # The lists are scanned in list order, each query carrying its k-th
+    # exact d² as of its last re-rank to its later lists. Threads spread
+    # the chunks of one list only, so each list sees the bounds one thread
+    # gives, and the join keeps and re-ranks the same rows. The carried
+    # bound keeps the re-rank under nprobe·k rows per query, which a k cut
+    # per list reaches here.
+    n, k, nprobe = 600, 10, 3
+    index = build_index(
+        FlatIndex(*unit_vectors(n, 16, seed=28)),
+        IndexConfig(kind="ivf", dim=16, nlist=8, nprobe=nprobe, kmeans_iters=3),
+    )
+    found = []
+    # Chunks of about 16 queries, and a re-rank every 300 kept pairs.
+    with mock.patch.object(postdedup.index, "_BLOCK_BYTES", 20 * n):
+        for threads in (1, 4):
+            hits = index.self_join_arrays(k, threads=threads)
+            found.append(([a.tobytes() for a in hits], index.rerank_count))
+    assert found[0] == found[1]
+    assert found[0][1] < n * nprobe * k, found[0][1]
+    assert join_hits(index, k) == search_hits(index, k)
+
+
+def test_build_index_holds_no_float64_copy_of_the_rows():
+    # k-means runs on the stored float32 rows, casting block by block; the
+    # index keeps its own float32 rows, grouped by list.
+    n, dim = 4000, 256
+    flat = FlatIndex(*unit_vectors(n, dim, seed=27))
+    config = IndexConfig(kind="ivf", dim=dim, nlist=64, nprobe=8, kmeans_iters=3, seed=7)
+    build_index(flat, config)  # warm-up
+    tracemalloc.start()
+    try:
+        build_index(flat, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * dim * 8, peak  # one (n, dim) float64 array
 
 
 def test_scan_and_self_join_arrays_are_the_hits_in_query_order():

@@ -9,6 +9,7 @@ from collections import Counter
 from dataclasses import replace
 from datetime import date
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -506,6 +507,29 @@ def test_report_ivf_list_sizes_are_those_of_the_built_index(tmp_path):
     assert run_pipeline(synth.postings, flat).report["ivf_list_sizes"] is None
 
 
+def test_report_ivf_kmeans_iterations_are_the_iterations_run(tmp_path, monkeypatch):
+    synth, flat = small_corpus_setup(tmp_path, n_base=60)
+    assign, calls = index_module._assign, []
+    monkeypatch.setattr(index_module, "_assign", lambda X, c: calls.append(1) or assign(X, c))
+    # Each iteration assigns the rows once. One iteration does not reach
+    # the fixed point, so the rows are assigned once more to its centers;
+    # 50 do, and k-means stops at the first that leaves the centers as
+    # they were.
+    for iters, expected in ((1, lambda: len(calls) - 1), (50, lambda: len(calls))):
+        config = replace(
+            flat, index=replace(flat.index, kind="ivf", nlist=8, nprobe=2, kmeans_iters=iters)
+        )
+        calls.clear()
+        report = run_pipeline(synth.postings, config).report
+        assert report["ivf_kmeans_iterations"] == expected()
+        assert 1 <= report["ivf_kmeans_iterations"] < 50
+        lines = render_report(report).splitlines()
+        assert f"ivf k-means iterations: {expected()}" in lines
+    report = run_pipeline(synth.postings, flat).report
+    assert report["ivf_kmeans_iterations"] is None
+    assert not any("k-means" in line for line in render_report(report).splitlines())
+
+
 class WriteFailed(Exception):
     pass
 
@@ -672,12 +696,13 @@ def test_expanded_pairs_carry_their_representatives_distance(tmp_path):
 _ID_CHARS = ["a", "b", "c", ",", '"', " ", "é", "日"]
 # Word-order swaps embed identically (a bag of tokens) but differ in canonical
 # text, so they give kept pairs across exact groups; with three orders of one
-# bag, a row can have more than k rows at distance 0 ahead of it by id. Case
+# bag, a row can have more than k rows at distance 0 ahead of it by id. Texts
+# sharing some of their words lie at distances between 0 and the radius. Case
 # and spacing do not change a fingerprint, and an empty text is a group of
 # its own.
 _DIFF_TEXTS = [
-    "senior chef", "chef senior", "line cook", "cook line",
-    "night shift porter", "porter night shift", "shift porter night", "",
+    "senior chef", "chef senior", "line cook", "cook line", "senior line cook",
+    "night shift porter", "porter night shift", "shift porter night", "night porter", "",
 ]
 _MATCHERS = {
     "company": ["same", "different", "any_missing", "any"],
@@ -687,9 +712,9 @@ _MATCHERS = {
 
 
 @st.composite
-def _ruleset(draw) -> list[dict]:
+def _ruleset(draw, thresholds) -> list[dict]:
     """Up to two drawn rules of one or two matchers before a catch-all; any
-    of them may reject."""
+    of them may reject, and a threshold rule takes one of `thresholds`."""
     rules = []
     for _ in range(draw(st.integers(0, 2))):
         fields = draw(
@@ -701,7 +726,7 @@ def _ruleset(draw) -> list[dict]:
         if draw(st.booleans()) and len(rules) > 1:
             rule["action"] = "reject"
         else:
-            rule.update(action="threshold", threshold=draw(st.sampled_from([0.2, 0.9, 1.5])))
+            rule.update(action="threshold", threshold=draw(st.sampled_from(thresholds)))
     return rules
 
 
@@ -728,26 +753,48 @@ def test_results_csv_equals_the_object_expansion(data):
         )
         for pid in ids
     ]
-    rules = data.draw(st.one_of(st.just([]), _ruleset()), label="rules")
     # A k under the texts' representatives, so that the cap binds; an IVF
-    # index probes every list, so that it finds what flat does.
+    # index probes every list, so that it finds what flat does, or some of
+    # them, so that a row finds only the rows of the lists it probes.
     k = data.draw(st.integers(1, 3), label="k")
     nlist = data.draw(st.integers(1, 4), label="nlist")
-    index = data.draw(st.sampled_from([{}, {"kind": "ivf", "nlist": nlist, "nprobe": nlist}]))
-    config = config_from_dict(
-        {
-            "mode": "multilingual",
-            "embed": {"dim": 32},
-            "index": index,
-            "dedup": {"k": k, "base_theta": 0.9, "rules": rules},
-        }
+    nprobe = data.draw(st.integers(1, nlist), label="nprobe")
+    index = data.draw(
+        st.sampled_from(
+            [{}, *({"kind": "ivf", "nlist": nlist, "nprobe": p} for p in (nlist, nprobe))]
+        )
     )
+
+    def configured(rules):
+        return config_from_dict(
+            {
+                "mode": "multilingual",
+                "embed": {"dim": 32},
+                "index": index,
+                "dedup": {"k": k, "base_theta": 0.9, "rules": rules},
+            }
+        )
+
+    # Thresholds may be distances of the corpus's own candidate pairs, so
+    # that a pair lies exactly at its rule's threshold, which a strict rule
+    # leaves out. A larger radius keeps every candidate of a smaller one.
+    distances = {d for *_, d in reference.candidate_triples(postings, configured([])) if d > 0}
+    thresholds = [0.2, 0.9, 1.5, *sorted(distances)]
+    rules = data.draw(st.one_of(st.just([]), _ruleset(thresholds)), label="rules")
+    config = configured(rules)
     # The candidates, the groups, the rules and the expansion are the
-    # reference's own.
-    result = run_pipeline(postings, config)
+    # reference's own; only the lists a row probes are the run's index.
+    built = []
+
+    def build(*args):
+        built.append(index_module.build_index(*args))
+        return built[-1]
+
+    with mock.patch.object(pipeline, "build_index", build):
+        result = run_pipeline(postings, config)
     groups = reference.exact_groups(postings, config.normalize)
     rules = list(config.dedup.rules) or [default_rule(config.dedup.base_theta)]
-    candidates = reference.candidate_triples(postings, config)
+    candidates = reference.candidate_triples(postings, config, *built)
     kept = reference.per_pair_rules(candidates, {p.id: p for p in postings}, rules)
     rows = reference.expand_pairs(kept, rules, groups, postings)
     with tempfile.TemporaryDirectory() as outdir:

@@ -488,10 +488,13 @@ class _RunningTopK:
         return self.d2[queries, -1]
 
     def merge(self, qi: np.ndarray, rj: np.ndarray, d2: np.ndarray) -> None:
-        """Merge in the hits (qi, rj, d2), qi ascending.
+        """Merge in the hits (qi, rj, d2), in (query, d², rank) order.
 
-        Each query's slots and hits go into one row of a matrix padded with
-        d² inf, and each row is sorted by rank and then, stably, by d².
+        Each query's slots and then its hits go into one row of a matrix
+        padded with d² inf: two runs, each in (d², rank) order. A stable
+        sort by d² merges them, and puts a slot before a hit of equal d²;
+        a row where that hit has the lower rank is sorted again, by
+        (d², rank).
         """
         if not qi.size:
             return
@@ -503,10 +506,17 @@ class _RunningTopK:
         line = np.repeat(np.arange(queries.size), counts)
         slot = width + np.arange(qi.size) - np.repeat(starts, counts)
         d[line, slot], r[line, slot] = d2, rj
-        order = np.argsort(self.ranks[r], axis=1, kind="stable")
-        by_d2 = np.argsort(np.take_along_axis(d, order, 1), axis=1, kind="stable")
-        order = np.take_along_axis(order, by_d2, 1)[:, : self.k]
+        order = np.argsort(d, axis=1, kind="stable")
         d, r = np.take_along_axis(d, order, 1), np.take_along_axis(r, order, 1)
+        rank = self.ranks[r]
+        tied = np.flatnonzero(
+            ((d[:, 1:] == d[:, :-1]) & (d[:, 1:] < np.inf) & (rank[:, 1:] < rank[:, :-1])).any(1)
+        )
+        if tied.size:
+            order = np.lexsort((rank[tied], d[tied]))
+            d[tied] = np.take_along_axis(d[tied], order, 1)
+            r[tied] = np.take_along_axis(r[tied], order, 1)
+        d, r = d[:, : self.k], r[:, : self.k]
         need = int(np.count_nonzero(d < np.inf, axis=1).max())
         if need > width:
             extra = min(self.k, max(need, 2 * width)) - width

@@ -774,6 +774,24 @@ def test_ivf_join_keeps_the_same_rows_on_any_thread_count():
     assert join_hits(index, k) == search_hits(index, k)
 
 
+@pytest.mark.parametrize("k", [1, 4, 9])
+def test_ivf_join_breaks_ties_by_id_across_lists_and_reranks(k):
+    # Integer grid rows tie at every distance, and rows tied with a query
+    # lie in different lists. The ids are shuffled, so a list scanned later
+    # often holds the lower id of a tie. Small budgets re-rank many times,
+    # so a later list's hits merge into each query's top k so far.
+    grid = np.stack(np.meshgrid(*[np.arange(-2, 3)] * 3), axis=-1).reshape(-1, 3)
+    rows = (grid + 3).astype(np.float32)
+    ids = [f"v{i:03d}" for i in np.random.default_rng(29).permutation(len(rows))]
+    for nprobe in (6, 3):
+        index = build_index(
+            FlatIndex(ids, rows),
+            IndexConfig(kind="ivf", dim=3, nlist=6, nprobe=nprobe, kmeans_iters=3, seed=4),
+        )
+        with mock.patch.object(postdedup.index, "_BLOCK_BYTES", 10 * len(rows)):
+            assert join_hits(index, k) == search_hits(index, k)
+
+
 def test_build_index_holds_no_float64_copy_of_the_rows():
     # k-means runs on the stored float32 rows, casting block by block; the
     # index keeps its own float32 rows, grouped by list.

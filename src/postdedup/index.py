@@ -14,24 +14,26 @@ Bayardo, Ma & Srikant ("Scaling Up All Pairs Similarity Search", WWW
 2007), each stored row's k nearest stored rows under a radius R (inf
 for none). That is the search the pipeline makes of the embeddings.
 
-Search kernel. Every exact top k here comes from `_preselect` and an
-exact re-rank, after the list scan of Johnson, Douze & Jégou
-(arXiv:1702.08734). A one-list search, `_search`, scans every row for
-every query: the flat self-join's fallback, an IVF index's probe of its
-centroids and the k-means assign step over the centers are each one, and
-its queries run in slices whose temporaries are sized by a byte budget
-(`_BLOCK_BYTES`), not by a query count. An IVF index scans its lists one
-after another (`_list_join`): each list gets one product with the rows
-that probe it, in chunks within the same budget. The product
-(`_preselect`, the only place that forms it) gives the approximate
-squared distance ``A = ‖q‖² + ‖x‖² − 2·q·x`` of every row of the list,
-formed in the dtype both sides hold exactly: float32 for stored rows and
-centroids, float64 against the float64 k-means centers, a float32 block
-being cast to float64 block by block. Every search has a radius R, the
-largest distance the caller can keep (a range search next to k-NN, as in
-Johnson et al.; the threshold bounds all-pairs search as in Bayardo et
-al.), and R = inf is the unbounded search. Per query the scan keeps
-every row with ``A ≤ R² + 2Δ``, where
+Search kernel. One function, `_search`, finds every exact top k here,
+by the IVF list scan of Johnson, Douze & Jégou (arXiv:1702.08734): a
+query scans the lists of rows it probes. A one-list search, every row
+probed by every query, serves the flat self-join's fallback; an IVF
+index's rows probe their ``nprobe`` nearest lists, and that probe is a
+one-list search over the centroids, as the k-means assign step is over
+the centers. Queries run in blocks whose temporaries are sized by a byte
+budget (`_BLOCK_BYTES`), not by a query count. Each list a block probes
+gets one product with the queries probing it (`_preselect`, the only
+place that forms it): the block itself, a slice of the queries, when
+every query of the block probes the list, as in a one-list search, and a
+gathered copy of those queries otherwise. The product gives the
+approximate squared distance ``A = ‖q‖² + ‖x‖² − 2·q·x`` of every row of
+the list, formed in the dtype both sides hold exactly: float32 for
+stored rows and centroids, float64 against the float64 k-means centers,
+a float32 block being cast to float64 block by block. Every search has a
+radius R, the largest distance the caller can keep (a range search next
+to k-NN, as in Johnson et al.; the threshold bounds all-pairs search as
+in Bayardo et al.), and R = inf is the unbounded search. Per query the
+scan keeps every row with ``A ≤ R² + 2Δ``, where
 
     Δ = (γ_d + 2·γ'_(d+2) + 6u)·(‖q‖ + max‖x‖)² + (5d + 4)·η
 
@@ -43,25 +45,21 @@ keeps ``A ≤ a_k + 2Δ`` instead, ``a_k`` being its k-th smallest ``A``
 in the list. Only the kept rows are re-ranked with the exact expression,
 and the top k is chosen by (exact d², id), so the hits under R equal
 those of an exhaustive exact scan of the probed rows bit for bit, ties
-included, while the re-rank sees the few rows near each query. The IVF
-join holds the kept pairs of consecutive lists until they fill the
-budget, and after each re-rank a query's k-th exact d² so far takes the
-place of R² in its later lists where it is smaller. So an unbounded
-join no longer re-ranks k rows of every list a query probes: 5,000 unit
-rows of 64 dimensions, 64 lists all probed, k = 100, re-rank 2.7 M pairs
-instead of all 25 M. The k-means++ seeding shares the same preselect,
-bounded per row by its distance to the nearest center so far, to skip
-the rows a new center cannot bring closer. k-means runs on the stored
-float32 rows and makes no float64 copy of them (`_kmeans`).
+included, while the re-rank sees the few rows near each query. The
+k-means++ seeding shares the same preselect, bounded per row by its
+distance to the nearest center so far, to skip the rows a new center
+cannot bring closer. k-means runs on the stored float32 rows and makes
+no float64 copy of them (`_kmeans`).
 
 Self-join. A flat index decides each unordered pair once, as the
 all-pairs search of Bayardo et al. does (`_self_join`): a query block
 forms its product only against the rows from its own on, and each kept
 pair is re-ranked once and mirrored; the rows that keep more than k rows
 in all are searched by `_search` instead. On the flat-2k rows
-(2,395 × 256) the blocks hold 44 queries, as `_search`'s do (1 MiB ÷
-(9 × 2,395 + 2 × 1,024)), but the 55 products cover half the (query,
-row) pairs. An IVF index joins its rows list by list, as above.
+(2,395 × 256) the blocks hold 46 queries, as `_search`'s do (1 MiB ÷
+(9 × 2,395 + 1,024)), but the 53 products cover half the (query, row)
+pairs. An IVF index runs `_search` with its rows as the queries, each
+probing its own ``nprobe`` lists.
 
 The product is one BLAS GEMM, ``(rows @ queries.T).T``, as in blocked
 exact search (Johnson et al.). The CLI runs OpenBLAS with one thread (see
@@ -111,14 +109,15 @@ _VERSION = 1
 _KIND_FLAT = 0
 
 # Bytes of temporaries one block of queries may hold (`_block_size`): each
-# query costs two copies in the dtype of the product, ours (the float64
-# cast of a float32 query against float64 rows, or the gathered rows
-# probing an IVF list) and the one BLAS packs, and, per row it reaches, two
-# approximate distances and a mask flag.
-# Candidates are not counted: a block re-ranks its kept rows in runs of
-# queries that hold at most the budget at `_CANDIDATE_BYTES` (indices,
-# exact d², sort order) each, so a clique under the radius holds no more
-# than a common block. See `_rerank`.
+# query costs a copy in the dtype of the product, the one BLAS packs (an IVF
+# list's gathered queries, a part of the block, come next to it), one more
+# when it is cast to float64 against float64 rows, as the k-means assign
+# casts the rows, and, per row it can reach (those of the `nprobe` largest
+# lists, all n rows for a one-list search), two approximate distances and a
+# mask flag. Candidates are not counted: a block re-ranks its kept rows in
+# runs of queries that hold at most the budget at `_CANDIDATE_BYTES`
+# (indices, exact d², sort order) each, so a clique under the radius holds
+# no more than a common block. See `_search`.
 _BLOCK_BYTES = 1 << 20
 _CANDIDATE_BYTES = 40
 
@@ -127,7 +126,8 @@ def _block_size(queries: np.ndarray, rows: np.ndarray, reach: int) -> int:
     """Queries per block when each can reach `reach` of `rows` (see `_BLOCK_BYTES`)."""
     dtype = np.result_type(queries, rows)
     entry_bytes = 2 * dtype.itemsize + 1
-    return max(1, _BLOCK_BYTES // (entry_bytes * reach + 2 * dtype.itemsize * queries.shape[1]))
+    query_bytes = (1 + (queries.dtype != dtype)) * dtype.itemsize * queries.shape[1]
+    return max(1, _BLOCK_BYTES // (entry_bytes * reach + query_bytes))
 
 
 @dataclass(frozen=True)
@@ -229,33 +229,32 @@ def _preselect(
     So |A − E| ≤ Δ with Δ as in the module docstring, taking the largest
     row norm (`_margin`); the 6u also covers rounding the cutoffs below.
 
-    Only the rows with E under a bound ρ are needed, and `r2` is one value
-    for all queries or one per query. A search with a radius R passes R·R
-    (inf for R = inf): the distance is the float64 square root of E,
-    correctly rounded and R a float64, so √E < R implies E < ρ = R². The
-    k-means++ seeding passes each row's running d² as ρ itself, and the IVF
-    join each query's k-th exact d² so far, where it is smaller than R²
-    (`_list_join`). A row with E ≤ ρ has A ≤ ρ + Δ. The cutoff r2 + 2Δ comes
-    from ρ with at most two float64 roundings, which lose at most
-    2u'(ρ + 2Δ): less than Δ when ρ ≤ Δ/(2u'), and when ρ is larger every
-    row passes anyway, since then ρ > 3S + 2d·η/u', far above A ≤ E + Δ. So
-    keeping A ≤ r2 + 2Δ keeps every row with E ≤ ρ. A query that keeps more
-    than k rows this way cuts at its k-th smallest A over the list, a_k,
+    Only the rows with E under a bound ρ are needed, and `r2` is one
+    value for all queries or one per query. A search with a radius R
+    passes R·R (inf for R = inf): the distance is the float64 square root
+    of E, correctly rounded and R a float64, so √E < R implies E < ρ = R².
+    The k-means++ seeding passes each row's running d² as ρ itself. A row
+    with E < ρ has A < ρ + Δ. The cutoff r2 + 2Δ comes from ρ with at
+    most two float64 roundings, which lose at most 2u'(ρ + 2Δ): less than
+    Δ when ρ ≤ Δ/(2u'), and when ρ is larger every row passes anyway,
+    since then ρ > 3S + 2d·η/u', far above A ≤ E + Δ. So keeping
+    A ≤ r2 + 2Δ keeps every row with E < ρ. A query that keeps more than
+    k rows this way cuts at its k-th smallest A over the list, a_k,
     instead: the k rows with the smallest A have E ≤ a_k + Δ, so the k-th
-    smallest E is at most a_k + Δ; a row of the exact top k has E no larger,
-    hence A ≤ E + Δ ≤ a_k + 2Δ, and keeping A ≤ a_k + 2Δ keeps every row the
-    exact top k can hold, through any ties. Either way the query's kept set
-    holds every row of its top k with E ≤ ρ.
+    smallest E is at most a_k + Δ; a row of the exact top k has E no
+    larger, hence A ≤ E + Δ ≤ a_k + 2Δ, and keeping A ≤ a_k + 2Δ keeps
+    every row the exact top k can hold, through any ties. Either way the
+    query's kept set holds every row of its top k with E < ρ.
 
-    A search calls this with every row (`_search`), or once per IVF list a
-    query probes (`_list_join`), and a probed list is a flat scan of its
-    rows: a row in a query's top k of all its probed rows is in the top k of
-    its own list. So the rows kept from all its lists hold every row of the
+    A search calls this once per list it probes (flat: one list of every
+    row), and a probed list is a flat scan of its rows: a row in a
+    query's top k of all its probed rows is in the top k of its own
+    list. So the rows kept from all its lists hold every row of the
     probed top k that lies under R. A kept row under R outside the probed
-    top k sorts after all k of its rows by (E, id); they then lie under R
-    too and are kept, so that row is not in the top k of the kept rows
-    either. The top k of the kept rows therefore has the probed top k's hits
-    under R, bit for bit; under R = inf that is the probed top k.
+    top k sorts after all k of its rows by (E, id); they then lie under
+    R too and are kept, so that row is not in the top k of the kept rows
+    either. The top k of the kept rows therefore has the probed top k's
+    hits under R, bit for bit; under R = inf that is the probed top k.
     """
     # BLAS is fastest on this orientation; the copy makes the arithmetic,
     # partition and mask below run on rows of contiguous memory.
@@ -347,188 +346,78 @@ def _search(
     k: int,
     threads: int = 1,
     r2: float = math.inf,
+    lists: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Exact top k per query by (d², rank) over every row: one list, probed by every query.
+    """Exact top k per query by (d², rank) over the rows of the lists it probes.
 
-    The queries run in slices of `_block_size`. A block is cast to the
-    dtype of the product, float64 when the rows are (as the k-means
-    centers are), into a fresh buffer, and forms one product with all the
-    rows through `_preselect`, under the squared radius `r2` (inf for
-    none). Its kept rows are re-ranked exactly in runs of queries whose
-    kept rows fit the budget (`_CANDIDATE_BYTES` each), a query over it
-    in a run of its own. Returns the hits as flat arrays (query, row,
-    exact d²) in (query, d², rank) order, at most k per query and fewer
-    where a query keeps fewer rows, so they take memory in proportion to
-    the hits; and the number of pairs re-ranked. Blocks are independent,
-    so `threads` only spreads them.
+    `lists` is (bounds, probes): list i holds rows bounds[i]:bounds[i + 1]
+    and query q probes the lists probes[q]; None is one list of every
+    row, probed by every query. The queries run in slices of
+    `_block_size`, each cast to the dtype of the product, float64 when
+    the rows are (as the k-means centers are), into a fresh buffer. A
+    block sends each list it probes through `_preselect`, with the
+    queries probing it (the block itself when all of them do) and the
+    squared radius `r2` (inf for none), and re-ranks the kept rows
+    exactly, in runs of queries whose kept rows fit the budget
+    (`_CANDIDATE_BYTES` each), a query over it in a run of its own.
+    Returns the hits as flat arrays (query, row, exact d²) in (query, d²,
+    rank) order, at most k per query and fewer where a query reaches or
+    keeps fewer rows, so they take memory in proportion to the hits; and
+    the number of pairs re-ranked. Blocks are independent, so `threads`
+    only spreads them.
     """
+    if lists is None:
+        lists = np.array([0, len(rows)]), np.zeros((len(queries), 1), dtype=np.int64)
+    bounds, probes = lists
+    firsts, sizes = bounds[:-1], np.diff(bounds)
+    nprobe = probes.shape[1]
     dtype = np.result_type(queries, rows)
     margin = _margin(rows.shape[1], dtype)
-    top = np.sqrt(row_sq.max())
-    size = _block_size(queries, rows, len(rows))
+    size = _block_size(queries, rows, int(np.sort(sizes)[-nprobe:].sum()))
+    cap = _BLOCK_BYTES // _CANDIDATE_BYTES  # kept rows one re-rank may hold
 
     def run(start: int) -> tuple[list[tuple[np.ndarray, ...]], int]:
         block = queries[start : start + size].astype(dtype, copy=False)
         block_sq = _sq_norms(block)
-        delta = margin(np.sqrt(block_sq), top)
-        keep = _preselect(block, block_sq, rows, row_sq, delta, k, r2)
-        per_query = np.count_nonzero(keep, axis=1)
+        block_norm = np.sqrt(block_sq)
+        # Each (query, list) probe of the block, grouped by list in query order.
+        probed = probes[start : start + size].ravel()
+        by_list = np.argsort(probed, kind="stable")
+        counts = np.bincount(probed, minlength=len(sizes))
+        ends = np.cumsum(counts)
+        masks, kept = [], 0
+        for lst in np.flatnonzero((counts > 0) & (sizes > 0)):
+            probing = by_list[ends[lst] - counts[lst] : ends[lst]] // nprobe
+            # A list the whole block probes scans the block, not a gathered copy.
+            some = probing if probing.size < len(block) else slice(None)
+            span = slice(firsts[lst], firsts[lst] + sizes[lst])
+            delta = margin(block_norm[some], np.sqrt(row_sq[span].max()))
+            keep = _preselect(block[some], block_sq[some], rows[span], row_sq[span], delta, k, r2)
+            masks.append((probing, firsts[lst], keep))
+            kept += np.count_nonzero(keep)
+        runs = [(0, len(block))]
+        if kept > cap:  # say, a clique under the radius: split by each query's kept rows
+            per_query = np.zeros(len(block), dtype=np.int64)
+            for probing, _, keep in masks:
+                per_query[probing] += np.count_nonzero(keep, axis=1)
+            runs = _runs(per_query, cap)
         hits = []
-        for a, b in _runs(per_query, _BLOCK_BYTES // _CANDIDATE_BYTES):
-            qi, rj = np.nonzero(keep[a:b])
-            qi += a
+        for a, b in runs:
+            # The kept rows of queries a:b of the block; `probing` ascends.
+            found = [_NO_HITS[:2]]
+            for probing, first, keep in masks:
+                lo, hi = np.searchsorted(probing, (a, b))
+                qi, rj = np.nonzero(keep[lo:hi])
+                found.append((probing[qi + lo], rj + first))
+            qi, rj = (np.concatenate(part) for part in zip(*found))
+            del found
             hits.append(_top_k(qi + start, rj, _exact_sq_dists(block, rows, qi, rj), ranks, k))
-        return hits, int(per_query.sum())
+        return hits, int(kept)
 
     found = list(_in_order(run, range(0, len(queries), size), threads))
     hits = [hit for block, _ in found for hit in block]
     qi, rj, d2 = (np.concatenate(part) for part in zip(_NO_HITS, *hits))
     return qi, rj, d2, sum(reranked for _, reranked in found)
-
-
-def _list_join(
-    rows: np.ndarray,
-    row_sq: np.ndarray,
-    ranks: np.ndarray,
-    bounds: np.ndarray,
-    probes: np.ndarray,
-    k: int,
-    threads: int,
-    r2: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Each row's top k by (d², rank) over the IVF lists it probes, under `r2`, list by list.
-
-    List i holds rows bounds[i]:bounds[i + 1], and row q probes the lists
-    probes[q]. The lists are scanned in list order. Every row that probes
-    a list is a query of one `_preselect` with the list's rows, in chunks
-    of `_block_size` queries (their rows gathered). The kept pairs of
-    consecutive lists are held until they would pass the re-rank budget
-    (`_CANDIDATE_BYTES` each; a query over it alone is a run of its own),
-    then re-ranked exactly and merged into each query's top k so far
-    (`_RunningTopK`). A query's k-th exact d² so far is its ρ in the lists
-    after that, where it is under `r2`: `_preselect` keeps every row with
-    E ≤ ρ, so rows tied with that k-th still reach the merge. A row of the
-    query's final top k has E no larger than any earlier k-th, so it is
-    kept wherever it lies, and the merged top k is what one scan of every
-    probed row would give under `r2`, bit for bit, and an unbounded join
-    does not re-rank k rows of every list a query probes. Threads spread
-    the chunks of one list, whose queries are distinct, and the re-ranks
-    follow the chunks in order, so the bounds, the kept rows and the
-    re-rank count do not depend on `threads`. Returns the hits in (query,
-    d², rank) order and the number of pairs re-ranked.
-    """
-    n, nprobe = probes.shape
-    margin = _margin(rows.shape[1], rows.dtype)
-    norms = np.sqrt(row_sq)
-    top_k = _RunningTopK(n, k, ranks)
-    cap = _BLOCK_BYTES // _CANDIDATE_BYTES
-    held: list[tuple[np.ndarray, np.ndarray]] = []  # kept (query, row) pairs not yet re-ranked
-    pending = reranked = 0  # pairs held; pairs re-ranked
-
-    def rerank() -> None:
-        nonlocal pending
-        qi, rj = (np.concatenate(part) for part in zip(*held))
-        top_k.merge(*_top_k(qi, rj, _exact_sq_dists(rows, rows, qi, rj), ranks, k))
-        held.clear()
-        pending = 0
-
-    # The queries probing each list, grouped by list in query order.
-    by_list = np.argsort(probes.ravel(), kind="stable") // nprobe
-    ends = np.cumsum(np.bincount(probes.ravel(), minlength=len(bounds) - 1))
-    for lst in range(len(bounds) - 1):
-        first, last = int(bounds[lst]), int(bounds[lst + 1])
-        probing = by_list[ends[lst - 1] if lst else 0 : ends[lst]]
-        if first == last or not probing.size:
-            continue
-        span = slice(first, last)
-        rho = np.minimum(r2, top_k.kth(probing))
-        top = norms[span].max()
-        size = _block_size(rows, rows, last - first)
-
-        def scan(start: int) -> tuple[np.ndarray, np.ndarray]:
-            chunk = slice(start, start + size)
-            queries = probing[chunk]
-            delta = margin(norms[queries], top)
-            keep = _preselect(
-                rows[queries], row_sq[queries], rows[span], row_sq[span], delta, k, rho[chunk]
-            )
-            return queries, keep
-
-        for queries, keep in _in_order(scan, range(0, probing.size, size), threads):
-            per_query = np.count_nonzero(keep, axis=1)
-            for a, b in _runs(per_query, cap):
-                count = int(per_query[a:b].sum())
-                if pending and pending + count > cap:
-                    rerank()
-                qi, rj = np.nonzero(keep[a:b])
-                held.append((queries[qi + a], rj + first))
-                pending += count
-                reranked += count
-    if pending:
-        rerank()
-    return (*top_k.hits(), reranked)
-
-
-class _RunningTopK:
-    """Each of n queries' top k so far by (d², rank), as `_list_join` merges hits in.
-
-    The hits sit in slots, one row per query and as many columns as the
-    fullest query needs, an empty slot holding d² inf; the columns double,
-    up to k, when a query comes to hold more hits than they have room for.
-    """
-
-    def __init__(self, n: int, k: int, ranks: np.ndarray) -> None:
-        self.k, self.ranks = k, ranks
-        self.d2, self.rows = np.empty((n, 0)), np.empty((n, 0), dtype=np.int64)
-
-    def kth(self, queries: np.ndarray) -> np.ndarray:
-        """Each query's k-th exact d² so far, inf where it has fewer than k hits."""
-        if self.d2.shape[1] < self.k:
-            return np.full(queries.size, np.inf)
-        return self.d2[queries, -1]
-
-    def merge(self, qi: np.ndarray, rj: np.ndarray, d2: np.ndarray) -> None:
-        """Merge in the hits (qi, rj, d2), in (query, d², rank) order.
-
-        Each query's slots and then its hits go into one row of a matrix
-        padded with d² inf: two runs, each in (d², rank) order. A stable
-        sort by d² merges them, and puts a slot before a hit of equal d²;
-        a row where that hit has the lower rank is sorted again, by
-        (d², rank).
-        """
-        if not qi.size:
-            return
-        queries, starts, counts = np.unique(qi, return_index=True, return_counts=True)
-        width = self.d2.shape[1]
-        d = np.full((queries.size, width + int(counts.max())), np.inf)
-        r = np.zeros(d.shape, dtype=np.int64)
-        d[:, :width], r[:, :width] = self.d2[queries], self.rows[queries]
-        line = np.repeat(np.arange(queries.size), counts)
-        slot = width + np.arange(qi.size) - np.repeat(starts, counts)
-        d[line, slot], r[line, slot] = d2, rj
-        order = np.argsort(d, axis=1, kind="stable")
-        d, r = np.take_along_axis(d, order, 1), np.take_along_axis(r, order, 1)
-        rank = self.ranks[r]
-        tied = np.flatnonzero(
-            ((d[:, 1:] == d[:, :-1]) & (d[:, 1:] < np.inf) & (rank[:, 1:] < rank[:, :-1])).any(1)
-        )
-        if tied.size:
-            order = np.lexsort((rank[tied], d[tied]))
-            d[tied] = np.take_along_axis(d[tied], order, 1)
-            r[tied] = np.take_along_axis(r[tied], order, 1)
-        d, r = d[:, : self.k], r[:, : self.k]
-        need = int(np.count_nonzero(d < np.inf, axis=1).max())
-        if need > width:
-            extra = min(self.k, max(need, 2 * width)) - width
-            self.d2 = np.pad(self.d2, ((0, 0), (0, extra)), constant_values=np.inf)
-            self.rows = np.pad(self.rows, ((0, 0), (0, extra)))
-        self.d2[queries] = np.inf
-        self.d2[queries, :need], self.rows[queries, :need] = d[:, :need], r[:, :need]
-
-    def hits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The hits as flat arrays (query, row, d²) in (query, d², rank) order."""
-        valid = self.d2 < np.inf
-        return np.nonzero(valid)[0], self.rows[valid], self.d2[valid]
 
 
 def _self_join(
@@ -773,8 +662,9 @@ class IVFIndex(_BaseIndex):
         ranks = np.arange(self.nlist)
         _, probes, _, _ = _search(rows, self._cent32, self._cent_sq, ranks, self.nprobe, threads)
         probes = probes.reshape(n, self.nprobe)
-        qi, found, d2, self.rerank_count = _list_join(
-            rows, self._sq, self._id_ranks, self._bounds, probes, k, threads, r2
+        lists = (self._bounds, probes)
+        qi, found, d2, self.rerank_count = _search(
+            rows, rows, self._sq, self._id_ranks, k, threads, r2, lists
         )
         self.comparison_count = int(np.diff(self._bounds)[probes].sum())
         return qi, found, d2
@@ -830,21 +720,23 @@ def _assign(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return nearest
 
 
-def _cluster_sums(X: np.ndarray, assign: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Each cluster's float64 sum of its rows of X, a running sum from 0.0 in ascending row order.
+def _cluster_sums(X: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
+    """Each of k clusters' float64 sum of its rows of X, a running sum from 0.0 in row order.
 
-    The sums advance one member slot at a time: slot s adds the s-th
-    member of every cluster that has one. Starting from 0.0 turns the
-    -0.0 that an all -0.0 column would sum to into 0.0.
+    `np.add.at` adds each entry of X, cast to float64, into its cluster's
+    entry of the flattened sums, one after another in row order; a chunk
+    of rows holds its entries' flat indices and values within half the
+    budget. Starting from 0.0 turns the -0.0 that an all -0.0 column
+    would sum to into 0.0.
     """
-    members = np.argsort(assign, kind="stable")
-    starts = np.cumsum(counts) - counts
-    by_size = np.argsort(-counts, kind="stable")  # clusters with the most members first
-    sums = np.zeros((len(counts), X.shape[1]))
-    for slot in range(int(counts.max())):
-        have = by_size[: np.count_nonzero(counts > slot)]
-        sums[have] += X[members[starts[have] + slot]]
-    return sums
+    dim = X.shape[1]
+    sums, cols = np.zeros(k * dim), np.arange(dim)
+    step = max(1, _BLOCK_BYTES // (2 * 16 * dim))
+    for start in range(0, len(X), step):
+        chunk = slice(start, start + step)
+        entries = (assign[chunk, None] * dim + cols).ravel()
+        np.add.at(sums, entries, X[chunk].astype(np.float64, copy=False).ravel())
+    return sums.reshape(k, dim)
 
 
 def _kmeans(
@@ -856,14 +748,14 @@ def _kmeans(
     of iterations run. X is used as it is stored, float32 for an index,
     and never copied to float64: each float64 expression casts the rows it
     reads exactly, a block at a time (the assign's product against the
-    float64 centers in `_search`, the exact distances) or a member slot at
-    a time (each center's running sum from 0.0, `_cluster_sums`), so the
-    result has the bits a float64 copy of X would give. Empty clusters
-    are repaired by seeding them with the farthest point of the currently
-    largest cluster. An iteration is a deterministic function of the
-    centers, repair included, so once one leaves them bitwise unchanged
-    every later one would too, and the loop stops there; the assignment
-    to those centers is then the one that iteration computed.
+    float64 centers in `_search`, the exact distances, each center's
+    running sum from 0.0 in `_cluster_sums`), so the result has the bits
+    a float64 copy of X would give. Empty clusters are repaired by
+    seeding them with the farthest point of the currently largest
+    cluster. An iteration is a deterministic function of the centers,
+    repair included, so once one leaves them bitwise unchanged every
+    later one would too, and the loop stops there; the assignment to
+    those centers is then the one that iteration computed.
     """
     centers = _kmeans_pp_init(X, k, rng)
     previous = np.empty_like(centers)
@@ -873,7 +765,7 @@ def _kmeans(
         assign = nearest.copy()  # the repair moves rows between clusters
         counts = np.bincount(assign, minlength=k)
         nonempty = counts > 0
-        centers[nonempty] = _cluster_sums(X, assign, counts)[nonempty] / counts[nonempty, None]
+        centers[nonempty] = _cluster_sums(X, assign, k)[nonempty] / counts[nonempty, None]
         for j in np.nonzero(~nonempty)[0]:
             big = int(np.argmax(counts))
             if counts[big] <= 1:

@@ -593,25 +593,28 @@ def test_collect_hits_equals_per_query_loop(
 
 def test_collect_hits_memory_follows_the_hits_not_k():
     # 500 near pairs of unit rows in 32 dimensions: under the radius each
-    # query has one hit whatever k is. Hits padded to (n, k + 1) would take
-    # 24 MB more at k = 1000 than at k = 10.
+    # query has one hit whatever k is, flat or probing 2 of 8 IVF lists.
+    # Hits padded to (n, k + 1) would take 24 MB more at k = 1000 than at
+    # k = 10.
     rng = np.random.default_rng(5)
     n, dim = 1000, 32
     rows = rng.normal(size=(n, dim))
     rows[1::2] = rows[::2] + rng.normal(size=(n // 2, dim)) * 1e-3
     rows = (rows / np.linalg.norm(rows, axis=1, keepdims=True)).astype(np.float32)
-    index = FlatIndex([f"v{i:04d}" for i in range(n)], rows)
-    peaks = []
-    for k in (10, 1000):
-        pairs, _ = collect_hits(index, index, k, radius=0.3)  # warm-up
-        assert len(pairs) == n // 2
-        tracemalloc.start()
-        try:
-            collect_hits(index, index, k, radius=0.3)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert abs(peaks[1] - peaks[0]) < 64 * 1024, peaks
+    flat = FlatIndex([f"v{i:04d}" for i in range(n)], rows)
+    ivf = build_index(flat, IndexConfig(kind="ivf", dim=dim, nlist=8, nprobe=2, kmeans_iters=2))
+    for index in (flat, ivf):
+        peaks = []
+        for k in (10, 1000):
+            pairs, _ = collect_hits(index, index, k, radius=0.3)  # warm-up
+            assert len(pairs) == n // 2, index.kind
+            tracemalloc.start()
+            try:
+                collect_hits(index, index, k, radius=0.3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 64 * 1024, (index.kind, peaks)
 
 
 def test_collect_hits_is_a_self_join():

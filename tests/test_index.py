@@ -436,9 +436,13 @@ def loop_assign(X, centers):
 
 
 def running_sum_kmeans(X, k, iters, rng):
-    """Lloyd's iterations with the loop assign and np.add.at running sums."""
+    """Lloyd's iterations with the loop assign and np.add.at running sums, all
+    `iters` of them: (centers, assignment, the first iteration that left the
+    centers unchanged, else `iters`)."""
     centers = _kmeans_pp_init(X, k, rng)
-    for _ in range(iters):
+    stopped = iters
+    for iteration in range(1, iters + 1):
+        previous = centers.copy()
         assign = loop_assign(X, centers)
         counts = np.bincount(assign, minlength=k)
         sums = np.zeros((k, X.shape[1]))
@@ -455,7 +459,9 @@ def running_sum_kmeans(X, k, iters, rng):
             assign[far] = j
             counts[big] -= 1
             counts[int(j)] += 1
-    return centers, loop_assign(X, centers)
+        if stopped == iters and previous.tobytes() == centers.tobytes():
+            stopped = iteration
+    return centers, loop_assign(X, centers), stopped
 
 
 def adversarial_rows(kind, n, dim, rng):
@@ -582,15 +588,17 @@ def test_blas_sized_assign_equals_loop_over_centers(kind, n, dim, seed, n_center
 
 
 @settings(max_examples=40, deadline=None)
-@given(**ADVERSARIAL_DATA)
-def test_kmeans_equals_running_sum_reference(kind, n, dim, seed):
-    X = adversarial_rows(kind, n, dim, np.random.default_rng(seed)).astype(np.float64)
+@given(**ADVERSARIAL_DATA, dtype=st.sampled_from(["float32", "float64"]))
+def test_kmeans_equals_running_sum_reference(kind, n, dim, seed, dtype):
+    # float32 rows are what an index trains on; k-means casts them as it reads.
+    X = adversarial_rows(kind, n, dim, np.random.default_rng(seed)).astype(dtype)
     X[::4, 0] = -0.0  # signed zeros must sum as a running sum from 0.0 does
     k = int(np.random.default_rng(seed).integers(1, len(X) + 1))
-    centers, assign, _ = _kmeans(X, k, 4, np.random.default_rng(seed))
-    ref_centers, ref_assign = running_sum_kmeans(X, k, 4, np.random.default_rng(seed))
-    assert centers.tobytes() == ref_centers.tobytes()
-    assert assign.tolist() == ref_assign.tolist()
+    centers, assign, iterations = _kmeans(X, k, 4, np.random.default_rng(seed))
+    expected = running_sum_kmeans(X, k, 4, np.random.default_rng(seed))
+    assert centers.tobytes() == expected[0].tobytes()
+    assert assign.tolist() == expected[1].tolist()
+    assert iterations == expected[2]
 
 
 @settings(max_examples=100, deadline=None)
@@ -605,10 +613,11 @@ def test_kmeans_stopping_at_its_fixed_point_equals_running_every_iteration(
     # k up to the row count, with a third of the rows duplicated: k-means++
     # then seeds duplicate centers, whose empty clusters the repair refills.
     k = int(np.random.default_rng(seed).integers(1, len(X) + 1))
-    centers, assign, _ = _kmeans(X, k, iters, np.random.default_rng(seed))
-    ref_centers, ref_assign = running_sum_kmeans(X, k, iters, np.random.default_rng(seed))
-    assert centers.tobytes() == ref_centers.tobytes()
-    assert assign.tolist() == ref_assign.tolist()
+    centers, assign, iterations = _kmeans(X, k, iters, np.random.default_rng(seed))
+    expected = running_sum_kmeans(X, k, iters, np.random.default_rng(seed))
+    assert centers.tobytes() == expected[0].tobytes()
+    assert assign.tolist() == expected[1].tolist()
+    assert iterations == expected[2]
 
 
 def full_pass_kmeans_pp_init(X, k, rng):
@@ -686,44 +695,10 @@ def test_kmeans_stops_when_an_iteration_leaves_the_centers_unchanged(monkeypatch
     # the second iteration's assignment.
     X = np.array([[0, 0], [0, 0], [0, 0], [5, 5], [5, 5], [9, 0]], dtype=np.float64)
     centers, assign, iterations = _kmeans(X, 4, 50, np.random.default_rng(1))
-    ref_centers, ref_assign = running_sum_kmeans(X, 4, 50, np.random.default_rng(1))
+    ref_centers, ref_assign, _ = running_sum_kmeans(X, 4, 50, np.random.default_rng(1))
     assert centers.tobytes() == ref_centers.tobytes()
     assert assign.tolist() == ref_assign.tolist()
     assert len(calls) == iterations == 2  # one assignment per iteration run
-
-
-def float64_copy_kmeans(X, k, iters, rng):
-    """k-means as it ran on a float64 copy of the rows: each iteration gathers
-    the rows by cluster with np.take and sums each cluster with
-    np.add.reduceat, plus 0.0, and the repair subtracts into its own gather."""
-    X = X.astype(np.float64)
-    centers = _kmeans_pp_init(X, k, rng)
-    grouped = np.empty_like(X)
-    previous = np.empty_like(centers)
-    for iteration in range(1, iters + 1):
-        previous[:] = centers
-        nearest = _assign(X, centers)
-        assign = nearest.copy()
-        counts = np.bincount(assign, minlength=k)
-        nonempty = counts > 0
-        np.take(X, np.argsort(assign, kind="stable"), axis=0, out=grouped, mode="clip")
-        starts = (np.cumsum(counts) - counts)[nonempty]
-        sums = np.add.reduceat(grouped, starts, axis=0) + 0.0
-        centers[nonempty] = sums / counts[nonempty, None]
-        for j in np.nonzero(~nonempty)[0]:
-            big = int(np.argmax(counts))
-            if counts[big] <= 1:
-                continue
-            members = np.nonzero(assign == big)[0]
-            rows = X[members]
-            far = members[int(np.argmax(_row_sq_dists(rows, centers[big], rows)))]
-            centers[int(j)] = X[far]
-            assign[far] = j
-            counts[big] -= 1
-            counts[int(j)] += 1
-        if np.array_equal(previous.view(np.uint64), centers.view(np.uint64)):
-            return centers, nearest, iteration
-    return centers, _assign(X, centers), iters
 
 
 @settings(max_examples=60, deadline=None)
@@ -731,7 +706,7 @@ def float64_copy_kmeans(X, k, iters, rng):
     **{**ADVERSARIAL_DATA, "n": st.integers(min_value=1, max_value=150)},
     iters=st.integers(min_value=1, max_value=25),
 )
-def test_float32_kmeans_equals_the_float64_copy(kind, n, dim, seed, iters):
+def test_build_index_equals_the_running_sum_reference(kind, n, dim, seed, iters):
     rng = np.random.default_rng(seed)
     rows = adversarial_rows(kind, n, dim, rng)
     rows[::4, 0] = -0.0  # signed zeros must sum as a running sum from 0.0 does
@@ -739,57 +714,15 @@ def test_float32_kmeans_equals_the_float64_copy(kind, n, dim, seed, iters):
     # Up to one list per row, with a third of the rows duplicated: k-means++
     # then seeds duplicate centers, whose empty clusters the repair refills.
     nlist = int(rng.integers(1, len(rows) + 1))
-    centers, assign, iterations = _kmeans(rows, nlist, iters, np.random.default_rng(seed))
-    expected = float64_copy_kmeans(rows, nlist, iters, np.random.default_rng(seed))
-    assert centers.tobytes() == expected[0].tobytes()
-    assert assign.tolist() == expected[1].tolist()
-    assert iterations == expected[2]
     flat = FlatIndex([f"v{p:03d}" for p in rng.permutation(len(rows))], rows)
-    config = IndexConfig(kind="ivf", dim=dim, nlist=nlist, nprobe=1, kmeans_iters=iters, seed=seed % 97)
-    built = build_index(flat, config)
-    with mock.patch.object(postdedup.index, "_kmeans", float64_copy_kmeans):
-        assert index_state(built) == index_state(build_index(flat, config))
-
-
-def test_ivf_join_keeps_the_same_rows_on_any_thread_count():
-    # The lists are scanned in list order, each query carrying its k-th
-    # exact d² as of its last re-rank to its later lists. Threads spread
-    # the chunks of one list only, so each list sees the bounds one thread
-    # gives, and the join keeps and re-ranks the same rows. The carried
-    # bound keeps the re-rank under nprobe·k rows per query, which a k cut
-    # per list reaches here.
-    n, k, nprobe = 600, 10, 3
-    index = build_index(
-        FlatIndex(*unit_vectors(n, 16, seed=28)),
-        IndexConfig(kind="ivf", dim=16, nlist=8, nprobe=nprobe, kmeans_iters=3),
+    config = IndexConfig(
+        kind="ivf", dim=dim, nlist=nlist, nprobe=1, kmeans_iters=iters, seed=seed % 97
     )
-    found = []
-    # Chunks of about 16 queries, and a re-rank every 300 kept pairs.
-    with mock.patch.object(postdedup.index, "_BLOCK_BYTES", 20 * n):
-        for threads in (1, 4):
-            hits = index.self_join_arrays(k, threads=threads)
-            found.append(([a.tobytes() for a in hits], index.rerank_count))
-    assert found[0] == found[1]
-    assert found[0][1] < n * nprobe * k, found[0][1]
-    assert join_hits(index, k) == search_hits(index, k)
-
-
-@pytest.mark.parametrize("k", [1, 4, 9])
-def test_ivf_join_breaks_ties_by_id_across_lists_and_reranks(k):
-    # Integer grid rows tie at every distance, and rows tied with a query
-    # lie in different lists. The ids are shuffled, so a list scanned later
-    # often holds the lower id of a tie. Small budgets re-rank many times,
-    # so a later list's hits merge into each query's top k so far.
-    grid = np.stack(np.meshgrid(*[np.arange(-2, 3)] * 3), axis=-1).reshape(-1, 3)
-    rows = (grid + 3).astype(np.float32)
-    ids = [f"v{i:03d}" for i in np.random.default_rng(29).permutation(len(rows))]
-    for nprobe in (6, 3):
-        index = build_index(
-            FlatIndex(ids, rows),
-            IndexConfig(kind="ivf", dim=3, nlist=6, nprobe=nprobe, kmeans_iters=3, seed=4),
-        )
-        with mock.patch.object(postdedup.index, "_BLOCK_BYTES", 10 * len(rows)):
-            assert join_hits(index, k) == search_hits(index, k)
+    built = build_index(flat, config)
+    with mock.patch.object(postdedup.index, "_kmeans", running_sum_kmeans):
+        expected = build_index(flat, config)
+    assert index_state(built) == index_state(expected)
+    assert built.kmeans_iterations == expected.kmeans_iterations
 
 
 def test_build_index_holds_no_float64_copy_of_the_rows():

@@ -1,14 +1,14 @@
 """Candidate-pair generation, thresholding, expert rules, and classification.
 
 Candidate pairs come straight from one k-NN search of the embeddings
-against the index built from them (`collect_hits`, a self-join by id
-rank), and travel as arrays (`CandidatePairs`), canonically ordered
-(id_a < id_b) and unordered-unique; expert rules are matched over them as
-one boolean mask per rule, never pair by pair, reading the postings given
-aligned with the pairs' names by place. Thresholds are strict: a
-pair at exactly the threshold is excluded. A pair receives exactly one
-label; differing retrieval dates make an otherwise full or semantic
-duplicate TEMPORAL.
+against the index built from them (`collect_hits`, a self-join named by
+the embeddings' ascending ids through the index's id ranks), and travel
+as arrays (`CandidatePairs`), canonically ordered (id_a < id_b) and
+unordered-unique; expert rules are matched over them as one boolean mask
+per rule, never pair by pair, reading the postings given aligned with the
+pairs' names by place. Thresholds are strict: a pair at exactly the
+threshold is excluded. A pair receives exactly one label; differing
+retrieval dates make an otherwise full or semantic duplicate TEMPORAL.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .corpus import Posting
 from .errors import ConfigError, NoMatchingRule
-from .index import FlatIndex, VectorIndex
+from .index import VectorIndex
 
 
 class DuplicateLabel(Enum):
@@ -114,54 +114,54 @@ class CandidatePairs:
 
 def collect_hits(
     index: VectorIndex,
-    queries: FlatIndex,
+    names: Sequence[str],
     k: int = 100,
     threads: int = 1,
     radius: float = math.inf,
 ) -> tuple[CandidatePairs, np.ndarray]:
     """Candidate pairs of a self-join, and each query's k-th hit distance.
 
-    `queries` holds the same ids as `index` (the embeddings the index was
-    built from), else ValueError. A query's hits are its k nearest rows
-    at a distance under `radius`, its own row excluded. Those are exactly
-    the k-NN hits under `radius`, bit for bit, so every threshold and
-    sweep at or under it counts the same pairs, and every saturated query
-    is still found; the index re-ranks only the rows that can lie under
-    `radius` (see `postdedup.index`). Queries may fan out over threads;
-    results are identical for any thread count.
+    `names` is the index's ids in ascending order, else ValueError (one
+    pass checks that the row of id rank r is `names[r]`). A query's hits
+    are its k nearest rows at a distance under `radius`, its own row
+    excluded. Those are exactly the k-NN hits under `radius`, bit for bit,
+    so every threshold and sweep at or under it counts the same pairs, and
+    every saturated query is still found; the index re-ranks only the rows
+    that can lie under `radius` (see `postdedup.index`). Queries may fan
+    out over threads; results are identical for any thread count.
 
     The hits come as the flat arrays of one `index.self_join_arrays(k +
     1, radius)` call, so the memory they take follows the hits found, not
-    k. The pairs are the union of every query's hits, with names
-    `sorted(index.ids)`; a pair found from both ends keeps the distance of
-    its first hit in the index's row order (both ends compute the same
-    bits). `kth[q]` is the distance of the k-th hit of `queries.ids[q]`,
-    inf where it has fewer than k.
+    k. The pairs are the union of every query's hits, named by `names`
+    through the rows' id ranks; a pair found from both ends keeps the
+    distance of its first hit in the index's row order (both ends compute
+    the same bits). `kth[r]` is the distance of the k-th hit of
+    `names[r]`, inf where it has fewer than k.
     """
-    names = sorted(index.ids)
-    if sorted(queries.ids) != names:
-        raise ValueError("collect_hits is a self-join: queries must hold the index's ids")
+    ranks = index.id_ranks
+    if len(names) != len(index) or [names[r] for r in ranks.tolist()] != index.ids:
+        raise ValueError("collect_hits is a self-join: names must be the index's ids, ascending")
     qi, rows, d = index.self_join_arrays(k + 1, radius, threads=threads)
     under = d < radius
     qi, rows, d = qi[under], rows[under], d[under]
     # Each hit as (query row, query's id rank, row's id rank, distance), in
     # query order, then ascending within a query; the own row is the hit
     # of equal rank.
-    a, b = index._id_ranks[qi], index._id_ranks[rows]
+    a, b = ranks[qi], ranks[rows]
     other = a != b
     qi, a, b, d = qi[other], a[other], b[other], d[other]
     # qi ascends, so a hit's place among its query's hits is its offset
     # from the query's first hit.
     place = np.arange(qi.size) - np.searchsorted(qi, qi)
-    kth = np.full(len(names), np.inf)  # by id rank
+    n = len(names)
+    kth = np.full(n, np.inf)
     last = place == k - 1
     kth[a[last]] = d[last]
     keep = place < k
     a, b, d = a[keep], b[keep], d[keep]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    n = len(names)
     codes, first = np.unique(lo * n + hi, return_index=True)
-    return CandidatePairs(names, codes // n, codes % n, d[first]), kth[queries._id_ranks]
+    return CandidatePairs(names, codes // n, codes % n, d[first]), kth
 
 
 def threshold_sweep(
@@ -296,9 +296,10 @@ def saturation_report(query_ids: Sequence[str], kth: np.ndarray, theta: float, k
     A query is saturated iff its k-th hit (`kth`, inf for fewer than k hits)
     is under theta. For these the k cap, not the threshold, limited the
     matches, so true duplicates beyond the k-th neighbor may have been cut off.
+    `query_ids` ascend, as `collect_hits`' names do, and `kth` follows them.
     """
     flags = (kth < theta).tolist()
-    saturated = sorted(vid for vid, flag in zip(query_ids, flags) if flag)
+    saturated = [vid for vid, flag in zip(query_ids, flags) if flag]
     return {"k": k, "theta": theta, "count": len(saturated), "saturated_ids": saturated}
 
 

@@ -68,7 +68,9 @@ exact search (Johnson et al.). The CLI runs OpenBLAS with one thread (see
 of 8 queries, the one-thread product takes 0.075 s against 0.24 s for
 the ``np.einsum`` it replaced; ``queries @ rows.T`` takes 0.16 s.
 
-An index may hold zero rows; every search of it finds no hits.
+An index may hold zero rows; every search of it finds no hits. Rows and
+ids are validated, and ids ranked (`id_ranks`), once, by the `FlatIndex`
+of the embeddings; an IVF index trained on it takes them in list order.
 
 Only a flat index is stored: it is how embeddings travel between runs. An
 IVF index is trained by `build_index` for the run that searches it and is
@@ -88,7 +90,7 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, Union
@@ -509,12 +511,20 @@ def _self_join(
     return qi, rj, d2, reranked
 
 
-class _BaseIndex:
-    """Rows and ids every index holds, validated in one place.
+def id_order(ids: Sequence[str]) -> list[int]:
+    """The places of `ids` in ascending id order; a repeated id raises DuplicateId."""
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    if repeated := [ids[a] for a, b in zip(order, order[1:]) if ids[a] == ids[b]]:
+        raise DuplicateId(repeated[0])
+    return order
 
-    The constructor rejects what no index may hold: a shape other than
-    (len(ids), dim) (DataError), an all-zero row (ZeroVector), a NaN or
-    infinite entry (DataError) and a repeated id (DuplicateId), not zero rows.
+
+class _BaseIndex:
+    """Rows and ids every index holds, validated and ranked once.
+
+    The constructor (a `FlatIndex`'s) rejects what no index may hold: a shape
+    other than (len(ids), dim) (DataError), an all-zero row (ZeroVector), a
+    NaN or infinite entry (DataError) and a repeated id (DuplicateId).
     """
 
     kind: str
@@ -533,18 +543,14 @@ class _BaseIndex:
         if bad.any():
             vid = ids[int(np.argmax(bad))]
             raise DataError(f"non-finite vector for id {vid!r} cannot be indexed")
-        if len(set(ids)) < len(ids):
-            raise DuplicateId(next(vid for vid, n in Counter(ids).items() if n > 1))
         self.ids = ids
         self._vecs32 = vecs32
-        order = sorted(range(len(ids)), key=ids.__getitem__)
-        ranks = np.empty(len(ids), dtype=np.int64)
-        ranks[order] = np.arange(len(ids))
-        self._id_ranks = ranks
+        # Read-only; `ids[i]` is the `id_ranks[i]`-th smallest id.
+        self.id_ranks = np.argsort(id_order(ids))
+        self.id_ranks.flags.writeable = False
         # Stored vectors the last search compared, and re-ranked with the
         # exact expression; each search sets both.
-        self.comparison_count = 0
-        self.rerank_count = 0
+        self.comparison_count = self.rerank_count = 0
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -603,7 +609,7 @@ class FlatIndex(_BaseIndex):
         # Each pair of rows decided once; the comparisons are the n² ordered
         # pairs the search decided.
         qi, rows, d2, self.rerank_count = _self_join(
-            self._vecs32, self._sq, self._id_ranks, k, threads, r2
+            self._vecs32, self._sq, self.id_ranks, k, threads, r2
         )
         self.comparison_count = len(self) ** 2
         return qi, rows, d2
@@ -625,21 +631,27 @@ class IVFIndex(_BaseIndex):
     Vectors are stored grouped by list, list i holding rows
     bounds[i]:bounds[i + 1]; a row's search scans only the `nprobe` lists
     whose centroids are nearest to it. `build_index` makes it, from k-means
-    centroids of finite rows, and it is never written to a file.
+    centroids of finite rows, and it is never written to a file. Its row i
+    is row `order[i]` of `flat`, with its id, squared norm and id rank.
     """
 
     kind = "ivf"
 
     def __init__(
         self,
-        ids: list[str],
-        vecs32: np.ndarray,
+        flat: FlatIndex,
         centroids32: np.ndarray,
+        order: np.ndarray,
         bounds: np.ndarray,
         nprobe: int,
         kmeans_iterations: int = 0,
     ) -> None:
-        super().__init__(ids, vecs32)
+        self.ids = [flat.ids[i] for i in order.tolist()]
+        self._vecs32 = flat._vecs32[order]
+        self._sq = flat._sq[order]
+        self.id_ranks = flat.id_ranks[order]
+        self.id_ranks.flags.writeable = False
+        self.comparison_count = self.rerank_count = 0
         self._cent32 = np.ascontiguousarray(centroids32, dtype=np.float32)
         self._cent_sq = _sq_norms(self._cent32)
         self._bounds = np.asarray(bounds, dtype=np.int64)
@@ -664,7 +676,7 @@ class IVFIndex(_BaseIndex):
         probes = probes.reshape(n, self.nprobe)
         lists = (self._bounds, probes)
         qi, found, d2, self.rerank_count = _search(
-            rows, rows, self._sq, self._id_ranks, k, threads, r2, lists
+            rows, rows, self._sq, self.id_ranks, k, threads, r2, lists
         )
         self.comparison_count = int(np.diff(self._bounds)[probes].sum())
         return qi, found, d2
@@ -795,17 +807,15 @@ def build_index(flat: FlatIndex, config: IndexConfig) -> VectorIndex:
     if config.kind == "flat" or not len(flat):
         return flat
     nlist = min(config.nlist, len(flat))
-    rows = flat.vectors
     rng = np.random.default_rng(config.seed)
-    centers, assign, iterations = _kmeans(rows, nlist, config.kmeans_iters, rng)
+    centers, assign, iterations = _kmeans(flat.vectors, nlist, config.kmeans_iters, rng)
     order = np.argsort(assign, kind="stable")
     counts = np.bincount(assign, minlength=nlist)
     bounds = np.concatenate(([0], np.cumsum(counts)))
-    grouped_ids = [flat.ids[int(i)] for i in order]
     return IVFIndex(
-        grouped_ids,
-        rows[order],
+        flat,
         centers.astype(np.float32),
+        order,
         bounds,
         nprobe=min(config.nprobe, nlist),
         kmeans_iterations=iterations,
@@ -869,6 +879,7 @@ __all__ = [
     "IVFIndex",
     "VectorIndex",
     "build_index",
+    "id_order",
     "load_index",
     "index_from_bytes",
 ]

@@ -11,10 +11,10 @@ exact group shares its canonical text and is FULL; a kept pair across two
 groups does not and is SEMANTIC; either is TEMPORAL when the retrieval
 dates differ.
 
-The postings are sorted by id once, up front (`_id_order`, which rejects a
+The postings are sorted by id once, up front (`id_order`, which rejects a
 repeated id), and every later stage refers to a posting by its place in
 that order, which is its id's rank: groups, rules and expansion map no id
-back to its row.
+back to its row. The embeddings' ids ascend too, and name the candidates.
 
 `run_pipeline` is the only function that runs the chain. The CLI `dedup`
 command calls it over the corpus it reads (`load_postings`, looked up here
@@ -65,9 +65,9 @@ from .dedup import (
     threshold_sweep,
 )
 from .embed import HashedEmbedder, RemoteEmbedder, truncation_report
-from .errors import DataError, DuplicateId, MalformedRecord
+from .errors import DataError, MalformedRecord
 from .evaluation import write_results_csv
-from .index import FlatIndex, IVFIndex, VectorIndex, build_index, load_index
+from .index import FlatIndex, IVFIndex, VectorIndex, build_index, id_order, load_index
 from .normalize import canonicalize, fingerprint_text, group_exact
 from .translate import (
     DictionaryTranslator,
@@ -128,15 +128,6 @@ def _timed(timings: dict, name: str, fn, *args):
     out = fn(*args)
     timings[name] = time.perf_counter() - t0
     return out
-
-
-def _id_order(postings: Sequence[Posting]) -> list[int]:
-    """The places of `postings` in id order; a repeated id raises DuplicateId."""
-    ids = [p.id for p in postings]
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    if repeated := [ids[a] for a, b in zip(order, order[1:]) if ids[a] == ids[b]]:
-        raise DuplicateId(repeated[0])
-    return order
 
 
 def _normalize(postings: Sequence[Posting], config: PipelineConfig) -> list[str]:
@@ -239,29 +230,30 @@ def _dedup(
     groups: Sequence[list[int]],
     named: Sequence[list[int]],
     meta: dict,
-    queries: FlatIndex,
+    names: list[str],
     index: VectorIndex,
     config: PipelineConfig,
     timings: dict,
 ) -> PipelineResult:
     """Candidates, rules, classification, expansion; assembles the run report.
-    `named[i]` is the group of `queries.ids[i]`, the i-th candidate name."""
+    `names` is the index's ids in ascending order, the candidate names, and
+    `named[i]` is the group of `names[i]`."""
     t0 = time.perf_counter()
     k, base_theta = config.dedup.k, config.dedup.base_theta
     radius = config.dedup.search_radius
-    candidates, kth = collect_hits(index, queries, k, threads=config.threads, radius=radius)
+    candidates, kth = collect_hits(index, names, k, threads=config.threads, radius=radius)
     timings["candidates"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     rules = list(config.dedup.rules) or [default_rule(base_theta)]
     kept = apply_rules_detailed(candidates, [postings[g[0]] for g in named], rules, base_theta)
     pairs, labels, reasons, reason_names = _expand_pairs(kept, rules, groups, named, postings)
-    n = len(queries)
+    n = len(names)
     brute_force_pairs = pair_count(n)
     sweep = threshold_sweep(
         candidates.distances, list(config.dedup.sweep_thetas), brute_force_pairs
     )
-    saturation = saturation_report(queries.ids, kth, base_theta, k)
+    saturation = saturation_report(names, kth, base_theta, k)
     label_counts = np.bincount(labels, minlength=len(DuplicateLabel)).tolist()
     timings["classify"] = time.perf_counter() - t0
     list_sizes = kmeans_iterations = None
@@ -315,7 +307,7 @@ def run_pipeline(
     """Run the full dedup chain in memory over already-loaded postings, in
     any order; a repeated id raises DuplicateId before any stage runs."""
     timings: dict[str, float] = {}
-    order = _id_order(postings)
+    order = id_order([p.id for p in postings])
     canonicals = _timed(timings, "normalize", _normalize, postings, config)
     postings, canonicals = [postings[i] for i in order], [canonicals[i] for i in order]
     groups = _timed(timings, "group_exact", group_exact, canonicals)
@@ -326,7 +318,7 @@ def run_pipeline(
     embedded, meta, nonzero = _timed(timings, "embed", _embed, rep_ids, texts, config, embedder)
     index = _timed(timings, "index", build_index, embedded, config.index)
     named = list(compress(groups, nonzero))
-    return _dedup(postings, groups, named, meta, embedded, index, config, timings)
+    return _dedup(postings, groups, named, meta, embedded.ids, index, config, timings)
 
 
 # --- artifact files and single-stage runners ---------------------------------
@@ -406,7 +398,7 @@ def stage_translate(config: PipelineConfig, outdir: str | Path, translator=None)
             f"{Path(outdir) / CANONICAL_FILE} does not hold the ids of {POSTINGS_FILE} "
             "in order; run the normalize stage again"
         )
-    order = _id_order(postings)
+    order = id_order([p.id for p in postings])
     postings, canonicals = [postings[i] for i in order], [records[i][1] for i in order]
     groups = group_exact(canonicals)
     texts = _translate(postings, canonicals, groups, config, translator)

@@ -221,7 +221,7 @@ class TranslationCache:
         """Add (fingerprint, target, backend, translated text) entries.
 
         Keys already cached keep their text. The new entries are appended to
-        the file in one write.
+        the file in one write, fsynced before `put` returns.
         """
         lines = []
         timestamp = time.time()
@@ -237,6 +237,8 @@ class TranslationCache:
             if lines:
                 with open(self._path, "a", encoding="utf-8") as fh:
                     fh.write("".join(lines))
+                    fh.flush()
+                    os.fsync(fh.fileno())
 
 
 # Deterministic and CPU-bound: they run inline, since threads would only

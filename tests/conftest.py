@@ -213,7 +213,7 @@ def scan(index, queries, k: int, threads: int = 1, radius: float = math.inf):
     re-ranked."""
     queries = np.ascontiguousarray(queries, dtype=np.float32)
     qi, rows, d2, reranked = _search(
-        queries, index.vectors, index._sq, index._id_ranks, k, threads, radius * radius
+        queries, index.vectors, index._sq, index.id_ranks, k, threads, radius * radius
     )
     return qi, rows, np.sqrt(d2), reranked
 

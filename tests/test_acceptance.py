@@ -77,7 +77,7 @@ def test_criterion_1_flat_oracle_exactness():
 def _join_by_id(index, k):
     """`self_join_arrays` hits as (query id rank, row id rank, distance), by query id."""
     qi, rows, distances = index.self_join_arrays(k)
-    ranks = index._id_ranks
+    ranks = index.id_ranks
     order = np.argsort(ranks[qi], kind="stable")
     return ranks[qi][order], ranks[rows][order], distances[order]
 
@@ -128,7 +128,7 @@ def test_criterion_3_comparison_reduction_arithmetic():
 
     vectors = FlatIndex(*unit_vectors(10_000, 16, seed=105))
     index = build_index(vectors, IndexConfig(kind="flat", dim=16))
-    pairs, _ = collect_hits(index, vectors, k=100)
+    pairs, _ = collect_hits(index, vectors.ids, k=100)
     brute = pair_count(10_000)
     assert brute == 49_995_000
     assert len(pairs) <= 1_000_000
@@ -260,7 +260,7 @@ def test_criterion_7_diagnostics_correctness():
         np.concatenate([clique.astype(np.float32), background]),
     )
     index = build_index(vectors, IndexConfig(kind="flat", dim=dim))
-    _, kth = collect_hits(index, vectors, k=k)
+    _, kth = collect_hits(index, vectors.ids, k=k)
     sat = saturation_report(vectors.ids, kth, theta=theta, k=k)
     assert sat["saturated_ids"] == sorted(clique_ids)
     assert sat["count"] == k + 5

@@ -3,7 +3,7 @@
 The tracer wraps layer functions by name and counts work from their
 arguments and results. These tests load it as it is and check that every
 name it wraps exists and is called by a stagewise run and `dedup`, and
-that its rule counts equal the run report's.
+that its rule and search counts equal the run report's.
 """
 
 from __future__ import annotations
@@ -71,6 +71,32 @@ def test_traced_rule_counts_are_the_report_counters(tracing, tmp_path, monkeypat
         "dedup.candidates": counters["candidate_pairs"],
         "dedup.kept": counters["kept_representative_pairs"],
     }
+
+
+@pytest.mark.parametrize("index", [{"kind": "flat"}, {"kind": "ivf", "nlist": 8, "nprobe": 2}])
+def test_traced_search_counts_are_the_report_counters(tracing, monkeypatch, index):
+    synth = synth_corpus(120, DupPlan(0.15, 0.15, 0.10), seed=3)
+    config = config_from_dict({"index": index, "dedup": {"k": 20, "base_theta": 0.25}})
+    calls = []
+    collect_hits = pipeline.collect_hits
+
+    def spy(*args, **kwargs):
+        out = collect_hits(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(pipeline, "collect_hits", spy)
+    report = pipeline.run_pipeline(synth.postings, config).report
+    counters = report["counters"]
+    [(args, kwargs, out)] = calls
+    counts = Counter()
+    tracing._count_search(counts, args, kwargs, out, 0.0)
+    assert counts == {
+        "index.queries": report["n_groups"] - report["n_zero_vectors"],
+        "index.query_rows": counters["brute_force_comparisons"],
+        "index.comparisons": counters["index_comparisons"],
+    }
+    assert 0 < counters["index_comparisons"] <= counters["brute_force_comparisons"]
 
 
 def test_every_trace_target_is_called_by_a_stagewise_run_and_dedup(tracing, tmp_path, monkeypatch):

@@ -83,20 +83,20 @@ class TestCandidatePairs:
     def test_three_identical_vectors_complete_graph(self):
         vectors = FlatIndex([f"v{i}" for i in range(3)], [[1, 0]] * 3)
         index = build_index(vectors, IndexConfig(dim=2))
-        pairs, _ = collect_hits(index, vectors, k=2)
+        pairs, _ = collect_hits(index, vectors.ids, k=2)
         assert pair_keys(pairs) == {("v0", "v1"), ("v0", "v2"), ("v1", "v2")}
         assert (pairs.distances == 0.0).all()
 
     def test_k_capped_by_index_size(self):
         vectors = FlatIndex(["a", "b"], [[1, 0], [0, 1]])
         index = build_index(vectors, IndexConfig(dim=2))
-        pairs, _ = collect_hits(index, vectors, k=100)
+        pairs, _ = collect_hits(index, vectors.ids, k=100)
         assert pair_keys(pairs) == {("a", "b")}
 
     def test_matches_exhaustive_knn_oracle(self):
         ids, matrix = vectors = unit_vectors(500, 16, seed=77)
         index = build_index(FlatIndex(*vectors), IndexConfig(dim=16))
-        got = pair_keys(collect_hits(index, index, k=10)[0])
+        got = pair_keys(collect_hits(index, index.ids, k=10)[0])
 
         # oracle: full distance matrix in float64, take each row's true
         # 10 nearest (excluding self, ties by id), union as sorted pairs
@@ -114,13 +114,13 @@ class TestCandidatePairs:
         # Four equal rows tie at 0 and break ties by id, so "d" finds "a" and
         # "b" but not itself among its k + 1 = 2 nearest; it keeps "a" only.
         vectors = FlatIndex(["d", "c", "b", "a"], [[1, 0]] * 4)
-        pairs, kth = collect_hits(vectors, vectors, k=1)
+        pairs, kth = collect_hits(vectors, sorted(vectors.ids), k=1)
         assert pair_keys(pairs) == {("a", "b"), ("a", "c"), ("a", "d")}
         assert kth.tolist() == [0.0] * 4
 
     def test_canonical_form(self):
         index = build_index(FlatIndex(*unit_vectors(50, 8, seed=78)), IndexConfig(dim=8))
-        pairs, _ = collect_hits(index, index, k=5)
+        pairs, _ = collect_hits(index, index.ids, k=5)
         assert pairs.names == sorted(pairs.names)
         triples = pair_triples(pairs)
         assert all(a < b for a, b, _ in triples)
@@ -433,15 +433,17 @@ class TestSaturation:
     def test_all_hits_under_theta_saturated(self):
         vectors = FlatIndex(["q", "n1", "n2"], [[1, 0], [1, 0.01], [1, 0.02]])
         index = build_index(vectors, IndexConfig(dim=2))
-        _, kth = collect_hits(index, vectors, k=2)
-        report = saturation_report(vectors.ids, kth, theta=0.25, k=2)
+        names = sorted(vectors.ids)
+        _, kth = collect_hits(index, names, k=2)
+        report = saturation_report(names, kth, theta=0.25, k=2)
         assert "q" in report["saturated_ids"]
 
     def test_kth_hit_over_theta_not_saturated(self):
         vectors = FlatIndex(["q", "n1", "far"], [[1, 0], [1, 0.1], [0, 1]])
         index = build_index(vectors, IndexConfig(dim=2))
-        _, kth = collect_hits(index, vectors, k=2)
-        report = saturation_report(vectors.ids, kth, theta=0.25, k=2)
+        names = sorted(vectors.ids)
+        _, kth = collect_hits(index, names, k=2)
+        report = saturation_report(names, kth, theta=0.25, k=2)
         assert "q" not in report["saturated_ids"]
 
     def test_planted_clique_flagged_exactly(self):
@@ -458,7 +460,7 @@ class TestSaturation:
         matrix = np.concatenate([noisy.astype(np.float32), background])
 
         index = build_index(FlatIndex(ids, matrix), IndexConfig(dim=dim))
-        _, kth = collect_hits(index, index, k=k)
+        _, kth = collect_hits(index, index.ids, k=k)
         report = saturation_report(index.ids, kth, theta=theta, k=k)
 
         matrix = matrix.astype(np.float64)
@@ -480,22 +482,26 @@ class TestSaturation:
         # degrees would flag it; it has no k-th hit of its own.
         k, theta = 2, 0.25
         unit = lambda degrees: [np.cos(np.radians(degrees)), np.sin(np.radians(degrees))]
+        vectors = FlatIndex(
+            ["n1", "n2", "q", "z"], np.array([unit(11), unit(12), unit(0), unit(-100)])
+        )
         index = IVFIndex(
-            ["q", "n1", "n2", "z"],
-            np.array([unit(0), unit(11), unit(12), unit(-100)]),
+            vectors,
             np.array([unit(0), unit(20), unit(-15)]),  # lists A, B, C
+            np.array([2, 0, 1, 3]),  # "q" in A, "n1" and "n2" in B, "z" in C
             [0, 1, 3, 4],
             nprobe=2,
         )
-        vectors = FlatIndex(index.ids, index.vectors)
-        pairs, kth = collect_hits(index, vectors, k=k)
+        assert index.ids == ["q", "n1", "n2", "z"]
+        assert index.id_ranks.tolist() == [2, 0, 1, 3]
+        pairs, kth = collect_hits(index, vectors.ids, k=k)
         report = saturation_report(vectors.ids, kth, theta=theta, k=k)
 
         under = [(a, b) for a, b, d in pair_triples(pairs) if d < theta]
         degree = Counter(name for pair in under for name in pair)
         assert degree["q"] == k
         assert report["saturated_ids"] == ["n1", "n2"]
-        _, expected_kth = collect_hits_oracle(index, vectors, k)
+        _, expected_kth = collect_hits_oracle(index, vectors.ids, k)
         assert [d.hex() for d in kth.tolist()] == expected_kth
 
 
@@ -506,8 +512,8 @@ def pair_bits(pairs):
     return [(a, b, d.hex()) for a, b, d in pair_triples(pairs)]
 
 
-def collect_hits_oracle(index, queries, k, radius=math.inf):
-    """Pairs as sorted (id_a, id_b, distance bits) and each query's k-th hit's bits.
+def collect_hits_oracle(index, names, k, radius=math.inf):
+    """Pairs as sorted (id_a, id_b, distance bits) and the k-th hit's bits of each of `names`.
 
     One query at a time over its k + 1 nearest probed rows by brute force
     (`search_hits`), those under `radius`: drop the query's own id, keep
@@ -516,7 +522,7 @@ def collect_hits_oracle(index, queries, k, radius=math.inf):
     """
     found = search_hits(index, k + 1, radius)
     pairs, kth = {}, []
-    for vid in queries.ids:
+    for vid in names:
         hits = [(other, d) for other, d in found[vid] if other != vid][:k]
         for other, d in hits:
             pairs.setdefault(tuple(sorted((vid, other))), d.hex())
@@ -579,11 +585,11 @@ def test_collect_hits_equals_per_query_loop(
         kind=kind, dim=dim, nlist=nlist, nprobe=min(nprobe, nlist), kmeans_iters=kmeans_iters
     )
     index = build_index(vectors, config)
-    expected_pairs, expected_kth = collect_hits_oracle(index, vectors, k, radius)
+    expected_pairs, expected_kth = collect_hits_oracle(index, sorted(ids), k, radius)
     # Blocks of one to two queries, so four threads have blocks to spread.
     join = mock.patch.object(postdedup.index, "_self_join", wraps=postdedup.index._self_join)
     with mock.patch.object(postdedup.index, "_BLOCK_BYTES", 20 * len(rows)), join as spy:
-        pairs, kth = collect_hits(index, vectors, k, threads=threads, radius=radius)
+        pairs, kth = collect_hits(index, sorted(ids), k, threads=threads, radius=radius)
     # A flat index decides each pair of its rows once.
     assert spy.called == (kind == "flat")
     assert pairs.names == sorted(ids)
@@ -606,11 +612,11 @@ def test_collect_hits_memory_follows_the_hits_not_k():
     for index in (flat, ivf):
         peaks = []
         for k in (10, 1000):
-            pairs, _ = collect_hits(index, index, k, radius=0.3)  # warm-up
+            pairs, _ = collect_hits(index, flat.ids, k, radius=0.3)  # warm-up
             assert len(pairs) == n // 2, index.kind
             tracemalloc.start()
             try:
-                collect_hits(index, index, k, radius=0.3)
+                collect_hits(index, flat.ids, k, radius=0.3)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -618,12 +624,13 @@ def test_collect_hits_memory_follows_the_hits_not_k():
 
 
 def test_collect_hits_is_a_self_join():
-    vectors = FlatIndex(["a", "b", "c"], [[1, 0], [0, 1], [1, 1]])
-    others = FlatIndex(["a", "b", "d"], [[1, 0], [0, 1], [1, 1]])
-    with pytest.raises(ValueError, match="self-join"):
-        collect_hits(vectors, others, k=2)
-    with pytest.raises(ValueError, match="self-join"):
-        collect_hits(vectors, FlatIndex(["a", "b"], [[1, 0], [0, 1]]), k=2)
+    # The names must be the index's ids in ascending order: other ids, too
+    # few or too many, or the right ids in the wrong order are rejected.
+    vectors = FlatIndex(["b", "c", "a"], [[1, 0], [0, 1], [1, 1]])
+    assert len(collect_hits(vectors, ["a", "b", "c"], k=2)[0]) == 3
+    for names in (["a", "b", "d"], ["a", "b"], ["a", "b", "c", "d"], ["b", "c", "a"]):
+        with pytest.raises(ValueError, match="self-join"):
+            collect_hits(vectors, names, k=2)
 
 
 @settings(max_examples=150, deadline=None)
@@ -657,10 +664,11 @@ def test_radius_search_equals_knn_then_filter(
     vectors = FlatIndex(ids, rows)
     config = IndexConfig(kind=kind, dim=dim, nlist=min(3, len(rows)), nprobe=min(2, len(rows)))
     index = build_index(vectors, config)
-    knn, knn_kth = collect_hits(index, vectors, k)
+    names = sorted(ids)
+    knn, knn_kth = collect_hits(index, names, k)
     # Blocks of one to two queries, so four threads have blocks to spread.
     with mock.patch.object(postdedup.index, "_BLOCK_BYTES", 20 * len(rows)):
-        bounded, bounded_kth = collect_hits(index, vectors, k, threads=threads, radius=radius)
+        bounded, bounded_kth = collect_hits(index, names, k, threads=threads, radius=radius)
 
     under = [t for t in pair_bits(knn) if float.fromhex(t[2]) < radius]
     assert pair_bits(bounded) == under
@@ -668,8 +676,8 @@ def test_radius_search_equals_knn_then_filter(
     expected_kth = np.where(knn_kth < radius, knn_kth, np.inf)
     assert [d.hex() for d in bounded_kth.tolist()] == [d.hex() for d in expected_kth.tolist()]
     for theta in (radius, radius / 2):
-        assert saturation_report(ids, bounded_kth, theta, k) == saturation_report(
-            ids, knn_kth, theta, k
+        assert saturation_report(names, bounded_kth, theta, k) == saturation_report(
+            names, knn_kth, theta, k
         )
     thetas = [radius / 4, radius / 2, float(np.nextafter(radius, 0)), radius]
     sweep = [n for _, n, _ in threshold_sweep(bounded.distances, thetas, len(knn))]

@@ -50,7 +50,7 @@ class TestDegenerateIndexes:
     def test_candidate_pairs_on_two_point_index(self):
         vectors = FlatIndex(["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
         index = build_index(vectors, IndexConfig(dim=2))
-        assert pair_keys(collect_hits(index, vectors, k=5)[0]) == {("a", "b")}
+        assert pair_keys(collect_hits(index, vectors.ids, k=5)[0]) == {("a", "b")}
 
 
 class TestStructuralCorruption:

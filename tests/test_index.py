@@ -102,6 +102,12 @@ class TestFlatBasics:
         rows[0, 0] = 3.0  # the caller's array stays writable
         assert rows.flags.writeable
 
+    def test_id_ranks_are_the_places_of_the_ids_in_sorted_order_read_only(self):
+        index = FlatIndex(["z", "a", "m"], [[1, 0], [0, 1], [1, 1]])
+        assert index.id_ranks.tolist() == [2, 0, 1]
+        with pytest.raises(ValueError):
+            index.id_ranks[0] = 0
+
 
 class TestBuildValidation:
     def test_empty_index_finds_no_hits_and_round_trips(self, tmp_path):
@@ -206,6 +212,21 @@ def test_ivf_probe_all_equals_flat_property(n, nlist_div, seed):
 
 
 class TestIVF:
+    def test_ivf_takes_the_flat_rows_norms_and_id_ranks_in_list_order(self, monkeypatch):
+        ids, rows = unit_vectors(300, 8, seed=12)
+        flat = FlatIndex(ids[::-1], rows)  # ids descending: the ranks are no arange
+        # The flat index validated and ranked the rows; the IVF build does not again.
+        monkeypatch.setattr(postdedup.index._BaseIndex, "__init__", None)
+        ivf = build_index(flat, IndexConfig(kind="ivf", dim=8, nlist=6, nprobe=2, seed=3))
+        place = {vid: i for i, vid in enumerate(flat.ids)}
+        order = [place[vid] for vid in ivf.ids]
+        assert sorted(order) == list(range(300)) and order != sorted(order)
+        assert ivf.vectors.tobytes() == flat.vectors[order].tobytes()
+        assert ivf._sq.tobytes() == flat._sq[order].tobytes()
+        assert ivf.id_ranks.tolist() == flat.id_ranks[order].tolist()
+        with pytest.raises(ValueError):
+            ivf.id_ranks[0] = 0
+
     def test_two_separated_clusters_fill_two_lists(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(50, 8)) + 100.0

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 import statistics
 import struct
 import tempfile
@@ -627,6 +629,28 @@ def test_atomic_write_failing_partway_keeps_previous_index(tmp_path):
             raise WriteFailed
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_atomic_write_fsyncs_the_file_then_renames_then_fsyncs_the_directory(
+    tmp_path, monkeypatch
+):
+    calls = []
+    fsync, rename = os.fsync, os.replace
+
+    def record_fsync(fd):
+        info = os.fstat(fd)  # a file's size shows its bytes were flushed first
+        calls.append(("fsync", "directory" if stat.S_ISDIR(info.st_mode) else info.st_size))
+        fsync(fd)
+
+    def record_replace(src, dst):
+        calls.append(("replace", Path(dst).name))
+        rename(src, dst)
+
+    monkeypatch.setattr(os, "fsync", record_fsync)
+    monkeypatch.setattr(os, "replace", record_replace)
+    write_json({"pairs": list(range(100))}, tmp_path / REPORT_FILE)
+    size = (tmp_path / REPORT_FILE).stat().st_size
+    assert calls == [("fsync", size), ("replace", REPORT_FILE), ("fsync", "directory")]
 
 
 def crafted_embeddings(raw: bytes, corruption: str) -> bytes:

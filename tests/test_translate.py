@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import threading
 import time
@@ -357,6 +358,23 @@ def test_cache_appends_once_per_language_pair(tmp_path, monkeypatch):
     translate_batch(texts, sources, CountingBackend(), cache=cache, batch_size=4)
     assert appends == [cache_path, cache_path]
     assert len(cache_path.read_text(encoding="utf-8").splitlines()) == 30
+
+
+def test_cache_put_fsyncs_its_append(tmp_path, monkeypatch):
+    cache_path = tmp_path / "cache.jsonl"
+    cache = TranslationCache(cache_path)
+    synced = []
+    fsync = os.fsync
+
+    def record(fd):
+        synced.append(os.fstat(fd).st_size)  # the bytes on file when it is synced
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", record)
+    cache.put([("fp1", "en", "dictionary", "dog"), ("fp2", "en", "dictionary", "cat")])
+    cache.put([("fp1", "en", "dictionary", "dog")])  # cached already: nothing to append
+    assert synced == [cache_path.stat().st_size]
+    assert len(cache_path.read_text(encoding="utf-8").splitlines()) == 2
 
 
 def test_batched_append_cut_off_mid_line_loses_only_the_torn_tail(tmp_path):
